@@ -1,8 +1,8 @@
 (* Maximal-empty-rectangle (MER) free-space manager.
 
    Invariant: [mers] is exactly the set of maximal empty axis-aligned
-   rectangles of the chip w.r.t. [occupied], kept sorted for
-   deterministic queries.
+   rectangles of the chip w.r.t. [occupied], kept sorted by
+   [rect_order] for deterministic queries.
 
    - place: an MER that does not intersect the new footprint stays
      maximal (space only shrank); one that does is replaced by its four
@@ -15,18 +15,40 @@
 
    - remove: a maximal rectangle of the new configuration either
      avoids the freed footprint F (then it was maximal before and is
-     already present) or intersects F. The latter are recomputed
-     directly: the left edge of a maximal rectangle is 0 or the right
-     edge of some obstacle, its right edge is the chip width or the
-     left edge of some obstacle; for each such x-span overlapping F,
-     the maximal y-gaps of the span are candidate rectangles, kept when
-     both vertical strips beside them are blocked. Old MERs that became
-     extendable into F are contained in one of these candidates and are
-     pruned. *)
+     already present) or intersects F. The latter are recomputed on a
+     compressed grid: its columns and rows are cut at the distinct x
+     and y edges of the remaining obstacles, of F and of the chip, so
+     occupancy is uniform inside each compressed cell and every
+     maximal rectangle is a union of cells. The obstacles are painted
+     into a byte grid owned by the manager and reused across calls.
+     For each left column at or before F's right edge, a sweep adds
+     columns to the right, keeping per row whether any added column is
+     occupied there; after each column, every maximal run of free rows
+     that crosses F's rows is emitted when the columns on both sides
+     are blocked within it (or lie beyond the chip). The sweep stops
+     once every row through F is blocked. With c compressed columns
+     and r compressed rows (each at most 2k + 4 for k live modules)
+     this costs O(c^2 * r) and allocates no buffer per call: only
+     the resulting rectangles. Old MERs that became extendable into F
+     are contained in one of the new rectangles and are pruned. *)
 
 type rect = { x : int; y : int; w : int; h : int }
 
 type policy = First_fit | Best_fit | Worst_fit
+
+(* Reusable buffers for [remove]. [xs]/[ys] hold the compressed
+   coordinates in ascending order; [xi]/[yi] map an edge coordinate to
+   its index, and hold -1 for a coordinate flagged as an edge but not
+   yet indexed; [cells] is the column-major compressed occupancy grid
+   (grown on demand); [blocked] is the per-row sweep state. *)
+type buffers = {
+  xs : int array;
+  ys : int array;
+  xi : int array;
+  yi : int array;
+  mutable cells : Bytes.t;
+  blocked : Bytes.t;
+}
 
 type t = {
   width : int;
@@ -34,7 +56,18 @@ type t = {
   mutable mers : rect list;
   occupied : (int, rect) Hashtbl.t;
   mutable used : int;
+  buffers : buffers;
 }
+
+let make_buffers ~w ~h =
+  {
+    xs = Array.make (w + 1) 0;
+    ys = Array.make (h + 1) 0;
+    xi = Array.make (w + 1) 0;
+    yi = Array.make (h + 1) 0;
+    cells = Bytes.empty;
+    blocked = Bytes.make h '\000';
+  }
 
 let create ~w ~h =
   if w <= 0 || h <= 0 then invalid_arg "Free_space.create: non-positive size";
@@ -44,6 +77,7 @@ let create ~w ~h =
     mers = [ { x = 0; y = 0; w; h } ];
     occupied = Hashtbl.create 64;
     used = 0;
+    buffers = make_buffers ~w ~h;
   }
 
 let copy t =
@@ -53,6 +87,7 @@ let copy t =
     mers = t.mers;
     occupied = Hashtbl.copy t.occupied;
     used = t.used;
+    buffers = make_buffers ~w:t.width ~h:t.height;
   }
 
 let width t = t.width
@@ -66,8 +101,14 @@ let occupied t =
   Hashtbl.fold (fun id r acc -> (id, tuple r) :: acc) t.occupied []
   |> List.sort compare
 
-let rect_order a b = compare (a.y, a.x, a.w, a.h) (b.y, b.x, b.w, b.h)
-let mers t = List.map tuple (List.sort rect_order t.mers)
+(* Lexicographic (y, x, w, h). *)
+let rect_order a b =
+  if a.y <> b.y then Int.compare a.y b.y
+  else if a.x <> b.x then Int.compare a.x b.x
+  else if a.w <> b.w then Int.compare a.w b.w
+  else Int.compare a.h b.h
+
+let mers t = List.map tuple t.mers
 let mer_count t = List.length t.mers
 
 let intersects a b =
@@ -79,23 +120,32 @@ let contains a b =
 
 let find t ~policy ~w ~h =
   if w <= 0 || h <= 0 then invalid_arg "Free_space.find: non-positive size";
-  (* Key to minimize; ties always fall back to bottom-left (y, x) so
-     the result is independent of the MER list order. *)
+  (* Minimize (policy key, y, x), replacing only on strict improvement,
+     so the result is independent of the MER list order. *)
   let key m =
     match policy with
-    | First_fit -> (0, m.y, m.x)
-    | Best_fit -> (m.w * m.h, m.y, m.x)
-    | Worst_fit -> (-(m.w * m.h), m.y, m.x)
+    | First_fit -> 0
+    | Best_fit -> m.w * m.h
+    | Worst_fit -> -(m.w * m.h)
   in
-  let best = ref None in
-  List.iter
-    (fun m ->
-      if m.w >= w && m.h >= h then
-        match !best with
-        | Some (k, _) when k <= key m -> ()
-        | _ -> best := Some (key m, (m.x, m.y)))
-    t.mers;
-  Option.map snd !best
+  let rec scan found bk by bx = function
+    | [] -> if found then Some (bx, by) else None
+    | m :: rest ->
+      if m.w >= w && m.h >= h then begin
+        let k = key m in
+        if
+          (not found) || k < bk
+          || (k = bk && (m.y < by || (m.y = by && m.x < bx)))
+        then scan true k m.y m.x rest
+        else scan found bk by bx rest
+      end
+      else scan found bk by bx rest
+  in
+  scan false 0 0 0 t.mers
+
+let rec contained_in_some r = function
+  | [] -> false
+  | m :: rest -> contains m r || contained_in_some r rest
 
 let place t ~id ~x ~y ~w ~h =
   if w <= 0 || h <= 0 then invalid_arg "Free_space.place: non-positive size";
@@ -103,11 +153,10 @@ let place t ~id ~x ~y ~w ~h =
     invalid_arg "Free_space.place: footprint leaves the chip";
   if Hashtbl.mem t.occupied id then invalid_arg "Free_space.place: live id";
   let r = { x; y; w; h } in
-  Hashtbl.iter
-    (fun _ o ->
-      if intersects r o then
-        invalid_arg "Free_space.place: footprint overlaps a module")
-    t.occupied;
+  (* By the invariant, a footprint inside the chip is empty iff some
+     MER contains it. *)
+  if not (contained_in_some r t.mers) then
+    invalid_arg "Free_space.place: footprint overlaps a module";
   Hashtbl.replace t.occupied id r;
   t.used <- t.used + (w * h);
   let survivors = ref [] and pieces = ref [] in
@@ -122,84 +171,128 @@ let place t ~id ~x ~y ~w ~h =
         add { x = m.x; y = r.y + r.h; w = m.w; h = m.y + m.h - (r.y + r.h) }
       end)
     t.mers;
-  let pieces = List.sort_uniq compare !pieces in
+  let pieces = List.sort_uniq rect_order !pieces in
   let kept =
     List.filter
       (fun p ->
         (not (List.exists (fun s -> contains s p) !survivors))
-        && not (List.exists (fun q -> q <> p && contains q p) pieces))
+        && not (List.exists (fun q -> q != p && contains q p) pieces))
       pieces
   in
-  t.mers <- List.sort rect_order (!survivors @ kept)
+  t.mers <- List.merge rect_order (List.rev !survivors) kept
 
-(* All maximal empty rectangles (w.r.t. [obstacles] inside the chip)
-   that intersect the rectangle [f]. *)
-let maximal_through t obstacles f =
-  let xls =
-    List.sort_uniq compare
-      (0 :: List.filter_map
-              (fun o ->
-                let e = o.x + o.w in
-                if e < f.x + f.w && e < t.width then Some e else None)
-              obstacles)
-  in
-  let xrs =
-    List.sort_uniq compare
-      (t.width
-      :: List.filter_map
-           (fun o -> if o.x > f.x && o.x > 0 then Some o.x else None)
-           obstacles)
-  in
-  let candidates = ref [] in
-  List.iter
-    (fun xl ->
-      if xl < f.x + f.w then
-        List.iter
-          (fun xr ->
-            if xr > xl && xr > f.x then begin
-              (* Obstacles overlapping the x-span [xl, xr). *)
-              let in_strip =
-                List.filter (fun o -> o.x < xr && o.x + o.w > xl) obstacles
-              in
-              let spans =
-                List.sort compare (List.map (fun o -> (o.y, o.y + o.h)) in_strip)
-              in
-              (* Maximal y-gaps of the strip. *)
-              let gaps = ref [] in
-              let cursor = ref 0 in
-              List.iter
-                (fun (lo, hi) ->
-                  if lo > !cursor then gaps := (!cursor, lo) :: !gaps;
-                  cursor := max !cursor hi)
-                spans;
-              if t.height > !cursor then gaps := (!cursor, t.height) :: !gaps;
-              List.iter
-                (fun (yl, yr) ->
-                  if
-                    (* intersects the freed rectangle *)
-                    yl < f.y + f.h && f.y < yr
-                    (* horizontally maximal: blocked on both sides *)
-                    && (xl = 0
-                       || List.exists
-                            (fun o ->
-                              o.x < xl && o.x + o.w >= xl && o.y < yr
-                              && yl < o.y + o.h)
-                            obstacles)
-                    && (xr = t.width
-                       || List.exists
-                            (fun o ->
-                              o.x <= xr && o.x + o.w > xr && o.y < yr
-                              && yl < o.y + o.h)
-                            obstacles)
-                  then
-                    candidates :=
-                      { x = xl; y = yl; w = xr - xl; h = yr - yl }
-                      :: !candidates)
-                !gaps
-            end)
-          xrs)
-    xls;
-  List.sort_uniq compare !candidates
+(* Flag coordinate [v] as an edge. *)
+let mark index v = index.(v) <- -1
+
+(* Collect the flagged coordinates of [0, limit] in ascending order into
+   [coords], replace each flag in [index] by the coordinate's index, and
+   return how many there were. *)
+let compress coords index limit =
+  let n = ref 0 in
+  for v = 0 to limit do
+    if index.(v) < 0 then begin
+      index.(v) <- !n;
+      coords.(!n) <- v;
+      incr n
+    end
+  done;
+  !n
+
+(* Some cell of compressed column [c] in rows [r0, r1) is occupied. *)
+let column_blocked cells nr c r0 r1 =
+  let base = c * nr in
+  let r = ref r0 in
+  while !r < r1 && Bytes.get cells (base + !r) = '\000' do
+    incr r
+  done;
+  !r < r1
+
+(* All maximal empty rectangles (w.r.t. the occupied modules) that
+   intersect the freed rectangle [f], unsorted. *)
+let maximal_through t f =
+  let s = t.buffers in
+  mark s.xi 0;
+  mark s.xi t.width;
+  mark s.xi f.x;
+  mark s.xi (f.x + f.w);
+  mark s.yi 0;
+  mark s.yi t.height;
+  mark s.yi f.y;
+  mark s.yi (f.y + f.h);
+  Hashtbl.iter
+    (fun _ o ->
+      mark s.xi o.x;
+      mark s.xi (o.x + o.w);
+      mark s.yi o.y;
+      mark s.yi (o.y + o.h))
+    t.occupied;
+  let nc = compress s.xs s.xi t.width - 1 in
+  let nr = compress s.ys s.yi t.height - 1 in
+  if Bytes.length s.cells < nc * nr then s.cells <- Bytes.create (nc * nr);
+  let cells = s.cells and blocked = s.blocked in
+  Bytes.fill cells 0 (nc * nr) '\000';
+  Hashtbl.iter
+    (fun _ o ->
+      for c = s.xi.(o.x) to s.xi.(o.x + o.w) - 1 do
+        Bytes.fill cells ((c * nr) + s.yi.(o.y)) (s.yi.(o.y + o.h) - s.yi.(o.y))
+          '\001'
+      done)
+    t.occupied;
+  let fc0 = s.xi.(f.x) and fc1 = s.xi.(f.x + f.w) in
+  let fr0 = s.yi.(f.y) and fr1 = s.yi.(f.y + f.h) in
+  let out = ref [] in
+  for cl = 0 to fc1 - 1 do
+    (* A maximal rectangle's left edge is the chip edge or abuts an
+       obstacle. *)
+    if cl = 0 || column_blocked cells nr (cl - 1) 0 nr then begin
+      Bytes.fill blocked 0 nr '\000';
+      (* free rows through F in columns [cl, c] *)
+      let open_rows = ref (fr1 - fr0) in
+      let c = ref cl in
+      while !open_rows > 0 && !c < nc do
+        let base = !c * nr in
+        for r = 0 to nr - 1 do
+          if
+            Bytes.get cells (base + r) <> '\000'
+            && Bytes.get blocked r = '\000'
+          then begin
+            Bytes.set blocked r '\001';
+            if fr0 <= r && r < fr1 then decr open_rows
+          end
+        done;
+        if !open_rows > 0 && !c >= fc0 then begin
+          let r = ref fr0 in
+          while !r < fr1 do
+            if Bytes.get blocked !r <> '\000' then incr r
+            else begin
+              let lo = ref !r and hi = ref (!r + 1) in
+              while !lo > 0 && Bytes.get blocked (!lo - 1) = '\000' do
+                decr lo
+              done;
+              while !hi < nr && Bytes.get blocked !hi = '\000' do
+                incr hi
+              done;
+              if
+                (cl = 0 || column_blocked cells nr (cl - 1) !lo !hi)
+                && (!c = nc - 1 || column_blocked cells nr (!c + 1) !lo !hi)
+              then
+                out :=
+                  {
+                    x = s.xs.(cl);
+                    y = s.ys.(!lo);
+                    w = s.xs.(!c + 1) - s.xs.(cl);
+                    h = s.ys.(!hi) - s.ys.(!lo);
+                  }
+                  :: !out;
+              r := !hi
+            end
+          done
+        end;
+        incr c
+      done
+    end
+  done;
+  !out
 
 let remove t ~id =
   match Hashtbl.find_opt t.occupied id with
@@ -207,11 +300,8 @@ let remove t ~id =
   | Some f ->
     Hashtbl.remove t.occupied id;
     t.used <- t.used - (f.w * f.h);
-    let obstacles = Hashtbl.fold (fun _ o acc -> o :: acc) t.occupied [] in
-    let fresh = maximal_through t obstacles f in
+    let fresh = List.sort rect_order (maximal_through t f) in
     let survivors =
-      List.filter
-        (fun m -> not (List.exists (fun c -> contains c m) fresh))
-        t.mers
+      List.filter (fun m -> not (contained_in_some m fresh)) t.mers
     in
-    t.mers <- List.sort rect_order (survivors @ fresh)
+    t.mers <- List.merge rect_order survivors fresh

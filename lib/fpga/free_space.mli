@@ -60,6 +60,12 @@ val find : t -> policy:policy -> w:int -> h:int -> (int * int) option
 val place : t -> id:int -> x:int -> y:int -> w:int -> h:int -> unit
 
 (** [remove t ~id] frees module [id]'s footprint and updates the MER
-    set incrementally.
+    set incrementally: the MERs crossing the freed footprint are
+    recomputed on a compressed occupancy grid whose columns and rows
+    are cut at the distinct edges of the live modules, the footprint
+    and the chip. With c compressed columns and r compressed rows
+    (each at most 2k + 4 for k live modules) this costs O(c{^2}·r).
+    The grid lives in a buffer owned by [t] and reused across calls
+    ({!copy} gets its own): no buffer is allocated per call.
     @raise Invalid_argument if [id] is not live. *)
 val remove : t -> id:int -> unit

@@ -471,13 +471,18 @@ let run_stream ?(policy = Corner) ?(reconfig = Reconfig.Constant 0)
     let keep, gone = List.partition (fun id -> finish_.(id) > clock) !running in
     if gone <> [] then begin
       running := keep;
+      let free id =
+        match fs with Some (f, _) -> Free_space.remove f ~id | None -> ()
+      in
       List.iter
         (fun id ->
-          (match fs with
-          | Some (f, _) -> Free_space.remove f ~id
-          | None -> ());
-          Trace.online_op trace ~op:"retire" ~task:id ~sim_time:clock
-            ~dur_s:0.0)
+          if Trace.enabled trace then begin
+            let t0 = Unix.gettimeofday () in
+            free id;
+            Trace.online_op trace ~op:"retire" ~task:id ~sim_time:clock
+              ~dur_s:(Unix.gettimeofday () -. t0)
+          end
+          else free id)
         gone;
       incr version
     end

@@ -10,8 +10,9 @@ module Reconfig = Fpga.Reconfig
 module Sim = Fpga.Simulator
 module IO = Fpga.Instance_io
 
-let qtest ?(count = 100) name arb prop =
-  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
+let qtest ?(count = 100) ?(long_factor = 1) name arb prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count ~long_factor ~name arb prop)
 
 (* ------------------------------------------------------------------ *)
 (* Chip                                                                *)
@@ -427,17 +428,40 @@ let test_fs_basic () =
   Alcotest.(check int) "whole chip again" 1 (FS.mer_count t);
   Alcotest.(check bool) "full MER" true (List.mem (0, 0, 4, 4) (FS.mers t))
 
+(* [place] refuses a footprint that meets a live module, whether it
+   covers it, sits inside it or clips a corner, and leaves the manager
+   as it was. *)
+let test_fs_place_rejects_overlap () =
+  let t = FS.create ~w:6 ~h:6 in
+  FS.place t ~id:0 ~x:2 ~y:2 ~w:2 ~h:2;
+  let mers = FS.mers t in
+  List.iter
+    (fun (x, y, w, h) ->
+      Alcotest.check_raises
+        (Printf.sprintf "overlap at (%d,%d) %dx%d" x y w h)
+        (Invalid_argument "Free_space.place: footprint overlaps a module")
+        (fun () -> FS.place t ~id:1 ~x ~y ~w ~h))
+    [ (0, 0, 6, 6); (2, 2, 1, 1); (3, 3, 2, 2); (1, 1, 2, 2); (0, 3, 3, 1) ];
+  Alcotest.(check bool) "MERs unchanged" true (FS.mers t = mers);
+  Alcotest.(check int) "free area unchanged" 32 (FS.free_area t);
+  FS.place t ~id:1 ~x:4 ~y:2 ~w:2 ~h:2;
+  Alcotest.(check int) "flush neighbour fits" 28 (FS.free_area t)
+
 (* Reference implementation: enumerate every maximal empty rectangle of
-   an occupancy bitmap by brute force. *)
+   an occupancy bitmap by brute force. Emptiness is read off a prefix-sum
+   table, so larger chips stay cheap. *)
 let brute_mers grid ~w ~h =
+  let sum = Array.make_matrix (h + 1) (w + 1) 0 in
+  for y = 0 to h - 1 do
+    for x = 0 to w - 1 do
+      sum.(y + 1).(x + 1) <-
+        (if grid.(y).(x) then 1 else 0)
+        + sum.(y).(x + 1) + sum.(y + 1).(x) - sum.(y).(x)
+    done
+  done;
   let rect_empty x y rw rh =
-    let ok = ref true in
-    for yy = y to y + rh - 1 do
-      for xx = x to x + rw - 1 do
-        if grid.(yy).(xx) then ok := false
-      done
-    done;
-    !ok
+    sum.(y + rh).(x + rw) - sum.(y).(x + rw) - sum.(y + rh).(x) + sum.(y).(x)
+    = 0
   in
   let rects = ref [] in
   for y = 0 to h - 1 do
@@ -458,67 +482,171 @@ let brute_mers grid ~w ~h =
   done;
   List.sort_uniq compare !rects
 
+(* A manager driven side by side with an occupancy bitmap. *)
+type fs_model = {
+  fs : FS.t;
+  grid : bool array array;
+  mutable live : (int * (int * int * int * int)) list;
+  mutable next_id : int;
+}
+
+let fs_model ~w ~h =
+  {
+    fs = FS.create ~w ~h;
+    grid = Array.make_matrix h w false;
+    live = [];
+    next_id = 0;
+  }
+
+let copy_model m =
+  { m with fs = FS.copy m.fs; grid = Array.map Array.copy m.grid }
+
+let paint m v (x, y, bw, bh) =
+  for yy = y to y + bh - 1 do
+    for xx = x to x + bw - 1 do
+      m.grid.(yy).(xx) <- v
+    done
+  done
+
+(* The manager's MERs and free area agree with the bitmap. *)
+let model_agrees m =
+  let w = FS.width m.fs and h = FS.height m.fs in
+  List.sort compare (FS.mers m.fs) = brute_mers m.grid ~w ~h
+  && FS.free_area m.fs
+     = Array.fold_left
+         (fun acc row ->
+           Array.fold_left (fun a c -> if c then a else a + 1) acc row)
+         0 m.grid
+
+(* Fit selection by definition: over the sorted MER list, the first MER
+   minimizing (policy key, y, x) among those that host [w * h]. *)
+let reference_find mers ~policy ~w ~h =
+  let key (x, y, mw, mh) =
+    match policy with
+    | FS.First_fit -> (0, y, x)
+    | FS.Best_fit -> (mw * mh, y, x)
+    | FS.Worst_fit -> (-(mw * mh), y, x)
+  in
+  List.fold_left
+    (fun best ((x, y, mw, mh) as m) ->
+      if mw < w || mh < h then best
+      else
+        match best with
+        | Some (k, _) when k <= key m -> best
+        | _ -> Some (key m, (x, y)))
+    None mers
+  |> Option.map snd
+
+(* One random step: place a module of extents up to [max_extent] under a
+   random policy, or retire a random live one. False when [find]
+   disagrees with [reference_find], or says nothing fits but the bitmap
+   has room. *)
+let model_step rng m ~max_extent =
+  let w = FS.width m.fs and h = FS.height m.fs in
+  if m.live = [] || Random.State.bool rng then begin
+    let bw = 1 + Random.State.int rng max_extent
+    and bh = 1 + Random.State.int rng max_extent in
+    let policy =
+      match Random.State.int rng 3 with
+      | 0 -> FS.First_fit
+      | 1 -> FS.Best_fit
+      | _ -> FS.Worst_fit
+    in
+    let got = FS.find m.fs ~policy ~w:bw ~h:bh in
+    got = reference_find (FS.mers m.fs) ~policy ~w:bw ~h:bh
+    &&
+    match got with
+    | None ->
+      not
+        (List.exists
+           (fun (_, _, rw, rh) -> rw >= bw && rh >= bh)
+           (brute_mers m.grid ~w ~h))
+    | Some (x, y) ->
+      let id = m.next_id in
+      m.next_id <- id + 1;
+      FS.place m.fs ~id ~x ~y ~w:bw ~h:bh;
+      paint m true (x, y, bw, bh);
+      m.live <- (id, (x, y, bw, bh)) :: m.live;
+      true
+  end
+  else begin
+    let k = Random.State.int rng (List.length m.live) in
+    let id, rect = List.nth m.live k in
+    FS.remove m.fs ~id;
+    paint m false rect;
+    m.live <- List.filter (fun (i, _) -> i <> id) m.live;
+    true
+  end
+
+(* [steps] random steps, checking the manager against brute force after
+   every one. *)
+let model_walk rng m ~steps ~max_extent =
+  let ok = ref true in
+  for _ = 1 to steps do
+    if !ok then ok := model_step rng m ~max_extent && model_agrees m
+  done;
+  !ok
+
 (* Incremental MER maintenance matches the brute-force enumeration
    after every place/remove of a random workload. *)
 let prop_fs_matches_brute_force seed =
-  let w = 6 and h = 6 in
+  model_walk (Random.State.make [| seed |]) (fs_model ~w:6 ~h:6) ~steps:30
+    ~max_extent:3
+
+(* The same on a non-square chip with longer walks: more obstacles, so
+   the compressed grid of [remove] has uneven columns and rows. *)
+let prop_fs_non_square_brute_force seed =
+  model_walk (Random.State.make [| seed |]) (fs_model ~w:11 ~h:9) ~steps:120
+    ~max_extent:4
+
+(* A copy shares no mutable state with its original: mutating the copy
+   leaves the original's MERs, modules and free area as they were, and
+   both keep matching brute force as each one moves on. *)
+let prop_fs_copy_independent seed =
   let rng = Random.State.make [| seed |] in
-  let t = FS.create ~w ~h in
-  let grid = Array.make_matrix h w false in
-  let live = ref [] in
-  let next_id = ref 0 in
-  let set v (x, y, bw, bh) =
-    for yy = y to y + bh - 1 do
-      for xx = x to x + bw - 1 do
-        grid.(yy).(xx) <- v
-      done
-    done
+  let m = fs_model ~w:9 ~h:7 in
+  model_walk rng m ~steps:25 ~max_extent:3
+  &&
+  let c = copy_model m in
+  let mers = FS.mers m.fs and occ = FS.occupied m.fs in
+  let free = FS.free_area m.fs in
+  model_walk rng c ~steps:25 ~max_extent:3
+  && FS.mers m.fs = mers
+  && FS.occupied m.fs = occ
+  && FS.free_area m.fs = free
+  && model_agrees m
+  && model_walk rng m ~steps:25 ~max_extent:3
+  && model_agrees c
+
+(* Modules flush against every side and corner of the chip: each step
+   matches brute force, and retiring them all restores the single
+   full-chip MER. *)
+let test_fs_flush_edges () =
+  let m = fs_model ~w:8 ~h:6 in
+  let modules =
+    [
+      (0, 0, 2, 2); (6, 0, 2, 2); (0, 4, 2, 2); (6, 4, 2, 2);
+      (3, 0, 2, 1); (3, 5, 2, 1); (0, 2, 1, 2); (7, 2, 1, 2);
+    ]
   in
-  let ok = ref true in
-  for _ = 1 to 30 do
-    if !ok then begin
-      (if !live = [] || Random.State.bool rng then begin
-         let bw = 1 + Random.State.int rng 3
-         and bh = 1 + Random.State.int rng 3 in
-         let policy =
-           match Random.State.int rng 3 with
-           | 0 -> FS.First_fit
-           | 1 -> FS.Best_fit
-           | _ -> FS.Worst_fit
-         in
-         match FS.find t ~policy ~w:bw ~h:bh with
-         | None ->
-           (* no MER fits: the bitmap must agree there is no room *)
-           ok :=
-             not
-               (List.exists
-                  (fun (_, _, rw, rh) -> rw >= bw && rh >= bh)
-                  (brute_mers grid ~w ~h))
-         | Some (x, y) ->
-           let id = !next_id in
-           incr next_id;
-           FS.place t ~id ~x ~y ~w:bw ~h:bh;
-           set true (x, y, bw, bh);
-           live := (id, (x, y, bw, bh)) :: !live
-       end
-       else begin
-         let k = Random.State.int rng (List.length !live) in
-         let id, rect = List.nth !live k in
-         FS.remove t ~id;
-         set false rect;
-         live := List.filter (fun (i, _) -> i <> id) !live
-       end);
-      ok :=
-        !ok
-        && List.sort compare (FS.mers t) = brute_mers grid ~w ~h
-        && FS.free_area t
-           = Array.fold_left
-               (fun acc row ->
-                 Array.fold_left (fun a c -> if c then a else a + 1) acc row)
-               0 grid
-    end
-  done;
-  !ok
+  List.iteri
+    (fun id ((x, y, w, h) as r) ->
+      FS.place m.fs ~id ~x ~y ~w ~h;
+      paint m true r;
+      Alcotest.(check bool) (Printf.sprintf "place %d matches brute force" id)
+        true (model_agrees m))
+    modules;
+  List.iteri
+    (fun id r ->
+      FS.remove m.fs ~id;
+      paint m false r;
+      Alcotest.(check bool) (Printf.sprintf "remove %d matches brute force" id)
+        true (model_agrees m))
+    modules;
+  Alcotest.(check (list (pair (pair int int) (pair int int))))
+    "single full-chip MER"
+    [ ((0, 0), (8, 6)) ]
+    (List.map (fun (x, y, w, h) -> ((x, y), (w, h))) (FS.mers m.fs))
 
 (* ------------------------------------------------------------------ *)
 (* Online placement                                                    *)
@@ -958,6 +1086,14 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_fs_basic;
           qtest ~count:80 "matches brute force" arb_seed prop_fs_matches_brute_force;
+          qtest ~count:50 ~long_factor:20 "non-square chip matches brute force"
+            arb_seed prop_fs_non_square_brute_force;
+          qtest ~count:50 ~long_factor:20 "copy is independent" arb_seed
+            prop_fs_copy_independent;
+          Alcotest.test_case "modules flush with the chip edges" `Quick
+            test_fs_flush_edges;
+          Alcotest.test_case "place rejects overlap" `Quick
+            test_fs_place_rejects_overlap;
         ] );
       ( "online",
         [

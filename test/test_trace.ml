@@ -170,6 +170,31 @@ let test_summary_online_ops () =
     Alcotest.(check bool) "pp renders the online table" true
       (contains "online ops" && contains "place")
 
+(* A traced best-fit stream times its retirements: the [retire] ops
+   carry the measured cost of freeing the footprint, not a zero. *)
+let test_online_retire_timed () =
+  let chip = Fpga.Chip.create ~w:16 ~h:16 in
+  let tasks =
+    Benchmarks.Generate.arrival_stream ~seed:3 ~n:400 ~chip ~load:1.0
+      ~max_extent:5 ~max_duration:6 ~arc_probability:0.1 ()
+  in
+  let trace = Trace.create () in
+  let r =
+    Fpga.Online.run_stream ~policy:Fpga.Online.Best_fit ~trace tasks ~chip
+      ~compaction:false ~move_delay:0
+  in
+  let retires, retire_s =
+    List.fold_left
+      (fun (n, s) (_, (e : Trace.event)) ->
+        match e.kind with
+        | Trace.Online_op { op = "retire"; dur_s; _ } -> (n + 1, s +. dur_s)
+        | _ -> (n, s))
+      (0, 0.0) (Trace.events trace)
+  in
+  Alcotest.(check int) "one retire per placed task" r.Fpga.Online.placed
+    retires;
+  Alcotest.(check bool) "retire time is measured" true (retire_s > 0.0)
+
 (* ------------------------------------------------------------------ *)
 (* Ring buffer and sampling                                            *)
 (* ------------------------------------------------------------------ *)
@@ -284,6 +309,8 @@ let () =
             test_summary_matches_stats;
           Alcotest.test_case "aggregates online ops" `Quick
             test_summary_online_ops;
+          Alcotest.test_case "online retirements are timed" `Quick
+            test_online_retire_timed;
         ] );
       ( "ring",
         [
