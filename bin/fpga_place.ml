@@ -1236,17 +1236,15 @@ let online_cmd =
                    --stagger). Omit it and pass --generate N for a \
                    synthetic arrival stream.")
   in
+  let policies =
+    [ ("first", Fpga.Online.First_fit); ("best", Fpga.Online.Best_fit);
+      ("worst", Fpga.Online.Worst_fit) ]
+  in
   let policy_opt =
-    Arg.(value
-         & opt (enum [ ("corner", Fpga.Online.Corner);
-                       ("first", Fpga.Online.First_fit);
-                       ("best", Fpga.Online.Best_fit);
-                       ("worst", Fpga.Online.Worst_fit) ])
-             Fpga.Online.Best_fit
+    Arg.(value & opt (enum policies) Fpga.Online.Best_fit
          & info [ "policy" ] ~docv:"POLICY"
-             ~doc:"Fit policy: corner (the historical corner-candidate \
-                   scan) or first/best/worst fit over the \
-                   maximal-empty-rectangle manager (default: best).")
+             ~doc:"Fit policy over the maximal-empty-rectangle manager: \
+                   first (bottom-left), best or worst fit (default: best).")
   in
   let compaction_flag =
     Arg.(value & flag
@@ -1346,36 +1344,38 @@ let online_cmd =
         Format.eprintf "wrote %s@." path
     in
     let result =
-      match (file, generate) with
-      | None, None -> Error "pass an instance FILE or --generate N"
-      | Some f, _ -> (
-        match read_instance f with
-        | Error msg -> Error msg
-        | Ok io -> (
-          match resolve_chip io chip with
+      try
+        match (file, generate) with
+        | None, None -> Error "pass an instance FILE or --generate N"
+        | Some f, _ -> (
+          match read_instance f with
           | Error msg -> Error msg
-          | Ok chip ->
-            let inst = io.Fpga.Instance_io.instance in
-            let arrivals =
-              List.init (Packing.Instance.count inst) (fun i ->
-                  { Fpga.Online.task = i; arrival_time = i * stagger })
-            in
-            Ok
-              ( chip,
-                Fpga.Online.run ~policy ~reconfig ~trace inst arrivals ~chip
-                  ~compaction ~move_delay )))
-      | None, Some n ->
-        let chip =
-          match chip with Some c -> c | None -> Fpga.Chip.square 32
-        in
-        let tasks =
-          Benchmarks.Generate.arrival_stream ~seed ~n ~chip ~load ~max_extent
-            ~max_duration ~arc_probability ()
-        in
-        Ok
-          ( chip,
-            Fpga.Online.run_stream ~policy ~reconfig ~trace tasks ~chip
-              ~compaction ~move_delay )
+          | Ok io -> (
+            match resolve_chip io chip with
+            | Error msg -> Error msg
+            | Ok chip ->
+              let inst = io.Fpga.Instance_io.instance in
+              let arrivals =
+                List.init (Packing.Instance.count inst) (fun i ->
+                    { Fpga.Online.task = i; arrival_time = i * stagger })
+              in
+              Ok
+                ( chip,
+                  Fpga.Online.run ~policy ~reconfig ~trace inst arrivals ~chip
+                    ~compaction ~move_delay )))
+        | None, Some n ->
+          let chip =
+            match chip with Some c -> c | None -> Fpga.Chip.square 32
+          in
+          let tasks =
+            Benchmarks.Generate.arrival_stream ~seed ~n ~chip ~load ~max_extent
+              ~max_duration ~arc_probability ()
+          in
+          Ok
+            ( chip,
+              Fpga.Online.run_stream ~policy ~reconfig ~trace tasks ~chip
+                ~compaction ~move_delay )
+      with Invalid_argument msg -> Error msg
     in
     match result with
     | Error msg -> err msg
@@ -1413,13 +1413,7 @@ let online_cmd =
       (match stats with
       | Some `Json ->
         let open Packing.Telemetry in
-        let policy_name =
-          match policy with
-          | Fpga.Online.Corner -> "corner"
-          | Fpga.Online.First_fit -> "first"
-          | Fpga.Online.Best_fit -> "best"
-          | Fpga.Online.Worst_fit -> "worst"
-        in
+        let policy_name = fst (List.find (fun (_, p) -> p = policy) policies) in
         Format.printf "%s@."
           (to_string
              (Obj
@@ -1432,7 +1426,7 @@ let online_cmd =
                          (Fpga.Chip.height chip)) );
                   ("compaction", Bool compaction);
                   ("move_delay", Int move_delay);
-                  ("online", online_to_json (Fpga.Online.counters r));
+                  ("online", Fpga.Online.to_json r);
                 ]))
       | Some `Text | None -> ());
       write_trace ();

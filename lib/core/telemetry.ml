@@ -131,25 +131,8 @@ let add_steals a b =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Online-placement counters                                           *)
+(* Percentiles                                                         *)
 (* ------------------------------------------------------------------ *)
-
-type online_counters = {
-  tasks : int;
-  placements : int;
-  rejections : int;
-  never_arrived : int;
-  deferrals : int;
-  compactions : int;
-  moved_tasks : int;
-  move_cycles : int;
-  makespan : int;
-  utilization : float;
-  latency_samples : int;
-  latency_p50_us : float;
-  latency_p99_us : float;
-  latency_max_us : float;
-}
 
 (* Nearest-rank percentile on a sorted copy; the classic definition
    (ceil of p*n, 1-based) so p=1.0 is the maximum and p=0.0 the
@@ -298,25 +281,6 @@ let cache_to_json c =
       ("evictions", Int c.cache_evictions);
       ("entries", Int c.cache_entries);
       ("capacity", Int c.cache_capacity);
-    ]
-
-let online_to_json (o : online_counters) =
-  Obj
-    [
-      ("tasks", Int o.tasks);
-      ("placements", Int o.placements);
-      ("rejections", Int o.rejections);
-      ("never_arrived", Int o.never_arrived);
-      ("deferrals", Int o.deferrals);
-      ("compactions", Int o.compactions);
-      ("moved_tasks", Int o.moved_tasks);
-      ("move_cycles", Int o.move_cycles);
-      ("makespan", Int o.makespan);
-      ("utilization", Raw (Printf.sprintf "%.4f" o.utilization));
-      ("latency_samples", Int o.latency_samples);
-      ("latency_p50_us", Raw (Printf.sprintf "%.2f" o.latency_p50_us));
-      ("latency_p99_us", Raw (Printf.sprintf "%.2f" o.latency_p99_us));
-      ("latency_max_us", Raw (Printf.sprintf "%.2f" o.latency_max_us));
     ]
 
 let progress_to_json p =

@@ -125,31 +125,6 @@ val to_string : json -> string
 (** Seconds rendered as a fixed-precision (6 decimal places) number. *)
 val seconds : float -> json
 
-(** Counters of one online-placement run ({!Fpga.Online}): how the
-    arrival stream was disposed of (every task is exactly one of
-    placed / rejected / never-arrived), what defragmentation cost
-    (moved modules, total reload-plus-move cycles charged), the
-    time-averaged chip utilization over the run, and the wall-clock
-    latency distribution of the placement operations themselves. *)
-type online_counters = {
-  tasks : int;
-  placements : int;
-  rejections : int;
-  never_arrived : int;
-  deferrals : int;
-  compactions : int;
-  moved_tasks : int;
-  move_cycles : int;
-  makespan : int;
-  utilization : float;  (** time-averaged occupied fraction, in [0,1] *)
-  latency_samples : int;
-  latency_p50_us : float;
-  latency_p99_us : float;
-  latency_max_us : float;
-}
-
-val online_to_json : online_counters -> json
-
 (** [percentile samples ~p] is the nearest-rank [p]-th percentile
     ([p] in [0,1]) of the samples; 0.0 when empty. The input array is
     not modified. *)

@@ -164,7 +164,7 @@ module Summary : sig
     rules_fired : (string * int) list;
     online_ops : (string * (int * float)) list;
         (** per-op (count, total dur_s) of online-placement events
-            (place / defer / compact / reject), sorted by op name *)
+            (place / defer / compact / reject / retire), sorted by op name *)
     incumbents : (float * int) list;  (** (ts, objective) in trace order *)
     probes : int;
     probe_time_s : float;

@@ -9,7 +9,9 @@
     exactly the maximal rectangles that intersect the freed footprint
     and merges them with the surviving set. A placement query is a
     single scan of the MER list — no per-candidate overlap tests against
-    the running set, unlike the corner heuristic it replaces.
+    the running set, unlike the corner-candidate scan it replaced:
+    [First_fit] places exactly where that scan did, since the lowest
+    feasible (y, x) position is the bottom-left corner of some MER.
 
     The manager is deterministic: the MER list is kept sorted, and fit
     selection breaks ties by bottom-left (y, then x) position. *)

@@ -12,7 +12,7 @@ type task = {
   preds : int list;
 }
 
-type policy = Corner | First_fit | Best_fit | Worst_fit
+type policy = Free_space.policy = First_fit | Best_fit | Worst_fit
 
 type event =
   | Placed of { task : int; x : int; y : int; time : int }
@@ -42,11 +42,25 @@ type report = {
   placement : Geometry.Placement.t option;
 }
 
-(* A compaction proposal's layout: the re-packed running set, queryable
-   for "would this footprint fit". *)
-type proposal_layout =
-  | Corner_layout of (int * int * int * int) list
-  | Fs_layout of Free_space.t
+let to_json r =
+  let open Telemetry in
+  Obj
+    [
+      ("tasks", Int (r.placed + r.rejected + r.never_arrived));
+      ("placements", Int r.placed);
+      ("rejections", Int r.rejected);
+      ("never_arrived", Int r.never_arrived);
+      ("deferrals", Int r.deferrals);
+      ("compactions", Int r.compactions);
+      ("moved_tasks", Int r.moved_tasks);
+      ("move_cycles", Int r.move_cycles);
+      ("makespan", Int r.makespan);
+      ("utilization", Raw (Printf.sprintf "%.4f" r.utilization));
+      ("latency_samples", Int r.latency.samples);
+      ("latency_p50_us", Raw (Printf.sprintf "%.2f" r.latency.p50_us));
+      ("latency_p99_us", Raw (Printf.sprintf "%.2f" r.latency.p99_us));
+      ("latency_max_us", Raw (Printf.sprintf "%.2f" r.latency.max_us));
+    ]
 
 (* Min-heap of (time, task) wake-ups: tasks whose predecessors have all
    finished, keyed by the time they become attemptable. *)
@@ -102,45 +116,7 @@ module Heap = struct
       Some top
 end
 
-(* Corner-candidate bottom-left scan (the historical heuristic):
-   candidate positions are the cross product of {0, right edges} and
-   {0, top edges}; pick the first feasible one in (y, x) order. *)
-let corner_find ~cw ~ch rects ~w ~h =
-  if w > cw || h > ch then None
-  else begin
-    let xs = ref [ 0 ] and ys = ref [ 0 ] in
-    List.iter
-      (fun (x, y, rw, rh) ->
-        xs := (x + rw) :: !xs;
-        ys := (y + rh) :: !ys)
-      rects;
-    let xs = List.sort_uniq compare !xs and ys = List.sort_uniq compare !ys in
-    let found = ref None in
-    (try
-       List.iter
-         (fun y ->
-           if y + h <= ch then
-             List.iter
-               (fun x ->
-                 if
-                   x + w <= cw
-                   && not
-                        (List.exists
-                           (fun (ox, oy, ow, oh) ->
-                             x < ox + ow && ox < x + w && y < oy + oh
-                             && oy < y + h)
-                           rects)
-                 then begin
-                   found := Some (x, y);
-                   raise Exit
-                 end)
-               xs)
-         ys
-     with Exit -> ());
-    !found
-  end
-
-let run_stream ?(policy = Corner) ?(reconfig = Reconfig.Constant 0)
+let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
     ?(trace = Trace.null) tasks ~chip ~compaction ~move_delay =
   let n = Array.length tasks in
   if move_delay < 0 then invalid_arg "Online.run_stream: negative move delay";
@@ -174,13 +150,7 @@ let run_stream ?(policy = Corner) ?(reconfig = Reconfig.Constant 0)
   let px = Array.make n 0 and py = Array.make n 0 in
   let start_ = Array.make n 0 and finish_ = Array.make n 0 in
   let running = ref [] in
-  let fs =
-    match policy with
-    | Corner -> None
-    | First_fit -> Some (Free_space.create ~w:cw ~h:ch, Free_space.First_fit)
-    | Best_fit -> Some (Free_space.create ~w:cw ~h:ch, Free_space.Best_fit)
-    | Worst_fit -> Some (Free_space.create ~w:cw ~h:ch, Free_space.Worst_fit)
-  in
+  let fs = Free_space.create ~w:cw ~h:ch in
   (* Layout generation counter: any place/retire/compaction bumps it,
      invalidating the cached compaction proposal. *)
   let version = ref 0 in
@@ -221,14 +191,6 @@ let run_stream ?(policy = Corner) ?(reconfig = Reconfig.Constant 0)
       promote clock
     | _ -> ()
   in
-  let running_rects () =
-    List.map (fun id -> (px.(id), py.(id), tw id, th id)) !running
-  in
-  let find_position ~w ~h =
-    match fs with
-    | None -> corner_find ~cw ~ch (running_rects ()) ~w ~h
-    | Some (f, pol) -> Free_space.find f ~policy:pol ~w ~h
-  in
   let reject clock i =
     status.(i) <- `Rejected;
     push (Rejected { task = i });
@@ -256,9 +218,7 @@ let run_stream ?(policy = Corner) ?(reconfig = Reconfig.Constant 0)
     finish_.(i) <- clock + tasks.(i).duration;
     status.(i) <- `Done;
     running := i :: !running;
-    (match fs with
-    | Some (f, _) -> Free_space.place f ~id:i ~x ~y ~w:(tw i) ~h:(th i)
-    | None -> ());
+    Free_space.place fs ~id:i ~x ~y ~w:(tw i) ~h:(th i);
     incr version;
     push (Placed { task = i; x; y; time = clock });
     let d = Unix.gettimeofday () -. t0 in
@@ -273,64 +233,28 @@ let run_stream ?(policy = Corner) ?(reconfig = Reconfig.Constant 0)
         end)
       succs.(i)
   in
-  let layout_find layout ~w ~h =
-    match layout with
-    | Corner_layout rects -> corner_find ~cw ~ch rects ~w ~h
-    | Fs_layout f ->
-      let pol =
-        match fs with Some (_, p) -> p | None -> Free_space.First_fit
-      in
-      Free_space.find f ~policy:pol ~w ~h
-  in
-  let layout_copy = function
-    | Corner_layout r -> Corner_layout r
-    | Fs_layout f -> Fs_layout (Free_space.copy f)
-  in
-  let layout_place layout id x y w h =
-    match layout with
-    | Corner_layout r -> Corner_layout ((x, y, w, h) :: r)
-    | Fs_layout f ->
-      Free_space.place f ~id ~x ~y ~w ~h;
-      layout
-  in
-  (* Bottom-left re-pack of the running set, largest-area first. *)
+  (* Bottom-left re-pack of the running set, largest-area first. The
+     proposal is packed first fit whatever the stream's policy; the
+     trigger check and the blocked-task fill query it with the stream's
+     own policy. *)
   let make_proposal () =
     let ids =
       List.sort (fun a b -> compare (area b, a) (area a, b)) !running
     in
-    match fs with
-    | None ->
-      let rects = ref [] and pos = ref [] in
-      let ok =
-        List.for_all
-          (fun id ->
-            match corner_find ~cw ~ch !rects ~w:(tw id) ~h:(th id) with
-            | None -> false
-            | Some (x, y) ->
-              rects := (x, y, tw id, th id) :: !rects;
-              pos := (id, x, y) :: !pos;
-              true)
-          ids
-      in
-      if ok then Some (List.rev !pos, Corner_layout !rects) else None
-    | Some _ ->
-      let pf = Free_space.create ~w:cw ~h:ch in
-      let pos = ref [] in
-      let ok =
-        List.for_all
-          (fun id ->
-            match
-              Free_space.find pf ~policy:Free_space.First_fit ~w:(tw id)
-                ~h:(th id)
-            with
-            | None -> false
-            | Some (x, y) ->
-              Free_space.place pf ~id ~x ~y ~w:(tw id) ~h:(th id);
-              pos := (id, x, y) :: !pos;
-              true)
-          ids
-      in
-      if ok then Some (List.rev !pos, Fs_layout pf) else None
+    let pf = Free_space.create ~w:cw ~h:ch in
+    let pos = ref [] in
+    let ok =
+      List.for_all
+        (fun id ->
+          match Free_space.find pf ~policy:First_fit ~w:(tw id) ~h:(th id) with
+          | None -> false
+          | Some (x, y) ->
+            Free_space.place pf ~id ~x ~y ~w:(tw id) ~h:(th id);
+            pos := (id, x, y) :: !pos;
+            true)
+        ids
+    in
+    if ok then Some (List.rev !pos, pf) else None
   in
   (* Transactional cost-aware compaction triggered by blocked task [i]:
      propose a re-pack, roll back (no mutation, no cost) unless the
@@ -350,7 +274,7 @@ let run_stream ?(policy = Corner) ?(reconfig = Reconfig.Constant 0)
     match proposal with
     | None -> false
     | Some (positions, layout) -> (
-      match layout_find layout ~w:(tw i) ~h:(th i) with
+      match Free_space.find layout ~policy ~w:(tw i) ~h:(th i) with
       | None -> false
       | Some _ ->
         let moved =
@@ -377,14 +301,14 @@ let run_stream ?(policy = Corner) ?(reconfig = Reconfig.Constant 0)
               (List.filter (fun j -> status.(j) = `Pending) !eligible)
           in
           let enabled = ref 0 in
-          let l = ref (layout_copy layout) in
+          let l = Free_space.copy layout in
           List.iter
             (fun j ->
-              match layout_find !l ~w:(tw j) ~h:(th j) with
+              match Free_space.find l ~policy ~w:(tw j) ~h:(th j) with
               | None -> ()
               | Some (x, y) ->
                 incr enabled;
-                l := layout_place !l j x y (tw j) (th j))
+                Free_space.place l ~id:j ~x ~y ~w:(tw j) ~h:(th j))
             blocked;
           let benefit = !enabled * horizon in
           if benefit <= cost then false
@@ -397,15 +321,12 @@ let run_stream ?(policy = Corner) ?(reconfig = Reconfig.Constant 0)
                   finish_.(id) <- finish_.(id) + move_cost id
                 end)
               positions;
-            (match fs with
-            | None -> ()
-            | Some (f, _) ->
-              List.iter (fun id -> Free_space.remove f ~id) !running;
-              List.iter
-                (fun id ->
-                  Free_space.place f ~id ~x:px.(id) ~y:py.(id) ~w:(tw id)
-                    ~h:(th id))
-                !running);
+            List.iter (fun id -> Free_space.remove fs ~id) !running;
+            List.iter
+              (fun id ->
+                Free_space.place fs ~id ~x:px.(id) ~y:py.(id) ~w:(tw id)
+                  ~h:(th id))
+              !running;
             incr version;
             incr compactions;
             let moved_ids =
@@ -424,7 +345,8 @@ let run_stream ?(policy = Corner) ?(reconfig = Reconfig.Constant 0)
   in
   let attempt i clock =
     let t0 = Unix.gettimeofday () in
-    match find_position ~w:(tw i) ~h:(th i) with
+    let find () = Free_space.find fs ~policy ~w:(tw i) ~h:(th i) in
+    match find () with
     | Some (x, y) ->
       commit_place i x y clock t0;
       true
@@ -437,7 +359,7 @@ let run_stream ?(policy = Corner) ?(reconfig = Reconfig.Constant 0)
       else if compaction && try_compact i clock t0 then begin
         (* The committed layout is the proposal the trigger was checked
            against, so this find cannot fail. *)
-        match find_position ~w:(tw i) ~h:(th i) with
+        match find () with
         | Some (x, y) ->
           commit_place i x y clock t0;
           true
@@ -471,18 +393,15 @@ let run_stream ?(policy = Corner) ?(reconfig = Reconfig.Constant 0)
     let keep, gone = List.partition (fun id -> finish_.(id) > clock) !running in
     if gone <> [] then begin
       running := keep;
-      let free id =
-        match fs with Some (f, _) -> Free_space.remove f ~id | None -> ()
-      in
       List.iter
         (fun id ->
           if Trace.enabled trace then begin
             let t0 = Unix.gettimeofday () in
-            free id;
+            Free_space.remove fs ~id;
             Trace.online_op trace ~op:"retire" ~task:id ~sim_time:clock
               ~dur_s:(Unix.gettimeofday () -. t0)
           end
-          else free id)
+          else Free_space.remove fs ~id)
         gone;
       incr version
     end
@@ -589,14 +508,11 @@ let run_stream ?(policy = Corner) ?(reconfig = Reconfig.Constant 0)
           ~help:"Time-averaged chip utilization of the last online run"
           "fpga_online_utilization")
        utilization;
-     (match fs with
-     | Some (f, _) ->
-       Metrics.set
-         (Metrics.gauge m
-            ~help:"Maximal empty rectangles left by the last online run"
-            "fpga_online_mer_count")
-         (float_of_int (Free_space.mer_count f))
-     | None -> ());
+     Metrics.set
+       (Metrics.gauge m
+          ~help:"Maximal empty rectangles left by the last online run"
+          "fpga_online_mer_count")
+       (float_of_int (Free_space.mer_count fs));
      let h =
        Metrics.histogram m ~help:"Placement operation wall-clock latency"
          "fpga_online_place_seconds"
@@ -625,24 +541,6 @@ let run_stream ?(policy = Corner) ?(reconfig = Reconfig.Constant 0)
     utilization;
     latency;
     placement = None;
-  }
-
-let counters (r : report) : Telemetry.online_counters =
-  {
-    Telemetry.tasks = r.placed + r.rejected + r.never_arrived;
-    placements = r.placed;
-    rejections = r.rejected;
-    never_arrived = r.never_arrived;
-    deferrals = r.deferrals;
-    compactions = r.compactions;
-    moved_tasks = r.moved_tasks;
-    move_cycles = r.move_cycles;
-    makespan = r.makespan;
-    utilization = r.utilization;
-    latency_samples = r.latency.samples;
-    latency_p50_us = r.latency.p50_us;
-    latency_p99_us = r.latency.p99_us;
-    latency_max_us = r.latency.max_us;
   }
 
 type arrival = { task : int; arrival_time : int }

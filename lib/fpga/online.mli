@@ -5,14 +5,16 @@
     Tasks arrive over time; each must be placed on free cells when (or
     after) it arrives and then occupies its footprint for its duration.
     Placement runs against a {!Free_space} manager of maximal empty
-    rectangles (policies {!First_fit}, {!Best_fit}, {!Worst_fit}) or
-    against the historical corner-candidate heuristic ({!Corner}, the
-    behavior of the original [Online.run]). An optional cost-aware
-    {e compaction} pass re-packs the currently running tasks toward the
-    origin when an arrival cannot be placed — but only commits when the
-    modeled benefit (wait time saved for blocked, now-placeable tasks)
-    exceeds the modeled cost ({!Reconfig.load_time} plus [move_delay]
-    per moved module), and never without enabling the pending placement.
+    rectangles (policies {!First_fit}, {!Best_fit}, {!Worst_fit}).
+    {!First_fit} places where a bottom-left scan over the corners of the
+    running modules would: the lowest feasible (y, x) position is the
+    bottom-left corner of some maximal empty rectangle. An optional
+    cost-aware {e compaction} pass re-packs the currently running tasks
+    toward the origin when an arrival cannot be placed — but only
+    commits when the modeled benefit (wait time saved for blocked,
+    now-placeable tasks) exceeds the modeled cost ({!Reconfig.load_time}
+    plus [move_delay] per moved module), and never without enabling the
+    pending placement.
 
     Two entry points: {!run_stream} takes a plain task array with
     explicit predecessor lists and scales to 10^4–10^5 tasks;
@@ -35,11 +37,10 @@ type task = {
   preds : int list;  (** indices into the stream, each <> own index *)
 }
 
-(** Placement discipline. All four agree on {e whether} a footprint
-    fits; they differ in where it lands. [Corner] reproduces the
-    original corner-candidate scan (bottom-left over corners of
-    running tasks); the other three query the {!Free_space} MER set. *)
-type policy = Corner | First_fit | Best_fit | Worst_fit
+(** Placement discipline: the {!Free_space} fit policy. All three
+    agree on {e whether} a footprint fits; they differ in where it
+    lands. *)
+type policy = Free_space.policy = First_fit | Best_fit | Worst_fit
 
 type event =
   | Placed of { task : int; x : int; y : int; time : int }
@@ -90,12 +91,18 @@ type report = {
           {!run_stream} always reports [None]. *)
 }
 
+(** [to_json report] is the [--stats json] payload of a run: the task
+    count and the report's counters, utilization to four decimals and
+    latencies to two. *)
+val to_json : report -> Packing.Telemetry.json
+
 (** [run_stream tasks ~chip ~compaction ~move_delay] simulates the
     stream. Event-driven: the clock jumps between arrivals and
     finishes; per step, eligible tasks are attempted largest-area
     first. [reconfig] (default [Constant 0]) prices the configuration
     reload of a moved module; [move_delay] is the extra per-moved-task
-    delay on top of it. [policy] defaults to [Corner]. [trace]
+    delay on top of it. [policy] defaults to [First_fit]; compaction
+    proposals are re-packed first fit whatever the policy. [trace]
     (default {!Packing.Trace.null}) receives one [Online_op] event per
     place/defer/compact/reject/retire.
     @raise Invalid_argument on non-positive extents or durations,
@@ -109,10 +116,6 @@ val run_stream :
   compaction:bool ->
   move_delay:int ->
   report
-
-(** [counters report] repackages a report as telemetry counters (the
-    [--stats json] payload). *)
-val counters : report -> Packing.Telemetry.online_counters
 
 type arrival = {
   task : int;  (** index into the instance *)
