@@ -16,11 +16,13 @@ let () =
   let t_max = 8 in
   let container = Fpga.Chip.container chip ~t_max in
 
-  (match Packing.Bounds.check de container with
-  | Packing.Bounds.Infeasible reason ->
-    Format.printf "full task set on %a in %d cycles: infeasible (%s)@."
-      Fpga.Chip.pp chip t_max reason
-  | Packing.Bounds.Unknown -> (
+  (match
+     Packing.Bound_engine.check (Packing.Bound_engine.create ()) de container
+   with
+  | Packing.Bound_engine.Infeasible { bound; detail } ->
+    Format.printf "full task set on %a in %d cycles: infeasible (%s: %s)@."
+      Fpga.Chip.pp chip t_max bound detail
+  | Packing.Bound_engine.Lower_bound _ | Packing.Bound_engine.Inconclusive -> (
     match Packing.Opp_solver.solve de container with
     | Packing.Opp_solver.Infeasible, _ ->
       Format.printf "full task set on %a in %d cycles: infeasible (search)@."

@@ -75,16 +75,14 @@ let exclusion_duration inst container =
     (Graphlib.Cliques.max_weight_clique g ~weight:(fun i ->
          Instance.duration inst i))
 
-(* The invalid_arg prefixes below are pinned by the Bounds tests; the
-   Bounds facade re-exports these functions unchanged. *)
 let f_eps ~eps ~w_max w =
-  if eps <= 0 || 2 * eps > w_max then invalid_arg "Bounds.f_eps: bad eps";
-  if w < 0 || w > w_max then invalid_arg "Bounds.f_eps: w out of range";
+  if eps <= 0 || 2 * eps > w_max then invalid_arg "Bound_engine.f_eps: bad eps";
+  if w < 0 || w > w_max then invalid_arg "Bound_engine.f_eps: w out of range";
   if w > w_max - eps then w_max else if w < eps then 0 else w
 
 let u_k ~k ~w_max w =
-  if k < 1 then invalid_arg "Bounds.u_k: k < 1";
-  if w < 0 || w > w_max then invalid_arg "Bounds.u_k: w out of range";
+  if k < 1 then invalid_arg "Bound_engine.u_k: k < 1";
+  if w < 0 || w > w_max then invalid_arg "Bound_engine.u_k: w out of range";
   if (k + 1) * w mod w_max = 0 then k * w else w_max * ((k + 1) * w / w_max)
 
 (* A per-axis transformation: a DFF applied to the box extents along one
@@ -508,24 +506,9 @@ let default_names = List.map (fun e -> e.name) all_entries
 (* Engine                                                              *)
 (* ------------------------------------------------------------------ *)
 
-type counter = {
-  mutable calls : int;
-  mutable time_s : float;
-  mutable prunes : int;
-  (* Process-metrics mirrors of the three tallies, labeled by bound
-     name. No-op handles when the default registry is disabled. *)
-  m_calls : Metrics.counter;
-  m_prunes : Metrics.counter;
-  m_time : Metrics.counter;
-}
+type t = { entries : (entry * Recorder.bound) list; recorder : Recorder.t }
 
-type t = {
-  entries : entry list;
-  tallies : (string * counter) list;
-  trace : Trace.t;
-}
-
-let create ?names ?(trace = Trace.null) () =
+let attach ?names recorder =
   let entries =
     match names with
     | None -> all_entries
@@ -537,72 +520,24 @@ let create ?names ?(trace = Trace.null) () =
           | None -> invalid_arg ("Bound_engine.create: unknown bound " ^ name))
         names
   in
-  let m = Metrics.default () in
   {
-    entries;
-    tallies =
-      List.map
-        (fun e ->
-          ( e.name,
-            {
-              calls = 0;
-              time_s = 0.0;
-              prunes = 0;
-              m_calls =
-                Metrics.counter m ~help:"Bound evaluations by bound"
-                  ~labels:[ ("bound", e.name) ]
-                  "fpga_bounds_calls_total";
-              m_prunes =
-                Metrics.counter m ~help:"Infeasible verdicts by bound"
-                  ~labels:[ ("bound", e.name) ]
-                  "fpga_bounds_prunes_total";
-              m_time =
-                Metrics.counter m ~help:"Seconds spent evaluating each bound"
-                  ~labels:[ ("bound", e.name) ]
-                  "fpga_bounds_seconds_total";
-            } ))
-        entries;
-    trace;
+    entries =
+      List.map (fun e -> (e, Recorder.register_bound recorder e.name)) entries;
+    recorder;
   }
 
-let names t = List.map (fun e -> e.name) t.entries
+let create ?names ?trace () = attach ?names (Recorder.create ?trace ())
+let recorder t = t.recorder
+let counters t = Recorder.bounds t.recorder
 
-let counters t =
-  List.map
-    (fun (name, c) ->
-      ( name,
-        { Telemetry.calls = c.calls; time_s = c.time_s; prunes = c.prunes } ))
-    t.tallies
-
-let tally t name =
-  match List.assoc_opt name t.tallies with
-  | Some c -> c
-  | None -> assert false
-
-let timed t e inst container ~seq =
-  let c = tally t e.name in
-  let start = Unix.gettimeofday () in
+let timed t (e, tally) inst container ~seq =
+  Recorder.start t.recorder;
   let verdict = e.run inst container ~seq in
-  let dt = Unix.gettimeofday () -. start in
-  c.calls <- c.calls + 1;
-  c.time_s <- c.time_s +. dt;
-  Metrics.incr c.m_calls;
-  Metrics.addf c.m_time dt;
-  (match verdict with
-  | Infeasible _ ->
-    c.prunes <- c.prunes + 1;
-    Metrics.incr c.m_prunes
-  | Lower_bound _ | Inconclusive -> ());
-  (* The trace records the same measured duration the counters
-     accumulate, so [trace-summary] reproduces [--stats json]. *)
-  if Trace.enabled t.trace then
-    Trace.bound_call t.trace ~bound:e.name
-      ~verdict:
-        (match verdict with
-        | Infeasible cert -> Trace.Bv_infeasible cert.detail
-        | Lower_bound l -> Trace.Bv_lower_bound l
-        | Inconclusive -> Trace.Bv_inconclusive)
-      ~dur_s:dt;
+  Recorder.bound_call t.recorder tally
+    (match verdict with
+    | Infeasible cert -> Trace.Bv_infeasible cert.detail
+    | Lower_bound l -> Trace.Bv_lower_bound l
+    | Inconclusive -> Trace.Bv_inconclusive);
   verdict
 
 let check_dimensions ~who inst container =
@@ -613,9 +548,9 @@ let fold_entries t inst container ~seq ~only_dynamic =
   let best = ref Inconclusive in
   let refuted = ref None in
   List.iter
-    (fun e ->
+    (fun ((e, _) as entry) ->
       if !refuted = None && ((not only_dynamic) || e.dynamic) then
-        match timed t e inst container ~seq with
+        match timed t entry inst container ~seq with
         | Infeasible _ as v -> refuted := Some v
         | Lower_bound l ->
           (match !best with
@@ -650,4 +585,6 @@ let time_lower_bound t inst container =
 let run_all t inst container =
   check_dimensions ~who:"Bound_engine.run_all" inst container;
   let seq = sequencing_of_instance inst in
-  List.map (fun e -> (e.name, timed t e inst container ~seq)) t.entries
+  List.map
+    (fun ((e, _) as entry) -> (e.name, timed t entry inst container ~seq))
+    t.entries

@@ -1,11 +1,10 @@
 (** Composable bounding/pruning engine.
 
-    One registry of bound functions serves every layer that previously
-    reimplemented its own pruning: the stage-1 root check ({!Bounds} is
-    now a thin wrapper), the in-search node pruning of {!Opp_solver},
-    probe skipping and proven lower bounds in {!Problems}, split-root
-    pruning in {!Parallel_solver}, and the pre-checks of {!Knapsack} and
-    the baseline solvers.
+    One registry of bound functions serves every layer that prunes: the
+    stage-1 root check and the in-search node pruning of
+    {!Opp_solver}, probe skipping and proven lower bounds in
+    {!Problems}, split-root pruning in {!Parallel_solver}, and the
+    pre-checks of {!Knapsack} and the baseline solvers.
 
     Every registered bound takes a (sub)instance plus a container and
     returns a typed {!verdict}:
@@ -29,9 +28,9 @@
     the precedence arcs plus every branching decision) and cut subtrees
     the static root bounds cannot see.
 
-    An engine value carries per-bound call/time/prune counters; create
-    one per solve (engines are not thread-safe) and merge snapshots with
-    {!Telemetry.add_bound_counters}. *)
+    Every evaluation is recorded on the engine's {!Recorder}: its own
+    for {!create}, a search's for {!attach}, so one solve tallies its
+    root and node bounds together. Engines are not thread-safe. *)
 
 module Container = Geometry.Container
 module Digraph = Graphlib.Digraph
@@ -62,17 +61,22 @@ type t
     the axis that fired. *)
 val default_names : string list
 
-(** [create ()] builds an engine with every default bound registered.
-    [?names] restricts (and reorders) the registry. [?trace] records
-    one {!Trace} bound-call event per evaluation, carrying the same
-    measured duration the engine's own counters accumulate.
+(** [create ()] builds an engine with every default bound registered,
+    on a fresh recorder of its own. [?names] restricts (and reorders)
+    the registry. [?trace] records one {!Trace} bound-call event per
+    evaluation, carrying the same measured duration the counters
+    accumulate.
     @raise Invalid_argument on an unknown name. *)
 val create : ?names:string list -> ?trace:Trace.t -> unit -> t
 
-val names : t -> string list
+(** [attach ?names recorder] is {!create} recording into an existing
+    recorder, shared with whatever else records there. *)
+val attach : ?names:string list -> Recorder.t -> t
 
-(** Snapshot of the per-bound call/time/prune counters accumulated by
-    this engine value. A prune is an [Infeasible] verdict. *)
+val recorder : t -> Recorder.t
+
+(** Snapshot of the per-bound call/time/prune counters of the engine's
+    recorder. A prune is an [Infeasible] verdict. *)
 val counters : t -> Telemetry.bound_counters
 
 (** The precedence order of an instance as a digraph on task indices —
@@ -107,10 +111,8 @@ val run_all : t -> Instance.t -> Container.t -> (string * verdict) list
 
 (** {1 Primitive bound families}
 
-    Exposed for {!Bounds} (the legacy stage-1 facade) and for tests.
-    The [invalid_arg] messages of {!f_eps} and {!u_k} keep their
-    historical ["Bounds.*"] prefixes because {!Bounds} re-exports them
-    unchanged. *)
+    Exposed for tests and for callers that want one family without an
+    engine. *)
 
 val volume_exceeded : Instance.t -> Container.t -> bool
 val misfit : Instance.t -> Container.t -> int option

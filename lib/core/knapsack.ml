@@ -46,18 +46,12 @@ let solve ?options inst cont ~value =
      sub-instance refutes it (and, by monotonicity, every extension)
      without paying for a solver call. The solve behind a surviving
      selection skips its own stage-1 re-check. *)
-  let engine_enabled =
-    match options with
-    | None -> true
-    | Some o -> o.Opp_solver.use_bounds
-  in
-  let engine = if engine_enabled then Some (Bound_engine.create ()) else None in
-  let probe_options =
-    match engine with
-    | None -> options
-    | Some _ ->
-      let o = Option.value options ~default:Opp_solver.default_options in
-      Some { o with Opp_solver.use_bounds = false }
+  let o = Option.value options ~default:Opp_solver.default_options in
+  let engine, probe_options =
+    if o.Opp_solver.use_bounds then
+      ( Some (Bound_engine.create ~trace:o.Opp_solver.trace ()),
+        { o with Opp_solver.use_bounds = false } )
+    else (None, o)
   in
   let feasible selection =
     match selection with
@@ -74,7 +68,7 @@ let solve ?options inst cont ~value =
       in
       if refuted then None
       else
-        match Opp_solver.solve ?options:probe_options sub cont with
+        match Opp_solver.solve ~options:probe_options sub cont with
         | Opp_solver.Feasible placement, _ -> Some placement
         | Opp_solver.Infeasible, _ | Opp_solver.Timeout, _ -> None)
   in

@@ -11,13 +11,12 @@
     - Hot-path updates never synchronize. A counter or histogram is a
       list of per-domain cells (registered once per domain by CAS,
       exactly like {!Trace} streams); an increment is a plain write to
-      the calling domain's own cell. {!snapshot} merges the shards —
-      the same shape as {!Telemetry} merging per-worker reports.
+      the calling domain's own cell. {!snapshot} merges the shards.
 
-    Snapshots may observe a concurrent writer's cell mid-update, so a
-    live scrape is eventually consistent: totals lag by at most the
-    in-flight increments. Once writers are joined (how every solver
-    exposes its counters today) the snapshot is exact. *)
+    The solver core reaches the registry only through {!Recorder}.
+    A live scrape is eventually consistent: totals lag by the in-flight
+    increments (the search-node families by up to one heartbeat). Once
+    writers are joined the snapshot is exact. *)
 
 type t
 (** A registry handle: either {!null} or a live registry. *)

@@ -43,11 +43,9 @@ type options = {
   node_limit : int option;
   deadline : float option;
   interrupt : (unit -> bool) option;
-  on_progress : (stats -> unit) option;
   progress_interval_s : float;
   on_heartbeat : (Telemetry.progress -> unit) option;
   trace : Trace.t;
-  component_first : bool;
   realize : realize_policy;
   node_bounds : realize_policy;
 }
@@ -68,11 +66,9 @@ let default_options =
     node_limit = None;
     deadline = None;
     interrupt = None;
-    on_progress = None;
     progress_interval_s = 1.0;
     on_heartbeat = None;
     trace = Trace.null;
-    component_first = true;
     realize = default_realize;
     node_bounds = default_node_bounds;
   }
@@ -86,58 +82,25 @@ exception Stopped
    polls, not on node counts. *)
 let poll_mask = 31
 
-(* The stage-3 search from an already-initialized state. Counters are
-   threaded through references so [solve] and [solve_state] share the
-   code; [depth_offset] lets a caller account for decisions replayed
-   into [state] before the search started. *)
-let search ~options ~t0 ~depth_offset ?(bounds0 = []) ?share state =
-  let nodes = ref 0 and conflicts = ref 0 and leaves = ref 0 in
-  let decisions = ref 0 in
-  (* Process metrics: handles are minted once per search and flushed
-     from the existing local counters — at heartbeats (nodes only, as a
-     delta, so a live scrape sees progress) and at [finish]. The whole
-     block is no-ops when the default registry is disabled, so the hot
-     path never pays for it. *)
-  let m = Metrics.default () in
-  let m_on = Metrics.enabled m in
-  let m_nodes =
-    Metrics.counter m ~help:"Search nodes visited" "fpga_solver_nodes_total"
-  in
-  let m_decisions =
-    Metrics.counter m ~help:"Branch points expanded"
-      "fpga_solver_decisions_total"
-  in
-  let m_conflicts =
-    Metrics.counter m ~help:"Search conflicts (refuted nodes)"
-      "fpga_solver_conflicts_total"
-  in
-  let m_leaves =
-    Metrics.counter m ~help:"Fully decided leaves reached"
-      "fpga_solver_leaves_total"
-  in
-  let m_realize =
-    Metrics.counter m ~help:"Realization (placement reconstruction) attempts"
-      "fpga_solver_realize_attempts_total"
-  in
-  let m_realize_s =
-    Metrics.counter m ~help:"Seconds spent in realization attempts"
-      "fpga_solver_realize_seconds_total"
-  in
-  let m_flushed_nodes = ref 0 in
-  let metrics_flush_nodes () =
-    if m_on then begin
-      Metrics.add m_nodes (!nodes - !m_flushed_nodes);
-      m_flushed_nodes := !nodes
-    end
-  in
-  let metrics_finish () =
-    if m_on then begin
-      metrics_flush_nodes ();
-      Metrics.add m_decisions !decisions;
-      Metrics.add m_conflicts !conflicts;
-      Metrics.add m_leaves !leaves
-    end
-  in
+let empty_stats =
+  {
+    nodes = 0;
+    conflicts = 0;
+    leaves = 0;
+    max_depth = 0;
+    elapsed = 0.0;
+    by_bounds = false;
+    by_heuristic = false;
+    rules = Telemetry.zero_rules;
+    bounds = [];
+  }
+
+(* The stage-3 search from an already-initialized state, recording into
+   the state's recorder; [depth_offset] lets a caller account for
+   decisions replayed into [state] before the search started. *)
+let search ~options ~t0 ~depth_offset ?share state =
+  let r = Packing_state.recorder state in
+  Recorder.start_search r ~depth_offset;
   (* The decision path from this search's root, maintained only when a
      work-stealing [share] is attached: slot [d] holds the branch taken
      at local depth [d] along the current DFS path, so an [offer] can
@@ -154,87 +117,61 @@ let search ~options ~t0 ~depth_offset ?(bounds0 = []) ?share state =
     end;
     !path.(d) <- dec
   in
-  let max_depth = ref depth_offset in
-  let realize_attempts = ref 0 and realize_time = ref 0.0 in
   (* Throttle state: trail size and node index of the last opportunistic
      attempt, plus the consecutive-failure count driving the backoff.
      Initialized so the very first eligible node attempts. *)
   let last_attempt_trail = ref (min_int / 2) in
   let last_attempt_node = ref (min_int / 2) in
   let consec_failures = ref 0 in
-  (* The node-level bound engine, with its own throttle state. One
-     engine per search keeps the per-bound counters domain-local. *)
+  (* The node-level bound engine, with its own throttle state, records
+     into the search's recorder. *)
   let engine =
     match options.node_bounds with
     | Realize_never -> None
-    | _ -> Some (Bound_engine.create ~trace:options.trace ())
+    | _ -> Some (Bound_engine.attach r)
   in
   let last_bound_trail = ref (min_int / 2) in
   let last_bound_node = ref (min_int / 2) in
   let consec_bound_failures = ref 0 in
-  let rules_snapshot () =
-    {
-      (Packing_state.rule_counters state) with
-      Telemetry.realize_attempts = !realize_attempts;
-      realize_time_s = !realize_time;
-    }
+  let finish outcome =
+    Recorder.flush r;
+    ( outcome,
+      {
+        empty_stats with
+        nodes = Recorder.nodes r;
+        conflicts = Recorder.conflicts r;
+        leaves = Recorder.leaves r;
+        max_depth = Recorder.max_depth r;
+        elapsed = Unix.gettimeofday () -. t0;
+        rules = Recorder.rule_counters r;
+        bounds = Recorder.bounds r;
+      } )
   in
-  let bounds_snapshot () =
-    match engine with
-    | None -> bounds0
-    | Some e -> Telemetry.add_bound_counters bounds0 (Bound_engine.counters e)
-  in
-  let snapshot ~by_bounds ~by_heuristic =
-    {
-      nodes = !nodes;
-      conflicts = !conflicts;
-      leaves = !leaves;
-      max_depth = !max_depth;
-      elapsed = Unix.gettimeofday () -. t0;
-      by_bounds;
-      by_heuristic;
-      rules = rules_snapshot ();
-      bounds = bounds_snapshot ();
-    }
-  in
-  let finish outcome ~by_bounds ~by_heuristic =
-    metrics_finish ();
-    if m_on then begin
-      Metrics.add m_realize !realize_attempts;
-      Metrics.addf m_realize_s !realize_time
-    end;
-    (outcome, snapshot ~by_bounds ~by_heuristic)
-  in
-  (* Progress callbacks fire on a wall-clock cadence: at every poll
-     tick the clock is read once (shared with the deadline check) and
-     compared against the next scheduled heartbeat, so the reporting
-     rate is independent of node throughput. The clock is only read
-     when some consumer needs it. *)
+  (* Heartbeats fire on a wall-clock cadence: at every poll tick the
+     clock is read once (shared with the deadline check) and compared
+     against the next scheduled heartbeat, so the reporting rate is
+     independent of node throughput. The clock is only read when some
+     consumer needs it. *)
   let wants_progress =
-    Option.is_some options.on_progress
-    || Option.is_some options.on_heartbeat
-    || Trace.enabled options.trace
-    || m_on
+    Option.is_some options.on_heartbeat || Recorder.enabled r
   in
   let wants_clock = wants_progress || Option.is_some options.deadline in
   let next_progress = ref (t0 +. options.progress_interval_s) in
   let heartbeat now =
     next_progress := now +. options.progress_interval_s;
-    metrics_flush_nodes ();
-    (match options.on_progress with
-    | Some f -> f (snapshot ~by_bounds:false ~by_heuristic:false)
-    | None -> ());
+    Recorder.flush r;
     if
       Option.is_some options.on_heartbeat || Trace.enabled options.trace
     then begin
       let elapsed = now -. t0 in
+      let nodes = Recorder.nodes r in
       let p =
         {
           Telemetry.elapsed_s = elapsed;
-          nodes = !nodes;
+          nodes;
           nodes_per_s =
-            (if elapsed > 0.0 then float_of_int !nodes /. elapsed else 0.0);
-          max_depth = !max_depth;
+            (if elapsed > 0.0 then float_of_int nodes /. elapsed else 0.0);
+          max_depth = Recorder.max_depth r;
           decided_fraction = Packing_state.decided_fraction state;
           trail_length = Packing_state.total_trail state;
           bracket = None;
@@ -246,10 +183,11 @@ let search ~options ~t0 ~depth_offset ?(bounds0 = []) ?share state =
     end
   in
   let check_budget () =
+    let nodes = Recorder.nodes r in
     (match options.node_limit with
-    | Some limit when !nodes > limit -> raise Stopped
+    | Some limit when nodes > limit -> raise Stopped
     | _ -> ());
-    if !nodes land poll_mask = 0 || !nodes = 1 then begin
+    if nodes land poll_mask = 0 || nodes = 1 then begin
       (match options.interrupt with
       | Some stop when stop () -> raise Stopped
       | _ -> ());
@@ -271,7 +209,7 @@ let search ~options ~t0 ~depth_offset ?(bounds0 = []) ?share state =
       Packing_state.decided_fraction state >= min_decided_fraction
       && abs (Packing_state.total_trail state - !last_attempt_trail)
          >= min_trail_delta
-      && !nodes - !last_attempt_node
+      && Recorder.nodes r - !last_attempt_node
          >= min backoff_limit (1 lsl min !consec_failures 20)
   in
   let should_check_bounds () =
@@ -284,7 +222,7 @@ let search ~options ~t0 ~depth_offset ?(bounds0 = []) ?share state =
       && Packing_state.decided_fraction state >= min_decided_fraction
       && abs (Packing_state.total_trail state - !last_bound_trail)
          >= min_trail_delta
-      && !nodes - !last_bound_node
+      && Recorder.nodes r - !last_bound_node
          >= min backoff_limit (1 lsl min !consec_bound_failures 20)
   in
   (* Engine check on the committed time-axis arcs of the current node.
@@ -295,7 +233,7 @@ let search ~options ~t0 ~depth_offset ?(bounds0 = []) ?share state =
   let node_refuted () =
     if not (should_check_bounds ()) then false
     else begin
-      last_bound_node := !nodes;
+      last_bound_node := Recorder.nodes r;
       last_bound_trail := Packing_state.total_trail state;
       let e = Option.get engine in
       let refuted =
@@ -313,15 +251,19 @@ let search ~options ~t0 ~depth_offset ?(bounds0 = []) ?share state =
       refuted
     end
   in
-  let trace = options.trace in
+  let realize attempt =
+    Recorder.start r;
+    let hit = attempt state in
+    Recorder.realize r ~success:(Option.is_some hit);
+    hit
+  in
   let rec dfs depth =
-    incr nodes;
-    if depth > !max_depth then max_depth := depth;
-    let recorded = Trace.node_enter trace ~node:!nodes ~depth in
+    let recorded = Recorder.node_enter r ~depth in
     check_budget ();
-    let conflicts0 = !conflicts in
-    (if node_refuted () then incr conflicts else dfs_body ~recorded depth);
-    Trace.node_close trace ~recorded ~depth ~conflicts:(!conflicts - conflicts0)
+    let conflicts0 = Recorder.conflicts r in
+    (if node_refuted () then Recorder.conflict r else dfs_body ~recorded depth);
+    Recorder.node_close r ~recorded ~depth
+      ~conflicts:(Recorder.conflicts r - conflicts0)
   and dfs_body ~recorded depth =
     (* Early realization: if the decided part of the class already
        forces a feasible layout, stop — the validator guarantees
@@ -333,49 +275,36 @@ let search ~options ~t0 ~depth_offset ?(bounds0 = []) ?share state =
        leaves below is never throttled, so every policy — including
        [Realize_never] — returns the same verdict. *)
     if should_attempt () then begin
-      incr realize_attempts;
-      last_attempt_node := !nodes;
+      last_attempt_node := Recorder.nodes r;
       last_attempt_trail := Packing_state.total_trail state;
-      let a0 = Unix.gettimeofday () in
-      let hit = Reconstruct.attempt state in
-      let dt = Unix.gettimeofday () -. a0 in
-      realize_time := !realize_time +. dt;
-      Trace.realize trace ~success:(Option.is_some hit) ~dur_s:dt;
-      match hit with
+      match realize Reconstruct.attempt with
       | Some placement -> raise (Found placement)
       | None -> incr consec_failures
     end;
     match Packing_state.choose_unknown state with
     | None -> (
-      incr leaves;
-      incr realize_attempts;
-      let a0 = Unix.gettimeofday () in
-      let hit = Reconstruct.of_state state in
-      let dt = Unix.gettimeofday () -. a0 in
-      realize_time := !realize_time +. dt;
-      Trace.realize trace ~success:(Option.is_some hit) ~dur_s:dt;
-      match hit with
+      Recorder.leaf r;
+      match realize Reconstruct.of_state with
       | Some placement -> raise (Found placement)
-      | None -> incr conflicts)
+      | None -> Recorder.conflict r)
     | Some (dim, u, v) ->
-      incr decisions;
-      Trace.decision trace ~recorded ~depth ~dim ~u ~v;
+      Recorder.decision r ~recorded ~depth ~dim ~u ~v;
       let branch overlap =
         let marks = Packing_state.mark state in
-        let r =
+        let res =
           if overlap then Packing_state.assign_component state ~dim u v
           else Packing_state.assign_comparable state ~dim u v
         in
-        (match r with
+        (match res with
         | Ok () -> dfs (depth + 1)
-        | Error _ -> incr conflicts);
+        | Error _ -> Recorder.conflict r);
         Packing_state.undo_to state marks
       in
-      let first = options.component_first in
+      (* The component (overlap) branch is always explored first. *)
       (match share with
       | None ->
-        branch first;
-        branch (not first)
+        branch true;
+        branch false
       | Some s ->
         (* Work-stealing protocol at a branch point: before descending
            the first branch, offer the second one to the local deque (it
@@ -386,28 +315,29 @@ let search ~options ~t0 ~depth_offset ?(bounds0 = []) ?share state =
            the sequential DFS order. A failed reclaim means a thief owns
            that subtree and this node is done. *)
         let d_local = depth - depth_offset - 1 in
-        let second = { dim; u; v; overlap = not first } in
+        let second = { dim; u; v; overlap = false } in
         let token = s.offer ~path:!path ~len:d_local ~alt:second in
-        set_path d_local { dim; u; v; overlap = first };
-        branch first;
+        set_path d_local { second with overlap = true };
+        branch true;
         (match token with
         | None ->
           set_path d_local second;
-          branch (not first)
+          branch false
         | Some tok ->
           if s.reclaim tok then begin
             set_path d_local second;
-            branch (not first)
+            branch false
           end))
   in
   try
     dfs (depth_offset + 1);
-    finish Infeasible ~by_bounds:false ~by_heuristic:false
+    finish Infeasible
   with
   | Found placement ->
-    Trace.incumbent trace ~objective:(Geometry.Placement.makespan placement);
-    finish (Feasible placement) ~by_bounds:false ~by_heuristic:false
-  | Stopped -> finish Timeout ~by_bounds:false ~by_heuristic:false
+    Trace.incumbent options.trace
+      ~objective:(Geometry.Placement.makespan placement);
+    finish (Feasible placement)
+  | Stopped -> finish Timeout
 
 let solve_state ?(options = default_options) ?(depth_offset = 0) ?share state =
   search ~options ~t0:(Unix.gettimeofday ()) ~depth_offset ?share state
@@ -424,34 +354,27 @@ let solve ?(options = default_options) ?schedule inst cont =
     end
     else f ()
   in
-  (* Stage 1: try to disprove existence by bounds. The engine's counters
-     are threaded into the final stats whatever stage settles the
-     instance. *)
-  let root_engine =
-    if options.use_bounds then Some (Bound_engine.create ~trace ()) else None
-  in
+  (* One recorder for the whole solve: the stage-1 engine, the packing
+     state and the stage-3 search all record into it, so the final stats
+     carry the root bounds whatever stage settles the instance. *)
+  let recorder = Recorder.create ~trace () in
   let root_verdict =
-    match root_engine with
-    | None -> Bound_engine.Inconclusive
-    | Some e -> staged "stage1-bounds" (fun () -> Bound_engine.check e inst cont)
+    if options.use_bounds then
+      staged "stage1-bounds" (fun () ->
+          Bound_engine.check (Bound_engine.attach recorder) inst cont)
+    else Bound_engine.Inconclusive
   in
-  let bounds0 =
-    match root_engine with
-    | None -> []
-    | Some e -> Bound_engine.counters e
-  in
+  (* A solve settled before the search reports no search work, even
+     though a failed root propagation did run the rules. *)
   let finish outcome ~conflicts ~by_bounds ~by_heuristic =
     ( outcome,
       {
-        nodes = 0;
+        empty_stats with
         conflicts;
-        leaves = 0;
-        max_depth = 0;
         elapsed = Unix.gettimeofday () -. t0;
         by_bounds;
         by_heuristic;
-        rules = Telemetry.zero_rules;
-        bounds = bounds0;
+        bounds = Recorder.bounds recorder;
       } )
   in
   match root_verdict with
@@ -473,13 +396,13 @@ let solve ?(options = default_options) ?schedule inst cont =
     | None -> (
       (* Stage 3: branch and bound over packing classes. *)
       match
-        Packing_state.create ~rules:options.rules ?schedule ~trace inst cont
+        Packing_state.create ~rules:options.rules ?schedule ~recorder inst cont
       with
       | Error _ ->
         finish Infeasible ~conflicts:1 ~by_bounds:false ~by_heuristic:false
       | Ok state ->
         staged "stage3-search" (fun () ->
-            search ~options ~t0 ~depth_offset:0 ~bounds0 state))
+            search ~options ~t0 ~depth_offset:0 state))
   end
 
 let feasible ?options ?schedule inst cont =
@@ -527,17 +450,4 @@ let merge_stats a b =
     by_heuristic = a.by_heuristic || b.by_heuristic;
     rules = Telemetry.add_rules a.rules b.rules;
     bounds = Telemetry.add_bound_counters a.bounds b.bounds;
-  }
-
-let empty_stats =
-  {
-    nodes = 0;
-    conflicts = 0;
-    leaves = 0;
-    max_depth = 0;
-    elapsed = 0.0;
-    by_bounds = false;
-    by_heuristic = false;
-    rules = Telemetry.zero_rules;
-    bounds = [];
   }

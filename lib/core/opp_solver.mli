@@ -119,32 +119,28 @@ type options = {
           deadline; returning [true] aborts the search with [Timeout].
           Used by {!Parallel_solver} to stop sibling workers once a
           definitive answer is known. *)
-  on_progress : (stats -> unit) option;
-      (** Periodic telemetry callback with a snapshot of the running
-          counters. Fires on a wall-clock cadence of
-          [progress_interval_s] seconds, checked at the node-poll
-          granularity (every ~32 nodes), so the reporting rate does not
-          depend on node throughput. The snapshot is cumulative for
-          this search (counters are monotone between calls) and must
-          not be mutated or retained past the callback; the search
-          blocks while it runs, so keep it cheap. Called from the
-          solving thread; in a parallel solve it may be invoked
-          concurrently from several domains, each reporting its own
-          worker-local counters. *)
   progress_interval_s : float;
-      (** wall-clock seconds between [on_progress]/[on_heartbeat]
-          firings (default 1.0). Values [<= 0.0] fire at every poll
-          tick — useful in tests, pathological in production. *)
+      (** wall-clock seconds between [on_heartbeat] firings (default
+          1.0), checked at the node-poll granularity (every ~32 nodes),
+          so the rate does not depend on node throughput. Values
+          [<= 0.0] fire at every poll tick — useful in tests,
+          pathological in production. *)
   on_heartbeat : (Telemetry.progress -> unit) option;
-      (** like [on_progress] but with a {!Telemetry.progress} snapshot
-          (nodes/s, max depth, decided fraction, trail length) instead
-          of raw counters; fires on the same wall-clock cadence. The
-          optimization drivers ({!Problems}) wrap this to inject the
+      (** periodic callback with a {!Telemetry.progress} snapshot
+          (nodes, nodes/s, max depth, decided fraction, trail length)
+          of this search. The search blocks while it runs, so keep it
+          cheap; in a parallel solve it may be called concurrently from
+          several domains, each reporting its own worker. The
+          optimization drivers ({!Problems}) wrap it to inject the
           current bracket and gap. *)
   trace : Trace.t;
-      (** structured event recorder threaded through the search, the
-          bound engines, and propagation ({!Trace.null} = off) *)
-  component_first : bool; (** branch order at each decision *)
+      (** structured event trace ({!Trace.null} = off). A solve records
+          every event — rule calls and conflicts, bound calls, nodes,
+          decisions, realizations — once, on one {!Recorder}; the
+          recorder keeps the tallies these stats render, appends to
+          this trace and updates the process {!Metrics} registry, so
+          the three views agree event for event. The search always
+          explores the component (overlap) branch first. *)
   realize : realize_policy;
       (** throttle for the per-node realization attempt; defaults to
           {!default_realize} (adaptive) *)
@@ -182,9 +178,11 @@ val solve :
     of [options]; [depth_offset] credits decisions replayed into
     [state] before the call so [stats.max_depth] reflects the true
     depth. The state is consumed by the search (a [Feasible] exit does
-    not unwind its trail); create a fresh one per call. [share]
-    attaches the work-stealing hooks (see {!share}). This is the
-    worker entry point of {!Parallel_solver}. *)
+    not unwind its trail); create a fresh one per call. The search
+    records on the state's {!Packing_state.recorder}, which should
+    carry [options.trace]. [share] attaches the work-stealing hooks
+    (see {!share}). This is the worker entry point of
+    {!Parallel_solver}. *)
 val solve_state :
   ?options:options ->
   ?depth_offset:int ->

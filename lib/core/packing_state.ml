@@ -16,18 +16,6 @@ let default_rules =
     component_cliques = true;
   }
 
-(* Mutable per-rule telemetry; snapshot via [rule_counters]. *)
-type counters = {
-  mutable c2_calls : int;
-  mutable c2_time : float;
-  mutable c4_calls : int;
-  mutable c4_time : float;
-  mutable capacity_calls : int;
-  mutable capacity_time : float;
-  mutable implication_calls : int;
-  mutable implication_time : float;
-}
-
 type t = {
   inst : Instance.t;
   cont : Container.t;
@@ -61,13 +49,7 @@ type t = {
          0 = "C3 pressure" (the pair still owes a separation). *)
   mutable decided_slots : int; (* decided (pair, dimension) slots *)
   total_slots : int;
-  stats : counters;
-  mutable propagations : int;
-  trace : Trace.t;
-  m_rule_conflicts : (string * Metrics.counter) list;
-      (* per-rule conflict counters from the process metrics registry;
-         [[]] (all lookups miss) when the registry was disabled at
-         [create], so the off path stays free. *)
+  recorder : Recorder.t;
 }
 
 (* Tasks u < v are interchangeable when their boxes are equal and they
@@ -118,7 +100,6 @@ let dimension t k = t.dims.(k)
 
 let sequencing t ~axis = OG.orientation t.dims.(axis)
 let time_sequencing t = sequencing t ~axis:(Instance.objective_axis t.inst)
-let propagations t = t.propagations
 let mark t = Array.map OG.mark t.dims
 
 let decided_fraction t =
@@ -127,20 +108,7 @@ let decided_fraction t =
 
 let total_trail t = Array.fold_left (fun acc og -> acc + OG.mark og) 0 t.dims
 
-let rule_counters t =
-  {
-    Telemetry.zero_rules with
-    Telemetry.c2_calls = t.stats.c2_calls;
-    c2_time_s = t.stats.c2_time;
-    c4_calls = t.stats.c4_calls;
-    c4_time_s = t.stats.c4_time;
-    capacity_calls = t.stats.capacity_calls;
-    capacity_time_s = t.stats.capacity_time;
-    implication_calls = t.stats.implication_calls;
-    implication_time_s = t.stats.implication_time;
-  }
-
-let clock = Unix.gettimeofday
+let recorder t = t.recorder
 
 (* ------------------------------------------------------------------ *)
 (* Adjacency bitsets                                                   *)
@@ -407,51 +375,22 @@ let rule_c4_diagonal t k u v =
 
 exception Rule_conflict of string
 
-(* Record a rule conflict on the trace as it happens; the Ok path adds
-   only a tag match. *)
-let fired t rule r =
-  (match r with
-  | Error reason ->
-    Trace.rule_fire t.trace ~rule ~detail:reason;
-    (match List.assoc_opt rule t.m_rule_conflicts with
-    | Some c -> Metrics.incr c
-    | None -> ())
-  | Ok () -> ());
-  r
+(* Every rule outcome goes through the recorder, which times the calls
+   it started and records an [Error] as that rule's conflict. *)
+let timed t rule check k u v =
+  Recorder.start t.recorder;
+  Recorder.rule_call t.recorder rule (check t k u v)
 
 let handle_pair t k u v =
-  let c = t.stats in
   let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e in
   match OG.kind t.dims.(k) u v with
   | OG.Component ->
-    let* () = fired t "c3" (rule_c3 t u v) in
-    let* () =
-      let t0 = clock () in
-      let r = rule_component_clique t k u v in
-      c.capacity_calls <- c.capacity_calls + 1;
-      c.capacity_time <- c.capacity_time +. (clock () -. t0);
-      fired t "capacity" r
-    in
-    let t0 = clock () in
-    let r = rule_c4_edge t k u v in
-    c.c4_calls <- c.c4_calls + 1;
-    c.c4_time <- c.c4_time +. (clock () -. t0);
-    fired t "c4" r
+    let* () = Recorder.rule_conflict t.recorder C3 (rule_c3 t u v) in
+    let* () = timed t Capacity rule_component_clique k u v in
+    timed t C4 rule_c4_edge k u v
   | OG.Comparable ->
-    let* () =
-      let t0 = clock () in
-      let r = rule_c2 t k u v in
-      c.c2_calls <- c.c2_calls + 1;
-      c.c2_time <- c.c2_time +. (clock () -. t0);
-      fired t "c2" r
-    in
-    let* () =
-      let t0 = clock () in
-      let r = rule_c4_diagonal t k u v in
-      c.c4_calls <- c.c4_calls + 1;
-      c.c4_time <- c.c4_time +. (clock () -. t0);
-      fired t "c4" r
-    in
+    let* () = timed t C2 rule_c2 k u v in
+    let* () = timed t C4 rule_c4_diagonal k u v in
     (* Symmetry breaking: interchangeable tasks that end up comparable
        in the objective dimension always run in index order. *)
     if
@@ -459,7 +398,7 @@ let handle_pair t k u v =
       && u < v
       && t.symmetric.((u * t.n) + v)
     then
-      fired t "symmetry"
+      Recorder.rule_conflict t.recorder Symmetry
         (match OG.force_arc t.dims.(k) u v with
         | Ok () -> Ok ()
         | Error conflict -> fail_of conflict k)
@@ -468,21 +407,21 @@ let handle_pair t k u v =
 
 let stabilize t =
   let d = Array.length t.dims in
-  let c = t.stats in
   let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e in
   let rec loop () =
-    t.propagations <- t.propagations + 1;
     (* Intra-dimension D1/D2 closure. *)
     let rec dims_prop k =
       if k >= d then Ok ()
       else if t.rules.implications then begin
-        let t0 = clock () in
-        let r = OG.propagate t.dims.(k) in
-        c.implication_calls <- c.implication_calls + 1;
-        c.implication_time <- c.implication_time +. (clock () -. t0);
-        match r with
+        Recorder.start t.recorder;
+        match
+          Recorder.rule_call t.recorder Implications
+            (match OG.propagate t.dims.(k) with
+            | Ok () -> Ok ()
+            | Error conflict -> fail_of conflict k)
+        with
         | Ok () -> dims_prop (k + 1)
-        | Error conflict -> fired t "implications" (fail_of conflict k)
+        | Error _ as e -> e
       end
       else Ok ()
     in
@@ -521,10 +460,12 @@ let stabilize t =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let create ?(rules = default_rules) ?schedule ?(trace = Trace.null) inst cont =
+let create ?(rules = default_rules) ?schedule ?(recorder = Recorder.create ())
+    inst cont =
   let d = Instance.dim inst in
   if Container.dim cont <> d then
     invalid_arg "Packing_state.create: dimension mismatch";
+  Recorder.register_rules recorder;
   let n = Instance.count inst in
   let words = max 1 ((n + 62) / 63) in
   let ext =
@@ -589,31 +530,7 @@ let create ?(rules = default_rules) ?schedule ?(trace = Trace.null) inst cont =
       comp_dims = Array.make (n * n) 0;
       decided_slots = 0;
       total_slots = d * (n * (n - 1) / 2);
-      stats =
-        {
-          c2_calls = 0;
-          c2_time = 0.0;
-          c4_calls = 0;
-          c4_time = 0.0;
-          capacity_calls = 0;
-          capacity_time = 0.0;
-          implication_calls = 0;
-          implication_time = 0.0;
-        };
-      propagations = 0;
-      trace;
-      m_rule_conflicts =
-        (let m = Metrics.default () in
-         if not (Metrics.enabled m) then []
-         else
-           List.map
-             (fun rule ->
-               ( rule,
-                 Metrics.counter m
-                   ~help:"Packing-rule conflicts by rule"
-                   ~labels:[ ("rule", rule) ]
-                   "fpga_solver_rule_conflicts_total" ))
-             [ "c2"; "c3"; "c4"; "capacity"; "symmetry"; "implications" ]);
+      recorder;
     }
   in
   let ( let* ) r f = match r with Ok () -> f () | Error msg -> Error msg in

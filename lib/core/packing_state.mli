@@ -50,13 +50,14 @@ val default_rules : rules
     [schedule] (a start time per task) is given, the objective
     dimension is fully determined from it — the FixedS problems of the
     paper, which collapse to the remaining axes. [Error reason] means the
-    instance is infeasible at the root. [trace] records one
-    {!Trace.rule_fire} event per rule conflict (C2/C3/C4, capacity,
-    symmetry breaking, implication closure). *)
+    instance is infeasible at the root. Every rule call and conflict
+    (C2/C3/C4, capacity, symmetry breaking, implication closure) is
+    recorded on [recorder] (default: a fresh one), which also carries
+    the search that runs on this state. *)
 val create :
   ?rules:rules ->
   ?schedule:int array ->
-  ?trace:Trace.t ->
+  ?recorder:Recorder.t ->
   Instance.t ->
   Geometry.Container.t ->
   (t, string) result
@@ -104,9 +105,6 @@ val unknown_count : t -> int
     constrained decision. [None] at a leaf. *)
 val choose_unknown : t -> (int * int * int) option
 
-(** Propagation statistics since creation. *)
-val propagations : t -> int
-
 (** Fraction of (pair, dimension) slots already decided (component,
     comparable, or oriented), in [0, 1]. Maintained incrementally from
     the trail; O(1). Drives the solver's adaptive realization
@@ -120,7 +118,5 @@ val decided_fraction : t -> float
     attempt. *)
 val total_trail : t -> int
 
-(** Per-rule call/time counters accumulated since {!create} (the
-    [realize_*] fields are zero here — realization is counted by the
-    solver). *)
-val rule_counters : t -> Telemetry.rule_counters
+(** The recorder given to {!create}. *)
+val recorder : t -> Recorder.t

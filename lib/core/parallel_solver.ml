@@ -139,7 +139,8 @@ let replay ?(options = Opp_solver.default_options) ?schedule inst cont
     decisions =
   match
     Packing_state.create ~rules:options.Opp_solver.rules ?schedule
-      ~trace:options.Opp_solver.trace inst cont
+      ~recorder:(Recorder.create ~trace:options.Opp_solver.trace ())
+      inst cont
   with
   | Error reason -> Error reason
   | Ok st ->
@@ -197,20 +198,13 @@ let solve ?(options = Opp_solver.default_options) ?schedule ?(jobs = 2) inst
   else begin
     (* Stages 1 and 2 run once, sequentially — they are cheap and settle
        most easy instances before any domain is spawned. *)
-    let root_engine =
-      if options.Opp_solver.use_bounds then Some (Bound_engine.create ~trace ())
-      else None
-    in
+    let root = Recorder.create ~trace () in
     let root_verdict =
-      match root_engine with
-      | None -> Bound_engine.Inconclusive
-      | Some e -> Bound_engine.check e inst cont
+      if options.Opp_solver.use_bounds then
+        Bound_engine.check (Bound_engine.attach root) inst cont
+      else Bound_engine.Inconclusive
     in
-    let bounds0 =
-      match root_engine with
-      | None -> []
-      | Some e -> Bound_engine.counters e
-    in
+    let bounds0 = Recorder.bounds root in
     let prestage_report outcome ~conflicts ~by_bounds ~by_heuristic =
       finish outcome
         {
@@ -261,8 +255,14 @@ let solve ?(options = Opp_solver.default_options) ?schedule ?(jobs = 2) inst
              at every heartbeat; thieves use it to break victim ties
              toward the busiest worker, whose deque refills fastest. *)
           let board = Array.init jobs (fun _ -> Atomic.make 0) in
-          let tasks_tot = Atomic.make 0 in
-          let steals_tot = Atomic.make 0 in
+          (* One recorder per worker for the kernel events; each
+             descriptor's search records into a recorder of its own. *)
+          let kernels =
+            Array.init jobs (fun wid ->
+                let r = Recorder.create ~trace () in
+                Recorder.register_kernel r ~worker:wid;
+                r)
+          in
           let worker_out = Array.make jobs None in
           Deque.push deques.(0) { id = 0; prefix = []; depth = 0 };
           let publish_feasible placement =
@@ -278,12 +278,8 @@ let solve ?(options = Opp_solver.default_options) ?schedule ?(jobs = 2) inst
           let worker wid =
             let w0 = Unix.gettimeofday () in
             let my_deque = deques.(wid) in
+            let kernel = kernels.(wid) in
             let stats_acc = ref Opp_solver.empty_stats in
-            let tasks = ref 0
-            and steals = ref 0
-            and donated = ref 0
-            and reclaimed = ref 0 in
-            let nodes_used = ref 0 in
             let base_opts =
               {
                 options with
@@ -317,9 +313,7 @@ let solve ?(options = Opp_solver.default_options) ?schedule ?(jobs = 2) inst
               Atomic.set stop true
             in
             let run_task (t : task) =
-              incr tasks;
-              Atomic.incr tasks_tot;
-              Trace.claim trace ~index:t.id;
+              Recorder.claim kernel ~index:t.id;
               (* Per-task share hooks: descriptors donated while running
                  this task extend its prefix with the local path. *)
               let offer ~path ~len ~alt =
@@ -331,15 +325,14 @@ let solve ?(options = Opp_solver.default_options) ?schedule ?(jobs = 2) inst
                   let id = Atomic.fetch_and_add task_ids 1 in
                   Atomic.incr pending;
                   Deque.push my_deque { id; prefix; depth = t.depth + len + 1 };
-                  incr donated;
-                  Trace.donate trace ~depth:(t.depth + len);
+                  Recorder.donate kernel ~depth:(t.depth + len);
                   Some id
                 end
               in
               let reclaim token =
                 match Deque.pop_if my_deque (fun (x : task) -> x.id = token) with
                 | Some _ ->
-                  incr reclaimed;
+                  Recorder.reclaim kernel;
                   (* The branch runs in place on the live state: balance
                      the offer's increment here. The enclosing task is
                      still counted in [pending], so this cannot drain
@@ -352,7 +345,7 @@ let solve ?(options = Opp_solver.default_options) ?schedule ?(jobs = 2) inst
               let budget_left =
                 match options.Opp_solver.node_limit with
                 | None -> None
-                | Some l -> Some (l - !nodes_used)
+                | Some l -> Some (l - (!stats_acc).Opp_solver.nodes)
               in
               match budget_left with
               | Some b when b <= 0 ->
@@ -379,7 +372,7 @@ let solve ?(options = Opp_solver.default_options) ?schedule ?(jobs = 2) inst
                     Opp_solver.solve_state ~options:sub_opts
                       ~depth_offset:t.depth ~share st
                   in
-                  nodes_used := !nodes_used + s.Opp_solver.nodes;
+                  Recorder.task_done kernel ~nodes:s.Opp_solver.nodes;
                   stats_acc := Opp_solver.merge_stats !stats_acc s;
                   (match outcome with
                   | Opp_solver.Feasible p -> publish_feasible p
@@ -436,9 +429,7 @@ let solve ?(options = Opp_solver.default_options) ?schedule ?(jobs = 2) inst
                     match Deque.steal deques.(v) with
                     | Some t ->
                       idle := 0;
-                      incr steals;
-                      Atomic.incr steals_tot;
-                      Trace.steal trace ~victim:v ~depth:t.depth;
+                      Recorder.steal kernel ~victim:v ~depth:t.depth;
                       run_task t
                     | None -> relax ())));
                 loop ()
@@ -449,13 +440,7 @@ let solve ?(options = Opp_solver.default_options) ?schedule ?(jobs = 2) inst
               Some
                 {
                   worker = wid;
-                  work =
-                    {
-                      Telemetry.tasks = !tasks;
-                      steals = !steals;
-                      donated = !donated;
-                      reclaimed = !reclaimed;
-                    };
+                  work = Recorder.steal_counters kernel;
                   elapsed_s = Unix.gettimeofday () -. w0;
                   stats = !stats_acc;
                 }
@@ -472,40 +457,6 @@ let solve ?(options = Opp_solver.default_options) ?schedule ?(jobs = 2) inst
             |> List.sort (fun (a : worker_report) (b : worker_report) ->
                    compare a.worker b.worker)
           in
-          (* Flush the per-worker work-stealing tallies into the process
-             metrics registry. Done once, after the join, from the same
-             reports the JSON output renders — the solving hot path never
-             touches the registry. *)
-          let m = Metrics.default () in
-          if Metrics.enabled m then begin
-            let total name help =
-              Metrics.counter m ~help name
-            in
-            let m_tasks =
-              total "fpga_parallel_tasks_total" "Subtree descriptors executed"
-            and m_steals =
-              total "fpga_parallel_steals_total"
-                "Descriptors taken from another worker's deque"
-            and m_donated =
-              total "fpga_parallel_donated_total"
-                "Alternative branches published while descending"
-            and m_reclaimed =
-              total "fpga_parallel_reclaimed_total"
-                "Donated branches taken back unstolen"
-            in
-            List.iter
-              (fun (w : worker_report) ->
-                Metrics.add m_tasks w.work.Telemetry.tasks;
-                Metrics.add m_steals w.work.Telemetry.steals;
-                Metrics.add m_donated w.work.Telemetry.donated;
-                Metrics.add m_reclaimed w.work.Telemetry.reclaimed;
-                Metrics.add
-                  (Metrics.counter m ~help:"Search nodes by worker"
-                     ~labels:[ ("worker", string_of_int w.worker) ]
-                     "fpga_parallel_worker_nodes_total")
-                  w.stats.Opp_solver.nodes)
-              workers
-          end;
           let merged =
             List.fold_left
               (fun acc (w : worker_report) ->
@@ -520,8 +471,13 @@ let solve ?(options = Opp_solver.default_options) ?schedule ?(jobs = 2) inst
               if Atomic.get timed_out then Opp_solver.Timeout
               else Opp_solver.Infeasible
           in
-          finish outcome merged workers ~tasks:(Atomic.get tasks_tot)
-            ~steals:(Atomic.get steals_tot))
+          let work =
+            List.fold_left
+              (fun acc (w : worker_report) -> Telemetry.add_steals acc w.work)
+              Telemetry.zero_steals workers
+          in
+          finish outcome merged workers ~tasks:work.Telemetry.tasks
+            ~steals:work.Telemetry.steals)
     end
   end
 

@@ -128,8 +128,8 @@ val replay :
     least 1; [jobs = 1] short-circuits to {!Opp_solver.solve} with
     zero domain overhead and unchanged stats. All
     {!Opp_solver.options} budgets apply: [deadline] is shared by every
-    worker, [node_limit] is per worker, [on_progress]/[on_heartbeat]
-    may be called concurrently from several domains. *)
+    worker, [node_limit] is per worker, [on_heartbeat] may be called
+    concurrently from several domains. *)
 val solve :
   ?options:Opp_solver.options ->
   ?schedule:int array ->

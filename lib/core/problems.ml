@@ -80,12 +80,10 @@ type ctx = {
   engine : Bound_engine.t option;
       (* shared across all probes of one optimization run when the
          caller enabled stage-1 bounds; engine checks are certificates,
-         not searches, so they are never charged to the budget *)
-  mutable engine_seen : Telemetry.bound_counters;
-      (* counter snapshot at the last emitted probe; the delta since
-         then (pre-checks, bracket walks, free refutations of skipped
-         sizes) is attributed to the next probe record, so the shared
-         engine's work reaches the [--stats json] surfaces *)
+         not searches, so they are never charged to the budget. Each
+         probe record takes the engine's work since the previous one
+         (pre-checks, bracket walks, free refutations of skipped sizes)
+         off its recorder, so that work reaches [--stats json]. *)
   trace : Trace.t;
   mutable bracket : (int * int) option;
       (* (proven lower bound, incumbent value) of the running monotone
@@ -108,7 +106,6 @@ let make_ctx ?(options = Opp_solver.default_options) ?(jobs = 1) ?on_probe () =
       (if options.Opp_solver.use_bounds then
          Some (Bound_engine.create ~trace:options.Opp_solver.trace ())
        else None);
-    engine_seen = [];
     trace = options.Opp_solver.trace;
     bracket = None;
   }
@@ -211,11 +208,7 @@ let run_probe ?schedule ctx cont inst =
       let engine_delta =
         match ctx.engine with
         | None -> []
-        | Some e ->
-          let now = Bound_engine.counters e in
-          let d = Telemetry.sub_bound_counters now ctx.engine_seen in
-          ctx.engine_seen <- now;
-          d
+        | Some e -> Recorder.take_bounds (Bound_engine.recorder e)
       in
       f
         {

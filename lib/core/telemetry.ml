@@ -69,25 +69,6 @@ let add_bound_counters a b =
   let extra = List.filter (fun (name, _) -> not (List.mem_assoc name a)) b in
   merged @ extra
 
-(* Difference between two snapshots of one monotone counter set: what
-   accumulated since [older] was taken. All-idle deltas are dropped so
-   callers can attach the result without flooding reports with zeros. *)
-let sub_bound_counters newer older =
-  List.filter_map
-    (fun (name, cn) ->
-      let d =
-        match List.assoc_opt name older with
-        | Some co ->
-          {
-            calls = cn.calls - co.calls;
-            time_s = cn.time_s -. co.time_s;
-            prunes = cn.prunes - co.prunes;
-          }
-        | None -> cn
-      in
-      if d.calls = 0 && d.prunes = 0 then None else Some (name, d))
-    newer
-
 (* ------------------------------------------------------------------ *)
 (* Result-cache counters                                                *)
 (* ------------------------------------------------------------------ *)

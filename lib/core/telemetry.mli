@@ -44,13 +44,6 @@ val add_bound : bound_counter -> bound_counter -> bound_counter
     appended, so merging parallel workers is stable. *)
 val add_bound_counters : bound_counters -> bound_counters -> bound_counters
 
-(** [sub_bound_counters newer older] is the pointwise difference between
-    two snapshots of the same monotonically-growing counter set — the
-    work accumulated between the snapshots. Names absent from [older]
-    pass through unchanged; entries whose delta records no calls and no
-    prunes are dropped. *)
-val sub_bound_counters : bound_counters -> bound_counters -> bound_counters
-
 (** Counters of a bounded result cache ({!Service.Result_cache}): how
     many lookups hit, missed, how many entries were evicted to respect
     the bound, and the current fill level. *)

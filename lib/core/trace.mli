@@ -1,12 +1,13 @@
 (** Ring-buffered structured search tracing.
 
     A {!t} handle is threaded through the solver stack
-    ({!Opp_solver}, {!Bound_engine}, {!Parallel_solver}, {!Problems});
-    each layer emits typed events — node enter/close, branching
-    decisions, rule firings, bound calls with verdicts, realization
-    attempts, incumbent updates, optimization probes, and parallel
-    claim/steal/donate/cancel lifecycle — into per-domain ring buffers with
-    monotonic (per-stream non-decreasing) timestamps.
+    ({!Opp_solver}, {!Parallel_solver}, {!Problems}, and the {!Recorder}
+    that carries every counted solver event); each layer emits typed
+    events — node enter/close, branching decisions, rule firings, bound
+    calls with verdicts, realization attempts, incumbent updates,
+    optimization probes, and parallel claim/steal/donate/cancel
+    lifecycle — into per-domain ring buffers with monotonic (per-stream
+    non-decreasing) timestamps.
 
     {!null} is a first-class "tracing off" handle: every emit function
     returns immediately without reading the clock, so threading a

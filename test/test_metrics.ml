@@ -299,6 +299,227 @@ let test_online_instrumentation () =
     | _ -> Alcotest.fail "unexpected histogram shape")
 
 (* ------------------------------------------------------------------ *)
+(* Solver events: metrics, trace and stats tell one story              *)
+(* ------------------------------------------------------------------ *)
+
+module Tr = Packing.Trace
+module Solver = Packing.Opp_solver
+module Problems = Packing.Problems
+
+let de = Benchmarks.De.instance
+let cont3 w h t = Geometry.Container.make3 ~w ~h ~t_max:t
+
+(* Run [f] with a fresh live registry installed as the process default
+   and a [Full] trace; return both for inspection. *)
+let observed f =
+  let registry = M.create () in
+  let trace = Tr.create ~sampling:Tr.Full () in
+  M.set_default registry;
+  Fun.protect ~finally:(fun () -> M.set_default M.null) (fun () -> f trace);
+  (registry, trace)
+
+let metric snap ?label name =
+  match List.find_opt (fun f -> f.M.name = name) snap with
+  | None -> 0
+  | Some f ->
+    List.fold_left
+      (fun acc s ->
+        match (s.M.value, label) with
+        | M.Sample v, None -> acc + int_of_float v
+        | M.Sample v, Some l when List.mem l s.M.labels -> acc + int_of_float v
+        | _ -> acc)
+      0 f.M.samples
+
+let count_events trace p =
+  List.length (List.filter (fun (_, e) -> p e.Tr.kind) (Tr.events trace))
+
+let bound_names = Packing.Bound_engine.default_names
+let rule_names = [ "c2"; "c3"; "c4"; "capacity"; "symmetry"; "implications" ]
+
+(* Every metric family the solver core exposes equals its count of
+   trace events, bound by bound and rule by rule. *)
+let check_parity what (registry, trace) =
+  let snap = M.snapshot registry in
+  let eq label m e = Alcotest.(check int) (what ^ ": " ^ label) e m in
+  eq "trace drops nothing" (Tr.dropped trace) 0;
+  List.iter
+    (fun b ->
+      eq ("calls of " ^ b)
+        (metric snap ~label:("bound", b) "fpga_bounds_calls_total")
+        (count_events trace (function
+          | Tr.Bound_call { bound; _ } -> bound = b
+          | _ -> false));
+      eq ("prunes of " ^ b)
+        (metric snap ~label:("bound", b) "fpga_bounds_prunes_total")
+        (count_events trace (function
+          | Tr.Bound_call { bound; verdict = Tr.Bv_infeasible _; _ } -> bound = b
+          | _ -> false)))
+    bound_names;
+  List.iter
+    (fun r ->
+      eq ("conflicts of " ^ r)
+        (metric snap ~label:("rule", r) "fpga_solver_rule_conflicts_total")
+        (count_events trace (function
+          | Tr.Rule_fire { rule; _ } -> rule = r
+          | _ -> false)))
+    rule_names;
+  let events p = count_events trace p in
+  eq "nodes" (metric snap "fpga_solver_nodes_total")
+    (events (function Tr.Node_enter _ -> true | _ -> false));
+  eq "decisions" (metric snap "fpga_solver_decisions_total")
+    (events (function Tr.Decision _ -> true | _ -> false));
+  eq "realize attempts" (metric snap "fpga_solver_realize_attempts_total")
+    (events (function Tr.Realize _ -> true | _ -> false));
+  eq "tasks" (metric snap "fpga_parallel_tasks_total")
+    (events (function Tr.Claim _ -> true | _ -> false));
+  eq "steals" (metric snap "fpga_parallel_steals_total")
+    (events (function Tr.Steal _ -> true | _ -> false));
+  eq "donated" (metric snap "fpga_parallel_donated_total")
+    (events (function Tr.Donate _ -> true | _ -> false))
+
+let search_16 trace =
+  let options =
+    { Solver.default_options with use_heuristic = false; trace }
+  in
+  Solver.solve ~options de (cont3 16 16 14)
+
+let min_time_17 ?on_probe ~jobs trace =
+  let options = { Solver.default_options with trace } in
+  Problems.minimize_time ~options ~jobs ?on_probe de ~w:17 ~h:17
+
+let test_parity_search () =
+  check_parity "16x16x14 search" (observed (fun trace -> ignore (search_16 trace)))
+
+let test_parity_min_time jobs () =
+  check_parity
+    (Printf.sprintf "min-time jobs=%d" jobs)
+    (observed (fun trace -> ignore (min_time_17 ~jobs trace)))
+
+let test_parity_knapsack () =
+  check_parity "knapsack 12x12x10"
+    (observed (fun trace ->
+         let options = { Solver.default_options with trace } in
+         ignore
+           (Packing.Knapsack.solve ~options de (cont3 12 12 10)
+              ~value:(fun i -> 1 + (i mod 3)))))
+
+(* The families, kinds, help strings and label sets a run leaves in the
+   registry, one line per family. *)
+let catalogue registry =
+  List.map
+    (fun f ->
+      Printf.sprintf "%s %s %S %s" f.M.name
+        (match f.M.kind with
+        | M.Counter -> "counter"
+        | M.Gauge -> "gauge"
+        | M.Histogram -> "histogram")
+        f.M.help
+        (String.concat ";"
+           (List.map
+              (fun s ->
+                String.concat ","
+                  (List.map (fun (k, v) -> k ^ "=" ^ v) s.M.labels))
+              f.M.samples)))
+    (List.sort compare (M.snapshot registry))
+
+let bound_labels = "bound=clique-space;bound=clique-time;bound=critical-path;bound=dff-time;bound=dff-volume;bound=energetic;bound=misfit;bound=volume"
+
+let bound_catalogue =
+  [
+    "fpga_bounds_calls_total counter \"Bound evaluations by bound\" " ^ bound_labels;
+    "fpga_bounds_prunes_total counter \"Infeasible verdicts by bound\" " ^ bound_labels;
+    "fpga_bounds_seconds_total counter \"Seconds spent evaluating each bound\" " ^ bound_labels;
+  ]
+
+let test_catalogue_heuristic () =
+  let registry, _ =
+    observed (fun _ -> ignore (Solver.solve de (cont3 17 17 13)))
+  in
+  Alcotest.(check (list string)) "a heuristic solve exposes the bounds only"
+    bound_catalogue (catalogue registry)
+
+let test_catalogue_min_time () =
+  let registry, _ = observed (fun trace -> ignore (min_time_17 ~jobs:2 trace)) in
+  Alcotest.(check (list string)) "min-time jobs=2 catalogue"
+    (bound_catalogue
+    @ [
+        "fpga_parallel_donated_total counter \"Alternative branches published while descending\" ";
+        "fpga_parallel_reclaimed_total counter \"Donated branches taken back unstolen\" ";
+        "fpga_parallel_steals_total counter \"Descriptors taken from another worker's deque\" ";
+        "fpga_parallel_tasks_total counter \"Subtree descriptors executed\" ";
+        "fpga_parallel_worker_nodes_total counter \"Search nodes by worker\" worker=0;worker=1";
+        "fpga_solver_conflicts_total counter \"Search conflicts (refuted nodes)\" ";
+        "fpga_solver_decisions_total counter \"Branch points expanded\" ";
+        "fpga_solver_leaves_total counter \"Fully decided leaves reached\" ";
+        "fpga_solver_nodes_total counter \"Search nodes visited\" ";
+        "fpga_solver_realize_attempts_total counter \"Realization (placement reconstruction) attempts\" ";
+        "fpga_solver_realize_seconds_total counter \"Seconds spent in realization attempts\" ";
+        "fpga_solver_rule_conflicts_total counter \"Packing-rule conflicts by rule\" rule=c2;rule=c3;rule=c4;rule=capacity;rule=implications;rule=symmetry";
+      ])
+    (catalogue registry)
+
+(* Replace every seconds field (keys ending in "_s") so the rest of a
+   stats document can be compared byte for byte. *)
+let rec mask = function
+  | T.Obj fields ->
+    T.Obj
+      (List.map
+         (fun (k, v) ->
+           let n = String.length k in
+           if n >= 2 && String.sub k (n - 2) 2 = "_s" then (k, T.String "#")
+           else (k, mask v))
+         fields)
+  | T.List l -> T.List (List.map mask l)
+  | j -> j
+
+let masked s =
+  match T.of_string s with
+  | Ok j -> T.to_string (mask j)
+  | Error e -> Alcotest.failf "unparseable stats: %s" e
+
+let search_stats_bytes =
+  String.concat ""
+    [
+      {|{"nodes":12,"conflicts":2,"leaves":1,"max_depth":11,|};
+      {|"elapsed_s":"#","by_bounds":false,"by_heuristic":false,|};
+      {|"rules":{"c2_calls":79,"c2_time_s":"#","c4_calls":192,|};
+      {|"c4_time_s":"#","capacity_calls":113,"capacity_time_s":"#",|};
+      {|"implication_calls":108,"implication_time_s":"#",|};
+      {|"realize_attempts":4,"realize_time_s":"#"},|};
+      {|"bounds":{"misfit":{"calls":1,"time_s":"#","prunes":0},|};
+      {|"volume":{"calls":1,"time_s":"#","prunes":0},|};
+      {|"critical-path":{"calls":4,"time_s":"#","prunes":0},|};
+      {|"clique-time":{"calls":4,"time_s":"#","prunes":0},|};
+      {|"clique-space":{"calls":1,"time_s":"#","prunes":0},|};
+      {|"dff-volume":{"calls":1,"time_s":"#","prunes":0},|};
+      {|"dff-time":{"calls":1,"time_s":"#","prunes":0},|};
+      {|"energetic":{"calls":4,"time_s":"#","prunes":0}}}|};
+    ]
+
+let probe_bytes =
+  String.concat ""
+    [
+      {|[{"container":[17,17,12],"outcome":"infeasible","nodes":408,|};
+      {|"elapsed_s":"#","bounds":{"misfit":{"calls":2,"time_s":"#",|};
+      {|"prunes":0},"volume":{"calls":2,"time_s":"#","prunes":0},|};
+      {|"critical-path":{"calls":25,"time_s":"#","prunes":0},|};
+      {|"clique-time":{"calls":25,"time_s":"#","prunes":0},|};
+      {|"clique-space":{"calls":2,"time_s":"#","prunes":0},|};
+      {|"dff-volume":{"calls":2,"time_s":"#","prunes":0},|};
+      {|"dff-time":{"calls":2,"time_s":"#","prunes":0},|};
+      {|"energetic":{"calls":25,"time_s":"#","prunes":3}}}]|};
+    ]
+
+let test_stats_bytes () =
+  let _, stats = search_16 Tr.null in
+  Alcotest.(check string) "16x16x14 --stats json" search_stats_bytes
+    (masked (Solver.stats_to_json stats));
+  let probes = ref [] in
+  ignore (min_time_17 ~jobs:1 ~on_probe:(fun p -> probes := p :: !probes) Tr.null);
+  Alcotest.(check string) "min-time probe records" probe_bytes
+    (masked (T.to_string (T.List (List.rev_map Problems.probe_json !probes))))
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "metrics"
@@ -337,5 +558,20 @@ let () =
         [
           Alcotest.test_case "online stream flushes counters and gauges"
             `Quick test_online_instrumentation;
+        ] );
+      ( "solver events",
+        [
+          Alcotest.test_case "parity: 16x16x14 search" `Quick
+            test_parity_search;
+          Alcotest.test_case "parity: min-time jobs=1" `Quick
+            (test_parity_min_time 1);
+          Alcotest.test_case "parity: min-time jobs=2" `Quick
+            (test_parity_min_time 2);
+          Alcotest.test_case "parity: knapsack" `Quick test_parity_knapsack;
+          Alcotest.test_case "catalogue: heuristic solve" `Quick
+            test_catalogue_heuristic;
+          Alcotest.test_case "catalogue: min-time" `Quick
+            test_catalogue_min_time;
+          Alcotest.test_case "bytes: stats and probes" `Quick test_stats_bytes;
         ] );
     ]

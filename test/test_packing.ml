@@ -5,7 +5,7 @@ module Box = Geometry.Box
 module Container = Geometry.Container
 module Placement = Geometry.Placement
 module Instance = Packing.Instance
-module Bounds = Packing.Bounds
+module Bound_engine = Packing.Bound_engine
 module Heuristic = Packing.Heuristic
 module PS = Packing.Packing_state
 module Solver = Packing.Opp_solver
@@ -56,42 +56,42 @@ let test_instance_errors () =
 
 let test_bounds_volume () =
   let i = inst [ box3 2 2 2; box3 2 2 2 ] in
-  Alcotest.(check bool) "fits" false (Bounds.volume_exceeded i (cont3 2 2 4));
-  Alcotest.(check bool) "overflow" true (Bounds.volume_exceeded i (cont3 2 2 3))
+  Alcotest.(check bool) "fits" false (Bound_engine.volume_exceeded i (cont3 2 2 4));
+  Alcotest.(check bool) "overflow" true (Bound_engine.volume_exceeded i (cont3 2 2 3))
 
 let test_bounds_misfit () =
   let i = inst [ box3 5 1 1 ] in
-  Alcotest.(check (option int)) "too wide" (Some 0) (Bounds.misfit i (cont3 4 4 4));
-  Alcotest.(check (option int)) "fits" None (Bounds.misfit i (cont3 5 1 1))
+  Alcotest.(check (option int)) "too wide" (Some 0) (Bound_engine.misfit i (cont3 4 4 4));
+  Alcotest.(check (option int)) "fits" None (Bound_engine.misfit i (cont3 5 1 1))
 
 let test_bounds_critical_path () =
   let i = inst ~precedence:[ (0, 1) ] [ box3 1 1 3; box3 1 1 3 ] in
   Alcotest.(check bool) "chain too long" true
-    (Bounds.critical_path_exceeded i (cont3 4 4 5));
+    (Bound_engine.critical_path_exceeded i (cont3 4 4 5));
   Alcotest.(check bool) "chain fits" false
-    (Bounds.critical_path_exceeded i (cont3 4 4 6))
+    (Bound_engine.critical_path_exceeded i (cont3 4 4 6))
 
 let test_bounds_exclusion () =
   (* Three boxes pairwise too large to share the chip: serialized. *)
   let i = inst [ box3 3 3 2; box3 3 3 2; box3 3 3 2 ] in
-  Alcotest.(check int) "exclusion clique" 6 (Bounds.exclusion_duration i (cont3 4 4 10));
+  Alcotest.(check int) "exclusion clique" 6 (Bound_engine.exclusion_duration i (cont3 4 4 10));
   (* A wide chip admits pairs side by side: no exclusion. *)
-  Alcotest.(check int) "no exclusion" 2 (Bounds.exclusion_duration i (cont3 6 4 10))
+  Alcotest.(check int) "no exclusion" 2 (Bound_engine.exclusion_duration i (cont3 6 4 10))
 
 let test_dff_f_eps () =
-  Alcotest.(check int) "big item" 10 (Bounds.f_eps ~eps:3 ~w_max:10 8);
-  Alcotest.(check int) "small item" 0 (Bounds.f_eps ~eps:3 ~w_max:10 2);
-  Alcotest.(check int) "middle item" 5 (Bounds.f_eps ~eps:3 ~w_max:10 5);
-  Alcotest.check_raises "eps range" (Invalid_argument "Bounds.f_eps: bad eps")
-    (fun () -> ignore (Bounds.f_eps ~eps:6 ~w_max:10 5))
+  Alcotest.(check int) "big item" 10 (Bound_engine.f_eps ~eps:3 ~w_max:10 8);
+  Alcotest.(check int) "small item" 0 (Bound_engine.f_eps ~eps:3 ~w_max:10 2);
+  Alcotest.(check int) "middle item" 5 (Bound_engine.f_eps ~eps:3 ~w_max:10 5);
+  Alcotest.check_raises "eps range" (Invalid_argument "Bound_engine.f_eps: bad eps")
+    (fun () -> ignore (Bound_engine.f_eps ~eps:6 ~w_max:10 5))
 
 let test_dff_u_k () =
   (* w_max = 10, k = 2: w = 5 has (k+1)w = 15 not divisible by 10 ->
      10 * floor(15/10) = 10; w = 4: 12 -> 10; w = 3: 9 -> 0. *)
-  Alcotest.(check int) "u2 of 5" 10 (Bounds.u_k ~k:2 ~w_max:10 5);
-  Alcotest.(check int) "u2 of 3" 0 (Bounds.u_k ~k:2 ~w_max:10 3);
+  Alcotest.(check int) "u2 of 5" 10 (Bound_engine.u_k ~k:2 ~w_max:10 5);
+  Alcotest.(check int) "u2 of 3" 0 (Bound_engine.u_k ~k:2 ~w_max:10 3);
   (* (k+1)w divisible: w = 10 -> k*w = 20. *)
-  Alcotest.(check int) "u2 of 10" 20 (Bounds.u_k ~k:2 ~w_max:10 10)
+  Alcotest.(check int) "u2 of 10" 20 (Bound_engine.u_k ~k:2 ~w_max:10 10)
 
 (* DFF property: for any multiset of sizes that fits (sum <= w_max), the
    transformed sizes fit the transformed container. *)
@@ -112,20 +112,21 @@ let arb_dff_case =
 let prop_f_eps_dual_feasible (w_max, eps, _, sizes) =
   let total = List.fold_left ( + ) 0 sizes in
   QCheck.assume (total <= w_max);
-  List.fold_left (fun acc w -> acc + Bounds.f_eps ~eps ~w_max w) 0 sizes <= w_max
+  List.fold_left (fun acc w -> acc + Bound_engine.f_eps ~eps ~w_max w) 0 sizes <= w_max
 
 let prop_u_k_dual_feasible (w_max, _, k, sizes) =
   let total = List.fold_left ( + ) 0 sizes in
   QCheck.assume (total <= w_max);
-  List.fold_left (fun acc w -> acc + Bounds.u_k ~k ~w_max w) 0 sizes <= k * w_max
+  List.fold_left (fun acc w -> acc + Bound_engine.u_k ~k ~w_max w) 0 sizes <= k * w_max
 
 let test_bounds_check_dff_catches_mul_wall () =
   (* Six 16x16x2 multipliers on a 31x31 chip must serialize: 12 cycles.
      The DFF bound proves a 31x31x6 container infeasible. *)
   let i = inst (List.init 6 (fun _ -> box3 16 16 2)) in
-  match Bounds.check i (cont3 31 31 6) with
-  | Bounds.Infeasible _ -> ()
-  | Bounds.Unknown -> Alcotest.fail "expected an infeasibility certificate"
+  match Bound_engine.check (Bound_engine.create ()) i (cont3 31 31 6) with
+  | Bound_engine.Infeasible _ -> ()
+  | Bound_engine.Lower_bound _ | Bound_engine.Inconclusive ->
+    Alcotest.fail "expected an infeasibility certificate"
 
 (* ------------------------------------------------------------------ *)
 (* Heuristic                                                           *)

@@ -385,19 +385,19 @@ let test_steal_counters () =
         true (w.elapsed_s >= 0.0))
     r.Par.workers
 
-let test_on_progress () =
+let test_on_heartbeat () =
   let i, c = hard_case () in
   let calls = Atomic.make 0 in
   let options =
     {
       search_only with
       node_limit = Some 50_000;
-      on_progress = Some (fun _ -> Atomic.incr calls);
+      on_heartbeat = Some (fun _ -> Atomic.incr calls);
     }
   in
   let _, stats = Solver.solve ~options i c in
   if stats.Solver.nodes > 4096 then
-    Alcotest.(check bool) "progress callback fired" true (Atomic.get calls > 0)
+    Alcotest.(check bool) "heartbeat callback fired" true (Atomic.get calls > 0)
 
 let test_report_json () =
   let _, i, c = List.hd (fixtures ()) in
@@ -472,7 +472,7 @@ let () =
           Alcotest.test_case "stats merge" `Quick test_stats_merge;
           Alcotest.test_case "steal counters reconcile" `Quick
             test_steal_counters;
-          Alcotest.test_case "on_progress fires" `Quick test_on_progress;
+          Alcotest.test_case "on_heartbeat fires" `Quick test_on_heartbeat;
           Alcotest.test_case "report json" `Quick test_report_json;
         ] );
       ( "regressions",

@@ -129,26 +129,30 @@ let assoc_prop (a, b, c) =
     (T.add_bound_counters (T.add_bound_counters a b) c)
     (T.add_bound_counters a (T.add_bound_counters b c))
 
-(* [sub (add a b) a] recovers [b] up to dropped all-idle entries and up
-   to position: names [a] already knew keep [a]'s slot in the merge, so
-   compare by name. *)
-let delta_prop (a, b) =
-  let delta = T.sub_bound_counters (T.add_bound_counters a b) a in
-  let expected =
-    List.filter (fun (_, c) -> c.T.calls <> 0 || c.T.prunes <> 0) b
+(* A recorder's [take_bounds] hands out the work since the previous
+   take, leaving idle bounds out, while [bounds] keeps every registered
+   bound in registration order. *)
+let test_take_bounds () =
+  let module R = Packing.Recorder in
+  let r = R.create () in
+  let x = R.register_bound r "volume" and y = R.register_bound r "energetic" in
+  let call b v =
+    R.start r;
+    R.bound_call r b v
   in
-  List.length delta = List.length expected
-  && List.for_all
-       (fun (name, cb) ->
-         match List.assoc_opt name delta with
-         | None -> false
-         | Some cd ->
-           cd.T.calls = cb.T.calls
-           && cd.T.prunes = cb.T.prunes
-           && Float.abs (cd.T.time_s -. cb.T.time_s) < 1e-9)
-       expected
-
-let self_delta_prop a = T.sub_bound_counters a a = []
+  call x Packing.Trace.Bv_inconclusive;
+  call x (Packing.Trace.Bv_infeasible "full");
+  let names l = List.map fst l in
+  let first = R.take_bounds r in
+  Alcotest.(check (list string)) "only the busy bound" [ "volume" ] (names first);
+  let c = List.assoc "volume" first in
+  Alcotest.(check (pair int int)) "calls and prunes" (2, 1) (c.T.calls, c.T.prunes);
+  call y (Packing.Trace.Bv_lower_bound 3);
+  Alcotest.(check (list string)) "work since the last take" [ "energetic" ]
+    (names (R.take_bounds r));
+  Alcotest.(check (list string)) "nothing new" [] (names (R.take_bounds r));
+  Alcotest.(check (list string)) "every bound stays registered"
+    [ "volume"; "energetic" ] (names (R.bounds r))
 
 (* ------------------------------------------------------------------ *)
 (* Nearest-rank percentile                                             *)
@@ -225,10 +229,8 @@ let () =
           qtest "add_bound_counters is associative"
             QCheck.(triple counters_arb counters_arb counters_arb)
             assoc_prop;
-          qtest "sub (add a b) a = b up to dropped zeros"
-            QCheck.(pair counters_arb counters_arb)
-            delta_prop;
-          qtest "sub a a is empty" counters_arb self_delta_prop;
+          Alcotest.test_case "take_bounds returns the work since the last take"
+            `Quick test_take_bounds;
         ] );
       ( "percentile",
         [
