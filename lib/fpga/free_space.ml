@@ -50,12 +50,18 @@ type buffers = {
   blocked : Bytes.t;
 }
 
+(* [reach] answers "does a w * h footprint fit?" in O(1): [reach.(w)]
+   is the greatest height of any MER at least [w] wide. It is built on
+   the first query after a change and dropped (set to [[||]]) by
+   [place] and [remove]; a built table is never mutated, so [copy]
+   shares it. *)
 type t = {
   width : int;
   height : int;
   mutable mers : rect list;
   occupied : (int, rect) Hashtbl.t;
   mutable used : int;
+  mutable reach : int array;
   buffers : buffers;
 }
 
@@ -77,6 +83,7 @@ let create ~w ~h =
     mers = [ { x = 0; y = 0; w; h } ];
     occupied = Hashtbl.create 64;
     used = 0;
+    reach = [||];
     buffers = make_buffers ~w ~h;
   }
 
@@ -87,6 +94,7 @@ let copy t =
     mers = t.mers;
     occupied = Hashtbl.copy t.occupied;
     used = t.used;
+    reach = t.reach;
     buffers = make_buffers ~w:t.width ~h:t.height;
   }
 
@@ -118,30 +126,47 @@ let intersects a b =
 let contains a b =
   a.x <= b.x && a.y <= b.y && b.x + b.w <= a.x + a.w && b.y + b.h <= a.y + a.h
 
+let reach t =
+  if Array.length t.reach = 0 then begin
+    let r = Array.make (t.width + 1) 0 in
+    List.iter (fun m -> if m.h > r.(m.w) then r.(m.w) <- m.h) t.mers;
+    for w = t.width - 1 downto 1 do
+      if r.(w + 1) > r.(w) then r.(w) <- r.(w + 1)
+    done;
+    t.reach <- r
+  end;
+  t.reach
+
+let fits t ~w ~h =
+  if w <= 0 || h <= 0 then invalid_arg "Free_space.fits: non-positive size";
+  w <= t.width && h <= (reach t).(w)
+
 let find t ~policy ~w ~h =
   if w <= 0 || h <= 0 then invalid_arg "Free_space.find: non-positive size";
-  (* Minimize (policy key, y, x), replacing only on strict improvement,
-     so the result is independent of the MER list order. *)
-  let key m =
-    match policy with
-    | First_fit -> 0
-    | Best_fit -> m.w * m.h
-    | Worst_fit -> -(m.w * m.h)
-  in
-  let rec scan found bk by bx = function
-    | [] -> if found then Some (bx, by) else None
-    | m :: rest ->
-      if m.w >= w && m.h >= h then begin
-        let k = key m in
-        if
-          (not found) || k < bk
-          || (k = bk && (m.y < by || (m.y = by && m.x < bx)))
-        then scan true k m.y m.x rest
+  if not (fits t ~w ~h) then None
+  else
+    (* Minimize (policy key, y, x), replacing only on strict improvement,
+       so the result is independent of the MER list order. *)
+    let key m =
+      match policy with
+      | First_fit -> 0
+      | Best_fit -> m.w * m.h
+      | Worst_fit -> -(m.w * m.h)
+    in
+    let rec scan found bk by bx = function
+      | [] -> if found then Some (bx, by) else None
+      | m :: rest ->
+        if m.w >= w && m.h >= h then begin
+          let k = key m in
+          if
+            (not found) || k < bk
+            || (k = bk && (m.y < by || (m.y = by && m.x < bx)))
+          then scan true k m.y m.x rest
+          else scan found bk by bx rest
+        end
         else scan found bk by bx rest
-      end
-      else scan found bk by bx rest
-  in
-  scan false 0 0 0 t.mers
+    in
+    scan false 0 0 0 t.mers
 
 let rec contained_in_some r = function
   | [] -> false
@@ -159,6 +184,7 @@ let place t ~id ~x ~y ~w ~h =
     invalid_arg "Free_space.place: footprint overlaps a module";
   Hashtbl.replace t.occupied id r;
   t.used <- t.used + (w * h);
+  t.reach <- [||];
   let survivors = ref [] and pieces = ref [] in
   List.iter
     (fun m ->
@@ -300,6 +326,7 @@ let remove t ~id =
   | Some f ->
     Hashtbl.remove t.occupied id;
     t.used <- t.used - (f.w * f.h);
+    t.reach <- [||];
     let fresh = List.sort rect_order (maximal_through t f) in
     let survivors =
       List.filter (fun m -> not (contained_in_some m fresh)) t.mers

@@ -7,11 +7,14 @@
     splits every intersecting MER into at most four residual rectangles
     and prunes the non-maximal ones; retiring a module recomputes
     exactly the maximal rectangles that intersect the freed footprint
-    and merges them with the surviving set. A placement query is a
-    single scan of the MER list — no per-candidate overlap tests against
-    the running set, unlike the corner-candidate scan it replaced:
-    [First_fit] places exactly where that scan did, since the lowest
-    feasible (y, x) position is the bottom-left corner of some MER.
+    and merges them with the surviving set. Whether a footprint fits at
+    all is answered in O(1) from a per-width table of the tallest MER at
+    least that wide ({!fits}), built on the first query after a change.
+    Only a footprint that fits costs a placement query: a single scan
+    of the MER list — no per-candidate overlap tests against the running
+    set, unlike the corner-candidate scan it replaced. [First_fit]
+    places exactly where that scan did, since the lowest feasible
+    (y, x) position is the bottom-left corner of some MER.
 
     The manager is deterministic: the MER list is kept sorted, and fit
     selection breaks ties by bottom-left (y, then x) position. *)
@@ -31,7 +34,8 @@ type policy =
 val create : w:int -> h:int -> t
 
 (** An independent deep copy (used for transactional compaction
-    proposals). *)
+    proposals). It shares the original's {!fits} table while neither
+    changes. *)
 val copy : t -> t
 
 val width : t -> int
@@ -50,9 +54,20 @@ val mers : t -> (int * int * int * int) list
 
 val mer_count : t -> int
 
+(** [fits t ~w ~h] is whether some MER can host a [w * h] footprint,
+    that is whether {!find} returns [Some _] under every policy. It
+    reads [reach.(w)], the greatest height of any MER at least [w]
+    wide, from a table of [width t + 1] entries. The table is built in
+    O(MERs + width) on the first query after a {!place} or {!remove},
+    so every later query on the same layout is O(1).
+    @raise Invalid_argument on non-positive sizes. *)
+val fits : t -> w:int -> h:int -> bool
+
 (** [find t ~policy ~w ~h] is the bottom-left corner of the MER chosen
     by [policy] among those that can host a [w * h] footprint, or
-    [None] when no MER fits it. Does not modify [t]. *)
+    [None] when no MER fits it; that answer comes from {!fits} without
+    scanning the MERs. Does not modify [t] beyond building the {!fits}
+    table. *)
 val find : t -> policy:policy -> w:int -> h:int -> (int * int) option
 
 (** [place t ~id ~x ~y ~w ~h] occupies the footprint and updates the

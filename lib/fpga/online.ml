@@ -135,7 +135,12 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
     tasks;
   let cw = Chip.width chip and ch = Chip.height chip in
   let tw i = tasks.(i).w and th i = tasks.(i).h in
-  let area i = tw i * th i in
+  let areas = Array.map (fun (t : task) -> t.w * t.h) tasks in
+  (* The attempt order: area descending, then id ascending. *)
+  let by_area a b =
+    let c = Int.compare areas.(b) areas.(a) in
+    if c <> 0 then c else Int.compare a b
+  in
   (* Deduplicated predecessor lists and the successor adjacency. *)
   let preds = Array.map (fun t -> List.sort_uniq compare t.preds) tasks in
   let succs = Array.make n [] in
@@ -151,10 +156,9 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
   let start_ = Array.make n 0 and finish_ = Array.make n 0 in
   let running = ref [] in
   let fs = Free_space.create ~w:cw ~h:ch in
-  (* Layout generation counter: any place/retire/compaction bumps it,
-     invalidating the cached compaction proposal. *)
+  (* Layout generation counter: any place/retire/compaction/reject bumps
+     it, invalidating the cached compaction proposal and verdict. *)
   let version = ref 0 in
-  let proposal_cache = ref None in
   let events = ref [] in
   let push e = events := e :: !events in
   let compactions = ref 0 and moved_tasks = ref 0 and move_cycles = ref 0 in
@@ -163,11 +167,13 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
   let lat = ref [] in
   (* Eligible = arrived, all predecessors finished, not yet placed.
      [sched] holds future wake-ups (time, task); [eligible] the tasks
-     attemptable now; [doomed_pending] arrived-listed tasks whose
-     (transitive) predecessor was rejected, awaiting their own
-     rejection in pass order. *)
+     attemptable now, kept sorted [by_area]; [fresh] the tasks promoted
+     at the current clock, newest first; [doomed_pending] arrived-listed
+     tasks whose (transitive) predecessor was rejected, awaiting their
+     own rejection in pass order. *)
   let sched = Heap.create () in
   let eligible = ref [] in
+  let fresh = ref [] in
   let doomed_pending = ref [] in
   Array.iteri
     (fun i (t : task) ->
@@ -177,7 +183,7 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
   let ready_time i =
     List.fold_left (fun acc j -> max acc finish_.(j)) tasks.(i).arrival preds.(i)
   in
-  let rec promote clock =
+  let rec wake clock =
     match Heap.peek sched with
     | Some (t, i) when t <= clock ->
       ignore (Heap.pop sched);
@@ -185,14 +191,21 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
         (* Re-check against live finishes: a committed compaction may
            have stretched a predecessor past the scheduled time. *)
         let r = ready_time i in
-        if r <= clock then eligible := i :: !eligible
+        if r <= clock then fresh := i :: !fresh
         else Heap.push sched (r, i)
       end;
-      promote clock
+      wake clock
     | _ -> ()
+  in
+  let promote clock =
+    fresh := [];
+    wake clock;
+    if !fresh <> [] then
+      eligible := List.merge by_area (List.sort by_area !fresh) !eligible
   in
   let reject clock i =
     status.(i) <- `Rejected;
+    incr version;
     push (Rejected { task = i });
     Trace.online_op trace ~op:"reject" ~task:i ~sim_time:clock ~dur_s:0.0;
     (* Doom every transitive successor; the arrived-listed ones get
@@ -238,9 +251,7 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
      trigger check and the blocked-task fill query it with the stream's
      own policy. *)
   let make_proposal () =
-    let ids =
-      List.sort (fun a b -> compare (area b, a) (area a, b)) !running
-    in
+    let ids = List.sort by_area !running in
     let pf = Free_space.create ~w:cw ~h:ch in
     let pos = ref [] in
     let ok =
@@ -256,31 +267,52 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
     in
     if ok then Some (List.rev !pos, pf) else None
   in
+  (* Place [i] where [fs] now hosts it, timing the placement from [t0]. *)
+  let place_now i clock t0 =
+    match Free_space.find fs ~policy ~w:(tw i) ~h:(th i) with
+    | Some (x, y) -> commit_place i x y clock t0
+    | None -> assert false
+  in
+  (* The proposal made for layout [proposal_version]. *)
+  let proposal = ref None and proposal_version = ref (-1) in
+  let hosts p i =
+    match p with
+    | Some (_, layout) -> Free_space.fits layout ~w:(tw i) ~h:(th i)
+    | None -> false
+  in
+  (* The layout and clock at which the proposal was last found not worth
+     committing. That verdict holds for every trigger the proposal
+     hosts: it depends only on the proposal, the clock and the pending
+     eligible tasks, and those change only with the version or the
+     clock. *)
+  let declined_version = ref (-1) and declined_clock = ref (-1) in
   (* Transactional cost-aware compaction triggered by blocked task [i]:
      propose a re-pack, roll back (no mutation, no cost) unless the
      trigger fits the proposed layout AND the modeled benefit — wait
      time saved for blocked tasks the new layout can host until the
      next retirement — exceeds the modeled cost (configuration reload
-     plus move delay per moved module). *)
-  let try_compact i clock t0 =
-    let proposal =
-      match !proposal_cache with
-      | Some (v, p) when v = !version -> p
-      | _ ->
-        let p = make_proposal () in
-        proposal_cache := Some (!version, p);
-        p
-    in
-    match proposal with
-    | None -> false
-    | Some (positions, layout) -> (
-      match Free_space.find layout ~policy ~w:(tw i) ~h:(th i) with
-      | None -> false
-      | Some _ ->
+     plus move delay per moved module). On commit, [i] is placed. The
+     clock is read only when a proposal must be built or hosts [i]. *)
+  let try_compact i clock =
+    if !declined_version = !version && !declined_clock = clock then false
+    else if !proposal_version = !version && not (hosts !proposal i) then false
+    else begin
+      let t0 = Unix.gettimeofday () in
+      if !proposal_version <> !version then begin
+        proposal := make_proposal ();
+        proposal_version := !version
+      end;
+      match !proposal with
+      | Some (positions, layout) as p when hosts p i ->
+        let decline () =
+          declined_version := !version;
+          declined_clock := clock;
+          false
+        in
         let moved =
           List.filter (fun (id, x, y) -> px.(id) <> x || py.(id) <> y) positions
         in
-        if moved = [] then false
+        if moved = [] then decline ()
         else begin
           let move_cost id =
             Reconfig.load_time reconfig ~w:(tw id) ~h:(th id) + move_delay
@@ -293,25 +325,21 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
           in
           let horizon = max 1 (next_finish - clock) in
           (* Greedily fill the proposed layout with the blocked tasks,
-             largest first: each one it hosts would otherwise wait for
-             the next retirement. *)
-          let blocked =
-            List.sort
-              (fun a b -> compare (area b, a) (area a, b))
-              (List.filter (fun j -> status.(j) = `Pending) !eligible)
-          in
+             largest first ([eligible] is in that order): each one it
+             hosts would otherwise wait for the next retirement. *)
           let enabled = ref 0 in
           let l = Free_space.copy layout in
           List.iter
             (fun j ->
-              match Free_space.find l ~policy ~w:(tw j) ~h:(th j) with
-              | None -> ()
-              | Some (x, y) ->
-                incr enabled;
-                Free_space.place l ~id:j ~x ~y ~w:(tw j) ~h:(th j))
-            blocked;
+              if status.(j) = `Pending then
+                match Free_space.find l ~policy ~w:(tw j) ~h:(th j) with
+                | None -> ()
+                | Some (x, y) ->
+                  incr enabled;
+                  Free_space.place l ~id:j ~x ~y ~w:(tw j) ~h:(th j))
+            !eligible;
           let benefit = !enabled * horizon in
-          if benefit <= cost then false
+          if benefit <= cost then decline ()
           else begin
             List.iter
               (fun (id, x, y) ->
@@ -339,40 +367,35 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
                  { moved = moved_ids; time = clock; cost; enabled = !enabled });
             Trace.online_op trace ~op:"compact" ~task:i ~sim_time:clock
               ~dur_s:(Unix.gettimeofday () -. t0);
+            (* The committed layout is the proposal the trigger was
+               checked against, so [i] fits. *)
+            place_now i clock t0;
             true
           end
-        end)
+        end
+      | _ -> false
+    end
   in
+  (* One attempt reads the clock only when it places or compacts: a
+     failing fit is answered by [Free_space.fits] alone. *)
   let attempt i clock =
-    let t0 = Unix.gettimeofday () in
-    let find () = Free_space.find fs ~policy ~w:(tw i) ~h:(th i) in
-    match find () with
-    | Some (x, y) ->
-      commit_place i x y clock t0;
+    if Free_space.fits fs ~w:(tw i) ~h:(th i) then begin
+      place_now i clock (Unix.gettimeofday ());
       true
-    | None ->
-      if !running = [] then begin
-        (* Fails on an empty chip: can never fit. *)
-        reject clock i;
-        true
-      end
-      else if compaction && try_compact i clock t0 then begin
-        (* The committed layout is the proposal the trigger was checked
-           against, so this find cannot fail. *)
-        match find () with
-        | Some (x, y) ->
-          commit_place i x y clock t0;
-          true
-        | None -> assert false
-      end
-      else false
+    end
+    else if !running = [] then begin
+      (* Fails on an empty chip: can never fit. *)
+      reject clock i;
+      true
+    end
+    else compaction && try_compact i clock
   in
   let pass clock =
     let progress = ref false in
     let items =
-      List.sort
-        (fun a b -> compare (area b, a) (area a, b))
-        (List.rev_append !doomed_pending !eligible)
+      match !doomed_pending with
+      | [] -> !eligible
+      | doomed -> List.merge by_area (List.sort by_area doomed) !eligible
     in
     doomed_pending := [];
     List.iter
@@ -384,7 +407,8 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
           end
           else if attempt i clock then progress := true)
       items;
-    eligible := List.filter (fun i -> status.(i) = `Pending) !eligible;
+    if !progress then
+      eligible := List.filter (fun i -> status.(i) = `Pending) !eligible;
     doomed_pending :=
       List.filter (fun i -> status.(i) = `Pending) !doomed_pending;
     !progress
@@ -445,6 +469,8 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
       | Some (t, _) when t > !clock -> next := min !next t
       | _ -> ());
       if !next < max_int then begin
+        (* Every task promoted at an earlier clock was marked then, so
+           only [fresh] can still defer. *)
         List.iter
           (fun i ->
             if status.(i) = `Pending && not deferred_once.(i) then begin
@@ -454,7 +480,7 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
               Trace.online_op trace ~op:"defer" ~task:i ~sim_time:!clock
                 ~dur_s:0.0
             end)
-          !eligible;
+          !fresh;
         clock := !next
       end
       else quiescent := true
@@ -477,7 +503,7 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
     | `Done ->
       incr placed;
       makespan := max !makespan finish_.(i);
-      busy := !busy + (area i * (finish_.(i) - start_.(i)))
+      busy := !busy + (areas.(i) * (finish_.(i) - start_.(i)))
     | `Rejected -> incr rejected
     | `Pending -> incr never
   done;

@@ -58,7 +58,11 @@ type event =
 
 (** Wall-clock latency of the successful placement operations
     (including any committed compaction work on their critical path),
-    in microseconds. *)
+    in microseconds. A sample starts before the fit query of an attempt
+    that places, or before the compaction check that commits. Attempts
+    that fail read no clock: the fit is refused by
+    {!Free_space.fits} in O(1), and a compaction check reads it only
+    when it builds a proposal or the proposal hosts the task. *)
 type latency = {
   samples : int;
   p50_us : float;
@@ -99,7 +103,8 @@ val to_json : report -> Packing.Telemetry.json
 (** [run_stream tasks ~chip ~compaction ~move_delay] simulates the
     stream. Event-driven: the clock jumps between arrivals and
     finishes; per step, eligible tasks are attempted largest-area
-    first. [reconfig] (default [Constant 0]) prices the configuration
+    first, ties by index. The eligible tasks stay sorted in that order
+    between steps, so a pass over them sorts nothing. [reconfig] (default [Constant 0]) prices the configuration
     reload of a moved module; [move_delay] is the extra per-moved-task
     delay on top of it. [policy] defaults to [First_fit]; compaction
     proposals are re-packed first fit whatever the policy. [trace]

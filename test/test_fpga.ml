@@ -642,6 +642,44 @@ let prop_fs_copy_independent seed =
   && model_walk rng m ~steps:25 ~max_extent:3
   && model_agrees c
 
+(* [fits] answers every footprint up to one cell past the chip exactly
+   as [find] does under each policy, and as the brute-force MERs do. *)
+let fits_agrees m =
+  let w = FS.width m.fs and h = FS.height m.fs in
+  let brute = brute_mers m.grid ~w ~h in
+  let ok = ref true in
+  for bw = 1 to w + 1 do
+    for bh = 1 to h + 1 do
+      let fits = FS.fits m.fs ~w:bw ~h:bh in
+      if
+        fits
+        <> List.exists (fun (_, _, rw, rh) -> rw >= bw && rh >= bh) brute
+        || List.exists
+             (fun policy -> fits <> (FS.find m.fs ~policy ~w:bw ~h:bh <> None))
+             [ FS.First_fit; FS.Best_fit; FS.Worst_fit ]
+      then ok := false
+    done
+  done;
+  !ok
+
+(* The same after every step of a random walk, and on a copy taken
+   after the original built its table: the copy shares that table, and
+   moving either one on must not leave the other answering from it. *)
+let prop_fs_fits_agrees seed =
+  let rng = Random.State.make [| seed |] in
+  let walk m =
+    let ok = ref true in
+    for _ = 1 to 20 do
+      if !ok then ok := model_step rng m ~max_extent:4 && fits_agrees m
+    done;
+    !ok
+  in
+  let m = fs_model ~w:8 ~h:7 in
+  walk m
+  &&
+  let c = copy_model m in
+  fits_agrees c && walk c && fits_agrees m && walk m && fits_agrees c
+
 (* Modules flush against every side and corner of the chip: each step
    matches brute force, and retiring them all restores the single
    full-chip MER. *)
@@ -1025,6 +1063,67 @@ let prop_defrag_never_wasted (p, seed) =
   && (r.Online.move_cycles = 0 || r.Online.compactions > 0)
   && (r.Online.compactions = 0 || r.Online.move_cycles > 0)
 
+(* Event pins: the event list of three 3000-task streams (32x32 chip,
+   load 1.0, seed 5, as `online --generate 3000 --seed 5` draws them),
+   rendered one event per line and hashed. The digests were read before
+   the scheduler's backlog was kept sorted and its failing fits answered
+   from the free-space reach table, so any change to the event order,
+   positions, deferral targets or compaction choices shows here. *)
+let render_event = function
+  | Online.Placed { task; x; y; time } ->
+    Printf.sprintf "P %d %d %d %d" task x y time
+  | Online.Deferred { task; until } -> Printf.sprintf "D %d %d" task until
+  | Online.Compacted { moved; time; cost; enabled } ->
+    Printf.sprintf "C %s %d %d %d"
+      (String.concat "," (List.map string_of_int moved))
+      time cost enabled
+  | Online.Rejected { task } -> Printf.sprintf "R %d" task
+
+let pinned_stream ~max_extent ~max_duration =
+  let chip = Chip.square 32 in
+  ( chip,
+    Benchmarks.Generate.arrival_stream ~seed:5 ~n:3000 ~chip ~load:1.0
+      ~max_extent ~max_duration ~arc_probability:0.1 () )
+
+let events_digest ~policy ~compaction ~max_extent ~max_duration =
+  let chip, tasks = pinned_stream ~max_extent ~max_duration in
+  let r =
+    Online.run_stream ~policy ~reconfig:(Reconfig.Per_column 1) tasks ~chip
+      ~compaction ~move_delay:2
+  in
+  ( r,
+    Digest.to_hex
+      (Digest.string
+         (String.concat "\n" (List.map render_event r.Online.events))) )
+
+let test_online_pin_defrag () =
+  let r, d =
+    events_digest ~policy:Online.Best_fit ~compaction:true ~max_extent:24
+      ~max_duration:40
+  in
+  Alcotest.(check int) "commits" 27 r.Online.compactions;
+  Alcotest.(check string) "events digest" "3e9220904a33d7ceda0bb0ba58c67da4" d
+
+let test_online_pin_large_no_compaction () =
+  List.iter
+    (fun (policy, name, want) ->
+      let _, d =
+        events_digest ~policy ~compaction:false ~max_extent:24
+          ~max_duration:40
+      in
+      Alcotest.(check string) (name ^ " events digest") want d)
+    [
+      (Online.First_fit, "first fit", "f8eae8d07266d6cbee0ac7932820bbeb");
+      (Online.Worst_fit, "worst fit", "c02056e418c399b1d26fa178bced861b");
+    ]
+
+let test_online_pin_small () =
+  let _, d =
+    events_digest ~policy:Online.Best_fit ~compaction:false ~max_extent:8
+      ~max_duration:12
+  in
+  Alcotest.(check string) "events digest" "c38f164c01b6762912b956361b5d6d2b" d
+
 (* Online placements that report a full placement are geometrically
    feasible. *)
 let prop_online_placements_valid seed =
@@ -1133,6 +1232,8 @@ let () =
             arb_seed prop_fs_non_square_brute_force;
           qtest ~count:50 ~long_factor:20 "copy is independent" arb_seed
             prop_fs_copy_independent;
+          qtest ~count:50 ~long_factor:20 "fits agrees with find and brute force"
+            arb_seed prop_fs_fits_agrees;
           Alcotest.test_case "modules flush with the chip edges" `Quick
             test_fs_flush_edges;
           Alcotest.test_case "place rejects overlap" `Quick
@@ -1161,6 +1262,12 @@ let () =
             prop_online_at_least_optimum;
           qtest ~count:60 "defrag never wasted" arb_policy_seed
             prop_defrag_never_wasted;
+          Alcotest.test_case "events pinned: defrag stream" `Quick
+            test_online_pin_defrag;
+          Alcotest.test_case "events pinned: first and worst fit" `Quick
+            test_online_pin_large_no_compaction;
+          Alcotest.test_case "events pinned: small modules" `Quick
+            test_online_pin_small;
         ] );
       ( "vcd",
         [
