@@ -283,179 +283,6 @@ let scaling () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Extension: online free-space manager policies vs. compile-time      *)
-(* optimum, written to BENCH_online.json                               *)
-(* ------------------------------------------------------------------ *)
-
-let online () =
-  let tiny = Sys.getenv_opt "ONLINE_TINY" <> None in
-  Format.printf "@.== Extension: online placement at traffic scale%s ==@."
-    (if tiny then " (tiny)" else "");
-  let n = if tiny then 500 else 10_000 in
-  let chip = Fpga.Chip.square 32 in
-  let seed = 42 and load = 1.0 in
-  let max_extent = 8 and max_duration = 12 in
-  let arc_probability = 0.1 in
-  let reconfig = Fpga.Reconfig.Per_column 1 in
-  let move_delay = 2 in
-  let tasks =
-    Benchmarks.Generate.arrival_stream ~seed ~n ~chip ~load ~max_extent
-      ~max_duration ~arc_probability ()
-  in
-  let cases =
-    [
-      ("first", Fpga.Online.First_fit, false);
-      ("best", Fpga.Online.Best_fit, false);
-      ("best+defrag", Fpga.Online.Best_fit, true);
-      ("worst", Fpga.Online.Worst_fit, false);
-    ]
-  in
-  Format.printf
-    "  %d tasks, 32x32 chip, load %.1f:@.  case            rejected  \
-     makespan   util    p50 us    p99 us   compactions      time@."
-    n load;
-  let results =
-    List.map
-      (fun (label, policy, compaction) ->
-        let r, dt =
-          wall (fun () ->
-              Fpga.Online.run_stream ~policy ~reconfig tasks ~chip ~compaction
-                ~move_delay)
-        in
-        Format.printf
-          "  %-14s %9d %9d   %4.1f%% %9.1f %9.1f   %11d %8.3f s@." label
-          r.Fpga.Online.rejected r.Fpga.Online.makespan
-          (100.0 *. r.Fpga.Online.utilization)
-          r.Fpga.Online.latency.Fpga.Online.p50_us
-          r.Fpga.Online.latency.Fpga.Online.p99_us r.Fpga.Online.compactions dt;
-        (label, r, dt))
-      cases
-  in
-  let find label =
-    let _, r, _ = List.find (fun (l, _, _) -> l = label) results in
-    r
-  in
-  (* Acceptance 1: best fit strictly dominates bottom-left first fit
-     (which places exactly where the seed corner heuristic did) at equal
-     move budget — fewer rejections, or equal rejections and higher
-     utilization. *)
-  let first = find "first" and best = find "best" in
-  let mer_dominates =
-    best.Fpga.Online.rejected < first.Fpga.Online.rejected
-    || (best.Fpga.Online.rejected = first.Fpga.Online.rejected
-       && best.Fpga.Online.utilization > first.Fpga.Online.utilization)
-  in
-  (* Acceptance 2: cost-aware defragmentation never pays move cycles
-     without enabling at least one blocked placement. *)
-  let defrag_ok =
-    List.for_all
-      (fun (_, r, _) ->
-        (r.Fpga.Online.move_cycles = 0 || r.Fpga.Online.compactions > 0)
-        && List.for_all
-             (function
-               | Fpga.Online.Compacted { enabled; _ } -> enabled >= 1
-               | _ -> true)
-             r.Fpga.Online.events)
-      results
-  in
-  (* Offline anchor: on a solvable prefix of the stream (every task
-     available at time 0) the exact compile-time optimum lower-bounds
-     any online makespan; the gap is the paper's argument in numbers. *)
-  let k = if tiny then 6 else 9 in
-  let prefix =
-    Packing.Instance.make
-      ~name:(Printf.sprintf "stream-prefix-%d" k)
-      ~precedence:
-        (List.concat
-           (List.init k (fun i ->
-                List.filter_map
-                  (fun p -> if p < k then Some (p, i) else None)
-                  tasks.(i).Fpga.Online.preds)))
-      ~boxes:
-        (Array.init k (fun i ->
-             Geometry.Box.make3 ~w:tasks.(i).Fpga.Online.w
-               ~h:tasks.(i).Fpga.Online.h
-               ~duration:tasks.(i).Fpga.Online.duration))
-      ()
-  in
-  let optimum =
-    match Packing.Problems.minimize_time prefix ~w:32 ~h:32 with
-    | Packing.Problems.Optimal { value; _ } -> value
-    | _ -> -1
-  in
-  let prefix_run policy =
-    let arrivals =
-      List.init k (fun i -> { Fpga.Online.task = i; arrival_time = 0 })
-    in
-    (Fpga.Online.run ~policy prefix arrivals ~chip ~compaction:false
-       ~move_delay:0)
-      .Fpga.Online.makespan
-  in
-  let pre_first = prefix_run Fpga.Online.First_fit in
-  let pre_best = prefix_run Fpga.Online.Best_fit in
-  Format.printf
-    "  offline anchor (%d-task prefix, all at 0): optimum %d, online first \
-     %d, online best %d@."
-    k optimum pre_first pre_best;
-  (* Dominance of the MER manager is a steady-state (traffic-scale)
-     claim; on the tiny smoke stream it is reported but not gating. *)
-  let ok =
-    (tiny || mer_dominates) && defrag_ok && optimum >= 0 && pre_best >= optimum
-  in
-  let open Packing.Telemetry in
-  let case_json (label, r, dt) =
-    (label, Obj [ ("wall", seconds dt);
-                  ("online", Fpga.Online.to_json r) ])
-  in
-  let oc = open_out "BENCH_online.json" in
-  output_string oc
-    (to_string
-       (Obj
-          [
-            ( "note",
-              String
-                "online placement over one synthetic arrival stream; \
-                 first/best/worst = MER free-space manager fit policies \
-                 (first = bottom-left, the seed corner heuristic's \
-                 placements); +defrag adds cost-aware compaction \
-                 (reconfig column:1, move delay 2)" );
-            ( "stream",
-              Obj
-                [
-                  ("tasks", Int n);
-                  ("tiny", Bool tiny);
-                  ("chip", String "32x32");
-                  ("seed", Int seed);
-                  ("load", Raw (Printf.sprintf "%.2f" load));
-                  ("max_extent", Int max_extent);
-                  ("max_duration", Int max_duration);
-                  ("arc_probability", Raw (Printf.sprintf "%.2f" arc_probability));
-                  ("move_delay", Int move_delay);
-                  ("reconfig", String "column:1");
-                ] );
-            ("cases", Obj (List.map case_json results));
-            ( "offline_prefix",
-              Obj
-                [
-                  ("tasks", Int k);
-                  ("optimum", Int optimum);
-                  ("online_first", Int pre_first);
-                  ("online_best", Int pre_best);
-                ] );
-            ( "acceptance",
-              Obj
-                [
-                  ("mer_dominates", Bool mer_dominates);
-                  ("cost_aware_defrag_ok", Bool defrag_ok);
-                  ("online_at_least_optimum", Bool (pre_best >= optimum));
-                  ("ok", Bool ok);
-                ] );
-          ]));
-  output_string oc "\n";
-  close_out oc;
-  Format.printf "  wrote BENCH_online.json@."
-
-(* ------------------------------------------------------------------ *)
 (* Parallel solver: sequential vs --jobs 4, written to                 *)
 (* BENCH_parallel.json                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -835,109 +662,6 @@ let parallel_bench () =
   Format.printf "  wrote BENCH_parallel.json@."
 
 (* ------------------------------------------------------------------ *)
-(* Engine throughput: nodes/s of the sequential stage-3 kernel on the  *)
-(* calibrated instance set, written to BENCH_engine.json               *)
-(* ------------------------------------------------------------------ *)
-
-(* Node budget per instance: large enough that per-run fixed costs
-   vanish, small enough that the whole sweep stays under a minute. *)
-let engine_node_budget = 120_000
-
-(* Pre-overhaul throughput (nodes/s), measured on this machine at
-   commit 66ebf77 with the same node budget and instance set, kernel at
-   default options (realization attempted at every node, from-scratch
-   choose_unknown, Hashtbl-based changed_pairs). The engine bench
-   reports current/baseline per instance and the geometric mean. *)
-let engine_baseline_nodes_per_s : (string * float) list =
-  [
-    ("random s101 n10 7x7x8", 37802.0);
-    ("random s293 n10 6x6x7", 51119.0);
-    ("random s307 n10 6x6x7", 41985.0);
-    ("random s241 n9 6x6x7", 31483.0);
-    ("random s21 n9 7x7x7", 46467.0);
-    ("random s5 n11 8x8x8", 39544.0);
-    ("random s199 n11 8x8x8", 20338.0);
-  ]
-
-let engine_cases () =
-  (* The calibrated parallel cases plus one infeasible exhaustive case:
-     throughput must be measured on searches that actually run long
-     enough to average out startup. *)
-  parallel_cases ()
-
-let engine_bench () =
-  Format.printf
-    "@.== Engine: sequential stage-3 node throughput (budget %d nodes) ==@."
-    engine_node_budget;
-  Format.printf
-    "  instance                   nodes     time       nodes/s   baseline   speedup@.";
-  let options =
-    { search_only with Packing.Opp_solver.node_limit = Some engine_node_budget }
-  in
-  let rows = ref [] in
-  let ratios = ref [] in
-  List.iter
-    (fun (name, inst, cont) ->
-      let (outcome, stats), dt =
-        wall (fun () -> Packing.Opp_solver.solve ~options inst cont)
-      in
-      let nodes = stats.Packing.Opp_solver.nodes in
-      let rate = if dt > 0.0 then float_of_int nodes /. dt else 0.0 in
-      let baseline = List.assoc_opt name engine_baseline_nodes_per_s in
-      let speedup =
-        match baseline with
-        | Some b when b > 0.0 ->
-          ratios := (rate /. b) :: !ratios;
-          rate /. b
-        | _ -> 0.0
-      in
-      Format.printf "  %-24s %8d  %7.3f s  %9.0f  %9.0f  %6.2fx@." name nodes
-        dt rate
-        (match baseline with Some b -> b | None -> 0.0)
-        speedup;
-      rows :=
-        Printf.sprintf
-          "{\"instance\":\"%s\",\"outcome\":\"%s\",\"nodes\":%d,\
-           \"elapsed_s\":%.6f,\"nodes_per_s\":%.1f,\
-           \"baseline_nodes_per_s\":%s,\"speedup\":%s}"
-          name
-          (Format.asprintf "%a" Packing.Opp_solver.pp_outcome outcome)
-          nodes dt rate
-          (match baseline with
-          | Some b -> Printf.sprintf "%.1f" b
-          | None -> "null")
-          (match baseline with
-          | Some b when b > 0.0 -> Printf.sprintf "%.3f" (rate /. b)
-          | _ -> "null")
-        :: !rows)
-    (engine_cases ());
-  let geomean =
-    match !ratios with
-    | [] -> None
-    | rs ->
-      let log_sum = List.fold_left (fun a r -> a +. log r) 0.0 rs in
-      Some (exp (log_sum /. float_of_int (List.length rs)))
-  in
-  (match geomean with
-  | Some g -> Format.printf "  geometric-mean speedup: %.2fx@." g
-  | None -> Format.printf "  (no baseline recorded: speedups omitted)@.");
-  let oc = open_out "BENCH_engine.json" in
-  output_string oc
-    (Printf.sprintf
-       "{\"node_budget\":%d,\"note\":\"search-only stage 3, sequential, \
-        default kernel options; baseline measured pre-overhaul at commit \
-        66ebf77 on the same machine\",\"geomean_speedup\":%s,\"cases\":[\n\
-        %s\n\
-        ]}\n"
-       engine_node_budget
-       (match geomean with
-       | Some g -> Printf.sprintf "%.3f" g
-       | None -> "null")
-       (String.concat ",\n" (List.rev !rows)));
-  close_out oc;
-  Format.printf "  wrote BENCH_engine.json@."
-
-(* ------------------------------------------------------------------ *)
 (* Bound engine: stage-3 search with node-level bound checks on vs     *)
 (* off, written to BENCH_bounds.json                                   *)
 (* ------------------------------------------------------------------ *)
@@ -1135,331 +859,6 @@ let bounds_bench () =
   Format.printf "  wrote BENCH_bounds.json@."
 
 (* ------------------------------------------------------------------ *)
-(* Trace overhead: stage-3 throughput with tracing off / sampled /     *)
-(* full, written to BENCH_trace.json                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* Throughput (nodes/s) of the untraced kernel on this machine at the
-   parent commit (31acbcb), same node budget and instance set, mean of
-   two runs. The off-row of the trace bench is compared against these:
-   threading a Trace.null through the stack must not cost measurable
-   throughput (acceptance: geomean >= 0.95, i.e. <= 5% regression;
-   per-instance noise on this machine is ~10%). *)
-let trace_baseline_nodes_per_s : (string * float) list =
-  [
-    ("random s101 n10 7x7x8", 100000.0);
-    ("random s293 n10 6x6x7", 98000.0);
-    ("random s307 n10 6x6x7", 98500.0);
-    ("random s241 n9 6x6x7", 98500.0);
-    ("random s21 n9 7x7x7", 114000.0);
-    ("random s5 n11 8x8x8", 70000.0);
-    ("random s199 n11 8x8x8", 100200.0);
-  ]
-
-let trace_bench () =
-  Format.printf
-    "@.== Trace: stage-3 throughput off / sampled / full (budget %d nodes) \
-     ==@."
-    engine_node_budget;
-  Format.printf
-    "  instance                   off n/s   vs base   sampled   full      \
-     full evts@.";
-  (* A fresh trace per run: ring reuse across runs would misattribute
-     registration cost, and full-rate traces wrap their rings anyway
-     (overwrites are plain stores, so wrapping does not distort the
-     measurement). *)
-  let configs =
-    [
-      ("off", fun () -> Packing.Trace.null);
-      ("sampled", fun () -> Packing.Trace.create ~sampling:(Packing.Trace.Sample 64) ());
-      ("full", fun () -> Packing.Trace.create ());
-    ]
-  in
-  let once mk inst cont =
-    let trace = mk () in
-    let options =
-      {
-        search_only with
-        Packing.Opp_solver.node_limit = Some engine_node_budget;
-        trace;
-      }
-    in
-    let (_, stats), dt =
-      wall (fun () -> Packing.Opp_solver.solve ~options inst cont)
-    in
-    (stats.Packing.Opp_solver.nodes, dt, trace)
-  in
-  (* This measurement chases single-digit percentages on a machine with
-     double-digit scheduling noise that drifts over seconds, so run the
-     three configs in interleaved round-robin (drift hits each config
-     equally) and keep each config's best of 3 rounds as its
-     least-disturbed run; nodes are deterministic per configuration. *)
-  let measure_all inst cont =
-    let best = Hashtbl.create 4 in
-    for _round = 1 to 3 do
-      List.iter
-        (fun (cfg, mk) ->
-          let (_, t, _) as r = once mk inst cont in
-          match Hashtbl.find_opt best cfg with
-          | Some (_, t', _) when t' <= t -> ()
-          | _ -> Hashtbl.replace best cfg r)
-        configs
-    done;
-    List.map
-      (fun (cfg, _) ->
-        let n, t, tr = Hashtbl.find best cfg in
-        let rate = if t > 0.0 then float_of_int n /. t else 0.0 in
-        let events =
-          if Packing.Trace.enabled tr then
-            List.length (Packing.Trace.events tr) + Packing.Trace.dropped tr
-          else 0
-        in
-        (cfg, (rate, events)))
-      configs
-  in
-  let rows = ref [] in
-  let vs_baseline = ref [] and vs_off_sampled = ref [] and vs_off_full = ref [] in
-  List.iter
-    (fun (name, inst, cont) ->
-      let rates = measure_all inst cont in
-      let rate cfg = fst (List.assoc cfg rates) in
-      let off = rate "off" and sampled = rate "sampled" and full = rate "full" in
-      let full_events = snd (List.assoc "full" rates) in
-      let base = List.assoc_opt name trace_baseline_nodes_per_s in
-      let base_ratio =
-        match base with
-        | Some b when b > 0.0 && off > 0.0 ->
-          let r = off /. b in
-          vs_baseline := r :: !vs_baseline;
-          Some r
-        | _ -> None
-      in
-      let rel r =
-        if off > 0.0 then begin
-          let x = r /. off in
-          Some x
-        end
-        else None
-      in
-      (match rel sampled with
-      | Some r -> vs_off_sampled := r :: !vs_off_sampled
-      | None -> ());
-      (match rel full with
-      | Some r -> vs_off_full := r :: !vs_off_full
-      | None -> ());
-      Format.printf "  %-24s %9.0f   %7s  %8.2f  %8.2f  %9d@." name off
-        (match base_ratio with
-        | Some r -> Printf.sprintf "%.2fx" r
-        | None -> "n/a")
-        (match rel sampled with Some r -> r | None -> 0.0)
-        (match rel full with Some r -> r | None -> 0.0)
-        full_events;
-      rows :=
-        Printf.sprintf
-          "{\"instance\":\"%s\",\"off_nodes_per_s\":%.1f,\
-           \"baseline_nodes_per_s\":%s,\"off_vs_baseline\":%s,\
-           \"sampled_nodes_per_s\":%.1f,\"full_nodes_per_s\":%.1f,\
-           \"sampled_vs_off\":%s,\"full_vs_off\":%s,\"full_events\":%d}"
-          name off
-          (match base with
-          | Some b -> Printf.sprintf "%.1f" b
-          | None -> "null")
-          (match base_ratio with
-          | Some r -> Printf.sprintf "%.3f" r
-          | None -> "null")
-          sampled full
-          (match rel sampled with
-          | Some r -> Printf.sprintf "%.3f" r
-          | None -> "null")
-          (match rel full with
-          | Some r -> Printf.sprintf "%.3f" r
-          | None -> "null")
-          full_events
-        :: !rows)
-    (engine_cases ());
-  let geomean = function
-    | [] -> None
-    | rs ->
-      let log_sum = List.fold_left (fun a r -> a +. log r) 0.0 rs in
-      Some (exp (log_sum /. float_of_int (List.length rs)))
-  in
-  let show_geo label rs =
-    match geomean rs with
-    | Some g ->
-      Format.printf "  geomean %s: %.3f@." label g;
-      Printf.sprintf "%.4f" g
-    | None ->
-      Format.printf "  geomean %s: n/a@." label;
-      "null"
-  in
-  let g_base = show_geo "off vs baseline (target >= 0.95)" !vs_baseline in
-  let g_sampled = show_geo "sampled vs off" !vs_off_sampled in
-  let g_full = show_geo "full vs off" !vs_off_full in
-  let oc = open_out "BENCH_trace.json" in
-  output_string oc
-    (Printf.sprintf
-       "{\"node_budget\":%d,\"note\":\"search-only stage 3, sequential; off = \
-        Trace.null threaded through the kernel, sampled = every 64th node, \
-        full = every event; time = min of 3 runs; baseline measured untraced \
-        at commit 31acbcb on the same machine\",\
-        \"geomean_off_vs_baseline\":%s,\"geomean_sampled_vs_off\":%s,\
-        \"geomean_full_vs_off\":%s,\"cases\":[\n%s\n]}\n"
-       engine_node_budget g_base g_sampled g_full
-       (String.concat ",\n" (List.rev !rows)));
-  close_out oc;
-  Format.printf "  wrote BENCH_trace.json@."
-
-(* ------------------------------------------------------------------ *)
-(* Metrics registry overhead: Metrics.null vs a live registry          *)
-(* ------------------------------------------------------------------ *)
-
-(* The off-path claim behind [Metrics.null]: a solver run with the
-   default (null) registry installed must be as fast as the
-   pre-instrumentation engine, and installing a live registry must stay
-   within noise too (the hot-path increments are plain writes to a
-   per-domain cell). Methodology as the trace bench: interleaved
-   round-robin so scheduler drift hits both configs equally, best of 3
-   rounds per config, nodes deterministic per configuration. The trace
-   baselines double as the uninstrumented reference — they were
-   measured before the registry existed, untraced, same budget and
-   machine. Acceptance: geomean off vs baseline >= 0.95. *)
-let metrics_bench () =
-  let tiny = Sys.getenv_opt "METRICS_TINY" <> None in
-  let budget = if tiny then 8_000 else engine_node_budget in
-  Format.printf
-    "@.== Metrics: stage-3 throughput registry off / on (budget %d nodes) ==@."
-    budget;
-  if tiny then Format.printf "  (METRICS_TINY set: reduced budget)@.";
-  Format.printf
-    "  instance                   off n/s   vs base    on n/s   on/off@.";
-  let configs =
-    [
-      ("off", fun () -> Packing.Metrics.null);
-      ("on", fun () -> Packing.Metrics.create ());
-    ]
-  in
-  let once mk inst cont =
-    (* installed before solve: the solver and bound engine mint their
-       handles from the process default at entry; a fresh registry per
-       run keeps registration cost inside the measurement, as the trace
-       bench keeps ring setup inside its runs *)
-    Packing.Metrics.set_default (mk ());
-    let options =
-      { search_only with Packing.Opp_solver.node_limit = Some budget }
-    in
-    let (_, stats), dt =
-      wall (fun () -> Packing.Opp_solver.solve ~options inst cont)
-    in
-    Packing.Metrics.set_default Packing.Metrics.null;
-    (stats.Packing.Opp_solver.nodes, dt)
-  in
-  let measure_all inst cont =
-    let best = Hashtbl.create 4 in
-    for _round = 1 to 3 do
-      List.iter
-        (fun (cfg, mk) ->
-          let (_, t) as r = once mk inst cont in
-          match Hashtbl.find_opt best cfg with
-          | Some (_, t') when t' <= t -> ()
-          | _ -> Hashtbl.replace best cfg r)
-        configs
-    done;
-    List.map
-      (fun (cfg, _) ->
-        let n, t = Hashtbl.find best cfg in
-        (cfg, if t > 0.0 then float_of_int n /. t else 0.0))
-      configs
-  in
-  let rows = ref [] in
-  let vs_baseline = ref [] and vs_off = ref [] in
-  List.iter
-    (fun (name, inst, cont) ->
-      let rates = measure_all inst cont in
-      let off = List.assoc "off" rates and on = List.assoc "on" rates in
-      let base = List.assoc_opt name trace_baseline_nodes_per_s in
-      let base_ratio =
-        match base with
-        | Some b when b > 0.0 && off > 0.0 && not tiny ->
-          let r = off /. b in
-          vs_baseline := r :: !vs_baseline;
-          Some r
-        | _ -> None
-      in
-      let on_ratio =
-        if off > 0.0 then begin
-          let r = on /. off in
-          vs_off := r :: !vs_off;
-          Some r
-        end
-        else None
-      in
-      Format.printf "  %-24s %9.0f   %7s  %8.0f   %6s@." name off
-        (match base_ratio with
-        | Some r -> Printf.sprintf "%.2fx" r
-        | None -> "n/a")
-        on
-        (match on_ratio with
-        | Some r -> Printf.sprintf "%.2f" r
-        | None -> "n/a");
-      rows :=
-        Printf.sprintf
-          "{\"instance\":\"%s\",\"off_nodes_per_s\":%.1f,\
-           \"baseline_nodes_per_s\":%s,\"off_vs_baseline\":%s,\
-           \"on_nodes_per_s\":%.1f,\"on_vs_off\":%s}"
-          name off
-          (match base with
-          | Some b -> Printf.sprintf "%.1f" b
-          | None -> "null")
-          (match base_ratio with
-          | Some r -> Printf.sprintf "%.3f" r
-          | None -> "null")
-          on
-          (match on_ratio with
-          | Some r -> Printf.sprintf "%.3f" r
-          | None -> "null")
-        :: !rows)
-    (engine_cases ());
-  let geomean = function
-    | [] -> None
-    | rs ->
-      let log_sum = List.fold_left (fun a r -> a +. log r) 0.0 rs in
-      Some (exp (log_sum /. float_of_int (List.length rs)))
-  in
-  let show label = function
-    | Some g ->
-      Format.printf "  geomean %s: %.3f@." label g;
-      Printf.sprintf "%.4f" g
-    | None ->
-      Format.printf "  geomean %s: n/a@." label;
-      "null"
-  in
-  let g_base = geomean !vs_baseline in
-  let g_on = geomean !vs_off in
-  let g_base_s = show "off vs baseline (target >= 0.95)" g_base in
-  let g_on_s = show "on vs off" g_on in
-  (* acceptance rides on the off path; fall back to on/off when no
-     baseline applies (tiny mode) so the file always carries a verdict *)
-  let ok =
-    match (g_base, g_on) with
-    | Some g, _ -> g >= 0.95
-    | None, Some g -> g >= 0.95
-    | None, None -> false
-  in
-  let oc = open_out "BENCH_metrics.json" in
-  output_string oc
-    (Printf.sprintf
-       "{\"node_budget\":%d,\"note\":\"search-only stage 3, sequential; off = \
-        Metrics.null as the process default, on = a fresh live registry per \
-        run; time = min of 3 interleaved rounds; baseline = the untraced, \
-        pre-registry trace-bench reference on the same machine\",\
-        \"geomean_off_vs_baseline\":%s,\"geomean_on_vs_off\":%s,\
-        \"acceptance\":{\"target\":0.95,\"ok\":%b},\"cases\":[\n%s\n]}\n"
-       budget g_base_s g_on_s ok
-       (String.concat ",\n" (List.rev !rows)));
-  close_out oc;
-  Format.printf "  wrote BENCH_metrics.json (ok=%b)@." ok
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per table / figure         *)
 (* ------------------------------------------------------------------ *)
 
@@ -1498,154 +897,8 @@ let bechamel_tests () =
   [ t_table1; t_table2; t_fig7; t_opp_search ]
 
 (* ------------------------------------------------------------------ *)
-(* Placement service: warm-vs-cold throughput on a duplicate-heavy     *)
-(* request stream, written to BENCH_service.json                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Relabel an instance by a uniform random permutation: the box
-   multiset and the precedence DAG are unchanged up to isomorphism, so
-   the canonicalizer must map the result onto the original's cache
-   key. This is what "the same problem from another client" looks like. *)
-let permute_instance rng inst =
-  let n = Packing.Instance.count inst in
-  let perm = Array.init n (fun i -> i) in
-  for i = n - 1 downto 1 do
-    let j = Random.State.int rng (i + 1) in
-    let tmp = perm.(i) in
-    perm.(i) <- perm.(j);
-    perm.(j) <- tmp
-  done;
-  let boxes = Array.init n (fun k -> Packing.Instance.box inst perm.(k)) in
-  let labels = Array.init n (fun k -> Packing.Instance.label inst perm.(k)) in
-  let pos = Array.make n 0 in
-  Array.iteri (fun k o -> pos.(o) <- k) perm;
-  let arcs =
-    List.map
-      (fun (u, v) -> (pos.(u), pos.(v)))
-      (Order.Partial_order.relations (Packing.Instance.precedence inst))
-  in
-  Packing.Instance.make
-    ~name:(Packing.Instance.name inst)
-    ~labels ~precedence:arcs ~boxes ()
-
-let service_request ~id ~op ?chip ?time inst =
-  let open Packing.Telemetry in
-  let io =
-    { Fpga.Instance_io.instance = inst; chip = None; t_max = None; container = None }
-  in
-  to_string
-    (Obj
-       ([
-          ("id", String id);
-          ("op", String op);
-          ("instance", String (Fpga.Instance_io.print io));
-        ]
-       @ (match chip with
-         | Some (w, h) -> [ ("chip", List [ Int w; Int h ]) ]
-         | None -> [])
-       @ match time with Some t -> [ ("time", Int t) ] | None -> []))
-
-let service_bench () =
-  let tiny = Sys.getenv_opt "SERVICE_TINY" <> None in
-  Format.printf "@.== Placement service: cache throughput%s ==@."
-    (if tiny then " (tiny)" else "");
-  let uniques = if tiny then 5 else 25 in
-  let dups = uniques in
-  let rng = Random.State.make [| 20260808 |] in
-  (* the duplicated instance is the expensive one — that is the serving
-     reality the cache targets: popular problems are asked repeatedly *)
-  let hard =
-    Benchmarks.Generate.random ~seed:101 ~n:10 ~max_extent:4 ~max_duration:3
-      ~arc_probability:0.15 ()
-  in
-  let easy_reqs =
-    List.init uniques (fun i ->
-        let inst =
-          Benchmarks.Generate.random ~seed:(1000 + i) ~n:6 ~max_extent:6
-            ~max_duration:4 ~arc_probability:0.3 ()
-        in
-        service_request ~id:(Printf.sprintf "u%d" i) ~op:"solve" ~chip:(12, 12)
-          ~time:(Packing.Instance.total_duration inst)
-          inst)
-  in
-  let dup_reqs =
-    List.init dups (fun i ->
-        service_request ~id:(Printf.sprintf "d%d" i) ~op:"min-time"
-          ~chip:(6, 6)
-          (permute_instance rng hard))
-  in
-  let stream = Array.of_list (easy_reqs @ dup_reqs) in
-  (* deterministic shuffle: the duplicates arrive interleaved *)
-  for i = Array.length stream - 1 downto 1 do
-    let j = Random.State.int rng (i + 1) in
-    let tmp = stream.(i) in
-    stream.(i) <- stream.(j);
-    stream.(j) <- tmp
-  done;
-  let run ~use_cache =
-    let config = { Service.Server.default_config with use_cache } in
-    let server = Service.Server.create ~config () in
-    let responses = ref 0 in
-    let w = Service.Writer.of_sink (fun _ -> incr responses) in
-    let t0 = Unix.gettimeofday () in
-    Array.iter (Service.Server.handle_line server w) stream;
-    let dt = Unix.gettimeofday () -. t0 in
-    (dt, !responses, Service.Server.cache_counters server)
-  in
-  let cold_s, cold_n, _ = run ~use_cache:false in
-  let warm_s, warm_n, cache = run ~use_cache:true in
-  assert (cold_n = Array.length stream && warm_n = Array.length stream);
-  let rps dt = float_of_int (Array.length stream) /. dt in
-  let speedup = cold_s /. warm_s in
-  let ok = speedup >= 10.0 in
-  Format.printf
-    "  %d requests (%d unique, %d duplicated): cold %.3fs (%.1f rps), warm \
-     %.3fs (%.1f rps), speedup %.1fx, %d cache hits@."
-    (Array.length stream) uniques dups cold_s (rps cold_s) warm_s (rps warm_s)
-    speedup cache.Packing.Telemetry.cache_hits;
-  let oc = open_out "BENCH_service.json" in
-  output_string oc
-    (Packing.Telemetry.to_string
-       (Packing.Telemetry.Obj
-          [
-            ( "note",
-              Packing.Telemetry.String
-                "single-domain server loop; duplicates are random relabelings \
-                 of a hard random min-time instance (the expensive problem), \
-                 so warm hits are isomorphic, not byte-identical; cold = \
-                 cache disabled" );
-            ("requests", Packing.Telemetry.Int (Array.length stream));
-            ("unique", Packing.Telemetry.Int uniques);
-            ("duplicates", Packing.Telemetry.Int dups);
-            ( "duplicate_fraction",
-              Packing.Telemetry.Raw
-                (Printf.sprintf "%.2f"
-                   (float_of_int dups /. float_of_int (Array.length stream)))
-            );
-            ("cold_s", Packing.Telemetry.seconds cold_s);
-            ("warm_s", Packing.Telemetry.seconds warm_s);
-            ( "throughput_cold_rps",
-              Packing.Telemetry.Raw (Printf.sprintf "%.1f" (rps cold_s)) );
-            ( "throughput_warm_rps",
-              Packing.Telemetry.Raw (Printf.sprintf "%.1f" (rps warm_s)) );
-            ( "speedup",
-              Packing.Telemetry.Raw (Printf.sprintf "%.2f" speedup) );
-            ("cache", Packing.Telemetry.cache_to_json cache);
-            ( "acceptance",
-              Packing.Telemetry.Obj
-                [
-                  ("speedup_min", Packing.Telemetry.Raw "10.0");
-                  ("ok", Packing.Telemetry.Bool ok);
-                ] );
-          ]));
-  output_string oc "\n";
-  close_out oc;
-  Format.printf "  wrote BENCH_service.json@."
-
-(* ------------------------------------------------------------------ *)
 (* Dimension-generic workloads: 2D strip packing with order arcs and   *)
-(* d=4 instances vs. the geometric baseline, plus a d=3 engine         *)
-(* throughput guard — written to BENCH_ddim.json                       *)
+(* d=4 instances vs. the geometric baseline, written to BENCH_ddim.json *)
 (* ------------------------------------------------------------------ *)
 
 let ddim_tiny () = Sys.getenv_opt "DDIM_TINY" <> None
@@ -1763,77 +1016,15 @@ let ddim_bench () =
   let strip_rows = List.map solve_one strip_cases in
   Format.printf "  -- d=4 --@.";
   let d4_rows = List.map solve_one d4_cases in
-  (* d=3 throughput guard: the axis-generic refactor must not slow the
-     3-dimensional engine. Same instances, budget and baseline table as
-     the engine bench. *)
-  let budget = if tiny then 8_000 else engine_node_budget in
-  Format.printf "  -- d=3 engine throughput guard (budget %d nodes) --@."
-    budget;
-  let options =
-    { search_only with Packing.Opp_solver.node_limit = Some budget }
-  in
-  let engine_rows = ref [] in
-  let ratios = ref [] in
-  List.iter
-    (fun (name, inst, cont) ->
-      let (_, stats), dt =
-        wall (fun () -> Packing.Opp_solver.solve ~options inst cont)
-      in
-      let nodes = stats.Packing.Opp_solver.nodes in
-      let rate = if dt > 0.0 then float_of_int nodes /. dt else 0.0 in
-      let baseline = List.assoc_opt name engine_baseline_nodes_per_s in
-      let ratio =
-        match baseline with
-        | Some b when b > 0.0 ->
-          ratios := (rate /. b) :: !ratios;
-          Some (rate /. b)
-        | _ -> None
-      in
-      Format.printf "  %-24s %9.0f nodes/s  ratio %s@." name rate
-        (match ratio with
-        | Some r -> Printf.sprintf "%.2fx" r
-        | None -> "n/a");
-      engine_rows :=
-        Printf.sprintf
-          "{\"instance\":\"%s\",\"nodes_per_s\":%.1f,\
-           \"baseline_nodes_per_s\":%s,\"ratio\":%s}"
-          name rate
-          (match baseline with
-          | Some b -> Printf.sprintf "%.1f" b
-          | None -> "null")
-          (match ratio with
-          | Some r -> Printf.sprintf "%.3f" r
-          | None -> "null")
-        :: !engine_rows)
-    (engine_cases ());
-  let geomean_ratio =
-    match !ratios with
-    | [] -> None
-    | rs ->
-      let log_sum = List.fold_left (fun a r -> a +. log r) 0.0 rs in
-      Some (exp (log_sum /. float_of_int (List.length rs)))
-  in
-  (match geomean_ratio with
-  | Some g -> Format.printf "  geomean d=3 throughput ratio: %.2fx@." g
-  | None -> Format.printf "  (no baseline: ratio omitted)@.");
   let oc = open_out "BENCH_ddim.json" in
   output_string oc
     (Printf.sprintf
        "{\"tiny\":%b,\"note\":\"dimension-generic workloads: optima \
-        cross-checked against the geometric enumeration baseline; the d=3 \
-        guard reuses the engine bench's instances and pre-refactor \
-        baseline (acceptance: geomean ratio >= 0.95)\",\
-        \"strip2d\":[\n%s\n],\"d4\":[\n%s\n],\
-        \"engine3d\":{\"node_budget\":%d,\"geomean_ratio\":%s,\"cases\":[\n\
-        %s\n]}}\n"
+        cross-checked against the geometric enumeration baseline\",\
+        \"strip2d\":[\n%s\n],\"d4\":[\n%s\n]}\n"
        tiny
        (String.concat ",\n" strip_rows)
-       (String.concat ",\n" d4_rows)
-       budget
-       (match geomean_ratio with
-       | Some g -> Printf.sprintf "%.3f" g
-       | None -> "null")
-       (String.concat ",\n" (List.rev !engine_rows)));
+       (String.concat ",\n" d4_rows));
   close_out oc;
   Format.printf "  wrote BENCH_ddim.json@."
 
@@ -1875,15 +1066,10 @@ let () =
       ("ablation-stages", ablation_stages);
       ("rect", rect);
       ("scaling", scaling);
-      ("online", online);
       ("parallel", parallel_bench);
       ("parallel-calibrate", parallel_calibrate);
-      ("engine", engine_bench);
       ("ddim", ddim_bench);
       ("bounds", bounds_bench);
-      ("trace", trace_bench);
-      ("metrics", metrics_bench);
-      ("service", service_bench);
       ("bechamel", run_bechamel);
     ]
   in

@@ -60,8 +60,11 @@ let render_flag =
 let quiet_flag =
   Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Print only the verdict/optimum.")
 
-let resolve_chip io = function
-  | Some c -> Ok c
+let checked exts v = Result.map (fun () -> v) (Geometry.Box.check_volume exts)
+
+let resolve_chip io chip =
+  match chip with
+  | Some c -> checked [| Fpga.Chip.width c; Fpga.Chip.height c |] c
   | None -> (
     match io.Fpga.Instance_io.chip with
     | Some c -> Ok c
@@ -74,6 +77,14 @@ let resolve_time io = function
     | Some t -> Ok t
     | None -> Error "no time budget: pass --time T or add a `time` line")
 
+(* The chip and the makespan budget together span the space-time
+   container, so their product passes the same volume check. *)
+let resolve_chip_time io chip time =
+  match (resolve_chip io chip, resolve_time io time) with
+  | Error m, _ | _, Error m -> Error m
+  | Ok c, Ok t ->
+    checked [| Fpga.Chip.width c; Fpga.Chip.height c; t |] (c, t)
+
 (* Resolve the target container for a dimension-generic subcommand:
    --container, then the file's `container` line, then (3-dimensional
    instances only) the chip/time surface. *)
@@ -85,9 +96,7 @@ let resolve_container io ~chip ~time container_arg =
       Error
         (Printf.sprintf "container has %d extents but the instance is %d-dimensional"
            (Array.length exts) d)
-    else
-      try Ok (`Container (Geometry.Container.make exts))
-      with Invalid_argument m -> Error m
+    else checked exts (`Container (Geometry.Container.make exts))
   in
   match container_arg with
   | Some exts -> of_extents exts
@@ -99,9 +108,7 @@ let resolve_container io ~chip ~time container_arg =
       else Ok (`Container c)
     | None ->
       if d = 3 then
-        match (resolve_chip io chip, resolve_time io time) with
-        | Error m, _ | _, Error m -> Error m
-        | Ok chip, Ok t_max -> Ok (`Chip (chip, t_max))
+        Result.map (fun ct -> `Chip ct) (resolve_chip_time io chip time)
       else
         Error
           "no container: pass --container E0x..xE(d-1) or add a `container` \
@@ -739,9 +746,9 @@ let simulate_cmd =
     match read_instance file with
     | Error msg -> err msg
     | Ok io -> (
-      match (resolve_chip io chip, resolve_time io time) with
-      | Error msg, _ | _, Error msg -> err msg
-      | Ok chip, Ok t_max -> (
+      match resolve_chip_time io chip time with
+      | Error msg -> err msg
+      | Ok (chip, t_max) -> (
         let inst = io.Fpga.Instance_io.instance in
         let container = Fpga.Chip.container chip ~t_max in
         match Packing.Opp_solver.solve inst container with
@@ -769,9 +776,9 @@ let check_cmd =
     match read_instance file with
     | Error msg -> err msg
     | Ok io -> (
-      match (resolve_chip io chip, resolve_time io time) with
-      | Error msg, _ | _, Error msg -> err msg
-      | Ok chip, Ok t_max -> (
+      match resolve_chip_time io chip time with
+      | Error msg -> err msg
+      | Ok (chip, t_max) -> (
         let inst = io.Fpga.Instance_io.instance in
         match
           let ic = open_in schedule_file in
@@ -840,9 +847,9 @@ let bounds_cmd =
     match read_instance file with
     | Error msg -> err msg
     | Ok io -> (
-      match (resolve_chip io chip, resolve_time io time) with
-      | Error msg, _ | _, Error msg -> err msg
-      | Ok chip, Ok t_max ->
+      match resolve_chip_time io chip time with
+      | Error msg -> err msg
+      | Ok (chip, t_max) ->
         let inst = io.Fpga.Instance_io.instance in
         let container = Fpga.Chip.container chip ~t_max in
         let engine = Packing.Bound_engine.create () in
@@ -902,9 +909,9 @@ let knapsack_cmd =
     match read_instance file with
     | Error msg -> err msg
     | Ok io -> (
-      match (resolve_chip io chip, resolve_time io time) with
-      | Error msg, _ | _, Error msg -> err msg
-      | Ok chip, Ok t_max -> (
+      match resolve_chip_time io chip time with
+      | Error msg -> err msg
+      | Ok (chip, t_max) -> (
         let inst = io.Fpga.Instance_io.instance in
         let container = Fpga.Chip.container chip ~t_max in
         (* Value = computation volume: prefer keeping the heavy work. *)
@@ -936,9 +943,9 @@ let vcd_cmd =
     match read_instance file with
     | Error msg -> err msg
     | Ok io -> (
-      match (resolve_chip io chip, resolve_time io time) with
-      | Error msg, _ | _, Error msg -> err msg
-      | Ok chip, Ok t_max -> (
+      match resolve_chip_time io chip time with
+      | Error msg -> err msg
+      | Ok (chip, t_max) -> (
         let inst = io.Fpga.Instance_io.instance in
         let container = Fpga.Chip.container chip ~t_max in
         match Packing.Opp_solver.solve inst container with
@@ -971,9 +978,9 @@ let ilp_cmd =
     match read_instance file with
     | Error msg -> err msg
     | Ok io -> (
-      match (resolve_chip io chip, resolve_time io time) with
-      | Error msg, _ | _, Error msg -> err msg
-      | Ok chip, Ok t_max ->
+      match resolve_chip_time io chip time with
+      | Error msg -> err msg
+      | Ok (chip, t_max) ->
         let inst = io.Fpga.Instance_io.instance in
         let container = Fpga.Chip.container chip ~t_max in
         let size = Baseline.Ilp_model.size_of inst container in

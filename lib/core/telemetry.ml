@@ -81,15 +81,6 @@ type cache_counters = {
   cache_capacity : int;
 }
 
-let zero_cache ~capacity =
-  {
-    cache_hits = 0;
-    cache_misses = 0;
-    cache_evictions = 0;
-    cache_entries = 0;
-    cache_capacity = capacity;
-  }
-
 (* ------------------------------------------------------------------ *)
 (* Work-stealing counters                                              *)
 (* ------------------------------------------------------------------ *)

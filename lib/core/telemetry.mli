@@ -38,8 +38,6 @@ val zero_bound : bound_counter
 (** Association list keyed by bound name, in registry order. *)
 type bound_counters = (string * bound_counter) list
 
-val add_bound : bound_counter -> bound_counter -> bound_counter
-
 (** Pointwise merge keyed by name; names only the right operand saw are
     appended, so merging parallel workers is stable. *)
 val add_bound_counters : bound_counters -> bound_counters -> bound_counters
@@ -54,9 +52,6 @@ type cache_counters = {
   cache_entries : int;
   cache_capacity : int;
 }
-
-(** All-zero counters for a cache of the given capacity. *)
-val zero_cache : capacity:int -> cache_counters
 
 (** Per-worker counters of the {!Parallel_solver} work-stealing kernel:
     how many subtree descriptors this worker executed ([tasks]), how

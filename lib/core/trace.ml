@@ -5,9 +5,9 @@
    Design constraints, in order:
    - [null] must cost nothing: every emit function matches on the
      handle first and returns on [Null] without touching the clock.
-   - Full-rate recording must stay well under 5% of the engine bench:
-     one clock read plus one ring store per event, no locking on the
-     emit path (streams are strictly single-writer, one per domain).
+   - Full-rate recording must stay cheap: one clock read plus one
+     ring store per event, no locking on the emit path (streams are
+     strictly single-writer, one per domain).
    - Export happens after the solving domains are joined, so readers
      never race writers. *)
 

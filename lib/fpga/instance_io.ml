@@ -16,6 +16,9 @@ let int_of line s =
   | Some i -> i
   | None -> fail line "expected an integer, got %S" s
 
+let check_volume line exts =
+  match Box.check_volume exts with Ok () -> () | Error m -> fail line "%s" m
+
 let parse text =
   let name = ref "instance" in
   let chip = ref None in
@@ -75,11 +78,13 @@ let parse text =
       | "container" :: rest ->
         if !container <> None then fail lineno "duplicate container";
         let exts = extents_of lineno rest in
-        (try container := Some (Container.make exts)
-         with Invalid_argument m -> fail lineno "%s" m)
+        check_volume lineno exts;
+        container := Some (Container.make exts)
       | [ "chip"; w; h ] ->
         need_dim lineno 3;
-        chip := Some (Chip.create ~w:(int_of lineno w) ~h:(int_of lineno h))
+        let w = int_of lineno w and h = int_of lineno h in
+        check_volume lineno [| w; h |];
+        chip := Some (Chip.create ~w ~h)
       | [ "time"; t ] ->
         need_dim lineno 3;
         t_max := Some (int_of lineno t)
@@ -93,14 +98,14 @@ let parse text =
         in
         if Hashtbl.mem modules type_name then
           fail lineno "duplicate module type %s" type_name;
+        let width = int_of lineno w and height = int_of lineno h in
+        let exec_time = int_of lineno exec in
+        check_volume lineno [| width; height; exec_time |];
+        if reconfig_time < 0 || reconfig_time > Box.max_volume then
+          fail lineno "reconfiguration time out of range";
+        check_volume lineno [| width; height; exec_time + reconfig_time |];
         Hashtbl.add modules type_name
-          {
-            Module_library.type_name;
-            width = int_of lineno w;
-            height = int_of lineno h;
-            exec_time = int_of lineno exec;
-            reconfig_time;
-          }
+          { Module_library.type_name; width; height; exec_time; reconfig_time }
       | [ "task"; label; type_name ] -> (
         need_dim lineno 3;
         match Hashtbl.find_opt modules type_name with
@@ -112,20 +117,14 @@ let parse text =
       | [ "task"; label; w; h; d ] ->
         need_dim lineno 3;
         if List.mem_assoc label !tasks then fail lineno "duplicate task %s" label;
-        let box =
-          try
-            Box.make3 ~w:(int_of lineno w) ~h:(int_of lineno h)
-              ~duration:(int_of lineno d)
-          with Invalid_argument m -> fail lineno "%s" m
-        in
-        tasks := (label, box) :: !tasks
+        let exts = [| int_of lineno w; int_of lineno h; int_of lineno d |] in
+        check_volume lineno exts;
+        tasks := (label, Box.make exts) :: !tasks
       | "box" :: label :: rest ->
         if List.mem_assoc label !tasks then fail lineno "duplicate task %s" label;
         let exts = extents_of lineno rest in
-        let box =
-          try Box.make exts with Invalid_argument m -> fail lineno "%s" m
-        in
-        tasks := (label, box) :: !tasks
+        check_volume lineno exts;
+        tasks := (label, Box.make exts) :: !tasks
       | [ "dep"; a; b ] -> deps := (lineno, a, b) :: !deps
       | [ "order"; axis; a; b ] ->
         let k = int_of lineno axis in
@@ -137,6 +136,12 @@ let parse text =
     lines;
   let tasks = List.rev !tasks in
   if tasks = [] then failwith "no tasks in instance";
+  (match (!chip, !t_max) with
+  | Some c, Some t -> (
+    match Box.check_volume [| Chip.width c; Chip.height c; t |] with
+    | Ok () -> ()
+    | Error m -> failwith ("chip and time: " ^ m))
+  | _ -> ());
   let labels = Array.of_list (List.map fst tasks) in
   let boxes = Array.of_list (List.map snd tasks) in
   let index_of line label =

@@ -64,7 +64,9 @@ type t = {
 (** [parse text] reads the format above.
     @raise Failure with a line-numbered message on syntax errors,
     unknown module types or labels, duplicate labels, out-of-range
-    axes, arity mismatches, or cyclic order arcs. *)
+    axes, arity mismatches, cyclic order arcs, or extents that fail
+    {!Geometry.Box.check_volume} (every box, module, container and
+    chip, and the chip together with the time budget). *)
 val parse : string -> t
 
 (** [parse_file path] reads and parses a file. *)

@@ -17,6 +17,21 @@ let extent b k =
 let extents = Array.copy
 let volume b = Array.fold_left ( * ) 1 b
 
+let max_volume = 1 lsl 40
+
+let check_volume exts =
+  (* [e > max_volume / v] is [v * e > max_volume] without the product *)
+  let rec go v k =
+    if k = Array.length exts then Ok ()
+    else if exts.(k) <= 0 then Error "non-positive extent"
+    else if exts.(k) > max_volume / v then
+      Error
+        (Printf.sprintf "extents %s: volume exceeds 2^40"
+           (String.concat "x" (Array.to_list (Array.map string_of_int exts))))
+    else go (v * exts.(k)) (k + 1)
+  in
+  go 1 0
+
 let rotate b ~axes =
   let d = Array.length b in
   if Array.length axes <> d then invalid_arg "Box.rotate: wrong arity";

@@ -30,6 +30,18 @@ val extents : t -> int array
 (** Product of all extents. *)
 val volume : t -> int
 
+(** Largest product of extents accepted from outside the program:
+    [2^40]. Volumes, their sums over the boxes of an instance and the
+    bound engine's scaled volumes then stay far below [max_int]. *)
+val max_volume : int
+
+(** [check_volume exts] is [Error msg] when an extent is not positive
+    or the product of [exts] exceeds {!max_volume}; the check itself
+    never overflows. Every box, container and chip read from an
+    instance file, the command line or a [serve] request passes it
+    before any volume is computed. *)
+val check_volume : int array -> (unit, string) result
+
 (** [rotate b ~axes] permutes the extents; [axes] must be a permutation
     of [0 .. dim-1]. *)
 val rotate : t -> axes:int array -> t

@@ -151,16 +151,20 @@ let parse_request json =
           | exception Failure msg -> bad ("instance: " ^ msg)
           | io -> (
             let chip =
+              let malformed = "\"chip\" must be [w, h] with positive integers" in
               match T.member "chip" json with
               | None | Some T.Null -> Ok None
               | Some (T.List [ a; b ]) -> (
                 match (T.to_int_opt a, T.to_int_opt b) with
-                | Some w, Some h when w > 0 && h > 0 -> Ok (Some (w, h))
-                | _ -> Error ())
-              | Some _ -> Error ()
+                | Some w, Some h when w > 0 && h > 0 -> (
+                  match Geometry.Box.check_volume [| w; h |] with
+                  | Ok () -> Ok (Some (w, h))
+                  | Error m -> Error ("\"chip\": " ^ m))
+                | _ -> Error malformed)
+              | Some _ -> Error malformed
             in
             match chip with
-            | Error () -> bad "\"chip\" must be [w, h] with positive integers"
+            | Error m -> bad m
             | Ok chip ->
               let positive k v =
                 match v with Some x when x <= 0 -> Error k | _ -> Ok v
@@ -429,8 +433,9 @@ let handle_request t events req_json =
     let params_ok =
       match req.op with
       | Op_solve ->
-        Result.bind (resolve_chip req) (fun _ ->
-            Result.map ignore (resolve_time req))
+        Result.bind (resolve_chip req) (fun (w, h) ->
+            Result.bind (resolve_time req) (fun t ->
+                Geometry.Box.check_volume [| w; h; t |]))
       | Op_min_time -> Result.map ignore (resolve_chip req)
       | Op_min_area -> Result.map ignore (resolve_time req)
     in

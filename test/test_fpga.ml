@@ -199,6 +199,38 @@ let test_io_errors () =
   expect_failure "" "no tasks";
   expect_failure "task a 1 1 1\ntask b 1 1 1\ndep a b\ndep b a" "cycle"
 
+(* A container and a box whose volumes wrap past max_int used to
+   parse, after which the wrapped volumes made the bounds report this
+   feasible instance (run a, then b) infeasible. The 100x100 analogue
+   is the same shape in range. *)
+let test_io_volume_overflow () =
+  let shape side =
+    Printf.sprintf "container %d %d 10\nbox a %d %d 5\nbox b 3 3 5\n" side
+      side side side
+  in
+  (match IO.parse (shape 4611686018427387903) with
+  | exception Failure msg ->
+    Alcotest.(check string) "typed error"
+      "line 1: extents 4611686018427387903x4611686018427387903x10: volume \
+       exceeds 2^40"
+      msg
+  | _ -> Alcotest.fail "overflowing extents parsed");
+  (match IO.parse "box a 1 1 1\nbox b 1048576 1048576 2\n" with
+  | exception Failure msg ->
+    Alcotest.(check string) "box past 2^40"
+      "line 2: extents 1048576x1048576x2: volume exceeds 2^40" msg
+  | _ -> Alcotest.fail "box past 2^40 parsed");
+  (match IO.parse "chip 1048576 1048576\ntime 2\ntask a 1 1 1\n" with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "chip x time past 2^40 parsed");
+  let io = IO.parse (shape 100) in
+  match io.IO.container with
+  | None -> Alcotest.fail "container expected"
+  | Some c -> (
+    match Packing.Opp_solver.solve io.IO.instance c with
+    | Packing.Opp_solver.Feasible _, _ -> ()
+    | _ -> Alcotest.fail "100x100 analogue should be feasible")
+
 let test_io_roundtrip () =
   let io = IO.parse sample in
   let io2 = IO.parse (IO.print io) in
@@ -956,7 +988,10 @@ let prop_stream_invariants (p, seed) =
   let placed i = start.(i) >= 0 in
   let finish i = start.(i) + tasks.(i).Online.duration in
   let ids = List.init n Fun.id in
+  let lat = r.Online.latency in
   r.Online.placed + r.Online.rejected + r.Online.never_arrived = n
+  && lat.Online.p50_us <= lat.Online.p99_us
+  && lat.Online.p99_us <= lat.Online.max_us
   && (let seen = Hashtbl.create 16 in
       List.for_all
         (function
@@ -1124,6 +1159,73 @@ let test_online_pin_small () =
   in
   Alcotest.(check string) "events digest" "c38f164c01b6762912b956361b5d6d2b" d
 
+(* Acceptance at traffic scale: one 10^4-task stream of small modules
+   (32x32 chip, load 1.0, seed 42) under every fit policy, plus best fit
+   with cost-aware compaction. Best fit dominates bottom-left first fit,
+   compaction never pays move cycles without enabling a placement, and
+   on the stream's 9-task prefix released at time 0 the exact
+   compile-time optimum lower-bounds the online best-fit makespan. *)
+let test_online_traffic_acceptance () =
+  let chip = Chip.square 32 in
+  let tasks =
+    Benchmarks.Generate.arrival_stream ~seed:42 ~n:10_000 ~chip ~load:1.0
+      ~max_extent:8 ~max_duration:12 ~arc_probability:0.1 ()
+  in
+  let run policy compaction =
+    Online.run_stream ~policy ~reconfig:(Reconfig.Per_column 1) tasks ~chip
+      ~compaction ~move_delay:2
+  in
+  let first = run Online.First_fit false and best = run Online.Best_fit false in
+  let runs =
+    [ first; best; run Online.Best_fit true; run Online.Worst_fit false ]
+  in
+  Alcotest.(check bool)
+    "best fit dominates first fit" true
+    (best.Online.rejected < first.Online.rejected
+    || best.Online.rejected = first.Online.rejected
+       && best.Online.utilization > first.Online.utilization);
+  List.iter
+    (fun r ->
+      Alcotest.(check bool)
+        "move cycles only with a compaction" true
+        (r.Online.move_cycles = 0 || r.Online.compactions > 0);
+      List.iter
+        (function
+          | Online.Compacted { enabled; _ } ->
+            Alcotest.(check bool) "compaction enabled a placement" true
+              (enabled >= 1)
+          | _ -> ())
+        r.Online.events)
+    runs;
+  let k = 9 in
+  let prefix =
+    Packing.Instance.make ~name:"stream-prefix-9"
+      ~precedence:
+        (List.concat
+           (List.init k (fun i ->
+                List.filter_map
+                  (fun p -> if p < k then Some (p, i) else None)
+                  tasks.(i).Online.preds)))
+      ~boxes:
+        (Array.init k (fun i ->
+             Geometry.Box.make3 ~w:tasks.(i).Online.w ~h:tasks.(i).Online.h
+               ~duration:tasks.(i).Online.duration))
+      ()
+  in
+  let optimum =
+    match Packing.Problems.minimize_time prefix ~w:32 ~h:32 with
+    | Packing.Problems.Optimal { value; _ } -> value
+    | _ -> Alcotest.fail "prefix optimum not proven"
+  in
+  let online_best =
+    Online.run ~policy:Online.Best_fit prefix
+      (List.init k (fun i -> { Online.task = i; arrival_time = 0 }))
+      ~chip ~compaction:false ~move_delay:0
+  in
+  Alcotest.(check bool)
+    "optimum <= online best fit" true
+    (optimum <= online_best.Online.makespan)
+
 (* Online placements that report a full placement are geometrically
    feasible. *)
 let prop_online_placements_valid seed =
@@ -1268,6 +1370,8 @@ let () =
             test_online_pin_large_no_compaction;
           Alcotest.test_case "events pinned: small modules" `Quick
             test_online_pin_small;
+          Alcotest.test_case "traffic-scale acceptance" `Quick
+            test_online_traffic_acceptance;
         ] );
       ( "vcd",
         [
@@ -1284,6 +1388,8 @@ let () =
         [
           Alcotest.test_case "parse" `Quick test_io_parse;
           Alcotest.test_case "errors" `Quick test_io_errors;
+          Alcotest.test_case "volume overflow rejected" `Quick
+            test_io_volume_overflow;
           Alcotest.test_case "roundtrip" `Quick test_io_roundtrip;
           Alcotest.test_case "DE roundtrip" `Quick test_io_de_roundtrip;
           qtest ~count:200 "parse/print identity" arb_seed prop_io_roundtrip_id;

@@ -69,6 +69,14 @@ let test_box_basics () =
     (Invalid_argument "Box.make: non-positive extent") (fun () ->
       ignore (Box.make [| 4; 0 |]))
 
+let test_box_check_volume () =
+  let ok exts = Box.check_volume exts = Ok () in
+  Alcotest.(check bool) "exactly 2^40" true (ok [| 1 lsl 20; 1 lsl 10; 1 lsl 10 |]);
+  Alcotest.(check bool) "one past 2^40" false (ok [| (1 lsl 40) + 1 |]);
+  Alcotest.(check bool) "product past 2^40" false (ok [| 1 lsl 20; (1 lsl 20) + 1 |]);
+  Alcotest.(check bool) "wrapping product" false (ok [| max_int; max_int; 10 |]);
+  Alcotest.(check bool) "non-positive" false (ok [| 4; 0 |])
+
 let test_box_rotate () =
   let b = Box.make [| 1; 2; 3 |] in
   let r = Box.rotate b ~axes:[| 2; 0; 1 |] in
@@ -269,6 +277,7 @@ let () =
       ( "box/container",
         [
           Alcotest.test_case "box basics" `Quick test_box_basics;
+          Alcotest.test_case "box check volume" `Quick test_box_check_volume;
           Alcotest.test_case "box rotate" `Quick test_box_rotate;
           Alcotest.test_case "container fits" `Quick test_container_fits;
         ] );

@@ -389,6 +389,52 @@ let test_server_loop_survives () =
     "undecided"
     (str_field "status" (by_id (Some "r3")))
 
+(* Extents whose product would wrap are a bad request, never an
+   answer: the instance text, the chip field, and the chip together
+   with the time budget each pass the shared volume check. *)
+let test_volume_overflow_rejected () =
+  let huge = 4611686018427387903 in
+  let overflow =
+    Printf.sprintf "container %d %d 10\nbox a %d %d 5\nbox b 3 3 5\n" huge
+      huge huge huge
+  in
+  let de = Benchmarks.De.instance in
+  let lines =
+    [
+      T.to_string
+        (T.Obj
+           [
+             ("id", T.String "file");
+             ("op", T.String "solve");
+             ("instance", T.String overflow);
+           ]);
+      request_line ~id:"chip" ~op:"min-time" ~chip:(huge, 3) de;
+      request_line ~id:"time" ~op:"solve" ~chip:(32, 32) ~time:huge de;
+      request_line ~id:"ok" ~op:"solve" ~chip:(32, 32) ~time:14 de;
+    ]
+  in
+  let out = ref [] in
+  let w = Writer.of_sink (fun l -> out := l :: !out) in
+  let server = Server.create () in
+  List.iter (Server.handle_line server w) lines;
+  let responses = List.rev_map parse_json !out in
+  let by_id id =
+    match List.find_opt (fun j -> response_id j = Some id) responses with
+    | Some j -> j
+    | None -> Alcotest.failf "no response for %s" id
+  in
+  List.iter
+    (fun id ->
+      let code =
+        Option.bind (T.member "error" (by_id id)) (T.member "code")
+      in
+      Alcotest.(check bool)
+        (id ^ " is a bad request") true
+        (code = Some (T.String "bad-request")))
+    [ "file"; "chip"; "time" ];
+  Alcotest.(check string) "in-range sibling still solves" "feasible"
+    (str_field "status" (by_id "ok"))
+
 (* ------------------------------------------------------------------ *)
 (* Writer under concurrency: no spliced heartbeat lines                *)
 (* ------------------------------------------------------------------ *)
@@ -573,6 +619,8 @@ let () =
         [
           Alcotest.test_case "loop survives malformed and over-budget" `Quick
             test_server_loop_survives;
+          Alcotest.test_case "volume overflow is a bad request" `Quick
+            test_volume_overflow_rejected;
           Alcotest.test_case "concurrent heartbeats stay line-atomic" `Quick
             test_concurrent_heartbeats_not_interleaved;
         ] );
