@@ -1,15 +1,19 @@
 (** Stage 2 of the paper's framework: fast construction of feasible
     packings.
 
-    A precedence-aware list scheduler: tasks become ready when all
-    predecessors have finished; ready tasks are tried in order of
-    decreasing criticality (longest remaining precedence chain, ties
-    broken by spatial area) and placed at the lowest feasible corner
-    position of the chip; when nothing fits, time advances to the next
-    finish event. The result is validated geometrically before being
-    returned, so a [Some] answer is always a feasible packing. *)
+    A serial schedule-generation scheme. Tasks are taken in a
+    precedence-respecting priority order, built by repeatedly picking
+    the ready task of highest priority (criticality — the longest
+    remaining precedence chain — times 4, plus spatial area). Each task
+    starts at the earliest time, its predecessors' finish or a later
+    finish of a placed task, at which some bottom-left corner of the
+    chip stays free for its whole duration, and takes the lowest such
+    corner. Unlike a non-delay scheduler, a task may wait while the
+    chip has room, which some optimal schedules need.
+    The result is validated geometrically before being returned, so a
+    [Some] answer is always a feasible packing. *)
 
-(** [supports instance] says whether the list scheduler applies:
+(** [supports instance] says whether the scheduler applies:
     3-dimensional boxes with the objective on the last axis and no
     order constraints on the spatial axes. The solvers route their
     stage-2 attempt through this check and degrade cleanly when it
@@ -18,17 +22,23 @@
     branch-and-bound search (stage 3), whose verdict is unaffected. *)
 val supports : Instance.t -> bool
 
-(** [pack instance container] attempts to build a feasible placement
-    inside [container].
+(** [pack instance container] builds one schedule, in the base
+    priority order, inside [container].
     @raise Invalid_argument when [supports instance] is [false]. *)
 val pack : Instance.t -> Geometry.Container.t -> Geometry.Placement.t option
 
-(** [makespan instance ~base] runs the scheduler on an unbounded time
+(** [makespan ?target instance ~base] schedules on an unbounded time
     horizon over the spatial base [base] (a container whose time extent
     is ignored) and returns the achieved makespan together with the
-    placement — an upper bound for the SPP. [None] if some task does not
-    fit spatially. *)
+    placement — an upper bound for the SPP. The first schedule uses the
+    base priorities. While the best makespan is above [target] (a
+    proven lower bound; the critical path and the volume bound are
+    always applied), up to 200 restarts scale each priority by a factor
+    drawn uniformly from 0.5 to 1.5 with a fixed seed, so equal inputs
+    give equal answers. [None] if some task does not fit spatially, and
+    only then. *)
 val makespan :
+  ?target:int ->
   Instance.t ->
   base:Geometry.Container.t ->
   (int * Geometry.Placement.t) option

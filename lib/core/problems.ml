@@ -467,7 +467,7 @@ let minimize_extent_ctx ctx ?upper inst ~axis ~base =
         then
           Option.map
             (fun (hi, p) -> (max lo hi, p))
-            (Heuristic.makespan inst ~base)
+            (Heuristic.makespan ~target:lo inst ~base)
         else None
     in
     match incumbent with
@@ -478,8 +478,8 @@ let minimize_extent_ctx ctx ?upper inst ~axis ~base =
       classified best ~proven
     | None ->
       if axis = Instance.objective_axis inst && Heuristic.supports inst then
-        (* The list scheduler always places a spatially fitting task set
-           given unbounded time, so a miss means spatial misfit. *)
+        (* The serial scheduler always places a spatially fitting task
+           set given unbounded time, so a miss means spatial misfit. *)
         Infeasible
       else
         (* No constructive upper end for this axis/dimension: find one

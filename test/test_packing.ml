@@ -159,6 +159,65 @@ let test_heuristic_makespan () =
   | None -> Alcotest.fail "fits spatially"
   | Some (ms, _) -> Alcotest.(check int) "chain length" 5 ms
 
+(* Random stage-2 cases: up to 10 tasks with precedence arcs on a base
+   of 3..8 per side; extents up to 6 so some tasks miss the base. *)
+let arb_stage2_case =
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 1 10 in
+      let* dims =
+        list_repeat n (triple (int_range 1 6) (int_range 1 6) (int_range 1 4))
+      in
+      let* arcs =
+        flatten_l
+          (List.concat_map
+             (fun u ->
+               List.init (n - u - 1) (fun k ->
+                   let* keep = int_range 0 4 in
+                   return (if keep = 0 then Some (u, u + k + 1) else None)))
+             (List.init n Fun.id))
+      in
+      let* cw = int_range 3 8 and* ch = int_range 3 8 in
+      return (dims, List.filter_map Fun.id arcs, (cw, ch)))
+  in
+  QCheck.make gen ~print:(fun (dims, arcs, (cw, ch)) ->
+      Format.asprintf "boxes=%s arcs=%s base=%dx%d"
+        (String.concat ","
+           (List.map (fun (w, h, d) -> Printf.sprintf "%dx%dx%d" w h d) dims))
+        (String.concat "," (List.map (fun (a, b) -> Printf.sprintf "%d->%d" a b) arcs))
+        cw ch)
+
+let prop_stage2_schedule (dims, arcs, (cw, ch)) =
+  let i = inst ~precedence:arcs (List.map (fun (w, h, d) -> box3 w h d) dims) in
+  let fits = List.for_all (fun (w, h, _) -> w <= cw && h <= ch) dims in
+  let precedes = Instance.precedes i in
+  let origins p = Array.init (Placement.count p) (Placement.origin p) in
+  match Heuristic.makespan i ~base:(cont3 cw ch 1) with
+  | None ->
+    if fits then QCheck.Test.fail_report "no schedule although every task fits";
+    true
+  | Some (ms, p) ->
+    if not fits then QCheck.Test.fail_report "schedule although a task misfits";
+    let horizon = cont3 cw ch (max 1 (Instance.total_duration i)) in
+    if not (Placement.is_feasible p ~container:horizon ~precedes) then
+      QCheck.Test.fail_report "infeasible in the horizon container";
+    let volume_bound = (Instance.total_volume i + (cw * ch) - 1) / (cw * ch) in
+    if ms < Instance.critical_path i || ms < volume_bound then
+      QCheck.Test.fail_reportf "makespan %d beats a lower bound (path %d, volume %d)"
+        ms (Instance.critical_path i) volume_bound;
+    (match Heuristic.makespan i ~base:(cont3 cw ch 1) with
+    | Some (ms', p') when ms' = ms && origins p' = origins p -> ()
+    | _ -> QCheck.Test.fail_report "a second call differs");
+    List.iter
+      (fun t ->
+        let c = cont3 cw ch t in
+        match Heuristic.pack i c with
+        | Some q when not (Placement.is_feasible q ~container:c ~precedes) ->
+          QCheck.Test.fail_reportf "pack hit at t=%d is infeasible" t
+        | Some _ | None -> ())
+      (List.filter (fun t -> t >= 1) [ ms - 1; ms; ms + 1 ]);
+    true
+
 (* ------------------------------------------------------------------ *)
 (* Packing_state                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -910,6 +969,8 @@ let () =
             test_heuristic_respects_precedence;
           Alcotest.test_case "gives up" `Quick test_heuristic_gives_up;
           Alcotest.test_case "makespan" `Quick test_heuristic_makespan;
+          qtest ~count:300 "serial schedule sound and deterministic" arb_stage2_case
+            prop_stage2_schedule;
         ] );
       ( "state",
         [

@@ -316,6 +316,46 @@ let test_hit_path_zero_nodes () =
     (T.to_string (Option.get (T.member "value" r1)))
     (T.to_string (Option.get (T.member "value" r2)))
 
+(* A request the old non-delay stage 2 left at 15 against a bound of 8:
+   the node budget ran out before the search found the witness, so it
+   answered [feasible] after the whole budget. Stage 2 now reaches the
+   bound itself, and a relabeled copy replays the answer from the
+   cache. *)
+let test_stage2_settles_budget_plateau () =
+  let inst, _ =
+    Benchmarks.Generate.guillotine ~seed:876129386
+      ~container:(Container.make3 ~w:8 ~h:8 ~t_max:8)
+      ~cuts:10 ~arc_probability:0.3 ()
+  in
+  let server = Server.create () in
+  let events = Writer.of_sink (fun _ -> ()) in
+  let req inst =
+    parse_json
+      (request_line ~id:"u170" ~op:"min-time" ~chip:(8, 8) ~node_limit:25000
+         inst)
+  in
+  let r1, m1 = Server.handle_request server events (req inst) in
+  Alcotest.(check string) "optimal" "optimal" (str_field "status" r1);
+  Alcotest.(check string) "at the root bound" "8"
+    (T.to_string (Option.get (T.member "value" r1)));
+  Alcotest.(check int) "no search nodes" 0 m1.Server.nodes;
+  let rng = Random.State.make [| 170 |] in
+  let r2, m2 = Server.handle_request server events (req (permute_instance rng inst)) in
+  Alcotest.(check bool) "relabeled copy hits the cache" true m2.Server.cache_hit;
+  (* The witness lists tasks in request order; each task keeps its
+     position. *)
+  let normalized r =
+    T.to_string
+      (T.Obj
+         (List.map
+            (function
+              | "placement", T.List tasks ->
+                ("placement", T.List (List.sort compare tasks))
+              | field -> field)
+            (match r with T.Obj fields -> fields | _ -> [])))
+  in
+  Alcotest.(check string) "same response" (normalized r1) (normalized r2)
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end JSONL loop: malformed and over-budget requests           *)
 (* ------------------------------------------------------------------ *)
@@ -442,7 +482,7 @@ let test_volume_overflow_rejected () =
 let test_concurrent_heartbeats_not_interleaved () =
   let rng = Random.State.make [| 7 |] in
   let hard =
-    Benchmarks.Generate.random ~seed:101 ~n:10 ~max_extent:4 ~max_duration:3
+    Benchmarks.Generate.random ~seed:3 ~n:10 ~max_extent:4 ~max_duration:3
       ~arc_probability:0.15 ()
   in
   let lines =
@@ -614,6 +654,8 @@ let () =
             arb_case prop_warm_replay_byte_identical;
           Alcotest.test_case "isomorphic hit costs zero nodes" `Quick
             test_hit_path_zero_nodes;
+          Alcotest.test_case "stage 2 settles the budget plateau" `Quick
+            test_stage2_settles_budget_plateau;
         ] );
       ( "server",
         [
