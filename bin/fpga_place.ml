@@ -4,10 +4,42 @@
 
 open Cmdliner
 
+let ( let* ) = Result.bind
+
+(* Every subcommand body is a thunk returning [Ok exit_code] or
+   [Error msg], and [run] is the one place that reports an error:
+   `error: <msg>` on stderr, exit code 1. The library rejects bad input
+   by raising (Failure from the parsers, Invalid_argument from the
+   generators and constructors), and file or socket I/O raises Sys_error
+   or Unix_error; each is reported the same way. *)
+let run body =
+  let fail msg =
+    Format.eprintf "error: %s@." msg;
+    1
+  in
+  match body () with
+  | Ok code -> code
+  | Error msg -> fail msg
+  | exception (Failure msg | Invalid_argument msg | Sys_error msg) -> fail msg
+  | exception Unix.Unix_error (e, fn, _) ->
+    fail (fn ^ ": " ^ Unix.error_message e)
+
+let command name ~doc body = Cmd.v (Cmd.info name ~doc) Term.(const run $ body)
+
+(* The one reader and the one writer for files named on the command
+   line. A failure raises Sys_error with the path in its message. *)
+let with_path path f =
+  try f () with
+  | Sys_error msg when not (String.starts_with ~prefix:path msg) ->
+    raise (Sys_error (path ^ ": " ^ msg))
+
+let read_file path f = with_path path (fun () -> In_channel.with_open_bin path f)
+
+let write_file path f =
+  with_path path (fun () -> Out_channel.with_open_text path f)
+
 let read_instance path =
-  try Ok (Fpga.Instance_io.parse_file path) with
-  | Failure msg -> Error msg
-  | Sys_error msg -> Error msg
+  Fpga.Instance_io.parse (read_file path In_channel.input_all)
 
 let chip_conv =
   let parse s =
@@ -114,6 +146,17 @@ let resolve_container io ~chip ~time container_arg =
           "no container: pass --container E0x..xE(d-1) or add a `container` \
            line to the file")
 
+let container_of_target = function
+  | `Chip (chip, t_max) -> Fpga.Chip.container chip ~t_max
+  | `Container c -> c
+
+(* The instance plus the chip and makespan budget a 3-dimensional
+   subcommand runs against. *)
+let read_chip_time file chip time =
+  let io = read_instance file in
+  let* chip, t_max = resolve_chip_time io chip time in
+  Ok (io.Fpga.Instance_io.instance, chip, t_max)
+
 (* Label + origin tuple per task, for instances outside the 3-dimensional
    chip surface (no Gantt/occupancy rendering there). *)
 let show_placement_ddim ~quiet inst placement =
@@ -151,10 +194,6 @@ let show_placement ~quiet ~render inst chip t_max placement =
            ~container:(Fpga.Chip.container chip ~t_max))
   end
 
-let err msg =
-  Format.eprintf "error: %s@." msg;
-  1
-
 let svg_opt =
   Arg.(value & opt (some string) None
        & info [ "svg" ] ~docv:"FILE" ~doc:"Write an SVG storyboard of the schedule.")
@@ -168,9 +207,7 @@ let write_svg inst chip t_max placement = function
         ~labels:(Packing.Instance.label inst)
         ()
     in
-    let oc = open_out path in
-    output_string oc svg;
-    close_out oc;
+    write_file path (fun oc -> output_string oc svg);
     Format.printf "wrote %s@." path
 
 let jobs_opt =
@@ -194,30 +231,33 @@ let stats_opt =
            ~doc:"Print solver statistics in the given format (only: json). \
                  With --jobs > 1 the report includes per-worker counters.")
 
+(* --realize and --node-bounds: one enum of throttles; adaptive keeps the
+   solver's default. *)
+let policy_opt name ~default ~doc =
+  let policies =
+    [ ("adaptive", default); ("always", Packing.Opp_solver.Realize_always);
+      ("never", Packing.Opp_solver.Realize_never) ]
+  in
+  Arg.(value & opt (enum policies) default & info [ name ] ~docv:"POLICY" ~doc)
+
 let realize_opt =
-  Arg.(value
-       & opt (enum [ ("adaptive", `Adaptive); ("always", `Always); ("never", `Never) ])
-           `Adaptive
-       & info [ "realize" ] ~docv:"POLICY"
-           ~doc:"Throttle for the per-node early-realization attempt: \
-                 adaptive (default; attempt only once enough pairs are \
-                 decided, with exponential backoff on failures), always \
-                 (every node, the pre-throttle behavior), or never (exact \
-                 leaf checks only). The verdict is identical under every \
-                 policy; only the search speed changes.")
+  policy_opt "realize" ~default:Packing.Opp_solver.default_realize
+    ~doc:"Throttle for the per-node early-realization attempt: \
+          adaptive (default; attempt only once enough pairs are \
+          decided, with exponential backoff on failures), always \
+          (every node, the pre-throttle behavior), or never (exact \
+          leaf checks only). The verdict is identical under every \
+          policy; only the search speed changes."
 
 let node_bounds_opt =
-  Arg.(value
-       & opt (enum [ ("adaptive", `Adaptive); ("always", `Always); ("never", `Never) ])
-           `Adaptive
-       & info [ "node-bounds" ] ~docv:"POLICY"
-           ~doc:"Throttle for the in-search bound-engine check on the \
-                 committed time arcs of the current node: adaptive \
-                 (default; check only once enough pairs are decided, with \
-                 exponential backoff on silent verdicts), always (every \
-                 node), or never (root bounds only). The engine emits exact \
-                 certificates, so the verdict is identical under every \
-                 policy; only the search speed changes.")
+  policy_opt "node-bounds" ~default:Packing.Opp_solver.default_node_bounds
+    ~doc:"Throttle for the in-search bound-engine check on the \
+          committed time arcs of the current node: adaptive \
+          (default; check only once enough pairs are decided, with \
+          exponential backoff on silent verdicts), always (every \
+          node), or never (root bounds only). The engine emits exact \
+          certificates, so the verdict is identical under every \
+          policy; only the search speed changes."
 
 let trace_opt =
   Arg.(value & opt (some string) None
@@ -252,62 +292,64 @@ let heartbeat_line (p : Packing.Telemetry.progress) =
    splice (the same funnel the serve subcommand uses for JSONL). *)
 let stderr_writer = lazy (Service.Writer.of_channel stderr)
 
-(* Install the --trace / --progress plumbing into solver options.
-   Returns the adjusted options plus a closure that writes the trace
-   file once the solve is done (events live in memory until then). *)
-let with_observability options trace_file progress =
-  let trace =
-    match trace_file with
-    | None -> Packing.Trace.null
-    | Some _ -> Packing.Trace.create ()
-  in
-  let options = { options with Packing.Opp_solver.trace } in
-  let options =
-    match progress with
-    | None -> options
-    | Some interval ->
-      {
-        options with
-        Packing.Opp_solver.progress_interval_s = interval;
-        on_heartbeat =
-          Some
-            (fun p ->
-              Service.Writer.line (Lazy.force stderr_writer)
-                (heartbeat_line p));
-      }
-  in
-  let write_trace () =
-    match trace_file with
-    | None -> ()
+(* --trace: a live trace when the flag names a file, and the writer that
+   saves it once the run is done (events stay in memory until then). *)
+let trace_term =
+  let make = function
+    | None -> (Packing.Trace.null, ignore)
     | Some path ->
-      let oc = open_out path in
-      if Filename.check_suffix path ".json" then
-        Packing.Trace.write_chrome trace oc
-      else Packing.Trace.write_jsonl trace oc;
-      close_out oc;
-      Format.eprintf "wrote %s@." path
+      let trace = Packing.Trace.create () in
+      let write () =
+        write_file path (fun oc ->
+            if Filename.check_suffix path ".json" then
+              Packing.Trace.write_chrome trace oc
+            else Packing.Trace.write_jsonl trace oc);
+        Format.eprintf "wrote %s@." path
+      in
+      (trace, write)
   in
-  (options, write_trace)
+  Term.(const make $ trace_opt)
 
-let options_with_deadline time_limit realize node_bounds =
-  let policy = function
-    | `Adaptive -> None
-    | `Always -> Some Packing.Opp_solver.Realize_always
-    | `Never -> Some Packing.Opp_solver.Realize_never
+(* What the search flags resolve to: solver options carrying the
+   deadline (counted from argument parsing), the throttles and the
+   --trace/--progress hooks; the worker count; the --stats format; and
+   [finish], which writes the trace. *)
+type search = {
+  options : Packing.Opp_solver.options;
+  jobs : int;
+  stats : [ `Json ] option;
+  finish : unit -> unit;
+}
+
+let search_term policies =
+  let make (realize, node_bounds) jobs time_limit stats (trace, finish)
+      progress =
+    let defaults = Packing.Opp_solver.default_options in
+    let heartbeat p =
+      Service.Writer.line (Lazy.force stderr_writer) (heartbeat_line p)
+    in
+    let options =
+      {
+        defaults with
+        realize;
+        node_bounds;
+        trace;
+        deadline = Option.map (fun s -> Unix.gettimeofday () +. s) time_limit;
+        progress_interval_s =
+          Option.value progress ~default:defaults.progress_interval_s;
+        on_heartbeat = Option.map (fun _ -> heartbeat) progress;
+      }
+    in
+    { options; jobs; stats; finish }
   in
-  let realize =
-    Option.value (policy realize) ~default:Packing.Opp_solver.default_realize
-  in
-  let node_bounds =
-    Option.value (policy node_bounds)
-      ~default:Packing.Opp_solver.default_node_bounds
-  in
-  let options =
-    { Packing.Opp_solver.default_options with realize; node_bounds }
-  in
-  match time_limit with
-  | None -> options
-  | Some s -> { options with deadline = Some (Unix.gettimeofday () +. s) }
+  Term.(const make $ policies $ jobs_opt $ time_limit_opt $ stats_opt
+        $ trace_term $ progress_opt)
+
+let search =
+  search_term Term.(const (fun r n -> (r, n)) $ realize_opt $ node_bounds_opt)
+
+let print_json stats json =
+  match stats with Some `Json -> Format.printf "%s@." (json ()) | None -> ()
 
 let no_heuristic_flag =
   Arg.(value & flag
@@ -317,76 +359,56 @@ let no_heuristic_flag =
                  search events on instances the heuristic would settle).")
 
 let solve_cmd =
-  let run file chip time container_arg render quiet svg jobs time_limit stats
-      realize node_bounds trace_file progress no_heuristic =
-    match read_instance file with
-    | Error msg -> err msg
-    | Ok io -> (
-      match resolve_container io ~chip ~time container_arg with
-      | Error msg -> err msg
-      | Ok target -> (
-        let inst = io.Fpga.Instance_io.instance in
-        let container =
-          match target with
-          | `Chip (chip, t_max) -> Fpga.Chip.container chip ~t_max
-          | `Container c -> c
-        in
-        let options = options_with_deadline time_limit realize node_bounds in
-        let options =
-          if no_heuristic then
-            { options with Packing.Opp_solver.use_heuristic = false }
-          else options
-        in
-        let options, write_trace =
-          with_observability options trace_file progress
-        in
-        let finish outcome pp_report =
-          write_trace ();
-          match outcome with
-          | Packing.Opp_solver.Feasible p ->
-            (match target with
-            | `Chip (chip, t_max) ->
-              Format.printf "feasible on %a within %d cycles (%t)@."
-                Fpga.Chip.pp chip t_max pp_report;
-              show_placement ~quiet ~render inst chip t_max p;
-              write_svg inst chip t_max p svg
-            | `Container c ->
-              Format.printf "feasible in %a (%t)@." pp_container c pp_report;
-              show_placement_ddim ~quiet inst p);
-            0
-          | Packing.Opp_solver.Infeasible ->
-            Format.printf "infeasible (%t)@." pp_report;
-            2
-          | Packing.Opp_solver.Timeout ->
-            Format.printf "timeout (%t)@." pp_report;
-            3
-        in
-        if jobs > 1 then begin
-          let r = Packing.Parallel_solver.solve ~options ~jobs inst container in
-          (match stats with
-          | Some `Json ->
-            Format.printf "%s@." (Packing.Parallel_solver.report_to_json r)
-          | None -> ());
-          finish r.Packing.Parallel_solver.outcome (fun fmt ->
-              Format.fprintf fmt "%d jobs, %d tasks, %d steals, %a" r.jobs
-                r.tasks r.steals Packing.Opp_solver.pp_stats
-                r.Packing.Parallel_solver.stats)
-        end
-        else begin
-          let outcome, st = Packing.Opp_solver.solve ~options inst container in
-          (match stats with
-          | Some `Json ->
-            Format.printf "%s@." (Packing.Opp_solver.stats_to_json st)
-          | None -> ());
-          finish outcome (fun fmt -> Packing.Opp_solver.pp_stats fmt st)
-        end))
+  let body file chip time container_arg render quiet svg s no_heuristic () =
+    let io = read_instance file in
+    let* target = resolve_container io ~chip ~time container_arg in
+    let inst = io.Fpga.Instance_io.instance in
+    let container = container_of_target target in
+    let options =
+      if no_heuristic then
+        { s.options with Packing.Opp_solver.use_heuristic = false }
+      else s.options
+    in
+    let outcome, pp_report =
+      if s.jobs > 1 then begin
+        let r = Packing.Parallel_solver.solve ~options ~jobs:s.jobs inst container in
+        print_json s.stats (fun () -> Packing.Parallel_solver.report_to_json r);
+        ( r.Packing.Parallel_solver.outcome,
+          fun fmt ->
+            Format.fprintf fmt "%d jobs, %d tasks, %d steals, %a" r.jobs
+              r.tasks r.steals Packing.Opp_solver.pp_stats
+              r.Packing.Parallel_solver.stats )
+      end
+      else begin
+        let outcome, st = Packing.Opp_solver.solve ~options inst container in
+        print_json s.stats (fun () -> Packing.Opp_solver.stats_to_json st);
+        (outcome, fun fmt -> Packing.Opp_solver.pp_stats fmt st)
+      end
+    in
+    s.finish ();
+    match outcome with
+    | Packing.Opp_solver.Feasible p ->
+      (match target with
+      | `Chip (chip, t_max) ->
+        Format.printf "feasible on %a within %d cycles (%t)@."
+          Fpga.Chip.pp chip t_max pp_report;
+        show_placement ~quiet ~render inst chip t_max p;
+        write_svg inst chip t_max p svg
+      | `Container c ->
+        Format.printf "feasible in %a (%t)@." pp_container c pp_report;
+        show_placement_ddim ~quiet inst p);
+      Ok 0
+    | Packing.Opp_solver.Infeasible ->
+      Format.printf "infeasible (%t)@." pp_report;
+      Ok 2
+    | Packing.Opp_solver.Timeout ->
+      Format.printf "timeout (%t)@." pp_report;
+      Ok 3
   in
   let doc = "Decide feasibility of a placement (FeasAT&FindS)." in
-  Cmd.v (Cmd.info "solve" ~doc)
-    Term.(const run $ file_arg $ chip_opt $ time_opt $ container_opt
-          $ render_flag $ quiet_flag
-          $ svg_opt $ jobs_opt $ time_limit_opt $ stats_opt $ realize_opt
-          $ node_bounds_opt $ trace_opt $ progress_opt $ no_heuristic_flag)
+  command "solve" ~doc
+    Term.(const body $ file_arg $ chip_opt $ time_opt $ container_opt
+          $ render_flag $ quiet_flag $ svg_opt $ search $ no_heuristic_flag)
 
 (* Collect the probe trace for --stats json; the returned callback is
    handed to the Problems driver as [on_probe]. *)
@@ -397,18 +419,14 @@ let probe_collector () =
 
 (* One-line JSON for an anytime minimization: status, value/bounds, and
    the per-probe trace. *)
-let anytime_stats_json ~problem ~value_json result probes =
+let anytime_stats_json ~problem result probes =
   let open Packing.Telemetry in
   let fields =
     match result with
-    | Packing.Problems.Optimal { value; _ } -> [ ("value", value_json value) ]
+    | Packing.Problems.Optimal { value; _ } -> [ ("value", Int value) ]
     | Packing.Problems.Feasible_incumbent
         { incumbent = { value; _ }; lower_bound; gap } ->
-      [
-        ("value", value_json value);
-        ("lower_bound", Int lower_bound);
-        ("gap", Int gap);
-      ]
+      [ ("value", Int value); ("lower_bound", Int lower_bound); ("gap", Int gap) ]
     | Packing.Problems.Infeasible -> []
     | Packing.Problems.Unknown { lower_bound } ->
       [ ("lower_bound", Int lower_bound) ]
@@ -430,61 +448,56 @@ let anytime_stats_json ~problem ~value_json result probes =
                   [] probes) );
          ]))
 
+(* Run an anytime minimization and report it: min-time, min-extent and
+   min-area differ only in the wording and in [show], the placement
+   printer. The optimum reads "minimal <noun> <scope>: <value v>",
+   infeasibility "no <noun> works: <overflow>", and a budget cut before
+   any <witness> was found names the proven lower bound on <measure>. *)
+let anytime ~problem s ~noun ~scope ~value ~overflow ~witness ~measure ~show
+    minimize =
+  let probes, on_probe = probe_collector () in
+  let result = minimize ~options:s.options ~jobs:s.jobs ~on_probe in
+  s.finish ();
+  print_json s.stats (fun () -> anytime_stats_json ~problem result (probes ()));
+  match result with
+  | Packing.Problems.Optimal { value = v; placement } ->
+    Format.printf "minimal %s %s: %s@." noun scope (value v);
+    show v placement;
+    Ok 0
+  | Packing.Problems.Feasible_incumbent
+      { incumbent = { value = v; placement }; lower_bound; gap } ->
+    Format.printf
+      "budget exhausted: best %s found %s: %s (proven lower bound %d, gap \
+       %d)@."
+      noun scope (value v) lower_bound gap;
+    show v placement;
+    Ok 3
+  | Packing.Problems.Infeasible ->
+    Format.printf "no %s works: %s@." noun overflow;
+    Ok 2
+  | Packing.Problems.Unknown { lower_bound } ->
+    Format.printf "budget exhausted before any %s was found (%s >= %d)@."
+      witness measure lower_bound;
+    Ok 3
+
 let min_time_cmd =
-  let run file chip render quiet jobs time_limit stats realize node_bounds
-      trace_file progress =
-    match read_instance file with
-    | Error msg -> err msg
-    | Ok io -> (
-      match resolve_chip io chip with
-      | Error msg -> err msg
-      | Ok chip ->
-        let inst = io.Fpga.Instance_io.instance in
-        let options = options_with_deadline time_limit realize node_bounds in
-        let options, write_trace =
-          with_observability options trace_file progress
-        in
-        let probes, on_probe = probe_collector () in
-        let result =
-          Packing.Problems.minimize_time ~options ~jobs ~on_probe inst
-            ~w:(Fpga.Chip.width chip) ~h:(Fpga.Chip.height chip)
-        in
-        write_trace ();
-        (match stats with
-        | Some `Json ->
-          Format.printf "%s@."
-            (anytime_stats_json ~problem:"min-time"
-               ~value_json:(fun v -> Packing.Telemetry.Int v)
-               result (probes ()))
-        | None -> ());
-        (match result with
-        | Packing.Problems.Optimal { value; placement } ->
-          Format.printf "minimal makespan on %a: %d cycles@." Fpga.Chip.pp chip
-            value;
-          show_placement ~quiet ~render inst chip value placement;
-          0
-        | Packing.Problems.Feasible_incumbent
-            { incumbent = { value; placement }; lower_bound; gap } ->
-          Format.printf
-            "budget exhausted: best makespan found on %a: %d cycles (proven \
-             lower bound %d, gap %d)@."
-            Fpga.Chip.pp chip value lower_bound gap;
-          show_placement ~quiet ~render inst chip value placement;
-          3
-        | Packing.Problems.Infeasible ->
-          Format.printf "no makespan works: a task overflows the chip@.";
-          2
-        | Packing.Problems.Unknown { lower_bound } ->
-          Format.printf
-            "budget exhausted before any schedule was found (makespan >= %d)@."
-            lower_bound;
-          3))
+  let body file chip render quiet s () =
+    let io = read_instance file in
+    let* chip = resolve_chip io chip in
+    let inst = io.Fpga.Instance_io.instance in
+    anytime ~problem:"min-time" s ~noun:"makespan"
+      ~scope:(Format.asprintf "on %a" Fpga.Chip.pp chip)
+      ~value:(Printf.sprintf "%d cycles")
+      ~overflow:"a task overflows the chip" ~witness:"schedule"
+      ~measure:"makespan"
+      ~show:(fun t_max -> show_placement ~quiet ~render inst chip t_max)
+      (fun ~options ~jobs ~on_probe ->
+        Packing.Problems.minimize_time ~options ~jobs ~on_probe inst
+          ~w:(Fpga.Chip.width chip) ~h:(Fpga.Chip.height chip))
   in
   let doc = "Minimize the makespan on a fixed chip (MinT&FindS / SPP)." in
-  Cmd.v (Cmd.info "min-time" ~doc)
-    Term.(const run $ file_arg $ chip_opt $ render_flag $ quiet_flag $ jobs_opt
-          $ time_limit_opt $ stats_opt $ realize_opt $ node_bounds_opt
-          $ trace_opt $ progress_opt)
+  command "min-time" ~doc
+    Term.(const body $ file_arg $ chip_opt $ render_flag $ quiet_flag $ search)
 
 let min_extent_cmd =
   let axis_opt =
@@ -494,140 +507,55 @@ let min_extent_cmd =
                    objective axis). With a 2-dimensional instance and axis 1 \
                    this is open-ended strip packing.")
   in
-  let run file chip time container_arg axis quiet jobs time_limit stats
-      realize node_bounds trace_file progress =
-    match read_instance file with
-    | Error msg -> err msg
-    | Ok io -> (
-      let inst = io.Fpga.Instance_io.instance in
-      let d = Packing.Instance.dim inst in
-      let axis =
-        match axis with
-        | None -> Packing.Instance.objective_axis inst
-        | Some k -> k
-      in
-      if axis < 0 || axis >= d then
-        err (Printf.sprintf "axis %d out of range for a %d-dimensional instance" axis d)
-      else
-        (* The base's extent along the minimized axis is ignored, so the
-           3-dimensional chip surface needs no time budget when the time
-           axis itself is being minimized. *)
-        let time =
-          if time = None && d = 3 && axis = 2 then Some 1 else time
-        in
-        match resolve_container io ~chip ~time container_arg with
-        | Error msg -> err msg
-        | Ok target ->
-          let base =
-            match target with
-            | `Chip (chip, t_max) -> Fpga.Chip.container chip ~t_max
-            | `Container c -> c
-          in
-          let options = options_with_deadline time_limit realize node_bounds in
-          let options, write_trace =
-            with_observability options trace_file progress
-          in
-          let probes, on_probe = probe_collector () in
-          let result =
-            Packing.Problems.minimize_extent ~options ~jobs ~on_probe inst
-              ~axis ~base
-          in
-          write_trace ();
-          (match stats with
-          | Some `Json ->
-            Format.printf "%s@."
-              (anytime_stats_json ~problem:"min-extent"
-                 ~value_json:(fun v -> Packing.Telemetry.Int v)
-                 result (probes ()))
-          | None -> ());
-          (match result with
-          | Packing.Problems.Optimal { value; placement } ->
-            Format.printf "minimal extent along axis %d: %d@." axis value;
-            show_placement_ddim ~quiet inst placement;
-            0
-          | Packing.Problems.Feasible_incumbent
-              { incumbent = { value; placement }; lower_bound; gap } ->
-            Format.printf
-              "budget exhausted: best extent found along axis %d: %d (proven \
-               lower bound %d, gap %d)@."
-              axis value lower_bound gap;
-            show_placement_ddim ~quiet inst placement;
-            3
-          | Packing.Problems.Infeasible ->
-            Format.printf
-              "no extent works: a task overflows the base cross-section@.";
-            2
-          | Packing.Problems.Unknown { lower_bound } ->
-            Format.printf
-              "budget exhausted before any placement was found (extent >= %d)@."
-              lower_bound;
-            3))
+  let body file chip time container_arg axis quiet s () =
+    let io = read_instance file in
+    let inst = io.Fpga.Instance_io.instance in
+    let d = Packing.Instance.dim inst in
+    let axis = Option.value axis ~default:(Packing.Instance.objective_axis inst) in
+    if axis < 0 || axis >= d then
+      Error (Printf.sprintf "axis %d out of range for a %d-dimensional instance" axis d)
+    else
+      (* The base's extent along the minimized axis is ignored, so the
+         3-dimensional chip surface needs no time budget when the time
+         axis itself is being minimized. *)
+      let time = if time = None && d = 3 && axis = 2 then Some 1 else time in
+      let* target = resolve_container io ~chip ~time container_arg in
+      let base = container_of_target target in
+      anytime ~problem:"min-extent" s ~noun:"extent"
+        ~scope:(Printf.sprintf "along axis %d" axis) ~value:string_of_int
+        ~overflow:"a task overflows the base cross-section"
+        ~witness:"placement" ~measure:"extent"
+        ~show:(fun _ -> show_placement_ddim ~quiet inst)
+        (fun ~options ~jobs ~on_probe ->
+          Packing.Problems.minimize_extent ~options ~jobs ~on_probe inst ~axis
+            ~base)
   in
   let doc =
     "Minimize the container extent along one axis (dimension-generic \
      MinT&FindS; strip packing when the instance is 2-dimensional)."
   in
-  Cmd.v (Cmd.info "min-extent" ~doc)
-    Term.(const run $ file_arg $ chip_opt $ time_opt $ container_opt $ axis_opt
-          $ quiet_flag $ jobs_opt $ time_limit_opt $ stats_opt $ realize_opt
-          $ node_bounds_opt $ trace_opt $ progress_opt)
+  command "min-extent" ~doc
+    Term.(const body $ file_arg $ chip_opt $ time_opt $ container_opt $ axis_opt
+          $ quiet_flag $ search)
 
 let min_area_cmd =
-  let run file time render quiet jobs time_limit stats realize node_bounds
-      trace_file progress =
-    match read_instance file with
-    | Error msg -> err msg
-    | Ok io -> (
-      match resolve_time io time with
-      | Error msg -> err msg
-      | Ok t_max ->
-        let inst = io.Fpga.Instance_io.instance in
-        let options = options_with_deadline time_limit realize node_bounds in
-        let options, write_trace =
-          with_observability options trace_file progress
-        in
-        let probes, on_probe = probe_collector () in
-        let result =
-          Packing.Problems.minimize_base ~options ~jobs ~on_probe inst ~t_max
-        in
-        write_trace ();
-        (match stats with
-        | Some `Json ->
-          Format.printf "%s@."
-            (anytime_stats_json ~problem:"min-area"
-               ~value_json:(fun v -> Packing.Telemetry.Int v)
-               result (probes ()))
-        | None -> ());
-        (match result with
-        | Packing.Problems.Optimal { value; placement } ->
-          Format.printf "minimal chip for %d cycles: %dx%d@." t_max value value;
-          show_placement ~quiet ~render inst (Fpga.Chip.square value) t_max
-            placement;
-          0
-        | Packing.Problems.Feasible_incumbent
-            { incumbent = { value; placement }; lower_bound; gap } ->
-          Format.printf
-            "budget exhausted: best chip found for %d cycles: %dx%d (proven \
-             lower bound %d, gap %d)@."
-            t_max value value lower_bound gap;
-          show_placement ~quiet ~render inst (Fpga.Chip.square value) t_max
-            placement;
-          3
-        | Packing.Problems.Infeasible ->
-          Format.printf
-            "no chip works: the critical path exceeds %d cycles@." t_max;
-          2
-        | Packing.Problems.Unknown { lower_bound } ->
-          Format.printf
-            "budget exhausted before any chip was found (side >= %d)@."
-            lower_bound;
-          3))
+  let body file time render quiet s () =
+    let io = read_instance file in
+    let* t_max = resolve_time io time in
+    let inst = io.Fpga.Instance_io.instance in
+    anytime ~problem:"min-area" s ~noun:"chip"
+      ~scope:(Printf.sprintf "for %d cycles" t_max)
+      ~value:(fun v -> Printf.sprintf "%dx%d" v v)
+      ~overflow:(Printf.sprintf "the critical path exceeds %d cycles" t_max)
+      ~witness:"chip" ~measure:"side"
+      ~show:(fun side ->
+        show_placement ~quiet ~render inst (Fpga.Chip.square side) t_max)
+      (fun ~options ~jobs ~on_probe ->
+        Packing.Problems.minimize_base ~options ~jobs ~on_probe inst ~t_max)
   in
   let doc = "Minimize a quadratic chip for a time budget (MinA&FindS / BMP)." in
-  Cmd.v (Cmd.info "min-area" ~doc)
-    Term.(const run $ file_arg $ time_opt $ render_flag $ quiet_flag $ jobs_opt
-          $ time_limit_opt $ stats_opt $ realize_opt $ node_bounds_opt
-          $ trace_opt $ progress_opt)
+  command "min-area" ~doc
+    Term.(const body $ file_arg $ time_opt $ render_flag $ quiet_flag $ search)
 
 let pareto_cmd =
   let h_min_arg =
@@ -656,343 +584,262 @@ let pareto_cmd =
              ~doc:"Axis whose extent to minimize at each sweep step (with \
                    --sweep-axis).")
   in
-  let run file h_min h_max no_prec sweep_axis min_axis container_arg quiet
-      jobs time_limit stats trace_file progress =
-    match read_instance file with
-    | Error msg -> err msg
-    | Ok io ->
-      let inst = io.Fpga.Instance_io.instance in
-      let inst =
-        if no_prec then Packing.Instance.without_precedence inst else inst
-      in
-      let options = options_with_deadline time_limit `Adaptive `Adaptive in
-      let options, write_trace = with_observability options trace_file progress in
-      let probes, on_probe = probe_collector () in
-      let front =
-        match (sweep_axis, min_axis) with
-        | None, None ->
+  let body file h_min h_max no_prec sweep_axis min_axis container_arg quiet s
+      () =
+    let* () =
+      if h_min < 1 then Error (Printf.sprintf "--h-min %d is below 1" h_min)
+      else if h_min > h_max then
+        Error (Printf.sprintf "--h-min %d exceeds --h-max %d" h_min h_max)
+      else Ok ()
+    in
+    let io = read_instance file in
+    let inst = io.Fpga.Instance_io.instance in
+    let inst = if no_prec then Packing.Instance.without_precedence inst else inst in
+    let { options; jobs; _ } = s in
+    let probes, on_probe = probe_collector () in
+    let* { Packing.Problems.points; complete } =
+      match (sweep_axis, min_axis) with
+      | None, None ->
+        Ok (Packing.Problems.pareto_front ~options ~jobs ~on_probe inst ~h_min ~h_max)
+      | Some sweep, Some minimize ->
+        let d = Packing.Instance.dim inst in
+        if sweep < 0 || sweep >= d || minimize < 0 || minimize >= d then
+          Error (Printf.sprintf "axes must lie in 0..%d for this instance" (d - 1))
+        else if sweep = minimize then Error "--sweep-axis and --min-axis must differ"
+        else
+          (* A 3-dimensional instance falls back to the chip surface. *)
+          let* target = resolve_container io ~chip:None ~time:None container_arg in
           Ok
-            (Packing.Problems.pareto_front ~options ~jobs ~on_probe inst ~h_min
-               ~h_max)
-        | Some sweep, Some minimize -> (
-          let d = Packing.Instance.dim inst in
-          if sweep < 0 || sweep >= d || minimize < 0 || minimize >= d then
-            Error
-              (Printf.sprintf
-                 "axes must lie in 0..%d for this instance" (d - 1))
-          else if sweep = minimize then
-            Error "--sweep-axis and --min-axis must differ"
-          else
-          match resolve_container io ~chip:None ~time:None container_arg with
-          | Error msg -> Error msg
-          | Ok (`Chip (chip, t_max)) ->
-            (* 3-dimensional fallback: the chip surface still names a base. *)
-            Ok
-              (Packing.Problems.pareto_front_axes ~options ~jobs ~on_probe inst
-                 ~sweep ~minimize ~lo:h_min ~hi:h_max
-                 ~base:(Fpga.Chip.container chip ~t_max))
-          | Ok (`Container base) ->
-            Ok
-              (Packing.Problems.pareto_front_axes ~options ~jobs ~on_probe inst
-                 ~sweep ~minimize ~lo:h_min ~hi:h_max ~base))
-        | _ -> Error "--sweep-axis and --min-axis must be given together"
-      in
-      match front with
-      | Error msg -> err msg
-      | Ok { Packing.Problems.points; complete } ->
-      write_trace ();
-      (match stats with
-      | Some `Json ->
+            (Packing.Problems.pareto_front_axes ~options ~jobs ~on_probe inst
+               ~sweep ~minimize ~lo:h_min ~hi:h_max
+               ~base:(container_of_target target))
+      | _ -> Error "--sweep-axis and --min-axis must be given together"
+    in
+    s.finish ();
+    print_json s.stats (fun () ->
         let open Packing.Telemetry in
-        Format.printf "%s@."
-          (to_string
-             (Obj
-                [
-                  ("problem", String "pareto");
-                  ("complete", Bool complete);
-                  ( "points",
-                    List
-                      (List.map
-                         (fun (h, t) -> List [ Int h; Int t ])
-                         points) );
-                  ( "probes",
-                    List (List.map Packing.Problems.probe_json (probes ())) );
-                ]))
-      | None -> ());
-      (match sweep_axis with
-      | None ->
-        if not quiet then Format.printf "chip  makespan@.";
-        List.iter (fun (h, t) -> Format.printf "%dx%d  %d@." h h t) points
-      | Some sweep ->
-        let minimize = Option.value min_axis ~default:(-1) in
-        if not quiet then
-          Format.printf "axis%d  axis%d@." sweep minimize;
-        List.iter (fun (s, e) -> Format.printf "%d  %d@." s e) points);
-      if complete then 0
-      else begin
-        Format.printf
-          "(budget exhausted: the front may be missing or overstating points)@.";
-        3
-      end
+        to_string
+          (Obj
+             [
+               ("problem", String "pareto");
+               ("complete", Bool complete);
+               ("points", List (List.map (fun (h, t) -> List [ Int h; Int t ]) points));
+               ("probes", List (List.map Packing.Problems.probe_json (probes ())));
+             ]));
+    (match sweep_axis with
+    | None ->
+      if not quiet then Format.printf "chip  makespan@.";
+      List.iter (fun (h, t) -> Format.printf "%dx%d  %d@." h h t) points
+    | Some sweep ->
+      let minimize = Option.value min_axis ~default:(-1) in
+      if not quiet then Format.printf "axis%d  axis%d@." sweep minimize;
+      List.iter (fun (s, e) -> Format.printf "%d  %d@." s e) points);
+    if complete then Ok 0
+    else begin
+      Format.printf
+        "(budget exhausted: the front may be missing or overstating points)@.";
+      Ok 3
+    end
   in
   let doc = "Compute the chip-size/makespan Pareto front (paper Fig. 7)." in
-  Cmd.v (Cmd.info "pareto" ~doc)
-    Term.(const run $ file_arg $ h_min_arg $ h_max_arg $ no_prec
-          $ sweep_axis_opt $ min_axis_opt $ container_opt $ quiet_flag
-          $ jobs_opt $ time_limit_opt $ stats_opt $ trace_opt $ progress_opt)
+  (* pareto runs the default throttles: it has no --realize or
+     --node-bounds. *)
+  let search =
+    search_term
+      (Term.const
+         Packing.Opp_solver.(default_realize, default_node_bounds))
+  in
+  command "pareto" ~doc
+    Term.(const body $ file_arg $ h_min_arg $ h_max_arg $ no_prec
+          $ sweep_axis_opt $ min_axis_opt $ container_opt $ quiet_flag $ search)
+
+(* simulate and vcd: solve with default options and hand the placement
+   to [k]; without one, report infeasible (exit 2) or timeout (exit 3). *)
+let with_placement ~what file chip time k () =
+  let* inst, chip, t_max = read_chip_time file chip time in
+  match Packing.Opp_solver.solve inst (Fpga.Chip.container chip ~t_max) with
+  | Packing.Opp_solver.Feasible p, _ -> Ok (k inst chip p)
+  | Packing.Opp_solver.Infeasible, _ ->
+    Format.printf "infeasible: nothing to %s@." what;
+    Ok 2
+  | Packing.Opp_solver.Timeout, _ ->
+    Format.printf "timeout@.";
+    Ok 3
 
 let simulate_cmd =
-  let run file chip time =
-    match read_instance file with
-    | Error msg -> err msg
-    | Ok io -> (
-      match resolve_chip_time io chip time with
-      | Error msg -> err msg
-      | Ok (chip, t_max) -> (
-        let inst = io.Fpga.Instance_io.instance in
-        let container = Fpga.Chip.container chip ~t_max in
-        match Packing.Opp_solver.solve inst container with
-        | Packing.Opp_solver.Feasible p, _ ->
-          let report = Fpga.Simulator.run inst p ~chip in
-          Format.printf "%a@." Fpga.Simulator.pp_report report;
-          if report.Fpga.Simulator.ok then 0 else 2
-        | Packing.Opp_solver.Infeasible, _ ->
-          Format.printf "infeasible: nothing to simulate@.";
-          2
-        | Packing.Opp_solver.Timeout, _ ->
-          Format.printf "timeout@.";
-          3))
+  let body file chip time =
+    with_placement ~what:"simulate" file chip time (fun inst chip p ->
+        let report = Fpga.Simulator.run inst p ~chip in
+        Format.printf "%a@." Fpga.Simulator.pp_report report;
+        if report.Fpga.Simulator.ok then 0 else 2)
   in
   let doc = "Solve, then replay the placement on the chip simulator." in
-  Cmd.v (Cmd.info "simulate" ~doc)
-    Term.(const run $ file_arg $ chip_opt $ time_opt)
+  command "simulate" ~doc Term.(const body $ file_arg $ chip_opt $ time_opt)
 
 let check_cmd =
   let schedule_arg =
     Arg.(required & pos 1 (some file) None
          & info [] ~docv:"SCHEDULE" ~doc:"Schedule file (start/place lines).")
   in
-  let run file schedule_file chip time render quiet =
-    match read_instance file with
-    | Error msg -> err msg
-    | Ok io -> (
-      match resolve_chip_time io chip time with
-      | Error msg -> err msg
-      | Ok (chip, t_max) -> (
-        let inst = io.Fpga.Instance_io.instance in
-        match
-          let ic = open_in schedule_file in
-          let len = in_channel_length ic in
-          let text = really_input_string ic len in
-          close_in ic;
-          Fpga.Schedule_io.parse inst text
-        with
-        | exception Failure msg -> err msg
-        | exception Sys_error msg -> err msg
-        | entries -> (
-          (* Fully positioned schedules are validated directly; start
-             times alone go through the FixedS solver. *)
-          match Fpga.Schedule_io.placement_of inst entries with
-          | Some p ->
-            let container = Fpga.Chip.container chip ~t_max in
-            let violations =
-              Geometry.Placement.check p ~container
-                ~precedes:(Packing.Instance.precedes inst)
-            in
-            if violations = [] then begin
-              Format.printf "placement is feasible@.";
-              show_placement ~quiet ~render inst chip t_max p;
-              0
-            end
-            else begin
-              List.iter
-                (Format.printf "violation: %a@." Geometry.Placement.pp_violation)
-                violations;
-              2
-            end
-          | None -> (
-            match
-              Fpga.Schedule_io.schedule_array inst entries
-            with
-            | exception Failure msg -> err msg
-            | schedule -> (
-              match
-                Packing.Problems.feasible_fixed_schedule inst
-                  ~w:(Fpga.Chip.width chip) ~h:(Fpga.Chip.height chip) ~t_max
-                  ~schedule
-              with
-              | Packing.Problems.Sat p ->
-                Format.printf "schedule is realizable@.";
-                show_placement ~quiet ~render inst chip t_max p;
-                0
-              | Packing.Problems.Unsat ->
-                Format.printf "schedule is NOT realizable on %a within %d \
-                               cycles@."
-                  Fpga.Chip.pp chip t_max;
-                2
-              | Packing.Problems.Undecided ->
-                Format.printf "budget exhausted: schedule undecided@.";
-                3)))))
+  let body file schedule_file chip time render quiet () =
+    let* inst, chip, t_max = read_chip_time file chip time in
+    let entries =
+      Fpga.Schedule_io.parse inst (read_file schedule_file In_channel.input_all)
+    in
+    (* Fully positioned schedules are validated directly; start times
+       alone go through the FixedS solver. *)
+    match Fpga.Schedule_io.placement_of inst entries with
+    | Some p ->
+      let violations =
+        Geometry.Placement.check p ~container:(Fpga.Chip.container chip ~t_max)
+          ~precedes:(Packing.Instance.precedes inst)
+      in
+      if violations = [] then begin
+        Format.printf "placement is feasible@.";
+        show_placement ~quiet ~render inst chip t_max p;
+        Ok 0
+      end
+      else begin
+        List.iter
+          (Format.printf "violation: %a@." Geometry.Placement.pp_violation)
+          violations;
+        Ok 2
+      end
+    | None -> (
+      let schedule = Fpga.Schedule_io.schedule_array inst entries in
+      match
+        Packing.Problems.feasible_fixed_schedule inst ~w:(Fpga.Chip.width chip)
+          ~h:(Fpga.Chip.height chip) ~t_max ~schedule
+      with
+      | Packing.Problems.Sat p ->
+        Format.printf "schedule is realizable@.";
+        show_placement ~quiet ~render inst chip t_max p;
+        Ok 0
+      | Packing.Problems.Unsat ->
+        Format.printf "schedule is NOT realizable on %a within %d cycles@."
+          Fpga.Chip.pp chip t_max;
+        Ok 2
+      | Packing.Problems.Undecided ->
+        Format.printf "budget exhausted: schedule undecided@.";
+        Ok 3)
   in
   let doc =
     "Check a schedule file against a chip (FeasA&FixedS); `place` lines are \
      validated geometrically, `start` lines trigger the 2D placement search."
   in
-  Cmd.v (Cmd.info "check" ~doc)
-    Term.(const run $ file_arg $ schedule_arg $ chip_opt $ time_opt
+  command "check" ~doc
+    Term.(const body $ file_arg $ schedule_arg $ chip_opt $ time_opt
           $ render_flag $ quiet_flag)
 
 let bounds_cmd =
-  let run file chip time stats =
-    match read_instance file with
-    | Error msg -> err msg
-    | Ok io -> (
-      match resolve_chip_time io chip time with
-      | Error msg -> err msg
-      | Ok (chip, t_max) ->
-        let inst = io.Fpga.Instance_io.instance in
-        let container = Fpga.Chip.container chip ~t_max in
-        let engine = Packing.Bound_engine.create () in
-        let verdicts = Packing.Bound_engine.run_all engine inst container in
-        Format.printf "volume: %d of %d cells-cycles@."
-          (Packing.Instance.total_volume inst)
-          (Geometry.Container.volume container);
-        Format.printf "critical path: %d of %d cycles@."
-          (Packing.Instance.critical_path inst)
-          t_max;
-        List.iter
-          (fun (name, v) ->
-            Format.printf "%-14s %a@." name Packing.Bound_engine.pp_verdict v)
-          verdicts;
-        let refuted =
-          List.exists
-            (fun (_, v) ->
-              match v with
-              | Packing.Bound_engine.Infeasible _ -> true
-              | Packing.Bound_engine.Lower_bound _
-              | Packing.Bound_engine.Inconclusive -> false)
-            verdicts
-        in
-        (match stats with
-        | Some `Json ->
-          let open Packing.Telemetry in
-          Format.printf "%s@."
-            (to_string
-               (Obj
-                  [
-                    ("problem", String "bounds");
-                    ( "verdicts",
-                      Obj
-                        (List.map
-                           (fun (name, v) ->
-                             (name, Packing.Bound_engine.verdict_json v))
-                           verdicts) );
-                    ( "bounds",
-                      bounds_to_json (Packing.Bound_engine.counters engine) );
-                  ]))
-        | Some `Text | None -> ());
-        if refuted then begin
-          Format.printf "verdict: infeasible@.";
-          2
-        end
-        else begin
-          Format.printf "verdict: bounds are silent, a search is needed@.";
-          0
-        end)
+  let body file chip time stats () =
+    let* inst, chip, t_max = read_chip_time file chip time in
+    let container = Fpga.Chip.container chip ~t_max in
+    let engine = Packing.Bound_engine.create () in
+    let verdicts = Packing.Bound_engine.run_all engine inst container in
+    Format.printf "volume: %d of %d cells-cycles@."
+      (Packing.Instance.total_volume inst)
+      (Geometry.Container.volume container);
+    Format.printf "critical path: %d of %d cycles@."
+      (Packing.Instance.critical_path inst)
+      t_max;
+    List.iter
+      (fun (name, v) ->
+        Format.printf "%-14s %a@." name Packing.Bound_engine.pp_verdict v)
+      verdicts;
+    let refuted =
+      List.exists
+        (fun (_, v) ->
+          match v with
+          | Packing.Bound_engine.Infeasible _ -> true
+          | Packing.Bound_engine.Lower_bound _
+          | Packing.Bound_engine.Inconclusive -> false)
+        verdicts
+    in
+    print_json stats (fun () ->
+        let open Packing.Telemetry in
+        to_string
+          (Obj
+             [
+               ("problem", String "bounds");
+               ( "verdicts",
+                 Obj
+                   (List.map
+                      (fun (name, v) -> (name, Packing.Bound_engine.verdict_json v))
+                      verdicts) );
+               ("bounds", bounds_to_json (Packing.Bound_engine.counters engine));
+             ]));
+    if refuted then begin
+      Format.printf "verdict: infeasible@.";
+      Ok 2
+    end
+    else begin
+      Format.printf "verdict: bounds are silent, a search is needed@.";
+      Ok 0
+    end
   in
   let doc = "Evaluate the stage-1 lower bounds without searching." in
-  Cmd.v (Cmd.info "bounds" ~doc)
-    Term.(const run $ file_arg $ chip_opt $ time_opt $ stats_opt)
+  command "bounds" ~doc
+    Term.(const body $ file_arg $ chip_opt $ time_opt $ stats_opt)
 
 let knapsack_cmd =
-  let run file chip time =
-    match read_instance file with
-    | Error msg -> err msg
-    | Ok io -> (
-      match resolve_chip_time io chip time with
-      | Error msg -> err msg
-      | Ok (chip, t_max) -> (
-        let inst = io.Fpga.Instance_io.instance in
-        let container = Fpga.Chip.container chip ~t_max in
-        (* Value = computation volume: prefer keeping the heavy work. *)
-        let value i = Geometry.Box.volume (Packing.Instance.box inst i) in
-        match Packing.Knapsack.solve inst container ~value with
-        | None ->
-          Format.printf "no non-empty selection fits@.";
-          2
-        | Some { Packing.Knapsack.value; selected; _ } ->
-          Format.printf "best selection (value %d):" value;
-          List.iter
-            (fun i -> Format.printf " %s" (Packing.Instance.label inst i))
-            selected;
-          Format.printf "@.";
-          0))
+  let body file chip time () =
+    let* inst, chip, t_max = read_chip_time file chip time in
+    (* Value = computation volume: prefer keeping the heavy work. *)
+    let value i = Geometry.Box.volume (Packing.Instance.box inst i) in
+    match
+      Packing.Knapsack.solve inst (Fpga.Chip.container chip ~t_max) ~value
+    with
+    | None ->
+      Format.printf "no non-empty selection fits@.";
+      Ok 2
+    | Some { Packing.Knapsack.value; selected; _ } ->
+      Format.printf "best selection (value %d):" value;
+      List.iter
+        (fun i -> Format.printf " %s" (Packing.Instance.label inst i))
+        selected;
+      Format.printf "@.";
+      Ok 0
   in
   let doc =
     "Select the most valuable packable subset of tasks (orthogonal knapsack)."
   in
-  Cmd.v (Cmd.info "knapsack" ~doc)
-    Term.(const run $ file_arg $ chip_opt $ time_opt)
+  command "knapsack" ~doc Term.(const body $ file_arg $ chip_opt $ time_opt)
 
 let vcd_cmd =
   let out_arg =
     Arg.(value & opt (some string) None
          & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write the VCD here.")
   in
-  let run file chip time out =
-    match read_instance file with
-    | Error msg -> err msg
-    | Ok io -> (
-      match resolve_chip_time io chip time with
-      | Error msg -> err msg
-      | Ok (chip, t_max) -> (
-        let inst = io.Fpga.Instance_io.instance in
-        let container = Fpga.Chip.container chip ~t_max in
-        match Packing.Opp_solver.solve inst container with
-        | Packing.Opp_solver.Feasible p, _ ->
-          let vcd = Fpga.Vcd.of_placement inst p ~chip () in
-          (match out with
-          | None -> print_string vcd
-          | Some path ->
-            let oc = open_out path in
-            output_string oc vcd;
-            close_out oc;
-            Format.printf "wrote %s@." path);
-          0
-        | Packing.Opp_solver.Infeasible, _ ->
-          Format.printf "infeasible: nothing to dump@.";
-          2
-        | Packing.Opp_solver.Timeout, _ ->
-          Format.printf "timeout@.";
-          3))
+  let body file chip time out =
+    with_placement ~what:"dump" file chip time (fun inst chip p ->
+        let vcd = Fpga.Vcd.of_placement inst p ~chip () in
+        (match out with
+        | None -> print_string vcd
+        | Some path ->
+          write_file path (fun oc -> output_string oc vcd);
+          Format.printf "wrote %s@." path);
+        0)
   in
   let doc = "Solve, then dump the schedule as a VCD waveform." in
-  Cmd.v (Cmd.info "vcd" ~doc)
-    Term.(const run $ file_arg $ chip_opt $ time_opt $ out_arg)
+  command "vcd" ~doc Term.(const body $ file_arg $ chip_opt $ time_opt $ out_arg)
 
 let ilp_cmd =
   let emit_flag =
     Arg.(value & flag & info [ "emit" ] ~doc:"Print the LP model itself.")
   in
-  let run file chip time emit =
-    match read_instance file with
-    | Error msg -> err msg
-    | Ok io -> (
-      match resolve_chip_time io chip time with
-      | Error msg -> err msg
-      | Ok (chip, t_max) ->
-        let inst = io.Fpga.Instance_io.instance in
-        let container = Fpga.Chip.container chip ~t_max in
-        let size = Baseline.Ilp_model.size_of inst container in
-        Format.printf "grid 0-1 model: %a@." Baseline.Ilp_model.pp_size size;
-        if emit then print_string (Baseline.Ilp_model.to_lp inst container);
-        0)
+  let body file chip time emit () =
+    let* inst, chip, t_max = read_chip_time file chip time in
+    let container = Fpga.Chip.container chip ~t_max in
+    let size = Baseline.Ilp_model.size_of inst container in
+    Format.printf "grid 0-1 model: %a@." Baseline.Ilp_model.pp_size size;
+    if emit then print_string (Baseline.Ilp_model.to_lp inst container);
+    Ok 0
   in
   let doc =
     "Show (or emit) the grid-indexed 0-1 ILP model the paper argues against."
   in
-  Cmd.v (Cmd.info "ilp" ~doc)
-    Term.(const run $ file_arg $ chip_opt $ time_opt $ emit_flag)
+  command "ilp" ~doc Term.(const body $ file_arg $ chip_opt $ time_opt $ emit_flag)
 
 let trace_summary_cmd =
   let trace_arg =
@@ -1000,21 +847,19 @@ let trace_summary_cmd =
          & info [] ~docv:"TRACE"
              ~doc:"JSONL trace file written by --trace.")
   in
-  let run file =
-    let ic = open_in file in
-    let result = Packing.Trace.Summary.of_channel ic in
-    close_in ic;
-    match result with
-    | Error msg -> err (file ^ ": " ^ msg)
-    | Ok s ->
-      Format.printf "%a@?" Packing.Trace.Summary.pp s;
-      0
+  let body file () =
+    let* s =
+      Result.map_error (fun msg -> file ^ ": " ^ msg)
+        (read_file file Packing.Trace.Summary.of_channel)
+    in
+    Format.printf "%a@?" Packing.Trace.Summary.pp s;
+    Ok 0
   in
   let doc =
     "Summarize a JSONL search trace: per-phase, per-bound and per-worker \
      time breakdowns, rule conflicts, probes, and incumbent history."
   in
-  Cmd.v (Cmd.info "trace-summary" ~doc) Term.(const run $ trace_arg)
+  command "trace-summary" ~doc Term.(const body $ trace_arg)
 
 let serve_cmd =
   let serve_jobs =
@@ -1081,8 +926,8 @@ let serve_cmd =
                    heartbeat cadence (1.0 s unless --heartbeat says \
                    otherwise), plus one final snapshot at shutdown.")
   in
-  let run serve_jobs cache_size no_cache max_nodes max_time solver_jobs
-      heartbeat port metrics_port metrics_snapshot stats =
+  let body serve_jobs cache_size no_cache max_nodes max_time solver_jobs
+      heartbeat port metrics_port metrics_snapshot stats () =
     (* The serve loop always runs with a live metrics registry — the
        "metrics" request op, the exposition port, and the snapshot dump
        all read it. Installed before [create] so the server and cache
@@ -1122,7 +967,7 @@ let serve_cmd =
           (Packing.Telemetry.to_string (Service.Server.stats_json server))
       | None -> ()));
     (match stop_dump with Some stop -> stop () | None -> ());
-    0
+    Ok 0
   in
   let doc =
     "Run the placement service: a JSONL request loop (stdin/stdout, or TCP \
@@ -1134,8 +979,8 @@ let serve_cmd =
      --metrics-snapshot, or send {\"op\":\"metrics\"} on the request \
      stream."
   in
-  Cmd.v (Cmd.info "serve" ~doc)
-    Term.(const run $ serve_jobs $ cache_size $ no_cache $ max_nodes
+  command "serve" ~doc
+    Term.(const body $ serve_jobs $ cache_size $ no_cache $ max_nodes
           $ max_time $ solver_jobs $ heartbeat $ port $ metrics_port
           $ metrics_snapshot $ stats_opt)
 
@@ -1147,10 +992,8 @@ let metrics_summary_cmd =
                    --metrics-port) or a JSONL snapshot file (as written by \
                    --metrics-snapshot).")
   in
-  let run file =
-    let ic = open_in_bin file in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
+  let body file () =
+    let text = read_file file In_channel.input_all in
     (* A snapshot file renders its freshest (last) snapshot line; a
        file with no parseable snapshot line is read as an exposition.
        Both sources end in the same table. *)
@@ -1177,23 +1020,22 @@ let metrics_summary_cmd =
       | s :: _ -> Some s
       | [] -> None
     in
-    let result =
+    let* s =
       match from_jsonl with
       | Some s -> Ok s
-      | None -> Packing.Metrics.of_prometheus text
+      | None ->
+        Result.map_error (fun msg -> file ^ ": " ^ msg)
+          (Packing.Metrics.of_prometheus text)
     in
-    match result with
-    | Error msg -> err (file ^ ": " ^ msg)
-    | Ok s ->
-      Format.printf "%a@?" Packing.Metrics.pp_table s;
-      0
+    Format.printf "%a@?" Packing.Metrics.pp_table s;
+    Ok 0
   in
   let doc =
     "Render a metrics file as a human table: counters and gauges with \
      their labels, histograms with count, sum and bucket-resolution \
      p50/p99. Accepts both exposition and snapshot formats."
   in
-  Cmd.v (Cmd.info "metrics-summary" ~doc) Term.(const run $ metrics_arg)
+  command "metrics-summary" ~doc Term.(const body $ metrics_arg)
 
 let export_cmd =
   let which =
@@ -1204,36 +1046,26 @@ let export_cmd =
                 instance file to parse and re-print (round-trip check: v1 \
                 files re-print byte-identically).")
   in
-  let run which =
-    match
+  let body which () =
+    let builtin instance ~side ~t_max =
+      {
+        Fpga.Instance_io.instance;
+        chip = Some (Fpga.Chip.square side);
+        t_max = Some t_max;
+        container = None;
+      }
+    in
+    let io =
       match which with
-      | "de" ->
-        Ok
-          {
-            Fpga.Instance_io.instance = Benchmarks.De.instance;
-            chip = Some (Fpga.Chip.square 32);
-            t_max = Some 14;
-            container = None;
-          }
-      | "codec" ->
-        Ok
-          {
-            Fpga.Instance_io.instance = Benchmarks.Video_codec.instance;
-            chip = Some (Fpga.Chip.square 64);
-            t_max = Some 59;
-            container = None;
-          }
+      | "de" -> builtin Benchmarks.De.instance ~side:32 ~t_max:14
+      | "codec" -> builtin Benchmarks.Video_codec.instance ~side:64 ~t_max:59
       | file -> read_instance file
-    with
-    | Ok io ->
-      print_string (Fpga.Instance_io.print io);
-      0
-    | Error m ->
-      Printf.eprintf "error: %s\n" m;
-      1
+    in
+    print_string (Fpga.Instance_io.print io);
+    Ok 0
   in
   let doc = "Print a built-in benchmark or an instance file." in
-  Cmd.v (Cmd.info "export" ~doc) Term.(const run $ which)
+  command "export" ~doc Term.(const body $ which)
 
 let online_cmd =
   let file_opt =
@@ -1270,19 +1102,15 @@ let online_cmd =
   in
   let reconfig_conv =
     let parse s =
+      let cost kind model n =
+        match int_of_string_opt n with
+        | Some n when n >= 0 -> Ok (model n)
+        | _ -> Error (`Msg (Printf.sprintf "expected %s:N with N >= 0" kind))
+      in
       match String.split_on_char ':' (String.lowercase_ascii s) with
-      | [ "constant"; n ] -> (
-        match int_of_string_opt n with
-        | Some n when n >= 0 -> Ok (Fpga.Reconfig.Constant n)
-        | _ -> Error (`Msg "expected constant:N with N >= 0"))
-      | [ "column"; n ] -> (
-        match int_of_string_opt n with
-        | Some n when n >= 0 -> Ok (Fpga.Reconfig.Per_column n)
-        | _ -> Error (`Msg "expected column:N with N >= 0"))
-      | [ "cell"; n ] -> (
-        match int_of_string_opt n with
-        | Some n when n >= 0 -> Ok (Fpga.Reconfig.Per_cell n)
-        | _ -> Error (`Msg "expected cell:N with N >= 0"))
+      | [ ("constant" as k); n ] -> cost k (fun n -> Fpga.Reconfig.Constant n) n
+      | [ ("column" as k); n ] -> cost k (fun n -> Fpga.Reconfig.Per_column n) n
+      | [ ("cell" as k); n ] -> cost k (fun n -> Fpga.Reconfig.Per_cell n) n
       | _ -> Error (`Msg "expected constant:N, column:N or cell:N")
     in
     let print fmt m = Format.fprintf fmt "%a" Fpga.Reconfig.pp m in
@@ -1332,123 +1160,94 @@ let online_cmd =
          & info [ "stagger" ] ~docv:"T"
              ~doc:"With FILE: task i arrives at i*T instead of 0.")
   in
-  let run file chip policy compaction move_delay reconfig generate seed load
-      max_extent max_duration arc_probability stagger stats trace_file quiet =
-    let trace =
-      match trace_file with
-      | None -> Packing.Trace.null
-      | Some _ -> Packing.Trace.create ()
+  let body file chip policy compaction move_delay reconfig generate seed load
+      max_extent max_duration arc_probability stagger stats (trace, write_trace)
+      quiet () =
+    let* chip, r =
+      match (file, generate) with
+      | None, None -> Error "pass an instance FILE or --generate N"
+      | Some f, _ ->
+        let io = read_instance f in
+        let* chip = resolve_chip io chip in
+        let inst = io.Fpga.Instance_io.instance in
+        let arrivals =
+          List.init (Packing.Instance.count inst) (fun i ->
+              { Fpga.Online.task = i; arrival_time = i * stagger })
+        in
+        Ok
+          ( chip,
+            Fpga.Online.run ~policy ~reconfig ~trace inst arrivals ~chip
+              ~compaction ~move_delay )
+      | None, Some n ->
+        let chip = Option.value chip ~default:(Fpga.Chip.square 32) in
+        let tasks =
+          Benchmarks.Generate.arrival_stream ~seed ~n ~chip ~load ~max_extent
+            ~max_duration ~arc_probability ()
+        in
+        Ok
+          ( chip,
+            Fpga.Online.run_stream ~policy ~reconfig ~trace tasks ~chip
+              ~compaction ~move_delay )
     in
-    let write_trace () =
-      match trace_file with
-      | None -> ()
-      | Some path ->
-        let oc = open_out path in
-        if Filename.check_suffix path ".json" then
-          Packing.Trace.write_chrome trace oc
-        else Packing.Trace.write_jsonl trace oc;
-        close_out oc;
-        Format.eprintf "wrote %s@." path
+    let {
+      Fpga.Online.placed;
+      rejected;
+      never_arrived;
+      deferrals;
+      compactions;
+      moved_tasks;
+      move_cycles;
+      makespan;
+      utilization;
+      latency;
+      events = _;
+      placement = _;
+    } =
+      r
     in
-    let result =
-      try
-        match (file, generate) with
-        | None, None -> Error "pass an instance FILE or --generate N"
-        | Some f, _ -> (
-          match read_instance f with
-          | Error msg -> Error msg
-          | Ok io -> (
-            match resolve_chip io chip with
-            | Error msg -> Error msg
-            | Ok chip ->
-              let inst = io.Fpga.Instance_io.instance in
-              let arrivals =
-                List.init (Packing.Instance.count inst) (fun i ->
-                    { Fpga.Online.task = i; arrival_time = i * stagger })
-              in
-              Ok
-                ( chip,
-                  Fpga.Online.run ~policy ~reconfig ~trace inst arrivals ~chip
-                    ~compaction ~move_delay )))
-        | None, Some n ->
-          let chip =
-            match chip with Some c -> c | None -> Fpga.Chip.square 32
-          in
-          let tasks =
-            Benchmarks.Generate.arrival_stream ~seed ~n ~chip ~load ~max_extent
-              ~max_duration ~arc_probability ()
-          in
-          Ok
-            ( chip,
-              Fpga.Online.run_stream ~policy ~reconfig ~trace tasks ~chip
-                ~compaction ~move_delay )
-      with Invalid_argument msg -> Error msg
-    in
-    match result with
-    | Error msg -> err msg
-    | Ok (chip, r) ->
-      let {
-        Fpga.Online.placed;
-        rejected;
-        never_arrived;
-        deferrals;
-        compactions;
-        moved_tasks;
-        move_cycles;
-        makespan;
-        utilization;
-        latency;
-        events = _;
-        placement = _;
-      } =
-        r
-      in
-      if not quiet then begin
-        Format.printf "placed %d, rejected %d, never arrived %d (of %d tasks)@."
-          placed rejected never_arrived
-          (placed + rejected + never_arrived);
-        Format.printf "makespan %d, utilization %.1f%%, deferrals %d@." makespan
-          (100.0 *. utilization) deferrals;
-        Format.printf "compactions %d (moved %d modules, %d cycles charged)@."
-          compactions moved_tasks move_cycles;
-        Format.printf
-          "placement latency: p50 %.1f us, p99 %.1f us, max %.1f us (%d \
-           samples)@."
-          latency.Fpga.Online.p50_us latency.Fpga.Online.p99_us
-          latency.Fpga.Online.max_us latency.Fpga.Online.samples
-      end;
-      (match stats with
-      | Some `Json ->
+    if not quiet then begin
+      Format.printf "placed %d, rejected %d, never arrived %d (of %d tasks)@."
+        placed rejected never_arrived
+        (placed + rejected + never_arrived);
+      Format.printf "makespan %d, utilization %.1f%%, deferrals %d@." makespan
+        (100.0 *. utilization) deferrals;
+      Format.printf "compactions %d (moved %d modules, %d cycles charged)@."
+        compactions moved_tasks move_cycles;
+      Format.printf
+        "placement latency: p50 %.1f us, p99 %.1f us, max %.1f us (%d \
+         samples)@."
+        latency.Fpga.Online.p50_us latency.Fpga.Online.p99_us
+        latency.Fpga.Online.max_us latency.Fpga.Online.samples
+    end;
+    print_json stats (fun () ->
         let open Packing.Telemetry in
         let policy_name = fst (List.find (fun (_, p) -> p = policy) policies) in
-        Format.printf "%s@."
-          (to_string
-             (Obj
-                [
-                  ("problem", String "online");
-                  ("policy", String policy_name);
-                  ( "chip",
-                    String
-                      (Printf.sprintf "%dx%d" (Fpga.Chip.width chip)
-                         (Fpga.Chip.height chip)) );
-                  ("compaction", Bool compaction);
-                  ("move_delay", Int move_delay);
-                  ("online", Fpga.Online.to_json r);
-                ]))
-      | Some `Text | None -> ());
-      write_trace ();
-      if rejected = 0 && never_arrived = 0 then 0 else 2
+        to_string
+          (Obj
+             [
+               ("problem", String "online");
+               ("policy", String policy_name);
+               ( "chip",
+                 String
+                   (Printf.sprintf "%dx%d" (Fpga.Chip.width chip)
+                      (Fpga.Chip.height chip)) );
+               ("compaction", Bool compaction);
+               ("move_delay", Int move_delay);
+               ("online", Fpga.Online.to_json r);
+             ]));
+    write_trace ();
+    Ok (if rejected = 0 && never_arrived = 0 then 0 else 2)
   in
   let doc =
     "Run the online placement manager over an arrival stream (from an \
      instance file or --generate) and report placements, rejections, \
      utilization and per-placement latency."
   in
-  Cmd.v (Cmd.info "online" ~doc)
-    Term.(const run $ file_opt $ chip_opt $ policy_opt $ compaction_flag
+  command "online" ~doc
+    Term.(const body $ file_opt $ chip_opt $ policy_opt $ compaction_flag
           $ move_delay_opt $ reconfig_opt $ generate_opt $ seed_opt $ load_opt
           $ max_extent_opt $ max_duration_opt $ arc_probability_opt
-          $ stagger_opt $ stats_opt $ trace_opt $ quiet_flag)
+          $ stagger_opt $ stats_opt $ trace_term $ quiet_flag)
 
 let () =
   let doc =
