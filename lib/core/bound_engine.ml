@@ -50,30 +50,40 @@ let critical_path_exceeded inst container =
   Instance.critical_path inst
   > Container.extent container (Instance.time_axis inst)
 
-(* Two tasks exclude each other when they overflow the container in
-   every spatial axis — they can never run simultaneously, regardless of
-   placement. A clique of pairwise exclusion must serialize in time. *)
-let exclusion_duration inst container =
+(* The serialization graph along [axis]: two tasks are adjacent when
+   they overflow the container in every other axis, so no placement can
+   overlap them along [axis] as well — they must be disjoint there.
+   [also] adds pairs that another argument already separates. This is
+   the one builder behind every exclusion-clique bound. *)
+let serialization_graph ?(also = fun _ _ -> false) inst container ~axis =
   let n = Instance.count inst in
   let d = Instance.dim inst in
-  let ta = Instance.objective_axis inst in
   let g = Graphlib.Undirected.create n in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
       let excl = ref true in
       for k = 0 to d - 1 do
         if
-          k <> ta
+          k <> axis
           && Instance.extent inst i k + Instance.extent inst j k
              <= Container.extent container k
         then excl := false
       done;
-      if !excl then Graphlib.Undirected.add_edge g i j
+      if !excl || also i j then Graphlib.Undirected.add_edge g i j
     done
   done;
+  g
+
+(* A clique of the serialization graph lines up along [axis], so its
+   heaviest total extent there is a lower bound on that extent. *)
+let exclusion_extent ?also inst container ~axis =
   fst
-    (Graphlib.Cliques.max_weight_clique g ~weight:(fun i ->
-         Instance.duration inst i))
+    (Graphlib.Cliques.max_weight_clique
+       (serialization_graph ?also inst container ~axis)
+       ~weight:(fun i -> Instance.extent inst i axis))
+
+let exclusion_duration inst container =
+  exclusion_extent inst container ~axis:(Instance.objective_axis inst)
 
 let f_eps ~eps ~w_max w =
   if eps <= 0 || 2 * eps > w_max then invalid_arg "Bound_engine.f_eps: bad eps";
@@ -291,26 +301,9 @@ let run_critical_path inst container ~seq =
    extent; with the precedence arcs alone this already dominates both
    the legacy exclusion clique and the critical path. *)
 let run_clique_time inst container ~seq =
-  let n = Instance.count inst in
-  let d = Instance.dim inst in
-  let ta = Instance.objective_axis inst in
-  let g = Graphlib.Undirected.create n in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let excl = ref true in
-      for k = 0 to d - 1 do
-        if
-          k <> ta
-          && Instance.extent inst i k + Instance.extent inst j k
-             <= Container.extent container k
-        then excl := false
-      done;
-      if !excl || Digraph.mem_arc seq i j || Digraph.mem_arc seq j i then
-        Graphlib.Undirected.add_edge g i j
-    done
-  done;
-  let lb, _ =
-    Graphlib.Cliques.max_weight_clique g ~weight:(Instance.duration inst)
+  let lb =
+    exclusion_extent inst container ~axis:(Instance.objective_axis inst)
+      ~also:(fun i j -> Digraph.mem_arc seq i j || Digraph.mem_arc seq j i)
   in
   time_bound_verdict ~name:"clique-time"
     ~detail:"a serialization clique exceeds the time bound" inst container lb
@@ -320,46 +313,23 @@ let run_clique_time inst container ~seq =
    along [k], so a clique of such pairs needs extents summing within the
    container's [k]-extent. *)
 let run_clique_space inst container ~seq:_ =
-  let n = Instance.count inst in
-  let d = Instance.dim inst in
-  let ta = Instance.objective_axis inst in
-  let result = ref Inconclusive in
-  let axis = ref 0 in
-  while !result = Inconclusive && !axis < d do
-    let k = !axis in
-    if k = ta then incr axis
-    else begin
-    let g = Graphlib.Undirected.create n in
-    for i = 0 to n - 1 do
-      for j = i + 1 to n - 1 do
-        let excl = ref true in
-        for m = 0 to d - 1 do
-          if
-            m <> k
-            && Instance.extent inst i m + Instance.extent inst j m
-               <= Container.extent container m
-          then excl := false
-        done;
-        if !excl then Graphlib.Undirected.add_edge g i j
-      done
-    done;
-    if
-      Graphlib.Cliques.exists_clique_heavier g
-        ~weight:(fun i -> Instance.extent inst i k)
-        ~bound:(Container.extent container k)
-    then
-      result :=
-        Infeasible
-          {
-            bound = "clique-space";
-            detail =
-              Printf.sprintf
-                "a serialization clique exceeds the container along axis %d" k;
-          };
-    incr axis
-    end
-  done;
-  !result
+  let overflows k =
+    k <> Instance.objective_axis inst
+    && Graphlib.Cliques.exists_clique_heavier
+         (serialization_graph inst container ~axis:k)
+         ~weight:(fun i -> Instance.extent inst i k)
+         ~bound:(Container.extent container k)
+  in
+  match List.find_opt overflows (List.init (Instance.dim inst) Fun.id) with
+  | Some k ->
+    Infeasible
+      {
+        bound = "clique-space";
+        detail =
+          Printf.sprintf
+            "a serialization clique exceeds the container along axis %d" k;
+      }
+  | None -> Inconclusive
 
 let run_dff_volume inst container ~seq:_ =
   match dff_volume_exceeded inst container with

@@ -118,8 +118,16 @@ val volume_exceeded : Instance.t -> Container.t -> bool
 val misfit : Instance.t -> Container.t -> int option
 val critical_path_exceeded : Instance.t -> Container.t -> bool
 
-(** Largest total duration of a clique of tasks that pairwise overflow
-    the container in every spatial axis (a makespan lower bound). *)
+(** [exclusion_extent ?also instance container ~axis] is the largest
+    total [axis] extent of a clique of tasks that pairwise overflow the
+    container in every other axis, a lower bound on the [axis] extent;
+    [also i j] adds pairs disjoint along [axis] for another reason. *)
+val exclusion_extent :
+  ?also:(int -> int -> bool) -> Instance.t -> Container.t -> axis:int -> int
+
+(** [exclusion_extent] along the objective axis: the largest total
+    duration of a clique of tasks that pairwise overflow the container
+    in every spatial axis (a makespan lower bound). *)
 val exclusion_duration : Instance.t -> Container.t -> int
 
 (** [f_eps ~eps ~w_max w] is the threshold DFF. Requires

@@ -117,22 +117,43 @@ let search ~options ~t0 ~depth_offset ?share state =
     end;
     !path.(d) <- dec
   in
-  (* Throttle state: trail size and node index of the last opportunistic
-     attempt, plus the consecutive-failure count driving the backoff.
-     Initialized so the very first eligible node attempts. *)
-  let last_attempt_trail = ref (min_int / 2) in
-  let last_attempt_node = ref (min_int / 2) in
-  let consec_failures = ref 0 in
-  (* The node-level bound engine, with its own throttle state, records
-     into the search's recorder. *)
+  (* [throttle policy check] runs [check] when [policy] allows it at
+     this node, counting consecutive misses ([None]) for the backoff;
+     the very first eligible node runs. *)
+  let throttle policy =
+    let last_trail = ref (min_int / 2) in
+    let last_node = ref (min_int / 2) in
+    let misses = ref 0 in
+    fun check ->
+      let ready =
+        match policy with
+        | Realize_always -> true
+        | Realize_never -> false
+        | Realize_adaptive
+            { min_decided_fraction; min_trail_delta; backoff_limit } ->
+          Packing_state.decided_fraction state >= min_decided_fraction
+          && abs (Packing_state.total_trail state - !last_trail)
+             >= min_trail_delta
+          && Recorder.nodes r - !last_node
+             >= min backoff_limit (1 lsl min !misses 20)
+      in
+      if not ready then None
+      else begin
+        last_node := Recorder.nodes r;
+        last_trail := Packing_state.total_trail state;
+        let hit = check () in
+        if Option.is_none hit then incr misses else misses := 0;
+        hit
+      end
+  in
+  let realize_throttled = throttle options.realize in
+  let bounds_throttled = throttle options.node_bounds in
+  (* The node-level bound engine records into the search's recorder. *)
   let engine =
     match options.node_bounds with
     | Realize_never -> None
     | _ -> Some (Bound_engine.attach r)
   in
-  let last_bound_trail = ref (min_int / 2) in
-  let last_bound_node = ref (min_int / 2) in
-  let consec_bound_failures = ref 0 in
   let finish outcome =
     Recorder.flush r;
     ( outcome,
@@ -200,56 +221,20 @@ let search ~options ~t0 ~depth_offset ?share state =
       end
     end
   in
-  let should_attempt () =
-    match options.realize with
-    | Realize_always -> true
-    | Realize_never -> false
-    | Realize_adaptive { min_decided_fraction; min_trail_delta; backoff_limit }
-      ->
-      Packing_state.decided_fraction state >= min_decided_fraction
-      && abs (Packing_state.total_trail state - !last_attempt_trail)
-         >= min_trail_delta
-      && Recorder.nodes r - !last_attempt_node
-         >= min backoff_limit (1 lsl min !consec_failures 20)
-  in
-  let should_check_bounds () =
-    match options.node_bounds with
-    | Realize_always -> engine <> None
-    | Realize_never -> false
-    | Realize_adaptive { min_decided_fraction; min_trail_delta; backoff_limit }
-      ->
-      engine <> None
-      && Packing_state.decided_fraction state >= min_decided_fraction
-      && abs (Packing_state.total_trail state - !last_bound_trail)
-         >= min_trail_delta
-      && Recorder.nodes r - !last_bound_node
-         >= min backoff_limit (1 lsl min !consec_bound_failures 20)
-  in
   (* Engine check on the committed time-axis arcs of the current node.
      Any arc of the orientation holds in every completion of the node,
      so an [Infeasible] verdict refutes the whole subtree — including
      subtrees the C2 clique check cannot cut, e.g. by energetic
      reasoning over start-time windows. *)
-  let node_refuted () =
-    if not (should_check_bounds ()) then false
-    else begin
-      last_bound_node := Recorder.nodes r;
-      last_bound_trail := Packing_state.total_trail state;
-      let e = Option.get engine in
-      let refuted =
-        match
-          Bound_engine.check_oriented e
-            (Packing_state.instance state)
-            (Packing_state.container state)
-            ~sequencing:(Packing_state.time_sequencing state)
-        with
-        | Bound_engine.Infeasible _ -> true
-        | Bound_engine.Lower_bound _ | Bound_engine.Inconclusive -> false
-      in
-      if refuted then consec_bound_failures := 0
-      else incr consec_bound_failures;
-      refuted
-    end
+  let refute () =
+    match
+      Bound_engine.check_oriented (Option.get engine)
+        (Packing_state.instance state)
+        (Packing_state.container state)
+        ~sequencing:(Packing_state.time_sequencing state)
+    with
+    | Bound_engine.Infeasible c -> Some c
+    | Bound_engine.Lower_bound _ | Bound_engine.Inconclusive -> None
   in
   let realize attempt =
     Recorder.start r;
@@ -257,11 +242,13 @@ let search ~options ~t0 ~depth_offset ?share state =
     Recorder.realize r ~success:(Option.is_some hit);
     hit
   in
+  let attempt () = realize Reconstruct.attempt in
   let rec dfs depth =
     let recorded = Recorder.node_enter r ~depth in
     check_budget ();
     let conflicts0 = Recorder.conflicts r in
-    (if node_refuted () then Recorder.conflict r else dfs_body ~recorded depth);
+    (if Option.is_some (bounds_throttled refute) then Recorder.conflict r
+     else dfs_body ~recorded depth);
     Recorder.node_close r ~recorded ~depth
       ~conflicts:(Recorder.conflicts r - conflicts0)
   and dfs_body ~recorded depth =
@@ -274,13 +261,9 @@ let search ~options ~t0 ~depth_offset ?share state =
        failures back it off exponentially. The exact check at true
        leaves below is never throttled, so every policy — including
        [Realize_never] — returns the same verdict. *)
-    if should_attempt () then begin
-      last_attempt_node := Recorder.nodes r;
-      last_attempt_trail := Packing_state.total_trail state;
-      match realize Reconstruct.attempt with
-      | Some placement -> raise (Found placement)
-      | None -> incr consec_failures
-    end;
+    (match realize_throttled attempt with
+    | Some placement -> raise (Found placement)
+    | None -> ());
     match Packing_state.choose_unknown state with
     | None -> (
       Recorder.leaf r;
@@ -342,7 +325,8 @@ let search ~options ~t0 ~depth_offset ?share state =
 let solve_state ?(options = default_options) ?(depth_offset = 0) ?share state =
   search ~options ~t0:(Unix.gettimeofday ()) ~depth_offset ?share state
 
-let solve ?(options = default_options) ?schedule inst cont =
+let pipeline ?(options = default_options) ?schedule inst cont ~settled ~stage3
+    =
   let t0 = Unix.gettimeofday () in
   let trace = options.trace in
   let staged name f =
@@ -367,7 +351,7 @@ let solve ?(options = default_options) ?schedule inst cont =
   (* A solve settled before the search reports no search work, even
      though a failed root propagation did run the rules. *)
   let finish outcome ~conflicts ~by_bounds ~by_heuristic =
-    ( outcome,
+    settled outcome
       {
         empty_stats with
         conflicts;
@@ -375,7 +359,7 @@ let solve ?(options = default_options) ?schedule inst cont =
         by_bounds;
         by_heuristic;
         bounds = Recorder.bounds recorder;
-      } )
+      }
   in
   match root_verdict with
   | Bound_engine.Infeasible _ ->
@@ -394,16 +378,20 @@ let solve ?(options = default_options) ?schedule inst cont =
       Trace.incumbent trace ~objective:(Geometry.Placement.makespan placement);
       finish (Feasible placement) ~conflicts:0 ~by_bounds:false ~by_heuristic:true
     | None -> (
-      (* Stage 3: branch and bound over packing classes. *)
+      (* Stage 3 starts from the propagated root; a root that fails
+         propagation settles the instance. *)
       match
         Packing_state.create ~rules:options.rules ?schedule ~recorder inst cont
       with
       | Error _ ->
         finish Infeasible ~conflicts:1 ~by_bounds:false ~by_heuristic:false
-      | Ok state ->
-        staged "stage3-search" (fun () ->
-            search ~options ~t0 ~depth_offset:0 state))
+      | Ok state -> staged "stage3-search" (fun () -> stage3 ~t0 state))
   end
+
+let solve ?(options = default_options) ?schedule inst cont =
+  pipeline ~options ?schedule inst cont
+    ~settled:(fun outcome stats -> (outcome, stats))
+    ~stage3:(fun ~t0 state -> search ~options ~t0 ~depth_offset:0 state)
 
 let feasible ?options ?schedule inst cont =
   match solve ?options ?schedule inst cont with

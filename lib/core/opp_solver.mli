@@ -172,6 +172,22 @@ val solve :
   Geometry.Container.t ->
   outcome * stats
 
+(** [pipeline ?options ?schedule instance container ~settled ~stage3]
+    runs stages 1-2 and the root propagation of {!solve}, for both
+    solvers. An instance they settle goes to [settled] with its outcome
+    and stats; otherwise [stage3 ~t0 root] searches the propagated root,
+    whose recorder holds the stage-1 bound work ([t0]: the solve's
+    start). Each stage is one trace [phase] event, and a heuristic hit
+    an [incumbent]. {!Parallel_solver.solve} supplies its own [stage3]. *)
+val pipeline :
+  ?options:options ->
+  ?schedule:int array ->
+  Instance.t ->
+  Geometry.Container.t ->
+  settled:(outcome -> stats -> 'a) ->
+  stage3:(t0:float -> Packing_state.t -> 'a) ->
+  'a
+
 (** [solve_state ?options ?depth_offset ?share state] runs the stage-3
     search alone, from an already-initialized (and possibly partially
     decided) {!Packing_state.t}. Stages 1 and 2 are skipped regardless

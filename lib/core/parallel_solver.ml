@@ -195,291 +195,258 @@ let solve ?(options = Opp_solver.default_options) ?schedule ?(jobs = 2) inst
       ]
       ~tasks:0 ~steals:0
   end
-  else begin
-    (* Stages 1 and 2 run once, sequentially — they are cheap and settle
-       most easy instances before any domain is spawned. *)
-    let root = Recorder.create ~trace () in
-    let root_verdict =
-      if options.Opp_solver.use_bounds then
-        Bound_engine.check (Bound_engine.attach root) inst cont
-      else Bound_engine.Inconclusive
-    in
-    let bounds0 = Recorder.bounds root in
-    let prestage_report outcome ~conflicts ~by_bounds ~by_heuristic =
-      finish outcome
-        {
-          Opp_solver.empty_stats with
-          Opp_solver.conflicts;
-          by_bounds;
-          by_heuristic;
-          bounds = bounds0;
-        }
-        [] ~tasks:0 ~steals:0
-    in
-    match root_verdict with
-    | Bound_engine.Infeasible _ ->
-      prestage_report Opp_solver.Infeasible ~conflicts:0 ~by_bounds:true
-        ~by_heuristic:false
-    | Bound_engine.Lower_bound _ | Bound_engine.Inconclusive -> begin
-      let heuristic_hit =
-        if
-          options.Opp_solver.use_heuristic
-          && schedule = None
-          && Heuristic.supports inst
-        then Heuristic.pack inst cont
-        else None
-      in
-      match heuristic_hit with
-      | Some placement ->
-        prestage_report (Opp_solver.Feasible placement) ~conflicts:0
-          ~by_bounds:false ~by_heuristic:true
-      | None -> (
-        (* Root propagation check before spawning: an unpropagatable
-           root settles the instance on the calling domain. *)
-        match replay ~options ?schedule inst cont [] with
-        | Error _ ->
-          prestage_report Opp_solver.Infeasible ~conflicts:1 ~by_bounds:false
-            ~by_heuristic:false
-        | Ok _ ->
-          (* Shared control state. [pending] counts descriptors that are
-             queued or executing; it reaches 0 exactly when the whole
-             tree has been exhausted (every descriptor ran to completion
-             or failed replay — i.e. was refuted by propagation). *)
-          let stop = Atomic.make false in
-          let timed_out = Atomic.make false in
-          let witness = Atomic.make None in
-          let pending = Atomic.make 1 in
-          let task_ids = Atomic.make 1 in
-          let deques = Array.init jobs (fun _ -> Deque.create ()) in
-          (* Heartbeat load board: each worker publishes its node count
-             at every heartbeat; thieves use it to break victim ties
-             toward the busiest worker, whose deque refills fastest. *)
-          let board = Array.init jobs (fun _ -> Atomic.make 0) in
-          (* One recorder per worker for the kernel events; each
-             descriptor's search records into a recorder of its own. *)
-          let kernels =
-            Array.init jobs (fun wid ->
-                let r = Recorder.create ~trace () in
-                Recorder.register_kernel r ~worker:wid;
-                r)
+  else
+    (* Stages 1 and 2 and the root propagation are the sequential
+       solver's, run once on the calling domain before any domain is
+       spawned; only the stage-3 search is work-stolen. *)
+    Opp_solver.pipeline ~options ?schedule inst cont
+      ~settled:(fun outcome stats -> finish outcome stats [] ~tasks:0 ~steals:0)
+      ~stage3:(fun ~t0:_ root ->
+        (* The root recorder's stage-1 bound work is reported once, in
+           the merged stats, not as worker 0's: each worker's stats
+           carry only the search it ran. *)
+        let bounds0 = Recorder.take_bounds (Packing_state.recorder root) in
+        (* Shared control state. [pending] counts descriptors that are
+           queued or executing; it reaches 0 exactly when the whole
+           tree has been exhausted (every descriptor ran to completion
+           or failed replay — i.e. was refuted by propagation). *)
+        let stop = Atomic.make false in
+        let timed_out = Atomic.make false in
+        let witness = Atomic.make None in
+        let pending = Atomic.make 1 in
+        let task_ids = Atomic.make 1 in
+        let deques = Array.init jobs (fun _ -> Deque.create ()) in
+        (* Heartbeat load board: each worker publishes its node count
+           at every heartbeat; thieves use it to break victim ties
+           toward the busiest worker, whose deque refills fastest. *)
+        let board = Array.init jobs (fun _ -> Atomic.make 0) in
+        (* One recorder per worker for the kernel events; each
+           descriptor's search records into a recorder of its own. *)
+        let kernels =
+          Array.init jobs (fun wid ->
+              let r = Recorder.create ~trace () in
+              Recorder.register_kernel r ~worker:wid;
+              r)
+        in
+        let worker_out = Array.make jobs None in
+        Deque.push deques.(0) { id = 0; prefix = []; depth = 0 };
+        let publish_feasible placement =
+          if Atomic.compare_and_set witness None (Some placement) then
+            Trace.cancel trace ~reason:"witness found";
+          Atomic.set stop true
+        in
+        let caller_interrupt () =
+          match options.Opp_solver.interrupt with
+          | Some f -> f ()
+          | None -> false
+        in
+        let worker wid =
+          let w0 = Unix.gettimeofday () in
+          let my_deque = deques.(wid) in
+          let kernel = kernels.(wid) in
+          let stats_acc = ref Opp_solver.empty_stats in
+          let base_opts =
+            {
+              options with
+              Opp_solver.use_bounds = false;
+              use_heuristic = false;
+              interrupt =
+                Some (fun () -> Atomic.get stop || caller_interrupt ());
+              on_heartbeat =
+                Some
+                  (fun p ->
+                    Atomic.set board.(wid) p.Telemetry.nodes;
+                    match options.Opp_solver.on_heartbeat with
+                    | Some f -> f p
+                    | None -> ());
+            }
           in
-          let worker_out = Array.make jobs None in
-          Deque.push deques.(0) { id = 0; prefix = []; depth = 0 };
-          let publish_feasible placement =
-            if Atomic.compare_and_set witness None (Some placement) then
-              Trace.cancel trace ~reason:"witness found";
+          let finish_task () =
+            if Atomic.fetch_and_add pending (-1) = 1 then begin
+              (* Last descriptor done with no timeout recorded: the
+                 tree is exhausted. *)
+              Trace.cancel trace ~reason:"tree exhausted";
+              Atomic.set stop true
+            end
+          in
+          let give_up () =
+            (* This worker's budget expired (or the caller
+               interrupted): without its subtrees the proof cannot
+               complete, so cancel everyone promptly. A witness that
+               already landed still wins at join time. *)
+            if Atomic.get witness = None then Atomic.set timed_out true;
             Atomic.set stop true
           in
-          let caller_interrupt () =
-            match options.Opp_solver.interrupt with
-            | Some f -> f ()
-            | None -> false
-          in
-          let worker wid =
-            let w0 = Unix.gettimeofday () in
-            let my_deque = deques.(wid) in
-            let kernel = kernels.(wid) in
-            let stats_acc = ref Opp_solver.empty_stats in
-            let base_opts =
-              {
-                options with
-                Opp_solver.use_bounds = false;
-                use_heuristic = false;
-                interrupt =
-                  Some (fun () -> Atomic.get stop || caller_interrupt ());
-                on_heartbeat =
-                  Some
-                    (fun p ->
-                      Atomic.set board.(wid) p.Telemetry.nodes;
-                      match options.Opp_solver.on_heartbeat with
-                      | Some f -> f p
-                      | None -> ());
-              }
-            in
-            let finish_task () =
-              if Atomic.fetch_and_add pending (-1) = 1 then begin
-                (* Last descriptor done with no timeout recorded: the
-                   tree is exhausted. *)
-                Trace.cancel trace ~reason:"tree exhausted";
-                Atomic.set stop true
+          let run_task (t : task) =
+            Recorder.claim kernel ~index:t.id;
+            (* Per-task share hooks: descriptors donated while running
+               this task extend its prefix with the local path. *)
+            let offer ~path ~len ~alt =
+              if Atomic.get stop || Deque.size my_deque >= deque_target then
+                None
+              else begin
+                let local = Array.to_list (Array.sub path 0 len) in
+                let prefix = t.prefix @ local @ [ alt ] in
+                let id = Atomic.fetch_and_add task_ids 1 in
+                Atomic.incr pending;
+                Deque.push my_deque { id; prefix; depth = t.depth + len + 1 };
+                Recorder.donate kernel ~depth:(t.depth + len);
+                Some id
               end
             in
-            let give_up () =
-              (* This worker's budget expired (or the caller
-                 interrupted): without its subtrees the proof cannot
-                 complete, so cancel everyone promptly. A witness that
-                 already landed still wins at join time. *)
-              if Atomic.get witness = None then Atomic.set timed_out true;
-              Atomic.set stop true
+            let reclaim token =
+              match Deque.pop_if my_deque (fun (x : task) -> x.id = token) with
+              | Some _ ->
+                Recorder.reclaim kernel;
+                (* The branch runs in place on the live state: balance
+                   the offer's increment here. The enclosing task is
+                   still counted in [pending], so this cannot drain
+                   the counter to 0. *)
+                ignore (Atomic.fetch_and_add pending (-1));
+                true
+              | None -> false
             in
-            let run_task (t : task) =
-              Recorder.claim kernel ~index:t.id;
-              (* Per-task share hooks: descriptors donated while running
-                 this task extend its prefix with the local path. *)
-              let offer ~path ~len ~alt =
-                if Atomic.get stop || Deque.size my_deque >= deque_target then
-                  None
-                else begin
-                  let local = Array.to_list (Array.sub path 0 len) in
-                  let prefix = t.prefix @ local @ [ alt ] in
-                  let id = Atomic.fetch_and_add task_ids 1 in
-                  Atomic.incr pending;
-                  Deque.push my_deque { id; prefix; depth = t.depth + len + 1 };
-                  Recorder.donate kernel ~depth:(t.depth + len);
-                  Some id
-                end
-              in
-              let reclaim token =
-                match Deque.pop_if my_deque (fun (x : task) -> x.id = token) with
-                | Some _ ->
-                  Recorder.reclaim kernel;
-                  (* The branch runs in place on the live state: balance
-                     the offer's increment here. The enclosing task is
-                     still counted in [pending], so this cannot drain
-                     the counter to 0. *)
-                  ignore (Atomic.fetch_and_add pending (-1));
-                  true
-                | None -> false
-              in
-              let share = { Opp_solver.offer; reclaim } in
-              let budget_left =
-                match options.Opp_solver.node_limit with
-                | None -> None
-                | Some l -> Some (l - (!stats_acc).Opp_solver.nodes)
-              in
-              match budget_left with
-              | Some b when b <= 0 ->
-                give_up ();
+            let share = { Opp_solver.offer; reclaim } in
+            let budget_left =
+              match options.Opp_solver.node_limit with
+              | None -> None
+              | Some l -> Some (l - (!stats_acc).Opp_solver.nodes)
+            in
+            match budget_left with
+            | Some b when b <= 0 ->
+              give_up ();
+              finish_task ()
+            | _ -> (
+              (* Descriptor 0 searches the propagated root itself. *)
+              match
+                if t.id = 0 then Ok root
+                else replay ~options ?schedule inst cont t.prefix
+              with
+              | Error _ ->
+                (* The descriptor's last decision (the donated
+                   alternative) fails propagation — the same pruned
+                   branch the sequential search would count. *)
+                stats_acc :=
+                  {
+                    !stats_acc with
+                    Opp_solver.conflicts =
+                      (!stats_acc).Opp_solver.conflicts + 1;
+                  };
                 finish_task ()
-              | _ -> (
-                match replay ~options ?schedule inst cont t.prefix with
-                | Error _ ->
-                  (* The descriptor's last decision (the donated
-                     alternative) fails propagation — the same pruned
-                     branch the sequential search would count. *)
-                  stats_acc :=
-                    {
-                      !stats_acc with
-                      Opp_solver.conflicts =
-                        (!stats_acc).Opp_solver.conflicts + 1;
-                    };
-                  finish_task ()
-                | Ok st ->
-                  let sub_opts =
-                    { base_opts with Opp_solver.node_limit = budget_left }
-                  in
-                  let outcome, s =
-                    Opp_solver.solve_state ~options:sub_opts
-                      ~depth_offset:t.depth ~share st
-                  in
-                  Recorder.task_done kernel ~nodes:s.Opp_solver.nodes;
-                  stats_acc := Opp_solver.merge_stats !stats_acc s;
-                  (match outcome with
-                  | Opp_solver.Feasible p -> publish_feasible p
-                  | Opp_solver.Infeasible -> ()
-                  | Opp_solver.Timeout ->
-                    (* Either a genuine budget/interrupt expiry or the
-                       cooperative stop flag set by a sibling; a witness
-                       means the stop was benign. *)
-                    if Atomic.get witness = None then give_up ());
-                  finish_task ())
-            in
-            let pick_victim () =
-              (* Largest deque first — its top descriptor is the
-                 shallowest available subtree; the heartbeat board
-                 breaks ties toward the busiest worker. *)
-              let best = ref (-1) in
-              let best_size = ref 0 in
-              let best_load = ref min_int in
-              for i = 0 to jobs - 1 do
-                if i <> wid then begin
-                  let sz = Deque.size deques.(i) in
-                  let load = Atomic.get board.(i) in
-                  if
-                    sz > !best_size
-                    || (sz > 0 && sz = !best_size && load > !best_load)
-                  then begin
-                    best := i;
-                    best_size := sz;
-                    best_load := load
-                  end
+              | Ok st ->
+                let sub_opts =
+                  { base_opts with Opp_solver.node_limit = budget_left }
+                in
+                let outcome, s =
+                  Opp_solver.solve_state ~options:sub_opts
+                    ~depth_offset:t.depth ~share st
+                in
+                Recorder.task_done kernel ~nodes:s.Opp_solver.nodes;
+                stats_acc := Opp_solver.merge_stats !stats_acc s;
+                (match outcome with
+                | Opp_solver.Feasible p -> publish_feasible p
+                | Opp_solver.Infeasible -> ()
+                | Opp_solver.Timeout ->
+                  (* Either a genuine budget/interrupt expiry or the
+                     cooperative stop flag set by a sibling; a witness
+                     means the stop was benign. *)
+                  if Atomic.get witness = None then give_up ());
+                finish_task ())
+          in
+          let pick_victim () =
+            (* Largest deque first — its top descriptor is the
+               shallowest available subtree; the heartbeat board
+               breaks ties toward the busiest worker. *)
+            let best = ref (-1) in
+            let best_size = ref 0 in
+            let best_load = ref min_int in
+            for i = 0 to jobs - 1 do
+              if i <> wid then begin
+                let sz = Deque.size deques.(i) in
+                let load = Atomic.get board.(i) in
+                if
+                  sz > !best_size
+                  || (sz > 0 && sz = !best_size && load > !best_load)
+                then begin
+                  best := i;
+                  best_size := sz;
+                  best_load := load
                 end
-              done;
-              !best
-            in
-            (* Dry workers spin briefly, then back off to short sleeps:
-               on hardware with fewer cores than jobs a hot spin would
-               timeshare against the workers holding real work. *)
-            let idle = ref 0 in
-            let relax () =
-              incr idle;
-              if !idle > 128 then Unix.sleepf 0.0002 else Domain.cpu_relax ()
-            in
-            let rec loop () =
-              if not (Atomic.get stop) then begin
-                (match Deque.pop my_deque with
-                | Some t ->
-                  idle := 0;
-                  run_task t
-                | None -> (
-                  match pick_victim () with
-                  | -1 ->
-                    if caller_interrupt () then give_up () else relax ()
-                  | v -> (
-                    match Deque.steal deques.(v) with
-                    | Some t ->
-                      idle := 0;
-                      Recorder.steal kernel ~victim:v ~depth:t.depth;
-                      run_task t
-                    | None -> relax ())));
-                loop ()
               end
-            in
-            loop ();
-            worker_out.(wid) <-
-              Some
-                {
-                  worker = wid;
-                  work = Recorder.steal_counters kernel;
-                  elapsed_s = Unix.gettimeofday () -. w0;
-                  stats = !stats_acc;
-                }
+            done;
+            !best
           in
-          (* Always join every domain before returning: cancellation
-             must never leak a running domain past the call. *)
-          let domains =
-            Array.init jobs (fun wid -> Domain.spawn (fun () -> worker wid))
+          (* Dry workers spin briefly, then back off to short sleeps:
+             on hardware with fewer cores than jobs a hot spin would
+             timeshare against the workers holding real work. *)
+          let idle = ref 0 in
+          let relax () =
+            incr idle;
+            if !idle > 128 then Unix.sleepf 0.0002 else Domain.cpu_relax ()
           in
-          Array.iter Domain.join domains;
-          let workers =
-            Array.to_list worker_out
-            |> List.filter_map Fun.id
-            |> List.sort (fun (a : worker_report) (b : worker_report) ->
-                   compare a.worker b.worker)
+          let rec loop () =
+            if not (Atomic.get stop) then begin
+              (match Deque.pop my_deque with
+              | Some t ->
+                idle := 0;
+                run_task t
+              | None -> (
+                match pick_victim () with
+                | -1 ->
+                  if caller_interrupt () then give_up () else relax ()
+                | v -> (
+                  match Deque.steal deques.(v) with
+                  | Some t ->
+                    idle := 0;
+                    Recorder.steal kernel ~victim:v ~depth:t.depth;
+                    run_task t
+                  | None -> relax ())));
+              loop ()
+            end
           in
-          let merged =
-            List.fold_left
-              (fun acc (w : worker_report) ->
-                Opp_solver.merge_stats acc w.stats)
-              { Opp_solver.empty_stats with Opp_solver.bounds = bounds0 }
-              workers
-          in
-          let outcome =
-            match Atomic.get witness with
-            | Some placement -> Opp_solver.Feasible placement
-            | None ->
-              if Atomic.get timed_out then Opp_solver.Timeout
-              else Opp_solver.Infeasible
-          in
-          let work =
-            List.fold_left
-              (fun acc (w : worker_report) -> Telemetry.add_steals acc w.work)
-              Telemetry.zero_steals workers
-          in
-          finish outcome merged workers ~tasks:work.Telemetry.tasks
-            ~steals:work.Telemetry.steals)
-    end
-  end
+          loop ();
+          worker_out.(wid) <-
+            Some
+              {
+                worker = wid;
+                work = Recorder.steal_counters kernel;
+                elapsed_s = Unix.gettimeofday () -. w0;
+                stats = !stats_acc;
+              }
+        in
+        (* Always join every domain before returning: cancellation
+           must never leak a running domain past the call. *)
+        let domains =
+          Array.init jobs (fun wid -> Domain.spawn (fun () -> worker wid))
+        in
+        Array.iter Domain.join domains;
+        let workers =
+          Array.to_list worker_out
+          |> List.filter_map Fun.id
+          |> List.sort (fun (a : worker_report) (b : worker_report) ->
+                 compare a.worker b.worker)
+        in
+        let merged =
+          List.fold_left
+            (fun acc (w : worker_report) ->
+              Opp_solver.merge_stats acc w.stats)
+            { Opp_solver.empty_stats with Opp_solver.bounds = bounds0 }
+            workers
+        in
+        let outcome =
+          match Atomic.get witness with
+          | Some placement -> Opp_solver.Feasible placement
+          | None ->
+            if Atomic.get timed_out then Opp_solver.Timeout
+            else Opp_solver.Infeasible
+        in
+        let work =
+          List.fold_left
+            (fun acc (w : worker_report) -> Telemetry.add_steals acc w.work)
+            Telemetry.zero_steals workers
+        in
+        finish outcome merged workers ~tasks:work.Telemetry.tasks
+          ~steals:work.Telemetry.steals)
 
 let pp_report fmt r =
   Format.fprintf fmt "%a via %d jobs, %d tasks (%d stolen) (%a)"

@@ -119,12 +119,12 @@ val replay :
   (Packing_state.t, string) result
 
 (** [solve ?options ?schedule ?jobs instance container] decides the
-    instance in parallel. Stages 1 and 2 (bounds, heuristic — the
-    latter only when {!Heuristic.supports} accepts the instance;
-    higher-dimensional or spatially-ordered instances degrade cleanly
-    to the search) run once,
-    sequentially, before any domain is spawned; only the stage-3
-    search is work-stolen. [jobs] defaults to 2 and is clamped to at
+    instance in parallel. Stages 1 and 2 and the root propagation are
+    {!Opp_solver}'s ({!Opp_solver.pipeline}), run once on the calling
+    domain before any domain is spawned, with the same stats and trace
+    events as a sequential solve; only the stage-3 search is
+    work-stolen, and its root descriptor searches the propagated root
+    state itself. [jobs] defaults to 2 and is clamped to at
     least 1; [jobs = 1] short-circuits to {!Opp_solver.solve} with
     zero domain overhead and unchanged stats. All
     {!Opp_solver.options} budgets apply: [deadline] is shared by every

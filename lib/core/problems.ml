@@ -330,30 +330,14 @@ let achieved_extent p ~axis =
   done;
   !best
 
-(* Serialization clique along [axis]: two tasks overflowing the base in
-   every other axis must be disjoint along [axis], so a clique of such
-   pairs needs extents summing within any feasible [axis] extent. For
-   the objective axis this is the legacy exclusion-duration bound. *)
-let exclusion_extent inst ~axis ~base =
-  let n = Instance.count inst in
-  let d = Instance.dim inst in
-  let g = Graphlib.Undirected.create n in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let excl = ref true in
-      for k = 0 to d - 1 do
-        if
-          k <> axis
-          && Instance.extent inst i k + Instance.extent inst j k
-             <= Container.extent base k
-        then excl := false
-      done;
-      if !excl then Graphlib.Undirected.add_edge g i j
-    done
+(* No container fits [inst] in less than the longest ordered chain or
+   the largest single task along [axis]. *)
+let chain_floor inst ~axis =
+  let best = ref (Instance.critical_path_axis inst axis) in
+  for i = 0 to Instance.count inst - 1 do
+    best := max !best (Instance.extent inst i axis)
   done;
-  fst
-    (Graphlib.Cliques.max_weight_clique g ~weight:(fun i ->
-         Instance.extent inst i axis))
+  !best
 
 (* Closed-form floor for the extent needed along [axis], strengthened by
    the engine when [axis] is the objective axis (the engine's bounds
@@ -365,17 +349,9 @@ let extent_lower_bound ctx inst ~axis ~base =
     if k <> axis then cross := !cross * Container.extent base k
   done;
   let volume_bound = (Instance.total_volume inst + !cross - 1) / !cross in
-  let max_extent =
-    let best = ref 0 in
-    for i = 0 to Instance.count inst - 1 do
-      best := max !best (Instance.extent inst i axis)
-    done;
-    !best
-  in
   let closed =
-    max
-      (max (Instance.critical_path_axis inst axis) volume_bound)
-      (max max_extent (exclusion_extent inst ~axis ~base))
+    max (chain_floor inst ~axis)
+      (max volume_bound (Bound_engine.exclusion_extent inst base ~axis))
   in
   if axis <> Instance.objective_axis inst then closed
   else
@@ -685,76 +661,17 @@ type front = {
   complete : bool;
 }
 
-let pareto_front ?options ?jobs ?on_probe inst ~h_min ~h_max =
-  if h_min > h_max then invalid_arg "Problems.pareto_front: empty range";
-  let ctx = make_ctx ?options ?jobs ?on_probe () in
-  let floor_t = Instance.critical_path inst in
+(* The front sweep: step [s] runs from [lo] to [hi], and [minimize s
+   upper] minimizes the [axis] extent for that step's container. The
+   best (extent, witness) so far warm-starts the next step's bisection
+   as its upper bracket — feasibility is monotone in the swept extent,
+   so it stays feasible on the larger container, the heuristic never
+   needs rerunning and no step ever probes extents that cannot improve
+   the front. *)
+let sweep_front ctx inst ~axis ~lo ~hi minimize =
+  (* Reaching the chain floor closes the front: no step can beat it. *)
+  let floor_t = chain_floor inst ~axis in
   let points = ref [] in
-  (* Best (makespan, witness) so far; the witness warm-starts the next
-     width's bisection as its upper bracket — it stays feasible on the
-     larger chip, so the heuristic never needs rerunning and no width
-     ever probes makespans that cannot improve the front. *)
-  let incumbent = ref None in
-  let complete = ref true in
-  let s = ref h_min in
-  let continue_ = ref true in
-  while !continue_ && !s <= h_max do
-    let best_t = match !incumbent with Some (t, _) -> t | None -> max_int in
-    if best_t <= floor_t then
-      (* No chip can beat the critical path; the front is closed. *)
-      continue_ := false
-    else if exhausted ctx.budget then begin
-      complete := false;
-      continue_ := false
-    end
-    else begin
-      let upper =
-        Option.map (fun (t, p) -> { value = t; placement = p }) !incumbent
-      in
-      let record t placement =
-        if t < best_t then begin
-          points := (!s, t) :: !points;
-          incumbent := Some (t, placement)
-        end
-      in
-      (match minimize_time_ctx ctx ?upper inst ~w:!s ~h:!s with
-      | Infeasible -> ()
-      | Unknown _ -> complete := false
-      | Optimal { value = t; placement } -> record t placement
-      | Feasible_incumbent { incumbent = { value = t; placement }; _ } ->
-        (* An unproven point may sit above the true front. *)
-        complete := false;
-        record t placement);
-      incr s
-    end
-  done;
-  { points = List.rev !points; complete = !complete }
-
-let pareto_front_axes ?options ?jobs ?on_probe inst ~sweep ~minimize ~lo ~hi
-    ~base =
-  let d = Instance.dim inst in
-  if Container.dim base <> d then
-    invalid_arg "Problems.pareto_front_axes: container dimension mismatch";
-  if sweep < 0 || sweep >= d || minimize < 0 || minimize >= d then
-    invalid_arg "Problems.pareto_front_axes: axis out of range";
-  if sweep = minimize then
-    invalid_arg "Problems.pareto_front_axes: sweep and minimize coincide";
-  if lo > hi then invalid_arg "Problems.pareto_front_axes: empty range";
-  let ctx = make_ctx ?options ?jobs ?on_probe () in
-  (* No sweep extent can push the minimized extent below the longest
-     ordered chain or the largest single task along that axis. *)
-  let floor_t =
-    let best = ref (Instance.critical_path_axis inst minimize) in
-    for i = 0 to Instance.count inst - 1 do
-      best := max !best (Instance.extent inst i minimize)
-    done;
-    !best
-  in
-  let points = ref [] in
-  (* Best (extent, witness) so far; the witness warm-starts the next
-     sweep step's bisection as its upper bracket — feasibility is
-     monotone in the sweep extent, so it stays feasible on the larger
-     container. *)
   let incumbent = ref None in
   let complete = ref true in
   let s = ref lo in
@@ -776,10 +693,7 @@ let pareto_front_axes ?options ?jobs ?on_probe inst ~sweep ~minimize ~lo ~hi
           incumbent := Some (t, placement)
         end
       in
-      (match
-         minimize_extent_ctx ctx ?upper inst ~axis:minimize
-           ~base:(Container.with_extent base sweep !s)
-       with
+      (match minimize !s upper with
       | Infeasible -> ()
       | Unknown _ -> complete := false
       | Optimal { value = t; placement } -> record t placement
@@ -791,3 +705,24 @@ let pareto_front_axes ?options ?jobs ?on_probe inst ~sweep ~minimize ~lo ~hi
     end
   done;
   { points = List.rev !points; complete = !complete }
+
+let pareto_front ?options ?jobs ?on_probe inst ~h_min ~h_max =
+  if h_min > h_max then invalid_arg "Problems.pareto_front: empty range";
+  let ctx = make_ctx ?options ?jobs ?on_probe () in
+  sweep_front ctx inst ~axis:(Instance.objective_axis inst) ~lo:h_min
+    ~hi:h_max (fun s upper -> minimize_time_ctx ctx ?upper inst ~w:s ~h:s)
+
+let pareto_front_axes ?options ?jobs ?on_probe inst ~sweep ~minimize ~lo ~hi
+    ~base =
+  let d = Instance.dim inst in
+  if Container.dim base <> d then
+    invalid_arg "Problems.pareto_front_axes: container dimension mismatch";
+  if sweep < 0 || sweep >= d || minimize < 0 || minimize >= d then
+    invalid_arg "Problems.pareto_front_axes: axis out of range";
+  if sweep = minimize then
+    invalid_arg "Problems.pareto_front_axes: sweep and minimize coincide";
+  if lo > hi then invalid_arg "Problems.pareto_front_axes: empty range";
+  let ctx = make_ctx ?options ?jobs ?on_probe () in
+  sweep_front ctx inst ~axis:minimize ~lo ~hi (fun s upper ->
+      minimize_extent_ctx ctx ?upper inst ~axis:minimize
+        ~base:(Container.with_extent base sweep s))

@@ -173,13 +173,6 @@ let parse text =
   in
   { instance; chip = !chip; t_max = !t_max; container = !container }
 
-let parse_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  parse text
-
 (* An instance the v1 grammar can express: 3-dimensional, objective on
    the time axis, no spatial orders, no explicit container. *)
 let v1_representable t =

@@ -69,9 +69,6 @@ type t = {
     chip, and the chip together with the time budget). *)
 val parse : string -> t
 
-(** [parse_file path] reads and parses a file. *)
-val parse_file : string -> t
-
 (** [print t] renders a parseable representation (module types are
     expanded into explicit task geometry). Instances the v1 grammar
     can express — 3-dimensional, objective on the last axis, no

@@ -93,5 +93,3 @@ let transitive_orientation g =
   in
   step ();
   if !failed then None else if verify_orientation g d then Some d else None
-
-let max_weight_clique_of_orientation d ~weight = Digraph.critical_path d ~weight

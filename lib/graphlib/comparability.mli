@@ -32,9 +32,3 @@ val is_comparability : Undirected.t -> bool
     the result is checked before being returned, so a [Some] answer is
     always sound. *)
 val transitive_orientation : Undirected.t -> Digraph.t option
-
-(** [max_weight_clique_of_orientation d ~weight] is the maximum total
-    weight of a directed chain in a transitive acyclic orientation [d]
-    — equivalently the maximum-weight clique of the underlying
-    comparability graph. Weights must be non-negative. *)
-val max_weight_clique_of_orientation : Digraph.t -> weight:(int -> int) -> int

@@ -18,11 +18,6 @@ let add_arc g u v =
   if u = v then invalid_arg "Digraph.add_arc: self-loop";
   g.adj.(u).(v) <- true
 
-let remove_arc g u v =
-  check g u;
-  check g v;
-  g.adj.(u).(v) <- false
-
 let mem_arc g u v =
   check g u;
   check g v;
@@ -161,15 +156,6 @@ let critical_path g ~weight =
     best := max !best (d.(v) + weight v)
   done;
   if g.n = 0 then 0 else !best
-
-let to_undirected g =
-  let u = Undirected.create g.n in
-  for a = 0 to g.n - 1 do
-    for b = 0 to g.n - 1 do
-      if g.adj.(a).(b) then Undirected.add_edge u a b
-    done
-  done;
-  u
 
 let equal g h =
   g.n = h.n

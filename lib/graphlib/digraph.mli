@@ -19,9 +19,6 @@ val size : t -> int
     @raise Invalid_argument on self-loops or out-of-range vertices. *)
 val add_arc : t -> int -> int -> unit
 
-(** [remove_arc g u v] removes the arc [u -> v] if present. *)
-val remove_arc : t -> int -> int -> unit
-
 (** [mem_arc g u v] is [true] iff [u -> v] is an arc. *)
 val mem_arc : t -> int -> int -> bool
 
@@ -74,9 +71,6 @@ val longest_path_lengths : t -> weight:(int -> int) -> int array
     0 for the empty graph.
     @raise Invalid_argument if [g] has a cycle. *)
 val critical_path : t -> weight:(int -> int) -> int
-
-(** The underlying undirected graph (arc direction forgotten). *)
-val to_undirected : t -> Undirected.t
 
 (** Structural equality. *)
 val equal : t -> t -> bool

@@ -1,4 +1,3 @@
-module U = Graphlib.Undirected
 module D = Graphlib.Digraph
 
 (* Packed state per unordered pair {u,v} with u < v:
@@ -263,16 +262,6 @@ let pairs_with t pred =
 
 let unknown_pairs t = pairs_with t (fun s -> s = 0)
 let unoriented_pairs t = pairs_with t (fun s -> s = 2)
-
-let component_graph t =
-  let g = U.create t.n in
-  List.iter (fun (u, v) -> U.add_edge g u v) (pairs_with t (fun s -> s = 1));
-  g
-
-let comparable_graph t =
-  let g = U.create t.n in
-  List.iter (fun (u, v) -> U.add_edge g u v) (pairs_with t (fun s -> s >= 2));
-  g
 
 let orientation t =
   let d = D.create t.n in

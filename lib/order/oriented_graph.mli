@@ -118,12 +118,6 @@ val unknown_pairs : t -> (int * int) list
 (** Comparable pairs that are not yet oriented, with [u < v]. *)
 val unoriented_pairs : t -> (int * int) list
 
-(** The component graph [G] (edges = component pairs). *)
-val component_graph : t -> Graphlib.Undirected.t
-
-(** The graph of comparable pairs (the known part of the complement). *)
-val comparable_graph : t -> Graphlib.Undirected.t
-
 (** The digraph of all oriented comparability edges. *)
 val orientation : t -> Graphlib.Digraph.t
 

@@ -235,6 +235,3 @@ let restore_placement t ~original p =
   let n = Instance.count original in
   let origins = Array.init n (fun i -> Geometry.Placement.origin p t.perm.(i)) in
   Geometry.Placement.make (Instance.boxes original) origins
-
-let restore_schedule t ~original starts =
-  Array.init (Instance.count original) (fun i -> starts.(t.perm.(i)))

@@ -66,10 +66,6 @@ val of_instance : ?budget:int -> Packing.Instance.t -> t
 val restore_placement :
   t -> original:Packing.Instance.t -> Geometry.Placement.t -> Geometry.Placement.t
 
-(** [restore_schedule c ~original starts] maps per-canonical-task start
-    times back to original indexing. *)
-val restore_schedule : t -> original:Packing.Instance.t -> int array -> int array
-
 (** The digest function used for [digest], exposed for key-derived
     metrics. *)
 val digest_of_key : string -> string

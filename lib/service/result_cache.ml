@@ -109,13 +109,6 @@ let add t key value =
 let length t = Mutex.protect t.lock (fun () -> Hashtbl.length t.tbl)
 let capacity t = t.cap
 
-let clear t =
-  Mutex.protect t.lock (fun () ->
-      Hashtbl.reset t.tbl;
-      t.head <- None;
-      t.tail <- None;
-      Metrics.set t.m_entries 0.0)
-
 let counters t =
   Mutex.protect t.lock (fun () ->
       {

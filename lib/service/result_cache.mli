@@ -33,9 +33,6 @@ val add : 'a t -> string -> 'a -> unit
 val length : 'a t -> int
 val capacity : 'a t -> int
 
-(** Drop every entry; counters other than [cache_entries] survive. *)
-val clear : 'a t -> unit
-
 (** Hit/miss/eviction counters plus the current fill, for
     [--stats json] surfaces. *)
 val counters : 'a t -> Packing.Telemetry.cache_counters

@@ -39,9 +39,12 @@ type t = {
   mutable requests : int;
   mutable errors : int;
   mutable nodes_total : int;
-  (* Request-accounting records behind [stats_json]'s percentiles:
-     one latency sample per request, and per-op request counts. *)
-  mutable latencies : float list;
+  (* Request-accounting records behind [stats_json]'s percentiles: the
+     latest [latency_window] latency samples, a ring indexed by the
+     request count (it grows by doubling up to the window, so a
+     short-lived server does not allocate the whole window), and per-op
+     request counts. *)
+  mutable latencies : float array;
   op_counts : (string, int) Hashtbl.t;
   (* Process-metrics handles, minted against the default registry at
      [create] (no-ops when it is disabled). The latency histogram is
@@ -53,6 +56,10 @@ type t = {
   m_lat_miss : Metrics.histogram;
   m_req_nodes : Metrics.histogram;
 }
+
+(* How many of the latest latency samples [stats_json] summarizes: a
+   long-running loop keeps at most this many, whatever its uptime. *)
+let latency_window = 65_536
 
 let create ?(config = default_config) () =
   let config = { config with jobs = max 1 config.jobs } in
@@ -69,7 +76,7 @@ let create ?(config = default_config) () =
     requests = 0;
     errors = 0;
     nodes_total = 0;
-    latencies = [];
+    latencies = [||];
     op_counts = Hashtbl.create 8;
     m_registry = m;
     m_inflight =
@@ -389,7 +396,13 @@ let account ?(op = "invalid") ?(cache_hit = false) ?(elapsed_s = 0.0) t ~error
       t.requests <- t.requests + 1;
       if error then t.errors <- t.errors + 1;
       t.nodes_total <- t.nodes_total + nodes;
-      t.latencies <- elapsed_s :: t.latencies;
+      let n = Array.length t.latencies in
+      if t.requests <= latency_window && t.requests > n then begin
+        let bigger = Array.make (min latency_window (max 64 (2 * n))) 0.0 in
+        Array.blit t.latencies 0 bigger 0 n;
+        t.latencies <- bigger
+      end;
+      t.latencies.((t.requests - 1) mod latency_window) <- elapsed_s;
       Hashtbl.replace t.op_counts op
         (1 + Option.value (Hashtbl.find_opt t.op_counts op) ~default:0));
   Metrics.incr
@@ -630,15 +643,14 @@ let start_metrics_dump ~path ~interval_s =
 let cache_counters t = Result_cache.counters t.cache
 
 let stats_json t =
-  let requests, errors, nodes, latencies, ops =
+  let requests, errors, nodes, lat, ops =
     Mutex.protect t.lock (fun () ->
         ( t.requests,
           t.errors,
           t.nodes_total,
-          t.latencies,
+          Array.sub t.latencies 0 (min t.requests latency_window),
           Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.op_counts [] ))
   in
-  let lat = Array.of_list latencies in
   T.Obj
     [
       ("ev", T.String "stats");

@@ -225,6 +225,70 @@ let test_pipeline_deterministic () =
         (pp_verdict (verdict r.Par.outcome)))
     (fixtures ())
 
+(* Stages 1 and 2 are the sequential solver's for every job count: an
+   instance they settle must report the same outcome, stage flags,
+   conflicts and bound counters under jobs=2, and its trace must carry
+   the same stage phases and, on a heuristic hit, the incumbent. *)
+let test_prestage_parity () =
+  let counts bounds =
+    List.map
+      (fun (name, (b : Packing.Telemetry.bound_counter)) ->
+        (name, b.calls, b.prunes))
+      bounds
+  in
+  let traced () =
+    let trace = Packing.Trace.create () in
+    (trace, { Solver.default_options with trace })
+  in
+  let has trace p =
+    List.exists (fun (_, e) -> p e.Packing.Trace.kind) (Packing.Trace.events trace)
+  in
+  let settled =
+    List.filter_map
+      (fun (name, i, c) ->
+        let seq_trace, options = traced () in
+        let seq_o, seq_s = Solver.solve ~options i c in
+        if not (seq_s.Solver.by_bounds || seq_s.Solver.by_heuristic) then None
+        else begin
+          let par_trace, options = traced () in
+          let r = Par.solve ~options ~jobs:2 i c in
+          let s = r.Par.stats in
+          Alcotest.(check string)
+            (name ^ ": outcome")
+            (pp_verdict (verdict seq_o))
+            (pp_verdict (verdict r.Par.outcome));
+          Alcotest.(check bool)
+            (name ^ ": by_bounds") seq_s.Solver.by_bounds s.Solver.by_bounds;
+          Alcotest.(check bool)
+            (name ^ ": by_heuristic")
+            seq_s.Solver.by_heuristic s.Solver.by_heuristic;
+          Alcotest.(check int)
+            (name ^ ": conflicts") seq_s.Solver.conflicts s.Solver.conflicts;
+          Alcotest.(check (list (triple string int int)))
+            (name ^ ": bound counters")
+            (counts seq_s.Solver.bounds) (counts s.Solver.bounds);
+          List.iter
+            (fun trace ->
+              Alcotest.(check bool)
+                (name ^ ": stage1-bounds phase")
+                true
+                (has trace (function
+                  | Packing.Trace.Phase { phase = "stage1-bounds"; _ } -> true
+                  | _ -> false));
+              Alcotest.(check bool)
+                (name ^ ": incumbent on a heuristic hit")
+                seq_s.Solver.by_heuristic
+                (has trace (function
+                  | Packing.Trace.Incumbent _ -> true
+                  | _ -> false)))
+            [ seq_trace; par_trace ];
+          Some seq_s.Solver.by_bounds
+        end)
+      (fixtures ())
+  in
+  Alcotest.(check bool) "some settled by stage 1" true (List.mem true settled);
+  Alcotest.(check bool) "some settled by stage 2" true (List.mem false settled)
+
 (* jobs=1 must not merely agree — it short-circuits to the sequential
    solver on the calling domain, so the deterministic counters are
    byte-identical to a fresh [Opp_solver.solve] and no descriptor
@@ -455,6 +519,8 @@ let () =
             test_pipeline_deterministic;
           Alcotest.test_case "jobs=1 short-circuits to sequential" `Quick
             test_jobs1_short_circuit;
+          Alcotest.test_case "prestage parity for jobs 2" `Quick
+            test_prestage_parity;
         ] );
       ( "deadlines",
         [

@@ -632,6 +632,28 @@ let test_metrics_hit_miss_populations () =
         Alcotest.(check (float 0.0)) "op snapshot agrees on hits" 2.0
           (counter_total snap' "fpga_cache_hits_total")))
 
+(* A long-running loop keeps only the latest 65,536 latency samples:
+   ten requests past the window still count as requests, but the
+   percentile record stops growing. *)
+let test_latency_window_bounded () =
+  let server = Server.create () in
+  let w = Writer.of_sink (fun _ -> ()) in
+  for _ = 1 to 65_546 do
+    Server.handle_line server w "not json"
+  done;
+  let stats = Server.stats_json server in
+  let int_at path =
+    Option.value ~default:(-1)
+      (Option.bind
+         (List.fold_left
+            (fun j k -> Option.bind j (T.member k))
+            (Some stats) path)
+         T.to_int_opt)
+  in
+  Alcotest.(check int) "requests" 65_546 (int_at [ "requests" ]);
+  Alcotest.(check int) "latency samples" 65_536
+    (int_at [ "latency"; "samples" ])
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -665,6 +687,8 @@ let () =
             test_volume_overflow_rejected;
           Alcotest.test_case "concurrent heartbeats stay line-atomic" `Quick
             test_concurrent_heartbeats_not_interleaved;
+          Alcotest.test_case "latency record keeps a fixed window" `Quick
+            test_latency_window_bounded;
         ] );
       ( "metrics",
         [
