@@ -3,18 +3,27 @@
    DESIGN.md.
 
    Usage:
-     dune exec bench/main.exe            # everything
+     dune exec bench/main.exe            # every target except smoke
      dune exec bench/main.exe -- table1 table2 fig7
      dune exec bench/main.exe -- ablation-baseline ablation-rules ablation-stages
+     dune exec bench/main.exe -- rect scaling
+     dune exec bench/main.exe -- parallel   # strong scaling, BENCH_parallel.json
+     dune exec bench/main.exe -- bounds     # engine off vs on, BENCH_bounds.json
+     dune exec bench/main.exe -- ddim       # d=2 strip and d=4, BENCH_ddim.json
+     dune exec bench/main.exe -- smoke      # parallel + bounds on small sets
      dune exec bench/main.exe -- bechamel   # timing micro-benchmarks only
 
-   The absolute CPU times differ from the paper's SUN Ultra 30 (1997
-   hardware); EXPERIMENTS.md records both and compares the shapes. *)
+   Every duration is read from one monotonic clock ([wall]); speed
+   claims come from benchmark/run.exe, not from here. The absolute CPU
+   times differ from the paper's SUN Ultra 30 (1997 hardware);
+   EXPERIMENTS.md records both and compares the shapes. *)
 
 let wall f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Monotonic_clock.now () in
   let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+  (r, Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9)
+
+let verdict o = Format.asprintf "%a" Packing.Opp_solver.pp_outcome o
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: DE benchmark, BMP for T in {6, 13, 14}                     *)
@@ -144,15 +153,12 @@ let ablation_baseline () =
       let base_outcome, base_stats =
         Baseline.Geometric_bb.solve ~node_limit:1_000_000 inst container
       in
-      let verdict =
-        Format.asprintf "%a" Packing.Opp_solver.pp_outcome outcome
-      in
       let base_note =
         match base_outcome with
         | Baseline.Geometric_bb.Timeout -> " (gave up)"
         | Baseline.Geometric_bb.Feasible _ | Baseline.Geometric_bb.Infeasible -> ""
       in
-      Format.printf "  %-20s  %-10s %13d  %15d%s@." name verdict
+      Format.printf "  %-20s  %-10s %13d  %15d%s@." name (verdict outcome)
         stats.Packing.Opp_solver.nodes base_stats.Baseline.Geometric_bb.nodes
         base_note)
     cases
@@ -173,8 +179,7 @@ let ablation_rules () =
     let (outcome, stats), dt =
       wall (fun () -> Packing.Opp_solver.solve ~options de container)
     in
-    let verdict = Format.asprintf "%a" Packing.Opp_solver.pp_outcome outcome in
-    Format.printf "  %-26s %-10s %7d  %8.3f s@." name verdict
+    Format.printf "  %-26s %-10s %7d  %8.3f s@." name (verdict outcome)
       stats.Packing.Opp_solver.nodes dt
   in
   let all = Packing.Packing_state.default_rules in
@@ -283,127 +288,90 @@ let scaling () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Parallel solver: sequential vs --jobs 4, written to                 *)
+(* The one measurement loop                                            *)
+(* ------------------------------------------------------------------ *)
+
+let completed = function Packing.Opp_solver.Timeout -> false | _ -> true
+
+(* One measured configuration: its run and the best result so far. *)
+type 'a cell = {
+  run : unit -> Packing.Opp_solver.outcome * 'a;
+  mutable best : (Packing.Opp_solver.outcome * 'a) option;
+  mutable best_s : float; (* wall time of [best] *)
+}
+
+let cell run = { run; best = None; best_s = infinity }
+let best c = Option.get c.best
+
+(* One run of [c]. A completed run replaces a slower best. A run that
+   hits its budget (deadline or node cap) is kept only as the first
+   run, and it pins the cell there: running it again would burn the
+   same budget for the same number. *)
+let step c () =
+  match c.best with
+  | Some (o, _) when not (completed o) -> ()
+  | prev ->
+    let (o, r), s = wall c.run in
+    if Option.is_none prev || (completed o && s < c.best_s) then begin
+      c.best <- Some (o, r);
+      c.best_s <- s
+    end
+
+(* Interleaved rounds: every configuration of every case runs once per
+   round in round-robin order, so cache/frequency drift spreads evenly
+   across configurations instead of biasing whichever ran last. *)
+let measure ~rounds cases =
+  for round = 1 to rounds do
+    List.iter
+      (fun (name, steps) ->
+        List.iter (fun step -> step ()) steps;
+        if round = 1 then Format.printf "  [round 1] %-28s done@." name)
+      cases
+  done
+
+let geomean = function
+  | [] -> None
+  | xs ->
+    Some
+      (exp
+         (List.fold_left (fun a x -> a +. log x) 0.0 xs
+         /. float (List.length xs)))
+
+(* ------------------------------------------------------------------ *)
+(* The one JSON writer                                                 *)
+(* ------------------------------------------------------------------ *)
+
+module T = Packing.Telemetry
+
+let fixed fmt x = T.Raw (Printf.sprintf fmt x)
+let fixed_opt fmt = Option.fold ~none:T.Null ~some:(fixed fmt)
+
+(* Writes the object [fields] to [file], laying out every list of
+   records one record per line so the BENCH files diff per case. *)
+let write_json file fields =
+  let value = function
+    | T.List (T.Obj _ :: _ as rows) ->
+      "[\n" ^ String.concat ",\n" (List.map T.to_string rows) ^ "\n]"
+    | v -> T.to_string v
+  in
+  let field (k, v) = T.to_string (T.String k) ^ ":" ^ value v in
+  let oc = open_out file in
+  output_string oc ("{" ^ String.concat "," (List.map field fields) ^ "}\n");
+  close_out oc;
+  Format.printf "  wrote %s@." file
+
+(* ------------------------------------------------------------------ *)
+(* Parallel solver: sequential vs jobs in {2,4,8}, written to          *)
 (* BENCH_parallel.json                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Scan candidate instances for ones whose sequential stage-3 search
-   lands in the benchmarkable 1-20 s band (run with `parallel-calibrate`). *)
-let parallel_calibrate () =
-  Format.printf "@.== Calibration: sequential vs jobs=4, 20 s budget each ==@.";
-  let budget_s =
-    match Sys.getenv_opt "CALIBRATE_BUDGET" with
-    | Some s -> float_of_string s
-    | None -> 20.0
-  in
-  let probe name inst cont =
-    let budget () =
-      {
-        search_only with
-        Packing.Opp_solver.deadline = Some (Unix.gettimeofday () +. budget_s);
-      }
-    in
-    let (o, s), dt =
-      wall (fun () -> Packing.Opp_solver.solve ~options:(budget ()) inst cont)
-    in
-    let verdict = Format.asprintf "%a" Packing.Opp_solver.pp_outcome o in
-    let pr, pdt =
-      wall (fun () ->
-          Packing.Parallel_solver.solve ~options:(budget ()) ~jobs:4 inst cont)
-    in
-    let pverdict =
-      Format.asprintf "%a" Packing.Opp_solver.pp_outcome
-        pr.Packing.Parallel_solver.outcome
-    in
-    Format.printf "  %-28s seq %8.3f s %-10s | par %8.3f s %-10s@." name dt
-      verdict pdt pverdict;
-    ignore s
-  in
-  List.iter
-    (fun (seed, n, me, md, ap, w, h, t) ->
-      let inst =
-        Benchmarks.Generate.random ~seed ~n ~max_extent:me ~max_duration:md
-          ~arc_probability:ap ()
-      in
-      probe
-        (Printf.sprintf "rnd s%d n%d e%d d%d %dx%dx%d" seed n me md w h t)
-        inst
-        (Geometry.Container.make3 ~w ~h ~t_max:t))
-    (match Sys.getenv_opt "CALIBRATE_CASES" with
-    | Some "seq-completion" ->
-      [
-        (5, 11, 4, 3, 0.1, 8, 8, 8);
-        (29, 12, 4, 3, 0.1, 9, 9, 8);
-        (101, 10, 4, 3, 0.15, 7, 7, 8);
-      ]
-    | Some "seq-completion-2" ->
-      [ (61, 12, 5, 4, 0.15, 10, 10, 9); (73, 12, 5, 4, 0.15, 10, 10, 9) ]
-    | Some "seq-completion-3" ->
-      [ (191, 10, 4, 3, 0.15, 7, 7, 8); (199, 11, 4, 3, 0.15, 8, 8, 8) ]
-    | Some "scan-3" ->
-      [
-        (251, 9, 3, 3, 0.15, 6, 6, 7);
-        (257, 9, 3, 3, 0.15, 6, 6, 7);
-        (263, 9, 3, 3, 0.15, 6, 6, 7);
-        (269, 9, 3, 3, 0.15, 6, 6, 7);
-        (271, 9, 3, 3, 0.15, 6, 6, 7);
-        (277, 9, 3, 3, 0.15, 6, 6, 7);
-        (281, 10, 3, 3, 0.15, 6, 6, 7);
-        (283, 10, 3, 3, 0.15, 6, 6, 7);
-        (293, 10, 3, 3, 0.15, 6, 6, 7);
-        (307, 10, 3, 3, 0.15, 6, 6, 7);
-        (311, 10, 3, 3, 0.15, 6, 6, 7);
-        (313, 10, 3, 3, 0.15, 6, 6, 7);
-      ]
-    | Some "scan-2" ->
-      [
-        (151, 10, 4, 3, 0.15, 7, 7, 8);
-        (157, 10, 4, 3, 0.15, 7, 7, 8);
-        (163, 10, 4, 3, 0.15, 7, 7, 8);
-        (167, 10, 4, 3, 0.15, 7, 7, 8);
-        (173, 10, 4, 3, 0.15, 7, 7, 8);
-        (179, 10, 4, 3, 0.15, 7, 7, 8);
-        (181, 10, 4, 3, 0.15, 7, 7, 8);
-        (191, 10, 4, 3, 0.15, 7, 7, 8);
-        (193, 11, 4, 3, 0.15, 8, 8, 8);
-        (197, 11, 4, 3, 0.15, 8, 8, 8);
-        (199, 11, 4, 3, 0.15, 8, 8, 8);
-        (211, 11, 4, 3, 0.15, 8, 8, 8);
-        (223, 11, 4, 3, 0.15, 8, 8, 8);
-        (227, 11, 4, 3, 0.15, 8, 8, 8);
-        (229, 9, 3, 3, 0.15, 6, 6, 7);
-        (233, 9, 3, 3, 0.15, 6, 6, 7);
-        (239, 9, 3, 3, 0.15, 6, 6, 7);
-        (241, 9, 3, 3, 0.15, 6, 6, 7);
-      ]
-    | _ ->
-      [
-        (21, 9, 4, 3, 0.15, 7, 7, 7);
-        (5, 11, 4, 3, 0.1, 8, 8, 8);
-        (29, 12, 4, 3, 0.1, 9, 9, 8);
-        (61, 12, 5, 4, 0.15, 10, 10, 9);
-        (73, 12, 5, 4, 0.15, 10, 10, 9);
-        (101, 10, 4, 3, 0.15, 7, 7, 8);
-        (103, 10, 4, 3, 0.15, 7, 7, 8);
-        (107, 10, 4, 3, 0.15, 7, 7, 8);
-        (109, 10, 4, 3, 0.15, 7, 7, 8);
-        (113, 10, 4, 3, 0.15, 7, 7, 8);
-        (127, 11, 4, 3, 0.2, 8, 8, 8);
-        (131, 11, 4, 3, 0.2, 8, 8, 8);
-        (137, 11, 4, 3, 0.2, 8, 8, 8);
-        (139, 11, 4, 3, 0.2, 8, 8, 8);
-        (149, 11, 4, 3, 0.2, 8, 8, 8);
-      ])
-
-(* Cases picked by `parallel-calibrate`: each sequential stage-3 search
-   lands either in the 1-60 s band (so a real speedup ratio can be
-   measured) or demonstrably beyond it (reported as a lower bound).
-   Seed s21 is kept as the regression sentinel: under the old static
-   root split it ran at 0.097x because one arm held nearly the whole
-   tree; the work-stealing kernel keeps worker 0 on the exact
-   sequential order, so the pathology is gone by construction. *)
-let parallel_budget_s = 60.0
-
+(* Each sequential stage-3 search lands either in the 1-60 s band (so
+   a real speedup ratio can be measured) or demonstrably beyond it
+   (reported as a lower bound). Seed s21 is kept as the regression
+   sentinel: under the old static root split it ran at 0.097x because
+   one arm held nearly the whole tree; the work-stealing kernel keeps
+   worker 0 on the exact sequential order, so the pathology is gone by
+   construction. *)
 let parallel_cases () =
   let case name ~seed ~n ~max_extent ~arc_probability (w, h, t) =
     ( name,
@@ -428,147 +396,43 @@ let parallel_cases () =
       ~arc_probability:0.15 (8, 8, 8);
   ]
 
-(* One measured configuration of the strong-scaling sweep: either the
-   sequential reference (jobs = 0 internally) or one jobs level of one
-   instance. Best-of-rounds state, updated in place by the interleaved
-   measurement loop. *)
-type sweep_cell = {
-  mutable c_t : float; (* best wall time so far *)
-  mutable c_verdict : string;
-  mutable c_completed : bool; (* best run finished inside the budget *)
-  mutable c_nodes : int; (* merged nodes of the best run *)
-  mutable c_max_worker_nodes : int; (* busiest worker of the best run *)
-  mutable c_tasks : int;
-  mutable c_steals : int;
-  mutable c_donated : int;
-  mutable c_pinned : bool; (* hit the budget: skip further rounds *)
-  mutable c_runs : int;
-}
-
-let fresh_cell () =
-  {
-    c_t = infinity;
-    c_verdict = "timeout";
-    c_completed = false;
-    c_nodes = 0;
-    c_max_worker_nodes = 0;
-    c_tasks = 0;
-    c_steals = 0;
-    c_donated = 0;
-    c_pinned = false;
-    c_runs = 0;
-  }
-
-(* Prefer completed runs; among equals keep the fastest. *)
-let cell_update c ~t ~completed ~verdict ~nodes ~max_worker_nodes ~tasks
-    ~steals ~donated =
-  c.c_runs <- c.c_runs + 1;
-  if not completed then c.c_pinned <- true;
-  if
-    (completed && not c.c_completed)
-    || (completed = c.c_completed && t < c.c_t)
-  then begin
-    c.c_t <- t;
-    c.c_verdict <- verdict;
-    c.c_completed <- completed;
-    c.c_nodes <- nodes;
-    c.c_max_worker_nodes <- max_worker_nodes;
-    c.c_tasks <- tasks;
-    c.c_steals <- steals;
-    c.c_donated <- donated
-  end
-
-let geomean = function
-  | [] -> 0.0
-  | xs ->
-    exp (List.fold_left (fun a x -> a +. log x) 0.0 xs /. float (List.length xs))
-
-let parallel_bench () =
-  let tiny = Sys.getenv_opt "PARALLEL_TINY" <> None in
-  let budget_s = if tiny then 5.0 else parallel_budget_s in
-  let rounds = if tiny then 1 else 3 in
-  let jobs_levels = if tiny then [ 2; 4 ] else [ 2; 4; 8 ] in
-  let cases =
-    let all = parallel_cases () in
-    if tiny then
-      List.filter
-        (fun (name, _, _) ->
-          name = "random s293 n10 6x6x7" || name = "random s241 n9 6x6x7")
-        all
-    else all
-  in
-  let ncases = List.length cases in
+let parallel_bench ~budget_s ~rounds ~jobs_levels cases =
   Format.printf
     "@.== Parallel: strong scaling, jobs in {%s} (stage-3 search only, %.0f s \
      budget per run, interleaved best of %d) ==@."
     (String.concat "," (List.map string_of_int jobs_levels))
     budget_s rounds;
-  let verdict = function
-    | Packing.Opp_solver.Feasible _ -> "feasible"
-    | Packing.Opp_solver.Infeasible -> "infeasible"
-    | Packing.Opp_solver.Timeout -> "timeout"
-  in
+  (* The solver compares its deadline to wall time. *)
   let budgeted () =
     {
       search_only with
       Packing.Opp_solver.deadline = Some (Unix.gettimeofday () +. budget_s);
     }
   in
-  let seq_cells = Array.init ncases (fun _ -> fresh_cell ()) in
-  let par_cells =
-    Array.init ncases (fun _ ->
-        Array.init (List.length jobs_levels) (fun _ -> fresh_cell ()))
-  in
-  (* Interleaved rounds: every configuration runs once per round in
-     round-robin order, so cache/frequency drift spreads evenly across
-     configurations instead of biasing whichever ran last. A cell that
-     hits the budget is pinned there by construction — re-measuring it
-     would burn another full budget for the same number, so pinned
-     cells skip their remaining rounds. *)
-  for round = 1 to rounds do
-    List.iteri
-      (fun ci (name, inst, cont) ->
-        let sc = seq_cells.(ci) in
-        if sc.c_runs = 0 || not sc.c_pinned then begin
-          let (o, s), t =
-            wall (fun () ->
-                Packing.Opp_solver.solve ~options:(budgeted ()) inst cont)
-          in
-          cell_update sc ~t
-            ~completed:(o <> Packing.Opp_solver.Timeout)
-            ~verdict:(verdict o) ~nodes:s.Packing.Opp_solver.nodes
-            ~max_worker_nodes:s.Packing.Opp_solver.nodes ~tasks:0 ~steals:0
-            ~donated:0
-        end;
-        List.iteri
-          (fun ji jobs ->
-            let pc = par_cells.(ci).(ji) in
-            if pc.c_runs = 0 || not pc.c_pinned then begin
-              let r, t =
-                wall (fun () ->
+  let cells =
+    List.map
+      (fun (name, inst, cont) ->
+        let seq =
+          cell (fun () ->
+              Packing.Opp_solver.solve ~options:(budgeted ()) inst cont)
+        in
+        let par =
+          List.map
+            (fun jobs ->
+              cell (fun () ->
+                  let r =
                     Packing.Parallel_solver.solve ~options:(budgeted ()) ~jobs
-                      inst cont)
-              in
-              let o = r.Packing.Parallel_solver.outcome in
-              let max_worker_nodes, donated =
-                List.fold_left
-                  (fun (mn, don) (w : Packing.Parallel_solver.worker_report) ->
-                    ( max mn w.stats.Packing.Opp_solver.nodes,
-                      don + w.work.Packing.Telemetry.donated ))
-                  (0, 0) r.Packing.Parallel_solver.workers
-              in
-              cell_update pc ~t
-                ~completed:(o <> Packing.Opp_solver.Timeout)
-                ~verdict:(verdict o)
-                ~nodes:r.Packing.Parallel_solver.stats.Packing.Opp_solver.nodes
-                ~max_worker_nodes ~tasks:r.Packing.Parallel_solver.tasks
-                ~steals:r.Packing.Parallel_solver.steals ~donated
-            end)
-          jobs_levels;
-        if round = 1 then
-          Format.printf "  [round 1] %-24s done@." name)
+                      inst cont
+                  in
+                  (r.Packing.Parallel_solver.outcome, r)))
+            jobs_levels
+        in
+        (name, seq, par))
       cases
-  done;
+  in
+  measure ~rounds
+    (List.map (fun (name, seq, par) -> (name, step seq :: List.map step par))
+       cells);
   (* Two speedup views per cell. Wall speedup is what this machine
      measured; on a box with fewer cores than [jobs] the domains
      time-share one core and it cannot exceed ~1x. Model speedup
@@ -581,172 +445,145 @@ let parallel_bench () =
   Format.printf
     "  instance                 jobs      seq        par     wall    model  \
      steals  agree@.";
-  let rows = ref [] in
-  let model_speedups = Array.make (List.length jobs_levels) [] in
-  let no_instance_below = ref infinity in
-  List.iteri
-    (fun ci (name, _, _) ->
-      let sc = seq_cells.(ci) in
-      List.iteri
-        (fun ji jobs ->
-          let pc = par_cells.(ci).(ji) in
-          let both = sc.c_completed && pc.c_completed in
-          let agree = (not both) || sc.c_verdict = pc.c_verdict in
-          let wall_speedup = if pc.c_t > 0.0 then sc.c_t /. pc.c_t else 0.0 in
-          let model_speedup =
-            float_of_int sc.c_nodes
-            /. float_of_int (max 1 pc.c_max_worker_nodes)
-          in
-          if both then begin
-            model_speedups.(ji) <- model_speedup :: model_speedups.(ji);
-            if model_speedup < !no_instance_below then
-              no_instance_below := model_speedup
-          end;
-          Format.printf
-            "  %-24s %4d %8.3f s %8.3f s %6.2fx %7.2fx %7d  %b%s%s@." name
-            jobs sc.c_t pc.c_t wall_speedup model_speedup pc.c_steals agree
-            (if agree then "" else "  MISMATCH")
-            (if both then "" else "  (budget hit: bounds)");
-          rows :=
-            Printf.sprintf
-              "{\"instance\":\"%s\",\"jobs\":%d,\"seq_s\":%.6f,\
-               \"par_s\":%.6f,\"wall_speedup\":%.3f,\"model_speedup\":%.3f,\
-               \"seq_nodes\":%d,\"par_nodes\":%d,\"max_worker_nodes\":%d,\
-               \"tasks\":%d,\"steals\":%d,\"donated\":%d,\
-               \"both_completed\":%b,\"seq_outcome\":\"%s\",\
-               \"par_outcome\":\"%s\"}"
-              name jobs sc.c_t pc.c_t wall_speedup model_speedup sc.c_nodes
-              pc.c_nodes pc.c_max_worker_nodes pc.c_tasks pc.c_steals
-              pc.c_donated both sc.c_verdict pc.c_verdict
-            :: !rows)
-        jobs_levels)
-    cases;
-  let rows = List.rev !rows in
+  let rows =
+    List.concat_map
+      (fun (name, seq, par) ->
+        let so, ss = best seq in
+        List.map2
+          (fun jobs pc ->
+            let po, (r : Packing.Parallel_solver.report) = best pc in
+            let busiest, donated =
+              List.fold_left
+                (fun (mn, don) (w : Packing.Parallel_solver.worker_report) ->
+                  ( max mn w.stats.Packing.Opp_solver.nodes,
+                    don + w.work.Packing.Telemetry.donated ))
+                (0, 0) r.workers
+            in
+            let both = completed so && completed po in
+            let agree = (not both) || verdict so = verdict po in
+            let wall_speedup =
+              if pc.best_s > 0.0 then seq.best_s /. pc.best_s else 0.0
+            in
+            let model_speedup =
+              float_of_int ss.Packing.Opp_solver.nodes
+              /. float_of_int (max 1 busiest)
+            in
+            Format.printf
+              "  %-24s %4d %8.3f s %8.3f s %6.2fx %7.2fx %7d  %b%s%s@." name
+              jobs seq.best_s pc.best_s wall_speedup model_speedup r.steals
+              agree
+              (if agree then "" else "  MISMATCH")
+              (if both then "" else "  (budget hit: bounds)");
+            ( jobs,
+              (if both then Some model_speedup else None),
+              T.Obj
+                [
+                  ("instance", T.String name);
+                  ("jobs", T.Int jobs);
+                  ("seq_s", T.seconds seq.best_s);
+                  ("par_s", T.seconds pc.best_s);
+                  ("wall_speedup", fixed "%.3f" wall_speedup);
+                  ("model_speedup", fixed "%.3f" model_speedup);
+                  ("seq_nodes", T.Int ss.nodes);
+                  ("par_nodes", T.Int r.stats.nodes);
+                  ("max_worker_nodes", T.Int busiest);
+                  ("tasks", T.Int r.tasks);
+                  ("steals", T.Int r.steals);
+                  ("donated", T.Int donated);
+                  ("both_completed", T.Bool both);
+                  ("seq_outcome", T.String (verdict so));
+                  ("par_outcome", T.String (verdict po));
+                ] ))
+          jobs_levels par)
+      cells
+  in
   let geomeans =
-    String.concat ","
-      (List.mapi
-         (fun ji jobs ->
-           Printf.sprintf "\"%d\":%.3f" jobs (geomean model_speedups.(ji)))
-         jobs_levels)
+    List.map
+      (fun jobs ->
+        let speedups =
+          List.filter_map
+            (fun (j, m, _) -> if j = jobs then m else None)
+            rows
+        in
+        let g = geomean speedups in
+        Format.printf "  geomean model speedup at jobs=%d: %s (%d cells)@." jobs
+          (match g with Some g -> Printf.sprintf "%.2fx" g | None -> "n/a")
+          (List.length speedups);
+        (string_of_int jobs, fixed_opt "%.3f" g))
+      jobs_levels
   in
   let no_below =
-    if !no_instance_below = infinity then 0.0 else !no_instance_below
+    List.fold_left
+      (fun acc (_, m, _) -> Option.fold ~none:acc ~some:(Float.min acc) m)
+      infinity rows
   in
-  List.iteri
-    (fun ji jobs ->
-      Format.printf "  geomean model speedup at jobs=%d: %.2fx (%d cells)@."
-        jobs
-        (geomean model_speedups.(ji))
-        (List.length model_speedups.(ji)))
-    jobs_levels;
+  let no_below = if no_below = infinity then 0.0 else no_below in
   Format.printf "  minimum model speedup across all cells: %.2fx@." no_below;
-  let oc = open_out "BENCH_parallel.json" in
-  output_string oc
-    (Printf.sprintf
-       "{\"hardware_cores\":%d,\"jobs_sweep\":[%s],\"budget_s\":%.0f,\
-        \"rounds\":%d,\
-        \"note\":\"search-only stage 3; interleaved best-of-%d wall times; \
-        budget-pinned cells measured once; wall_speedup is wall-clock on \
-        this machine and cannot exceed ~1x when hardware_cores < jobs \
-        (domains time-share); model_speedup = seq_nodes / busiest-worker \
-        nodes is the wall ratio on >= jobs real cores and is the \
-        acceptance metric; speedups are bounds when both_completed is \
-        false\",\
-        \"geomean_model_speedup\":{%s},\
-        \"no_instance_below\":%.3f,\"cases\":[\n%s\n]}\n"
-       (Domain.recommended_domain_count ())
-       (String.concat "," (List.map string_of_int jobs_levels))
-       budget_s rounds rounds geomeans no_below
-       (String.concat ",\n" rows));
-  close_out oc;
-  Format.printf "  wrote BENCH_parallel.json@."
+  write_json "BENCH_parallel.json"
+    [
+      ("hardware_cores", T.Int (Domain.recommended_domain_count ()));
+      ("jobs_sweep", T.List (List.map (fun j -> T.Int j) jobs_levels));
+      ("budget_s", fixed "%.0f" budget_s);
+      ("rounds", T.Int rounds);
+      ( "note",
+        T.String
+          (Printf.sprintf
+             "search-only stage 3; interleaved best-of-%d wall times; \
+              budget-pinned cells measured once; wall_speedup is wall-clock \
+              on this machine and cannot exceed ~1x when hardware_cores < \
+              jobs (domains time-share); model_speedup = seq_nodes / \
+              busiest-worker nodes is the wall ratio on >= jobs real cores \
+              and is the acceptance metric; speedups are bounds when \
+              both_completed is false"
+             rounds) );
+      ("geomean_model_speedup", T.Obj geomeans);
+      ("no_instance_below", fixed "%.3f" no_below);
+      ("cases", T.List (List.map (fun (_, _, row) -> row) rows));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Bound engine: stage-3 search with node-level bound checks on vs     *)
 (* off, written to BENCH_bounds.json                                   *)
 (* ------------------------------------------------------------------ *)
 
-let bounds_tiny () =
-  match Sys.getenv_opt "BOUNDS_TINY" with
-  | Some ("1" | "true") -> true
-  | _ -> false
+(* Two deliberately different regimes:
 
-(* Node cap per run: keeps the off-side of the engine-refutable cases
-   deterministic (nodes, not seconds) and the whole sweep bounded. *)
-let bounds_node_limit () =
-  match Sys.getenv_opt "BOUNDS_NODE_LIMIT" with
-  | Some s -> int_of_string s
-  | None -> if bounds_tiny () then 200_000 else 2_000_000
-
+   - the calibrated feasible searches of the parallel sweep, where
+     pairwise propagation subsumes the bound certificates — measuring
+     that the engine hooks cost nothing;
+   - near-critical volume instances (many small boxes, no pairwise
+     spatial exclusion, total volume barely over capacity): the family
+     the paper's volume/DFF bounds exist for. Pairwise propagation is
+     blind there — the raw search exhausts an enormous tree while the
+     engine refutes the root outright. *)
 let bounds_cases () =
-  if bounds_tiny () then
-    (* CI smoke: cases that finish in milliseconds either way (one of
-       them engine-refutable), just to exercise the harness and the
-       JSON shape. *)
-    List.map
-      (fun seed ->
-        ( Printf.sprintf "random s%d n6 6x6x6" seed,
-          Benchmarks.Generate.random ~seed ~n:6 ~max_extent:4 ~max_duration:3
-            ~arc_probability:0.2 (),
-          Geometry.Container.make3 ~w:6 ~h:6 ~t_max:6 ))
-      [ 1; 2 ]
-    @ [
-        ( "six 2x2x2 3x3x5",
-          Packing.Instance.make
-            ~boxes:
-              (Array.init 6 (fun _ -> Geometry.Box.make3 ~w:2 ~h:2 ~duration:2))
-            (),
-          Geometry.Container.make3 ~w:3 ~h:3 ~t_max:5 );
-      ]
-  else
-    (* Two deliberately different regimes:
-
-       - the calibrated feasible searches (from the parallel/engine
-         benches), where pairwise propagation subsumes the bound
-         certificates — measuring that the engine hooks cost nothing;
-       - near-critical volume instances (many small boxes, no pairwise
-         spatial exclusion, total volume barely over capacity): the
-         family the paper's volume/DFF bounds exist for. Pairwise
-         propagation is blind there — the raw search exhausts an
-         enormous tree while the engine refutes the root outright. *)
-    let small_boxes name n (bw, bh, bd) extra (w, h, t) =
-      ( name,
-        Packing.Instance.make
-          ~boxes:
-            (Array.of_list
-               (List.init n (fun _ -> Geometry.Box.make3 ~w:bw ~h:bh ~duration:bd)
-               @ extra))
-          (),
-        Geometry.Container.make3 ~w ~h ~t_max:t )
-    in
-    [
-      List.nth (parallel_cases ()) 0;
-      (* s101 *)
-      List.nth (parallel_cases ()) 1;
-      (* s293 *)
-      List.nth (parallel_cases ()) 2;
-      (* s307 *)
-      List.nth (parallel_cases ()) 3;
-      (* s241 *)
-      List.nth (parallel_cases ()) 4;
-      (* s21 *)
+  let small_boxes name n (bw, bh, bd) extra (w, h, t) =
+    ( name,
+      Packing.Instance.make
+        ~boxes:
+          (Array.of_list
+             (List.init n (fun _ -> Geometry.Box.make3 ~w:bw ~h:bh ~duration:bd)
+             @ extra))
+        (),
+      Geometry.Container.make3 ~w ~h ~t_max:t )
+  in
+  let pebble = [ Geometry.Box.make3 ~w:1 ~h:1 ~duration:1 ] in
+  (* s101 s293 s307 s241 s21 *)
+  List.filteri (fun i _ -> i < 5) (parallel_cases ())
+  @ [
       small_boxes "nine 2x2x2 4x4x4" 9 (2, 2, 2) [] (4, 4, 4);
-      small_boxes "ten 2x2x2 + pebble 4x4x5" 10 (2, 2, 2)
-        [ Geometry.Box.make3 ~w:1 ~h:1 ~duration:1 ]
-        (4, 4, 5);
-      small_boxes "13 2x2x2 + pebble 5x5x4" 13 (2, 2, 2)
-        [ Geometry.Box.make3 ~w:1 ~h:1 ~duration:1 ]
-        (5, 5, 4);
+      small_boxes "ten 2x2x2 + pebble 4x4x5" 10 (2, 2, 2) pebble (4, 4, 5);
+      small_boxes "13 2x2x2 + pebble 5x5x4" 13 (2, 2, 2) pebble (5, 5, 4);
     ]
 
-let bounds_bench () =
-  let node_limit = bounds_node_limit () in
+(* [node_limit] caps every run: it keeps the off side of the
+   engine-refutable cases deterministic (nodes, not seconds) and the
+   whole sweep bounded. *)
+let bounds_bench ~node_limit ~rounds cases =
   Format.printf
-    "@.== Bounds: engine off vs on (stage-3 search, %d-node cap per run) ==@."
-    node_limit;
-  Format.printf
-    "  instance                        off               on              \
-     nodes   time@.";
+    "@.== Bounds: engine off vs on (stage-3 search, %d-node cap per run, \
+     interleaved best of %d) ==@."
+    node_limit rounds;
   (* Off: no engine anywhere. On: the full integration — stage-1 root
      check plus throttled node-level checks. Heuristic off on both
      sides so only the search and the bounds are measured. *)
@@ -765,98 +602,116 @@ let bounds_bench () =
       node_bounds = Packing.Opp_solver.default_node_bounds;
     }
   in
-  let verdict = function
-    | Packing.Opp_solver.Feasible _ -> "feasible"
-    | Packing.Opp_solver.Infeasible -> "infeasible"
-    | Packing.Opp_solver.Timeout -> "timeout"
+  let cells =
+    List.map
+      (fun (name, inst, cont) ->
+        let solve options () = Packing.Opp_solver.solve ~options inst cont in
+        (name, cell (solve off_options), cell (solve on_options)))
+      cases
   in
-  (* Nodes are deterministic per configuration; wall time is the min of
-     two runs to damp scheduling noise. *)
-  let measure options inst cont =
-    let (o, s), t1 = wall (fun () -> Packing.Opp_solver.solve ~options inst cont) in
-    let _, t2 = wall (fun () -> Packing.Opp_solver.solve ~options inst cont) in
-    (o, s, Float.min t1 t2)
+  measure ~rounds
+    (List.map (fun (name, off, on) -> (name, [ step off; step on ])) cells);
+  Format.printf
+    "  instance                        off               on              \
+     nodes   time@.";
+  let rows =
+    List.map
+      (fun (name, off, on) ->
+        let off_o, off_s = best off and on_o, on_s = best on in
+        let off_n = off_s.Packing.Opp_solver.nodes
+        and on_n = on_s.Packing.Opp_solver.nodes in
+        (* +1 smoothing lets a 0-node root refutation enter the geomean;
+           when only the off side hit its cap the ratio is an upper
+           bound on the true one (off would only grow), so counting it
+           is conservative in the direction we report. *)
+        let node_ratio =
+          if completed on_o && off_n > 0 then
+            Some (float_of_int (on_n + 1) /. float_of_int (off_n + 1))
+          else None
+        in
+        let time_ratio =
+          if completed off_o && completed on_o && off.best_s > 0.0 then
+            Some (on.best_s /. off.best_s)
+          else None
+        in
+        let show fmt r =
+          match r with Some r -> Printf.sprintf fmt r | None -> "n/a"
+        in
+        Format.printf "  %-28s %9d %-8s %9d %-8s %8s  %5s@." name off_n
+          (verdict off_o) on_n (verdict on_o)
+          (show "%.2g" node_ratio)
+          (show "%.2f" time_ratio);
+        let side o n s extra =
+          T.Obj
+            ([
+               ("outcome", T.String (verdict o));
+               ("nodes", T.Int n);
+               ("elapsed_s", T.seconds s);
+             ]
+            @ extra)
+        in
+        ( node_ratio,
+          T.Obj
+            [
+              ("instance", T.String name);
+              ("off", side off_o off_n off.best_s []);
+              ( "on",
+                side on_o on_n on.best_s
+                  [ ("bounds", T.bounds_to_json on_s.bounds) ] );
+              ("node_ratio", fixed_opt "%.3e" node_ratio);
+              ( "node_ratio_is_bound",
+                T.Bool (node_ratio <> None && not (completed off_o)) );
+              ("time_ratio", fixed_opt "%.4f" time_ratio);
+            ] ))
+      cells
   in
-  let rows = ref [] in
-  let node_ratios = ref [] in
-  List.iter
-    (fun (name, inst, cont) ->
-      let off_o, off_s, off_t = measure off_options inst cont in
-      let on_o, on_s, on_t = measure on_options inst cont in
-      let off_done = off_o <> Packing.Opp_solver.Timeout
-      and on_done = on_o <> Packing.Opp_solver.Timeout in
-      let off_n = off_s.Packing.Opp_solver.nodes
-      and on_n = on_s.Packing.Opp_solver.nodes in
-      (* +1 smoothing lets a 0-node root refutation enter the geomean;
-         when only the off side hit its cap the ratio is an upper bound
-         on the true one (off would only grow), so counting it is
-         conservative in the direction we report. *)
-      let node_ratio =
-        if on_done && off_n > 0 then begin
-          let r = float_of_int (on_n + 1) /. float_of_int (off_n + 1) in
-          node_ratios := r :: !node_ratios;
-          Some r
-        end
-        else None
-      in
-      let time_ratio =
-        if off_done && on_done && off_t > 0.0 then Some (on_t /. off_t)
-        else None
-      in
-      let show fmt r =
-        match r with Some r -> Printf.sprintf fmt r | None -> "n/a"
-      in
-      Format.printf "  %-28s %9d %-8s %9d %-8s %8s  %5s@." name off_n
-        (verdict off_o) on_n (verdict on_o)
-        (show "%.2g" node_ratio)
-        (show "%.2f" time_ratio);
-      rows :=
-        Printf.sprintf
-          "{\"instance\":\"%s\",\
-           \"off\":{\"outcome\":\"%s\",\"nodes\":%d,\"elapsed_s\":%.6f},\
-           \"on\":{\"outcome\":\"%s\",\"nodes\":%d,\"elapsed_s\":%.6f,\
-           \"bounds\":%s},\
-           \"node_ratio\":%s,\"node_ratio_is_bound\":%b,\"time_ratio\":%s}"
-          name (verdict off_o) off_n off_t (verdict on_o) on_n on_t
-          (Packing.Telemetry.to_string
-             (Packing.Telemetry.bounds_to_json on_s.Packing.Opp_solver.bounds))
-          (match node_ratio with
-          | Some r -> Printf.sprintf "%.3e" r
-          | None -> "null")
-          (node_ratio <> None && not off_done)
-          (match time_ratio with
-          | Some r -> Printf.sprintf "%.4f" r
-          | None -> "null")
-        :: !rows)
-    (bounds_cases ());
-  let geomean =
-    match !node_ratios with
-    | [] -> None
-    | rs ->
-      let log_sum = List.fold_left (fun a r -> a +. log r) 0.0 rs in
-      Some (exp (log_sum /. float_of_int (List.length rs)))
-  in
-  (match geomean with
+  let g = geomean (List.filter_map fst rows) in
+  (match g with
   | Some g -> Format.printf "  geometric-mean node ratio (on/off): %.3g@." g
   | None -> Format.printf "  (no measurable pair: node ratios omitted)@.");
-  let oc = open_out "BENCH_bounds.json" in
-  output_string oc
-    (Printf.sprintf
-       "{\"node_limit\":%d,\"note\":\"search-only stage 3, sequential, \
-        heuristic off; off = no engine (no stage-1, node_bounds never), on = \
-        stage-1 root check + adaptive node bounds; nodes deterministic, time \
-        = min of 2 runs; node_ratio uses +1 smoothing and is an upper bound \
-        when the off side hit the node cap\",\
-        \"geomean_node_ratio\":%s,\"cases\":[\n\
-        %s\n\
-        ]}\n"
-       node_limit
-       (match geomean with
-       | Some g -> Printf.sprintf "%.4e" g
-       | None -> "null")
-       (String.concat ",\n" (List.rev !rows)));
-  close_out oc;
-  Format.printf "  wrote BENCH_bounds.json@."
+  write_json "BENCH_bounds.json"
+    [
+      ("node_limit", T.Int node_limit);
+      ("rounds", T.Int rounds);
+      ( "note",
+        T.String
+          (Printf.sprintf
+             "search-only stage 3, sequential, heuristic off; off = no \
+              engine (no stage-1, node_bounds never), on = stage-1 root \
+              check + adaptive node bounds; nodes deterministic, time = \
+              interleaved best of %d runs, node-capped runs measured once; \
+              node_ratio uses +1 smoothing and is an upper bound when the \
+              off side hit the node cap"
+             rounds) );
+      ("geomean_node_ratio", fixed_opt "%.4e" g);
+      ("cases", T.List (List.map snd rows));
+    ]
+
+(* CI smoke of both sweeps: cases that finish in about a second each
+   way under small budgets, one bounds case engine-refutable, just to
+   exercise the harness and the JSON shape. *)
+let smoke () =
+  parallel_bench ~budget_s:5.0 ~rounds:1 ~jobs_levels:[ 2; 4 ]
+    (List.filter
+       (fun (name, _, _) ->
+         name = "random s293 n10 6x6x7" || name = "random s241 n9 6x6x7")
+       (parallel_cases ()));
+  bounds_bench ~node_limit:200_000 ~rounds:1
+    (List.map
+       (fun seed ->
+         ( Printf.sprintf "random s%d n6 6x6x6" seed,
+           Benchmarks.Generate.random ~seed ~n:6 ~max_extent:4 ~max_duration:3
+             ~arc_probability:0.2 (),
+           Geometry.Container.make3 ~w:6 ~h:6 ~t_max:6 ))
+       [ 1; 2 ]
+    @ [
+        ( "six 2x2x2 3x3x5",
+          Packing.Instance.make
+            ~boxes:
+              (Array.init 6 (fun _ -> Geometry.Box.make3 ~w:2 ~h:2 ~duration:2))
+            (),
+          Geometry.Container.make3 ~w:3 ~h:3 ~t_max:5 );
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per table / figure         *)
@@ -901,7 +756,6 @@ let bechamel_tests () =
 (* d=4 instances vs. the geometric baseline, written to BENCH_ddim.json *)
 (* ------------------------------------------------------------------ *)
 
-let ddim_tiny () = Sys.getenv_opt "DDIM_TINY" <> None
 
 (* Smallest extent along [axis] the geometric enumeration proves
    feasible, walking up from 1 (all its probes below are infeasibility
@@ -922,11 +776,9 @@ let ddim_baseline_min_extent inst ~axis ~base ~node_limit =
   in
   walk 1 0
 
+
 let ddim_bench () =
-  let tiny = ddim_tiny () in
   Format.printf "@.== Dimension-generic workloads (d=2 strip, d=4) ==@.";
-  if tiny then Format.printf "  (DDIM_TINY set: reduced sizes)@.";
-  let baseline_budget = if tiny then 200_000 else 5_000_000 in
   let solve_one (name, inst, axis, base) =
     let probe_nodes = ref 0 in
     let on_probe (p : Packing.Problems.probe) =
@@ -943,8 +795,7 @@ let ddim_bench () =
     in
     let (base_opt, base_nodes), base_dt =
       wall (fun () ->
-          ddim_baseline_min_extent inst ~axis ~base
-            ~node_limit:baseline_budget)
+          ddim_baseline_min_extent inst ~axis ~base ~node_limit:5_000_000)
     in
     let agree =
       match (optimum, base_opt) with
@@ -962,71 +813,68 @@ let ddim_bench () =
       | Some false -> "DISAGREE"
       | None -> "  -  ")
       !probe_nodes base_nodes dt base_dt;
-    Printf.sprintf
-      "{\"instance\":\"%s\",\"dim\":%d,\"axis\":%d,\"n\":%d,\"optimum\":%s,\
-       \"baseline_optimum\":%s,\"agree\":%s,\"engine_nodes\":%d,\
-       \"baseline_nodes\":%d,\"engine_elapsed_s\":%.6f,\
-       \"baseline_elapsed_s\":%.6f}"
-      name (Packing.Instance.dim inst) axis (Packing.Instance.count inst)
-      (match optimum with Some v -> string_of_int v | None -> "null")
-      (match base_opt with Some v -> string_of_int v | None -> "null")
-      (match agree with
-      | Some b -> string_of_bool b
-      | None -> "null")
-      !probe_nodes base_nodes dt base_dt
+    let opt f = Option.fold ~none:T.Null ~some:f in
+    T.Obj
+      [
+        ("instance", T.String name);
+        ("dim", T.Int (Packing.Instance.dim inst));
+        ("axis", T.Int axis);
+        ("n", T.Int (Packing.Instance.count inst));
+        ("optimum", opt (fun v -> T.Int v) optimum);
+        ("baseline_optimum", opt (fun v -> T.Int v) base_opt);
+        ("agree", opt (fun b -> T.Bool b) agree);
+        ("engine_nodes", T.Int !probe_nodes);
+        ("baseline_nodes", T.Int base_nodes);
+        ("engine_elapsed_s", T.seconds dt);
+        ("baseline_elapsed_s", T.seconds base_dt);
+      ]
   in
   (* 2D strip packing with a reading-order constraint on axis 0:
      guillotine pieces of a w x h sheet, minimized along axis 1 over a
      width-w strip. *)
   let strip_cases =
-    let seeds = if tiny then [ 11; 12 ] else [ 11; 12; 13; 14; 15; 16 ] in
     List.map
       (fun seed ->
-        let cuts = if tiny then 5 else 7 in
         let inst, _ =
           Benchmarks.Generate.guillotine ~order_axes:[ 0 ] ~seed
             ~container:(Geometry.Container.make [| 6; 10 |])
-            ~cuts ~arc_probability:0.4 ()
+            ~cuts:7 ~arc_probability:0.4 ()
         in
         ( Printf.sprintf "strip2d s%d n%d" seed (Packing.Instance.count inst),
           inst,
           1,
           Geometry.Container.make [| 6; 1 |] ))
-      seeds
+      [ 11; 12; 13; 14; 15; 16 ]
   in
   (* d=4 feasible-by-construction instances, minimized along the
      objective axis. *)
   let d4_cases =
-    let seeds = if tiny then [ 21; 22 ] else [ 21; 22; 23; 24; 25; 26 ] in
     List.map
       (fun seed ->
-        let cuts = if tiny then 4 else 6 in
         let inst, _ =
           Benchmarks.Generate.guillotine ~seed
             ~container:(Geometry.Container.make [| 2; 2; 2; 5 |])
-            ~cuts ~arc_probability:0.3 ()
+            ~cuts:6 ~arc_probability:0.3 ()
         in
         ( Printf.sprintf "hyper4d s%d n%d" seed (Packing.Instance.count inst),
           inst,
           3,
           Geometry.Container.make [| 2; 2; 2; 1 |] ))
-      seeds
+      [ 21; 22; 23; 24; 25; 26 ]
   in
   Format.printf "  -- d=2 strip with axis-0 order --@.";
   let strip_rows = List.map solve_one strip_cases in
   Format.printf "  -- d=4 --@.";
   let d4_rows = List.map solve_one d4_cases in
-  let oc = open_out "BENCH_ddim.json" in
-  output_string oc
-    (Printf.sprintf
-       "{\"tiny\":%b,\"note\":\"dimension-generic workloads: optima \
-        cross-checked against the geometric enumeration baseline\",\
-        \"strip2d\":[\n%s\n],\"d4\":[\n%s\n]}\n"
-       tiny
-       (String.concat ",\n" strip_rows)
-       (String.concat ",\n" d4_rows));
-  close_out oc;
-  Format.printf "  wrote BENCH_ddim.json@."
+  write_json "BENCH_ddim.json"
+    [
+      ( "note",
+        T.String
+          "dimension-generic workloads: optima cross-checked against the \
+           geometric enumeration baseline" );
+      ("strip2d", T.List strip_rows);
+      ("d4", T.List d4_rows);
+    ]
 
 let run_bechamel () =
   let open Bechamel in
@@ -1066,15 +914,21 @@ let () =
       ("ablation-stages", ablation_stages);
       ("rect", rect);
       ("scaling", scaling);
-      ("parallel", parallel_bench);
-      ("parallel-calibrate", parallel_calibrate);
+      ( "parallel",
+        fun () ->
+          parallel_bench ~budget_s:60.0 ~rounds:3 ~jobs_levels:[ 2; 4; 8 ]
+            (parallel_cases ()) );
       ("ddim", ddim_bench);
-      ("bounds", bounds_bench);
+      ( "bounds",
+        fun () ->
+          bounds_bench ~node_limit:2_000_000 ~rounds:3 (bounds_cases ()) );
       ("bechamel", run_bechamel);
+      ("smoke", smoke);
     ]
   in
-  (* Calibration is a maintenance tool, not part of the default sweep. *)
-  let default = List.filter (fun n -> n <> "parallel-calibrate") (List.map fst known) in
+  (* [smoke] repeats [parallel] and [bounds] on small sets, so the
+     default sweep leaves it out. *)
+  let default = List.filter (fun n -> n <> "smoke") (List.map fst known) in
   let args = List.tl (Array.to_list Sys.argv) in
   let selected =
     if args = [] then default

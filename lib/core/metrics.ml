@@ -2,9 +2,10 @@
    - [null] handles are a variant constructor; every update matches on
      the handle first and returns on the null arm.
    - Counters and histograms are sharded per domain: a cell list under
-     an Atomic, registered by CAS on a domain's first touch (the Trace
-     stream pattern). Updates are plain writes to the owning domain's
-     cell; only registration synchronizes.
+     an Atomic, registered by CAS on a domain's first touch
+     ([Per_domain], shared with the Trace streams). Updates are plain
+     writes to the owning domain's cell; only registration
+     synchronizes.
    - Gauges are set/shift, not increment-heavy; a per-gauge mutex keeps
      them exact without complicating the counter path.
    Snapshots merge the shards without stopping writers, so a live
@@ -219,27 +220,10 @@ let histogram t ?(help = "") ?(labels = []) ?(buckets = default_latency_buckets)
 
 (* --- hot-path updates ----------------------------------------------- *)
 
-(* The calling domain's cell, registered on first touch. Registration
-   races other registrations (CAS retry), never updates: a cell is only
-   ever written by its own domain. *)
-let rec find_ccell id = function
-  | [] -> None
-  | c :: tl -> if c.c_domain = id then Some c else find_ccell id tl
-
-let ccell cells =
-  let id = (Domain.self () :> int) in
-  match find_ccell id (Atomic.get cells) with
-  | Some c -> c
-  | None ->
-    let c = { c_domain = id; c_v = 0.0 } in
-    let rec register () =
-      let old = Atomic.get cells in
-      match find_ccell id old with
-      | Some c' -> c'
-      | None ->
-        if Atomic.compare_and_set cells old (c :: old) then c else register ()
-    in
-    register ()
+(* The calling domain's cell, registered on first touch. *)
+let ccell_domain c = c.c_domain
+let new_ccell id () = { c_domain = id; c_v = 0.0 }
+let ccell cells = Per_domain.get cells ~owner:ccell_domain ~make:new_ccell ()
 
 let addf h d =
   match h with
@@ -261,31 +245,18 @@ let shift g d =
   | G_null -> ()
   | G c -> Mutex.protect c.g_lock (fun () -> c.g_v <- c.g_v +. d)
 
-let rec find_hcell id = function
-  | [] -> None
-  | c :: tl -> if c.h_domain = id then Some c else find_hcell id tl
+let hcell_domain c = c.h_domain
+
+let new_hcell id n_buckets =
+  {
+    h_domain = id;
+    h_counts = Array.make (n_buckets + 1) 0;
+    h_sum = 0.0;
+    h_count = 0;
+  }
 
 let hcell ~n_buckets cells =
-  let id = (Domain.self () :> int) in
-  match find_hcell id (Atomic.get cells) with
-  | Some c -> c
-  | None ->
-    let c =
-      {
-        h_domain = id;
-        h_counts = Array.make (n_buckets + 1) 0;
-        h_sum = 0.0;
-        h_count = 0;
-      }
-    in
-    let rec register () =
-      let old = Atomic.get cells in
-      match find_hcell id old with
-      | Some c' -> c'
-      | None ->
-        if Atomic.compare_and_set cells old (c :: old) then c else register ()
-    in
-    register ()
+  Per_domain.get cells ~owner:hcell_domain ~make:new_hcell n_buckets
 
 let observe h v =
   match h with

@@ -88,37 +88,21 @@ let enabled = function Null -> false | Active _ -> true
 
 let dummy_event = { ts = 0.0; kind = Cancel { reason = "" } }
 
-(* The emitting domain's stream, registered on first use. Registration
-   races with other domains' registrations (CAS retry), never with
-   appends — a stream is only ever appended to by its own domain. *)
+(* The emitting domain's stream, registered on first use. A stream is
+   only ever appended to by its own domain. *)
+let stream_worker s = s.worker
+
+let new_stream id capacity =
+  {
+    worker = id;
+    buf = Array.make capacity dummy_event;
+    appended = 0;
+    tick = 0;
+    last_ts = 0.0;
+  }
+
 let stream a =
-  let id = (Domain.self () :> int) in
-  let rec find = function
-    | [] -> None
-    | s :: tl -> if s.worker = id then Some s else find tl
-  in
-  match find (Atomic.get a.streams) with
-  | Some s -> s
-  | None ->
-    let s =
-      {
-        worker = id;
-        buf = Array.make a.capacity dummy_event;
-        appended = 0;
-        tick = 0;
-        last_ts = 0.0;
-      }
-    in
-    let rec register () =
-      let old = Atomic.get a.streams in
-      match find old with
-      | Some s' -> s' (* another emit from this domain raced us? impossible,
-                         but a stale handle reused across solves is not *)
-      | None ->
-        if Atomic.compare_and_set a.streams old (s :: old) then s
-        else register ()
-    in
-    register ()
+  Per_domain.get a.streams ~owner:stream_worker ~make:new_stream a.capacity
 
 let append a s kind =
   let ts =

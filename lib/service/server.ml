@@ -510,6 +510,9 @@ let handle_line t w line =
 (* Serving loops                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* Lines the reader may queue per handler domain before it blocks. *)
+let queue_per_job = 4
+
 let serve_channel t w ic =
   if t.config.jobs <= 1 then begin
     try
@@ -521,17 +524,22 @@ let serve_channel t w ic =
   else begin
     (* one reader (this domain), [jobs] handler domains draining a
        shared queue; EOF closes the queue and every worker drains the
-       remainder before exiting *)
+       remainder before exiting. The reader blocks while the queue is
+       full, so slow handlers push back on the input (a pipe or a TCP
+       peer) instead of the whole input moving into memory. *)
+    let cap = queue_per_job * t.config.jobs in
     let q = Queue.create () in
     let qlock = Mutex.create () in
-    let qcond = Condition.create () in
+    let nonempty = Condition.create () in
+    let nonfull = Condition.create () in
     let closed = ref false in
     let next () =
       Mutex.lock qlock;
       while Queue.is_empty q && not !closed do
-        Condition.wait qcond qlock
+        Condition.wait nonempty qlock
       done;
       let job = if Queue.is_empty q then None else Some (Queue.pop q) in
+      Condition.signal nonfull;
       Mutex.unlock qlock;
       job
     in
@@ -549,14 +557,17 @@ let serve_channel t w ic =
        while true do
          let line = input_line ic in
          Mutex.lock qlock;
+         while Queue.length q >= cap do
+           Condition.wait nonfull qlock
+         done;
          Queue.push line q;
-         Condition.signal qcond;
+         Condition.signal nonempty;
          Mutex.unlock qlock
        done
      with End_of_file -> ());
     Mutex.lock qlock;
     closed := true;
-    Condition.broadcast qcond;
+    Condition.broadcast nonempty;
     Mutex.unlock qlock;
     Array.iter Domain.join domains
   end

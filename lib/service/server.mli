@@ -78,7 +78,9 @@ val handle_line : t -> Writer.t -> string -> unit
 (** [serve_channel t w ic] runs the request loop over [ic] until EOF:
     with [config.jobs = 1] requests are handled inline in arrival
     order; otherwise a pool of worker domains drains them concurrently
-    and responses appear in completion order (match them by [id]). All
+    and responses appear in completion order (match them by [id]). The
+    reader queues at most four lines per worker and stops reading
+    while the queue is full, so slow handlers push back on [ic]. All
     workers are joined before returning. *)
 val serve_channel : t -> Writer.t -> in_channel -> unit
 

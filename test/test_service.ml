@@ -521,6 +521,66 @@ let test_concurrent_heartbeats_not_interleaved () =
   in
   Alcotest.(check int) "every request answered" 8 (List.length answered)
 
+(* Backpressure: with every handler stuck on a gated sink, the reader
+   stops taking lines once the job queue is full, so a non-blocking
+   writer on the input pipe soon gets EAGAIN for good. Released, the
+   loop answers every line exactly once. *)
+let test_serve_backpressure () =
+  let n = 10_000 in
+  let gate = Atomic.make false in
+  let answered = Hashtbl.create n in
+  let w =
+    Writer.of_sink (fun l ->
+        while not (Atomic.get gate) do
+          Unix.sleepf 0.001
+        done;
+        let id = response_id (parse_json l) in
+        Hashtbl.replace answered id
+          (1 + Option.value (Hashtbl.find_opt answered id) ~default:0))
+  in
+  let server =
+    Server.create ~config:{ Server.default_config with Server.jobs = 2 } ()
+  in
+  let rd, wr = Unix.pipe () in
+  let ic = Unix.in_channel_of_descr rd in
+  let loop = Domain.spawn (fun () -> Server.serve_channel server w ic) in
+  let line i =
+    Printf.sprintf "{\"id\":\"q%05d\",\"op\":\"none\",\"pad\":\"%s\"}\n" i
+      (String.make 64 'x')
+  in
+  (* Write until the pipe has refused every line for half a second. *)
+  Unix.set_nonblock wr;
+  let written = ref 0 and stalled = ref false and refused_since = ref 0.0 in
+  while !written < n && not !stalled do
+    let l = line !written in
+    match Unix.single_write_substring wr l 0 (String.length l) with
+    | _ ->
+      incr written;
+      refused_since := 0.0
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      let now = Unix.gettimeofday () in
+      if !refused_since = 0.0 then refused_since := now
+      else if now -. !refused_since > 0.5 then stalled := true;
+      Unix.sleepf 0.001
+  done;
+  let accepted_while_blocked = !written in
+  Atomic.set gate true;
+  Unix.clear_nonblock wr;
+  for i = accepted_while_blocked to n - 1 do
+    let l = line i in
+    ignore (Unix.write_substring wr l 0 (String.length l))
+  done;
+  Unix.close wr;
+  Domain.join loop;
+  close_in ic;
+  Alcotest.(check bool)
+    (Printf.sprintf "reader stopped at %d of %d lines" accepted_while_blocked n)
+    true
+    (accepted_while_blocked < n / 2);
+  Alcotest.(check int) "every line answered" n (Hashtbl.length answered);
+  Alcotest.(check bool) "each exactly once" true
+    (Hashtbl.fold (fun _ k ok -> ok && k = 1) answered true)
+
 (* ------------------------------------------------------------------ *)
 (* Metrics: the warm-cache run separates hit and miss populations      *)
 (* ------------------------------------------------------------------ *)
@@ -689,6 +749,8 @@ let () =
             test_concurrent_heartbeats_not_interleaved;
           Alcotest.test_case "latency record keeps a fixed window" `Quick
             test_latency_window_bounded;
+          Alcotest.test_case "full job queue pushes back on the reader"
+            `Quick test_serve_backpressure;
         ] );
       ( "metrics",
         [
