@@ -49,8 +49,20 @@ type t = {
          0 = "C3 pressure" (the pair still owes a separation). *)
   mutable decided_slots : int; (* decided (pair, dimension) slots *)
   total_slots : int;
+  (* ---- preallocated work buffers --------------------------------- *)
+  mutable marks : int array;
+      (* the mark stack: level l holds the trail mark of every
+         dimension at [l * d, (l + 1) * d) *)
+  mutable levels : int;
+  clique_buf : int array; (* candidate segments of [max_clique_weight] *)
+  any_pos : int array;
+      (* per dimension, set by [choose_unknown]: position in
+         [score_order] of the first undecided pair, or -1 *)
+  pressured_pos : int array; (* same, first undecided pressured pair *)
   recorder : Recorder.t;
 }
+
+type conflict = Recorder.conflict
 
 (* Tasks u < v are interchangeable when their boxes are equal and they
    relate identically (and not at all to each other) in every axis's
@@ -100,7 +112,19 @@ let dimension t k = t.dims.(k)
 
 let sequencing t ~axis = OG.orientation t.dims.(axis)
 let time_sequencing t = sequencing t ~axis:(Instance.objective_axis t.inst)
-let mark t = Array.map OG.mark t.dims
+let mark t =
+  let d = Array.length t.dims in
+  let l = t.levels in
+  if (l + 1) * d > Array.length t.marks then begin
+    let bigger = Array.make (2 * (l + 1) * d) 0 in
+    Array.blit t.marks 0 bigger 0 (l * d);
+    t.marks <- bigger
+  end;
+  for k = 0 to d - 1 do
+    t.marks.((l * d) + k) <- OG.mark t.dims.(k)
+  done;
+  t.levels <- l + 1;
+  l
 
 let decided_fraction t =
   if t.total_slots = 0 then 1.0
@@ -147,23 +171,35 @@ let sync_window t k ~since ~until =
   OG.iter_trail_window t.dims.(k) ~since ~until (fun u v ~prev ~cur ->
       apply_transition t k u v ~prev ~cur ~dir:1)
 
-let undo_to t marks =
-  Array.iteri
-    (fun k m ->
-      let synced = t.processed.(k) in
-      if synced > m then
-        (* Entries in [synced, len) were never mirrored (a conflict cut
-           the stabilization short); revert exactly the applied prefix. *)
-        OG.iter_trail_window t.dims.(k) ~since:m ~until:synced
-          (fun u v ~prev ~cur -> apply_transition t k u v ~prev ~cur ~dir:(-1));
-      OG.undo_to t.dims.(k) m;
-      t.processed.(k) <- min t.processed.(k) m)
-    marks
+let undo_to t level =
+  if level < 0 || level >= t.levels then
+    invalid_arg "Packing_state.undo_to: bad level";
+  let d = Array.length t.dims in
+  for k = 0 to d - 1 do
+    let m = t.marks.((level * d) + k) in
+    let synced = t.processed.(k) in
+    if synced > m then
+      (* Entries in [synced, len) were never mirrored (a conflict cut
+         the stabilization short); revert exactly the applied prefix. *)
+      OG.iter_trail_window t.dims.(k) ~since:m ~until:synced
+        (fun u v ~prev ~cur -> apply_transition t k u v ~prev ~cur ~dir:(-1));
+    OG.undo_to t.dims.(k) m;
+    t.processed.(k) <- min t.processed.(k) m
+  done;
+  t.levels <- level
 
-let fail_of (c : OG.conflict) dim =
-  Error
-    (Printf.sprintf "dim %d, pair (%d,%d): %s" dim (fst c.pair) (snd c.pair)
-       c.reason)
+let pair_conflict dim edge = Error (Recorder.Pair { dim; edge })
+
+(* Inside the fixpoint a conflict unwinds to [stabilize] as an
+   exception, so a rule that holds costs no allocation. *)
+exception Rule_conflict of conflict
+
+let ok = function Ok () -> () | Error c -> raise (Rule_conflict c)
+
+let set_component_exn t k u v =
+  match OG.set_component t.dims.(k) u v with
+  | Ok () -> ()
+  | Error edge -> raise (Rule_conflict (Pair { dim = k; edge }))
 
 (* ------------------------------------------------------------------ *)
 (* Cross-dimension rules                                               *)
@@ -180,58 +216,62 @@ let rule_c3 t u v =
     | OG.Unknown -> free := k
     | OG.Comparable -> ()
   done;
-  if !components = d then
-    Error
-      (Printf.sprintf "C3: pair (%d,%d) overlaps in every dimension" u v)
+  if !components = d then Error (Recorder.Overlap { u; v })
   else if !components = d - 1 && !free >= 0 then
     match OG.set_comparable t.dims.(!free) u v with
     | Ok () -> Ok ()
-    | Error c -> fail_of c !free
+    | Error c -> pair_conflict !free c
   else Ok ()
 
 (* Shared clique machinery for C2 and the capacity rule: depth-first
-   max-weight clique extension through the pair (u, v), with candidates
-   seeded from the adjacency bitset rows (one AND per word instead of
-   O(n) edge-state probes) and the usual additive bound. *)
+   max-weight clique extension with the usual additive bound. The
+   candidates of a call are the segment [lo, hi) of [buf], in ascending
+   vertex order; the candidates of its first child (the rest of the
+   segment filtered by adjacency to its head) go to [hi, ...), so the
+   segments of one descent stack up in [buf]. Returns the best weight
+   found, starting from [best]. *)
+let rec clique_extend buf adj words weight cap best wsf lo hi cw =
+  let best = if wsf > best then wsf else best in
+  if best <= cap && lo < hi && wsf + cw > best then begin
+    let w = buf.(lo) in
+    let top = ref hi and nw = ref 0 in
+    for i = lo + 1 to hi - 1 do
+      let x = buf.(i) in
+      if bit_test adj ~words w x then begin
+        buf.(!top) <- x;
+        incr top;
+        nw := !nw + weight.(x)
+      end
+    done;
+    let best =
+      clique_extend buf adj words weight cap best (wsf + weight.(w)) hi !top !nw
+    in
+    clique_extend buf adj words weight cap best wsf (lo + 1) hi
+      (cw - weight.(w))
+  end
+  else best
+
+(* The heaviest clique through the pair (u, v), seeded with the common
+   neighbours from the adjacency bitset rows (one AND per word instead
+   of O(n) edge-state probes). *)
 let max_clique_weight t ~adj ~weight ~cap ~base u v =
   let words = t.words in
-  let n = t.n in
-  (* candidates = row u ∩ row v, in ascending vertex order; neither u
-     nor v appears (no self-loops). *)
-  let candidates = ref [] in
-  let cands_weight = ref 0 in
-  for w = n - 1 downto 0 do
+  let buf = t.clique_buf in
+  (* Row u ∩ row v; neither u nor v appears (no self-loops). *)
+  let len = ref 0 and cands_weight = ref 0 in
+  for w = 0 to t.n - 1 do
     if
       adj.((u * words) + (w / 63))
       land adj.((v * words) + (w / 63))
       land (1 lsl (w mod 63))
       <> 0
     then begin
-      candidates := w :: !candidates;
+      buf.(!len) <- w;
+      incr len;
       cands_weight := !cands_weight + weight.(w)
     end
   done;
-  let best = ref base in
-  let rec go weight_so_far cands cands_weight =
-    if weight_so_far > !best then best := weight_so_far;
-    if !best <= cap then
-      match cands with
-      | [] -> ()
-      | w :: rest ->
-        if weight_so_far + cands_weight > !best then begin
-          let nbrs, nbrs_weight =
-            List.fold_left
-              (fun (acc, tw) x ->
-                if bit_test adj ~words w x then (x :: acc, tw + weight.(x))
-                else (acc, tw))
-              ([], 0) rest
-          in
-          go (weight_so_far + weight.(w)) (List.rev nbrs) nbrs_weight;
-          go weight_so_far rest (cands_weight - weight.(w))
-        end
-  in
-  go base !candidates !cands_weight;
-  !best
+  clique_extend buf adj words weight cap base base 0 !len !cands_weight
 
 (* C2: maximum-weight clique of the pairwise-comparable relation in one
    dimension, restricted to cliques through the pair (u, v). *)
@@ -246,10 +286,7 @@ let rule_c2 t k u v =
       else max_clique_weight t ~adj:t.comp_adj.(k) ~weight ~cap ~base u v
     in
     if best > cap then
-      Error
-        (Printf.sprintf
-           "C2: comparable chain through (%d,%d) needs %d > %d in dim %d" u v
-           best cap k)
+      Error (Recorder.Chain { dim = k; u; v; weight = best; cap })
     else Ok ()
   end
 
@@ -268,129 +305,89 @@ let rule_component_clique t k u v =
     let base = weight.(u) + weight.(v) in
     let best = max_clique_weight t ~adj:t.ovl_adj.(k) ~weight ~cap ~base u v in
     if best > cap then
-      Error
-        (Printf.sprintf
-           "capacity: tasks overlapping (%d,%d) in dim %d need cross-section \
-            %d > %d"
-           u v k best cap)
+      Error (Recorder.Cross_section { dim = k; u; v; weight = best; cap })
     else Ok ()
   end
 
-(* C1, chordless 4-cycles, triggered by a new component edge (u,v):
-   look for 4-cycles u - v - w - z - u of component edges. The cycle
-   edges are read from the overlap bitsets (synced through the window
-   being processed); diagonals are read live so forcings made earlier
-   in the same scan are respected. *)
+(* C1 on the 4-cycle a - b - c - d - a of component edges: both
+   diagonals {a,c}, {b,d} comparable make it an induced C4; one
+   comparable diagonal forces the other to be a component edge. *)
+let c4_diagonals t k a b c d =
+  let og = t.dims.(k) in
+  match (OG.kind og a c, OG.kind og b d) with
+  | OG.Comparable, OG.Comparable ->
+    raise (Rule_conflict (Induced_c4 { dim = k; a; b; c; d }))
+  | OG.Comparable, OG.Unknown -> set_component_exn t k b d
+  | OG.Unknown, OG.Comparable -> set_component_exn t k a c
+  | _ -> ()
+
+let catch_rule f t k u v =
+  match f t k u v with () -> Ok () | exception Rule_conflict c -> Error c
+
+(* C1, triggered by a new component edge (u,v): look for 4-cycles
+   u - v - w - z - u of component edges. The cycle edges are read from
+   the overlap bitsets (synced through the window being processed), so
+   the candidates z of one w are the word-wise AND of rows w and u;
+   diagonals are read live so forcings made earlier in the same scan
+   are respected. *)
+let c4_edge t k u v =
+  let words = t.words in
+  let ovl = t.ovl_adj.(k) in
+  for w = 0 to t.n - 1 do
+    if w <> u && w <> v && bit_test ovl ~words v w then
+      for j = 0 to words - 1 do
+        let common = ovl.((w * words) + j) land ovl.((u * words) + j) in
+        if common <> 0 then
+          for b = 0 to 62 do
+            let z = (j * 63) + b in
+            if common land (1 lsl b) <> 0 && z <> v then
+              c4_diagonals t k u v w z
+          done
+      done
+  done
+
 let rule_c4_edge t k u v =
-  if not t.rules.c4_cycles then Ok ()
-  else begin
-    let og = t.dims.(k) in
-    let n = t.n in
-    let words = t.words in
-    let ovl = t.ovl_adj.(k) in
-    let result = ref (Ok ()) in
-    let handle_diagonals d1u d1v d2u d2v =
-      (* diagonal 1 = (d1u,d1v), diagonal 2 = (d2u,d2v) *)
-      match (OG.kind og d1u d1v, OG.kind og d2u d2v) with
-      | OG.Comparable, OG.Comparable ->
-        result :=
-          Error
-            (Printf.sprintf
-               "C1: induced 4-cycle on {%d,%d,%d,%d} in dim %d" d1u d2u d1v
-               d2v k)
-      | OG.Comparable, OG.Unknown -> (
-        match OG.set_component og d2u d2v with
-        | Ok () -> ()
-        | Error c -> result := fail_of c k)
-      | OG.Unknown, OG.Comparable -> (
-        match OG.set_component og d1u d1v with
-        | Ok () -> ()
-        | Error c -> result := fail_of c k)
-      | _ -> ()
-    in
-    (try
-       for w = 0 to n - 1 do
-         if w <> u && w <> v && bit_test ovl ~words v w then
-           for z = 0 to n - 1 do
-             if
-               z <> u && z <> v && z <> w
-               && bit_test ovl ~words w z
-               && bit_test ovl ~words z u
-             then begin
-               handle_diagonals u w v z;
-               match !result with Error _ -> raise Exit | Ok () -> ()
-             end
-           done
-       done
-     with Exit -> ());
-    !result
-  end
+  if not t.rules.c4_cycles then Ok () else catch_rule c4_edge t k u v
 
 (* C1, 4-cycles where the freshly comparable pair (u,v) is a diagonal:
    cycle u - a - v - b - u of component edges with diagonal (a,b). *)
+let c4_diagonal t k u v =
+  let words = t.words in
+  let ovl = t.ovl_adj.(k) in
+  for a = 0 to t.n - 1 do
+    if a <> u && a <> v && bit_test ovl ~words u a && bit_test ovl ~words a v
+    then
+      for b = a + 1 to t.n - 1 do
+        if
+          b <> u && b <> v
+          && bit_test ovl ~words u b
+          && bit_test ovl ~words b v
+        then c4_diagonals t k u a v b
+      done
+  done
+
 let rule_c4_diagonal t k u v =
-  if not t.rules.c4_cycles then Ok ()
-  else begin
-    let og = t.dims.(k) in
-    let n = t.n in
-    let words = t.words in
-    let ovl = t.ovl_adj.(k) in
-    let result = ref (Ok ()) in
-    (try
-       for a = 0 to n - 1 do
-         if
-           a <> u && a <> v
-           && bit_test ovl ~words u a
-           && bit_test ovl ~words a v
-         then
-           for b = a + 1 to n - 1 do
-             if
-               b <> u && b <> v
-               && bit_test ovl ~words u b
-               && bit_test ovl ~words b v
-             then begin
-               (match OG.kind og a b with
-               | OG.Comparable ->
-                 result :=
-                   Error
-                     (Printf.sprintf
-                        "C1: induced 4-cycle on {%d,%d,%d,%d} in dim %d" u a v
-                        b k)
-               | OG.Unknown -> (
-                 match OG.set_component og a b with
-                 | Ok () -> ()
-                 | Error c -> result := fail_of c k)
-               | OG.Component -> ());
-               match !result with Error _ -> raise Exit | Ok () -> ()
-             end
-           done
-       done
-     with Exit -> ());
-    !result
-  end
+  if not t.rules.c4_cycles then Ok () else catch_rule c4_diagonal t k u v
 
 (* ------------------------------------------------------------------ *)
 (* Fixpoint                                                            *)
 (* ------------------------------------------------------------------ *)
 
-exception Rule_conflict of string
-
 (* Every rule outcome goes through the recorder, which times the calls
-   it started and records an [Error] as that rule's conflict. *)
+   it samples and records an [Error] as that rule's conflict. *)
 let timed t rule check k u v =
-  Recorder.start t.recorder;
+  Recorder.rule_start t.recorder rule;
   Recorder.rule_call t.recorder rule (check t k u v)
 
 let handle_pair t k u v =
-  let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e in
   match OG.kind t.dims.(k) u v with
   | OG.Component ->
-    let* () = Recorder.rule_conflict t.recorder C3 (rule_c3 t u v) in
-    let* () = timed t Capacity rule_component_clique k u v in
-    timed t C4 rule_c4_edge k u v
+    ok (Recorder.rule_conflict t.recorder C3 (rule_c3 t u v));
+    ok (timed t Capacity rule_component_clique k u v);
+    ok (timed t C4 rule_c4_edge k u v)
   | OG.Comparable ->
-    let* () = timed t C2 rule_c2 k u v in
-    let* () = timed t C4 rule_c4_diagonal k u v in
+    ok (timed t C2 rule_c2 k u v);
+    ok (timed t C4 rule_c4_diagonal k u v);
     (* Symmetry breaking: interchangeable tasks that end up comparable
        in the objective dimension always run in index order. *)
     if
@@ -398,63 +395,46 @@ let handle_pair t k u v =
       && u < v
       && t.symmetric.((u * t.n) + v)
     then
-      Recorder.rule_conflict t.recorder Symmetry
-        (match OG.force_arc t.dims.(k) u v with
-        | Ok () -> Ok ()
-        | Error conflict -> fail_of conflict k)
-    else Ok ()
-  | OG.Unknown -> Ok ()
+      ok
+        (Recorder.rule_conflict t.recorder Symmetry
+           (match OG.force_arc t.dims.(k) u v with
+           | Ok () -> Ok ()
+           | Error c -> pair_conflict k c))
+  | OG.Unknown -> ()
 
 let stabilize t =
   let d = Array.length t.dims in
-  let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e in
-  let rec loop () =
-    (* Intra-dimension D1/D2 closure. *)
-    let rec dims_prop k =
-      if k >= d then Ok ()
-      else if t.rules.implications then begin
-        Recorder.start t.recorder;
-        match
-          Recorder.rule_call t.recorder Implications
-            (match OG.propagate t.dims.(k) with
-            | Ok () -> Ok ()
-            | Error conflict -> fail_of conflict k)
-        with
-        | Ok () -> dims_prop (k + 1)
-        | Error _ as e -> e
-      end
-      else Ok ()
-    in
-    let* () = dims_prop 0 in
-    (* Cross-dimension rules on everything that changed since the last
-       round: sync the derived structures over the window, then run the
-       rules pair by pair straight off the trail (no Hashtbl, no list). *)
-    let changed = ref false in
-    let rec cross k =
-      if k >= d then Ok ()
-      else begin
+  let changed = ref true in
+  match
+    while !changed do
+      (* Intra-dimension D1/D2 closure. *)
+      if t.rules.implications then
+        for k = 0 to d - 1 do
+          Recorder.rule_start t.recorder Implications;
+          ok
+            (Recorder.rule_call t.recorder Implications
+               (match OG.propagate t.dims.(k) with
+               | Ok () -> Ok ()
+               | Error c -> pair_conflict k c))
+        done;
+      (* Cross-dimension rules on everything that changed since the last
+         round: sync the derived structures over the window, then run
+         the rules pair by pair straight off the trail. *)
+      changed := false;
+      for k = 0 to d - 1 do
         let since = t.processed.(k) in
         let now = OG.mark t.dims.(k) in
         if now > since then begin
           changed := true;
           sync_window t k ~since ~until:now;
           t.processed.(k) <- now;
-          match
-            OG.iter_changed_pairs t.dims.(k) ~since (fun u v ->
-                match handle_pair t k u v with
-                | Ok () -> ()
-                | Error reason -> raise (Rule_conflict reason))
-          with
-          | () -> cross (k + 1)
-          | exception Rule_conflict reason -> Error reason
+          OG.iter_changed_pairs t.dims.(k) ~since (handle_pair t k)
         end
-        else cross (k + 1)
-      end
-    in
-    let* () = cross 0 in
-    if !changed then loop () else Ok ()
-  in
-  loop ()
+      done
+    done
+  with
+  | () -> Ok ()
+  | exception Rule_conflict c -> Error c
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -530,10 +510,15 @@ let create ?(rules = default_rules) ?schedule ?(recorder = Recorder.create ())
       comp_dims = Array.make (n * n) 0;
       decided_slots = 0;
       total_slots = d * (n * (n - 1) / 2);
+      marks = Array.make (64 * d) 0;
+      levels = 0;
+      clique_buf = Array.make ((n * (n + 1) / 2) + 1) 0;
+      any_pos = Array.make d (-1);
+      pressured_pos = Array.make d (-1);
       recorder;
     }
   in
-  let ( let* ) r f = match r with Ok () -> f () | Error msg -> Error msg in
+  let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e in
   (* Width rule: pairs overflowing an axis must overlap there. *)
   let rec width_pairs u v k =
     if u >= n then Ok ()
@@ -544,7 +529,7 @@ let create ?(rules = default_rules) ?schedule ?(recorder = Recorder.create ())
         if ext.(k).(u) + ext.(k).(v) > cap.(k) then
           match OG.set_component t.dims.(k) u v with
           | Ok () -> Ok ()
-          | Error c -> fail_of c k
+          | Error c -> pair_conflict k c
         else Ok ()
       in
       width_pairs u v (k + 1)
@@ -561,7 +546,7 @@ let create ?(rules = default_rules) ?schedule ?(recorder = Recorder.create ())
     | (u, v) :: rest -> (
       match OG.force_arc t.dims.(k) u v with
       | Ok () -> seed k rest
-      | Error c -> fail_of c k)
+      | Error c -> pair_conflict k c)
   in
   let rec seed_axes k =
     if k >= d then Ok ()
@@ -591,7 +576,7 @@ let create ?(rules = default_rules) ?schedule ?(recorder = Recorder.create ())
           in
           match r with
           | Ok () -> seed_pairs u (v + 1)
-          | Error c -> fail_of c ta
+          | Error c -> pair_conflict ta c
         end
       in
       seed_pairs 0 1
@@ -605,80 +590,97 @@ let create ?(rules = default_rules) ?schedule ?(recorder = Recorder.create ())
 
 let assign_component t ~dim u v =
   match OG.set_component t.dims.(dim) u v with
-  | Error c -> fail_of c dim
+  | Error c -> pair_conflict dim c
   | Ok () -> stabilize t
 
 let assign_comparable t ~dim u v =
   match OG.set_comparable t.dims.(dim) u v with
-  | Error c -> fail_of c dim
+  | Error c -> pair_conflict dim c
   | Ok () -> stabilize t
 
 let unknown_count t =
   Array.fold_left (fun acc og -> acc + List.length (OG.unknown_pairs og)) 0 t.dims
 
-let choose_unknown t =
-  (* Branching priorities:
+(* Branching priorities:
 
-     1. Pairs with no comparable dimension anywhere ("C3 pressure"):
-        these are the pairs that still owe the packing a separation;
-        they drive all real conflicts. Pairs that already own a
-        comparable dimension are trivially satisfiable — deciding them
-        early only pollutes the tree (the per-node realization attempt
-        in the solver usually ends the search before they are touched).
-     2. The time dimension before space: precedence seeds, D1/D2
-        cascades and the tight C2 chains live there, and once time is
-        fully decided the problem collapses to 2D (the paper's FixedS
-        observation).
-     3. Within a dimension, the pair with the largest combined extent
-        relative to the container — the most constrained decision.
+   1. Pairs with no comparable dimension anywhere ("C3 pressure"):
+      these are the pairs that still owe the packing a separation; they
+      drive all real conflicts. Pairs that already own a comparable
+      dimension are trivially satisfiable — deciding them early only
+      pollutes the tree (the per-node realization attempt in the solver
+      usually ends the search before they are touched).
+   2. The time dimension before space: precedence seeds, D1/D2
+      cascades and the tight C2 chains live there, and once time is
+      fully decided the problem collapses to 2D (the paper's FixedS
+      observation).
+   3. Within a dimension, the pair with the largest combined extent
+      relative to the container — the most constrained decision.
 
-     The per-dimension priority order is static (extents never change),
-     so picking a pair is a scan down [score_order]: the first pair
-     still unknown (and pressured, on the first pass) is the in-class
-     maximum. The pressure flags live in [comp_dims], maintained
-     incrementally from the trail — no per-node rescan of all pairs. *)
-  let d = Array.length t.dims in
+   The per-dimension priority order is static (extents never change),
+   so the in-class maximum of a dimension is the first pair of
+   [score_order] still unknown (and pressured, for class 1). One scan
+   per dimension records both positions. The pressure flags live in
+   [comp_dims], maintained incrementally from the trail — no per-node
+   rescan of all pairs. *)
+let scan_unknown t k =
+  let order = t.score_order.(k) and og = t.dims.(k) in
+  let len = Array.length order in
+  t.any_pos.(k) <- -1;
+  t.pressured_pos.(k) <- -1;
+  let i = ref 0 in
+  while !i < len do
+    let idx = order.(!i) in
+    if OG.unknown_at og idx then begin
+      if t.any_pos.(k) < 0 then t.any_pos.(k) <- !i;
+      if t.comp_dims.(idx) = 0 then begin
+        t.pressured_pos.(k) <- !i;
+        i := len
+      end
+    end;
+    incr i
+  done
+
+(* Among the dimensions other than [obj], the one whose recorded pick
+   has the highest score relative to its container extent; ties go to
+   the lower dimension. -1 when none has a pick. *)
+let best_other t pos ~obj =
   let n = t.n in
-  let pick ~pressured_only =
-    let best = ref None in
-    let best_score = ref (-1.0) in
-    let consider k =
-      let order = t.score_order.(k) in
-      let og = t.dims.(k) in
-      let len = Array.length order in
-      let rec scan i =
-        if i < len then begin
-          let idx = order.(i) in
-          let u = idx / n and v = idx mod n in
-          if
-            OG.kind og u v = OG.Unknown
-            && ((not pressured_only) || t.comp_dims.(idx) = 0)
-          then begin
-            let score =
-              float_of_int (t.ext.(k).(u) + t.ext.(k).(v)) /. t.capf.(k)
-            in
-            if score > !best_score then begin
-              best_score := score;
-              best := Some (k, u, v)
-            end
-          end
-          else scan (i + 1)
-        end
+  let best = ref (-1) and best_score = ref (-1.0) in
+  for k = 0 to Array.length t.dims - 1 do
+    if k <> obj && pos.(k) >= 0 then begin
+      let idx = t.score_order.(k).(pos.(k)) in
+      let score =
+        float_of_int (t.ext.(k).(idx / n) + t.ext.(k).(idx mod n))
+        /. t.capf.(k)
       in
-      scan 0
-    in
-    (* The objective dimension strictly first: its decisions feed the
-       order implications and the tight C2 chains, which is where
-       conflicts come from. Only when the (relevant) objective pairs
-       are exhausted do we branch in the remaining axes. *)
-    let obj = Instance.objective_axis t.inst in
-    consider obj;
-    if !best = None then
-      for k = 0 to d - 1 do
-        if k <> obj then consider k
-      done;
-    !best
-  in
-  match pick ~pressured_only:true with
-  | Some _ as found -> found
-  | None -> pick ~pressured_only:false
+      if score > !best_score then begin
+        best_score := score;
+        best := k
+      end
+    end
+  done;
+  !best
+
+let pick t k pos =
+  let idx = t.score_order.(k).(pos.(k)) in
+  Some (k, idx / t.n, idx mod t.n)
+
+let choose_unknown t =
+  (* The objective dimension strictly first: its decisions feed the
+     order implications and the tight C2 chains, which is where
+     conflicts come from. Only when the (relevant) objective pairs are
+     exhausted do we branch in the remaining axes. *)
+  let obj = Instance.objective_axis t.inst in
+  scan_unknown t obj;
+  if t.pressured_pos.(obj) >= 0 then pick t obj t.pressured_pos
+  else begin
+    for k = 0 to Array.length t.dims - 1 do
+      if k <> obj then scan_unknown t k
+    done;
+    let k = best_other t t.pressured_pos ~obj in
+    if k >= 0 then pick t k t.pressured_pos
+    else if t.any_pos.(obj) >= 0 then pick t obj t.any_pos
+    else
+      let k = best_other t t.any_pos ~obj in
+      if k >= 0 then pick t k t.any_pos else None
+  end

@@ -44,23 +44,30 @@ type rules = {
 
 val default_rules : rules
 
+(** Why a branch closed: the typed witness of the rule that failed
+    ({!Recorder.conflict}). The search only branches on [Error]; the
+    text form, {!Recorder.conflict_to_string}, is built only for a live
+    trace or for a caller that asks. *)
+type conflict = Recorder.conflict
+
 (** [create ?rules ?schedule instance container] initializes the state:
     applies the width rule to every pair, seeds every axis's order arcs
     in that axis's dimension, and runs propagation to a fixpoint. When
     [schedule] (a start time per task) is given, the objective
     dimension is fully determined from it — the FixedS problems of the
-    paper, which collapse to the remaining axes. [Error reason] means the
-    instance is infeasible at the root. Every rule call and conflict
-    (C2/C3/C4, capacity, symmetry breaking, implication closure) is
-    recorded on [recorder] (default: a fresh one), which also carries
-    the search that runs on this state. *)
+    paper, which collapse to the remaining axes. [Error c] means the
+    instance is infeasible at the root, with [c] the first conflict.
+    Every rule call and conflict (C2/C3/C4, capacity, symmetry
+    breaking, implication closure) is recorded on [recorder] (default:
+    a fresh one), which also carries the search that runs on this
+    state. *)
 val create :
   ?rules:rules ->
   ?schedule:int array ->
   ?recorder:Recorder.t ->
   Instance.t ->
   Geometry.Container.t ->
-  (t, string) result
+  (t, conflict) result
 
 val instance : t -> Instance.t
 val container : t -> Geometry.Container.t
@@ -81,21 +88,26 @@ val sequencing : t -> axis:int -> Graphlib.Digraph.t
     time axis). *)
 val time_sequencing : t -> Graphlib.Digraph.t
 
-(** Marks for all dimensions at once. *)
-val mark : t -> int array
+(** [mark t] pushes a level onto the state's mark stack — the trail
+    mark of every dimension — and returns its index. Allocation-free
+    (the stack is preallocated and grows by doubling). *)
+val mark : t -> int
 
-val undo_to : t -> int array -> unit
+(** [undo_to t l] rolls every dimension back to level [l] and pops [l]
+    and every level above it, so marks are undone last-in first-out.
+    Raises [Invalid_argument] if [l] is not on the stack. *)
+val undo_to : t -> int -> unit
 
 (** [assign_component t ~dim u v] fixes the pair as overlapping in
     [dim] and propagates to a fixpoint. *)
-val assign_component : t -> dim:int -> int -> int -> (unit, string) result
+val assign_component : t -> dim:int -> int -> int -> (unit, conflict) result
 
 (** [assign_comparable t ~dim u v] fixes the pair as disjoint in [dim]
     and propagates to a fixpoint. *)
-val assign_comparable : t -> dim:int -> int -> int -> (unit, string) result
+val assign_comparable : t -> dim:int -> int -> int -> (unit, conflict) result
 
 (** Re-run all propagation to a fixpoint (after external mutations). *)
-val stabilize : t -> (unit, string) result
+val stabilize : t -> (unit, conflict) result
 
 (** Number of pairs still undecided (summed over dimensions). *)
 val unknown_count : t -> int

@@ -116,7 +116,7 @@ val replay :
   Instance.t ->
   Geometry.Container.t ->
   decision list ->
-  (Packing_state.t, string) result
+  (Packing_state.t, Packing_state.conflict) result
 
 (** [solve ?options ?schedule ?jobs instance container] decides the
     instance in parallel. Stages 1 and 2 and the root propagation are

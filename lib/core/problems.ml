@@ -482,11 +482,19 @@ let minimize_time ?options ?jobs ?on_probe ?upper inst ~w ~h =
 (* MinA&FindS                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Any feasible packing can be serialized on the same chip in at most
+   the total duration, so a longer time budget cannot change which
+   chips are feasible. Clamping it keeps every container the base
+   drivers form (and the bounds' scaled volumes) far from overflow. *)
+let serial_horizon inst ~t_max =
+  min t_max (max 1 (Instance.total_duration inst))
+
 let minimize_base_ctx ctx inst ~t_max =
   if Instance.dim inst <> 3 then
     invalid_arg "Problems.minimize_base: expects 3-dimensional instances";
   if Instance.critical_path inst > t_max then Infeasible
   else begin
+    let t_max = serial_horizon inst ~t_max in
     let lo = ctx_base_lower_bound ctx inst ~t_max in
     let probe s = run_probe ctx (Container.make3 ~w:s ~h:s ~t_max) inst in
     doubling_minimize ctx ~lo ~probe
@@ -504,6 +512,7 @@ let minimize_area_rect ?options ?jobs ?on_probe inst ~t_max =
     invalid_arg "Problems.minimize_area_rect: expects 3-dimensional instances";
   if Instance.critical_path inst > t_max then Infeasible
   else begin
+    let t_max = serial_horizon inst ~t_max in
     let ctx = make_ctx ?options ?jobs ?on_probe () in
     let n = Instance.count inst in
     let max_w = ref 1 and max_h = ref 1 in

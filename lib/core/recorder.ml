@@ -15,6 +15,33 @@ let rule_index = function
 
 let rule_names = [| "c2"; "c3"; "c4"; "capacity"; "symmetry"; "implications" |]
 
+type conflict =
+  | Pair of { dim : int; edge : Order.Oriented_graph.conflict }
+  | Overlap of { u : int; v : int }
+  | Chain of { dim : int; u : int; v : int; weight : int; cap : int }
+  | Cross_section of { dim : int; u : int; v : int; weight : int; cap : int }
+  | Induced_c4 of { dim : int; a : int; b : int; c : int; d : int }
+
+let conflict_to_string = function
+  | Pair { dim; edge = { pair = u, v; reason } } ->
+    Printf.sprintf "dim %d, pair (%d,%d): %s" dim u v reason
+  | Overlap { u; v } ->
+    Printf.sprintf "C3: pair (%d,%d) overlaps in every dimension" u v
+  | Chain { dim; u; v; weight; cap } ->
+    Printf.sprintf
+      "C2: comparable chain through (%d,%d) needs %d > %d in dim %d" u v weight
+      cap dim
+  | Cross_section { dim; u; v; weight; cap } ->
+    Printf.sprintf
+      "capacity: tasks overlapping (%d,%d) in dim %d need cross-section %d > %d"
+      u v dim weight cap
+  | Induced_c4 { dim; a; b; c; d } ->
+    Printf.sprintf "C1: induced 4-cycle on {%d,%d,%d,%d} in dim %d" a b c d dim
+
+(* A rule call reads the clock only when its rule's call count is a
+   multiple of [sample_every]; the sampled time is scaled back up. *)
+let sample_every = 32
+
 type bound = {
   name : string;
   mutable calls : int;
@@ -121,17 +148,24 @@ let register_rules t =
 
 let rule_conflict t rule r =
   (match r with
-  | Error reason ->
+  | Error c ->
     let i = rule_index rule in
-    Trace.rule_fire t.trace ~rule:rule_names.(i) ~detail:reason;
+    if Trace.enabled t.trace then
+      Trace.rule_fire t.trace ~rule:rule_names.(i)
+        ~detail:(conflict_to_string c);
     Metrics.incr t.m_rules.(i)
   | Ok () -> ());
   r
 
+let sampled t i = t.rule_calls.(i) land (sample_every - 1) = 0
+let rule_start t rule = if sampled t (rule_index rule) then start t
+
 let rule_call t rule r =
   let i = rule_index rule in
+  if sampled t i then
+    t.rule_time.(i) <-
+      t.rule_time.(i) +. (float_of_int sample_every *. elapsed t);
   t.rule_calls.(i) <- t.rule_calls.(i) + 1;
-  t.rule_time.(i) <- t.rule_time.(i) +. elapsed t;
   rule_conflict t rule r
 
 let rule_counters t =

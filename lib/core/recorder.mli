@@ -23,25 +23,58 @@ val create : ?trace:Trace.t -> unit -> t
 (** Whether the trace or the registry is live. *)
 val enabled : t -> bool
 
-(** Starts the clock of the next timed event: a rule call, a bound call
-    or a realization. Timed events do not nest. *)
+(** Starts the clock of the next timed event: a bound call or a
+    realization ({!rule_start} for rule calls). Timed events do not
+    nest. *)
 val start : t -> unit
 
 (** {1 Packing rules} *)
 
 type rule = C2 | C3 | C4 | Capacity | Symmetry | Implications
 
+(** Why a packing rule closed a branch: the typed witness of a
+    conflict. It is built only when a branch fails, and turned into
+    text only by {!conflict_to_string}. *)
+type conflict =
+  | Pair of { dim : int; edge : Order.Oriented_graph.conflict }
+      (** The edge-state store of dimension [dim] refused a write or
+          found a D1/D2 conflict on [edge.pair]. *)
+  | Overlap of { u : int; v : int }
+      (** C3: the pair overlaps in every dimension. *)
+  | Chain of { dim : int; u : int; v : int; weight : int; cap : int }
+      (** C2: a chain of pairwise-comparable boxes through [(u, v)]
+          needs extent [weight > cap] along [dim]. *)
+  | Cross_section of { dim : int; u : int; v : int; weight : int; cap : int }
+      (** Capacity: boxes pairwise overlapping [(u, v)] in [dim] need
+          cross-section [weight > cap]. *)
+  | Induced_c4 of { dim : int; a : int; b : int; c : int; d : int }
+      (** C1: component edges of [dim] form the 4-cycle
+          [a - b - c - d - a], and both diagonals [{a,c}], [{b,d}] are
+          comparable, so the cycle is induced. *)
+
+(** The one printer of conflicts: the text is the trace's [rule_fire]
+    detail, e.g. ["C3: pair (0,1) overlaps in every dimension"]. *)
+val conflict_to_string : conflict -> string
+
 val register_rules : t -> unit
 
-(** [rule_call t rule r] records a call of [rule], started by {!start},
-    that returned [r], then {!rule_conflict}. *)
-val rule_call : t -> rule -> (unit, string) result -> (unit, string) result
+(** [rule_start t rule] starts the clock of the next call of [rule] when
+    that call is sampled: one call in 32 per rule reads the clock. *)
+val rule_start : t -> rule -> unit
 
-(** [rule_conflict t rule r] records an [Error] as a conflict of [rule];
-    returns [r]. *)
-val rule_conflict : t -> rule -> (unit, string) result -> (unit, string) result
+(** [rule_call t rule r] records a call of [rule], started by
+    {!rule_start}, that returned [r], then {!rule_conflict}. Call counts
+    are exact; a sampled call adds 32 times its duration to the rule's
+    seconds, which are therefore an estimate. *)
+val rule_call :
+  t -> rule -> (unit, conflict) result -> (unit, conflict) result
 
-(** Calls and seconds of the timed rules (C2, C4, capacity,
+(** [rule_conflict t rule r] records an [Error] as a conflict of [rule]
+    (the trace gets its text only when it is live); returns [r]. *)
+val rule_conflict :
+  t -> rule -> (unit, conflict) result -> (unit, conflict) result
+
+(** Calls and estimated seconds of the timed rules (C2, C4, capacity,
     implications), plus the realization attempts. *)
 val rule_counters : t -> Telemetry.rule_counters
 

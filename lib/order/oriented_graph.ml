@@ -21,7 +21,12 @@ type t = {
      reported during the scan numbered [stamp]. *)
   seen : int array;
   mutable stamp : int;
-  queue : int Queue.t; (* pair indices pending a propagation scan *)
+  (* Pair indices pending a propagation scan: a FIFO ring buffer of
+     [q_len] entries starting at [q_head]; the capacity is a power of
+     two. FIFO order fixes the order of forced writes, hence the trail. *)
+  mutable queue : int array;
+  mutable q_head : int;
+  mutable q_len : int;
 }
 
 type kind = Unknown | Component | Comparable
@@ -34,6 +39,7 @@ type conflict = {
 let create n =
   if n < 0 then invalid_arg "Oriented_graph.create: negative order";
   let cap = max 16 (n * 4) in
+  let rec pow2 c = if c >= n * n then c else pow2 (2 * c) in
   {
     n;
     state = Array.make (n * n) 0;
@@ -43,7 +49,9 @@ let create n =
     tr_len = 0;
     seen = Array.make (n * n) 0;
     stamp = 0;
-    queue = Queue.create ();
+    queue = Array.make (pow2 16) 0;
+    q_head = 0;
+    q_len = 0;
   }
 
 let order t = t.n
@@ -53,8 +61,6 @@ let index t u v =
     invalid_arg "Oriented_graph: bad pair";
   if u < v then (u * t.n) + v else (v * t.n) + u
 
-let unpack t idx = (idx / t.n, idx mod t.n)
-
 let raw t u v = t.state.(index t u v)
 
 let kind t u v =
@@ -62,6 +68,8 @@ let kind t u v =
   | 0 -> Unknown
   | 1 -> Component
   | _ -> Comparable
+
+let unknown_at t idx = t.state.(idx) = 0
 
 let arc t u v =
   let s = raw t u v in
@@ -79,7 +87,7 @@ let undo_to t m =
     t.state.(t.tr_idx.(p)) <- t.tr_prev.(p)
   done;
   t.tr_len <- m;
-  Queue.clear t.queue
+  t.q_len <- 0
 
 let iter_changed_pairs t ~since f =
   if since > t.tr_len then
@@ -120,6 +128,21 @@ let grow t =
   t.tr_prev <- extend t.tr_prev;
   t.tr_new <- extend t.tr_new
 
+(* A pair is written at most twice between undos (0 -> 2 -> 3|4), so
+   the ring never holds more than n * n entries; growing is a guard. *)
+let enqueue t idx =
+  let cap = Array.length t.queue in
+  if t.q_len = cap then begin
+    let q = Array.make (2 * cap) 0 in
+    for i = 0 to cap - 1 do
+      q.(i) <- t.queue.((t.q_head + i) land (cap - 1))
+    done;
+    t.queue <- q;
+    t.q_head <- 0
+  end;
+  t.queue.((t.q_head + t.q_len) land (Array.length t.queue - 1)) <- idx;
+  t.q_len <- t.q_len + 1
+
 let write t idx value =
   if t.state.(idx) <> value then begin
     if t.tr_len >= Array.length t.tr_idx then grow t;
@@ -128,7 +151,7 @@ let write t idx value =
     t.tr_new.(t.tr_len) <- value;
     t.tr_len <- t.tr_len + 1;
     t.state.(idx) <- value;
-    Queue.add idx t.queue
+    enqueue t idx
   end
 
 let conflict u v reason = Error { pair = (min u v, max u v); reason }
@@ -149,107 +172,110 @@ let set_comparable t u v =
     Ok ()
   | _ -> conflict u v "pair is a component edge, cannot be comparable"
 
-(* Fix the orientation a -> b, whatever the current state allows. *)
-let force_arc t a b =
-  let idx = index t a b in
+(* ---- orientation and propagation -------------------------------- *)
+
+(* Propagation reads pair states straight from [state] (no bounds
+   checks on vertex ids, which the scan generates itself) and reports a
+   conflict by raising, so a rule instance costs no allocation. *)
+exception Conflict of int * int * string
+
+let[@inline] raw_of t a b =
+  if a < b then t.state.((a * t.n) + b) else t.state.((b * t.n) + a)
+
+(* Packed-state predicates for the ordered pair (a, b). *)
+let[@inline] comparable_ab t a b = raw_of t a b >= 2
+let[@inline] component_ab t a b = raw_of t a b = 1
+let[@inline] arc_ab t a b =
+  let s = raw_of t a b in
+  if a < b then s = 3 else s = 4
+
+(* Fix the orientation a -> b, whatever the current state allows;
+   [a] and [b] must be valid and distinct. *)
+let force t a b =
+  let idx = if a < b then (a * t.n) + b else (b * t.n) + a in
   let want = if a < b then 3 else 4 in
   match t.state.(idx) with
-  | 0 | 2 ->
-    write t idx want;
-    Ok ()
-  | 1 -> conflict a b "transitivity conflict: forced arc on a component edge"
-  | s when s = want -> Ok ()
-  | _ -> conflict a b "path conflict: edge forced in both orientations"
+  | 0 | 2 -> write t idx want
+  | 1 ->
+    raise
+      (Conflict (a, b, "transitivity conflict: forced arc on a component edge"))
+  | s ->
+    if s <> want then
+      raise (Conflict (a, b, "path conflict: edge forced in both orientations"))
+
+let force_arc t a b =
+  ignore (index t a b : int);
+  match force t a b with
+  | () -> Ok ()
+  | exception Conflict (a, b, reason) -> conflict a b reason
 
 (* One propagation scan for the pair encoded by [idx], driven by its
    current state. Each rule instance involves at most three pairs; the
    last pair to change always triggers the scan that completes the
-   rule, so scanning changed pairs suffices for closure. *)
+   rule, so scanning changed pairs suffices for closure. Within one [w]
+   the rules run in a fixed order and each reads the states the
+   previous one left, which fixes the order of forced writes. *)
 let scan t idx =
-  let u, v = unpack t idx in
-  let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e in
+  let n = t.n in
+  let u = idx / n and v = idx mod n in
   match t.state.(idx) with
-  | 0 -> Ok ()
+  | 0 -> ()
   | 1 ->
     (* Component edge {u,v}: D1 with shared vertex w — oriented
        comparability edges {w,u}, {w,v} must point the same way. *)
-    let rec loop w =
-      if w >= t.n then Ok ()
-      else if w = u || w = v then loop (w + 1)
-      else
-        let cu = kind t w u = Comparable and cv = kind t w v = Comparable in
-        if cu && cv then
-          let* () = if arc t w u then force_arc t w v else Ok () in
-          let* () = if arc t u w then force_arc t v w else Ok () in
-          let* () = if arc t w v then force_arc t w u else Ok () in
-          let* () = if arc t v w then force_arc t u w else Ok () in
-          loop (w + 1)
-        else loop (w + 1)
-    in
-    loop 0
+    for w = 0 to n - 1 do
+      if w <> u && w <> v && comparable_ab t w u && comparable_ab t w v
+      then begin
+        if arc_ab t w u then force t w v;
+        if arc_ab t u w then force t v w;
+        if arc_ab t w v then force t w u;
+        if arc_ab t v w then force t u w
+      end
+    done
   | 2 ->
     (* Unoriented comparability edge {u,v}: D1 may orient it via an
        already-oriented edge at a shared vertex and a component third
        side. *)
-    let rec loop w =
-      if w >= t.n then Ok ()
-      else if w = u || w = v then loop (w + 1)
-      else
-        let* () =
-          if kind t u w = Comparable && kind t v w = Component then
-            if arc t u w then force_arc t u v
-            else if arc t w u then force_arc t v u
-            else Ok ()
-          else Ok ()
-        in
-        let* () =
-          if kind t v w = Comparable && kind t u w = Component then
-            if arc t v w then force_arc t v u
-            else if arc t w v then force_arc t u v
-            else Ok ()
-          else Ok ()
-        in
-        loop (w + 1)
-    in
-    loop 0
-  | _ ->
+    for w = 0 to n - 1 do
+      if w <> u && w <> v then begin
+        if comparable_ab t u w && component_ab t v w then begin
+          if arc_ab t u w then force t u v
+          else if arc_ab t w u then force t v u
+        end;
+        if comparable_ab t v w && component_ab t u w then begin
+          if arc_ab t v w then force t v u
+          else if arc_ab t w v then force t u v
+        end
+      end
+    done
+  | s ->
     (* Oriented edge a -> b. *)
-    let a, b = if t.state.(idx) = 3 then (u, v) else (v, u) in
-    let rec loop w =
-      if w >= t.n then Ok ()
-      else if w = a || w = b then loop (w + 1)
-      else
+    let a, b = if s = 3 then (u, v) else (v, u) in
+    for w = 0 to n - 1 do
+      if w <> a && w <> b then begin
         (* D1, shared a: {a,w} comparable, {b,w} component. *)
-        let* () =
-          if kind t a w = Comparable && kind t b w = Component then
-            force_arc t a w
-          else Ok ()
-        in
+        if comparable_ab t a w && component_ab t b w then force t a w;
         (* D1, shared b: {b,w} comparable, {a,w} component. *)
-        let* () =
-          if kind t b w = Comparable && kind t a w = Component then
-            force_arc t w b
-          else Ok ()
-        in
+        if comparable_ab t b w && component_ab t a w then force t w b;
         (* D2: a -> b -> w forces a -> w; w -> a -> b forces w -> b. *)
-        let* () = if arc t b w then force_arc t a w else Ok () in
-        let* () = if arc t w a then force_arc t w b else Ok () in
-        loop (w + 1)
-    in
-    loop 0
+        if arc_ab t b w then force t a w;
+        if arc_ab t w a then force t w b
+      end
+    done
 
 let propagate t =
-  let rec drain () =
-    if Queue.is_empty t.queue then Ok ()
-    else
-      let idx = Queue.pop t.queue in
-      match scan t idx with
-      | Ok () -> drain ()
-      | Error _ as e ->
-        Queue.clear t.queue;
-        e
-  in
-  drain ()
+  match
+    while t.q_len > 0 do
+      let idx = t.queue.(t.q_head) in
+      t.q_head <- (t.q_head + 1) land (Array.length t.queue - 1);
+      t.q_len <- t.q_len - 1;
+      scan t idx
+    done
+  with
+  | () -> Ok ()
+  | exception Conflict (a, b, reason) ->
+    t.q_len <- 0;
+    conflict a b reason
 
 let pairs_with t pred =
   let acc = ref [] in

@@ -50,6 +50,11 @@ val order : t -> int
 (** Current kind of the pair [{u,v}], [u <> v]. *)
 val kind : t -> int -> int -> kind
 
+(** [unknown_at t idx] is [kind t u v = Unknown] for the packed pair
+    index [idx = u * order t + v], [u < v], without validating the
+    pair: for scans over precomputed pair indices. *)
+val unknown_at : t -> int -> bool
+
 (** [arc t u v] is [true] iff the comparability edge [{u,v}] is oriented
     [u -> v]. *)
 val arc : t -> int -> int -> bool
@@ -109,7 +114,9 @@ val force_arc : t -> int -> int -> (unit, conflict) result
 
 (** Drain the propagation queue, applying D1 and D2 exhaustively.
     Returns the first conflict encountered, if any. On success the state
-    is closed under both implication families. *)
+    is closed under both implication families. Pairs are scanned in the
+    order they were written (FIFO), which fixes the order of the forced
+    writes on the trail; only a conflict allocates. *)
 val propagate : t -> (unit, conflict) result
 
 (** Pairs currently [Unknown], with [u < v]. *)

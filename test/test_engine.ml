@@ -8,7 +8,10 @@
    - every realization-throttle policy must return the same verdict
      (the exact leaf check is never throttled);
    - realization-attempt telemetry must decrease monotonically as the
-     policy gets stricter. *)
+     policy gets stricter;
+   - the edge-state store's propagation must match the reference copy
+     of its historical implementation write for write;
+   - the search kernel must stay allocation-light. *)
 
 module OG = Order.Oriented_graph
 module Container = Geometry.Container
@@ -314,6 +317,110 @@ let prop_attempts_monotone_in_strictness case =
     monotone runs
 
 (* ------------------------------------------------------------------ *)
+(* Propagation differential: the edge-state store against the          *)
+(* reference copy of its historical implementation (Og_reference).     *)
+(* ------------------------------------------------------------------ *)
+
+let arb_og_walk =
+  QCheck.make
+    QCheck.Gen.(
+      triple (int_range 2 7) (int_range 0 1_000_000) (int_range 1 150))
+    ~print:(fun (n, seed, steps) ->
+      Printf.sprintf "n=%d seed=%d steps=%d" n seed steps)
+
+(* A random walk of mutations, propagations, marks and undos applied to
+   both stores. After every step the results, the pair states and the
+   whole trail (pair, state before, state written) must agree. *)
+let prop_propagation_matches_reference (n, seed, steps) =
+  let rng = Random.State.make [| seed |] in
+  let og = OG.create n and reference = Og_reference.create n in
+  let marks = ref [] in
+  let show = function
+    | Ok () -> "Ok"
+    | Error { OG.pair = u, v; reason } ->
+      Printf.sprintf "Error (%d,%d) %s" u v reason
+  in
+  let trail () =
+    let acc = ref [] in
+    OG.iter_trail_window og ~since:0 (fun u v ~prev ~cur ->
+        acc := ((u * n) + v, prev, cur) :: !acc);
+    List.rev !acc
+  in
+  for step = 1 to steps do
+    let u = Random.State.int rng n in
+    let v = (u + 1 + Random.State.int rng (n - 1)) mod n in
+    let agree what got want =
+      if got <> want then
+        QCheck.Test.fail_reportf "step %d, %s %d %d: store %s, reference %s"
+          step what u v (show got) (show want)
+    in
+    (match Random.State.int rng 9 with
+    | 0 ->
+      agree "set_component" (OG.set_component og u v)
+        (Og_reference.set_component reference u v)
+    | 1 ->
+      agree "set_comparable" (OG.set_comparable og u v)
+        (Og_reference.set_comparable reference u v)
+    | 2 | 3 ->
+      agree "force_arc" (OG.force_arc og u v)
+        (Og_reference.force_arc reference u v)
+    | 4 | 5 ->
+      agree "propagate" (OG.propagate og) (Og_reference.propagate reference)
+    | 6 ->
+      if OG.mark og <> Og_reference.mark reference then
+        QCheck.Test.fail_reportf "step %d: marks differ" step;
+      marks := OG.mark og :: !marks
+    | _ -> (
+      (* Back to a random mark on the stack, dropping the ones above. *)
+      match !marks with
+      | [] -> ()
+      | stack ->
+        let depth = Random.State.int rng (List.length stack) in
+        let m = List.nth stack depth in
+        OG.undo_to og m;
+        Og_reference.undo_to reference m;
+        marks := List.filteri (fun i _ -> i > depth) stack));
+    for a = 0 to n - 1 do
+      for b = 0 to n - 1 do
+        if
+          a <> b
+          && (OG.kind og a b <> Og_reference.kind reference a b
+             || OG.arc og a b <> Og_reference.arc reference a b)
+        then
+          QCheck.Test.fail_reportf "step %d: pair (%d,%d) differs" step a b
+      done
+    done;
+    if trail () <> Og_reference.trail reference then
+      QCheck.Test.fail_reportf "step %d: trails differ" step
+  done;
+  true
+
+(* ------------------------------------------------------------------ *)
+(* Allocation guard                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A min-time probe whose stage 3 exhausts a 5,000-node budget (the
+   heuristic and the bounds do not settle 6x6x7). The kernel allocated
+   about 1,183 minor words per node before it went allocation-light and
+   about 128 after; the guard sits at half the old figure. *)
+let test_minor_words_per_node () =
+  let inst =
+    Benchmarks.Generate.random ~seed:3 ~n:10 ~max_extent:4 ~max_duration:3
+      ~arc_probability:0.15 ()
+  in
+  let cont = Container.make3 ~w:6 ~h:6 ~t_max:7 in
+  let options = { Solver.default_options with node_limit = Some 5_000 } in
+  ignore (Solver.solve ~options inst cont);
+  let before = Gc.minor_words () in
+  let outcome, stats = Solver.solve ~options inst cont in
+  let per_node =
+    (Gc.minor_words () -. before) /. float_of_int stats.Solver.nodes
+  in
+  Alcotest.(check string) "budget exhausted" "timeout" (verdict_name outcome);
+  if per_node > 1183.0 /. 2.0 then
+    Alcotest.failf "%.1f minor words per node > %.1f" per_node (1183.0 /. 2.0)
+
+(* ------------------------------------------------------------------ *)
 (* Stats surfaces carry the rule counters                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -358,6 +465,13 @@ let () =
         [
           qtest ~count:150 "incremental choose_unknown = from-scratch reference"
             arb_walk prop_choose_unknown_matches_reference;
+        ] );
+      ( "kernel",
+        [
+          qtest ~count:400 "store = reference, write for write" arb_og_walk
+            prop_propagation_matches_reference;
+          Alcotest.test_case "minor words per node" `Quick
+            test_minor_words_per_node;
         ] );
       ( "throttle",
         [

@@ -12,6 +12,8 @@ module Solver = Packing.Opp_solver
 module Problems = Packing.Problems
 module OG = Order.Oriented_graph
 
+let why = Packing.Recorder.conflict_to_string
+
 let qtest ?(count = 100) name arb prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
 
@@ -225,7 +227,7 @@ let prop_stage2_schedule (dims, arcs, (cw, ch)) =
 let test_state_width_rule () =
   let i = inst [ box3 3 1 1; box3 3 1 1 ] in
   match PS.create i (cont3 4 4 4) with
-  | Error e -> Alcotest.failf "root must be consistent: %s" e
+  | Error e -> Alcotest.failf "root must be consistent: %s" (why e)
   | Ok st ->
     (* 3 + 3 > 4 forces overlap in x; y and t remain open. *)
     Alcotest.(check bool) "x forced component" true
@@ -237,7 +239,7 @@ let test_state_c3_forcing () =
   (* Overlap forced in x and y: the pair must separate in time. *)
   let i = inst [ box3 3 3 1; box3 3 3 1 ] in
   match PS.create i (cont3 4 4 4) with
-  | Error e -> Alcotest.failf "consistent: %s" e
+  | Error e -> Alcotest.failf "consistent: %s" (why e)
   | Ok st ->
     Alcotest.(check bool) "t forced comparable" true
       (OG.kind (PS.dimension st 2) 0 1 = OG.Comparable)
@@ -257,26 +259,26 @@ let test_state_c2_conflict () =
   match PS.create i (cont3 4 4 8) with
   | Error e ->
     Alcotest.(check bool) "C2 mentioned" true
-      (String.length e > 0)
+      (String.length (why e) > 0)
   | Ok _ -> Alcotest.fail "expected C2 root conflict"
 
 let test_state_precedence_seed () =
   let i = inst ~precedence:[ (0, 1) ] [ box3 1 1 1; box3 1 1 1 ] in
   match PS.create i (cont3 4 4 4) with
-  | Error e -> Alcotest.failf "consistent: %s" e
+  | Error e -> Alcotest.failf "consistent: %s" (why e)
   | Ok st ->
     Alcotest.(check bool) "arc seeded" true (OG.arc (PS.dimension st 2) 0 1)
 
 let test_state_undo () =
   let i = inst [ box3 2 2 2; box3 2 2 2 ] in
   match PS.create i (cont3 4 4 4) with
-  | Error e -> Alcotest.failf "consistent: %s" e
+  | Error e -> Alcotest.failf "consistent: %s" (why e)
   | Ok st ->
     let marks = PS.mark st in
     let before = PS.unknown_count st in
     (match PS.assign_component st ~dim:2 0 1 with
     | Ok () -> ()
-    | Error e -> Alcotest.failf "assign failed: %s" e);
+    | Error e -> Alcotest.failf "assign failed: %s" (why e));
     Alcotest.(check bool) "fewer unknowns" true (PS.unknown_count st < before);
     PS.undo_to st marks;
     Alcotest.(check int) "restored" before (PS.unknown_count st)
@@ -285,12 +287,12 @@ let test_state_schedule_seed () =
   let i = inst [ box3 2 2 2; box3 2 2 2 ] in
   (* Overlapping schedule: component in t; disjoint: oriented. *)
   (match PS.create ~schedule:[| 0; 1 |] i (cont3 4 4 4) with
-  | Error e -> Alcotest.failf "consistent: %s" e
+  | Error e -> Alcotest.failf "consistent: %s" (why e)
   | Ok st ->
     Alcotest.(check bool) "overlap seeded" true
       (OG.kind (PS.dimension st 2) 0 1 = OG.Component));
   match PS.create ~schedule:[| 0; 2 |] i (cont3 4 4 4) with
-  | Error e -> Alcotest.failf "consistent: %s" e
+  | Error e -> Alcotest.failf "consistent: %s" (why e)
   | Ok st -> Alcotest.(check bool) "order seeded" true (OG.arc (PS.dimension st 2) 0 1)
 
 let test_state_spatial_order_seed () =
@@ -303,7 +305,7 @@ let test_state_spatial_order_seed () =
       ()
   in
   match PS.create i (cont3 4 4 4) with
-  | Error e -> Alcotest.failf "consistent: %s" e
+  | Error e -> Alcotest.failf "consistent: %s" (why e)
   | Ok st ->
     Alcotest.(check bool) "x arc seeded" true (OG.arc (PS.dimension st 0) 0 1);
     Alcotest.(check bool) "y open" true
@@ -322,7 +324,7 @@ let test_state_every_axis_seeds () =
       ~boxes:[| b; b; b |] ()
   in
   match PS.create i (Container.make [| 4; 4; 4; 4 |]) with
-  | Error e -> Alcotest.failf "consistent: %s" e
+  | Error e -> Alcotest.failf "consistent: %s" (why e)
   | Ok st ->
     List.iter
       (fun (k, u, v) ->
@@ -627,6 +629,24 @@ let test_minimize_base_critical_path () =
   Alcotest.(check bool) "chain exceeds budget" true
     (Problems.minimize_base i ~t_max:5 = Problems.Infeasible)
 
+(* A time budget past the serialized makespan cannot change the
+   answer. Budgets from 2^50 up used to wrap the containers the drivers
+   form and report a false lower bound instead of the optimum. *)
+let test_minimize_base_huge_budget () =
+  let de = Benchmarks.De.instance in
+  List.iter
+    (fun t_max ->
+      let { Problems.value; _ } =
+        optimal_exn (Problems.minimize_base de ~t_max)
+      in
+      Alcotest.(check int) (Printf.sprintf "square at t=%d" t_max) 16 value)
+    [ 14; 1 lsl 45; 1 lsl 50; max_int ];
+  let serial = Packing.Instance.total_duration de in
+  let rect t_max =
+    (optimal_exn (Problems.minimize_area_rect de ~t_max)).value
+  in
+  Alcotest.(check (pair int int)) "rect at max_int" (rect serial) (rect max_int)
+
 let test_fixed_schedule () =
   let i = inst ~precedence:[ (0, 1) ] [ box3 2 2 2; box3 2 2 2 ] in
   (* Valid schedule: task 1 after task 0. *)
@@ -884,7 +904,7 @@ let test_rule_capacity () =
   (match PS.create i (cont3 3 3 3) with
   | Error e ->
     Alcotest.(check bool) "capacity certificate" true
-      (String.length e > 0)
+      (String.length (why e) > 0)
   | Ok _ -> Alcotest.fail "expected capacity conflict at the root");
   (* Disabling the rule defers the conflict (the root then succeeds). *)
   let rules = { PS.default_rules with component_cliques = false } in
@@ -899,7 +919,7 @@ let test_rule_symmetry_breaking () =
      pair is forced into index order. *)
   let i = inst [ box3 2 2 2; box3 2 2 2 ] in
   match PS.create i (cont3 2 2 4) with
-  | Error e -> Alcotest.failf "root consistent: %s" e
+  | Error e -> Alcotest.failf "root consistent: %s" (why e)
   | Ok st ->
     (* Width rules force overlap in x and y; C3 forces time-comparable;
        symmetry orients it 0 -> 1. *)
@@ -913,7 +933,7 @@ let test_rule_symmetry_needs_identical_context () =
       [ box3 2 2 2; box3 2 2 2; box3 1 1 1 ]
   in
   match PS.create i (cont3 2 2 8) with
-  | Error e -> Alcotest.failf "root consistent: %s" e
+  | Error e -> Alcotest.failf "root consistent: %s" (why e)
   | Ok st ->
     (* Pair (0,1) must still be time-comparable (width rules), but not
        pre-oriented 0 -> 1 by symmetry — task 1 has a producer. *)
@@ -930,9 +950,11 @@ let test_rule_c4 () =
      satisfy C3 trivially. *)
   let i = inst [ box3 1 1 1; box3 1 1 1; box3 1 1 1; box3 1 1 1 ] in
   match PS.create i (cont3 10 10 10) with
-  | Error e -> Alcotest.failf "root consistent: %s" e
+  | Error e -> Alcotest.failf "root consistent: %s" (why e)
   | Ok st ->
-    let ok r = match r with Ok () -> () | Error e -> Alcotest.failf "%s" e in
+    let ok r =
+      match r with Ok () -> () | Error e -> Alcotest.failf "%s" (why e)
+    in
     ok (PS.assign_component st ~dim:0 0 1);
     ok (PS.assign_component st ~dim:0 1 2);
     ok (PS.assign_component st ~dim:0 2 3);
@@ -940,6 +962,94 @@ let test_rule_c4 () =
     ok (PS.assign_comparable st ~dim:0 0 2);
     Alcotest.(check bool) "diagonal forced component" true
       (OG.kind (PS.dimension st 0) 1 3 = OG.Component)
+
+(* The trace's [rule_fire] detail is the text of a conflict. It is
+   pinned byte for byte for every kind of conflict, whatever builds it. *)
+let first_fire run =
+  let trace = Packing.Trace.create () in
+  run (Packing.Recorder.create ~trace ());
+  match
+    List.find_map
+      (fun (_, (e : Packing.Trace.event)) ->
+        match e.kind with
+        | Packing.Trace.Rule_fire { rule; detail } -> Some (rule, detail)
+        | _ -> None)
+      (Packing.Trace.events trace)
+  with
+  | Some fire -> fire
+  | None -> Alcotest.fail "no rule fired"
+
+let test_conflict_text () =
+  let must = function
+    | Ok () -> ()
+    | Error _ -> Alcotest.fail "unexpected conflict"
+  in
+  let root boxes cont recorder =
+    ignore (PS.create ~recorder (inst boxes) cont)
+  in
+  let on boxes f recorder =
+    match PS.create ~recorder (inst boxes) (cont3 10 10 10) with
+    | Error _ -> Alcotest.fail "root must be consistent"
+    | Ok st -> f st
+  in
+  let unit4 = List.init 4 (fun _ -> box3 1 1 1) in
+  (* Component edges 0-1, 1-2, 2-3 in dim 0: a 4-cycle short of 3-0. *)
+  let path3 st =
+    List.iter
+      (fun (u, v) -> must (PS.assign_component st ~dim:0 u v))
+      [ (0, 1); (1, 2); (2, 3) ]
+  in
+  let cases =
+    [
+      ( "C3 at the root",
+        root [ box3 3 3 3; box3 3 3 3 ] (cont3 4 4 4),
+        ("c3", "C3: pair (0,1) overlaps in every dimension") );
+      ( "C2 chain",
+        root [ box3 3 3 3; box3 3 3 3; box3 3 3 3 ] (cont3 4 4 8),
+        ("c2", "C2: comparable chain through (0,1) needs 9 > 8 in dim 2") );
+      ( "capacity",
+        (* Ten unit cells all running at t = 1 on a 3x3 chip. *)
+        root (List.init 10 (fun _ -> box3 1 1 2)) (cont3 3 3 3),
+        ( "capacity",
+          "capacity: tasks overlapping (0,1) in dim 2 need cross-section 10 > 9"
+        ) );
+      ( "C1 edge closes the cycle",
+        on unit4 (fun st ->
+            path3 st;
+            must (PS.assign_comparable st ~dim:0 0 2);
+            must (PS.assign_comparable st ~dim:0 1 3);
+            ignore (PS.assign_component st ~dim:0 3 0)),
+        ("c4", "C1: induced 4-cycle on {0,3,2,1} in dim 0") );
+      ( "C1 diagonal closes the cycle",
+        on unit4 (fun st ->
+            path3 st;
+            must (PS.assign_comparable st ~dim:0 1 3);
+            let og = PS.dimension st 0 in
+            must (OG.set_comparable og 0 2);
+            must (OG.set_component og 0 3);
+            ignore (PS.stabilize st)),
+        ("c4", "C1: induced 4-cycle on {0,1,2,3} in dim 0") );
+      ( "edge-state store",
+        on [ box3 1 1 1; box3 1 1 1; box3 1 1 1 ] (fun st ->
+            let og = PS.dimension st 2 in
+            must (OG.force_arc og 0 1);
+            must (OG.force_arc og 1 2);
+            must (OG.set_component og 0 2);
+            ignore (PS.stabilize st)),
+        ( "implications",
+          "dim 2, pair (1,2): path conflict: edge forced in both orientations" ) );
+      ( "symmetry",
+        on [ box3 1 1 1; box3 1 1 1 ] (fun st ->
+            must (OG.force_arc (PS.dimension st 2) 1 0);
+            ignore (PS.stabilize st)),
+        ( "symmetry",
+          "dim 2, pair (0,1): path conflict: edge forced in both orientations" ) );
+    ]
+  in
+  List.iter
+    (fun (name, run, want) ->
+      Alcotest.(check (pair string string)) name want (first_fire run))
+    cases
 
 let () =
   Alcotest.run "packing"
@@ -1011,6 +1121,7 @@ let () =
           Alcotest.test_case "symmetry needs identical context" `Quick
             test_rule_symmetry_needs_identical_context;
           Alcotest.test_case "C4 diagonal forcing" `Quick test_rule_c4;
+          Alcotest.test_case "conflict text" `Quick test_conflict_text;
         ] );
       ( "invariance",
         [
@@ -1052,6 +1163,8 @@ let () =
           Alcotest.test_case "minimize base" `Quick test_minimize_base;
           Alcotest.test_case "minimize base critical path" `Quick
             test_minimize_base_critical_path;
+          Alcotest.test_case "minimize base huge time budget" `Quick
+            test_minimize_base_huge_budget;
           Alcotest.test_case "minimize area rect" `Quick test_minimize_area_rect;
           qtest ~count:40 "rect never worse than square" arb_small_instance
             prop_minimize_area_rect_never_worse_than_square;
