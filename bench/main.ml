@@ -13,15 +13,16 @@
      dune exec bench/main.exe -- smoke      # parallel + bounds on small sets
      dune exec bench/main.exe -- bechamel   # timing micro-benchmarks only
 
-   Every duration is read from one monotonic clock ([wall]); speed
-   claims come from benchmark/run.exe, not from here. The absolute CPU
-   times differ from the paper's SUN Ultra 30 (1997 hardware);
-   EXPERIMENTS.md records both and compares the shapes. *)
+   Every duration is read from one monotonic clock ([wall], on
+   [Packing.Clock]); speed claims come from benchmark/run.exe, not from
+   here. The absolute CPU times differ from the paper's SUN Ultra 30
+   (1997 hardware); EXPERIMENTS.md records both and compares the
+   shapes. *)
 
 let wall f =
-  let t0 = Monotonic_clock.now () in
+  let t0 = Packing.Clock.now () in
   let r = f () in
-  (r, Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9)
+  (r, Packing.Clock.since t0)
 
 let verdict o = Format.asprintf "%a" Packing.Opp_solver.pp_outcome o
 
@@ -402,12 +403,8 @@ let parallel_bench ~budget_s ~rounds ~jobs_levels cases =
      budget per run, interleaved best of %d) ==@."
     (String.concat "," (List.map string_of_int jobs_levels))
     budget_s rounds;
-  (* The solver compares its deadline to wall time. *)
   let budgeted () =
-    {
-      search_only with
-      Packing.Opp_solver.deadline = Some (Unix.gettimeofday () +. budget_s);
-    }
+    { search_only with deadline = Some (Packing.Clock.after budget_s) }
   in
   let cells =
     List.map

@@ -310,6 +310,10 @@ let trace_term =
   in
   Term.(const make $ trace_opt)
 
+let cadence flag = function
+  | Some s when not (s > 0.0) -> Error (flag ^ " must be positive")
+  | c -> Ok c
+
 (* What the search flags resolve to: solver options carrying the
    deadline (counted from argument parsing), the throttles and the
    --trace/--progress hooks; the worker count; the --stats format; and
@@ -328,19 +332,20 @@ let search_term policies =
     let heartbeat p =
       Service.Writer.line (Lazy.force stderr_writer) (heartbeat_line p)
     in
+    let* progress = cadence "--progress" progress in
     let options =
       {
         defaults with
         realize;
         node_bounds;
         trace;
-        deadline = Option.map (fun s -> Unix.gettimeofday () +. s) time_limit;
+        deadline = Option.map Packing.Clock.after time_limit;
         progress_interval_s =
           Option.value progress ~default:defaults.progress_interval_s;
         on_heartbeat = Option.map (fun _ -> heartbeat) progress;
       }
     in
-    { options; jobs; stats; finish }
+    Ok { options; jobs; stats; finish }
   in
   Term.(const make $ policies $ jobs_opt $ time_limit_opt $ stats_opt
         $ trace_term $ progress_opt)
@@ -360,6 +365,7 @@ let no_heuristic_flag =
 
 let solve_cmd =
   let body file chip time container_arg render quiet svg s no_heuristic () =
+    let* s = s in
     let io = read_instance file in
     let* target = resolve_container io ~chip ~time container_arg in
     let inst = io.Fpga.Instance_io.instance in
@@ -455,6 +461,7 @@ let anytime_stats_json ~problem result probes =
    any <witness> was found names the proven lower bound on <measure>. *)
 let anytime ~problem s ~noun ~scope ~value ~overflow ~witness ~measure ~show
     minimize =
+  let* s = s in
   let probes, on_probe = probe_collector () in
   let result = minimize ~options:s.options ~jobs:s.jobs ~on_probe in
   s.finish ();
@@ -595,7 +602,7 @@ let pareto_cmd =
     let io = read_instance file in
     let inst = io.Fpga.Instance_io.instance in
     let inst = if no_prec then Packing.Instance.without_precedence inst else inst in
-    let { options; jobs; _ } = s in
+    let* ({ options; jobs; _ } as s) = s in
     let probes, on_probe = probe_collector () in
     let* { Packing.Problems.points; complete } =
       match (sweep_axis, min_axis) with
@@ -928,6 +935,7 @@ let serve_cmd =
   in
   let body serve_jobs cache_size no_cache max_nodes max_time solver_jobs
       heartbeat port metrics_port metrics_snapshot stats () =
+    let* heartbeat = cadence "--heartbeat" heartbeat in
     (* The serve loop always runs with a live metrics registry — the
        "metrics" request op, the exposition port, and the snapshot dump
        all read it. Installed before [create] so the server and cache

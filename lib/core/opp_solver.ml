@@ -41,7 +41,7 @@ type options = {
   use_bounds : bool;
   use_heuristic : bool;
   node_limit : int option;
-  deadline : float option;
+  deadline : Clock.deadline option;
   interrupt : (unit -> bool) option;
   progress_interval_s : float;
   on_heartbeat : (Telemetry.progress -> unit) option;
@@ -76,10 +76,10 @@ let default_options =
 exception Found of Geometry.Placement.t
 exception Stopped
 
-(* How often (in nodes) the wall clock and the cooperative interrupt
-   flag are polled. A power of two so the check compiles to a mask;
-   the progress callbacks fire on wall-clock time measured at these
-   polls, not on node counts. *)
+(* How often (in nodes) the clock and the cooperative interrupt flag
+   are polled. A power of two so the check compiles to a mask; the
+   progress callbacks fire on clock time measured at these polls, not
+   on node counts. *)
 let poll_mask = 31
 
 let empty_stats =
@@ -163,28 +163,25 @@ let search ~options ~t0 ~depth_offset ?share state =
         conflicts = Recorder.conflicts r;
         leaves = Recorder.leaves r;
         max_depth = Recorder.max_depth r;
-        elapsed = Unix.gettimeofday () -. t0;
+        elapsed = Clock.since t0;
         rules = Recorder.rule_counters r;
         bounds = Recorder.bounds r;
       } )
   in
-  (* Heartbeats fire on a wall-clock cadence: at every poll tick the
-     clock is read once (shared with the deadline check) and compared
-     against the next scheduled heartbeat, so the reporting rate is
-     independent of node throughput. The clock is only read when some
-     consumer needs it. *)
+  (* Heartbeats fire on a clock cadence checked at every poll tick, so
+     the reporting rate is independent of node throughput. The clock is
+     only read when some consumer needs it. *)
   let wants_progress =
     Option.is_some options.on_heartbeat || Recorder.enabled r
   in
-  let wants_clock = wants_progress || Option.is_some options.deadline in
-  let next_progress = ref (t0 +. options.progress_interval_s) in
-  let heartbeat now =
-    next_progress := now +. options.progress_interval_s;
+  let next_progress = ref (Clock.after options.progress_interval_s) in
+  let heartbeat () =
+    next_progress := Clock.after options.progress_interval_s;
     Recorder.flush r;
     if
       Option.is_some options.on_heartbeat || Trace.enabled options.trace
     then begin
-      let elapsed = now -. t0 in
+      let elapsed = Clock.since t0 in
       let nodes = Recorder.nodes r in
       let p =
         {
@@ -212,13 +209,10 @@ let search ~options ~t0 ~depth_offset ?share state =
       (match options.interrupt with
       | Some stop when stop () -> raise Stopped
       | _ -> ());
-      if wants_clock then begin
-        let now = Unix.gettimeofday () in
-        (match options.deadline with
-        | Some d when now > d -> raise Stopped
-        | _ -> ());
-        if wants_progress && now >= !next_progress then heartbeat now
-      end
+      (match options.deadline with
+      | Some d when Clock.expired d -> raise Stopped
+      | _ -> ());
+      if wants_progress && Clock.expired !next_progress then heartbeat ()
     end
   in
   (* Engine check on the committed time-axis arcs of the current node.
@@ -323,17 +317,17 @@ let search ~options ~t0 ~depth_offset ?share state =
   | Stopped -> finish Timeout
 
 let solve_state ?(options = default_options) ?(depth_offset = 0) ?share state =
-  search ~options ~t0:(Unix.gettimeofday ()) ~depth_offset ?share state
+  search ~options ~t0:(Clock.now ()) ~depth_offset ?share state
 
 let pipeline ?(options = default_options) ?schedule inst cont ~settled ~stage3
     =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now () in
   let trace = options.trace in
   let staged name f =
     if Trace.enabled trace then begin
-      let s0 = Unix.gettimeofday () in
+      let s0 = Clock.now () in
       let r = f () in
-      Trace.phase trace ~phase:name ~dur_s:(Unix.gettimeofday () -. s0);
+      Trace.phase trace ~phase:name ~dur_s:(Clock.since s0);
       r
     end
     else f ()
@@ -355,7 +349,7 @@ let pipeline ?(options = default_options) ?schedule inst cont ~settled ~stage3
       {
         empty_stats with
         conflicts;
-        elapsed = Unix.gettimeofday () -. t0;
+        elapsed = Clock.since t0;
         by_bounds;
         by_heuristic;
         bounds = Recorder.bounds recorder;

@@ -109,19 +109,19 @@ type options = {
           straight to the stage-3 search, whose verdict is exact either
           way. *)
   node_limit : int option; (** give up after this many nodes *)
-  deadline : float option;
-      (** absolute wall-clock deadline ([Unix.gettimeofday] scale);
-          the search returns [Timeout] soon after it passes. Polled
-          every few dozen nodes, so the overshoot is bounded by the
-          cost of that many propagation steps. *)
+  deadline : Clock.deadline option;
+      (** a {!Clock.after} deadline on the monotonic clock; the search
+          returns [Timeout] soon after it passes. Polled every few
+          dozen nodes, so the overshoot is bounded by the cost of that
+          many propagation steps. *)
   interrupt : (unit -> bool) option;
       (** cooperative cancellation: polled periodically alongside the
           deadline; returning [true] aborts the search with [Timeout].
           Used by {!Parallel_solver} to stop sibling workers once a
           definitive answer is known. *)
   progress_interval_s : float;
-      (** wall-clock seconds between [on_heartbeat] firings (default
-          1.0), checked at the node-poll granularity (every ~32 nodes),
+      (** seconds between [on_heartbeat] firings (default 1.0),
+          checked at the node-poll granularity (every ~32 nodes),
           so the rate does not depend on node throughput. Values
           [<= 0.0] fire at every poll tick — useful in tests,
           pathological in production. *)
@@ -185,7 +185,7 @@ val pipeline :
   Instance.t ->
   Geometry.Container.t ->
   settled:(outcome -> stats -> 'a) ->
-  stage3:(t0:float -> Packing_state.t -> 'a) ->
+  stage3:(t0:Clock.t -> Packing_state.t -> 'a) ->
   'a
 
 (** [solve_state ?options ?depth_offset ?share state] runs the stage-3

@@ -168,15 +168,20 @@ let replay ?(options = Opp_solver.default_options) ?schedule inst cont
    a hungry deque refills at the next branch point anyway. *)
 let deque_target = 4
 
+let max_jobs = 127
+
+let check_jobs jobs =
+  if jobs > max_jobs then
+    Printf.ksprintf invalid_arg "jobs %d is above the maximum, %d" jobs max_jobs;
+  max 1 jobs
+
 let solve ?(options = Opp_solver.default_options) ?schedule ?(jobs = 2) inst
     cont =
-  let jobs = max 1 jobs in
-  let t0 = Unix.gettimeofday () in
+  let jobs = check_jobs jobs in
+  let t0 = Clock.now () in
   let trace = options.Opp_solver.trace in
   let finish outcome stats workers ~tasks ~steals =
-    let stats =
-      { stats with Opp_solver.elapsed = Unix.gettimeofday () -. t0 }
-    in
+    let stats = { stats with Opp_solver.elapsed = Clock.since t0 } in
     { outcome; stats; workers; tasks; steals; jobs }
   in
   if jobs = 1 then begin
@@ -229,7 +234,6 @@ let solve ?(options = Opp_solver.default_options) ?schedule ?(jobs = 2) inst
               r)
         in
         let worker_out = Array.make jobs None in
-        Deque.push deques.(0) { id = 0; prefix = []; depth = 0 };
         let publish_feasible placement =
           if Atomic.compare_and_set witness None (Some placement) then
             Trace.cancel trace ~reason:"witness found";
@@ -241,7 +245,7 @@ let solve ?(options = Opp_solver.default_options) ?schedule ?(jobs = 2) inst
           | None -> false
         in
         let worker wid =
-          let w0 = Unix.gettimeofday () in
+          let w0 = Clock.now () in
           let my_deque = deques.(wid) in
           let kernel = kernels.(wid) in
           let stats_acc = ref Opp_solver.empty_stats in
@@ -404,22 +408,31 @@ let solve ?(options = Opp_solver.default_options) ?schedule ?(jobs = 2) inst
               loop ()
             end
           in
+          if wid = 0 then run_task { id = 0; prefix = []; depth = 0 };
           loop ();
           worker_out.(wid) <-
             Some
               {
                 worker = wid;
                 work = Recorder.steal_counters kernel;
-                elapsed_s = Unix.gettimeofday () -. w0;
+                elapsed_s = Clock.since w0;
                 stats = !stats_acc;
               }
         in
-        (* Always join every domain before returning: cancellation
-           must never leak a running domain past the call. *)
-        let domains =
-          Array.init jobs (fun wid -> Domain.spawn (fun () -> worker wid))
-        in
-        Array.iter Domain.join domains;
+        (* Worker 0 runs the root descriptor and starts last, so the
+           thieves are waiting when it donates. Always join every domain
+           before returning: cancellation must never leak a running
+           domain past the call, and neither may a refused spawn. *)
+        let domains = ref [] and refused = ref None in
+        (try
+           for wid = jobs - 1 downto 0 do
+             domains := Domain.spawn (fun () -> worker wid) :: !domains
+           done
+         with e ->
+           Atomic.set stop true;
+           refused := Some e);
+        List.iter Domain.join !domains;
+        Option.iter raise !refused;
         let workers =
           Array.to_list worker_out
           |> List.filter_map Fun.id

@@ -118,15 +118,22 @@ val replay :
   decision list ->
   (Packing_state.t, Packing_state.conflict) result
 
+(** [check_jobs jobs] is [jobs] clamped to at least 1; above [max_jobs]
+    = 127 (the runtime hosts 128 domains) it raises [Invalid_argument]. *)
+val check_jobs : int -> int
+
+val max_jobs : int
+
 (** [solve ?options ?schedule ?jobs instance container] decides the
     instance in parallel. Stages 1 and 2 and the root propagation are
     {!Opp_solver}'s ({!Opp_solver.pipeline}), run once on the calling
     domain before any domain is spawned, with the same stats and trace
     events as a sequential solve; only the stage-3 search is
     work-stolen, and its root descriptor searches the propagated root
-    state itself. [jobs] defaults to 2 and is clamped to at
-    least 1; [jobs = 1] short-circuits to {!Opp_solver.solve} with
-    zero domain overhead and unchanged stats. All
+    state itself. [jobs] (default 2) goes through {!check_jobs};
+    [jobs = 1] short-circuits to {!Opp_solver.solve} with zero domain
+    overhead and unchanged stats. A refused spawn cancels and joins the
+    workers already spawned, then re-raises. All
     {!Opp_solver.options} budgets apply: [deadline] is shared by every
     worker, [node_limit] is per worker, [on_heartbeat] may be called
     concurrently from several domains. *)

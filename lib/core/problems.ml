@@ -67,7 +67,7 @@ type feasibility =
    subtracted afterwards. [hit] latches the first exhaustion so the
    drivers stop probing instead of firing zero-budget solves. *)
 type budget = {
-  deadline : float option;
+  deadline : Clock.deadline option;
   mutable nodes_left : int option;
   mutable hit : bool;
 }
@@ -94,7 +94,7 @@ type ctx = {
 let make_ctx ?(options = Opp_solver.default_options) ?(jobs = 1) ?on_probe () =
   {
     options;
-    jobs = max 1 jobs;
+    jobs = Parallel_solver.check_jobs jobs;
     on_probe;
     budget =
       {
@@ -114,9 +114,7 @@ let exhausted b =
   b.hit
   || (match b.nodes_left with Some n -> n <= 0 | None -> false)
   ||
-  match b.deadline with
-  | Some d -> Unix.gettimeofday () >= d
-  | None -> false
+  match b.deadline with Some d -> Clock.expired d | None -> false
 
 (* Run one decision probe against the remaining budget. Polymorphic in
    nothing but behaviour: routes through the domain-parallel solver when
@@ -194,10 +192,7 @@ let run_probe ?schedule ctx cont inst =
           | Opp_solver.Timeout -> "timeout")
         ~nodes:stats.Opp_solver.nodes ~dur_s:stats.Opp_solver.elapsed
         ~budget_nodes_left:ctx.budget.nodes_left
-        ~budget_s_left:
-          (Option.map
-             (fun d -> d -. Unix.gettimeofday ())
-             ctx.budget.deadline)
+        ~budget_s_left:(Option.map Clock.remaining ctx.budget.deadline)
         ~bracket:ctx.bracket;
     (match ctx.on_probe with
     | None -> ()

@@ -28,7 +28,8 @@
     unaffected (both solvers are exact); only wall-clock time changes.
     Note that {!Parallel_solver} enforces node limits per worker, so a
     node-budgeted parallel minimization may explore up to [jobs] times
-    more nodes than a sequential one before giving up.
+    more nodes than a sequential one before giving up. [jobs] goes
+    through {!Parallel_solver.check_jobs} before any probe.
 
     {b Telemetry.} [on_probe] fires after every completed probe with
     the container tried, the verdict, and the node/time cost;

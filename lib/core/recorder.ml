@@ -83,7 +83,7 @@ let kernel_families =
 type t = {
   trace : Trace.t;
   registry : Metrics.t;
-  started : float array; (* start of the running timed event *)
+  mutable started : Clock.t; (* start of the running timed event *)
   rule_calls : int array; (* by [rule_index] *)
   rule_time : float array;
   mutable m_rules : Metrics.counter array;
@@ -105,7 +105,7 @@ let create ?(trace = Trace.null) () =
   {
     trace;
     registry = Metrics.default ();
-    started = [| 0.0 |];
+    started = Clock.now ();
     rule_calls = Array.make 6 0;
     rule_time = Array.make 6 0.0;
     m_rules = Array.make 6 off;
@@ -123,11 +123,7 @@ let create ?(trace = Trace.null) () =
 
 let enabled t = Trace.enabled t.trace || Metrics.enabled t.registry
 
-(* The start time lives in a float array so that neither [start] nor
-   the event that ends it boxes a float: timed rule calls are the
-   hottest events of the search. *)
-let start t = t.started.(0) <- Unix.gettimeofday ()
-let elapsed t = Unix.gettimeofday () -. t.started.(0)
+let start t = t.started <- Clock.now ()
 
 let series t ?labels families =
   Array.map
@@ -164,7 +160,7 @@ let rule_call t rule r =
   let i = rule_index rule in
   if sampled t i then
     t.rule_time.(i) <-
-      t.rule_time.(i) +. (float_of_int sample_every *. elapsed t);
+      t.rule_time.(i) +. (float_of_int sample_every *. Clock.since t.started);
   t.rule_calls.(i) <- t.rule_calls.(i) + 1;
   rule_conflict t rule r
 
@@ -215,7 +211,7 @@ let register_bound t name =
     b
 
 let bound_call t b verdict =
-  let dt = elapsed t in
+  let dt = Clock.since t.started in
   b.calls <- b.calls + 1;
   b.time_s <- b.time_s +. dt;
   Metrics.incr b.m_calls;
@@ -269,7 +265,7 @@ let conflict t = bump t conflicts_i
 let leaf t = bump t leaves_i
 
 let realize t ~success =
-  let dt = elapsed t in
+  let dt = Clock.since t.started in
   bump t realizes_i;
   t.realize_s <- t.realize_s +. dt;
   Trace.realize t.trace ~success ~dur_s:dt

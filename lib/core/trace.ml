@@ -53,11 +53,10 @@ type stream = {
   buf : event array;
   mutable appended : int;
   mutable tick : int; (* node counter driving the sampling gate *)
-  mutable last_ts : float; (* monotonicity clamp *)
 }
 
 type active = {
-  epoch : float;
+  epoch : Clock.t;
   capacity : int;
   sample_every : int; (* 1 = full rate *)
   streams : stream list Atomic.t;
@@ -78,7 +77,7 @@ let create ?(capacity = default_capacity) ?(sampling = Full) () =
   if capacity < 1 then invalid_arg "Trace.create: capacity < 1";
   Active
     {
-      epoch = Unix.gettimeofday ();
+      epoch = Clock.now ();
       capacity;
       sample_every;
       streams = Atomic.make [];
@@ -98,22 +97,13 @@ let new_stream id capacity =
     buf = Array.make capacity dummy_event;
     appended = 0;
     tick = 0;
-    last_ts = 0.0;
   }
 
 let stream a =
   Per_domain.get a.streams ~owner:stream_worker ~make:new_stream a.capacity
 
 let append a s kind =
-  let ts =
-    let t = Unix.gettimeofday () -. a.epoch in
-    if t > s.last_ts then begin
-      s.last_ts <- t;
-      t
-    end
-    else s.last_ts
-  in
-  s.buf.(s.appended mod a.capacity) <- { ts; kind };
+  s.buf.(s.appended mod a.capacity) <- { ts = Clock.since a.epoch; kind };
   s.appended <- s.appended + 1
 
 (* --- emit points ------------------------------------------------- *)

@@ -234,7 +234,7 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
     Free_space.place fs ~id:i ~x ~y ~w:(tw i) ~h:(th i);
     incr version;
     push (Placed { task = i; x; y; time = clock });
-    let d = Unix.gettimeofday () -. t0 in
+    let d = Packing.Clock.since t0 in
     lat := (d *. 1e6) :: !lat;
     Trace.online_op trace ~op:"place" ~task:i ~sim_time:clock ~dur_s:d;
     List.iter
@@ -297,7 +297,7 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
     if !declined_version = !version && !declined_clock = clock then false
     else if !proposal_version = !version && not (hosts !proposal i) then false
     else begin
-      let t0 = Unix.gettimeofday () in
+      let t0 = Packing.Clock.now () in
       if !proposal_version <> !version then begin
         proposal := make_proposal ();
         proposal_version := !version
@@ -366,7 +366,7 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
               (Compacted
                  { moved = moved_ids; time = clock; cost; enabled = !enabled });
             Trace.online_op trace ~op:"compact" ~task:i ~sim_time:clock
-              ~dur_s:(Unix.gettimeofday () -. t0);
+              ~dur_s:(Packing.Clock.since t0);
             (* The committed layout is the proposal the trigger was
                checked against, so [i] fits. *)
             place_now i clock t0;
@@ -380,7 +380,7 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
      failing fit is answered by [Free_space.fits] alone. *)
   let attempt i clock =
     if Free_space.fits fs ~w:(tw i) ~h:(th i) then begin
-      place_now i clock (Unix.gettimeofday ());
+      place_now i clock (Packing.Clock.now ());
       true
     end
     else if !running = [] then begin
@@ -420,10 +420,10 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
       List.iter
         (fun id ->
           if Trace.enabled trace then begin
-            let t0 = Unix.gettimeofday () in
+            let t0 = Packing.Clock.now () in
             Free_space.remove fs ~id;
             Trace.online_op trace ~op:"retire" ~task:id ~sim_time:clock
-              ~dur_s:(Unix.gettimeofday () -. t0)
+              ~dur_s:(Packing.Clock.since t0)
           end
           else Free_space.remove fs ~id)
         gone;

@@ -185,9 +185,12 @@ let parse_request json =
               let* node_limit = positive "node_limit" (int_f "node_limit") in
               let* req_jobs = positive "jobs" (int_f "jobs") in
               let time_limit_s = float_f "time_limit_s" in
-              (match time_limit_s with
-              | Some s when s <= 0.0 ->
+              let max_jobs = Packing.Parallel_solver.max_jobs in
+              (match (time_limit_s, req_jobs) with
+              | Some s, _ when s <= 0.0 ->
                 bad "\"time_limit_s\" must be positive"
+              | _, Some j when j > max_jobs ->
+                bad (Printf.sprintf "\"jobs\" must be at most %d" max_jobs)
               | _ ->
                 Ok
                   {
@@ -241,9 +244,8 @@ let min_opt a b =
 let options_for t req events =
   let node_limit = min_opt req.node_limit t.config.max_nodes in
   let deadline =
-    match min_opt req.time_limit_s t.config.max_time_s with
-    | None -> None
-    | Some s -> Some (Unix.gettimeofday () +. s)
+    Option.map Packing.Clock.after
+      (min_opt req.time_limit_s t.config.max_time_s)
   in
   let base = { Solver.default_options with node_limit; deadline } in
   match t.config.heartbeat_s with
@@ -417,11 +419,11 @@ let metrics_json () = Metrics.(to_json (snapshot (default ())))
 let metrics_text () = Metrics.(to_prometheus (snapshot (default ())))
 
 let handle_request t events req_json =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Packing.Clock.now () in
   Metrics.shift t.m_inflight 1.0;
   let finish ?(op = "invalid") ?(digest = "") ?(cache_hit = false) ?(nodes = 0)
       ~error resp =
-    let elapsed_s = Unix.gettimeofday () -. t0 in
+    let elapsed_s = Packing.Clock.since t0 in
     account t ~op ~cache_hit ~elapsed_s ~error ~nodes;
     Metrics.shift t.m_inflight (-1.0);
     (resp, { cache_hit; nodes; elapsed_s; digest })
@@ -632,11 +634,9 @@ let start_metrics_dump ~path ~interval_s =
     Domain.spawn (fun () ->
         while not (Atomic.get stop) do
           (* sleep in short slices so stop stays responsive *)
-          let slept = ref 0.0 in
-          while !slept < interval_s && not (Atomic.get stop) do
-            let dt = Float.min 0.05 (interval_s -. !slept) in
-            Unix.sleepf dt;
-            slept := !slept +. dt
+          let next = Packing.Clock.after interval_s in
+          while not (Packing.Clock.expired next || Atomic.get stop) do
+            Unix.sleepf (Float.min 0.05 (Packing.Clock.remaining next))
           done;
           if not (Atomic.get stop) then dump ()
         done)

@@ -87,7 +87,7 @@ let test_feasible_budget () =
     Alcotest.fail "5 nodes cannot decide DE on 17x17x12");
   (* An already-expired deadline short-circuits before any probe. *)
   let expired =
-    { search_only with Solver.deadline = Some (Unix.gettimeofday () -. 1.0) }
+    { search_only with Solver.deadline = Some (Packing.Clock.after (-1.0)) }
   in
   match Problems.feasible ~options:expired de (cont3 17 17 12) with
   | Problems.Undecided -> ()
@@ -100,7 +100,7 @@ let test_expired_deadline_everywhere () =
   let expired () =
     {
       Solver.default_options with
-      Solver.deadline = Some (Unix.gettimeofday () -. 1.0);
+      Solver.deadline = Some (Packing.Clock.after (-1.0));
     }
   in
   (match Problems.minimize_time ~options:(expired ()) de ~w:32 ~h:32 with

@@ -333,7 +333,7 @@ let hard_case () =
 let test_expired_deadline_times_out () =
   let i, c = hard_case () in
   let options =
-    { search_only with deadline = Some (Unix.gettimeofday () -. 1.0) }
+    { search_only with deadline = Some (Packing.Clock.after (-1.0)) }
   in
   (match Solver.solve ~options i c with
   | Solver.Timeout, _ -> ()
@@ -347,10 +347,12 @@ let test_expired_deadline_times_out () =
 let test_deadline_tolerance () =
   let i, c = hard_case () in
   let budget = 0.2 in
-  let t0 = Unix.gettimeofday () in
-  let options = { search_only with deadline = Some (t0 +. budget) } in
+  let t0 = Packing.Clock.now () in
+  let options =
+    { search_only with deadline = Some (Packing.Clock.after budget) }
+  in
   let r = Par.solve ~options ~jobs:4 i c in
-  let elapsed = Unix.gettimeofday () -. t0 in
+  let elapsed = Packing.Clock.since t0 in
   (* The run either finished early or was cut off close to the budget;
      the tolerance is generous to absorb scheduler noise on loaded
      machines. *)
@@ -373,7 +375,7 @@ let test_deadline_never_wrong () =
           ~arc_probability:0.3 ()
       in
       let options =
-        { search_only with deadline = Some (Unix.gettimeofday () +. 0.002) }
+        { search_only with deadline = Some (Packing.Clock.after 0.002) }
       in
       let r = Par.solve ~options ~jobs:3 i container in
       match r.Par.outcome with
@@ -394,7 +396,7 @@ let test_cancellation_joins_workers () =
   let i, c = hard_case () in
   for k = 1 to 10 do
     let options =
-      { search_only with deadline = Some (Unix.gettimeofday () +. 0.01) }
+      { search_only with deadline = Some (Packing.Clock.after 0.01) }
     in
     let r = Par.solve ~options ~jobs:4 i c in
     Alcotest.(check bool)

@@ -475,6 +475,50 @@ let test_volume_overflow_rejected () =
   Alcotest.(check string) "in-range sibling still solves" "feasible"
     (str_field "status" (by_id "ok"))
 
+(* A solver-domain count the runtime cannot host is a bad request,
+   rejected before anything is allocated, and the next request is still
+   answered. A time limit that parses to infinity never expires: the
+   min-time probes still reach the optimum. *)
+let test_hostile_budgets () =
+  let de = Benchmarks.De.instance in
+  let with_field field line =
+    String.sub line 0 (String.length line - 1) ^ "," ^ field ^ "}"
+  in
+  let lines =
+    [
+      with_field {|"jobs":1000000000|}
+        (request_line ~id:"jobs" ~op:"min-time" ~chip:(17, 17) de);
+      request_line ~id:"ok" ~op:"min-time" ~chip:(17, 17) de;
+      with_field {|"time_limit_s":1e999|}
+        (request_line ~id:"forever" ~op:"min-time" ~chip:(17, 17) de);
+    ]
+  in
+  let out = ref [] in
+  let w = Writer.of_sink (fun l -> out := l :: !out) in
+  let server =
+    Server.create ~config:{ Server.default_config with use_cache = false } ()
+  in
+  List.iter (Server.handle_line server w) lines;
+  let responses = List.rev_map parse_json !out in
+  let by_id id =
+    match List.find_opt (fun j -> response_id j = Some id) responses with
+    | Some j -> j
+    | None -> Alcotest.failf "no response for %s" id
+  in
+  Alcotest.(check bool)
+    "jobs 10^9 is a bad request" true
+    (Option.bind (T.member "error" (by_id "jobs")) (T.member "code")
+    = Some (T.String "bad-request"));
+  List.iter
+    (fun id ->
+      let r = by_id id in
+      Alcotest.(check string)
+        (id ^ " is optimal") "optimal" (str_field "status" r);
+      Alcotest.(check (option int))
+        (id ^ " reaches the optimum") (Some 13)
+        (Option.bind (T.member "value" r) T.to_int_opt))
+    [ "ok"; "forever" ]
+
 (* ------------------------------------------------------------------ *)
 (* Writer under concurrency: no spliced heartbeat lines                *)
 (* ------------------------------------------------------------------ *)
@@ -745,6 +789,8 @@ let () =
             test_server_loop_survives;
           Alcotest.test_case "volume overflow is a bad request" `Quick
             test_volume_overflow_rejected;
+          Alcotest.test_case "hostile jobs and time budgets" `Quick
+            test_hostile_budgets;
           Alcotest.test_case "concurrent heartbeats stay line-atomic" `Quick
             test_concurrent_heartbeats_not_interleaved;
           Alcotest.test_case "latency record keeps a fixed window" `Quick

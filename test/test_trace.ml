@@ -72,6 +72,31 @@ let test_jsonl_timestamps_monotone () =
       last := e.ts)
     (Trace.events trace)
 
+(* Two domains emitting at once: each stream keeps its emission order
+   under the timestamp sort, so its timestamps never step back. *)
+let test_timestamps_per_domain () =
+  let trace = Trace.create () in
+  let n = 20_000 in
+  let emit () =
+    for objective = 0 to n - 1 do
+      Trace.incumbent trace ~objective
+    done
+  in
+  List.iter Domain.join [ Domain.spawn emit; Domain.spawn emit ];
+  let by_worker = Hashtbl.create 2 in
+  List.iter
+    (fun (w, (e : Trace.event)) ->
+      match e.kind with
+      | Trace.Incumbent { objective } ->
+        let next = Option.value (Hashtbl.find_opt by_worker w) ~default:0 in
+        Alcotest.(check int) "stream order kept" next objective;
+        Hashtbl.replace by_worker w (next + 1)
+      | _ -> Alcotest.fail "unexpected event")
+    (Trace.events trace);
+  Alcotest.(check (list int))
+    "two full streams" [ n; n ]
+    (List.of_seq (Hashtbl.to_seq_values by_worker))
+
 (* ------------------------------------------------------------------ *)
 (* Chrome export                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -297,6 +322,8 @@ let () =
             test_jsonl_parses_and_covers;
           Alcotest.test_case "timestamps non-decreasing" `Quick
             test_jsonl_timestamps_monotone;
+          Alcotest.test_case "timestamps non-decreasing per domain" `Quick
+            test_timestamps_per_domain;
         ] );
       ( "chrome",
         [
