@@ -744,6 +744,7 @@ let bounds_cmd =
     let container = Fpga.Chip.container chip ~t_max in
     let engine = Packing.Bound_engine.create () in
     let verdicts = Packing.Bound_engine.run_all engine inst container in
+    Packing.Recorder.flush (Packing.Bound_engine.recorder engine);
     Format.printf "volume: %d of %d cells-cycles@."
       (Packing.Instance.total_volume inst)
       (Geometry.Container.volume container);

@@ -1,6 +1,12 @@
 module Container = Geometry.Container
 module Digraph = Graphlib.Digraph
 
+(* [Geometry.Box.mul_sat] behind a fast path the compiler can inline:
+   two factors below 2^31 cannot overflow, and the DFF enumerations
+   call it for every combination of transforms. *)
+let mul_sat a b =
+  if a lor b < 1 lsl 31 then a * b else Geometry.Box.mul_sat a b
+
 type certificate = { bound : string; detail : string }
 
 type verdict =
@@ -142,21 +148,27 @@ let axis_transforms inst container axis =
   in
   identity_transform w_max :: (f_transforms @ u_transforms)
 
+(* A transformed task extent is at most its axis's target, so while the
+   composed target [cap] fits in an int, so does every task's product,
+   and [left], what the tasks so far leave of [cap], cannot wrap. A
+   saturated [cap] cannot be exceeded. *)
 let transformed_volume_exceeded inst choice =
   let d = Instance.dim inst in
-  let total = ref 0 in
-  for i = 0 to Instance.count inst - 1 do
-    let v = ref 1 in
-    for k = 0 to d - 1 do
-      v := !v * choice.(k).apply (Instance.extent inst i k)
-    done;
-    total := !total + !v
-  done;
   let cap = ref 1 in
   for k = 0 to d - 1 do
-    cap := !cap * choice.(k).target
+    cap := mul_sat !cap choice.(k).target
   done;
-  !total > !cap
+  let n = Instance.count inst in
+  let left = ref !cap and i = ref 0 in
+  while !cap < max_int && !left >= 0 && !i < n do
+    let v = ref 1 in
+    for k = 0 to d - 1 do
+      v := !v * choice.(k).apply (Instance.extent inst !i k)
+    done;
+    left := !left - !v;
+    incr i
+  done;
+  !left < 0
 
 let dff_volume_exceeded inst container =
   let d = Instance.dim inst in
@@ -204,7 +216,7 @@ let base_area inst container =
   let ta = Instance.objective_axis inst in
   let a = ref 1 in
   for k = 0 to Instance.dim inst - 1 do
-    if k <> ta then a := !a * Container.extent container k
+    if k <> ta then a := mul_sat !a (Container.extent container k)
   done;
   !a
 
@@ -216,7 +228,7 @@ let footprint inst i =
   done;
   !a
 
-let ceil_div a b = if a <= 0 then 0 else (a + b - 1) / b
+let ceil_div a b = if a <= 0 then 0 else ((a - 1) / b) + 1
 
 (* Turn a proven time lower bound into a verdict against a container:
    exceeding the time extent is an infeasibility certificate. *)
@@ -354,22 +366,29 @@ let run_dff_time inst container ~seq:_ =
     in
     let choice = Array.make ns (List.hd per_axis.(0)) in
     let best = ref 0 in
+    let limit = (max_int - 1) / max 1 (Instance.total_duration inst) in
     let rec enumerate k =
       if k = ns then begin
         let base = ref 1 in
         for m = 0 to ns - 1 do
-          base := !base * choice.(m).target
+          base := mul_sat !base choice.(m).target
         done;
-        let total = ref 0 in
-        for i = 0 to n - 1 do
-          let a = ref (Instance.duration inst i) in
-          for m = 0 to ns - 1 do
-            a := !a * choice.(m).apply (Instance.extent inst i spatial.(m))
+        (* A task's transformed area is at most [base], so the total
+           is at most [base] times the summed durations: within [limit]
+           nothing below overflows, and past it the combination is
+           skipped. *)
+        if !base <= limit then begin
+          let total = ref 0 in
+          for i = 0 to n - 1 do
+            let a = ref (Instance.duration inst i) in
+            for m = 0 to ns - 1 do
+              a := !a * choice.(m).apply (Instance.extent inst i spatial.(m))
+            done;
+            total := !total + !a
           done;
-          total := !total + !a
-        done;
-        let lb = ceil_div !total !base in
-        if lb > !best then best := lb
+          let lb = ceil_div !total !base in
+          if lb > !best then best := lb
+        end
       end
       else
         List.iter
@@ -437,7 +456,8 @@ let run_energetic inst container ~seq =
                   if mandatory > 0 then
                     energy := !energy + (footprint inst i * mandatory)
                 done;
-                if !energy > base * (t2 - t1) then
+                let capacity = mul_sat base (t2 - t1) in
+                if !energy > capacity then
                   result :=
                     Infeasible
                       {
@@ -446,9 +466,7 @@ let run_energetic inst container ~seq =
                           Printf.sprintf
                             "mandatory energy %d exceeds capacity %d in \
                              window [%d, %d)"
-                            !energy
-                            (base * (t2 - t1))
-                            t1 t2;
+                            !energy capacity t1 t2;
                       }
               end)
             t2s)

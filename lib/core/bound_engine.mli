@@ -30,7 +30,9 @@
 
     Every evaluation is recorded on the engine's {!Recorder}: its own
     for {!create}, a search's for {!attach}, so one solve tallies its
-    root and node bounds together. Engines are not thread-safe. *)
+    root and node bounds together. The tallies reach the metrics
+    registry when that recorder is flushed, by whoever owns the
+    engine. Engines are not thread-safe. *)
 
 module Container = Geometry.Container
 module Digraph = Graphlib.Digraph
@@ -78,10 +80,6 @@ val recorder : t -> Recorder.t
 (** Snapshot of the per-bound call/time/prune counters of the engine's
     recorder. A prune is an [Infeasible] verdict. *)
 val counters : t -> Telemetry.bound_counters
-
-(** The precedence order of an instance as a digraph on task indices —
-    the sequencing argument used by {!check} for root-level calls. *)
-val sequencing_of_instance : Instance.t -> Digraph.t
 
 (** [check t inst container] runs every registered bound (static and
     dynamic, the latter on the instance's own precedence) and returns
@@ -138,19 +136,3 @@ val f_eps : eps:int -> w_max:int -> int -> int
     transformed container extent [k * w_max]. Requires [k >= 1] and
     [0 <= w <= w_max]. *)
 val u_k : k:int -> w_max:int -> int -> int
-
-(** A per-axis conservative scale: a DFF applied to box extents along
-    one axis, paired with the transformed container extent. *)
-type transform = { describe : string; apply : int -> int; target : int }
-
-(** Identity, [f_eps] at every distinct relevant threshold, and [u^(k)]
-    for small [k], along the given axis. *)
-val axis_transforms : Instance.t -> Container.t -> int -> transform list
-
-(** [transformed_volume_exceeded inst choice] checks the composed
-    transformed volume for one transform per axis. *)
-val transformed_volume_exceeded : Instance.t -> transform array -> bool
-
-(** First composed per-axis DFF transformation whose transformed volume
-    overflows, as a description. *)
-val dff_volume_exceeded : Instance.t -> Container.t -> string option

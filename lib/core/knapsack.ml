@@ -117,4 +117,5 @@ let solve ?options inst cont ~value =
   in
   let total_value = List.fold_left (fun acc i -> acc + value i) 0 order in
   go [] 0 0 order total_value;
+  Option.iter (fun e -> Recorder.flush (Bound_engine.recorder e)) engine;
   !best

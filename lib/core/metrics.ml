@@ -1,15 +1,8 @@
-(* Process-wide metrics registry. Hot-path design mirrors Trace:
+(* Process-wide metrics registry. Every write is per flush, per request
+   or per run, never per search node, so each series is one cell under
+   its own mutex and a snapshot reads exact values.
    - [null] handles are a variant constructor; every update matches on
-     the handle first and returns on the null arm.
-   - Counters and histograms are sharded per domain: a cell list under
-     an Atomic, registered by CAS on a domain's first touch
-     ([Per_domain], shared with the Trace streams). Updates are plain
-     writes to the owning domain's cell; only registration
-     synchronizes.
-   - Gauges are set/shift, not increment-heavy; a per-gauge mutex keeps
-     them exact without complicating the counter path.
-   Snapshots merge the shards without stopping writers, so a live
-   scrape is eventually consistent; after writers join it is exact. *)
+     the handle first and returns on the null arm. *)
 
 type kind = Counter | Gauge | Histogram
 
@@ -18,23 +11,18 @@ let kind_name = function
   | Gauge -> "gauge"
   | Histogram -> "histogram"
 
-(* --- shard cells --------------------------------------------------- *)
+(* --- cells ---------------------------------------------------------- *)
 
-type ccell = { c_domain : int; mutable c_v : float }
-
-type hcell = {
-  h_domain : int;
-  h_counts : int array; (* per-bucket (NOT cumulative); last is +Inf *)
-  mutable h_sum : float;
-  mutable h_count : int;
+(* One series. A counter or a gauge keeps its value in [v]; a histogram
+   keeps its sum there, with per-bucket (NOT cumulative) [counts] whose
+   last is +Inf, and its observation [count]. *)
+type cell = {
+  lock : Mutex.t;
+  mutable v : float;
+  le : float array; (* histogram upper bounds, finite, increasing *)
+  counts : int array;
+  mutable count : int;
 }
-
-type gcell = { g_lock : Mutex.t; mutable g_v : float }
-
-type series =
-  | S_counter of ccell list Atomic.t
-  | S_gauge of gcell
-  | S_histogram of { hs_le : float array; hs_cells : hcell list Atomic.t }
 
 type fam = {
   f_name : string;
@@ -42,7 +30,7 @@ type fam = {
   mutable f_help : string;
   f_buckets : float array; (* histogram upper bounds, finite, increasing *)
   (* key = canonical label rendering; value keeps the sorted labels *)
-  f_series : (string, (string * string) list * series) Hashtbl.t;
+  f_series : (string, (string * string) list * cell) Hashtbl.t;
 }
 
 type registry = { lock : Mutex.t; families : (string, fam) Hashtbl.t }
@@ -129,7 +117,6 @@ let log_buckets ~lo ~ratio ~count =
   if count < 1 then invalid_arg "Metrics.log_buckets: count < 1";
   Array.init count (fun i -> lo *. (ratio ** float_of_int i))
 
-let latency_buckets = default_latency_buckets
 let node_buckets = log_buckets ~lo:1.0 ~ratio:4.0 ~count:12
 
 let check_buckets name le =
@@ -178,99 +165,60 @@ let series r ~name ~kind ~help ~buckets ~labels =
       | Some (_, s) -> s
       | None ->
         let s =
-          match kind with
-          | Counter -> S_counter (Atomic.make [])
-          | Gauge -> S_gauge { g_lock = Mutex.create (); g_v = 0.0 }
-          | Histogram ->
-            S_histogram { hs_le = f.f_buckets; hs_cells = Atomic.make [] }
+          {
+            lock = Mutex.create ();
+            v = 0.0;
+            le = f.f_buckets;
+            counts = Array.make (Array.length f.f_buckets + 1) 0;
+            count = 0;
+          }
         in
         Hashtbl.add f.f_series key (labels, s);
         s)
 
 (* --- handles -------------------------------------------------------- *)
 
-type counter = C_null | C of ccell list Atomic.t
-type gauge = G_null | G of gcell
-type histogram = H_null | H of { le : float array; cells : hcell list Atomic.t }
+type counter = cell option
+type gauge = cell option
+type histogram = cell option
+
+let handle t ~kind ~help ~labels ~buckets name =
+  match t with
+  | Null -> None
+  | Active r -> Some (series r ~name ~kind ~help ~buckets ~labels)
 
 let counter t ?(help = "") ?(labels = []) name =
-  match t with
-  | Null -> C_null
-  | Active r -> (
-    match series r ~name ~kind:Counter ~help ~buckets:[||] ~labels with
-    | S_counter cells -> C cells
-    | _ -> assert false)
+  handle t ~kind:Counter ~help ~labels ~buckets:[||] name
 
 let gauge t ?(help = "") ?(labels = []) name =
-  match t with
-  | Null -> G_null
-  | Active r -> (
-    match series r ~name ~kind:Gauge ~help ~buckets:[||] ~labels with
-    | S_gauge g -> G g
-    | _ -> assert false)
+  handle t ~kind:Gauge ~help ~labels ~buckets:[||] name
 
 let histogram t ?(help = "") ?(labels = []) ?(buckets = default_latency_buckets)
     name =
-  match t with
-  | Null -> H_null
-  | Active r -> (
-    match series r ~name ~kind:Histogram ~help ~buckets ~labels with
-    | S_histogram { hs_le; hs_cells } -> H { le = hs_le; cells = hs_cells }
-    | _ -> assert false)
+  handle t ~kind:Histogram ~help ~labels ~buckets name
 
-(* --- hot-path updates ----------------------------------------------- *)
+(* --- updates --------------------------------------------------------- *)
 
-(* The calling domain's cell, registered on first touch. *)
-let ccell_domain c = c.c_domain
-let new_ccell id () = { c_domain = id; c_v = 0.0 }
-let ccell cells = Per_domain.get cells ~owner:ccell_domain ~make:new_ccell ()
-
-let addf h d =
+let update h f =
   match h with
-  | C_null -> ()
-  | C cells ->
-    let c = ccell cells in
-    c.c_v <- c.c_v +. d
-
+  | None -> ()
+  | Some (c : cell) -> Mutex.protect c.lock (fun () -> f c)
+let shift g d = update g (fun c -> c.v <- c.v +. d)
+let addf = shift
 let add h n = addf h (float_of_int n)
 let incr h = addf h 1.0
-
-let set g v =
-  match g with
-  | G_null -> ()
-  | G c -> Mutex.protect c.g_lock (fun () -> c.g_v <- v)
-
-let shift g d =
-  match g with
-  | G_null -> ()
-  | G c -> Mutex.protect c.g_lock (fun () -> c.g_v <- c.g_v +. d)
-
-let hcell_domain c = c.h_domain
-
-let new_hcell id n_buckets =
-  {
-    h_domain = id;
-    h_counts = Array.make (n_buckets + 1) 0;
-    h_sum = 0.0;
-    h_count = 0;
-  }
-
-let hcell ~n_buckets cells =
-  Per_domain.get cells ~owner:hcell_domain ~make:new_hcell n_buckets
+let set g v = update g (fun c -> c.v <- v)
 
 let observe h v =
-  match h with
-  | H_null -> ()
-  | H { le; cells } ->
-    let n = Array.length le in
-    let c = hcell ~n_buckets:n cells in
-    let i = ref 0 in
-    while !i < n && v > le.(!i) do
-      Stdlib.incr i
-    done;
-    c.h_counts.(!i) <- c.h_counts.(!i) + 1;
-    c.h_sum <- c.h_sum +. v;
-    c.h_count <- c.h_count + 1
+  update h (fun c ->
+      let n = Array.length c.le in
+      let i = ref 0 in
+      while !i < n && v > c.le.(!i) do
+        Stdlib.incr i
+      done;
+      c.counts.(!i) <- c.counts.(!i) + 1;
+      c.v <- c.v +. v;
+      c.count <- c.count + 1)
 
 (* --- snapshots ------------------------------------------------------ *)
 
@@ -287,31 +235,21 @@ type sample = { labels : (string * string) list; value : value }
 type family = { name : string; kind : kind; help : string; samples : sample list }
 type snapshot = family list
 
-let merge_series = function
-  | S_counter cells ->
-    Sample
-      (List.fold_left (fun acc c -> acc +. c.c_v) 0.0 (Atomic.get cells))
-  | S_gauge g -> Sample (Mutex.protect g.g_lock (fun () -> g.g_v))
-  | S_histogram { hs_le; hs_cells } ->
-    let n = Array.length hs_le in
-    let counts = Array.make (n + 1) 0 in
-    let sum = ref 0.0 and count = ref 0 in
-    List.iter
-      (fun c ->
-        for i = 0 to n do
-          counts.(i) <- counts.(i) + c.h_counts.(i)
-        done;
-        sum := !sum +. c.h_sum;
-        count := !count + c.h_count)
-      (Atomic.get hs_cells);
-    let le = Array.append hs_le [| Float.infinity |] in
-    let cumulative = Array.make (n + 1) 0 in
-    let acc = ref 0 in
-    for i = 0 to n do
-      acc := !acc + counts.(i);
-      cumulative.(i) <- !acc
-    done;
-    Buckets { le; cumulative; sum = !sum; count = !count }
+let read kind (c : cell) =
+  Mutex.protect c.lock (fun () ->
+      match kind with
+      | Counter | Gauge -> Sample c.v
+      | Histogram ->
+        let acc = ref 0 in
+        let cumulative =
+          Array.map
+            (fun k ->
+              acc := !acc + k;
+              !acc)
+            c.counts
+        in
+        let le = Array.append c.le [| Float.infinity |] in
+        Buckets { le; cumulative; sum = c.v; count = c.count })
 
 let snapshot t =
   match t with
@@ -327,7 +265,7 @@ let snapshot t =
                    f.f_series []
                  |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
                  |> List.map (fun (_, labels, s) ->
-                        { labels; value = merge_series s })
+                        { labels; value = read f.f_kind s })
                in
                { name = f.f_name; kind = f.f_kind; help = f.f_help; samples }))
 

@@ -1,22 +1,16 @@
 (** Process-wide metrics registry: named counters, gauges, and
-    histograms with per-domain sharded cells, plus Prometheus
-    text-format and JSON exposition.
-
-    The registry mirrors the two design rules of {!Trace}:
+    histograms, plus Prometheus text-format and JSON exposition.
 
     - [null] costs nothing. A handle minted against {!null} is a
-      no-op variant; every hot-path operation ([incr], [observe])
-      matches on it first and returns without reading a clock or
-      touching shared memory.
-    - Hot-path updates never synchronize. A counter or histogram is a
-      list of per-domain cells (registered once per domain by CAS,
-      exactly like {!Trace} streams); an increment is a plain write to
-      the calling domain's own cell. {!snapshot} merges the shards.
-
-    The solver core reaches the registry only through {!Recorder}.
-    A live scrape is eventually consistent: totals lag by the in-flight
-    increments (the search-node families by up to one heartbeat). Once
-    writers are joined the snapshot is exact. *)
+      no-op variant; every operation matches on it first and returns
+      without touching shared memory.
+    - Every write is per flush, per request or per run: the solver
+      core keeps its tallies in {!Recorder} and writes them here only
+      in {!Recorder.flush}, at heartbeats and when a search or run
+      ends. So each series is one cell under its own mutex, counters
+      and histograms like gauges, and a {!snapshot} reads exact
+      values: once the recorders have flushed, it equals their
+      tallies. *)
 
 type t
 (** A registry handle: either {!null} or a live registry. *)
@@ -64,7 +58,8 @@ val gauge :
     implicit [+Inf] bucket is always appended. [buckets] is consulted
     only by the registration that creates the family — later
     registrations of the same name reuse the existing bucket ladder.
-    Defaults to {!latency_buckets}. *)
+    Defaults to 24 latency buckets, 10 microseconds to ~84 seconds,
+    factor 2. *)
 val histogram :
   t ->
   ?help:string ->
@@ -94,9 +89,6 @@ val observe : histogram -> float -> unit
     [0 .. count-1].
     @raise Invalid_argument unless [lo > 0], [ratio > 1], [count >= 1]. *)
 val log_buckets : lo:float -> ratio:float -> count:int -> float array
-
-(** 10 microseconds to ~84 seconds, factor 2 (24 buckets). *)
-val latency_buckets : float array
 
 (** 1 to ~4.2M search nodes, factor 4 (12 buckets). *)
 val node_buckets : float array

@@ -82,25 +82,28 @@ exception Stopped
    on node counts. *)
 let poll_mask = 31
 
-let empty_stats =
+let recorded r ~elapsed =
   {
-    nodes = 0;
-    conflicts = 0;
-    leaves = 0;
-    max_depth = 0;
-    elapsed = 0.0;
+    nodes = Recorder.nodes r;
+    conflicts = Recorder.conflicts r;
+    leaves = Recorder.leaves r;
+    max_depth = Recorder.max_depth r;
+    elapsed;
     by_bounds = false;
     by_heuristic = false;
-    rules = Telemetry.zero_rules;
-    bounds = [];
+    rules = Recorder.rule_counters r;
+    bounds = Recorder.bounds r;
   }
 
 (* The stage-3 search from an already-initialized state, recording into
    the state's recorder; [depth_offset] lets a caller account for
-   decisions replayed into [state] before the search started. *)
+   decisions replayed into [state] before the search started. The node
+   limit applies to the recorder's count, which a parallel worker keeps
+   across its descriptors; heartbeats report this search's nodes. *)
 let search ~options ~t0 ~depth_offset ?share state =
   let r = Packing_state.recorder state in
   Recorder.start_search r ~depth_offset;
+  let nodes0 = Recorder.nodes r in
   (* The decision path from this search's root, maintained only when a
      work-stealing [share] is attached: slot [d] holds the branch taken
      at local depth [d] along the current DFS path, so an [offer] can
@@ -156,17 +159,7 @@ let search ~options ~t0 ~depth_offset ?share state =
   in
   let finish outcome =
     Recorder.flush r;
-    ( outcome,
-      {
-        empty_stats with
-        nodes = Recorder.nodes r;
-        conflicts = Recorder.conflicts r;
-        leaves = Recorder.leaves r;
-        max_depth = Recorder.max_depth r;
-        elapsed = Clock.since t0;
-        rules = Recorder.rule_counters r;
-        bounds = Recorder.bounds r;
-      } )
+    (outcome, recorded r ~elapsed:(Clock.since t0))
   in
   (* Heartbeats fire on a clock cadence checked at every poll tick, so
      the reporting rate is independent of node throughput. The clock is
@@ -182,7 +175,7 @@ let search ~options ~t0 ~depth_offset ?share state =
       Option.is_some options.on_heartbeat || Trace.enabled options.trace
     then begin
       let elapsed = Clock.since t0 in
-      let nodes = Recorder.nodes r in
+      let nodes = Recorder.nodes r - nodes0 in
       let p =
         {
           Telemetry.elapsed_s = elapsed;
@@ -205,7 +198,7 @@ let search ~options ~t0 ~depth_offset ?share state =
     (match options.node_limit with
     | Some limit when nodes > limit -> raise Stopped
     | _ -> ());
-    if nodes land poll_mask = 0 || nodes = 1 then begin
+    if nodes land poll_mask = 0 || nodes = nodes0 + 1 then begin
       (match options.interrupt with
       | Some stop when stop () -> raise Stopped
       | _ -> ());
@@ -345,14 +338,14 @@ let pipeline ?(options = default_options) ?schedule inst cont ~settled ~stage3
   (* A solve settled before the search reports no search work, even
      though a failed root propagation did run the rules. *)
   let finish outcome ~conflicts ~by_bounds ~by_heuristic =
+    Recorder.flush recorder;
     settled outcome
       {
-        empty_stats with
+        (recorded recorder ~elapsed:(Clock.since t0)) with
         conflicts;
-        elapsed = Clock.since t0;
         by_bounds;
         by_heuristic;
-        bounds = Recorder.bounds recorder;
+        rules = Telemetry.zero_rules;
       }
   in
   match root_verdict with
@@ -420,16 +413,3 @@ let stats_json s =
     ]
 
 let stats_to_json s = Telemetry.to_string (stats_json s)
-
-let merge_stats a b =
-  {
-    nodes = a.nodes + b.nodes;
-    conflicts = a.conflicts + b.conflicts;
-    leaves = a.leaves + b.leaves;
-    max_depth = max a.max_depth b.max_depth;
-    elapsed = max a.elapsed b.elapsed;
-    by_bounds = a.by_bounds || b.by_bounds;
-    by_heuristic = a.by_heuristic || b.by_heuristic;
-    rules = Telemetry.add_rules a.rules b.rules;
-    bounds = Telemetry.add_bound_counters a.bounds b.bounds;
-  }

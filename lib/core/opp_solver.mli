@@ -108,7 +108,9 @@ type options = {
           — strip packing, [d <> 3], per-axis order constraints — skips
           straight to the stage-3 search, whose verdict is exact either
           way. *)
-  node_limit : int option; (** give up after this many nodes *)
+  node_limit : int option;
+      (** give up after this many nodes, counted on the search's
+          recorder ({!Parallel_solver}: per worker) *)
   deadline : Clock.deadline option;
       (** a {!Clock.after} deadline on the monotonic clock; the search
           returns [Timeout] soon after it passes. Polled every few
@@ -196,9 +198,11 @@ val pipeline :
     depth. The state is consumed by the search (a [Feasible] exit does
     not unwind its trail); create a fresh one per call. The search
     records on the state's {!Packing_state.recorder}, which should
-    carry [options.trace]. [share] attaches the work-stealing hooks
-    (see {!share}). This is the worker entry point of
-    {!Parallel_solver}. *)
+    carry [options.trace], and its stats are that recorder's tallies:
+    a recorder that served earlier searches keeps counting, and
+    [node_limit] applies to its count. [share] attaches the
+    work-stealing hooks (see {!share}). This is the worker entry point
+    of {!Parallel_solver}. *)
 val solve_state :
   ?options:options ->
   ?depth_offset:int ->
@@ -227,9 +231,7 @@ val stats_json : stats -> Telemetry.json
 (** One-line JSON rendering of a stats record (for [--stats json]). *)
 val stats_to_json : stats -> string
 
-(** Pointwise merge: counters add, depths and elapsed take the max,
-    stage flags or. Used to aggregate per-worker reports. *)
-val merge_stats : stats -> stats -> stats
-
-(** All-zero stats — the unit of {!merge_stats}. *)
-val empty_stats : stats
+(** [recorded r ~elapsed] is the stats of a search recorded on [r]:
+    its tallies, neither stage flag set. {!Parallel_solver} reads its
+    worker and merged reports this way. *)
+val recorded : Recorder.t -> elapsed:float -> stats

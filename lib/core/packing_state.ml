@@ -59,7 +59,7 @@ type t = {
       (* per dimension, set by [choose_unknown]: position in
          [score_order] of the first undecided pair, or -1 *)
   pressured_pos : int array; (* same, first undecided pressured pair *)
-  recorder : Recorder.t;
+  mutable recorder : Recorder.t;
 }
 
 type conflict = Recorder.conflict
@@ -110,8 +110,8 @@ let instance t = t.inst
 let container t = t.cont
 let dimension t k = t.dims.(k)
 
-let sequencing t ~axis = OG.orientation t.dims.(axis)
-let time_sequencing t = sequencing t ~axis:(Instance.objective_axis t.inst)
+let time_sequencing t =
+  OG.orientation t.dims.(Instance.objective_axis t.inst)
 let mark t =
   let d = Array.length t.dims in
   let l = t.levels in
@@ -133,6 +133,10 @@ let decided_fraction t =
 let total_trail t = Array.fold_left (fun acc og -> acc + OG.mark og) 0 t.dims
 
 let recorder t = t.recorder
+
+let set_recorder t recorder =
+  Recorder.register_rules recorder;
+  t.recorder <- recorder
 
 (* ------------------------------------------------------------------ *)
 (* Adjacency bitsets                                                   *)
@@ -465,7 +469,7 @@ let create ?(rules = default_rules) ?schedule ?(recorder = Recorder.create ())
     Array.init d (fun k ->
         let c = ref 1 in
         for j = 0 to d - 1 do
-          if j <> k then c := !c * cap.(j)
+          if j <> k then c := Geometry.Box.mul_sat !c cap.(j)
         done;
         !c)
   in

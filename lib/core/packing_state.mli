@@ -76,16 +76,13 @@ val container : t -> Geometry.Container.t
     re-run {!stabilize}). *)
 val dimension : t -> int -> Order.Oriented_graph.t
 
-(** [sequencing t ~axis] is the committed arcs of one axis at the
-    current node, as a fresh digraph: the orientation of that
-    dimension's comparability edges — order seeds plus every branching
-    decision so far. Every arc holds in all completions of the node,
-    which is what makes it a sound sequencing argument for the dynamic
-    bounds of {!Bound_engine}. O(n^2) per call; callers throttle. *)
-val sequencing : t -> axis:int -> Graphlib.Digraph.t
-
-(** {!sequencing} on the instance's objective axis (historically the
-    time axis). *)
+(** [time_sequencing t] is the committed arcs of the instance's
+    objective axis (historically the time axis) at the current node,
+    as a fresh digraph: the orientation of that dimension's
+    comparability edges — order seeds plus every branching decision so
+    far. Every arc holds in all completions of the node, which is what
+    makes it a sound sequencing argument for the dynamic bounds of
+    {!Bound_engine}. O(n^2) per call; callers throttle. *)
 val time_sequencing : t -> Graphlib.Digraph.t
 
 (** [mark t] pushes a level onto the state's mark stack — the trail
@@ -130,5 +127,10 @@ val decided_fraction : t -> float
     attempt. *)
 val total_trail : t -> int
 
-(** The recorder given to {!create}. *)
+(** The recorder given to {!create}, or to the last {!set_recorder}. *)
 val recorder : t -> Recorder.t
+
+(** [set_recorder t r] records [t]'s events on [r] from now on and
+    registers its rule series: the state changes owner, as the
+    propagated root does when parallel worker 0 searches it. *)
+val set_recorder : t -> Recorder.t -> unit

@@ -135,11 +135,13 @@ type report = {
 (* Prefix replay                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let replay ?(options = Opp_solver.default_options) ?schedule inst cont
-    decisions =
+(* Rebuilds a fresh root state recording on [recorder] and re-applies a
+   descriptor prefix. [Error] means the prefix fails propagation: the
+   donated alternative branch is refuted, the same pruned branch the
+   sequential search would count as a conflict. *)
+let replay recorder ~options ?schedule inst cont decisions =
   match
-    Packing_state.create ~rules:options.Opp_solver.rules ?schedule
-      ~recorder:(Recorder.create ~trace:options.Opp_solver.trace ())
+    Packing_state.create ~rules:options.Opp_solver.rules ?schedule ~recorder
       inst cont
   with
   | Error reason -> Error reason
@@ -193,7 +195,8 @@ let solve ?(options = Opp_solver.default_options) ?schedule ?(jobs = 2) inst
       [
         {
           worker = 0;
-          work = Telemetry.zero_steals;
+          work =
+            { Telemetry.tasks = 0; steals = 0; donated = 0; reclaimed = 0 };
           elapsed_s = stats.Opp_solver.elapsed;
           stats;
         };
@@ -207,10 +210,11 @@ let solve ?(options = Opp_solver.default_options) ?schedule ?(jobs = 2) inst
     Opp_solver.pipeline ~options ?schedule inst cont
       ~settled:(fun outcome stats -> finish outcome stats [] ~tasks:0 ~steals:0)
       ~stage3:(fun ~t0:_ root ->
-        (* The root recorder's stage-1 bound work is reported once, in
-           the merged stats, not as worker 0's: each worker's stats
-           carry only the search it ran. *)
-        let bounds0 = Recorder.take_bounds (Packing_state.recorder root) in
+        (* The root recorder holds stage 1 and the root propagation.
+           Each worker records into a recorder of its own, and the root
+           absorbs them all when they stop: the merged report is read
+           off it, the worker reports off theirs. *)
+        let merged = Packing_state.recorder root in
         (* Shared control state. [pending] counts descriptors that are
            queued or executing; it reaches 0 exactly when the whole
            tree has been exhausted (every descriptor ran to completion
@@ -225,14 +229,6 @@ let solve ?(options = Opp_solver.default_options) ?schedule ?(jobs = 2) inst
            at every heartbeat; thieves use it to break victim ties
            toward the busiest worker, whose deque refills fastest. *)
         let board = Array.init jobs (fun _ -> Atomic.make 0) in
-        (* One recorder per worker for the kernel events; each
-           descriptor's search records into a recorder of its own. *)
-        let kernels =
-          Array.init jobs (fun wid ->
-              let r = Recorder.create ~trace () in
-              Recorder.register_kernel r ~worker:wid;
-              r)
-        in
         let worker_out = Array.make jobs None in
         let publish_feasible placement =
           if Atomic.compare_and_set witness None (Some placement) then
@@ -247,9 +243,9 @@ let solve ?(options = Opp_solver.default_options) ?schedule ?(jobs = 2) inst
         let worker wid =
           let w0 = Clock.now () in
           let my_deque = deques.(wid) in
-          let kernel = kernels.(wid) in
-          let stats_acc = ref Opp_solver.empty_stats in
-          let base_opts =
+          let recorder = Recorder.create ~trace () in
+          Recorder.register_kernel recorder ~worker:wid;
+          let sub_opts =
             {
               options with
               Opp_solver.use_bounds = false;
@@ -282,7 +278,7 @@ let solve ?(options = Opp_solver.default_options) ?schedule ?(jobs = 2) inst
             Atomic.set stop true
           in
           let run_task (t : task) =
-            Recorder.claim kernel ~index:t.id;
+            Recorder.claim recorder ~index:t.id;
             (* Per-task share hooks: descriptors donated while running
                this task extend its prefix with the local path. *)
             let offer ~path ~len ~alt =
@@ -294,14 +290,14 @@ let solve ?(options = Opp_solver.default_options) ?schedule ?(jobs = 2) inst
                 let id = Atomic.fetch_and_add task_ids 1 in
                 Atomic.incr pending;
                 Deque.push my_deque { id; prefix; depth = t.depth + len + 1 };
-                Recorder.donate kernel ~depth:(t.depth + len);
+                Recorder.donate recorder ~depth:(t.depth + len);
                 Some id
               end
             in
             let reclaim token =
               match Deque.pop_if my_deque (fun (x : task) -> x.id = token) with
               | Some _ ->
-                Recorder.reclaim kernel;
+                Recorder.reclaim recorder;
                 (* The branch runs in place on the live state: balance
                    the offer's increment here. The enclosing task is
                    still counted in [pending], so this cannot drain
@@ -311,42 +307,30 @@ let solve ?(options = Opp_solver.default_options) ?schedule ?(jobs = 2) inst
               | None -> false
             in
             let share = { Opp_solver.offer; reclaim } in
-            let budget_left =
-              match options.Opp_solver.node_limit with
-              | None -> None
-              | Some l -> Some (l - (!stats_acc).Opp_solver.nodes)
-            in
-            match budget_left with
-            | Some b when b <= 0 ->
+            match options.Opp_solver.node_limit with
+            | Some l when Recorder.nodes recorder >= l ->
               give_up ();
               finish_task ()
             | _ -> (
-              (* Descriptor 0 searches the propagated root itself. *)
               match
-                if t.id = 0 then Ok root
-                else replay ~options ?schedule inst cont t.prefix
+                if t.id = 0 then begin
+                  (* Descriptor 0 searches the propagated root itself. *)
+                  Packing_state.set_recorder root recorder;
+                  Ok root
+                end
+                else replay recorder ~options ?schedule inst cont t.prefix
               with
               | Error _ ->
                 (* The descriptor's last decision (the donated
                    alternative) fails propagation — the same pruned
                    branch the sequential search would count. *)
-                stats_acc :=
-                  {
-                    !stats_acc with
-                    Opp_solver.conflicts =
-                      (!stats_acc).Opp_solver.conflicts + 1;
-                  };
+                Recorder.conflict recorder;
                 finish_task ()
               | Ok st ->
-                let sub_opts =
-                  { base_opts with Opp_solver.node_limit = budget_left }
-                in
-                let outcome, s =
+                let outcome, _ =
                   Opp_solver.solve_state ~options:sub_opts
                     ~depth_offset:t.depth ~share st
                 in
-                Recorder.task_done kernel ~nodes:s.Opp_solver.nodes;
-                stats_acc := Opp_solver.merge_stats !stats_acc s;
                 (match outcome with
                 | Opp_solver.Feasible p -> publish_feasible p
                 | Opp_solver.Infeasible -> ()
@@ -402,7 +386,7 @@ let solve ?(options = Opp_solver.default_options) ?schedule ?(jobs = 2) inst
                   match Deque.steal deques.(v) with
                   | Some t ->
                     idle := 0;
-                    Recorder.steal kernel ~victim:v ~depth:t.depth;
+                    Recorder.steal recorder ~victim:v ~depth:t.depth;
                     run_task t
                   | None -> relax ())));
               loop ()
@@ -410,14 +394,17 @@ let solve ?(options = Opp_solver.default_options) ?schedule ?(jobs = 2) inst
           in
           if wid = 0 then run_task { id = 0; prefix = []; depth = 0 };
           loop ();
+          Recorder.flush recorder;
+          let elapsed_s = Clock.since w0 in
           worker_out.(wid) <-
             Some
-              {
-                worker = wid;
-                work = Recorder.steal_counters kernel;
-                elapsed_s = Clock.since w0;
-                stats = !stats_acc;
-              }
+              ( {
+                  worker = wid;
+                  work = Recorder.steal_counters recorder;
+                  elapsed_s;
+                  stats = Opp_solver.recorded recorder ~elapsed:elapsed_s;
+                },
+                recorder )
         in
         (* Worker 0 runs the root descriptor and starts last, so the
            thieves are waiting when it donates. Always join every domain
@@ -433,19 +420,9 @@ let solve ?(options = Opp_solver.default_options) ?schedule ?(jobs = 2) inst
            refused := Some e);
         List.iter Domain.join !domains;
         Option.iter raise !refused;
-        let workers =
-          Array.to_list worker_out
-          |> List.filter_map Fun.id
-          |> List.sort (fun (a : worker_report) (b : worker_report) ->
-                 compare a.worker b.worker)
-        in
-        let merged =
-          List.fold_left
-            (fun acc (w : worker_report) ->
-              Opp_solver.merge_stats acc w.stats)
-            { Opp_solver.empty_stats with Opp_solver.bounds = bounds0 }
-            workers
-        in
+        let workers = List.filter_map Fun.id (Array.to_list worker_out) in
+        List.iter (fun (_, r) -> Recorder.absorb ~into:merged r) workers;
+        Recorder.flush merged;
         let outcome =
           match Atomic.get witness with
           | Some placement -> Opp_solver.Feasible placement
@@ -453,18 +430,11 @@ let solve ?(options = Opp_solver.default_options) ?schedule ?(jobs = 2) inst
             if Atomic.get timed_out then Opp_solver.Timeout
             else Opp_solver.Infeasible
         in
-        let work =
-          List.fold_left
-            (fun acc (w : worker_report) -> Telemetry.add_steals acc w.work)
-            Telemetry.zero_steals workers
-        in
-        finish outcome merged workers ~tasks:work.Telemetry.tasks
+        let work = Recorder.steal_counters merged in
+        finish outcome
+          (Opp_solver.recorded merged ~elapsed:(Clock.since t0))
+          (List.map fst workers) ~tasks:work.Telemetry.tasks
           ~steals:work.Telemetry.steals)
-
-let pp_report fmt r =
-  Format.fprintf fmt "%a via %d jobs, %d tasks (%d stolen) (%a)"
-    Opp_solver.pp_outcome r.outcome r.jobs r.tasks r.steals Opp_solver.pp_stats
-    r.stats
 
 let report_to_json r =
   let outcome =

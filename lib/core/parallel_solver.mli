@@ -10,7 +10,7 @@
     donations back LIFO and runs them in place on the live state when
     nobody stole them, and when completely dry {e steals} FIFO from the
     victim with the fullest deque (heartbeat load data breaks ties).
-    Thieves replay a stolen prefix on a fresh state ({!replay}) and
+    Thieves replay a stolen prefix on a fresh state and
     search the subtree with the same donation hooks, so work keeps
     subdividing for as long as any worker is hungry.
 
@@ -84,9 +84,11 @@ module Deque : sig
   val size : 'a t -> int
 end
 
-(** Per-worker telemetry: the work-stealing counters (descriptors
-    executed / stolen / donated / reclaimed), the worker's wall-clock
-    lifetime, and its merged search stats. *)
+(** Per-worker telemetry, read off the worker's one recorder: the
+    work-stealing counters (descriptors executed / stolen / donated /
+    reclaimed), the worker's lifetime on the monotonic clock, and the
+    stats of every replay and search it ran ([stats.elapsed] is that
+    lifetime too). A refuted replay counts as a conflict. *)
 type worker_report = {
   worker : int;
   work : Telemetry.steal_counters;
@@ -96,7 +98,9 @@ type worker_report = {
 
 type report = {
   outcome : Opp_solver.outcome;
-  stats : Opp_solver.stats; (** merged over workers, wall-clock elapsed *)
+  stats : Opp_solver.stats;
+      (** the root recorder (stage 1, root propagation) after it absorbed
+          every worker's; elapsed is the whole solve *)
   workers : worker_report list;
   tasks : int;
       (** descriptors executed across all workers (0 when the instance
@@ -104,19 +108,6 @@ type report = {
   steals : int; (** successful steals across all workers *)
   jobs : int;
 }
-
-(** [replay ?options ?schedule instance container prefix] rebuilds a
-    fresh root state and re-applies a descriptor prefix. [Error] means
-    the prefix fails propagation — for a stolen descriptor this is the
-    donated alternative branch being refuted, the same pruned branch
-    the sequential search would count as a conflict. *)
-val replay :
-  ?options:Opp_solver.options ->
-  ?schedule:int array ->
-  Instance.t ->
-  Geometry.Container.t ->
-  decision list ->
-  (Packing_state.t, Packing_state.conflict) result
 
 (** [check_jobs jobs] is [jobs] clamped to at least 1; above [max_jobs]
     = 127 (the runtime hosts 128 domains) it raises [Invalid_argument]. *)
@@ -144,8 +135,6 @@ val solve :
   Instance.t ->
   Geometry.Container.t ->
   report
-
-val pp_report : Format.formatter -> report -> unit
 
 (** One-line JSON rendering of a report (for [--stats json]). *)
 val report_to_json : report -> string

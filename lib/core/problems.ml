@@ -116,12 +116,22 @@ let exhausted b =
   ||
   match b.deadline with Some d -> Clock.expired d | None -> false
 
-(* Run one decision probe against the remaining budget. Polymorphic in
-   nothing but behaviour: routes through the domain-parallel solver when
-   [jobs > 1] (exact, so the verdict is unchanged), charges the nodes
-   actually spent to the budget, and reports the probe to [on_probe].
-   An already-dead budget short-circuits to [`Timeout] without solving
-   (and without emitting a phantom probe). *)
+(* [engine_use ctx f] is [f] applied to the shared engine, if the run
+   has one, with its recorder flushed after: the run's bound work is in
+   the registry whenever an optimization returns. *)
+let engine_use ctx f =
+  Option.map
+    (fun e ->
+      let r = f e in
+      Recorder.flush (Bound_engine.recorder e);
+      r)
+    ctx.engine
+
+(* Run one decision probe against the remaining budget: the solver is
+   {!Parallel_solver.solve}, which runs {!Opp_solver.solve} itself when
+   [jobs = 1]. Charges the nodes actually spent to the budget and reports
+   the probe to [on_probe]. An already-dead budget short-circuits to
+   [`Timeout] without solving (and without emitting a phantom probe). *)
 let run_probe ?schedule ctx cont inst =
   if exhausted ctx.budget then begin
     ctx.budget.hit <- true;
@@ -132,12 +142,10 @@ let run_probe ?schedule ctx cont inst =
        the probe for free — no budget charge, no probe event. The engine
        ignores [schedule], which only adds constraints, so a refutation
        of the unscheduled instance refutes the scheduled one too. *)
-    match ctx.engine with
-    | None -> false
-    | Some e -> (
-      match Bound_engine.check e inst cont with
-      | Bound_engine.Infeasible _ -> true
-      | Bound_engine.Lower_bound _ | Bound_engine.Inconclusive -> false)
+    match engine_use ctx (fun e -> Bound_engine.check e inst cont) with
+    | Some (Bound_engine.Infeasible _) -> true
+    | Some (Bound_engine.Lower_bound _ | Bound_engine.Inconclusive) | None ->
+      false
   then `Infeasible
   else begin
     let options =
@@ -168,12 +176,8 @@ let run_probe ?schedule ctx cont inst =
                   | None -> p)));
       }
     in
-    let outcome, stats =
-      if ctx.jobs > 1 then begin
-        let r = Parallel_solver.solve ~options ?schedule ~jobs:ctx.jobs inst cont in
-        (r.Parallel_solver.outcome, r.Parallel_solver.stats)
-      end
-      else Opp_solver.solve ~options ?schedule inst cont
+    let { Parallel_solver.outcome; stats; _ } =
+      Parallel_solver.solve ~options ?schedule ~jobs:ctx.jobs inst cont
     in
     (* With jobs > 1 the per-worker limits make the merged node count
        exceed the hand-out; charging the merged sum keeps the global
@@ -341,20 +345,23 @@ let extent_lower_bound ctx inst ~axis ~base =
   let d = Instance.dim inst in
   let cross = ref 1 in
   for k = 0 to d - 1 do
-    if k <> axis then cross := !cross * Container.extent base k
+    if k <> axis then
+      cross := Geometry.Box.mul_sat !cross (Container.extent base k)
   done;
-  let volume_bound = (Instance.total_volume inst + !cross - 1) / !cross in
+  let volume_bound = ((Instance.total_volume inst - 1) / !cross) + 1 in
   let closed =
     max (chain_floor inst ~axis)
       (max volume_bound (Bound_engine.exclusion_extent inst base ~axis))
   in
   if axis <> Instance.objective_axis inst then closed
   else
-    match ctx.engine with
+    match
+      engine_use ctx (fun e ->
+          Bound_engine.time_lower_bound e inst
+            (Container.with_extent base axis 1))
+    with
     | None -> closed
-    | Some e ->
-      max closed
-        (Bound_engine.time_lower_bound e inst (Container.with_extent base axis 1))
+    | Some lb -> max closed lb
 
 let base_lower_bound inst ~t_max =
   let spatial = ref 1 in
@@ -378,17 +385,17 @@ let base_lower_bound inst ~t_max =
    the engine's lower bound. *)
 let ctx_base_lower_bound ctx inst ~t_max =
   let lo = base_lower_bound inst ~t_max in
-  match ctx.engine with
-  | None -> lo
-  | Some e ->
-    let rec walk s guard =
+  let walk e =
+    let rec go s guard =
       if guard = 0 then s
       else
         match Bound_engine.check e inst (Container.make3 ~w:s ~h:s ~t_max) with
-        | Bound_engine.Infeasible _ -> walk (s + 1) (guard - 1)
+        | Bound_engine.Infeasible _ -> go (s + 1) (guard - 1)
         | Bound_engine.Lower_bound _ | Bound_engine.Inconclusive -> s
     in
-    walk lo 64
+    go lo 64
+  in
+  Option.value (engine_use ctx walk) ~default:lo
 
 (* ------------------------------------------------------------------ *)
 (* FeasAT&FindS                                                        *)

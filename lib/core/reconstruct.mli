@@ -25,12 +25,3 @@ val of_state : Packing_state.t -> Geometry.Placement.t option
     as the decided part of the packing class already forces a feasible
     layout. *)
 val attempt : Packing_state.t -> Geometry.Placement.t option
-
-(** [of_orientations instance container ds] builds and verifies the
-    placement given one transitive orientation per dimension. Exposed
-    for tests. *)
-val of_orientations :
-  Instance.t ->
-  Geometry.Container.t ->
-  Graphlib.Digraph.t array ->
-  Geometry.Placement.t option

@@ -1,7 +1,12 @@
-(* One recorder per search (or per parallel worker). Tallies are plain
-   mutable fields; metric handles start as no-ops and are minted by the
-   [register_*] call of the layer that owns the family, so a stage that
-   never runs never registers its series. *)
+(* One recorder per search, per probe engine, or per parallel worker.
+   Tallies are plain mutable fields. Each tally that feeds a metric also
+   keeps its value at the last flush, and [flush], when the registry is
+   live, writes the difference to handles minted by the [register_*]
+   call of the layer that owns the family, so a stage that never runs
+   never registers its series.
+   [absorb] adds one recorder's tallies and flush marks into another:
+   a merged report is read off one recorder, and no event reaches the
+   registry twice. *)
 
 type rule = C2 | C3 | C4 | Capacity | Symmetry | Implications
 
@@ -42,18 +47,52 @@ let conflict_to_string = function
    multiple of [sample_every]; the sampled time is scaled back up. *)
 let sample_every = 32
 
-type bound = {
-  name : string;
-  mutable calls : int;
-  mutable time_s : float;
-  mutable prunes : int;
-  m_calls : Metrics.counter;
-  m_prunes : Metrics.counter;
-  m_seconds : Metrics.counter;
+let off = Metrics.counter Metrics.null "off"
+
+(* Tallies that reach the registry: counts [n] and seconds [s], their
+   values at the last flush, and the series each difference goes to. *)
+type tallies = {
+  n : int array;
+  n_flushed : int array;
+  mutable m : Metrics.counter array;
+  mutable s : float;
+  mutable s_flushed : float;
+  mutable m_s : Metrics.counter;
 }
 
+let tallies k =
+  {
+    n = Array.make k 0;
+    n_flushed = Array.make k 0;
+    m = Array.make k off;
+    s = 0.0;
+    s_flushed = 0.0;
+    m_s = off;
+  }
+
+let flush_tallies c =
+  Array.iteri
+    (fun i n ->
+      Metrics.add c.m.(i) (n - c.n_flushed.(i));
+      c.n_flushed.(i) <- n)
+    c.n;
+  Metrics.addf c.m_s (c.s -. c.s_flushed);
+  c.s_flushed <- c.s
+
+let absorb_tallies ~into c =
+  Array.iteri
+    (fun i n ->
+      into.n.(i) <- into.n.(i) + n;
+      into.n_flushed.(i) <- into.n_flushed.(i) + c.n_flushed.(i))
+    c.n;
+  into.s <- into.s +. c.s;
+  into.s_flushed <- into.s_flushed +. c.s_flushed
+
+(* A bound's counts are its calls and prunes, its seconds its run time. *)
+type bound = { name : string; tallies : tallies }
+
 (* Search tallies by index, each flushed to the family at the same
-   index of [search_families]; realization seconds are the last one. *)
+   index of [search_families]; the seconds are realization time. *)
 let nodes_i = 0 and decisions_i = 1 and conflicts_i = 2 and leaves_i = 3
 and realizes_i = 4
 
@@ -65,8 +104,6 @@ let search_families =
     ("fpga_solver_leaves_total", "Fully decided leaves reached");
     ( "fpga_solver_realize_attempts_total",
       "Realization (placement reconstruction) attempts" );
-    ( "fpga_solver_realize_seconds_total",
-      "Seconds spent in realization attempts" );
   |]
 
 (* Kernel tallies by index: tasks, steals, donated, reclaimed. *)
@@ -86,20 +123,13 @@ type t = {
   mutable started : Clock.t; (* start of the running timed event *)
   rule_calls : int array; (* by [rule_index] *)
   rule_time : float array;
-  mutable m_rules : Metrics.counter array;
+  rule_conflicts : tallies;
   mutable bounds : bound list; (* registration order *)
-  search : int array;
-  mutable realize_s : float;
-  flushed : int array; (* [search] and [realize_s] at the last flush *)
-  mutable flushed_s : float;
+  search : tallies;
   mutable max_depth : int;
-  mutable m_search : Metrics.counter array;
-  work : int array;
-  mutable m_work : Metrics.counter array;
+  work : tallies;
   mutable m_worker_nodes : Metrics.counter;
 }
-
-let off = Metrics.counter Metrics.null "off"
 
 let create ?(trace = Trace.null) () =
   {
@@ -108,16 +138,11 @@ let create ?(trace = Trace.null) () =
     started = Clock.now ();
     rule_calls = Array.make 6 0;
     rule_time = Array.make 6 0.0;
-    m_rules = Array.make 6 off;
+    rule_conflicts = tallies 6;
     bounds = [];
-    search = Array.make 5 0;
-    realize_s = 0.0;
-    flushed = Array.make 5 0;
-    flushed_s = 0.0;
+    search = tallies 5;
     max_depth = 0;
-    m_search = Array.make 6 off;
-    work = Array.make 4 0;
-    m_work = Array.make 4 off;
+    work = tallies 4;
     m_worker_nodes = off;
   }
 
@@ -135,7 +160,7 @@ let series t ?labels families =
 (* ------------------------------------------------------------------ *)
 
 let register_rules t =
-  t.m_rules <-
+  t.rule_conflicts.m <-
     Array.map
       (fun rule ->
         Metrics.counter t.registry ~help:"Packing-rule conflicts by rule"
@@ -149,7 +174,7 @@ let rule_conflict t rule r =
     if Trace.enabled t.trace then
       Trace.rule_fire t.trace ~rule:rule_names.(i)
         ~detail:(conflict_to_string c);
-    Metrics.incr t.m_rules.(i)
+    t.rule_conflicts.n.(i) <- t.rule_conflicts.n.(i) + 1
   | Ok () -> ());
   r
 
@@ -176,8 +201,8 @@ let rule_counters t =
     capacity_time_s = time Capacity;
     implication_calls = calls Implications;
     implication_time_s = time Implications;
-    realize_attempts = t.search.(realizes_i);
-    realize_time_s = t.realize_s;
+    realize_attempts = t.search.n.(realizes_i);
+    realize_time_s = t.search.s;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -196,63 +221,47 @@ let register_bound t name =
           ("fpga_bounds_seconds_total", "Seconds spent evaluating each bound");
         |]
     in
-    let b =
-      {
-        name;
-        calls = 0;
-        time_s = 0.0;
-        prunes = 0;
-        m_calls = m.(0);
-        m_prunes = m.(1);
-        m_seconds = m.(2);
-      }
-    in
+    let b = { name; tallies = tallies 2 } in
+    b.tallies.m <- Array.sub m 0 2;
+    b.tallies.m_s <- m.(2);
     t.bounds <- t.bounds @ [ b ];
     b
 
 let bound_call t b verdict =
   let dt = Clock.since t.started in
-  b.calls <- b.calls + 1;
-  b.time_s <- b.time_s +. dt;
-  Metrics.incr b.m_calls;
-  Metrics.addf b.m_seconds dt;
+  let c = b.tallies in
+  c.n.(0) <- c.n.(0) + 1;
+  c.s <- c.s +. dt;
   (match verdict with
-  | Trace.Bv_infeasible _ ->
-    b.prunes <- b.prunes + 1;
-    Metrics.incr b.m_prunes
+  | Trace.Bv_infeasible _ -> c.n.(1) <- c.n.(1) + 1
   | Trace.Bv_lower_bound _ | Trace.Bv_inconclusive -> ());
   Trace.bound_call t.trace ~bound:b.name ~verdict ~dur_s:dt
 
-let tally b =
-  { Telemetry.calls = b.calls; time_s = b.time_s; prunes = b.prunes }
+let tally { tallies = c; _ } =
+  { Telemetry.calls = c.n.(0); time_s = c.s; prunes = c.n.(1) }
 
 let bounds t = List.map (fun b -> (b.name, tally b)) t.bounds
-
-let take_bounds t =
-  let busy = List.filter (fun b -> b.calls > 0 || b.prunes > 0) t.bounds in
-  let taken = List.map (fun b -> (b.name, tally b)) busy in
-  List.iter
-    (fun b ->
-      b.calls <- 0;
-      b.time_s <- 0.0;
-      b.prunes <- 0)
-    busy;
-  taken
 
 (* ------------------------------------------------------------------ *)
 (* Search                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let start_search t ~depth_offset =
-  t.max_depth <- depth_offset;
-  t.m_search <- series t search_families
+let register_search t =
+  t.search.m <- series t search_families;
+  t.search.m_s <-
+    Metrics.counter t.registry ~help:"Seconds spent in realization attempts"
+      "fpga_solver_realize_seconds_total"
 
-let bump t i = t.search.(i) <- t.search.(i) + 1
+let start_search t ~depth_offset =
+  t.max_depth <- max t.max_depth depth_offset;
+  register_search t
+
+let bump t i = t.search.n.(i) <- t.search.n.(i) + 1
 
 let node_enter t ~depth =
   bump t nodes_i;
   if depth > t.max_depth then t.max_depth <- depth;
-  Trace.node_enter t.trace ~node:t.search.(nodes_i) ~depth
+  Trace.node_enter t.trace ~node:t.search.n.(nodes_i) ~depth
 
 let node_close t ~recorded ~depth ~conflicts =
   Trace.node_close t.trace ~recorded ~depth ~conflicts
@@ -267,37 +276,27 @@ let leaf t = bump t leaves_i
 let realize t ~success =
   let dt = Clock.since t.started in
   bump t realizes_i;
-  t.realize_s <- t.realize_s +. dt;
+  t.search.s <- t.search.s +. dt;
   Trace.realize t.trace ~success ~dur_s:dt
 
-let nodes t = t.search.(nodes_i)
-let conflicts t = t.search.(conflicts_i)
-let leaves t = t.search.(leaves_i)
+let nodes t = t.search.n.(nodes_i)
+let conflicts t = t.search.n.(conflicts_i)
+let leaves t = t.search.n.(leaves_i)
 let max_depth t = t.max_depth
-
-let flush t =
-  Array.iteri
-    (fun i n ->
-      Metrics.add t.m_search.(i) (n - t.flushed.(i));
-      t.flushed.(i) <- n)
-    t.search;
-  Metrics.addf t.m_search.(realizes_i + 1) (t.realize_s -. t.flushed_s);
-  t.flushed_s <- t.realize_s
 
 (* ------------------------------------------------------------------ *)
 (* Work-stealing kernel                                                *)
 (* ------------------------------------------------------------------ *)
 
 let register_kernel t ~worker =
-  t.m_work <- series t kernel_families;
+  register_search t;
+  t.work.m <- series t kernel_families;
   t.m_worker_nodes <-
     Metrics.counter t.registry ~help:"Search nodes by worker"
       ~labels:[ ("worker", string_of_int worker) ]
       "fpga_parallel_worker_nodes_total"
 
-let work t i =
-  t.work.(i) <- t.work.(i) + 1;
-  Metrics.incr t.m_work.(i)
+let work t i = t.work.n.(i) <- t.work.n.(i) + 1
 
 let claim t ~index =
   work t 0;
@@ -312,12 +311,55 @@ let donate t ~depth =
   Trace.donate t.trace ~depth
 
 let reclaim t = work t 3
-let task_done t ~nodes = Metrics.add t.m_worker_nodes nodes
 
 let steal_counters t =
   {
-    Telemetry.tasks = t.work.(0);
-    steals = t.work.(1);
-    donated = t.work.(2);
-    reclaimed = t.work.(3);
+    Telemetry.tasks = t.work.n.(0);
+    steals = t.work.n.(1);
+    donated = t.work.n.(2);
+    reclaimed = t.work.n.(3);
   }
+
+(* ------------------------------------------------------------------ *)
+(* Flush and merge                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let flush t =
+  if Metrics.enabled t.registry then begin
+    flush_tallies t.rule_conflicts;
+    List.iter (fun b -> flush_tallies b.tallies) t.bounds;
+    (* A worker's search nodes are its labelled node count. *)
+    Metrics.add t.m_worker_nodes (nodes t - t.search.n_flushed.(nodes_i));
+    flush_tallies t.search;
+    flush_tallies t.work
+  end
+
+let take_bounds t =
+  flush t;
+  let busy =
+    List.filter (fun b -> b.tallies.n.(0) > 0 || b.tallies.n.(1) > 0) t.bounds
+  in
+  let taken = List.map (fun b -> (b.name, tally b)) busy in
+  List.iter
+    (fun { tallies = c; _ } ->
+      Array.fill c.n 0 2 0;
+      Array.fill c.n_flushed 0 2 0;
+      c.s <- 0.0;
+      c.s_flushed <- 0.0)
+    busy;
+  taken
+
+let absorb ~into t =
+  flush t;
+  Array.iteri (fun i n -> into.rule_calls.(i) <- into.rule_calls.(i) + n)
+    t.rule_calls;
+  Array.iteri (fun i s -> into.rule_time.(i) <- into.rule_time.(i) +. s)
+    t.rule_time;
+  absorb_tallies ~into:into.rule_conflicts t.rule_conflicts;
+  List.iter
+    (fun b ->
+      absorb_tallies ~into:(register_bound into b.name).tallies b.tallies)
+    t.bounds;
+  absorb_tallies ~into:into.search t.search;
+  into.max_depth <- max into.max_depth t.max_depth;
+  absorb_tallies ~into:into.work t.work

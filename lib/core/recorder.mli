@@ -3,21 +3,23 @@
     decision, the work-stealing kernel's claim, steal, donate and
     reclaim — is one call here. The recorder keeps the tallies
     {!Opp_solver.stats} and {!Parallel_solver.report} render, appends
-    the event to its {!Trace}, and feeds the [fpga_solver_*],
-    [fpga_bounds_*] and [fpga_parallel_*] metric families, which only
-    this module names.
+    the event to its {!Trace}, and is the one writer of the
+    [fpga_solver_*], [fpga_bounds_*] and [fpga_parallel_*] metric
+    families.
 
     A family is registered by the layer that owns it ([register_*]), so
-    a run exposes the families of the stages it reached. Node-class
-    tallies reach the registry through {!flush}, at every search
-    heartbeat and when the search ends; all other events reach it as
-    they happen. With the trace and the registry off, events touch
-    neither. A recorder is single-writer: one per search or worker. *)
+    a run exposes the families of the stages it reached. Events only
+    update tallies; the registry is written in {!flush} alone, with
+    what changed since the previous flush, and every owner flushes
+    when it finishes. With the trace and the registry off, events
+    touch neither. A recorder is single-writer: one per search, engine
+    or parallel worker; {!absorb} sums recorders into one. *)
 
 type t
 
 (** A recorder with zero tallies, writing to [trace] (default
-    {!Trace.null}) and to the current {!Metrics.default} registry. *)
+    {!Trace.null}) and to the process default metrics registry at the
+    time of the call. *)
 val create : ?trace:Trace.t -> unit -> t
 
 (** Whether the trace or the registry is live. *)
@@ -91,14 +93,15 @@ val bound_call : t -> bound -> Trace.bound_verdict -> unit
 (** Per-bound calls, seconds and prunes, in registration order. *)
 val bounds : t -> Telemetry.bound_counters
 
-(** The bound work since the previous take, idle bounds left out; resets
-    it. *)
+(** The bound work since the previous take, idle bounds left out;
+    flushes, then resets it. *)
 val take_bounds : t -> Telemetry.bound_counters
 
 (** {1 Search} *)
 
 (** Registers the search series; the search starts at decision depth
-    [depth_offset]. *)
+    [depth_offset]. Tallies keep counting across the searches a
+    recorder serves. *)
 val start_search : t -> depth_offset:int -> unit
 
 (** Counts a node; returns the trace's sampling token for the matching
@@ -119,12 +122,10 @@ val conflicts : t -> int
 val leaves : t -> int
 val max_depth : t -> int
 
-(** Push the search tallies gathered since the last flush. *)
-val flush : t -> unit
-
 (** {1 Work-stealing kernel} *)
 
-(** Registers the kernel series, [worker] labelling the node count. *)
+(** Registers the kernel and search series of a parallel worker;
+    [worker] labels its node count. *)
 val register_kernel : t -> worker:int -> unit
 
 val claim : t -> index:int -> unit
@@ -132,7 +133,17 @@ val steal : t -> victim:int -> depth:int -> unit
 val donate : t -> depth:int -> unit
 val reclaim : t -> unit
 
-(** A descriptor's search finished after [nodes] nodes. *)
-val task_done : t -> nodes:int -> unit
-
 val steal_counters : t -> Telemetry.steal_counters
+
+(** {1 Flush and merge} *)
+
+(** Writes every tally's change since the previous flush to the
+    registry: the only place a recorder writes it. *)
+val flush : t -> unit
+
+(** [absorb ~into t] flushes [t], then adds its tallies to [into]'s:
+    counts and seconds add, bounds by name (new names appended in
+    [t]'s order), the maximum depth takes the larger. [into]'s flush
+    marks advance by what [t] flushed, so a later flush of [into]
+    writes none of [t]'s events again. *)
+val absorb : into:t -> t -> unit

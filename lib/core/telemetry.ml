@@ -25,20 +25,6 @@ let zero_rules =
     realize_time_s = 0.0;
   }
 
-let add_rules a b =
-  {
-    c2_calls = a.c2_calls + b.c2_calls;
-    c2_time_s = a.c2_time_s +. b.c2_time_s;
-    c4_calls = a.c4_calls + b.c4_calls;
-    c4_time_s = a.c4_time_s +. b.c4_time_s;
-    capacity_calls = a.capacity_calls + b.capacity_calls;
-    capacity_time_s = a.capacity_time_s +. b.capacity_time_s;
-    implication_calls = a.implication_calls + b.implication_calls;
-    implication_time_s = a.implication_time_s +. b.implication_time_s;
-    realize_attempts = a.realize_attempts + b.realize_attempts;
-    realize_time_s = a.realize_time_s +. b.realize_time_s;
-  }
-
 (* ------------------------------------------------------------------ *)
 (* Per-bound counters                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -91,16 +77,6 @@ type steal_counters = {
   donated : int;
   reclaimed : int;
 }
-
-let zero_steals = { tasks = 0; steals = 0; donated = 0; reclaimed = 0 }
-
-let add_steals a b =
-  {
-    tasks = a.tasks + b.tasks;
-    steals = a.steals + b.steals;
-    donated = a.donated + b.donated;
-    reclaimed = a.reclaimed + b.reclaimed;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Percentiles                                                         *)

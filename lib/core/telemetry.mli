@@ -8,9 +8,8 @@
     capacity rule, D1/D2 implication closure, and the opportunistic
     per-node realization attempts). *)
 
-(** Cumulative per-rule call counts and wall-clock time. Counters add
-    pointwise ({!add_rules}); a parallel solve reports the sum over
-    workers. *)
+(** Cumulative per-rule call counts and time, kept by {!Recorder}; a
+    parallel solve reports the sum over workers. *)
 type rule_counters = {
   c2_calls : int;
   c2_time_s : float;
@@ -25,7 +24,6 @@ type rule_counters = {
 }
 
 val zero_rules : rule_counters
-val add_rules : rule_counters -> rule_counters -> rule_counters
 
 (** Cumulative per-bound counters from the {!Bound_engine}: how often a
     registered bound ran, how long it took, and how many times its
@@ -67,9 +65,6 @@ type steal_counters = {
   donated : int;
   reclaimed : int;
 }
-
-val zero_steals : steal_counters
-val add_steals : steal_counters -> steal_counters -> steal_counters
 
 (** A periodic search-progress snapshot, produced by the wall-clock
     heartbeat of {!Opp_solver} (see [options.progress_interval_s]) and

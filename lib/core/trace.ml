@@ -57,7 +57,6 @@ type stream = {
 
 type active = {
   epoch : Clock.t;
-  capacity : int;
   sample_every : int; (* 1 = full rate *)
   streams : stream list Atomic.t;
 }
@@ -65,20 +64,18 @@ type active = {
 type t = Null | Active of active
 
 let null = Null
-let default_capacity = 1 lsl 18
+let capacity = 1 lsl 18
 
-let create ?(capacity = default_capacity) ?(sampling = Full) () =
+let create ?(sampling = Full) () =
   let sample_every =
     match sampling with
     | Full -> 1
     | Sample n when n >= 1 -> n
     | Sample n -> invalid_arg (Printf.sprintf "Trace.create: sample %d < 1" n)
   in
-  if capacity < 1 then invalid_arg "Trace.create: capacity < 1";
   Active
     {
       epoch = Clock.now ();
-      capacity;
       sample_every;
       streams = Atomic.make [];
     }
@@ -91,7 +88,7 @@ let dummy_event = { ts = 0.0; kind = Cancel { reason = "" } }
    only ever appended to by its own domain. *)
 let stream_worker s = s.worker
 
-let new_stream id capacity =
+let new_stream id =
   {
     worker = id;
     buf = Array.make capacity dummy_event;
@@ -100,10 +97,10 @@ let new_stream id capacity =
   }
 
 let stream a =
-  Per_domain.get a.streams ~owner:stream_worker ~make:new_stream a.capacity
+  Per_domain.get a.streams ~owner:stream_worker ~make:new_stream
 
 let append a s kind =
-  s.buf.(s.appended mod a.capacity) <- { ts = Clock.since a.epoch; kind };
+  s.buf.(s.appended mod capacity) <- { ts = Clock.since a.epoch; kind };
   s.appended <- s.appended + 1
 
 (* --- emit points ------------------------------------------------- *)
@@ -204,21 +201,21 @@ let dropped = function
   | Null -> 0
   | Active a ->
     List.fold_left
-      (fun acc s -> acc + max 0 (s.appended - a.capacity))
+      (fun acc s -> acc + max 0 (s.appended - capacity))
       0 (Atomic.get a.streams)
 
-let stream_events a s =
-  let kept = min s.appended a.capacity in
+let stream_events s =
+  let kept = min s.appended capacity in
   let first = s.appended - kept in
   List.init kept (fun i ->
-      let e = s.buf.((first + i) mod a.capacity) in
+      let e = s.buf.((first + i) mod capacity) in
       (s.worker, e))
 
 let events = function
   | Null -> []
   | Active a ->
     let all =
-      List.concat_map (stream_events a) (List.rev (Atomic.get a.streams))
+      List.concat_map stream_events (List.rev (Atomic.get a.streams))
     in
     List.stable_sort
       (fun (_, e1) (_, e2) -> Float.compare e1.ts e2.ts)
@@ -346,11 +343,11 @@ let write_jsonl t oc =
 (* Emits the JSON object format ({"traceEvents": [...]}) understood by
    chrome://tracing and Perfetto. Timestamps are microseconds; every
    worker stream is one thread track. Nodes become "X" (complete)
-   spans down to [node_depth_limit]; bound calls, probes, realization
-   attempts and phases become spans; the rest are instants ("i") or
-   counters ("C"). *)
+   spans down to depth [node_depth_limit]; bound calls, probes,
+   realization attempts and phases become spans; the rest are instants
+   ("i") or counters ("C"). *)
 
-let default_node_depth_limit = 16
+let node_depth_limit = 16
 
 let us ts = Telemetry.Raw (Printf.sprintf "%.1f" (ts *. 1e6))
 
@@ -368,7 +365,7 @@ let chrome_event ~name ~cat ~ph ~ts ~tid ?dur ?(extra = []) ?(args = []) () =
     @ extra
     @ match args with [] -> [] | _ -> [ ("args", Telemetry.Obj args) ])
 
-let write_chrome ?(node_depth_limit = default_node_depth_limit) t oc =
+let write_chrome t oc =
   let emit_first = ref true in
   let emit j =
     if !emit_first then emit_first := false else output_string oc ",\n";
@@ -553,7 +550,7 @@ let write_chrome ?(node_depth_limit = default_node_depth_limit) t oc =
                            (Printf.sprintf "%.4f" p.decided_fraction) );
                      ]
                    ()))
-          (stream_events a s);
+          (stream_events s);
         List.iter (fun sp -> close_span ~until:!last_ts sp) !open_nodes)
       streams);
   output_string oc "\n],\"displayTimeUnit\":\"ms\"}\n"

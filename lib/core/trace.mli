@@ -71,10 +71,10 @@ type t
 (** The disabled trace: all emit functions are no-ops. *)
 val null : t
 
-(** [create ()] makes an active trace. [capacity] bounds each
-    per-domain stream (default 2^18 events); when a stream wraps, the
-    oldest events are overwritten and counted in {!dropped}. *)
-val create : ?capacity:int -> ?sampling:sampling -> unit -> t
+(** [create ()] makes an active trace. Each per-domain stream holds
+    2^18 events; when a stream wraps, the oldest events are overwritten
+    and counted in {!dropped}. *)
+val create : ?sampling:sampling -> unit -> t
 
 val enabled : t -> bool
 
@@ -133,11 +133,11 @@ val write_jsonl : t -> out_channel -> unit
 (** [write_chrome t oc] writes Chrome trace-event JSON
     ([{"traceEvents": [...]}]), loadable in [chrome://tracing] and
     Perfetto. Each worker stream becomes a thread track; nodes at
-    depth ≤ [node_depth_limit] (default 16), bound calls, probes,
+    depth ≤ 16, bound calls, probes,
     realization attempts and phases render as complete ("X") spans,
     incumbents and parallel lifecycle as instants, progress snapshots
     as counter tracks. *)
-val write_chrome : ?node_depth_limit:int -> t -> out_channel -> unit
+val write_chrome : t -> out_channel -> unit
 
 (** Offline aggregation of a JSONL trace (the [trace-summary]
     subcommand). *)

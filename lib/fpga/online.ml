@@ -160,7 +160,20 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
      it, invalidating the cached compaction proposal and verdict. *)
   let version = ref 0 in
   let events = ref [] in
-  let push e = events := e :: !events in
+  (* One online operation: its report event and its trace record. A
+     compaction's event names the tasks it moved, so [task] names the
+     blocked task it serves. *)
+  let emit ?(dur_s = 0.0) ~task ~sim_time e =
+    events := e :: !events;
+    let op =
+      match e with
+      | Placed _ -> "place"
+      | Deferred _ -> "defer"
+      | Compacted _ -> "compact"
+      | Rejected _ -> "reject"
+    in
+    Trace.online_op trace ~op ~task ~sim_time ~dur_s
+  in
   let compactions = ref 0 and moved_tasks = ref 0 and move_cycles = ref 0 in
   let deferrals = ref 0 in
   let deferred_once = Array.make n false in
@@ -206,8 +219,7 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
   let reject clock i =
     status.(i) <- `Rejected;
     incr version;
-    push (Rejected { task = i });
-    Trace.online_op trace ~op:"reject" ~task:i ~sim_time:clock ~dur_s:0.0;
+    emit ~task:i ~sim_time:clock (Rejected { task = i });
     (* Doom every transitive successor; the arrived-listed ones get
        their rejection event in pass order, the rest surface as
        [never_arrived]. *)
@@ -233,10 +245,10 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
     running := i :: !running;
     Free_space.place fs ~id:i ~x ~y ~w:(tw i) ~h:(th i);
     incr version;
-    push (Placed { task = i; x; y; time = clock });
     let d = Packing.Clock.since t0 in
     lat := (d *. 1e6) :: !lat;
-    Trace.online_op trace ~op:"place" ~task:i ~sim_time:clock ~dur_s:d;
+    emit ~dur_s:d ~task:i ~sim_time:clock
+      (Placed { task = i; x; y; time = clock });
     List.iter
       (fun v ->
         if status.(v) = `Pending && not doomed.(v) then begin
@@ -362,11 +374,9 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
             in
             moved_tasks := !moved_tasks + List.length moved_ids;
             move_cycles := !move_cycles + cost;
-            push
+            emit ~dur_s:(Packing.Clock.since t0) ~task:i ~sim_time:clock
               (Compacted
                  { moved = moved_ids; time = clock; cost; enabled = !enabled });
-            Trace.online_op trace ~op:"compact" ~task:i ~sim_time:clock
-              ~dur_s:(Packing.Clock.since t0);
             (* The committed layout is the proposal the trigger was
                checked against, so [i] fits. *)
             place_now i clock t0;
@@ -476,9 +486,8 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
             if status.(i) = `Pending && not deferred_once.(i) then begin
               deferred_once.(i) <- true;
               incr deferrals;
-              push (Deferred { task = i; until = !next });
-              Trace.online_op trace ~op:"defer" ~task:i ~sim_time:!clock
-                ~dur_s:0.0
+              emit ~task:i ~sim_time:!clock
+                (Deferred { task = i; until = !next })
             end)
           !fresh;
         clock := !next
@@ -492,8 +501,7 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
   for i = 0 to n - 1 do
     if status.(i) = `Pending && tasks.(i).arrival < max_int then begin
       status.(i) <- `Rejected;
-      push (Rejected { task = i });
-      Trace.online_op trace ~op:"reject" ~task:i ~sim_time:!clock ~dur_s:0.0
+      emit ~task:i ~sim_time:!clock (Rejected { task = i })
     end
   done;
   let placed = ref 0 and rejected = ref 0 and never = ref 0 in

@@ -18,6 +18,7 @@ let extents = Array.copy
 let volume b = Array.fold_left ( * ) 1 b
 
 let max_volume = 1 lsl 40
+let mul_sat a b = if a <> 0 && b > max_int / a then max_int else a * b
 
 let check_volume exts =
   (* [e > max_volume / v] is [v * e > max_volume] without the product *)

@@ -42,6 +42,12 @@ val max_volume : int
     before any volume is computed. *)
 val check_volume : int array -> (unit, string) result
 
+(** [mul_sat a b] is [a * b] for non-negative [a] and [b], or [max_int]
+    when that does not fit. Products of derived container extents (a
+    chip times a probed makespan, a DFF-scaled extent) can pass
+    {!max_volume}; they go through [mul_sat] and saturate. *)
+val mul_sat : int -> int -> int
+
 (** [rotate b ~axes] permutes the extents; [axes] must be a permutation
     of [0 .. dim-1]. *)
 val rotate : t -> axes:int array -> t

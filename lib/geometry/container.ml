@@ -15,7 +15,7 @@ let extent c k =
   c.(k)
 
 let extents = Array.copy
-let volume c = Array.fold_left ( * ) 1 c
+let volume c = Array.fold_left Box.mul_sat 1 c
 
 let fits c b =
   Box.dim b = Array.length c

@@ -16,6 +16,8 @@ val make3 : w:int -> h:int -> t_max:int -> t
 val dim : t -> int
 val extent : t -> int -> int
 val extents : t -> int array
+
+(** Product of all extents, saturated at [max_int] ({!Box.mul_sat}). *)
 val volume : t -> int
 
 (** [fits c b] checks that box [b] fits into [c] axis by axis (no

@@ -10,9 +10,5 @@
     first). [start] chooses the initial vertex (default 0). *)
 val order : Undirected.t -> ?start:int -> unit -> int array
 
-(** [elimination_order g] is the reverse of a LexBFS order — a perfect
-    elimination ordering iff [g] is chordal. *)
-val elimination_order : Undirected.t -> int array
-
 (** [is_chordal g] recognizes chordal graphs via LexBFS + PEO check. *)
 val is_chordal : Undirected.t -> bool

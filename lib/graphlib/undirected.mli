@@ -59,9 +59,6 @@ val is_stable : t -> int list -> bool
 (** Structural equality (same order and same edge set). *)
 val equal : t -> t -> bool
 
-(** [fold_edges f g acc] folds [f] over all edges [(u, v)], [u < v]. *)
-val fold_edges : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
-
 (** [iter_edges f g] iterates [f] over all edges [(u, v)], [u < v]. *)
 val iter_edges : (int -> int -> unit) -> t -> unit
 

@@ -65,7 +65,3 @@ val of_instance : ?budget:int -> Packing.Instance.t -> t
     is preserved exactly (boxes are equal, the order corresponds). *)
 val restore_placement :
   t -> original:Packing.Instance.t -> Geometry.Placement.t -> Geometry.Placement.t
-
-(** The digest function used for [digest], exposed for key-derived
-    metrics. *)
-val digest_of_key : string -> string

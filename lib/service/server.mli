@@ -98,10 +98,6 @@ val serve_tcp : t -> port:int -> unit
 (** One Prometheus text exposition of the default registry. *)
 val metrics_text : unit -> string
 
-(** One JSON snapshot of the default registry
-    ({!Packing.Metrics.to_json}). *)
-val metrics_json : unit -> Packing.Telemetry.json
-
 (** [serve_metrics ~port] binds [127.0.0.1:port] (raising on a clash,
     synchronously) and spawns a domain that answers every connection
     with one {!metrics_text} exposition and closes it — a minimal

@@ -247,6 +247,34 @@ let test_check_oriented_uses_arcs () =
   | Engine.Infeasible _ -> ()
   | _ -> Alcotest.fail "oriented chain 3+3 must refute t_max = 5"
 
+(* ------------------------------------------------------------------ *)
+(* Derived extents past max_int                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* [n] unit-area tasks of duration [d] in a dependency chain on a
+   2^20 x 2^20 chip: the optimum is [n * d], and the container at that
+   makespan has a volume past max_int (2^63 for n = 8, d = 2^20). *)
+let chain n d =
+  inst
+    ~precedence:(List.init (n - 1) (fun i -> (i, i + 1)))
+    (List.init n (fun _ -> box3 1 1 d))
+
+let test_derived_extents_saturate () =
+  let side = 1 lsl 20 in
+  List.iter
+    (fun (n, d) ->
+      let i = chain n d and opt = n * d in
+      (match Engine.check (Engine.create ()) i (cont3 side side opt) with
+      | Engine.Infeasible c ->
+        Alcotest.failf "%d x %d chain refuted at its optimum: %s: %s" n d
+          c.Engine.bound c.Engine.detail
+      | Engine.Lower_bound _ | Engine.Inconclusive -> ());
+      match Problems.minimize_time i ~w:side ~h:side with
+      | Problems.Optimal { value; _ } ->
+        Alcotest.(check int) (Printf.sprintf "%d x %d optimum" n d) opt value
+      | _ -> Alcotest.failf "%d x %d chain: no optimum" n d)
+    [ (8, 1 lsl 20); (9, 1_000_000) ]
+
 let () =
   Alcotest.run "bounds engine"
     [
@@ -280,5 +308,10 @@ let () =
         [
           Alcotest.test_case "check_oriented uses arcs" `Quick
             test_check_oriented_uses_arcs;
+        ] );
+      ( "overflow",
+        [
+          Alcotest.test_case "derived extents saturate" `Quick
+            test_derived_extents_saturate;
         ] );
     ]

@@ -1,8 +1,8 @@
 (* Metrics registry tests:
 
    - handles re-registered under the same name+labels accumulate into
-     the same cells, and per-domain shards merge to the exact total
-     once the writer domains are joined;
+     the same cell, and writes from several domains add up to the
+     exact total;
    - histogram buckets come out cumulative, monotone, ending in +Inf
      with the last bucket equal to the observation count;
    - the null registry is a true no-op surface (and snapshots empty);
@@ -33,7 +33,7 @@ let sample_value s =
   | M.Buckets _ -> Alcotest.fail "expected a scalar sample"
 
 (* ------------------------------------------------------------------ *)
-(* Accumulation and sharding                                           *)
+(* Accumulation, also from several domains                             *)
 (* ------------------------------------------------------------------ *)
 
 let test_reregistration_accumulates () =
@@ -403,6 +403,78 @@ let test_parity_knapsack () =
            (Packing.Knapsack.solve ~options de (cont3 12 12 10)
               ~value:(fun i -> 1 + (i mod 3)))))
 
+(* A worker recorder flushes some events and holds one back; the root
+   records a bound call of its own, absorbs the worker and flushes
+   twice. Every event reaches the registry exactly once. *)
+let test_absorb_writes_once () =
+  let module R = Packing.Recorder in
+  let registry, _ =
+    observed (fun _ ->
+        let root = R.create () and worker = R.create () in
+        R.register_kernel worker ~worker:1;
+        R.register_rules worker;
+        let call r =
+          R.start r;
+          R.bound_call r (R.register_bound r "volume") (Tr.Bv_infeasible "x")
+        in
+        call root;
+        R.claim worker ~index:0;
+        for depth = 1 to 3 do
+          ignore (R.node_enter worker ~depth)
+        done;
+        R.conflict worker;
+        ignore
+          (R.rule_conflict worker R.C2 (Error (R.Overlap { u = 0; v = 1 })));
+        call worker;
+        R.flush worker;
+        R.conflict worker;
+        R.absorb ~into:root worker;
+        R.flush root;
+        R.flush root;
+        Alcotest.(check (pair int int)) "root tallies" (3, 2)
+          (R.nodes root, R.conflicts root))
+  in
+  let snap = M.snapshot registry in
+  List.iter
+    (fun (what, m, expected) -> Alcotest.(check int) what expected m)
+    [
+      ("nodes", metric snap "fpga_solver_nodes_total", 3);
+      ("worker nodes", metric snap "fpga_parallel_worker_nodes_total", 3);
+      ("conflicts", metric snap "fpga_solver_conflicts_total", 2);
+      ("tasks", metric snap "fpga_parallel_tasks_total", 1);
+      ( "c2 conflicts",
+        metric snap ~label:("rule", "c2") "fpga_solver_rule_conflicts_total",
+        1 );
+      ("bound calls", metric snap "fpga_bounds_calls_total", 2);
+      ("bound prunes", metric snap "fpga_bounds_prunes_total", 2);
+    ]
+
+(* A parallel search's merged report and the registry count the same
+   nodes, leaves and conflicts, refuted replays included. *)
+let test_parallel_report_is_registry () =
+  let r = ref None in
+  let registry, _ =
+    observed (fun trace ->
+        let options =
+          { Solver.default_options with use_heuristic = false; trace }
+        in
+        r :=
+          Some
+            (Packing.Parallel_solver.solve ~options ~jobs:2 de
+               (cont3 17 17 12)))
+  in
+  let stats = (Option.get !r).Packing.Parallel_solver.stats in
+  let snap = M.snapshot registry in
+  List.iter
+    (fun (what, m, expected) -> Alcotest.(check int) what expected m)
+    [
+      ("nodes", metric snap "fpga_solver_nodes_total", stats.Solver.nodes);
+      ("leaves", metric snap "fpga_solver_leaves_total", stats.Solver.leaves);
+      ( "conflicts",
+        metric snap "fpga_solver_conflicts_total",
+        stats.Solver.conflicts );
+    ]
+
 (* The families, kinds, help strings and label sets a run leaves in the
    registry, one line per family. *)
 let catalogue registry =
@@ -573,5 +645,9 @@ let () =
           Alcotest.test_case "catalogue: min-time" `Quick
             test_catalogue_min_time;
           Alcotest.test_case "bytes: stats and probes" `Quick test_stats_bytes;
+          Alcotest.test_case "absorb writes each event once" `Quick
+            test_absorb_writes_once;
+          Alcotest.test_case "parallel report = registry" `Quick
+            test_parallel_report_is_registry;
         ] );
     ]
