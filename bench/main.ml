@@ -596,7 +596,7 @@ let bounds_bench ~node_limit ~rounds cases =
       search_only with
       Packing.Opp_solver.use_bounds = true;
       node_limit = Some node_limit;
-      node_bounds = Packing.Opp_solver.default_node_bounds;
+      node_bounds = Packing.Opp_solver.Realize_adaptive;
     }
   in
   let cells =

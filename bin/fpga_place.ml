@@ -231,17 +231,19 @@ let stats_opt =
            ~doc:"Print solver statistics in the given format (only: json). \
                  With --jobs > 1 the report includes per-worker counters.")
 
-(* --realize and --node-bounds: one enum of throttles; adaptive keeps the
-   solver's default. *)
-let policy_opt name ~default ~doc =
+(* --realize and --node-bounds: one enum of throttles, adaptive by
+   default. *)
+let policy_opt name ~doc =
   let policies =
-    [ ("adaptive", default); ("always", Packing.Opp_solver.Realize_always);
-      ("never", Packing.Opp_solver.Realize_never) ]
+    Packing.Opp_solver.
+      [ ("adaptive", Realize_adaptive); ("always", Realize_always);
+        ("never", Realize_never) ]
   in
-  Arg.(value & opt (enum policies) default & info [ name ] ~docv:"POLICY" ~doc)
+  Arg.(value & opt (enum policies) Packing.Opp_solver.Realize_adaptive
+       & info [ name ] ~docv:"POLICY" ~doc)
 
 let realize_opt =
-  policy_opt "realize" ~default:Packing.Opp_solver.default_realize
+  policy_opt "realize"
     ~doc:"Throttle for the per-node early-realization attempt: \
           adaptive (default; attempt only once enough pairs are \
           decided, with exponential backoff on failures), always \
@@ -250,7 +252,7 @@ let realize_opt =
           policy; only the search speed changes."
 
 let node_bounds_opt =
-  policy_opt "node-bounds" ~default:Packing.Opp_solver.default_node_bounds
+  policy_opt "node-bounds"
     ~doc:"Throttle for the in-search bound-engine check on the \
           committed time arcs of the current node: adaptive \
           (default; check only once enough pairs are decided, with \
@@ -653,8 +655,7 @@ let pareto_cmd =
      --node-bounds. *)
   let search =
     search_term
-      (Term.const
-         Packing.Opp_solver.(default_realize, default_node_bounds))
+      (Term.const Packing.Opp_solver.(Realize_adaptive, Realize_adaptive))
   in
   command "pareto" ~doc
     Term.(const body $ file_arg $ h_min_arg $ h_max_arg $ no_prec
@@ -821,7 +822,7 @@ let vcd_cmd =
   in
   let body file chip time out =
     with_placement ~what:"dump" file chip time (fun inst chip p ->
-        let vcd = Fpga.Vcd.of_placement inst p ~chip () in
+        let vcd = Fpga.Vcd.of_placement inst p ~chip in
         (match out with
         | None -> print_string vcd
         | Some path ->

@@ -343,10 +343,15 @@ let run_clique_space inst container ~seq:_ =
       }
   | None -> Inconclusive
 
+(* The DFFs are defined on extents up to the container's: a task that
+   overflows the container is the misfit bound's certificate, and both
+   DFF bounds stay silent on it. *)
 let run_dff_volume inst container ~seq:_ =
-  match dff_volume_exceeded inst container with
-  | Some descr -> Infeasible { bound = "dff-volume"; detail = descr }
-  | None -> Inconclusive
+  if Option.is_some (misfit inst container) then Inconclusive
+  else
+    match dff_volume_exceeded inst container with
+    | Some descr -> Infeasible { bound = "dff-volume"; detail = descr }
+    | None -> Inconclusive
 
 (* DFF time bound: transform the spatial axes only (identity on time).
    Products of per-axis DFFs preserve packability, so every transformed
@@ -359,7 +364,7 @@ let run_dff_time inst container ~seq:_ =
       (List.filter (fun k -> k <> ta) (List.init (Instance.dim inst) Fun.id))
   in
   let ns = Array.length spatial in
-  if ns = 0 then Inconclusive
+  if ns = 0 || Option.is_some (misfit inst container) then Inconclusive
   else begin
     let per_axis =
       Array.map (fun k -> axis_transforms inst container k) spatial
@@ -496,25 +501,16 @@ let default_names = List.map (fun e -> e.name) all_entries
 
 type t = { entries : (entry * Recorder.bound) list; recorder : Recorder.t }
 
-let attach ?names recorder =
-  let entries =
-    match names with
-    | None -> all_entries
-    | Some names ->
-      List.map
-        (fun name ->
-          match List.find_opt (fun e -> e.name = name) all_entries with
-          | Some e -> e
-          | None -> invalid_arg ("Bound_engine.create: unknown bound " ^ name))
-        names
-  in
+let attach recorder =
   {
     entries =
-      List.map (fun e -> (e, Recorder.register_bound recorder e.name)) entries;
+      List.map
+        (fun e -> (e, Recorder.register_bound recorder e.name))
+        all_entries;
     recorder;
   }
 
-let create ?names ?trace () = attach ?names (Recorder.create ?trace ())
+let create ?trace () = attach (Recorder.create ?trace ())
 let recorder t = t.recorder
 let counters t = Recorder.bounds t.recorder
 

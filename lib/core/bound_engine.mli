@@ -63,17 +63,15 @@ type t
     the axis that fired. *)
 val default_names : string list
 
-(** [create ()] builds an engine with every default bound registered,
-    on a fresh recorder of its own. [?names] restricts (and reorders)
-    the registry. [?trace] records one {!Trace} bound-call event per
-    evaluation, carrying the same measured duration the counters
-    accumulate.
-    @raise Invalid_argument on an unknown name. *)
-val create : ?names:string list -> ?trace:Trace.t -> unit -> t
+(** [create ()] builds an engine with every bound of {!default_names}
+    registered, in that order, on a fresh recorder of its own. [?trace]
+    records one {!Trace} bound-call event per evaluation, carrying the
+    same measured duration the counters accumulate. *)
+val create : ?trace:Trace.t -> unit -> t
 
-(** [attach ?names recorder] is {!create} recording into an existing
-    recorder, shared with whatever else records there. *)
-val attach : ?names:string list -> Recorder.t -> t
+(** [attach recorder] is {!create} recording into an existing recorder,
+    shared with whatever else records there. *)
+val attach : Recorder.t -> t
 
 val recorder : t -> Recorder.t
 
@@ -104,7 +102,9 @@ val time_lower_bound : t -> Instance.t -> Container.t -> int
 
 (** [run_all t inst container] evaluates every registered bound without
     short-circuiting and reports each verdict — the CLI [bounds]
-    subcommand surface. *)
+    subcommand surface. A task that overflows the container is
+    reported by [misfit]; the DFF bounds stay silent on it.
+    @raise Invalid_argument on a dimension mismatch. *)
 val run_all : t -> Instance.t -> Container.t -> (string * verdict) list
 
 (** {1 Primitive bound families}

@@ -109,15 +109,7 @@ let canonical_labels ~name labels =
 let default_latency_buckets =
   Array.init 24 (fun i -> 1e-5 *. (2.0 ** float_of_int i))
 
-let log_buckets ~lo ~ratio ~count =
-  if not (lo > 0.0 && Float.is_finite lo) then
-    invalid_arg "Metrics.log_buckets: lo must be finite and > 0";
-  if not (ratio > 1.0 && Float.is_finite ratio) then
-    invalid_arg "Metrics.log_buckets: ratio must be finite and > 1";
-  if count < 1 then invalid_arg "Metrics.log_buckets: count < 1";
-  Array.init count (fun i -> lo *. (ratio ** float_of_int i))
-
-let node_buckets = log_buckets ~lo:1.0 ~ratio:4.0 ~count:12
+let node_buckets = Array.init 12 (fun i -> 4.0 ** float_of_int i)
 
 let check_buckets name le =
   if Array.length le = 0 then

@@ -85,11 +85,6 @@ val observe : histogram -> float -> unit
 
 (** {1 Bucket ladders} *)
 
-(** [log_buckets ~lo ~ratio ~count] is [lo * ratio^i] for [i] in
-    [0 .. count-1].
-    @raise Invalid_argument unless [lo > 0], [ratio > 1], [count >= 1]. *)
-val log_buckets : lo:float -> ratio:float -> count:int -> float array
-
 (** 1 to ~4.2M search nodes, factor 4 (12 buckets). *)
 val node_buckets : float array
 

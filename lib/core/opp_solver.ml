@@ -27,14 +27,7 @@ type stats = {
   bounds : Telemetry.bound_counters;
 }
 
-type realize_policy =
-  | Realize_always
-  | Realize_never
-  | Realize_adaptive of {
-      min_decided_fraction : float;
-      min_trail_delta : int;
-      backoff_limit : int;
-    }
+type realize_policy = Realize_always | Realize_never | Realize_adaptive
 
 type options = {
   rules : Packing_state.rules;
@@ -50,14 +43,6 @@ type options = {
   node_bounds : realize_policy;
 }
 
-let default_realize =
-  Realize_adaptive
-    { min_decided_fraction = 0.4; min_trail_delta = 8; backoff_limit = 64 }
-
-let default_node_bounds =
-  Realize_adaptive
-    { min_decided_fraction = 0.15; min_trail_delta = 12; backoff_limit = 256 }
-
 let default_options =
   {
     rules = Packing_state.default_rules;
@@ -69,8 +54,8 @@ let default_options =
     progress_interval_s = 1.0;
     on_heartbeat = None;
     trace = Trace.null;
-    realize = default_realize;
-    node_bounds = default_node_bounds;
+    realize = Realize_adaptive;
+    node_bounds = Realize_adaptive;
   }
 
 exception Found of Geometry.Placement.t
@@ -120,10 +105,14 @@ let search ~options ~t0 ~depth_offset ?share state =
     end;
     !path.(d) <- dec
   in
-  (* [throttle policy check] runs [check] when [policy] allows it at
-     this node, counting consecutive misses ([None]) for the backoff;
-     the very first eligible node runs. *)
-  let throttle policy =
+  (* [throttle policy ~decided ~trail ~backoff check] runs [check] when
+     [policy] allows it at this node, counting consecutive misses
+     ([None]) for the backoff; the very first eligible node runs. The
+     adaptive schedule waits until a [decided] fraction of the (pair,
+     dimension) slots is decided, until the trail has moved [trail]
+     entries since the last check, and for a node cooldown that doubles
+     with each consecutive miss, capped at [backoff] nodes. *)
+  let throttle policy ~decided ~trail ~backoff =
     let last_trail = ref (min_int / 2) in
     let last_node = ref (min_int / 2) in
     let misses = ref 0 in
@@ -132,13 +121,10 @@ let search ~options ~t0 ~depth_offset ?share state =
         match policy with
         | Realize_always -> true
         | Realize_never -> false
-        | Realize_adaptive
-            { min_decided_fraction; min_trail_delta; backoff_limit } ->
-          Packing_state.decided_fraction state >= min_decided_fraction
-          && abs (Packing_state.total_trail state - !last_trail)
-             >= min_trail_delta
-          && Recorder.nodes r - !last_node
-             >= min backoff_limit (1 lsl min !misses 20)
+        | Realize_adaptive ->
+          Packing_state.decided_fraction state >= decided
+          && abs (Packing_state.total_trail state - !last_trail) >= trail
+          && Recorder.nodes r - !last_node >= min backoff (1 lsl min !misses 20)
       in
       if not ready then None
       else begin
@@ -149,8 +135,12 @@ let search ~options ~t0 ~depth_offset ?share state =
         hit
       end
   in
-  let realize_throttled = throttle options.realize in
-  let bounds_throttled = throttle options.node_bounds in
+  let realize_throttled =
+    throttle options.realize ~decided:0.4 ~trail:8 ~backoff:64
+  in
+  let bounds_throttled =
+    throttle options.node_bounds ~decided:0.15 ~trail:12 ~backoff:256
+  in
   (* The node-level bound engine records into the search's recorder. *)
   let engine =
     match options.node_bounds with
@@ -231,14 +221,13 @@ let search ~options ~t0 ~depth_offset ?share state =
   in
   let attempt () = realize Reconstruct.attempt in
   let rec dfs depth =
-    let recorded = Recorder.node_enter r ~depth in
+    Recorder.node_enter r ~depth;
     check_budget ();
     let conflicts0 = Recorder.conflicts r in
     (if Option.is_some (bounds_throttled refute) then Recorder.conflict r
-     else dfs_body ~recorded depth);
-    Recorder.node_close r ~recorded ~depth
-      ~conflicts:(Recorder.conflicts r - conflicts0)
-  and dfs_body ~recorded depth =
+     else dfs_body depth);
+    Recorder.node_close r ~depth ~conflicts:(Recorder.conflicts r - conflicts0)
+  and dfs_body depth =
     (* Early realization: if the decided part of the class already
        forces a feasible layout, stop — the validator guarantees
        soundness, undecided pairs merely lose their "must overlap"
@@ -258,7 +247,7 @@ let search ~options ~t0 ~depth_offset ?share state =
       | Some placement -> raise (Found placement)
       | None -> Recorder.conflict r)
     | Some (dim, u, v) ->
-      Recorder.decision r ~recorded ~depth ~dim ~u ~v;
+      Recorder.decision r ~depth ~dim ~u ~v;
       let branch overlap =
         let marks = Packing_state.mark state in
         let res =
@@ -335,14 +324,13 @@ let pipeline ?(options = default_options) ?schedule inst cont ~settled ~stage3
           Bound_engine.check (Bound_engine.attach recorder) inst cont)
     else Bound_engine.Inconclusive
   in
-  (* A solve settled before the search reports no search work, even
+  (* A solve settled before the search reports no rule work, even
      though a failed root propagation did run the rules. *)
-  let finish outcome ~conflicts ~by_bounds ~by_heuristic =
+  let finish outcome ~by_bounds ~by_heuristic =
     Recorder.flush recorder;
     settled outcome
       {
         (recorded recorder ~elapsed:(Clock.since t0)) with
-        conflicts;
         by_bounds;
         by_heuristic;
         rules = Telemetry.zero_rules;
@@ -350,7 +338,7 @@ let pipeline ?(options = default_options) ?schedule inst cont ~settled ~stage3
   in
   match root_verdict with
   | Bound_engine.Infeasible _ ->
-    finish Infeasible ~conflicts:0 ~by_bounds:true ~by_heuristic:false
+    finish Infeasible ~by_bounds:true ~by_heuristic:false
   | Bound_engine.Lower_bound _ | Bound_engine.Inconclusive -> begin
     (* Stage 2: try to construct a packing heuristically. A fixed
        schedule disables this stage: the heuristic would pick its own
@@ -363,15 +351,17 @@ let pipeline ?(options = default_options) ?schedule inst cont ~settled ~stage3
     match heuristic_hit with
     | Some placement ->
       Trace.incumbent trace ~objective:(Geometry.Placement.makespan placement);
-      finish (Feasible placement) ~conflicts:0 ~by_bounds:false ~by_heuristic:true
+      finish (Feasible placement) ~by_bounds:false ~by_heuristic:true
     | None -> (
       (* Stage 3 starts from the propagated root; a root that fails
-         propagation settles the instance. *)
+         propagation settles the instance as one search conflict. *)
       match
         Packing_state.create ~rules:options.rules ?schedule ~recorder inst cont
       with
       | Error _ ->
-        finish Infeasible ~conflicts:1 ~by_bounds:false ~by_heuristic:false
+        Recorder.start_search recorder ~depth_offset:0;
+        Recorder.conflict recorder;
+        finish Infeasible ~by_bounds:false ~by_heuristic:false
       | Ok state -> staged "stage3-search" (fun () -> stage3 ~t0 state))
   end
 

@@ -73,30 +73,22 @@ type stats = {
           checks (see {!options.node_bounds}) *)
 }
 
-(** When the search runs the opportunistic budget-limited realization
-    attempt ({!Reconstruct.attempt}) at an interior node. The exact
-    leaf check is never throttled, so every policy returns the same
-    verdict; the policy only trades early-exit chances on feasible
-    instances against per-node overhead. *)
+(** When the search runs a per-node check: the opportunistic
+    budget-limited realization attempt ({!Reconstruct.attempt}) or the
+    in-search bound check. The exact leaf check is never throttled and
+    the bounds emit exact certificates, so every policy returns the
+    same verdict; the policy only trades early exits and pruning
+    against per-node overhead. *)
 type realize_policy =
-  | Realize_always  (** attempt at every node (the historical behavior) *)
-  | Realize_never  (** interior attempts off; leaf checks only *)
-  | Realize_adaptive of {
-      min_decided_fraction : float;
-          (** attempt only once this fraction of (pair, dimension)
-              slots is decided — early, sparse states almost never
-              realize *)
-      min_trail_delta : int;
-          (** and only after the propagation trail moved at least this
-              far (in either direction) since the last attempt — an
-              unchanged state cannot realize any better than it just
-              failed to *)
-      backoff_limit : int;
-          (** consecutive failures double a node-count cooldown between
-              attempts, capped at this many nodes *)
-    }
-
-val default_realize : realize_policy
+  | Realize_always  (** check at every node *)
+  | Realize_never  (** no interior checks; leaf checks only *)
+  | Realize_adaptive
+      (** check only once enough (pair, dimension) slots are decided
+          (40% for realization, 15% for bounds), only after the
+          propagation trail moved (8 and 12 entries) since the last
+          check, and after a node cooldown that doubles with each
+          consecutive miss (capped at 64 and 256 nodes): early, sparse
+          or unchanged states almost never realize or refute *)
 
 type options = {
   rules : Packing_state.rules; (** propagation toggles (ablations) *)
@@ -145,7 +137,7 @@ type options = {
           explores the component (overlap) branch first. *)
   realize : realize_policy;
       (** throttle for the per-node realization attempt; defaults to
-          {!default_realize} (adaptive) *)
+          [Realize_adaptive] *)
   node_bounds : realize_policy;
       (** throttle for the in-search {!Bound_engine} check on the
           committed time-axis arcs of the current node (precedence plus
@@ -153,11 +145,10 @@ type options = {
           whole subtree — these are exact certificates, so any policy
           returns the same final verdict; the policy only trades extra
           pruning against per-node overhead. Defaults to
-          {!default_node_bounds} (adaptive). *)
+          [Realize_adaptive]. *)
 }
 
 val default_options : options
-val default_node_bounds : realize_policy
 
 (** [solve ?options ?schedule instance container] decides whether the
     tasks fit into the container while respecting the precedence order.

@@ -177,8 +177,7 @@ let check_jobs jobs =
     Printf.ksprintf invalid_arg "jobs %d is above the maximum, %d" jobs max_jobs;
   max 1 jobs
 
-let solve ?(options = Opp_solver.default_options) ?schedule ?(jobs = 2) inst
-    cont =
+let solve ?(options = Opp_solver.default_options) ?schedule ~jobs inst cont =
   let jobs = check_jobs jobs in
   let t0 = Clock.now () in
   let trace = options.Opp_solver.trace in

@@ -115,13 +115,13 @@ val check_jobs : int -> int
 
 val max_jobs : int
 
-(** [solve ?options ?schedule ?jobs instance container] decides the
+(** [solve ?options ?schedule ~jobs instance container] decides the
     instance in parallel. Stages 1 and 2 and the root propagation are
     {!Opp_solver}'s ({!Opp_solver.pipeline}), run once on the calling
     domain before any domain is spawned, with the same stats and trace
     events as a sequential solve; only the stage-3 search is
     work-stolen, and its root descriptor searches the propagated root
-    state itself. [jobs] (default 2) goes through {!check_jobs};
+    state itself. [jobs] goes through {!check_jobs};
     [jobs = 1] short-circuits to {!Opp_solver.solve} with zero domain
     overhead and unchanged stats. A refused spawn cancels and joins the
     workers already spawned, then re-raises. All
@@ -131,7 +131,7 @@ val max_jobs : int
 val solve :
   ?options:Opp_solver.options ->
   ?schedule:int array ->
-  ?jobs:int ->
+  jobs:int ->
   Instance.t ->
   Geometry.Container.t ->
   report

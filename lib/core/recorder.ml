@@ -263,12 +263,11 @@ let node_enter t ~depth =
   if depth > t.max_depth then t.max_depth <- depth;
   Trace.node_enter t.trace ~node:t.search.n.(nodes_i) ~depth
 
-let node_close t ~recorded ~depth ~conflicts =
-  Trace.node_close t.trace ~recorded ~depth ~conflicts
+let node_close t ~depth ~conflicts = Trace.node_close t.trace ~depth ~conflicts
 
-let decision t ~recorded ~depth ~dim ~u ~v =
+let decision t ~depth ~dim ~u ~v =
   bump t decisions_i;
-  Trace.decision t.trace ~recorded ~depth ~dim ~u ~v
+  Trace.decision t.trace ~depth ~dim ~u ~v
 
 let conflict t = bump t conflicts_i
 let leaf t = bump t leaves_i

@@ -104,15 +104,13 @@ val take_bounds : t -> Telemetry.bound_counters
     recorder serves. *)
 val start_search : t -> depth_offset:int -> unit
 
-(** Counts a node; returns the trace's sampling token for the matching
-    {!node_close} and {!decision}. *)
-val node_enter : t -> depth:int -> bool
+(** Counts a node. *)
+val node_enter : t -> depth:int -> unit
 
-val node_close : t -> recorded:bool -> depth:int -> conflicts:int -> unit
-val decision :
-  t -> recorded:bool -> depth:int -> dim:int -> u:int -> v:int -> unit
+val node_close : t -> depth:int -> conflicts:int -> unit
+val decision : t -> depth:int -> dim:int -> u:int -> v:int -> unit
 
-(** A refuted node or branch. *)
+(** A refuted node or branch, or a root that fails propagation. *)
 val conflict : t -> unit
 
 val leaf : t -> unit

@@ -1,6 +1,6 @@
 (* Structured search-trace recorder: ring-buffered per-domain event
-   streams with monotonic timestamps, a sampling gate for the per-node
-   event classes, and two export sinks (JSONL, Chrome trace-event).
+   streams with monotonic timestamps and two export sinks (JSONL,
+   Chrome trace-event).
 
    Design constraints, in order:
    - [null] must cost nothing: every emit function matches on the
@@ -10,8 +10,6 @@
      strictly single-writer, one per domain).
    - Export happens after the solving domains are joined, so readers
      never race writers. *)
-
-type sampling = Full | Sample of int
 
 type bound_verdict =
   | Bv_infeasible of string (* certificate detail *)
@@ -52,52 +50,44 @@ type stream = {
   worker : int; (* domain id *)
   buf : event array;
   mutable appended : int;
-  mutable tick : int; (* node counter driving the sampling gate *)
 }
 
-type active = {
-  epoch : Clock.t;
-  sample_every : int; (* 1 = full rate *)
-  streams : stream list Atomic.t;
-}
+type active = { epoch : Clock.t; streams : stream list Atomic.t }
 
 type t = Null | Active of active
 
 let null = Null
 let capacity = 1 lsl 18
 
-let create ?(sampling = Full) () =
-  let sample_every =
-    match sampling with
-    | Full -> 1
-    | Sample n when n >= 1 -> n
-    | Sample n -> invalid_arg (Printf.sprintf "Trace.create: sample %d < 1" n)
-  in
-  Active
-    {
-      epoch = Clock.now ();
-      sample_every;
-      streams = Atomic.make [];
-    }
+let create () = Active { epoch = Clock.now (); streams = Atomic.make [] }
 
 let enabled = function Null -> false | Active _ -> true
 
 let dummy_event = { ts = 0.0; kind = Cancel { reason = "" } }
 
-(* The emitting domain's stream, registered on first use. A stream is
-   only ever appended to by its own domain. *)
-let stream_worker s = s.worker
+let rec find_stream id = function
+  | [] -> raise_notrace Not_found
+  | s :: tl -> if s.worker = id then s else find_stream id tl
 
-let new_stream id =
-  {
-    worker = id;
-    buf = Array.make capacity dummy_event;
-    appended = 0;
-    tick = 0;
-  }
-
+(* The emitting domain's stream, registered on its first event. A
+   registration races only other registrations (compare-and-set retry):
+   a stream is only ever appended to by its own domain. Finding an
+   existing stream allocates nothing. *)
 let stream a =
-  Per_domain.get a.streams ~owner:stream_worker ~make:new_stream
+  let id = (Domain.self () :> int) in
+  match find_stream id (Atomic.get a.streams) with
+  | s -> s
+  | exception Not_found ->
+    let s = { worker = id; buf = Array.make capacity dummy_event; appended = 0 } in
+    let rec register () =
+      let old = Atomic.get a.streams in
+      match find_stream id old with
+      | s' -> s'
+      | exception Not_found ->
+        if Atomic.compare_and_set a.streams old (s :: old) then s
+        else register ()
+    in
+    register ()
 
 let append a s kind =
   s.buf.(s.appended mod capacity) <- { ts = Clock.since a.epoch; kind };
@@ -107,23 +97,18 @@ let append a s kind =
 
 let node_enter t ~node ~depth =
   match t with
-  | Null -> false
-  | Active a ->
-    let s = stream a in
-    s.tick <- s.tick + 1;
-    let recorded = a.sample_every = 1 || s.tick mod a.sample_every = 0 in
-    if recorded then append a s (Node_enter { node; depth });
-    recorded
+  | Null -> ()
+  | Active a -> append a (stream a) (Node_enter { node; depth })
 
-let node_close t ~recorded ~depth ~conflicts =
+let node_close t ~depth ~conflicts =
   match t with
   | Null -> ()
-  | Active a -> if recorded then append a (stream a) (Node_close { depth; conflicts })
+  | Active a -> append a (stream a) (Node_close { depth; conflicts })
 
-let decision t ~recorded ~depth ~dim ~u ~v =
+let decision t ~depth ~dim ~u ~v =
   match t with
   | Null -> ()
-  | Active a -> if recorded then append a (stream a) (Decision { depth; dim; u; v })
+  | Active a -> append a (stream a) (Decision { depth; dim; u; v })
 
 let rule_fire t ~rule ~detail =
   match t with
@@ -426,7 +411,7 @@ let write_chrome t oc =
             | Node_enter { node; depth } ->
               (* A new node at depth d closes every open span at >= d
                  (their subtrees are done; their close events were
-                 sampled away or overwritten). *)
+                 overwritten). *)
               let rec unwind = function
                 | (d, _, _) :: tl when d >= depth ->
                   close_span ~until:e.ts (List.hd !open_nodes);

@@ -17,13 +17,6 @@
     functions ({!write_jsonl}, {!write_chrome}, {!Summary}) must only
     be called after the solving domains have been joined. *)
 
-(** Sampling gate for the node-class events ({!node_enter},
-    {!node_close}, {!decision}): [Sample n] records every [n]-th node
-    visited by each stream. All other event classes (bounds, probes,
-    incumbents, phases, parallel lifecycle, progress) are always
-    recorded — they are rare and individually meaningful. *)
-type sampling = Full | Sample of int
-
 (** Outcome of one bound evaluation, mirrored from the
     {!Bound_engine} verdict. *)
 type bound_verdict =
@@ -71,23 +64,21 @@ type t
 (** The disabled trace: all emit functions are no-ops. *)
 val null : t
 
-(** [create ()] makes an active trace. Each per-domain stream holds
-    2^18 events; when a stream wraps, the oldest events are overwritten
-    and counted in {!dropped}. *)
-val create : ?sampling:sampling -> unit -> t
+(** [create ()] makes an active trace that records every event. Each
+    per-domain stream is registered on its domain's first event and
+    holds 2^18 events; when a stream wraps, the oldest events are
+    overwritten and counted in {!dropped}. *)
+val create : unit -> t
 
 val enabled : t -> bool
 
 (** {1 Emit points}
 
-    Each function records one event on the calling domain's stream.
-    [node_enter] returns whether the node passed the sampling gate;
-    pass that token back to [node_close]/[decision] so a sampled node
-    keeps its matching close and decision events. *)
+    Each function records one event on the calling domain's stream. *)
 
-val node_enter : t -> node:int -> depth:int -> bool
-val node_close : t -> recorded:bool -> depth:int -> conflicts:int -> unit
-val decision : t -> recorded:bool -> depth:int -> dim:int -> u:int -> v:int -> unit
+val node_enter : t -> node:int -> depth:int -> unit
+val node_close : t -> depth:int -> conflicts:int -> unit
+val decision : t -> depth:int -> dim:int -> u:int -> v:int -> unit
 val rule_fire : t -> rule:string -> detail:string -> unit
 val bound_call : t -> bound:string -> verdict:bound_verdict -> dur_s:float -> unit
 val realize : t -> success:bool -> dur_s:float -> unit

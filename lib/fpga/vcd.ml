@@ -15,13 +15,13 @@ let binary_of_int width v =
   String.init width (fun i ->
       if v land (1 lsl (width - 1 - i)) <> 0 then '1' else '0')
 
-let of_placement inst placement ~chip ?(timescale = "1ns") () =
+let of_placement inst placement ~chip =
   let n = Instance.count inst in
   let buf = Buffer.create 1024 in
   let add = Buffer.add_string buf in
   add "$date reproduction run $end\n";
   add "$version fpga_place $end\n";
-  add (Printf.sprintf "$timescale %s $end\n" timescale);
+  add "$timescale 1ns $end\n";
   add "$scope module chip $end\n";
   for i = 0 to n - 1 do
     add

@@ -5,12 +5,7 @@
     the number of occupied cells — directly viewable in GTKWave & co.
     Pure string output, no I/O. *)
 
-(** [of_placement instance placement ~chip ?timescale ()] renders the
-    waveform. [timescale] defaults to ["1ns"] (one clock cycle = 1 unit). *)
+(** [of_placement instance placement ~chip] renders the waveform at
+    one clock cycle per 1ns time unit. *)
 val of_placement :
-  Packing.Instance.t ->
-  Geometry.Placement.t ->
-  chip:Chip.t ->
-  ?timescale:string ->
-  unit ->
-  string
+  Packing.Instance.t -> Geometry.Placement.t -> chip:Chip.t -> string

@@ -9,9 +9,13 @@
 val slice : Placement.t -> container:Container.t -> time:int -> string list
 
 (** [timeline p ~container] renders the slice at every cycle where the
-    set of running boxes changes, with headers [-- t=... --]. *)
+    set of running boxes changes, with headers [-- t=... --]. A chip
+    wider or taller than 100 cells gets a one-line note instead. *)
 val timeline : Placement.t -> container:Container.t -> string
 
 (** [gantt p] renders a one-line-per-box time chart, ignoring spatial
-    coordinates. *)
+    coordinates: one column per cycle up to a makespan of 100. Past it,
+    each of at most 100 columns covers [ceil (makespan / 100)] cycles
+    and is marked when the box runs during any of them, and a last
+    line names the scale. *)
 val gantt : Placement.t -> string

@@ -48,7 +48,10 @@ let count_classes colors =
   Array.iter (fun c -> Hashtbl.replace seen c ()) colors;
   Hashtbl.length seen
 
-let of_instance ?(budget = 4096) inst =
+(* Leaf orderings the tie-break search may materialize. *)
+let leaf_budget = 4096
+
+let of_instance inst =
   let n = Instance.count inst in
   let d = Instance.dim inst in
   (* Every per-axis order participates in refinement, the automorphism
@@ -193,7 +196,7 @@ let of_instance ?(budget = 4096) inst =
         (fun idx v ->
           (* the first branch always runs so a certificate always
              exists; later branches only while the leaf budget lasts *)
-          if idx = 0 || !leaves < budget then
+          if idx = 0 || !leaves < leaf_budget then
             go
               (Array.mapi
                  (fun i c -> (2 * c) + if i = v then 0 else 1)

@@ -53,11 +53,10 @@ type t = {
           hits) *)
 }
 
-(** [of_instance ?budget inst] canonicalizes [inst]. [budget] bounds the
-    number of leaf orderings the tie-break search may materialize
-    (default 4096); symmetric-group pruning makes typical instances use
-    exactly one. *)
-val of_instance : ?budget:int -> Packing.Instance.t -> t
+(** [of_instance inst] canonicalizes [inst]. The tie-break search
+    materializes at most 4096 leaf orderings; symmetric-group pruning
+    makes typical instances use exactly one. *)
+val of_instance : Packing.Instance.t -> t
 
 (** [restore_placement c ~original p] maps a placement of the canonical
     instance back to [original]'s task indexing: task [i] of the

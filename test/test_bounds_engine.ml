@@ -275,6 +275,42 @@ let test_derived_extents_saturate () =
       | _ -> Alcotest.failf "%d x %d chain: no optimum" n d)
     [ (8, 1 lsl 20); (9, 1_000_000) ]
 
+(* [run_all] evaluates every bound, the DFF ones included, even when a
+   task overflows the container: [misfit] must speak and nothing may
+   raise (the DFFs are only defined on extents within the container). *)
+let misfit_verdicts i c =
+  let verdicts = Engine.run_all (Engine.create ()) i c in
+  let is_infeasible name =
+    match List.assoc name verdicts with
+    | Engine.Infeasible _ -> true
+    | Engine.Lower_bound _ | Engine.Inconclusive -> false
+  in
+  (is_infeasible "misfit", is_infeasible "dff-volume" || is_infeasible "dff-time")
+
+let prop_run_all_on_misfit case =
+  let i = case_instance case in
+  let _, _, (cw, ch, ct) = case in
+  (* Containers from 1^3 to 4^3 against extents up to 3. *)
+  let c = cont3 (cw - 1) (ch - 1) (ct - 1) in
+  let misfit, dff = misfit_verdicts i c in
+  if misfit <> Option.is_some (Engine.misfit i c) then
+    QCheck.Test.fail_report "misfit verdict disagrees with Engine.misfit";
+  if misfit && dff then
+    QCheck.Test.fail_report "a DFF bound spoke on a misfit container";
+  true
+
+let test_run_all_de_small_chips () =
+  let de = Benchmarks.De.instance in
+  for side = 1 to 17 do
+    let misfit, _ = misfit_verdicts de (cont3 side side 14) in
+    Alcotest.(check bool)
+      (Printf.sprintf "misfit on %dx%d" side side)
+      (Option.is_some (Engine.misfit de (cont3 side side 14)))
+      misfit
+  done;
+  let misfit, _ = misfit_verdicts de (cont3 8 8 14) in
+  Alcotest.(check bool) "8x8 is a misfit" true misfit
+
 let () =
   Alcotest.run "bounds engine"
     [
@@ -313,5 +349,12 @@ let () =
         [
           Alcotest.test_case "derived extents saturate" `Quick
             test_derived_extents_saturate;
+        ] );
+      ( "misfit",
+        [
+          qtest ~count:300 "run_all never raises on a misfit container"
+            arb_case prop_run_all_on_misfit;
+          Alcotest.test_case "run_all on DE, 1x1 to 17x17" `Quick
+            test_run_all_de_small_chips;
         ] );
     ]

@@ -411,7 +411,7 @@ let prop_io_v2_roundtrip_id seed =
 let test_vcd_structure () =
   let inst = two_tasks ~precedence:[ (0, 1) ] () in
   let p = Placement.make (Packing.Instance.boxes inst) [| [| 0; 0; 0 |]; [| 0; 0; 2 |] |] in
-  let vcd = Fpga.Vcd.of_placement inst p ~chip:(Chip.create ~w:2 ~h:2) () in
+  let vcd = Fpga.Vcd.of_placement inst p ~chip:(Chip.create ~w:2 ~h:2) in
   let contains needle =
     let nl = String.length needle and l = String.length vcd in
     let rec go i = i + nl <= l && (String.sub vcd i nl = needle || go (i + 1)) in
@@ -426,7 +426,7 @@ let test_vcd_structure () =
 let test_vcd_value_changes () =
   let inst = two_tasks () in
   let p = Placement.make (Packing.Instance.boxes inst) [| [| 0; 0; 0 |]; [| 2; 0; 0 |] |] in
-  let vcd = Fpga.Vcd.of_placement inst p ~chip:(Chip.create ~w:4 ~h:2) () in
+  let vcd = Fpga.Vcd.of_placement inst p ~chip:(Chip.create ~w:4 ~h:2) in
   (* Both tasks rise at #0 and fall at #2; occupancy 8 then 0. *)
   let lines = String.split_on_char '\n' vcd in
   Alcotest.(check bool) "rise" true (List.mem "1!" lines && List.mem "1\"" lines);

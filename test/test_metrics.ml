@@ -115,8 +115,9 @@ let arb_observations =
 
 let prop_histogram_totals obs =
   let m = M.create () in
-  let h = M.histogram m ~buckets:(M.log_buckets ~lo:0.01 ~ratio:3.0 ~count:6)
-      "prop_hist" in
+  let h =
+    M.histogram m ~buckets:[| 0.01; 0.03; 0.09; 0.27; 0.81; 2.43 |] "prop_hist"
+  in
   List.iter (M.observe h) obs;
   match (the_sample (find_family (M.snapshot m) "prop_hist")).M.value with
   | M.Sample _ -> false
@@ -246,9 +247,7 @@ let test_registration_validation () =
   expect_invalid "non-increasing buckets" (fun () ->
       M.histogram m ~buckets:[| 1.0; 1.0 |] "flat_seconds");
   expect_invalid "infinite explicit bucket" (fun () ->
-      M.histogram m ~buckets:[| 1.0; infinity |] "inf_seconds");
-  expect_invalid "log_buckets lo <= 0" (fun () ->
-      M.log_buckets ~lo:0.0 ~ratio:2.0 ~count:3)
+      M.histogram m ~buckets:[| 1.0; infinity |] "inf_seconds")
 
 (* ------------------------------------------------------------------ *)
 (* Online instrumentation: the stream flushes its counters and gauges  *)
@@ -310,10 +309,10 @@ let de = Benchmarks.De.instance
 let cont3 w h t = Geometry.Container.make3 ~w ~h ~t_max:t
 
 (* Run [f] with a fresh live registry installed as the process default
-   and a [Full] trace; return both for inspection. *)
+   and a live trace; return both for inspection. *)
 let observed f =
   let registry = M.create () in
-  let trace = Tr.create ~sampling:Tr.Full () in
+  let trace = Tr.create () in
   M.set_default registry;
   Fun.protect ~finally:(fun () -> M.set_default M.null) (fun () -> f trace);
   (registry, trace)
@@ -420,7 +419,7 @@ let test_absorb_writes_once () =
         call root;
         R.claim worker ~index:0;
         for depth = 1 to 3 do
-          ignore (R.node_enter worker ~depth)
+          R.node_enter worker ~depth
         done;
         R.conflict worker;
         ignore
@@ -450,30 +449,41 @@ let test_absorb_writes_once () =
     ]
 
 (* A parallel search's merged report and the registry count the same
-   nodes, leaves and conflicts, refuted replays included. *)
-let test_parallel_report_is_registry () =
+   nodes, leaves and conflicts, refuted replays included, and so does a
+   solve whose root fails propagation (one conflict, at any [jobs]). *)
+let report_is_registry what ~jobs ~use_bounds cont =
   let r = ref None in
   let registry, _ =
     observed (fun trace ->
         let options =
-          { Solver.default_options with use_heuristic = false; trace }
+          { Solver.default_options with use_bounds; use_heuristic = false; trace }
         in
-        r :=
-          Some
-            (Packing.Parallel_solver.solve ~options ~jobs:2 de
-               (cont3 17 17 12)))
+        r := Some (Packing.Parallel_solver.solve ~options ~jobs de cont))
   in
   let stats = (Option.get !r).Packing.Parallel_solver.stats in
   let snap = M.snapshot registry in
   List.iter
-    (fun (what, m, expected) -> Alcotest.(check int) what expected m)
+    (fun (name, m, expected) -> Alcotest.(check int) (what ^ ": " ^ name) expected m)
     [
       ("nodes", metric snap "fpga_solver_nodes_total", stats.Solver.nodes);
       ("leaves", metric snap "fpga_solver_leaves_total", stats.Solver.leaves);
       ( "conflicts",
         metric snap "fpga_solver_conflicts_total",
         stats.Solver.conflicts );
-    ]
+    ];
+  stats
+
+let test_parallel_report_is_registry () =
+  ignore (report_is_registry "17x17x12" ~jobs:2 ~use_bounds:true (cont3 17 17 12));
+  List.iter
+    (fun jobs ->
+      let what = Printf.sprintf "root refuted, jobs=%d" jobs in
+      let stats =
+        report_is_registry what ~jobs ~use_bounds:false (cont3 16 16 13)
+      in
+      Alcotest.(check (pair int int)) (what ^ ": nodes, conflicts") (0, 1)
+        (stats.Solver.nodes, stats.Solver.conflicts))
+    [ 1; 2 ]
 
 (* The families, kinds, help strings and label sets a run leaves in the
    registry, one line per family. *)

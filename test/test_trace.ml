@@ -1,9 +1,8 @@
 (* Trace subsystem tests: JSONL export parses and carries the expected
    event classes, the Chrome export is well-formed trace-event JSON,
    [Trace.Summary] re-derives the solver's per-bound counters from a
-   trace, the ring buffer drops oldest-first under pressure, the
-   sampling gate thins only node-class events, and the wall-clock
-   heartbeat fires with sane fields. *)
+   trace, the ring buffer drops oldest-first under pressure, and the
+   wall-clock heartbeat fires with sane fields. *)
 
 module Container = Geometry.Container
 module Solver = Packing.Opp_solver
@@ -221,7 +220,7 @@ let test_online_retire_timed () =
   Alcotest.(check bool) "retire time is measured" true (retire_s > 0.0)
 
 (* ------------------------------------------------------------------ *)
-(* Ring buffer and sampling                                            *)
+(* Ring buffer                                                         *)
 (* ------------------------------------------------------------------ *)
 
 let test_ring_drops_oldest () =
@@ -245,36 +244,10 @@ let test_ring_drops_oldest () =
     (List.init capacity (fun i -> 100 + 1 + i))
     objectives
 
-let test_sampling_gates_nodes_only () =
-  let trace = Trace.create ~sampling:(Trace.Sample 4) () in
-  let recorded = ref 0 in
-  for node = 1 to 100 do
-    let r = Trace.node_enter trace ~node ~depth:0 in
-    if r then incr recorded;
-    Trace.node_close trace ~recorded:r ~depth:0 ~conflicts:0;
-    Trace.bound_call trace ~bound:"b" ~verdict:Trace.Bv_inconclusive
-      ~dur_s:0.0
-  done;
-  Alcotest.(check int) "every 4th node recorded" 25 !recorded;
-  let enters, closes, bounds =
-    List.fold_left
-      (fun (e, c, b) (_, (ev : Trace.event)) ->
-        match ev.kind with
-        | Trace.Node_enter _ -> (e + 1, c, b)
-        | Trace.Node_close _ -> (e, c + 1, b)
-        | Trace.Bound_call _ -> (e, c, b + 1)
-        | _ -> (e, c, b))
-      (0, 0, 0) (Trace.events trace)
-  in
-  Alcotest.(check int) "enters thinned" 25 enters;
-  Alcotest.(check int) "closes follow the enter token" 25 closes;
-  Alcotest.(check int) "bound calls never sampled away" 100 bounds
-
 let test_null_records_nothing () =
   let t = Trace.null in
   Alcotest.(check bool) "disabled" false (Trace.enabled t);
-  let r = Trace.node_enter t ~node:1 ~depth:0 in
-  Alcotest.(check bool) "enter not recorded" false r;
+  Trace.node_enter t ~node:1 ~depth:0;
   Trace.incumbent t ~objective:3;
   Alcotest.(check int) "no events" 0 (List.length (Trace.events t))
 
@@ -343,8 +316,6 @@ let () =
       ( "ring",
         [
           Alcotest.test_case "drops oldest first" `Quick test_ring_drops_oldest;
-          Alcotest.test_case "sampling gates node events only" `Quick
-            test_sampling_gates_nodes_only;
           Alcotest.test_case "null trace records nothing" `Quick
             test_null_records_nothing;
         ] );
