@@ -9,6 +9,17 @@ type t = {
   objective_axis : int;
 }
 
+(* ["t" ^ string_of_int i], without the C call that formats [i]. *)
+let default_label i =
+  let rec len x = if x < 10 then 2 else 1 + len (x / 10) in
+  let b = Bytes.make (len i) 't' in
+  let rec fill p x =
+    Bytes.unsafe_set b p (Char.unsafe_chr (48 + (x mod 10)));
+    if x >= 10 then fill (p - 1) (x / 10)
+  in
+  fill (Bytes.length b - 1) i;
+  Bytes.unsafe_to_string b
+
 let make ?(name = "instance") ?labels ?(precedence = []) ?(orders = [])
     ?objective_axis ~boxes () =
   let n = Array.length boxes in
@@ -28,7 +39,7 @@ let make ?(name = "instance") ?labels ?(precedence = []) ?(orders = [])
   in
   let labels =
     match labels with
-    | None -> Array.init n (Printf.sprintf "t%d")
+    | None -> Array.init n default_label
     | Some l ->
       if Array.length l <> n then invalid_arg "Instance.make: label arity";
       Array.copy l
@@ -53,6 +64,18 @@ let make ?(name = "instance") ?labels ?(precedence = []) ?(orders = [])
       per_axis
   in
   { name; boxes = Array.copy boxes; labels; orders; objective_axis }
+
+let relabel t ~name perm =
+  let n = Array.length t.boxes in
+  let boxes = Array.make n t.boxes.(0) in
+  Array.iteri (fun i b -> boxes.(perm.(i)) <- b) t.boxes;
+  {
+    name;
+    boxes;
+    labels = Array.init n default_label;
+    orders = Array.map (fun o -> PO.relabel o perm) t.orders;
+    objective_axis = t.objective_axis;
+  }
 
 let name t = t.name
 let count t = Array.length t.boxes

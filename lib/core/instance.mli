@@ -36,6 +36,14 @@ val make :
   unit ->
   t
 
+(** [relabel t ~name perm] renumbers the tasks of [t]: task [i] becomes
+    task [perm.(i)], with its box and its arcs on every axis. The result
+    is called [name] and carries the default labels. It equals, field
+    for field, the {!make} of the renumbered boxes and arcs, without
+    re-checking or re-closing the orders. [perm] must be a permutation
+    of [0 .. count t - 1]. *)
+val relabel : t -> name:string -> int array -> t
+
 val name : t -> string
 
 (** Number of tasks. *)

@@ -57,6 +57,16 @@ let of_arcs n l =
 
 let copy g = { n = g.n; adj = Array.map Array.copy g.adj }
 
+let relabel g perm =
+  let h = create g.n in
+  for u = 0 to g.n - 1 do
+    let row = g.adj.(u) and row' = h.adj.(perm.(u)) in
+    for v = 0 to g.n - 1 do
+      if row.(v) then row'.(perm.(v)) <- true
+    done
+  done;
+  h
+
 let is_antisymmetric g =
   let ok = ref true in
   for u = 0 to g.n - 1 do

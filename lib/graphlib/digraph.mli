@@ -37,6 +37,11 @@ val of_arcs : int -> (int * int) list -> t
 (** Deep copy. *)
 val copy : t -> t
 
+(** [relabel g perm] renames vertex [u] to [perm.(u)]: [u -> v] is an
+    arc of [g] iff [perm.(u) -> perm.(v)] is an arc of the result.
+    [perm] must be a permutation of [0 .. order g - 1]. *)
+val relabel : t -> int array -> t
+
 (** No pair of antiparallel arcs [u -> v], [v -> u]. *)
 val is_antisymmetric : t -> bool
 

@@ -16,6 +16,11 @@ val of_arcs : n:int -> (int * int) list -> t
 (** The empty order (no constraints) on [n] elements. *)
 val empty : n:int -> t
 
+(** [relabel p perm] is [p] with element [u] renamed [perm.(u)]: [u < v]
+    in [p] iff [perm.(u) < perm.(v)] in the result. [perm] must be a
+    permutation of [0 .. ground p - 1]. *)
+val relabel : t -> int array -> t
+
 val size : t -> int
 
 (** Number of elements. *)

@@ -12,98 +12,139 @@ type t = {
 
 (* 64-bit FNV-1a; short, stable, dependency-free. Collisions are
    harmless — the cache is keyed by the full serialization, the digest
-   only names it in logs. *)
+   only names it in logs. A plain loop keeps [h] unboxed. *)
 let digest_of_key s =
   let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h :=
-        Int64.mul
-          (Int64.logxor !h (Int64.of_int (Char.code c)))
-          0x100000001b3L)
-    s;
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        0x100000001b3L
+  done;
   Printf.sprintf "%016Lx" !h
 
-(* Dense ranks 0..k-1 of an array of comparable keys: each entry's rank
-   is the index of its key among the sorted distinct keys. Ranks depend
-   only on the multiset of keys, so they are invariant under any
-   relabeling of the entries — the property every round of refinement
-   rests on. *)
-let ranks keys =
-  let sorted = Array.copy keys in
-  Array.sort compare sorted;
-  let tbl = Hashtbl.create 16 in
-  let next = ref 0 in
-  Array.iter
-    (fun k ->
-      if not (Hashtbl.mem tbl k) then begin
-        Hashtbl.add tbl k !next;
-        incr next
-      end)
-    sorted;
-  Array.map (Hashtbl.find tbl) keys
+(* Decimal digits of [x >= 0], the bytes [string_of_int] would give. *)
+let rec add_nat buf x =
+  if x >= 10 then add_nat buf (x / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (x mod 10)))
 
-let count_classes colors =
-  let seen = Hashtbl.create 16 in
-  Array.iter (fun c -> Hashtbl.replace seen c ()) colors;
-  Hashtbl.length seen
+(* Lexicographic order of [a.(oa + j)], [j < la], against [a.(ob + j)],
+   [j < lb], from position [j] on. *)
+let rec compare_slices (a : int array) oa la ob lb j =
+  if j = la || j = lb then Int.compare la lb
+  else
+    let c = Int.compare a.(oa + j) a.(ob + j) in
+    if c <> 0 then c else compare_slices a oa la ob lb (j + 1)
+
+(* Sorts [a.(lo) .. a.(hi - 1)]. The inputs are short or nearly sorted:
+   signature sections, and task orders sorted by the previous round. *)
+let insertion_sort cmp (a : int array) lo hi =
+  for i = lo + 1 to hi - 1 do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= lo && cmp a.(!j) x > 0 do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done
 
 (* Leaf orderings the tie-break search may materialize. *)
 let leaf_budget = 4096
+
+(* What a search node returns when no automorphism cut its subtree short. *)
+let no_jump = max_int
 
 let of_instance inst =
   let n = Instance.count inst in
   let d = Instance.dim inst in
   (* Every per-axis order participates in refinement, the automorphism
      grouping, and the certificate — two instances differing only in a
-     spatial-axis order must never share a key. *)
+     spatial-axis order must never share a key. [relations] lists arcs
+     in ascending (u, v) order. *)
   let axis_rels =
     Array.init d (fun k -> PO.relations (Instance.order inst k))
   in
-  let succs = Array.init d (fun _ -> Array.make n []) in
-  let preds = Array.init d (fun _ -> Array.make n []) in
-  Array.iteri
-    (fun k rels ->
-      List.iter
-        (fun (u, v) ->
-          succs.(k).(u) <- v :: succs.(k).(u);
-          preds.(k).(v) <- u :: preds.(k).(v))
-        rels)
+  (* Neighbour blocks: task [v]'s block, from [nb_off.(v)], holds for
+     each axis its successors ascending, [-1], its predecessors
+     ascending, [-1]. A signature has the same layout, shifted by one
+     for the task's own colour in front: [sig_off.(v) = nb_off.(v) + v]. *)
+  let nb_off = Array.make (n + 1) 0 in
+  Array.iter
+    (List.iter (fun (u, v) ->
+         nb_off.(u + 1) <- nb_off.(u + 1) + 1;
+         nb_off.(v + 1) <- nb_off.(v + 1) + 1))
     axis_rels;
-  let ext = Array.init n (fun i -> Box.extents (Instance.box inst i)) in
-
-  (* Coarsest equitable refinement: split classes by (own color, per-axis
-     sorted successor colors, per-axis sorted predecessor colors) until
-     the class count stops growing. Classes only ever split (the old
-     color heads the signature), so a stable count means a stable
-     partition. *)
-  (* Colors are kept as dense ranks 0..k-1 (the individualize step below
-     hands us sparse values up to 2n-1; re-rank before anything indexes
-     by color). *)
-  let refine colors0 =
-    let colors = ref (ranks colors0) in
-    let classes = ref (count_classes colors0) in
-    let continue_ = ref true in
-    while !continue_ do
-      let sigs =
-        Array.init n (fun i ->
-            ( !colors.(i),
-              Array.to_list
-                (Array.init d (fun k ->
-                     ( List.sort compare
-                         (List.map (fun j -> !colors.(j)) succs.(k).(i)),
-                       List.sort compare
-                         (List.map (fun j -> !colors.(j)) preds.(k).(i)) ))) ))
-      in
-      let next = ranks sigs in
-      let c = count_classes next in
-      if c = !classes then continue_ := false
+  for v = 0 to n - 1 do
+    nb_off.(v + 1) <- nb_off.(v + 1) + nb_off.(v) + (2 * d)
+  done;
+  let nb = Array.make nb_off.(n) (-1) and fill = Array.sub nb_off 0 n in
+  let put u x = nb.(fill.(u)) <- x; fill.(u) <- fill.(u) + 1 in
+  let skip_marker () = Array.iteri (fun v f -> fill.(v) <- f + 1) fill in
+  Array.iter
+    (fun rels ->
+      List.iter (fun (u, v) -> put u v) rels;
+      skip_marker ();
+      List.iter (fun (u, v) -> put v u) rels;
+      skip_marker ())
+    axis_rels;
+  let ext = Array.init (n * d) (fun i -> Box.extent (Instance.box inst (i / d)) (i mod d)) in
+  let sig_off = Array.init (n + 1) (fun v -> nb_off.(v) + v) in
+  let sg = Array.make sig_off.(n) 0 in
+  let cmp_sig a b =
+    let oa = sig_off.(a) and ob = sig_off.(b) in
+    compare_slices sg oa (sig_off.(a + 1) - oa) ob (sig_off.(b + 1) - ob) 0
+  in
+  (* Dense ranks 0..k-1 under [cmp] written to [into]; returns k. Ranks
+     depend only on the multiset of keys, so they are invariant under any
+     relabeling of the tasks — the property every round of refinement
+     rests on. *)
+  let order = Array.init n Fun.id in
+  let dense_ranks cmp into =
+    insertion_sort cmp order 0 n;
+    into.(order.(0)) <- 0;
+    let k = ref 0 in
+    for r = 1 to n - 1 do
+      if cmp order.(r - 1) order.(r) <> 0 then incr k;
+      into.(order.(r)) <- !k
+    done;
+    !k + 1
+  in
+  (* Coarsest equitable refinement: split classes by (own colour,
+     per-axis sorted successor colours, per-axis sorted predecessor
+     colours) until the class count stops growing. Classes only ever
+     split (the old colour heads the signature), so a stable count means
+     a stable partition. The [-1] terminators make the lexicographic
+     order on signatures the structural order on (colour, per-axis
+     (succs, preds) lists) tuples: the ranks, and so the keys, do not
+     depend on the flat encoding. *)
+  let next = Array.make n 0 in
+  let refine colors classes =
+    let classes = ref classes in
+    let stable = ref (!classes = n) in
+    while not !stable do
+      for v = 0 to n - 1 do
+        sg.(sig_off.(v)) <- colors.(v);
+        let start = ref (sig_off.(v) + 1) in
+        for j = nb_off.(v) to nb_off.(v + 1) - 1 do
+          (* block entry [j] of task [v] is signature entry [j + v + 1] *)
+          let p = j + v + 1 and w = nb.(j) in
+          if w >= 0 then sg.(p) <- colors.(w)
+          else begin
+            sg.(p) <- -1;
+            insertion_sort Int.compare sg !start p;
+            start := p + 1
+          end
+        done
+      done;
+      let c = dense_ranks cmp_sig next in
+      if c = !classes then stable := true
       else begin
-        colors := next;
+        Array.blit next 0 colors 0 n;
         classes := c
       end
     done;
-    !colors
+    !classes
   in
 
   (* Serialization of one complete ordering: dimension and objective
@@ -111,126 +152,143 @@ let of_instance inst =
      arcs in canonical coordinates, sorted, in its own tagged section.
      Equal certificates mean the two inputs are literally permutations
      of one another — including every per-axis order. *)
-  let certificate_of_order ord =
-    let pos = Array.make n 0 in
-    Array.iteri (fun k v -> pos.(v) <- k) ord;
-    let buf = Buffer.create (16 * n) in
-    Buffer.add_string buf (string_of_int n);
+  let packed = Array.map (fun rels -> Array.make (List.length rels) 0) axis_rels in
+  let ord = Array.make n 0 in
+  let buf = Buffer.create 256 in
+  let certificate pos =
+    Buffer.clear buf;
+    add_nat buf n;
     Buffer.add_char buf 'd';
-    Buffer.add_string buf (string_of_int d);
+    add_nat buf d;
     Buffer.add_char buf 'o';
-    Buffer.add_string buf (string_of_int (Instance.objective_axis inst));
+    add_nat buf (Instance.objective_axis inst);
+    Array.iteri (fun v p -> ord.(p) <- v) pos;
     Array.iter
       (fun v ->
         Buffer.add_char buf '|';
-        Array.iter
-          (fun e ->
-            Buffer.add_string buf (string_of_int e);
-            Buffer.add_char buf ',')
-          ext.(v))
+        for k = v * d to (v * d) + d - 1 do
+          add_nat buf ext.(k);
+          Buffer.add_char buf ','
+        done)
       ord;
-    Array.iteri
-      (fun k rels ->
-        if rels <> [] then begin
-          Buffer.add_char buf '@';
-          Buffer.add_string buf (string_of_int k);
-          let arcs =
-            List.sort compare
-              (List.map (fun (u, v) -> (pos.(u), pos.(v))) rels)
-          in
-          List.iter
-            (fun (a, b) ->
-              Buffer.add_char buf ';';
-              Buffer.add_string buf (string_of_int a);
-              Buffer.add_char buf '>';
-              Buffer.add_string buf (string_of_int b))
-            arcs
-        end)
-      axis_rels;
-    (Buffer.contents buf, pos)
+    for k = 0 to d - 1 do
+      let a = packed.(k) in
+      if Array.length a > 0 then begin
+        Buffer.add_char buf '@';
+        add_nat buf k;
+        List.iteri (fun i (u, v) -> a.(i) <- (pos.(u) * n) + pos.(v)) axis_rels.(k);
+        Array.sort Int.compare a;
+        Array.iter
+          (fun x ->
+            Buffer.add_char buf ';';
+            add_nat buf (x / n);
+            Buffer.add_char buf '>';
+            add_nat buf (x mod n))
+          a
+      end
+    done;
+    Buffer.contents buf
   in
 
-  let best = ref None in
-  let leaves = ref 0 in
-  let truncated = ref false in
-
-  (* Individualize-and-refine, keeping the lexicographically smallest
-     certificate. Within the target class, candidates with identical
-     exact predecessor and successor sets in every axis are swapped into
-     each other by an automorphism (equal color implies equal boxes, and
-     two such tasks cannot be related in any axis: u -> v would put v in
-     succs u but not in succs v), so their branches produce equal
-     certificates — explore one per group. This collapses the fully
-     symmetric instances (identical independent tasks) to a single
-     branch. *)
-  let rec go colors0 =
-    let colors = refine colors0 in
-    if count_classes colors = n then begin
-      incr leaves;
-      let ord = Array.init n (fun i -> i) in
-      Array.sort (fun a b -> compare colors.(a) colors.(b)) ord;
-      let cert, pos = certificate_of_order ord in
-      match !best with
-      | Some (b, _) when String.compare b cert <= 0 -> ()
-      | _ -> best := Some (cert, pos)
+  (* Individualize-and-refine, keeping the first leaf with the
+     lexicographically smallest certificate. Three prunings skip only
+     subtrees that an automorphism maps onto an earlier-explored one,
+     whose leaves carry the same certificates earlier in the search
+     order, so the kept leaf is the one the unpruned search keeps:
+     - within the target cell, tasks with identical exact neighbourhoods
+       in every axis are swapped by a transposition, so only the
+       smallest of each group is a candidate;
+     - a leaf whose certificate equals the best one yields the
+       automorphism [inv_best ∘ pos_leaf]; a node skips a candidate in
+       the orbit of an explored sibling under the automorphisms found so
+       far that fix its individualized prefix pointwise;
+     - that automorphism maps the leaf's path onto the best leaf's, so
+       the whole subtree below their last common node is an image of the
+       one explored before: the search returns to that node. *)
+  let path = Array.make n 0 and best_path = Array.make n 0 in
+  let best = ref "" (* no leaf yet: a certificate is never empty *) in
+  let best_pos = Array.make n 0 and best_inv = Array.make n 0 in
+  let autos = ref [] and n_autos = ref 0 in
+  let leaves = ref 0 and truncated = ref false in
+  let leaf dep pos =
+    incr leaves;
+    let cert = certificate pos in
+    let c = if !best = "" then -1 else String.compare cert !best in
+    if c < 0 then begin
+      best := cert;
+      Array.blit pos 0 best_pos 0 n;
+      Array.iteri (fun v p -> best_inv.(p) <- v) pos;
+      Array.blit path 0 best_path 0 dep;
+      no_jump
     end
+    else if c > 0 then no_jump
     else begin
-      let counts = Array.make n 0 in
-      Array.iter (fun c -> counts.(c) <- counts.(c) + 1) colors;
-      let target = ref 0 in
-      while counts.(!target) < 2 do
-        incr target
-      done;
-      let groups = Hashtbl.create 8 in
-      for v = n - 1 downto 0 do
-        if colors.(v) = !target then
-          Hashtbl.replace groups
-            (Array.to_list
-               (Array.init d (fun k ->
-                    ( List.sort compare succs.(k).(v),
-                      List.sort compare preds.(k).(v) ))))
-            v
-      done;
-      let reps = List.sort compare (Hashtbl.fold (fun _ v acc -> v :: acc) groups []) in
-      List.iteri
-        (fun idx v ->
-          (* the first branch always runs so a certificate always
-             exists; later branches only while the leaf budget lasts *)
-          if idx = 0 || !leaves < leaf_budget then
-            go
-              (Array.mapi
-                 (fun i c -> (2 * c) + if i = v then 0 else 1)
-                 colors)
-          else truncated := true)
-        reps
+      autos := Array.map (fun p -> best_inv.(p)) pos :: !autos;
+      incr n_autos;
+      let rec common j = if j < dep && path.(j) = best_path.(j) then common (j + 1) else j in
+      common 0
     end
   in
-  go (ranks ext);
-
-  let cert, pos =
-    match !best with Some b -> b | None -> assert false (* n >= 1 *)
+  let same_nb v w =
+    let ov = nb_off.(v) and ow = nb_off.(w) in
+    compare_slices nb ov (nb_off.(v + 1) - ov) ow (nb_off.(w + 1) - ow) 0 = 0
   in
-  let inv = Array.make n 0 in
-  Array.iteri (fun i k -> inv.(k) <- i) pos;
-  let boxes = Array.init n (fun k -> Instance.box inst inv.(k)) in
-  let orders =
-    List.concat
-      (Array.to_list
-         (Array.mapi
-            (fun k rels ->
-              if rels = [] then []
-              else [ (k, List.map (fun (u, v) -> (pos.(u), pos.(v))) rels) ])
-            axis_rels))
+  let rec find uf v = if uf.(v) = v then v else find uf uf.(v) in
+  let rec go dep colors classes =
+    if classes = n then leaf dep colors
+    else begin
+      let counts = Array.make classes 0 in
+      Array.iter (fun c -> counts.(c) <- counts.(c) + 1) colors;
+      let rec first_cell c = if counts.(c) >= 2 then c else first_cell (c + 1) in
+      let t = first_cell 0 in
+      let reps = ref [] in
+      for v = n - 1 downto 0 do
+        if colors.(v) = t then
+          reps := v :: List.filter (fun w -> not (same_nb v w)) !reps
+      done;
+      (* orbits of the prefix stabilizer found so far, as a union-find *)
+      let uf = Array.init n Fun.id and seen = ref 0 in
+      let rec absorb k = function
+        | g :: rest when k > 0 ->
+          let rec fixes j = j = dep || (g.(path.(j)) = path.(j) && fixes (j + 1)) in
+          if fixes 0 then
+            Array.iteri (fun v w -> uf.(find uf v) <- find uf w) g;
+          absorb (k - 1) rest
+        | _ -> ()
+      in
+      let explored = ref [] in
+      let rec loop idx = function
+        | [] -> no_jump
+        | w :: rest ->
+          absorb (!n_autos - !seen) !autos;
+          seen := !n_autos;
+          if List.exists (fun v -> find uf v = find uf w) !explored then
+            loop (idx + 1) rest
+          else if idx = 0 || !leaves < leaf_budget then begin
+            path.(dep) <- w;
+            let child =
+              Array.map (fun c -> if c < t then c else if c > t then c + 1 else t + 1) colors
+            in
+            child.(w) <- t;
+            let j = go (dep + 1) child (refine child (classes + 1)) in
+            explored := w :: !explored;
+            if j < dep then j else loop (idx + 1) rest
+          end
+          else (truncated := true; no_jump)
+      in
+      loop 0 !reps
+    end
   in
-  let cinst =
-    Instance.make ~name:"canonical" ~orders
-      ~objective_axis:(Instance.objective_axis inst) ~boxes ()
+  let colors = Array.make n 0 in
+  let classes =
+    dense_ranks (fun a b -> compare_slices ext (a * d) d (b * d) d 0) colors
   in
+  ignore (go 0 colors (refine colors classes));
   {
-    instance = cinst;
-    key = cert;
-    digest = digest_of_key cert;
-    perm = pos;
+    instance = Instance.relabel inst ~name:"canonical" best_pos;
+    key = !best;
+    digest = digest_of_key !best;
+    perm = best_pos;
     complete = not !truncated;
   }
 

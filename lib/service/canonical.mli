@@ -10,16 +10,31 @@
     is what turns a result memo from an exact-duplicate filter into a
     real cache.
 
-    [of_instance] computes a canonical relabeling by color refinement
-    over all per-axis order closures (initial colors from the box
-    extents, then iterated splitting by per-axis predecessor/successor
-    color multisets) followed, when symmetric task groups survive
-    refinement, by an individualize-and-refine search that keeps the
-    lexicographically smallest certificate. Candidates whose exact
-    predecessor and successor sets coincide in every axis are
-    interchangeable by an automorphism, so only one per group is
-    explored — the fully symmetric cases (identical independent tasks)
-    collapse to a single branch instead of a factorial one.
+    [of_instance] computes a canonical relabeling by colour refinement
+    over all per-axis order closures, followed, when symmetric task
+    groups survive refinement, by an individualize-and-refine search
+    that keeps the first leaf with the lexicographically smallest
+    certificate.
+
+    {b Refinement} runs in integers. Initial colours are the dense ranks
+    of the box extents. Each round gives every task one int signature:
+    its colour, then per axis its sorted successor colours, [-1], its
+    sorted predecessor colours, [-1]; tasks are re-ranked by comparing
+    signatures lexicographically, until the class count stops growing.
+
+    {b The search} individualizes each candidate of the first
+    non-singleton cell in ascending task order and refines again. It
+    explores only subtrees that no automorphism maps onto an earlier
+    one, as nauty does: tasks with identical predecessor and successor
+    sets in every axis form one candidate; a leaf whose certificate
+    equals the best one yields an automorphism, and a node skips every
+    candidate in the orbit of an explored sibling under the
+    automorphisms found so far that fix its individualized prefix; that
+    leaf also ends the search of the subtree below its last common node
+    with the best leaf. None of this can skip the first minimal leaf,
+    so the result is the one the unpruned search gives. Identical
+    independent tasks collapse to one branch, and a 63-task FIR adder
+    tree, with 2{^31} automorphisms, needs 16 leaves.
 
     The certificate records the dimension, the objective axis, the box
     extents in canonical order, and one tagged section of sorted
@@ -31,9 +46,17 @@
     serialization, so equal keys always mean isomorphic instances — a
     collision can never return the answer of a different problem.
     Completeness (isomorphic instances always sharing a key) holds
-    whenever the tie-break search finishes within its leaf budget;
-    a truncated search (flagged by [complete = false]) only costs cache
-    hits, never correctness. *)
+    whenever the search finishes within its budget of 4096 leaves. The
+    budget still guards inputs whose tree refinement and the found
+    automorphisms cannot shrink enough: symmetric cells that
+    refinement cannot split, whose candidates lie in different orbits
+    (so no automorphism prunes them), at every level. No family of
+    [Benchmarks.Dfg] reaches it: FIR filters up to 64 taps, butterflies
+    up to 6 stages, and chains and independent sets of 64 tasks all
+    finish.
+    If the budget runs out, the search keeps the best leaf so far and
+    reports [complete = false]; that only costs cache hits, never
+    correctness. *)
 
 type t = {
   instance : Packing.Instance.t;
@@ -48,14 +71,14 @@ type t = {
   perm : int array;
       (** [perm.(i)] is the canonical position of original task [i] *)
   complete : bool;
-      (** [false] when the tie-break search hit its leaf budget and fell
-          back to the first ordering found (sound, possibly missing
+      (** [false] when the tie-break search hit its leaf budget and kept
+          the best ordering found so far (sound, possibly missing
           hits) *)
 }
 
 (** [of_instance inst] canonicalizes [inst]. The tie-break search
-    materializes at most 4096 leaf orderings; symmetric-group pruning
-    makes typical instances use exactly one. *)
+    materializes at most 4096 leaf orderings; the instances of the
+    benchmarks use one to a few dozen. *)
 val of_instance : Packing.Instance.t -> t
 
 (** [restore_placement c ~original p] maps a placement of the canonical

@@ -209,6 +209,173 @@ let prop_restore_placement_feasible case =
   | (Solver.Infeasible | Solver.Timeout), _ -> true
 
 (* ------------------------------------------------------------------ *)
+(* Canonicalizer against its reference copy                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Either a random instance of dimension 2..4 with orders on any axes
+   and any objective axis, or a member of a symmetric family (FIR,
+   butterfly, chain, independent, even cycles); both are relabeled
+   before canonicalization. *)
+type diff_case =
+  | Random_case of {
+      seed : int;
+      dim : int;
+      n : int;
+      max_extent : int;
+      arc_probability : float;
+      objective_axis : int;
+      shuffle : int;
+    }
+  | Family of string * int * int (* family, size, shuffle seed *)
+
+(* Height-2 orders whose comparability graph is a union of even cycles
+   (lengths drawn from [seed]). Colour refinement gives every minimal
+   task one colour and every maximal task another, though tasks on
+   cycles of different lengths lie in different orbits: the tie-break
+   search, not refinement, has to tell them apart. *)
+let cycles_instance ~seed m =
+  let rng = Random.State.make [| seed |] in
+  let arcs = ref [] in
+  let rec parts start left =
+    if left >= 2 then begin
+      let k = 2 + Random.State.int rng (left - 1) in
+      let k = if k = left - 1 then left else k in
+      for i = 0 to k - 1 do
+        arcs :=
+          (start + i, m + start + i)
+          :: (start + i, m + start + ((i + 1) mod k))
+          :: !arcs
+      done;
+      parts (start + k) (left - k)
+    end
+  in
+  parts 0 m;
+  Instance.make ~precedence:!arcs
+    ~boxes:(Array.make (2 * m) (Geometry.Box.make3 ~w:1 ~h:1 ~duration:1))
+    ()
+
+let family_instance ~seed name size =
+  match name with
+  | "cycles" -> cycles_instance ~seed size
+  | "fir" -> Benchmarks.Dfg.fir ~taps:size
+  | "butterfly" -> Benchmarks.Dfg.butterfly ~stages:size
+  | "chain" -> Benchmarks.Dfg.chain ~length:size
+  | _ -> Benchmarks.Dfg.independent ~n:size
+
+let arb_diff_case =
+  let gen =
+    QCheck.Gen.(
+      let random =
+        let* seed = int_range 0 1_000_000 in
+        let* dim = int_range 2 4 in
+        let* n = int_range 1 10 in
+        let* max_extent = int_range 1 3 in
+        let* arc_probability = oneofl [ 0.0; 0.1; 0.25; 0.5 ] in
+        let* objective_axis = int_range 0 (dim - 1) in
+        let* shuffle = int_range 0 1_000_000 in
+        return
+          (Random_case
+             { seed; dim; n; max_extent; arc_probability; objective_axis; shuffle })
+      in
+      let family =
+        let* name, size =
+          oneof
+            [
+              map (fun k -> ("fir", k)) (int_range 1 12);
+              map (fun k -> ("butterfly", k)) (int_range 1 3);
+              map (fun k -> ("chain", k)) (int_range 1 12);
+              map (fun k -> ("independent", k)) (int_range 1 20);
+              map (fun k -> ("cycles", k)) (int_range 2 9);
+            ]
+        in
+        let* shuffle = int_range 0 1_000_000 in
+        return (Family (name, size, shuffle))
+      in
+      frequency [ (3, random); (1, family) ])
+  in
+  QCheck.make gen ~print:(function
+    | Random_case c ->
+      Printf.sprintf "seed=%d dim=%d n=%d max_extent=%d arcs=%.2f objective=%d shuffle=%d"
+        c.seed c.dim c.n c.max_extent c.arc_probability c.objective_axis c.shuffle
+    | Family (name, size, shuffle) ->
+      Printf.sprintf "%s %d shuffle=%d" name size shuffle)
+
+(* The random case's arcs: each forward pair (i, j), i < j, on each axis
+   with the given probability, so every axis carries an acyclic order. *)
+let diff_instance = function
+  | Family (name, size, shuffle) ->
+    permute_instance (Random.State.make [| shuffle |])
+      (family_instance ~seed:shuffle name size)
+  | Random_case c ->
+    let base =
+      Benchmarks.Generate.random ~dim:c.dim ~seed:c.seed ~n:c.n
+        ~max_extent:c.max_extent ~max_duration:c.max_extent ~arc_probability:0.0 ()
+    in
+    let rng = Random.State.make [| c.seed |] in
+    let orders =
+      List.init c.dim (fun k ->
+          let arcs = ref [] in
+          for i = 0 to c.n - 1 do
+            for j = i + 1 to c.n - 1 do
+              if Random.State.float rng 1.0 < c.arc_probability then
+                arcs := (i, j) :: !arcs
+            done
+          done;
+          (k, !arcs))
+    in
+    permute_instance (Random.State.make [| c.shuffle |])
+      (Instance.make ~orders ~objective_axis:c.objective_axis
+         ~boxes:(Instance.boxes base) ())
+
+(* Wherever the reference finishes its search, the key, digest, perm and
+   canonical instance are the same, and so is the flag. *)
+let prop_matches_reference case =
+  let inst = diff_instance case in
+  let r = Canonical_reference.of_instance inst in
+  let c = Canonical.of_instance inst in
+  QCheck.assume r.Canonical_reference.complete;
+  let differ what = QCheck.Test.fail_reportf "%s differs from the reference" what in
+  if c.Canonical.key <> r.Canonical_reference.key then
+    QCheck.Test.fail_reportf "key differs:\n%s\nreference %s" c.Canonical.key
+      r.Canonical_reference.key;
+  if c.Canonical.digest <> r.Canonical_reference.digest then differ "digest";
+  if c.Canonical.perm <> r.Canonical_reference.perm then differ "perm";
+  if not c.Canonical.complete then differ "complete";
+  let ic = c.Canonical.instance and ir = r.Canonical_reference.instance in
+  if Instance.boxes ic <> Instance.boxes ir then differ "boxes";
+  for k = 0 to Instance.dim ir - 1 do
+    if Order.Partial_order.relations (Instance.order ic k)
+       <> Order.Partial_order.relations (Instance.order ir k)
+    then differ (Printf.sprintf "axis %d order" k)
+  done;
+  if Instance.name ic <> Instance.name ir
+     || Instance.objective_axis ic <> Instance.objective_axis ir
+     || List.init (Instance.count ir) (Instance.label ic)
+        <> List.init (Instance.count ir) (Instance.label ir)
+  then differ "name, objective axis or labels";
+  true
+
+(* A 63-task FIR filter: an adder tree with 2^31 automorphisms. Orbit
+   pruning finishes the search well inside the leaf budget, so two
+   relabelings share a key. *)
+let test_fir32_complete () =
+  let inst = Benchmarks.Dfg.fir ~taps:32 in
+  let a = Canonical.of_instance (permute_instance (Random.State.make [| 1 |]) inst) in
+  let b = Canonical.of_instance (permute_instance (Random.State.make [| 2 |]) inst) in
+  Alcotest.(check bool) "first relabeling complete" true a.Canonical.complete;
+  Alcotest.(check bool) "second relabeling complete" true b.Canonical.complete;
+  Alcotest.(check string) "relabelings share a key" a.Canonical.key b.Canonical.key
+
+(* The digest names a key in logs and metrics: its bytes are pinned. *)
+let test_digest_pinned () =
+  let c = Canonical.of_instance (Benchmarks.Dfg.chain ~length:3) in
+  Alcotest.(check string) "key" "3d3o2|16,1,1,|16,16,2,|16,16,2,@2;0>1;2>0;2>1"
+    c.Canonical.key;
+  Alcotest.(check string) "digest" "2b2d1abb8309995c" c.Canonical.digest;
+  Alcotest.(check string) "DE digest" "1670cdb679d67e71"
+    (Canonical.of_instance Benchmarks.De.instance).Canonical.digest
+
+(* ------------------------------------------------------------------ *)
 (* Cache correctness: byte-identical warm replay, exact hit counts     *)
 (* ------------------------------------------------------------------ *)
 
@@ -773,6 +940,11 @@ let () =
             prop_canonical_optimum_preserved;
           qtest ~count:40 "restored witness feasible" arb_case
             prop_restore_placement_feasible;
+          qtest ~count:500 "matches the reference copy" arb_diff_case
+            prop_matches_reference;
+          Alcotest.test_case "FIR-32 canonicalizes completely" `Quick
+            test_fir32_complete;
+          Alcotest.test_case "digest bytes pinned" `Quick test_digest_pinned;
         ] );
       ( "cache",
         [
