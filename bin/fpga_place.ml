@@ -744,7 +744,10 @@ let bounds_cmd =
     let* inst, chip, t_max = read_chip_time file chip time in
     let container = Fpga.Chip.container chip ~t_max in
     let engine = Packing.Bound_engine.create () in
-    let verdicts = Packing.Bound_engine.run_all engine inst container in
+    let verdicts =
+      Packing.Bound_engine.run_all engine
+        ~refute:(Packing.Opp_solver.slice_refuter ()) inst container
+    in
     Packing.Recorder.flush (Packing.Bound_engine.recorder engine);
     Format.printf "volume: %d of %d cells-cycles@."
       (Packing.Instance.total_volume inst)

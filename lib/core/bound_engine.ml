@@ -220,6 +220,11 @@ let base_area inst container =
   done;
   !a
 
+(* The axes other than the objective axis, ascending. *)
+let spatial_axes inst =
+  let ta = Instance.objective_axis inst in
+  List.filter (fun k -> k <> ta) (List.init (Instance.dim inst) Fun.id)
+
 let footprint inst i =
   let ta = Instance.objective_axis inst in
   let a = ref 1 in
@@ -357,12 +362,8 @@ let run_dff_volume inst container ~seq:_ =
    Products of per-axis DFFs preserve packability, so every transformed
    packing still needs ceil(sum_i area'_i * d_i / base') time slices. *)
 let run_dff_time inst container ~seq:_ =
-  let ta = Instance.objective_axis inst in
   let n = Instance.count inst in
-  let spatial =
-    Array.of_list
-      (List.filter (fun k -> k <> ta) (List.init (Instance.dim inst) Fun.id))
-  in
+  let spatial = Array.of_list (spatial_axes inst) in
   let ns = Array.length spatial in
   if ns = 0 || Option.is_some (misfit inst container) then Inconclusive
   else begin
@@ -408,6 +409,20 @@ let run_dff_time inst container ~seq:_ =
       inst container !best
   end
 
+(* Start windows from an acyclic sequencing digraph: [est.(i)] is the
+   heaviest chain of [i]'s predecessors, [lft.(i)] the time extent less
+   the heaviest chain of its successors. Task [i] starts in
+   [est.(i), lft.(i) - d_i] in every schedule. *)
+let windows inst container ~seq =
+  let n = Instance.count inst in
+  let dur = Instance.duration inst in
+  let est = Digraph.longest_path_lengths seq ~weight:dur in
+  let rev = Digraph.create n in
+  List.iter (fun (u, v) -> Digraph.add_arc rev v u) (Digraph.arcs seq);
+  let tail = Digraph.longest_path_lengths rev ~weight:dur in
+  let cap = time_cap inst container in
+  (est, Array.init n (fun i -> cap - tail.(i)))
+
 (* Energetic reasoning (cumulative-scheduling style): inside a window
    [t1, t2), task [i] with earliest start [est_i] and latest finish
    [lft_i] must occupy at least
@@ -425,11 +440,7 @@ let run_energetic inst container ~seq =
     let cap = time_cap inst container in
     let base = base_area inst container in
     let dur = Instance.duration inst in
-    let est = Digraph.longest_path_lengths seq ~weight:dur in
-    let rev = Digraph.create n in
-    List.iter (fun (u, v) -> Digraph.add_arc rev v u) (Digraph.arcs seq);
-    let tail = Digraph.longest_path_lengths rev ~weight:dur in
-    let lft = Array.init n (fun i -> cap - tail.(i)) in
+    let est, lft = windows inst container ~seq in
     let result = ref Inconclusive in
     (* Chain through [i] too long for the window — cheap early out that
        also keeps every subsequent window computation meaningful. *)
@@ -493,20 +504,95 @@ let all_entries =
     { name = "energetic"; dynamic = true; run = run_energetic };
   ]
 
-let default_names = List.map (fun e -> e.name) all_entries
+(* ------------------------------------------------------------------ *)
+(* Time slices                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let time_slice_name = "time-slice"
+
+let default_names = List.map (fun e -> e.name) all_entries @ [ time_slice_name ]
+
+(* A task with start window [est, lst] runs during its compulsory part
+   [lst, est + d) whatever its start. The compulsory parts are
+   intervals, so the sets of tasks that all run at one time are the
+   sets active at a left endpoint [lst_i], and the set at one endpoint
+   is subset-maximal unless all of it still runs at the next endpoint.
+   Every endpoint adds a task no earlier set holds, so the sets are
+   distinct. *)
+let time_slices inst container =
+  let n = Instance.count inst in
+  let est, lft = windows inst container ~seq:(sequencing_of_instance inst) in
+  let dur = Instance.duration inst in
+  let lst i = lft.(i) - dur i and ect i = est.(i) + dur i in
+  let tasks = List.init n Fun.id in
+  if List.exists (fun i -> lst i < est.(i)) tasks then []
+  else begin
+    let points =
+      List.sort_uniq Int.compare
+        (List.filter_map
+           (fun i -> if lst i < ect i then Some (lst i) else None)
+           tasks)
+    in
+    let rec maximal = function
+      | [] -> []
+      | t :: rest ->
+        let running = List.filter (fun i -> lst i <= t && t < ect i) tasks in
+        let kept =
+          match rest with
+          | [] -> true
+          | next :: _ -> List.exists (fun i -> ect i <= next) running
+        in
+        if kept && List.compare_length_with running 2 >= 0 then
+          (t, running) :: maximal rest
+        else maximal rest
+    in
+    maximal points
+  end
+
+let slice_instance inst container tasks =
+  let axes = Array.of_list (spatial_axes inst) in
+  let members = Array.of_list tasks in
+  let pos = Array.make (Instance.count inst) (-1) in
+  Array.iteri (fun j i -> pos.(i) <- j) members;
+  let orders =
+    List.filter_map
+      (fun j ->
+        match
+          List.filter_map
+            (fun (u, v) ->
+              if pos.(u) >= 0 && pos.(v) >= 0 then Some (pos.(u), pos.(v))
+              else None)
+            (Order.Partial_order.relations (Instance.order inst axes.(j)))
+        with
+        | [] -> None
+        | arcs -> Some (j, arcs))
+      (List.init (Array.length axes) Fun.id)
+  in
+  ( Instance.make ~name:(Instance.name inst ^ "-slice") ~orders
+      ~boxes:
+        (Array.map
+           (fun i -> Geometry.Box.make (Array.map (Instance.extent inst i) axes))
+           members)
+      (),
+    Container.make (Array.map (Container.extent container) axes) )
 
 (* ------------------------------------------------------------------ *)
 (* Engine                                                              *)
 (* ------------------------------------------------------------------ *)
 
-type t = { entries : (entry * Recorder.bound) list; recorder : Recorder.t }
+type t = {
+  entries : (entry * Recorder.bound) list;
+  time_slice : Recorder.bound;
+  recorder : Recorder.t;
+}
 
 let attach recorder =
+  let entries =
+    List.map (fun e -> (e, Recorder.register_bound recorder e.name)) all_entries
+  in
   {
-    entries =
-      List.map
-        (fun e -> (e, Recorder.register_bound recorder e.name))
-        all_entries;
+    entries;
+    time_slice = Recorder.register_bound recorder time_slice_name;
     recorder;
   }
 
@@ -514,9 +600,9 @@ let create ?trace () = attach (Recorder.create ?trace ())
 let recorder t = t.recorder
 let counters t = Recorder.bounds t.recorder
 
-let timed t (e, tally) inst container ~seq =
+let timed t tally run =
   Recorder.start t.recorder;
-  let verdict = e.run inst container ~seq in
+  let verdict = run () in
   Recorder.bound_call t.recorder tally
     (match verdict with
     | Infeasible cert -> Trace.Bv_infeasible cert.detail
@@ -532,9 +618,9 @@ let fold_entries t inst container ~seq ~only_dynamic =
   let best = ref Inconclusive in
   let refuted = ref None in
   List.iter
-    (fun ((e, _) as entry) ->
+    (fun (e, tally) ->
       if !refuted = None && ((not only_dynamic) || e.dynamic) then
-        match timed t entry inst container ~seq with
+        match timed t tally (fun () -> e.run inst container ~seq) with
         | Infeasible _ as v -> refuted := Some v
         | Lower_bound l ->
           (match !best with
@@ -566,9 +652,41 @@ let time_lower_bound t inst container =
   | Lower_bound l -> max 1 l
   | Inconclusive -> 1
 
-let run_all t inst container =
+(* Silent where another bound holds the certificate: a task that
+   overflows the container (misfit) or a start window that is empty
+   (energetic), and below three axes, where a slice is a set of
+   intervals whose packing is a length sum, which the capacity rule
+   decides. *)
+let time_slice t ~refute inst container =
+  check_dimensions ~who:"Bound_engine.time_slice" inst container;
+  timed t t.time_slice (fun () ->
+      if Instance.dim inst < 3 || Option.is_some (misfit inst container) then
+        Inconclusive
+      else
+        let refuted (_, tasks) =
+          let sub, chip = slice_instance inst container tasks in
+          refute sub chip
+        in
+        match List.find_opt refuted (time_slices inst container) with
+        | None -> Inconclusive
+        | Some (time, tasks) ->
+          let ints sep l = String.concat sep (List.map string_of_int l) in
+          Infeasible
+            {
+              bound = time_slice_name;
+              detail =
+                Printf.sprintf
+                  "tasks %s all run at time %d and do not pack the %s \
+                   cross-section"
+                  (ints "," tasks) time
+                  (ints "x"
+                     (List.map (Container.extent container) (spatial_axes inst)));
+            })
+
+let run_all t ~refute inst container =
   check_dimensions ~who:"Bound_engine.run_all" inst container;
   let seq = sequencing_of_instance inst in
   List.map
-    (fun ((e, _) as entry) -> (e.name, timed t entry inst container ~seq))
+    (fun (e, tally) -> (e.name, timed t tally (fun () -> e.run inst container ~seq)))
     t.entries
+  @ [ (time_slice_name, time_slice t ~refute inst container) ]

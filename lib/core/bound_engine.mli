@@ -28,6 +28,19 @@
     the precedence arcs plus every branching decision) and cut subtrees
     the static root bounds cannot see.
 
+    The {e time-slice} bound ({!time_slice}) runs at the root only. The
+    precedence order and the time extent give each task a start window
+    [[est, lst]]; a task whose window is narrower than its duration
+    runs during its {e compulsory} part [[lst, est + d)] whatever its
+    start. The tasks whose compulsory parts share a time point run
+    together in every schedule, and a packing of all the boxes induces
+    a packing of each of its cross-sections (Fekete & Schepers'
+    characterization, Theorem 1 of the source paper). So the spatial
+    boxes of such a set, with their spatial orders, must pack the
+    chip's spatial extents: a (d-1)-dimensional instance that a
+    caller-supplied solver tries to refute. This bound cannot search
+    itself; {!Opp_solver.root_check} supplies the search.
+
     Every evaluation is recorded on the engine's {!Recorder}: its own
     for {!create}, a search's for {!attach}, so one solve tallies its
     root and node bounds together. The tallies reach the metrics
@@ -58,9 +71,11 @@ type t
 
 (** Names of all registered bounds, in evaluation order (cheapest
     first): ["misfit"; "volume"; "critical-path"; "clique-time";
-    "clique-space"; "dff-volume"; "dff-time"; "energetic"].
-    ["clique-space"] covers every spatial axis; its certificate names
-    the axis that fired. *)
+    "clique-space"; "dff-volume"; "dff-time"; "energetic";
+    "time-slice"]. ["clique-space"] covers every spatial axis; its
+    certificate names the axis that fired. {!check} and
+    {!check_oriented} run all but ["time-slice"], which only
+    {!time_slice} evaluates. *)
 val default_names : string list
 
 (** [create ()] builds an engine with every bound of {!default_names}
@@ -100,12 +115,44 @@ val check_oriented :
     ignored). Always at least 1. *)
 val time_lower_bound : t -> Instance.t -> Container.t -> int
 
-(** [run_all t inst container] evaluates every registered bound without
-    short-circuiting and reports each verdict — the CLI [bounds]
-    subcommand surface. A task that overflows the container is
-    reported by [misfit]; the DFF bounds stay silent on it.
+(** [time_slice t ~refute inst container] is the time-slice bound.
+    For each subset-maximal set of at least two tasks that run together
+    in every schedule ({!time_slices}), in time order, it asks
+    [refute sub chip] whether the set's spatial boxes [sub] cannot pack
+    [chip], the container's spatial extents; the first [true] is an
+    [Infeasible] certificate naming the set's tasks, its time point and
+    the chip. [refute] must answer [true] only on a proof. Silent below
+    three axes, where a slice is a set of intervals that the capacity
+    rule already decides, and where {!misfit} or an empty start window
+    (["energetic"]) holds the certificate. One call on the
+    ["time-slice"] tally, whose time includes [refute]'s.
     @raise Invalid_argument on a dimension mismatch. *)
-val run_all : t -> Instance.t -> Container.t -> (string * verdict) list
+val time_slice :
+  t ->
+  refute:(Instance.t -> Container.t -> bool) ->
+  Instance.t ->
+  Container.t ->
+  verdict
+
+(** [time_slices inst container] is the list of [(t, tasks)] pairs:
+    the distinct subset-maximal sets [tasks] (ascending, at least two)
+    of tasks whose compulsory parts, under the precedence windows and
+    [container]'s time extent, all contain time [t], ascending in [t].
+    Empty when some task has no start window. *)
+val time_slices : Instance.t -> Container.t -> (int * int list) list
+
+(** [run_all t ~refute inst container] evaluates every registered bound
+    without short-circuiting and reports each verdict, ["time-slice"]
+    last through {!time_slice} — the CLI [bounds] subcommand surface. A
+    task that overflows the container is reported by [misfit]; the DFF
+    and time-slice bounds stay silent on it.
+    @raise Invalid_argument on a dimension mismatch. *)
+val run_all :
+  t ->
+  refute:(Instance.t -> Container.t -> bool) ->
+  Instance.t ->
+  Container.t ->
+  (string * verdict) list
 
 (** {1 Primitive bound families}
 

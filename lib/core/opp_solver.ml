@@ -220,6 +220,14 @@ let search ~options ~t0 ~depth_offset ?share state =
     hit
   in
   let attempt () = realize Reconstruct.attempt in
+  (* The branch explored first at every decision: component (overlap)
+     first, except when the boxes fill the container exactly. A tiling
+     leaves no room for overlaps to absorb, so comparable first finds
+     it sooner. *)
+  let first =
+    Instance.total_volume (Packing_state.instance state)
+    <> Geometry.Container.volume (Packing_state.container state)
+  in
   let rec dfs depth =
     Recorder.node_enter r ~depth;
     check_budget ();
@@ -259,11 +267,10 @@ let search ~options ~t0 ~depth_offset ?share state =
         | Error _ -> Recorder.conflict r);
         Packing_state.undo_to state marks
       in
-      (* The component (overlap) branch is always explored first. *)
       (match share with
       | None ->
-        branch true;
-        branch false
+        branch first;
+        branch (not first)
       | Some s ->
         (* Work-stealing protocol at a branch point: before descending
            the first branch, offer the second one to the local deque (it
@@ -274,18 +281,18 @@ let search ~options ~t0 ~depth_offset ?share state =
            the sequential DFS order. A failed reclaim means a thief owns
            that subtree and this node is done. *)
         let d_local = depth - depth_offset - 1 in
-        let second = { dim; u; v; overlap = false } in
+        let second = { dim; u; v; overlap = not first } in
         let token = s.offer ~path:!path ~len:d_local ~alt:second in
-        set_path d_local { second with overlap = true };
-        branch true;
+        set_path d_local { second with overlap = first };
+        branch first;
         (match token with
         | None ->
           set_path d_local second;
-          branch false
+          branch (not first)
         | Some tok ->
           if s.reclaim tok then begin
             set_path d_local second;
-            branch false
+            branch (not first)
           end))
   in
   try
@@ -300,6 +307,41 @@ let search ~options ~t0 ~depth_offset ?share state =
 
 let solve_state ?(options = default_options) ?(depth_offset = 0) ?share state =
   search ~options ~t0:(Clock.now ()) ~depth_offset ?share state
+
+(* Nodes one root check may spend refuting its time slices, all slices
+   together. A serve-unique pass spends about 200 on its slices, and
+   none runs out. *)
+let slice_node_budget = 2_000
+
+(* A slice is refuted by the stage-1 bounds (without the time-slice
+   bound, so it does not recurse) and then the search, on a detached
+   recorder: the sub-solve is the bound's time, not solver work. *)
+let slice_refuter () =
+  let left = ref slice_node_budget in
+  fun sub chip ->
+    !left > 0
+    &&
+    let recorder = Recorder.detached () in
+    match Bound_engine.check (Bound_engine.attach recorder) sub chip with
+    | Bound_engine.Infeasible _ -> true
+    | Bound_engine.Lower_bound _ | Bound_engine.Inconclusive -> (
+      match Packing_state.create ~recorder sub chip with
+      | Error _ -> true
+      | Ok state ->
+        let options = { default_options with node_limit = Some !left } in
+        let outcome, stats =
+          search ~options ~t0:(Clock.now ()) ~depth_offset:0 state
+        in
+        left := !left - stats.nodes;
+        outcome = Infeasible)
+
+let root_check engine inst cont =
+  match Bound_engine.check engine inst cont with
+  | Bound_engine.Infeasible _ as v -> v
+  | (Bound_engine.Lower_bound _ | Bound_engine.Inconclusive) as v -> (
+    match Bound_engine.time_slice engine ~refute:(slice_refuter ()) inst cont with
+    | Bound_engine.Infeasible _ as refuted -> refuted
+    | Bound_engine.Lower_bound _ | Bound_engine.Inconclusive -> v)
 
 let pipeline ?(options = default_options) ?schedule inst cont ~settled ~stage3
     =
@@ -321,7 +363,7 @@ let pipeline ?(options = default_options) ?schedule inst cont ~settled ~stage3
   let root_verdict =
     if options.use_bounds then
       staged "stage1-bounds" (fun () ->
-          Bound_engine.check (Bound_engine.attach recorder) inst cont)
+          root_check (Bound_engine.attach recorder) inst cont)
     else Bound_engine.Inconclusive
   in
   (* A solve settled before the search reports no rule work, even

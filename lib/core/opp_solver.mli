@@ -133,8 +133,10 @@ type options = {
           decisions, realizations — once, on one {!Recorder}; the
           recorder keeps the tallies these stats render, appends to
           this trace and updates the process {!Metrics} registry, so
-          the three views agree event for event. The search always
-          explores the component (overlap) branch first. *)
+          the three views agree event for event. The search
+          explores the component (overlap) branch first, or the
+          comparable branch first when the boxes' total volume equals
+          the container's (a tiling). *)
   realize : realize_policy;
       (** throttle for the per-node realization attempt; defaults to
           [Realize_adaptive] *)
@@ -180,6 +182,22 @@ val pipeline :
   settled:(outcome -> stats -> 'a) ->
   stage3:(t0:Clock.t -> Packing_state.t -> 'a) ->
   'a
+
+(** [root_check engine instance container] is the stage-1 check of
+    {!pipeline}: {!Bound_engine.check}, then, unless that refuted the
+    instance, {!Bound_engine.time_slice} with {!slice_refuter}. Every
+    evaluation is recorded on [engine]'s recorder; the slice
+    sub-solves' nodes are the time-slice bound's time and reach no
+    search tally, metric or trace. *)
+val root_check :
+  Bound_engine.t -> Instance.t -> Geometry.Container.t -> Bound_engine.verdict
+
+(** [slice_refuter ()] is a fresh [refute] for {!Bound_engine.time_slice}:
+    it answers [true] when the stage-1 bounds or the search prove a
+    slice unpackable. All its calls share one fixed budget of 2,000
+    search nodes; an exhausted budget or an open search answers
+    [false]. *)
+val slice_refuter : unit -> Instance.t -> Geometry.Container.t -> bool
 
 (** [solve_state ?options ?depth_offset ?share state] runs the stage-3
     search alone, from an already-initialized (and possibly partially

@@ -142,7 +142,7 @@ let run_probe ?schedule ctx cont inst =
        the probe for free — no budget charge, no probe event. The engine
        ignores [schedule], which only adds constraints, so a refutation
        of the unscheduled instance refutes the scheduled one too. *)
-    match engine_use ctx (fun e -> Bound_engine.check e inst cont) with
+    match engine_use ctx (fun e -> Opp_solver.root_check e inst cont) with
     | Some (Bound_engine.Infeasible _) -> true
     | Some (Bound_engine.Lower_bound _ | Bound_engine.Inconclusive) | None ->
       false

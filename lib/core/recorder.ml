@@ -131,10 +131,10 @@ type t = {
   mutable m_worker_nodes : Metrics.counter;
 }
 
-let create ?(trace = Trace.null) () =
+let make ~trace ~registry =
   {
     trace;
-    registry = Metrics.default ();
+    registry;
     started = Clock.now ();
     rule_calls = Array.make 6 0;
     rule_time = Array.make 6 0.0;
@@ -145,6 +145,9 @@ let create ?(trace = Trace.null) () =
     work = tallies 4;
     m_worker_nodes = off;
   }
+
+let create ?(trace = Trace.null) () = make ~trace ~registry:(Metrics.default ())
+let detached () = make ~trace:Trace.null ~registry:Metrics.null
 
 let enabled t = Trace.enabled t.trace || Metrics.enabled t.registry
 

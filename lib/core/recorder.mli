@@ -22,6 +22,11 @@ type t
     time of the call. *)
 val create : ?trace:Trace.t -> unit -> t
 
+(** A recorder that writes to no trace and no registry: the tallies of
+    a search run inside a bound ({!Opp_solver.root_check}), whose work
+    counts as that bound's time only. *)
+val detached : unit -> t
+
 (** Whether the trace or the registry is live. *)
 val enabled : t -> bool
 

@@ -36,9 +36,11 @@ let rec compare_slices (a : int array) oa la ob lb j =
     let c = Int.compare a.(oa + j) a.(ob + j) in
     if c <> 0 then c else compare_slices a oa la ob lb (j + 1)
 
-(* Sorts [a.(lo) .. a.(hi - 1)]. The inputs are short or nearly sorted:
-   signature sections, and task orders sorted by the previous round. *)
+(* Sorts [a.(lo) .. a.(hi - 1)] and returns the comparisons it made.
+   The inputs are short or nearly sorted: signature sections, and task
+   orders sorted by the previous round. *)
 let insertion_sort cmp (a : int array) lo hi =
+  let steps = ref 0 in
   for i = lo + 1 to hi - 1 do
     let x = a.(i) in
     let j = ref (i - 1) in
@@ -46,11 +48,15 @@ let insertion_sort cmp (a : int array) lo hi =
       a.(!j + 1) <- a.(!j);
       decr j
     done;
-    a.(!j + 1) <- x
-  done
+    a.(!j + 1) <- x;
+    steps := !steps + i - !j
+  done;
+  !steps
 
-(* Leaf orderings the tie-break search may materialize. *)
-let leaf_budget = 4096
+(* Steps one canonicalization may spend: signature entries written,
+   sort comparisons and certificate entries. FIR-32 needs about 2.0M;
+   a step is a few nanoseconds on a 2-core x86-64 host. *)
+let work_budget = 4_000_000
 
 (* What a search node returns when no automorphism cut its subtree short. *)
 let no_jump = max_int
@@ -95,13 +101,18 @@ let of_instance inst =
     let oa = sig_off.(a) and ob = sig_off.(b) in
     compare_slices sg oa (sig_off.(a + 1) - oa) ob (sig_off.(b + 1) - ob) 0
   in
+  (* Steps spent so far, against [work_budget]; [truncated] records that
+     the budget cut refinement or the search short. *)
+  let work = ref 0 and truncated = ref false in
+  let spend k = work := !work + k in
+  let expired () = !work >= work_budget in
   (* Dense ranks 0..k-1 under [cmp] written to [into]; returns k. Ranks
      depend only on the multiset of keys, so they are invariant under any
      relabeling of the tasks — the property every round of refinement
      rests on. *)
   let order = Array.init n Fun.id in
   let dense_ranks cmp into =
-    insertion_sort cmp order 0 n;
+    spend (insertion_sort cmp order 0 n);
     into.(order.(0)) <- 0;
     let k = ref 0 in
     for r = 1 to n - 1 do
@@ -117,12 +128,14 @@ let of_instance inst =
      a stable partition. The [-1] terminators make the lexicographic
      order on signatures the structural order on (colour, per-axis
      (succs, preds) lists) tuples: the ranks, and so the keys, do not
-     depend on the flat encoding. *)
+     depend on the flat encoding. Refinement stops early, between two
+     rounds, when the work budget runs out. *)
   let next = Array.make n 0 in
   let refine colors classes =
     let classes = ref classes in
     let stable = ref (!classes = n) in
-    while not !stable do
+    while not (!stable || expired ()) do
+      spend sig_off.(n);
       for v = 0 to n - 1 do
         sg.(sig_off.(v)) <- colors.(v);
         let start = ref (sig_off.(v) + 1) in
@@ -132,7 +145,7 @@ let of_instance inst =
           if w >= 0 then sg.(p) <- colors.(w)
           else begin
             sg.(p) <- -1;
-            insertion_sort Int.compare sg !start p;
+            spend (insertion_sort Int.compare sg !start p);
             start := p + 1
           end
         done
@@ -144,6 +157,7 @@ let of_instance inst =
         classes := c
       end
     done;
+    if not !stable then truncated := true;
     !classes
   in
 
@@ -156,6 +170,7 @@ let of_instance inst =
   let ord = Array.make n 0 in
   let buf = Buffer.create 256 in
   let certificate pos =
+    spend (sig_off.(n) + (n * d));
     Buffer.clear buf;
     add_nat buf n;
     Buffer.add_char buf 'd';
@@ -209,9 +224,7 @@ let of_instance inst =
   let best = ref "" (* no leaf yet: a certificate is never empty *) in
   let best_pos = Array.make n 0 and best_inv = Array.make n 0 in
   let autos = ref [] and n_autos = ref 0 in
-  let leaves = ref 0 and truncated = ref false in
   let leaf dep pos =
-    incr leaves;
     let cert = certificate pos in
     let c = if !best = "" then -1 else String.compare cert !best in
     if c < 0 then begin
@@ -241,10 +254,15 @@ let of_instance inst =
       Array.iter (fun c -> counts.(c) <- counts.(c) + 1) colors;
       let rec first_cell c = if counts.(c) >= 2 then c else first_cell (c + 1) in
       let t = first_cell 0 in
+      (* Past the budget, refinement returns at once and the cell's
+         smallest task is the only candidate: the search runs straight
+         down to one leaf. *)
       let reps = ref [] in
       for v = n - 1 downto 0 do
         if colors.(v) = t then
-          reps := v :: List.filter (fun w -> not (same_nb v w)) !reps
+          reps :=
+            if expired () then [ v ]
+            else v :: List.filter (fun w -> not (same_nb v w)) !reps
       done;
       (* orbits of the prefix stabilizer found so far, as a union-find *)
       let uf = Array.init n Fun.id and seen = ref 0 in
@@ -264,7 +282,7 @@ let of_instance inst =
           seen := !n_autos;
           if List.exists (fun v -> find uf v = find uf w) !explored then
             loop (idx + 1) rest
-          else if idx = 0 || !leaves < leaf_budget then begin
+          else if idx = 0 || not (expired ()) then begin
             path.(dep) <- w;
             let child =
               Array.map (fun c -> if c < t then c else if c > t then c + 1 else t + 1) colors

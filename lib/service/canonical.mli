@@ -46,17 +46,18 @@
     serialization, so equal keys always mean isomorphic instances — a
     collision can never return the answer of a different problem.
     Completeness (isomorphic instances always sharing a key) holds
-    whenever the search finishes within its budget of 4096 leaves. The
-    budget still guards inputs whose tree refinement and the found
-    automorphisms cannot shrink enough: symmetric cells that
-    refinement cannot split, whose candidates lie in different orbits
-    (so no automorphism prunes them), at every level. No family of
-    [Benchmarks.Dfg] reaches it: FIR filters up to 64 taps, butterflies
-    up to 6 stages, and chains and independent sets of 64 tasks all
-    finish.
-    If the budget runs out, the search keeps the best leaf so far and
-    reports [complete = false]; that only costs cache hits, never
-    correctness. *)
+    whenever canonicalization finishes within its work budget of 4M
+    steps: signature entries written, sort comparisons and certificate
+    entries, counted the same way on every host. FIR filters up to 32
+    taps (about 2M steps), butterflies up to 4 stages, and chains and
+    independent sets of 64 tasks finish; FIR-64 and 5- or 6-stage
+    butterflies do not. When the budget runs out, refinement stops
+    between two rounds, the search explores no further sibling and
+    individualizes the smallest task of each remaining cell down to one
+    leaf, keeps the best leaf so far and reports [complete = false].
+    That only costs cache hits, never correctness, and bounds the time
+    a request spends here (butterfly-6, 576 tasks: about 60 ms on a
+    2-core x86-64 host instead of 2.7 s). *)
 
 type t = {
   instance : Packing.Instance.t;
@@ -71,14 +72,13 @@ type t = {
   perm : int array;
       (** [perm.(i)] is the canonical position of original task [i] *)
   complete : bool;
-      (** [false] when the tie-break search hit its leaf budget and kept
-          the best ordering found so far (sound, possibly missing
-          hits) *)
+      (** [false] when refinement or the tie-break search ran out of
+          the work budget and kept the best ordering found so far
+          (sound, possibly missing hits) *)
 }
 
-(** [of_instance inst] canonicalizes [inst]. The tie-break search
-    materializes at most 4096 leaf orderings; the instances of the
-    benchmarks use one to a few dozen. *)
+(** [of_instance inst] canonicalizes [inst] within the work budget;
+    the instances of the benchmarks use one to a few dozen leaves. *)
 val of_instance : Packing.Instance.t -> t
 
 (** [restore_placement c ~original p] maps a placement of the canonical

@@ -218,7 +218,7 @@ let test_verdict_json () =
       | Engine.Inconclusive ->
         Alcotest.(check bool) (name ^ " inconclusive tag") true
           (contains js "\"inconclusive\""))
-    (Engine.run_all e i (cont3 3 3 3))
+    (Engine.run_all e ~refute:(Solver.slice_refuter ()) i (cont3 3 3 3))
 
 let test_solver_stats_carry_bounds () =
   let i = inst [ box3 2 2 2; box3 2 2 2 ] in
@@ -277,15 +277,20 @@ let test_derived_extents_saturate () =
 
 (* [run_all] evaluates every bound, the DFF ones included, even when a
    task overflows the container: [misfit] must speak and nothing may
-   raise (the DFFs are only defined on extents within the container). *)
+   raise (the DFFs are only defined on extents within the container).
+   The time-slice bound leaves that certificate to [misfit] too. *)
 let misfit_verdicts i c =
-  let verdicts = Engine.run_all (Engine.create ()) i c in
+  let verdicts =
+    Engine.run_all (Engine.create ()) ~refute:(Solver.slice_refuter ()) i c
+  in
   let is_infeasible name =
     match List.assoc name verdicts with
     | Engine.Infeasible _ -> true
     | Engine.Lower_bound _ | Engine.Inconclusive -> false
   in
-  (is_infeasible "misfit", is_infeasible "dff-volume" || is_infeasible "dff-time")
+  ( is_infeasible "misfit",
+    is_infeasible "dff-volume" || is_infeasible "dff-time"
+    || is_infeasible "time-slice" )
 
 let prop_run_all_on_misfit case =
   let i = case_instance case in
@@ -296,7 +301,7 @@ let prop_run_all_on_misfit case =
   if misfit <> Option.is_some (Engine.misfit i c) then
     QCheck.Test.fail_report "misfit verdict disagrees with Engine.misfit";
   if misfit && dff then
-    QCheck.Test.fail_report "a DFF bound spoke on a misfit container";
+    QCheck.Test.fail_report "a DFF or time-slice bound spoke on a misfit container";
   true
 
 let test_run_all_de_small_chips () =
@@ -310,6 +315,137 @@ let test_run_all_de_small_chips () =
   done;
   let misfit, _ = misfit_verdicts de (cont3 8 8 14) in
   Alcotest.(check bool) "8x8 is a misfit" true misfit
+
+(* ------------------------------------------------------------------ *)
+(* Time slices                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* A guillotine instance with its witness tiling, in 2 to 4 dimensions,
+   with orders on the objective axis, the first axis or both. *)
+let arb_tiling =
+  QCheck.make
+    QCheck.Gen.(
+      let* dim = oneofl [ 2; 3; 4 ] in
+      let* seed = int_range 0 1_000_000 in
+      let* cuts = int_range 1 12 in
+      let* arc_probability = oneofl [ 0.0; 0.3; 0.6; 1.0 ] in
+      let* axes = oneofl [ [ dim - 1 ]; [ 0 ]; [ 0; dim - 1 ] ] in
+      return (dim, seed, cuts, arc_probability, axes))
+    ~print:(fun (dim, seed, cuts, ap, axes) ->
+      Printf.sprintf "dim=%d seed=%d cuts=%d arcs=%.1f axes=[%s]" dim seed cuts
+        ap
+        (String.concat ";" (List.map string_of_int axes)))
+
+let tiling (dim, seed, cuts, arc_probability, axes) =
+  let container =
+    Container.make (Array.init dim (fun k -> if k = dim - 1 then 8 else 6))
+  in
+  let inst, witness =
+    Benchmarks.Generate.guillotine ~order_axes:axes ~seed ~container ~cuts
+      ~arc_probability ()
+  in
+  (inst, container, witness)
+
+(* Every slice runs together in the witness too (its start times lie in
+   the windows), and the root check never refutes a feasible instance. *)
+let prop_time_slice_sound case =
+  let inst, container, witness = tiling case in
+  let ta = Packing.Instance.objective_axis inst in
+  List.iter
+    (fun (t, tasks) ->
+      List.iter
+        (fun i ->
+          let s = (Geometry.Placement.origin witness i).(ta) in
+          if not (s <= t && t < s + Packing.Instance.duration inst i) then
+            QCheck.Test.fail_reportf "task %d does not run at time %d" i t)
+        tasks)
+    (Engine.time_slices inst container);
+  match Solver.root_check (Engine.create ()) inst container with
+  | Engine.Infeasible c ->
+    QCheck.Test.fail_reportf "a tiling refuted by %s: %s" c.Engine.bound
+      c.Engine.detail
+  | Engine.Lower_bound _ | Engine.Inconclusive -> true
+
+let parse_instance text = (Fpga.Instance_io.parse text).Fpga.Instance_io.instance
+
+(* Request u298 of the serve-unique pool, canonical labels:
+   [Generate.random] n=10 on a 7x7 chip. Its critical path is 5, and
+   t2, t4, t5, t7 and t9 run during cycle 2 in every 5-cycle schedule:
+   44 of 49 cells, but no packing of the 7x7 chip. *)
+let u298 =
+  parse_instance
+    {|task t0 1 2 1
+task t1 1 3 1
+task t2 1 3 1
+task t3 1 3 2
+task t4 3 3 3
+task t5 3 4 3
+task t6 4 1 1
+task t7 4 2 3
+task t8 4 3 2
+task t9 4 3 2
+dep t2 t8
+dep t3 t2
+dep t3 t7
+dep t6 t9
+dep t9 t8
+|}
+
+let test_u298_refuted_by_slice () =
+  let options = { Solver.default_options with node_limit = Some 25_000 } in
+  let outcome, stats = Solver.solve ~options u298 (cont3 7 7 5) in
+  Alcotest.(check string) "7x7x5" "infeasible"
+    (Format.asprintf "%a" Solver.pp_outcome outcome);
+  Alcotest.(check bool) "by bounds" true stats.Solver.by_bounds;
+  Alcotest.(check int) "no node" 0 stats.Solver.nodes;
+  Alcotest.(check int) "time-slice prunes" 1
+    (List.assoc "time-slice" stats.Solver.bounds).Packing.Telemetry.prunes;
+  match Solver.root_check (Engine.create ()) u298 (cont3 7 7 5) with
+  | Engine.Infeasible c ->
+    Alcotest.(check (pair string string)) "certificate"
+      ( "time-slice",
+        "tasks 2,4,5,7,9 all run at time 2 and do not pack the 7x7 \
+         cross-section" )
+      (c.Engine.bound, c.Engine.detail)
+  | Engine.Lower_bound _ | Engine.Inconclusive ->
+    Alcotest.fail "the root check does not refute 7x7x5"
+
+(* Request u83 of the serve-unique pool, canonical labels: a
+   [Generate.guillotine] tiling of 8x8x8 with no volume slack, so the
+   search explores the comparable branch first. Component first needs
+   56,336 nodes. *)
+let u83 =
+  parse_instance
+    {|task t0 1 2 1
+task t1 1 6 1
+task t2 1 8 1
+task t3 1 8 3
+task t4 2 8 1
+task t5 2 8 1
+task t6 2 8 5
+task t7 3 8 5
+task t8 3 8 5
+task t9 5 8 1
+task t10 5 8 2
+dep t0 t4
+dep t0 t5
+dep t0 t6
+dep t0 t8
+dep t1 t9
+dep t2 t5
+dep t3 t6
+dep t10 t6
+dep t10 t8
+dep t10 t9
+|}
+
+let test_u83_zero_slack_tiling () =
+  let options = { Solver.default_options with node_limit = Some 1_000 } in
+  match Solver.solve ~options u83 (cont3 8 8 8) with
+  | Solver.Feasible _, stats ->
+    Alcotest.(check bool) "searched" false stats.Solver.by_heuristic
+  | (Solver.Infeasible | Solver.Timeout), _ ->
+    Alcotest.fail "8x8x8 not solved within 1,000 nodes"
 
 let () =
   Alcotest.run "bounds engine"
@@ -349,6 +485,15 @@ let () =
         [
           Alcotest.test_case "derived extents saturate" `Quick
             test_derived_extents_saturate;
+        ] );
+      ( "time-slice",
+        [
+          qtest ~count:300 "never refutes a guillotine tiling" arb_tiling
+            prop_time_slice_sound;
+          Alcotest.test_case "u298 refuted at the root" `Quick
+            test_u298_refuted_by_slice;
+          Alcotest.test_case "u83 tiling found at zero slack" `Quick
+            test_u83_zero_slack_tiling;
         ] );
       ( "misfit",
         [

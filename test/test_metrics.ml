@@ -504,7 +504,7 @@ let catalogue registry =
               f.M.samples)))
     (List.sort compare (M.snapshot registry))
 
-let bound_labels = "bound=clique-space;bound=clique-time;bound=critical-path;bound=dff-time;bound=dff-volume;bound=energetic;bound=misfit;bound=volume"
+let bound_labels = "bound=clique-space;bound=clique-time;bound=critical-path;bound=dff-time;bound=dff-volume;bound=energetic;bound=misfit;bound=time-slice;bound=volume"
 
 let bound_catalogue =
   [
@@ -575,7 +575,8 @@ let search_stats_bytes =
       {|"clique-space":{"calls":1,"time_s":"#","prunes":0},|};
       {|"dff-volume":{"calls":1,"time_s":"#","prunes":0},|};
       {|"dff-time":{"calls":1,"time_s":"#","prunes":0},|};
-      {|"energetic":{"calls":4,"time_s":"#","prunes":0}}}|};
+      {|"energetic":{"calls":4,"time_s":"#","prunes":0},|};
+      {|"time-slice":{"calls":1,"time_s":"#","prunes":0}}}|};
     ]
 
 let probe_bytes =
@@ -589,7 +590,8 @@ let probe_bytes =
       {|"clique-space":{"calls":2,"time_s":"#","prunes":0},|};
       {|"dff-volume":{"calls":2,"time_s":"#","prunes":0},|};
       {|"dff-time":{"calls":2,"time_s":"#","prunes":0},|};
-      {|"energetic":{"calls":25,"time_s":"#","prunes":3}}}]|};
+      {|"energetic":{"calls":25,"time_s":"#","prunes":3},|};
+      {|"time-slice":{"calls":1,"time_s":"#","prunes":0}}}]|};
     ]
 
 let test_stats_bytes () =

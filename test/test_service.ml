@@ -356,7 +356,7 @@ let prop_matches_reference case =
   true
 
 (* A 63-task FIR filter: an adder tree with 2^31 automorphisms. Orbit
-   pruning finishes the search well inside the leaf budget, so two
+   pruning finishes the search well inside the work budget, so two
    relabelings share a key. *)
 let test_fir32_complete () =
   let inst = Benchmarks.Dfg.fir ~taps:32 in
@@ -365,6 +365,28 @@ let test_fir32_complete () =
   Alcotest.(check bool) "first relabeling complete" true a.Canonical.complete;
   Alcotest.(check bool) "second relabeling complete" true b.Canonical.complete;
   Alcotest.(check string) "relabelings share a key" a.Canonical.key b.Canonical.key
+
+(* A 6-stage butterfly (576 tasks) runs out of the work budget: its key
+   is sound but not canonical, so relabelings may miss the cache, yet
+   they answer alike. *)
+let test_butterfly6_budgeted () =
+  let inst = Benchmarks.Dfg.butterfly ~stages:6 in
+  Alcotest.(check bool) "incomplete" false
+    (Canonical.of_instance inst).Canonical.complete;
+  let server = Server.create () in
+  let events = Writer.of_sink (fun _ -> ()) in
+  let answer seed =
+    let r, _ =
+      Server.handle_request server events
+        (parse_json
+           (request_line ~id:"b6" ~op:"solve" ~chip:(32, 32) ~time:110
+              (permute_instance (Random.State.make [| seed |]) inst)))
+    in
+    str_field "status" r
+  in
+  let first = answer 1 in
+  Alcotest.(check string) "relabelings answer alike" first (answer 2);
+  Alcotest.(check string) "heuristic witness" "feasible" first
 
 (* The digest names a key in logs and metrics: its bytes are pinned. *)
 let test_digest_pinned () =
@@ -944,6 +966,8 @@ let () =
             prop_matches_reference;
           Alcotest.test_case "FIR-32 canonicalizes completely" `Quick
             test_fir32_complete;
+          Alcotest.test_case "butterfly-6 stops at the work budget" `Quick
+            test_butterfly6_budgeted;
           Alcotest.test_case "digest bytes pinned" `Quick test_digest_pinned;
         ] );
       ( "cache",
