@@ -539,7 +539,7 @@ let parallel_bench ~budget_s ~rounds ~jobs_levels cases =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Bound engine: stage-3 search with node-level bound checks on vs     *)
+(* Bound engine: stage-3 search with root and node bounds on vs       *)
 (* off, written to BENCH_bounds.json                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -582,8 +582,8 @@ let bounds_bench ~node_limit ~rounds cases =
      interleaved best of %d) ==@."
     node_limit rounds;
   (* Off: no engine anywhere. On: the full integration — stage-1 root
-     check plus throttled node-level checks. Heuristic off on both
-     sides so only the search and the bounds are measured. *)
+     check plus the throttled node-level energetic check. Heuristic off
+     on both sides so only the search and the bounds are measured. *)
   let off_options =
     {
       search_only with
@@ -675,7 +675,7 @@ let bounds_bench ~node_limit ~rounds cases =
           (Printf.sprintf
              "search-only stage 3, sequential, heuristic off; off = no \
               engine (no stage-1, node_bounds never), on = stage-1 root \
-              check + adaptive node bounds; nodes deterministic, time = \
+              check + adaptive node energetic; nodes deterministic, time = \
               interleaved best of %d runs, node-capped runs measured once; \
               node_ratio uses +1 smoothing and is an upper bound when the \
               off side hit the node cap"

@@ -251,19 +251,11 @@ let sequencing_of_instance inst =
 (* Registered bounds                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Every bound takes the instance, the container, and a sequencing
-   digraph of committed time-axis arcs. For root calls the sequencing is
-   the precedence order; at a search node it is the current transitive
-   orientation of the time dimension, which contains the precedence arcs
-   plus every branching decision — any arc holds in every completion of
-   the node, so the dynamic bounds refute whole subtrees. *)
-type entry = {
-  name : string;
-  dynamic : bool; (* worth re-running at search nodes *)
-  run : Instance.t -> Container.t -> seq:Digraph.t -> verdict;
-}
+(* Every registered bound is a function of the instance and the
+   container alone: the order it uses is the instance's precedence. *)
+type entry = { name : string; run : Instance.t -> Container.t -> verdict }
 
-let run_misfit inst container ~seq:_ =
+let run_misfit inst container =
   match misfit inst container with
   | Some i ->
     Infeasible
@@ -273,7 +265,7 @@ let run_misfit inst container ~seq:_ =
       }
   | None -> Inconclusive
 
-let run_volume inst container ~seq:_ =
+let run_volume inst container =
   if volume_exceeded inst container then
     Infeasible
       { bound = "volume"; detail = "total volume exceeds the container" }
@@ -284,7 +276,7 @@ let run_volume inst container ~seq:_ =
     time_bound_verdict ~name:"volume"
       ~detail:"volume per time slice exceeds the chip area" inst container lb
 
-let run_critical_path inst container ~seq =
+let run_critical_path inst container =
   (* Static per-axis chains first: any non-objective axis carrying an
      order needs its heaviest chain to fit that axis's extent. (Empty
      orders — every legacy 3D instance — skip this in O(1) per axis.) *)
@@ -305,22 +297,21 @@ let run_critical_path inst container ~seq =
             k;
       }
   | None ->
-    if not (Digraph.is_acyclic seq) then Inconclusive
-    else
-      let lb = Digraph.critical_path seq ~weight:(Instance.duration inst) in
-      time_bound_verdict ~name:"critical-path"
-        ~detail:"an oriented chain exceeds the time bound" inst container lb
+    time_bound_verdict ~name:"critical-path"
+      ~detail:"an oriented chain exceeds the time bound" inst container
+      (Instance.critical_path inst)
 
 (* Serialization clique along the time axis: two tasks must be disjoint
    in time when they overflow the container in every spatial axis, and
-   also when the sequencing digraph already orders them. The max-weight
-   clique of that union graph (weight = duration) must fit the time
-   extent; with the precedence arcs alone this already dominates both
-   the legacy exclusion clique and the critical path. *)
-let run_clique_time inst container ~seq =
+   also when the precedence orders them. The max-weight clique of that
+   union graph (weight = duration) must fit the time extent; this
+   already dominates both the legacy exclusion clique and the critical
+   path. *)
+let run_clique_time inst container =
   let lb =
     exclusion_extent inst container ~axis:(Instance.objective_axis inst)
-      ~also:(fun i j -> Digraph.mem_arc seq i j || Digraph.mem_arc seq j i)
+      ~also:(fun i j ->
+        Instance.precedes inst i j || Instance.precedes inst j i)
   in
   time_bound_verdict ~name:"clique-time"
     ~detail:"a serialization clique exceeds the time bound" inst container lb
@@ -329,7 +320,7 @@ let run_clique_time inst container ~seq =
    container in every axis except [k] (time included) must be disjoint
    along [k], so a clique of such pairs needs extents summing within the
    container's [k]-extent. *)
-let run_clique_space inst container ~seq:_ =
+let run_clique_space inst container =
   let overflows k =
     k <> Instance.objective_axis inst
     && Graphlib.Cliques.exists_clique_heavier
@@ -351,7 +342,7 @@ let run_clique_space inst container ~seq:_ =
 (* The DFFs are defined on extents up to the container's: a task that
    overflows the container is the misfit bound's certificate, and both
    DFF bounds stay silent on it. *)
-let run_dff_volume inst container ~seq:_ =
+let run_dff_volume inst container =
   if Option.is_some (misfit inst container) then Inconclusive
   else
     match dff_volume_exceeded inst container with
@@ -361,7 +352,7 @@ let run_dff_volume inst container ~seq:_ =
 (* DFF time bound: transform the spatial axes only (identity on time).
    Products of per-axis DFFs preserve packability, so every transformed
    packing still needs ceil(sum_i area'_i * d_i / base') time slices. *)
-let run_dff_time inst container ~seq:_ =
+let run_dff_time inst container =
   let n = Instance.count inst in
   let spatial = Array.of_list (spatial_axes inst) in
   let ns = Array.length spatial in
@@ -432,7 +423,8 @@ let windows inst container ~seq =
    respecting the committed arcs exists. The est/lft values come from
    longest paths over the sequencing digraph, so this bound mixes
    volume, precedence, and orientation — it can refute nodes the C2
-   clique check cannot. *)
+   clique check cannot, which makes it the one bound the search runs
+   at its nodes. *)
 let run_energetic inst container ~seq =
   if not (Digraph.is_acyclic seq) then Inconclusive
   else begin
@@ -494,14 +486,19 @@ let run_energetic inst container ~seq =
 
 let all_entries =
   [
-    { name = "misfit"; dynamic = false; run = run_misfit };
-    { name = "volume"; dynamic = false; run = run_volume };
-    { name = "critical-path"; dynamic = true; run = run_critical_path };
-    { name = "clique-time"; dynamic = true; run = run_clique_time };
-    { name = "clique-space"; dynamic = false; run = run_clique_space };
-    { name = "dff-volume"; dynamic = false; run = run_dff_volume };
-    { name = "dff-time"; dynamic = false; run = run_dff_time };
-    { name = "energetic"; dynamic = true; run = run_energetic };
+    { name = "misfit"; run = run_misfit };
+    { name = "volume"; run = run_volume };
+    { name = "critical-path"; run = run_critical_path };
+    { name = "clique-time"; run = run_clique_time };
+    { name = "clique-space"; run = run_clique_space };
+    { name = "dff-volume"; run = run_dff_volume };
+    { name = "dff-time"; run = run_dff_time };
+    {
+      name = "energetic";
+      run =
+        (fun inst container ->
+          run_energetic inst container ~seq:(sequencing_of_instance inst));
+    };
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -582,6 +579,7 @@ let slice_instance inst container tasks =
 
 type t = {
   entries : (entry * Recorder.bound) list;
+  energetic : Recorder.bound;
   time_slice : Recorder.bound;
   recorder : Recorder.t;
 }
@@ -592,6 +590,7 @@ let attach recorder =
   in
   {
     entries;
+    energetic = Recorder.register_bound recorder "energetic";
     time_slice = Recorder.register_bound recorder time_slice_name;
     recorder;
   }
@@ -614,30 +613,24 @@ let check_dimensions ~who inst container =
   if Container.dim container <> Instance.dim inst then
     invalid_arg (who ^ ": dimension mismatch")
 
-let fold_entries t inst container ~seq ~only_dynamic =
-  let best = ref Inconclusive in
-  let refuted = ref None in
-  List.iter
-    (fun (e, tally) ->
-      if !refuted = None && ((not only_dynamic) || e.dynamic) then
-        match timed t tally (fun () -> e.run inst container ~seq) with
-        | Infeasible _ as v -> refuted := Some v
-        | Lower_bound l ->
-          (match !best with
-          | Lower_bound l' when l' >= l -> ()
-          | _ -> best := Lower_bound l)
-        | Inconclusive -> ())
-    t.entries;
-  match !refuted with Some v -> v | None -> !best
-
 let check t inst container =
   check_dimensions ~who:"Bound_engine.check" inst container;
-  let seq = sequencing_of_instance inst in
-  fold_entries t inst container ~seq ~only_dynamic:false
+  let rec first_refuted best = function
+    | [] -> best
+    | (e, tally) :: rest -> (
+      match timed t tally (fun () -> e.run inst container) with
+      | Infeasible _ as v -> v
+      | Lower_bound l -> (
+        match best with
+        | Lower_bound l' when l' >= l -> first_refuted best rest
+        | _ -> first_refuted (Lower_bound l) rest)
+      | Inconclusive -> first_refuted best rest)
+  in
+  first_refuted Inconclusive t.entries
 
-let check_oriented t inst container ~sequencing =
-  check_dimensions ~who:"Bound_engine.check_oriented" inst container;
-  fold_entries t inst container ~seq:sequencing ~only_dynamic:true
+let energetic_at_node t inst container ~sequencing =
+  check_dimensions ~who:"Bound_engine.energetic_at_node" inst container;
+  timed t t.energetic (fun () -> run_energetic inst container ~seq:sequencing)
 
 let time_lower_bound t inst container =
   check_dimensions ~who:"Bound_engine.time_lower_bound" inst container;
@@ -685,8 +678,7 @@ let time_slice t ~refute inst container =
 
 let run_all t ~refute inst container =
   check_dimensions ~who:"Bound_engine.run_all" inst container;
-  let seq = sequencing_of_instance inst in
   List.map
-    (fun (e, tally) -> (e.name, timed t tally (fun () -> e.run inst container ~seq)))
+    (fun (e, tally) -> (e.name, timed t tally (fun () -> e.run inst container)))
     t.entries
   @ [ (time_slice_name, time_slice t ~refute inst container) ]

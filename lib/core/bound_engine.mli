@@ -1,10 +1,11 @@
 (** Composable bounding/pruning engine.
 
     One registry of bound functions serves every layer that prunes: the
-    stage-1 root check and the in-search node pruning of
-    {!Opp_solver}, probe skipping and proven lower bounds in
-    {!Problems}, split-root pruning in {!Parallel_solver}, and the
-    pre-checks of {!Knapsack} and the baseline solvers.
+    stage-1 root check of {!Opp_solver}, probe skipping and proven
+    lower bounds in {!Problems}, split-root pruning in
+    {!Parallel_solver}, and the pre-checks of {!Knapsack} and the
+    baseline solvers. The search's node check is energetic reasoning
+    alone ({!energetic_at_node}).
 
     Every registered bound takes a (sub)instance plus a container and
     returns a typed {!verdict}:
@@ -22,11 +23,19 @@
     axis but one must be disjoint along that one), dual-feasible-function
     (DFF) transformed volume with the [f_eps] and [u^(k)] families, and
     precedence-aware longest-path and energetic-reasoning time bounds.
-    The precedence-aware families are {e dynamic}: they accept an
-    arbitrary sequencing digraph, so at a search node they can run on
-    the current transitive orientation of the time axis (which contains
-    the precedence arcs plus every branching decision) and cut subtrees
-    the static root bounds cannot see.
+    Every registered bound is a function of the instance and the
+    container, its order the instance's precedence.
+
+    Of these, only energetic reasoning also runs at search nodes, on
+    the committed time-axis arcs (precedence plus branching decisions).
+    The critical-path and time-clique bounds would re-check what the
+    packing-class conditions already have: under the default rules the
+    time orientation at a node is transitively closed, so a chain of
+    committed arcs is a clique of comparable pairs that C2 held to the
+    time extent, and a pair that overflows every spatial axis is
+    forced comparable in time by C3, so the exclusion clique plus the
+    committed arcs is again a C2 clique. Energetic windows are not a
+    clique argument.
 
     The {e time-slice} bound ({!time_slice}) runs at the root only. The
     precedence order and the time extent give each task a start window
@@ -73,9 +82,8 @@ type t
     first): ["misfit"; "volume"; "critical-path"; "clique-time";
     "clique-space"; "dff-volume"; "dff-time"; "energetic";
     "time-slice"]. ["clique-space"] covers every spatial axis; its
-    certificate names the axis that fired. {!check} and
-    {!check_oriented} run all but ["time-slice"], which only
-    {!time_slice} evaluates. *)
+    certificate names the axis that fired. {!check} runs all but
+    ["time-slice"], which only {!time_slice} evaluates. *)
 val default_names : string list
 
 (** [create ()] builds an engine with every bound of {!default_names}
@@ -94,19 +102,21 @@ val recorder : t -> Recorder.t
     recorder. A prune is an [Infeasible] verdict. *)
 val counters : t -> Telemetry.bound_counters
 
-(** [check t inst container] runs every registered bound (static and
-    dynamic, the latter on the instance's own precedence) and returns
-    the first [Infeasible] certificate, otherwise the strongest
-    [Lower_bound], otherwise [Inconclusive].
+(** [check t inst container] runs every registered bound in order
+    and returns the first [Infeasible] certificate, otherwise the
+    strongest [Lower_bound], otherwise [Inconclusive].
     @raise Invalid_argument on a dimension mismatch. *)
 val check : t -> Instance.t -> Container.t -> verdict
 
-(** [check_oriented t inst container ~sequencing] runs only the dynamic
-    bounds, with [sequencing] supplying the committed time-axis arcs
-    (precedence plus branching decisions). Sound at any search node:
-    every arc of [sequencing] holds in every completion of the node, so
-    an [Infeasible] verdict refutes the whole subtree. *)
-val check_oriented :
+(** [energetic_at_node t inst container ~sequencing] is the
+    ["energetic"] bound with [sequencing] supplying the committed
+    time-axis arcs (precedence plus branching decisions) in place of
+    the precedence. Sound at any search node: every arc of
+    [sequencing] holds in every completion of the node, so an
+    [Infeasible] verdict refutes the whole subtree. One call on the
+    ["energetic"] tally.
+    @raise Invalid_argument on a dimension mismatch. *)
+val energetic_at_node :
   t -> Instance.t -> Container.t -> sequencing:Digraph.t -> verdict
 
 (** [time_lower_bound t inst container] is the strongest proven lower

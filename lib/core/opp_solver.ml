@@ -141,7 +141,7 @@ let search ~options ~t0 ~depth_offset ?share state =
   let bounds_throttled =
     throttle options.node_bounds ~decided:0.15 ~trail:12 ~backoff:256
   in
-  (* The node-level bound engine records into the search's recorder. *)
+  (* The node-level energetic bound records into the search's recorder. *)
   let engine =
     match options.node_bounds with
     | Realize_never -> None
@@ -198,14 +198,13 @@ let search ~options ~t0 ~depth_offset ?share state =
       if wants_progress && Clock.expired !next_progress then heartbeat ()
     end
   in
-  (* Engine check on the committed time-axis arcs of the current node.
-     Any arc of the orientation holds in every completion of the node,
-     so an [Infeasible] verdict refutes the whole subtree — including
-     subtrees the C2 clique check cannot cut, e.g. by energetic
-     reasoning over start-time windows. *)
+  (* Energetic reasoning on the committed time-axis arcs of the current
+     node. Any arc of the orientation holds in every completion of the
+     node, so an [Infeasible] verdict refutes the whole subtree, which
+     the C2 clique check cannot always cut. *)
   let refute () =
     match
-      Bound_engine.check_oriented (Option.get engine)
+      Bound_engine.energetic_at_node (Option.get engine)
         (Packing_state.instance state)
         (Packing_state.container state)
         ~sequencing:(Packing_state.time_sequencing state)

@@ -69,8 +69,8 @@ type stats = {
           and exact leaf checks combined) *)
   bounds : Telemetry.bound_counters;
       (** per-bound call/time/prune counters from the {!Bound_engine}:
-          the stage-1 root check plus the throttled in-search node
-          checks (see {!options.node_bounds}) *)
+          the stage-1 root check plus the throttled in-search
+          energetic checks (see {!options.node_bounds}) *)
 }
 
 (** When the search runs a per-node check: the opportunistic
@@ -141,13 +141,13 @@ type options = {
       (** throttle for the per-node realization attempt; defaults to
           [Realize_adaptive] *)
   node_bounds : realize_policy;
-      (** throttle for the in-search {!Bound_engine} check on the
-          committed time-axis arcs of the current node (precedence plus
-          branching decisions). An [Infeasible] verdict refutes the
-          whole subtree — these are exact certificates, so any policy
-          returns the same final verdict; the policy only trades extra
-          pruning against per-node overhead. Defaults to
-          [Realize_adaptive]. *)
+      (** throttle for the in-search
+          {!Bound_engine.energetic_at_node} check on the committed
+          time-axis arcs of the current node (precedence plus branching
+          decisions). An [Infeasible] verdict refutes the whole subtree
+          — these are exact certificates, so any policy returns the
+          same final verdict; the policy only trades extra pruning
+          against per-node overhead. Defaults to [Realize_adaptive]. *)
 }
 
 val default_options : options

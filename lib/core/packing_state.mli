@@ -81,8 +81,9 @@ val dimension : t -> int -> Order.Oriented_graph.t
     as a fresh digraph: the orientation of that dimension's
     comparability edges — order seeds plus every branching decision so
     far. Every arc holds in all completions of the node, which is what
-    makes it a sound sequencing argument for the dynamic bounds of
-    {!Bound_engine}. O(n^2) per call; callers throttle. *)
+    makes it a sound sequencing argument for
+    {!Bound_engine.energetic_at_node}. O(n^2) per call; callers
+    throttle. *)
 val time_sequencing : t -> Graphlib.Digraph.t
 
 (** [mark t] pushes a level onto the state's mark stack — the trail

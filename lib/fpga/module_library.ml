@@ -36,16 +36,14 @@ let types t =
     (fun a b -> compare a.type_name b.type_name)
     (Hashtbl.fold (fun _ mt acc -> mt :: acc) t [])
 
-let box ?(include_reconfig = true) mt =
-  let duration =
-    mt.exec_time + if include_reconfig then mt.reconfig_time else 0
-  in
-  Geometry.Box.make3 ~w:mt.width ~h:mt.height ~duration
+let box mt =
+  Geometry.Box.make3 ~w:mt.width ~h:mt.height
+    ~duration:(mt.exec_time + mt.reconfig_time)
 
-let instantiate ?include_reconfig t ~tasks =
+let instantiate t ~tasks =
   let boxes =
     Array.of_list
-      (List.map (fun (_, type_name) -> box ?include_reconfig (find t type_name)) tasks)
+      (List.map (fun (_, type_name) -> box (find t type_name)) tasks)
   in
   let labels = Array.of_list (List.map fst tasks) in
   (boxes, labels)

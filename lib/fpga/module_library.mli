@@ -26,17 +26,15 @@ val find : t -> string -> module_type
 val mem : t -> string -> bool
 val types : t -> module_type list
 
-(** [box ?include_reconfig mt] is the space-time box of one task of this
-    type: [width x height x (exec_time + reconfig_time)] when
-    [include_reconfig] is [true] (the default, matching the paper's
-    "considering this as an offset ... part of the execution time"). *)
-val box : ?include_reconfig:bool -> module_type -> Geometry.Box.t
+(** [box mt] is the space-time box of one task of this type:
+    [width x height x (exec_time + reconfig_time)], the paper's
+    "considering this as an offset ... part of the execution time". *)
+val box : module_type -> Geometry.Box.t
 
 (** [instantiate t ~tasks] builds the boxes and labels of an instance
     given a list of [(label, type name)] pairs.
     @raise Not_found on unknown type names. *)
 val instantiate :
-  ?include_reconfig:bool ->
   t ->
   tasks:(string * string) list ->
   Geometry.Box.t array * string array

@@ -38,36 +38,41 @@ let contains haystack needle =
 (* Random small instances: n <= 6, extents <= 3, containers <= 5^3.    *)
 (* ------------------------------------------------------------------ *)
 
-let arb_case =
-  let gen =
-    QCheck.Gen.(
-      let* n = int_range 1 6 in
-      let* dims =
-        list_repeat n (triple (int_range 1 3) (int_range 1 3) (int_range 1 3))
+(* [gen_case ~max_n ~min_side] draws 1 to [max_n] boxes, arcs between
+   them and container sides from [min_side] to 5. *)
+let gen_case ~max_n ~min_side =
+  QCheck.Gen.(
+    let* n = int_range 1 max_n in
+    let* dims =
+      list_repeat n (triple (int_range 1 3) (int_range 1 3) (int_range 1 3))
+    in
+    let* arcs =
+      let pairs =
+        List.concat_map
+          (fun u -> List.init (n - u - 1) (fun k -> (u, u + k + 1)))
+          (List.init n Fun.id)
       in
-      let* arcs =
-        let pairs =
-          List.concat_map
-            (fun u -> List.init (n - u - 1) (fun k -> (u, u + k + 1)))
-            (List.init n Fun.id)
-        in
-        flatten_l
-          (List.map
-             (fun p ->
-               let* keep = int_range 0 3 in
-               return (if keep = 0 then Some p else None))
-             pairs)
-      in
-      let* cw = int_range 2 5 and* ch = int_range 2 5 and* ct = int_range 2 5 in
-      return (dims, List.filter_map Fun.id arcs, (cw, ch, ct)))
-  in
-  QCheck.make gen ~print:(fun (dims, arcs, (cw, ch, ct)) ->
-      Format.asprintf "boxes=%s arcs=%s cont=%dx%dx%d"
-        (String.concat ","
-           (List.map (fun (w, h, d) -> Printf.sprintf "%dx%dx%d" w h d) dims))
-        (String.concat ","
-           (List.map (fun (a, b) -> Printf.sprintf "%d->%d" a b) arcs))
-        cw ch ct)
+      flatten_l
+        (List.map
+           (fun p ->
+             let* keep = int_range 0 3 in
+             return (if keep = 0 then Some p else None))
+           pairs)
+    in
+    let* cw = int_range min_side 5
+    and* ch = int_range min_side 5
+    and* ct = int_range min_side 5 in
+    return (dims, List.filter_map Fun.id arcs, (cw, ch, ct)))
+
+let print_case (dims, arcs, (cw, ch, ct)) =
+  Format.asprintf "boxes=%s arcs=%s cont=%dx%dx%d"
+    (String.concat ","
+       (List.map (fun (w, h, d) -> Printf.sprintf "%dx%dx%d" w h d) dims))
+    (String.concat ","
+       (List.map (fun (a, b) -> Printf.sprintf "%d->%d" a b) arcs))
+    cw ch ct
+
+let arb_case = QCheck.make (gen_case ~max_n:6 ~min_side:2) ~print:print_case
 
 let case_instance (dims, arcs, _) =
   inst ~precedence:arcs (List.map (fun (w, h, d) -> box3 w h d) dims)
@@ -229,10 +234,10 @@ let test_solver_stats_carry_bounds () =
     (contains (Solver.stats_to_json stats) "\"bounds\"")
 
 (* ------------------------------------------------------------------ *)
-(* Oriented (node-level) checks                                        *)
+(* Node-level checks                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let test_check_oriented_uses_arcs () =
+let test_energetic_at_node_uses_arcs () =
   let e = Engine.create () in
   (* No precedence at all: two 1x1x3 tasks fit a 2-wide chip in 3
      cycles side by side. An oriented arc 0 -> 1 (a branching decision)
@@ -243,9 +248,74 @@ let test_check_oriented_uses_arcs () =
   | Engine.Infeasible _ -> Alcotest.fail "feasible instance refuted at root"
   | _ -> ());
   let seq = Graphlib.Digraph.of_arcs 2 [ (0, 1) ] in
-  match Engine.check_oriented e i c ~sequencing:seq with
+  match Engine.energetic_at_node e i c ~sequencing:seq with
   | Engine.Infeasible _ -> ()
   | _ -> Alcotest.fail "oriented chain 3+3 must refute t_max = 5"
+
+(* Up to 8 boxes in containers they all fit, plus a walk seed. *)
+let arb_walk =
+  QCheck.make
+    QCheck.Gen.(pair (gen_case ~max_n:8 ~min_side:3) (int_range 0 1_000_000))
+    ~print:(fun (case, seed) ->
+      Printf.sprintf "%s seed=%d" (print_case case) seed)
+
+(* Why the search runs no critical-path or clique-time bound at its
+   nodes: under the default rules every node that survives propagation
+   already meets both. The heaviest chain of committed time arcs, and
+   the heaviest exclusion clique with those arcs added, fit the time
+   extent (C2 held each such clique to it, C3 made each exclusion pair
+   comparable in time). A random walk of branching decisions checks
+   every node it reaches. *)
+let prop_node_chains_within_time (case, seed) =
+  let module St = Packing.Packing_state in
+  let i = case_instance case in
+  let _, _, (cw, ch, ct) = case in
+  let c = cont3 cw ch ct in
+  let rng = Random.State.make [| seed |] in
+  let check st =
+    let seq = St.time_sequencing st in
+    let chain =
+      Graphlib.Digraph.critical_path seq ~weight:(Packing.Instance.duration i)
+    in
+    let clique =
+      Engine.exclusion_extent i c ~axis:(Packing.Instance.objective_axis i)
+        ~also:(fun u v ->
+          Graphlib.Digraph.mem_arc seq u v || Graphlib.Digraph.mem_arc seq v u)
+    in
+    if chain > ct || clique > ct then
+      QCheck.Test.fail_reportf
+        "a node survives with chain %d and clique %d past time extent %d"
+        chain clique ct
+  in
+  let rec walk st =
+    check st;
+    let open_pairs =
+      List.concat_map
+        (fun dim ->
+          List.map
+            (fun (u, v) -> (dim, u, v))
+            (Order.Oriented_graph.unknown_pairs (St.dimension st dim)))
+        [ 0; 1; 2 ]
+    in
+    if open_pairs <> [] then begin
+      let dim, u, v =
+        List.nth open_pairs (Random.State.int rng (List.length open_pairs))
+      in
+      let assign overlap =
+        if overlap then St.assign_component st ~dim u v
+        else St.assign_comparable st ~dim u v
+      in
+      let first = Random.State.bool rng in
+      let m = St.mark st in
+      match assign first with
+      | Ok () -> walk st
+      | Error _ -> (
+        St.undo_to st m;
+        match assign (not first) with Ok () -> walk st | Error _ -> ())
+    end
+  in
+  (match St.create i c with Ok st -> walk st | Error _ -> ());
+  true
 
 (* ------------------------------------------------------------------ *)
 (* Derived extents past max_int                                        *)
@@ -478,8 +548,10 @@ let () =
         ] );
       ( "oriented",
         [
-          Alcotest.test_case "check_oriented uses arcs" `Quick
-            test_check_oriented_uses_arcs;
+          Alcotest.test_case "energetic_at_node uses arcs" `Quick
+            test_energetic_at_node_uses_arcs;
+          qtest ~count:1000 "nodes keep chains within the time extent" arb_walk
+            prop_node_chains_within_time;
         ] );
       ( "overflow",
         [

@@ -45,9 +45,7 @@ let test_library_basics () =
   Alcotest.(check bool) "not mem" false (ML.mem lib "FPU");
   Alcotest.(check int) "types" 2 (List.length (ML.types lib));
   let b = ML.box (ML.find lib "MUL") in
-  Alcotest.(check int) "duration includes reconfig" 3 (Box.extent b 2);
-  let b = ML.box ~include_reconfig:false (ML.find lib "MUL") in
-  Alcotest.(check int) "pure execution" 2 (Box.extent b 2)
+  Alcotest.(check int) "duration includes reconfig" 3 (Box.extent b 2)
 
 let test_library_duplicate () =
   Alcotest.check_raises "duplicate"

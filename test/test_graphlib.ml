@@ -402,41 +402,6 @@ let prop_clique_is_clique (n, es) =
   U.is_clique g vs && w = List.fold_left (fun acc v -> acc + weight v) 0 vs
 
 (* ------------------------------------------------------------------ *)
-
-
-(* ------------------------------------------------------------------ *)
-(* LexBFS                                                              *)
-(* ------------------------------------------------------------------ *)
-
-module Lexbfs = Graphlib.Lexbfs
-
-let test_lexbfs_order () =
-  let g = path 4 in
-  let o = Lexbfs.order g () in
-  Alcotest.(check int) "starts at 0" 0 o.(0);
-  let seen = Array.make 4 false in
-  Array.iter (fun v -> seen.(v) <- true) o;
-  Alcotest.(check bool) "permutation" true (Array.for_all Fun.id seen)
-
-let test_lexbfs_chordal () =
-  Alcotest.(check bool) "path" true (Lexbfs.is_chordal (path 6));
-  Alcotest.(check bool) "K5" true (Lexbfs.is_chordal (complete 5));
-  Alcotest.(check bool) "C4" false (Lexbfs.is_chordal (cycle 4));
-  Alcotest.(check bool) "C6" false (Lexbfs.is_chordal (cycle 6))
-
-let prop_lexbfs_agrees_with_mcs (n, es) =
-  let g = U.of_edges n es in
-  Lexbfs.is_chordal g = Chordal.is_chordal g
-
-let prop_lexbfs_permutation (n, es) =
-  let g = U.of_edges n es in
-  let o = Lexbfs.order g () in
-  let seen = Array.make n false in
-  Array.iter (fun v -> seen.(v) <- true) o;
-  Array.for_all Fun.id seen
-
-
-(* ------------------------------------------------------------------ *)
 (* Generators                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -505,13 +470,6 @@ let () =
           qtest "interval generator" (QCheck.int_range 0 5000)
             prop_random_interval_is_interval;
           qtest "dag generator" (QCheck.int_range 0 5000) prop_random_dag_acyclic;
-        ] );
-      ( "lexbfs",
-        [
-          Alcotest.test_case "order" `Quick test_lexbfs_order;
-          Alcotest.test_case "chordality" `Quick test_lexbfs_chordal;
-          qtest "agrees with MCS" arb_graph prop_lexbfs_agrees_with_mcs;
-          qtest "permutation" arb_graph prop_lexbfs_permutation;
         ] );
       ( "comparability",
         [

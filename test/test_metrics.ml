@@ -570,8 +570,8 @@ let search_stats_bytes =
       {|"realize_attempts":4,"realize_time_s":"#"},|};
       {|"bounds":{"misfit":{"calls":1,"time_s":"#","prunes":0},|};
       {|"volume":{"calls":1,"time_s":"#","prunes":0},|};
-      {|"critical-path":{"calls":4,"time_s":"#","prunes":0},|};
-      {|"clique-time":{"calls":4,"time_s":"#","prunes":0},|};
+      {|"critical-path":{"calls":1,"time_s":"#","prunes":0},|};
+      {|"clique-time":{"calls":1,"time_s":"#","prunes":0},|};
       {|"clique-space":{"calls":1,"time_s":"#","prunes":0},|};
       {|"dff-volume":{"calls":1,"time_s":"#","prunes":0},|};
       {|"dff-time":{"calls":1,"time_s":"#","prunes":0},|};
@@ -585,8 +585,8 @@ let probe_bytes =
       {|[{"container":[17,17,12],"outcome":"infeasible","nodes":408,|};
       {|"elapsed_s":"#","bounds":{"misfit":{"calls":2,"time_s":"#",|};
       {|"prunes":0},"volume":{"calls":2,"time_s":"#","prunes":0},|};
-      {|"critical-path":{"calls":25,"time_s":"#","prunes":0},|};
-      {|"clique-time":{"calls":25,"time_s":"#","prunes":0},|};
+      {|"critical-path":{"calls":2,"time_s":"#","prunes":0},|};
+      {|"clique-time":{"calls":2,"time_s":"#","prunes":0},|};
       {|"clique-space":{"calls":2,"time_s":"#","prunes":0},|};
       {|"dff-volume":{"calls":2,"time_s":"#","prunes":0},|};
       {|"dff-time":{"calls":2,"time_s":"#","prunes":0},|};
