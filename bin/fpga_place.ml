@@ -231,35 +231,21 @@ let stats_opt =
            ~doc:"Print solver statistics in the given format (only: json). \
                  With --jobs > 1 the report includes per-worker counters.")
 
-(* --realize and --node-bounds: one enum of throttles, adaptive by
-   default. *)
-let policy_opt name ~doc =
+let node_bounds_opt =
   let policies =
     Packing.Opp_solver.
       [ ("adaptive", Realize_adaptive); ("always", Realize_always);
         ("never", Realize_never) ]
   in
   Arg.(value & opt (enum policies) Packing.Opp_solver.Realize_adaptive
-       & info [ name ] ~docv:"POLICY" ~doc)
-
-let realize_opt =
-  policy_opt "realize"
-    ~doc:"Throttle for the per-node early-realization attempt: \
-          adaptive (default; attempt only once enough pairs are \
-          decided, with exponential backoff on failures), always \
-          (every node, the pre-throttle behavior), or never (exact \
-          leaf checks only). The verdict is identical under every \
-          policy; only the search speed changes."
-
-let node_bounds_opt =
-  policy_opt "node-bounds"
-    ~doc:"Throttle for the in-search bound-engine check on the \
-          committed time arcs of the current node: adaptive \
-          (default; check only once enough pairs are decided, with \
-          exponential backoff on silent verdicts), always (every \
-          node), or never (root bounds only). The engine emits exact \
-          certificates, so the verdict is identical under every \
-          policy; only the search speed changes."
+       & info [ "node-bounds" ] ~docv:"POLICY"
+           ~doc:"Throttle for the in-search bound-engine check on the \
+                 committed time arcs of the current node: adaptive \
+                 (default; check only once enough pairs are decided, with \
+                 exponential backoff on silent verdicts), always (every \
+                 node), or never (root bounds only). The engine emits exact \
+                 certificates, so the verdict is identical under every \
+                 policy; only the search speed changes.")
 
 let trace_opt =
   Arg.(value & opt (some string) None
@@ -327,9 +313,8 @@ type search = {
   finish : unit -> unit;
 }
 
-let search_term policies =
-  let make (realize, node_bounds) jobs time_limit stats (trace, finish)
-      progress =
+let search_term node_bounds =
+  let make node_bounds jobs time_limit stats (trace, finish) progress =
     let defaults = Packing.Opp_solver.default_options in
     let heartbeat p =
       Service.Writer.line (Lazy.force stderr_writer) (heartbeat_line p)
@@ -338,7 +323,6 @@ let search_term policies =
     let options =
       {
         defaults with
-        realize;
         node_bounds;
         trace;
         deadline = Option.map Packing.Clock.after time_limit;
@@ -349,11 +333,10 @@ let search_term policies =
     in
     Ok { options; jobs; stats; finish }
   in
-  Term.(const make $ policies $ jobs_opt $ time_limit_opt $ stats_opt
+  Term.(const make $ node_bounds $ jobs_opt $ time_limit_opt $ stats_opt
         $ trace_term $ progress_opt)
 
-let search =
-  search_term Term.(const (fun r n -> (r, n)) $ realize_opt $ node_bounds_opt)
+let search = search_term node_bounds_opt
 
 let print_json stats json =
   match stats with Some `Json -> Format.printf "%s@." (json ()) | None -> ()
@@ -651,11 +634,9 @@ let pareto_cmd =
     end
   in
   let doc = "Compute the chip-size/makespan Pareto front (paper Fig. 7)." in
-  (* pareto runs the default throttles: it has no --realize or
-     --node-bounds. *)
+  (* pareto runs the default throttle: it has no --node-bounds. *)
   let search =
-    search_term
-      (Term.const Packing.Opp_solver.(Realize_adaptive, Realize_adaptive))
+    search_term (Term.const Packing.Opp_solver.Realize_adaptive)
   in
   command "pareto" ~doc
     Term.(const body $ file_arg $ h_min_arg $ h_max_arg $ no_prec

@@ -36,9 +36,6 @@ let pp_verdict fmt = function
 (* Primitive bound families                                            *)
 (* ------------------------------------------------------------------ *)
 
-let volume_exceeded inst container =
-  Instance.total_volume inst > Container.volume container
-
 let misfit inst container =
   let d = Instance.dim inst in
   let bad = ref None in
@@ -51,10 +48,6 @@ let misfit inst container =
     if not !fits then bad := Some i
   done;
   !bad
-
-let critical_path_exceeded inst container =
-  Instance.critical_path inst
-  > Container.extent container (Instance.time_axis inst)
 
 (* The serialization graph along [axis]: two tasks are adjacent when
    they overflow the container in every other axis, so no placement can
@@ -87,9 +80,6 @@ let exclusion_extent ?also inst container ~axis =
     (Graphlib.Cliques.max_weight_clique
        (serialization_graph ?also inst container ~axis)
        ~weight:(fun i -> Instance.extent inst i axis))
-
-let exclusion_duration inst container =
-  exclusion_extent inst container ~axis:(Instance.objective_axis inst)
 
 let f_eps ~eps ~w_max w =
   if eps <= 0 || 2 * eps > w_max then invalid_arg "Bound_engine.f_eps: bad eps";
@@ -266,7 +256,7 @@ let run_misfit inst container =
   | None -> Inconclusive
 
 let run_volume inst container =
-  if volume_exceeded inst container then
+  if Instance.total_volume inst > Container.volume container then
     Infeasible
       { bound = "volume"; detail = "total volume exceeds the container" }
   else

@@ -2,8 +2,7 @@
 
     One registry of bound functions serves every layer that prunes: the
     stage-1 root check of {!Opp_solver}, probe skipping and proven
-    lower bounds in {!Problems}, split-root pruning in
-    {!Parallel_solver}, and the pre-checks of {!Knapsack} and the
+    lower bounds in {!Problems}, and the pre-checks of {!Knapsack} and the
     baseline solvers. The search's node check is energetic reasoning
     alone ({!energetic_at_node}).
 
@@ -169,9 +168,7 @@ val run_all :
     Exposed for tests and for callers that want one family without an
     engine. *)
 
-val volume_exceeded : Instance.t -> Container.t -> bool
 val misfit : Instance.t -> Container.t -> int option
-val critical_path_exceeded : Instance.t -> Container.t -> bool
 
 (** [exclusion_extent ?also instance container ~axis] is the largest
     total [axis] extent of a clique of tasks that pairwise overflow the
@@ -179,11 +176,6 @@ val critical_path_exceeded : Instance.t -> Container.t -> bool
     [also i j] adds pairs disjoint along [axis] for another reason. *)
 val exclusion_extent :
   ?also:(int -> int -> bool) -> Instance.t -> Container.t -> axis:int -> int
-
-(** [exclusion_extent] along the objective axis: the largest total
-    duration of a clique of tasks that pairwise overflow the container
-    in every spatial axis (a makespan lower bound). *)
-val exclusion_duration : Instance.t -> Container.t -> int
 
 (** [f_eps ~eps ~w_max w] is the threshold DFF. Requires
     [0 < eps <= w_max / 2] and [0 <= w <= w_max]. *)

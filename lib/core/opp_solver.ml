@@ -39,7 +39,6 @@ type options = {
   progress_interval_s : float;
   on_heartbeat : (Telemetry.progress -> unit) option;
   trace : Trace.t;
-  realize : realize_policy;
   node_bounds : realize_policy;
 }
 
@@ -54,7 +53,6 @@ let default_options =
     progress_interval_s = 1.0;
     on_heartbeat = None;
     trace = Trace.null;
-    realize = Realize_adaptive;
     node_bounds = Realize_adaptive;
   }
 
@@ -111,7 +109,8 @@ let search ~options ~t0 ~depth_offset ?share state =
      adaptive schedule waits until a [decided] fraction of the (pair,
      dimension) slots is decided, until the trail has moved [trail]
      entries since the last check, and for a node cooldown that doubles
-     with each consecutive miss, capped at [backoff] nodes. *)
+     with each consecutive miss, capped at [backoff] nodes. Its one
+     caller is the node-level energetic bound. *)
   let throttle policy ~decided ~trail ~backoff =
     let last_trail = ref (min_int / 2) in
     let last_node = ref (min_int / 2) in
@@ -134,9 +133,6 @@ let search ~options ~t0 ~depth_offset ?share state =
         if Option.is_none hit then incr misses else misses := 0;
         hit
       end
-  in
-  let realize_throttled =
-    throttle options.realize ~decided:0.4 ~trail:8 ~backoff:64
   in
   let bounds_throttled =
     throttle options.node_bounds ~decided:0.15 ~trail:12 ~backoff:256
@@ -212,13 +208,6 @@ let search ~options ~t0 ~depth_offset ?share state =
     | Bound_engine.Infeasible c -> Some c
     | Bound_engine.Lower_bound _ | Bound_engine.Inconclusive -> None
   in
-  let realize attempt =
-    Recorder.start r;
-    let hit = attempt state in
-    Recorder.realize r ~success:(Option.is_some hit);
-    hit
-  in
-  let attempt () = realize Reconstruct.attempt in
   (* The branch explored first at every decision: component (overlap)
      first, except when the boxes fill the container exactly. A tiling
      leaves no room for overlaps to absorb, so comparable first finds
@@ -235,22 +224,15 @@ let search ~options ~t0 ~depth_offset ?share state =
      else dfs_body depth);
     Recorder.node_close r ~depth ~conflicts:(Recorder.conflicts r - conflicts0)
   and dfs_body depth =
-    (* Early realization: if the decided part of the class already
-       forces a feasible layout, stop — the validator guarantees
-       soundness, undecided pairs merely lose their "must overlap"
-       freedom. The attempt is budget-limited and, under the adaptive
-       policy, only fires when enough has been decided (or changed
-       since the last try) to give it a real chance; consecutive
-       failures back it off exponentially. The exact check at true
-       leaves below is never throttled, so every policy — including
-       [Realize_never] — returns the same verdict. *)
-    (match realize_throttled attempt with
-    | Some placement -> raise (Found placement)
-    | None -> ());
     match Packing_state.choose_unknown state with
     | None -> (
+      (* The one path to a witness: a fully decided class that passed
+         C1-C3 is oriented and placed (Theorem 1), then validated. *)
       Recorder.leaf r;
-      match realize Reconstruct.of_state with
+      Recorder.start r;
+      let hit = Reconstruct.of_state state in
+      Recorder.realize r ~success:(Option.is_some hit);
+      match hit with
       | Some placement -> raise (Found placement)
       | None -> Recorder.conflict r)
     | Some (dim, u, v) ->

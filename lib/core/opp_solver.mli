@@ -7,10 +7,11 @@
     {e component} (projections overlap) versus {e comparability}
     (projections disjoint), and propagates the packing-class conditions
     plus the D1/D2 orientation implications after every decision. A leaf
-    is accepted only if an actual placement can be reconstructed and
-    passes geometric validation, so a [Feasible] answer always carries a
-    checked witness; [Infeasible] is exact, by exhaustion of the packing
-    class space. *)
+    is accepted only if an actual placement can be reconstructed
+    ({!Reconstruct.of_state}) and passes geometric validation, so a
+    [Feasible] answer always carries a checked witness; the search
+    realizes nowhere else. [Infeasible] is exact, by exhaustion of the
+    packing class space. *)
 
 type outcome =
   | Feasible of Geometry.Placement.t
@@ -65,30 +66,26 @@ type stats = {
   by_heuristic : bool; (** settled by the stage-2 heuristic *)
   rules : Telemetry.rule_counters;
       (** where propagation time went: per-rule call/time counters plus
-          the realization attempt count (opportunistic per-node tries
-          and exact leaf checks combined) *)
+          the realization attempt count, one per leaf check *)
   bounds : Telemetry.bound_counters;
       (** per-bound call/time/prune counters from the {!Bound_engine}:
           the stage-1 root check plus the throttled in-search
           energetic checks (see {!options.node_bounds}) *)
 }
 
-(** When the search runs a per-node check: the opportunistic
-    budget-limited realization attempt ({!Reconstruct.attempt}) or the
-    in-search bound check. The exact leaf check is never throttled and
-    the bounds emit exact certificates, so every policy returns the
-    same verdict; the policy only trades early exits and pruning
-    against per-node overhead. *)
+(** When the search runs the in-search bound check
+    ({!options.node_bounds}). The bounds emit exact certificates, so
+    every policy returns the same verdict; the policy only trades
+    pruning against per-node overhead. *)
 type realize_policy =
   | Realize_always  (** check at every node *)
-  | Realize_never  (** no interior checks; leaf checks only *)
+  | Realize_never  (** never check at search nodes *)
   | Realize_adaptive
-      (** check only once enough (pair, dimension) slots are decided
-          (40% for realization, 15% for bounds), only after the
-          propagation trail moved (8 and 12 entries) since the last
-          check, and after a node cooldown that doubles with each
-          consecutive miss (capped at 64 and 256 nodes): early, sparse
-          or unchanged states almost never realize or refute *)
+      (** check only once 15% of the (pair, dimension) slots are
+          decided, only after the propagation trail moved 12 entries
+          since the last check, and after a node cooldown that doubles
+          with each consecutive miss (capped at 256 nodes): early,
+          sparse or unchanged states almost never refute *)
 
 type options = {
   rules : Packing_state.rules; (** propagation toggles (ablations) *)
@@ -137,9 +134,6 @@ type options = {
           explores the component (overlap) branch first, or the
           comparable branch first when the boxes' total volume equals
           the container's (a tiling). *)
-  realize : realize_policy;
-      (** throttle for the per-node realization attempt; defaults to
-          [Realize_adaptive] *)
   node_bounds : realize_policy;
       (** throttle for the in-search
           {!Bound_engine.energetic_at_node} check on the committed

@@ -611,8 +611,7 @@ let unknown_count t =
       these are the pairs that still owe the packing a separation; they
       drive all real conflicts. Pairs that already own a comparable
       dimension are trivially satisfiable — deciding them early only
-      pollutes the tree (the per-node realization attempt in the solver
-      usually ends the search before they are touched).
+      pollutes the tree.
    2. The time dimension before space: precedence seeds, D1/D2
       cascades and the tight C2 chains live there, and once time is
       fully decided the problem collapses to 2D (the paper's FixedS

@@ -117,15 +117,15 @@ val choose_unknown : t -> (int * int * int) option
 
 (** Fraction of (pair, dimension) slots already decided (component,
     comparable, or oriented), in [0, 1]. Maintained incrementally from
-    the trail; O(1). Drives the solver's adaptive realization
+    the trail; O(1). Drives the solver's adaptive node-bound
     throttle. *)
 val decided_fraction : t -> float
 
 (** Total trail length summed over dimensions — a monotone (within one
     branch) measure of how much state changed since any earlier point;
     O(dimensions). The solver's throttle uses deltas of this to decide
-    whether enough has happened to justify another realization
-    attempt. *)
+    whether enough has happened to justify another node-bound
+    check. *)
 val total_trail : t -> int
 
 (** The recorder given to {!create}, or to the last {!set_recorder}. *)

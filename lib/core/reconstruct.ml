@@ -1,47 +1,33 @@
 module OG = Order.Oriented_graph
 
-let of_orientations inst cont ds =
-  let d = Instance.dim inst in
-  if Array.length ds <> d then
-    invalid_arg "Reconstruct.of_orientations: arity mismatch";
-  let n = Instance.count inst in
-  let coords =
-    Array.init d (fun k ->
-        Order.Extension.coordinates ds.(k) ~weight:(fun i ->
-            Instance.extent inst i k))
-  in
-  let origins = Array.init n (fun i -> Array.init d (fun k -> coords.(k).(i))) in
-  let placement = Geometry.Placement.make (Instance.boxes inst) origins in
-  if Instance.placement_feasible inst ~container:cont placement then
-    Some placement
-  else None
-
-let realize ?budget state =
-  let inst = Packing_state.instance state in
-  let cont = Packing_state.container state in
-  let d = Instance.dim inst in
-  let rec orient k acc =
-    if k < 0 then Some acc
-    else
-      match
-        Order.Extension.complete_partial ?budget (Packing_state.dimension state k)
-      with
-      | None -> None
-      | Some dk -> orient (k - 1) (dk :: acc)
-  in
-  match orient (d - 1) [] with
-  | None -> None
-  | Some ds -> of_orientations inst cont (Array.of_list ds)
-
-(* Opportunistic: bound the orientation backtracking so the attempt is
-   cheap enough to run at every search node. *)
-let attempt state = realize ~budget:32 state
+exception No_extension
 
 let of_state state =
   let inst = Packing_state.instance state in
+  let cont = Packing_state.container state in
   let d = Instance.dim inst in
   for k = 0 to d - 1 do
     if OG.unknown_pairs (Packing_state.dimension state k) <> [] then
       invalid_arg "Reconstruct.of_state: undecided pairs remain"
   done;
-  realize state
+  let orientation k =
+    match Order.Extension.complete (Packing_state.dimension state k) with
+    | Some dk -> dk
+    | None -> raise No_extension
+  in
+  match Array.init d orientation with
+  | exception No_extension -> None
+  | ds ->
+    let coords =
+      Array.init d (fun k ->
+          Order.Extension.coordinates ds.(k) ~weight:(fun i ->
+              Instance.extent inst i k))
+    in
+    let origins =
+      Array.init (Instance.count inst) (fun i ->
+          Array.init d (fun k -> coords.(k).(i)))
+    in
+    let placement = Geometry.Placement.make (Instance.boxes inst) origins in
+    if Instance.placement_feasible inst ~container:cont placement then
+      Some placement
+    else None

@@ -5,8 +5,8 @@
     through {!to_string} so the two outputs cannot drift apart, and
     both carry a {!rule_counters} record measuring where propagation
     time actually goes (C2 chain cliques, C1/C4 cycle rules, the Helly
-    capacity rule, D1/D2 implication closure, and the opportunistic
-    per-node realization attempts). *)
+    capacity rule, D1/D2 implication closure, and the realizations:
+    one attempt per fully decided leaf the search reaches). *)
 
 (** Cumulative per-rule call counts and time, kept by {!Recorder}; a
     parallel solve reports the sum over workers. *)

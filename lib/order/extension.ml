@@ -16,20 +16,14 @@ let verify og d =
   done;
   !ok && D.is_transitive d && D.is_acyclic d
 
-exception Out_of_budget
-
-let complete_partial ?budget og =
+let complete og =
+  if OG.unknown_pairs og <> [] then
+    invalid_arg "Extension.complete: undecided pairs remain";
   let base = OG.mark og in
-  let credits = ref (match budget with None -> -1 | Some b -> b) in
-  let spend () =
-    if !credits = 0 then raise Out_of_budget;
-    if !credits > 0 then decr credits
-  in
   (* Depth-first completion. Theorem 2 guarantees that when the initial
      propagation succeeds, free implication classes can be oriented
      either way, so in practice the first branch succeeds; backtracking
-     keeps the procedure complete. A finite [budget] caps the number of
-     failed orientation attempts for opportunistic (non-exact) use. *)
+     keeps the procedure complete. *)
   let rec go () =
     match OG.propagate og with
     | Error _ -> false
@@ -41,33 +35,24 @@ let complete_partial ?budget og =
         let try_dir a b =
           match OG.force_arc og a b with
           | Error _ ->
-            spend ();
             OG.undo_to og m;
             false
           | Ok () ->
-            if go () then true
-            else begin
-              spend ();
-              OG.undo_to og m;
-              false
-            end
+            go ()
+            || begin
+                 OG.undo_to og m;
+                 false
+               end
         in
         try_dir u v || try_dir v u)
   in
   let result =
-    match go () with
-    | true ->
+    if go () then
       let d = OG.orientation og in
       if verify og d then Some d else None
-    | false -> None
-    | exception Out_of_budget -> None
+    else None
   in
   OG.undo_to og base;
   result
-
-let complete og =
-  if OG.unknown_pairs og <> [] then
-    invalid_arg "Extension.complete: undecided pairs remain";
-  complete_partial og
 
 let coordinates d ~weight = D.longest_path_lengths d ~weight

@@ -18,17 +18,6 @@
     restored to its incoming state before returning. *)
 val complete : Oriented_graph.t -> Graphlib.Digraph.t option
 
-(** [complete_partial ?budget og] is {!complete} without the
-    no-[Unknown] precondition: it orients the comparability edges fixed
-    {e so far}, ignoring undecided pairs. Used to attempt an early
-    geometric realization of a partial packing class mid-search — the
-    caller must validate the resulting placement, since undecided pairs
-    carry no separation guarantee. [budget] caps the number of failed
-    orientation attempts (backtracks); when exceeded the function gives
-    up and returns [None], making it safe to call at every search node.
-    Omit [budget] for the exact, possibly exponential, search. *)
-val complete_partial : ?budget:int -> Oriented_graph.t -> Graphlib.Digraph.t option
-
 (** [coordinates d ~weight] places every vertex of a transitive acyclic
     orientation at its weighted-longest-path coordinate: the packing
     position along one axis (Theorem 1, constructive direction). *)

@@ -127,15 +127,15 @@ let prop_time_lower_bound_sound case =
   | Problems.Infeasible -> true
   | Problems.Feasible_incumbent _ | Problems.Unknown _ -> QCheck.assume_fail ()
 
-(* [clique-time] is built on the same serialization graph as
-   [exclusion_duration], plus the precedence arcs, so the engine's time
+(* [clique-time] is built on the same serialization graph as the
+   objective-axis [exclusion_extent], plus the precedence arcs, so the engine's time
    lower bound never falls below the bare exclusion clique. *)
 let prop_time_lower_bound_covers_exclusion case =
   let i = case_instance case in
   let _, _, (cw, ch, _) = case in
   let c = cont3 cw ch 1 in
   Engine.time_lower_bound (Engine.create ()) i c
-  >= Engine.exclusion_duration i c
+  >= Engine.exclusion_extent i c ~axis:(Packing.Instance.objective_axis i)
 
 (* ------------------------------------------------------------------ *)
 (* Satellite: the doubling bracket of minimize_base starts at the      *)

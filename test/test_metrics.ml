@@ -567,7 +567,7 @@ let search_stats_bytes =
       {|"rules":{"c2_calls":79,"c2_time_s":"#","c4_calls":192,|};
       {|"c4_time_s":"#","capacity_calls":113,"capacity_time_s":"#",|};
       {|"implication_calls":108,"implication_time_s":"#",|};
-      {|"realize_attempts":4,"realize_time_s":"#"},|};
+      {|"realize_attempts":1,"realize_time_s":"#"},|};
       {|"bounds":{"misfit":{"calls":1,"time_s":"#","prunes":0},|};
       {|"volume":{"calls":1,"time_s":"#","prunes":0},|};
       {|"critical-path":{"calls":1,"time_s":"#","prunes":0},|};

@@ -302,80 +302,6 @@ let prop_partial_force_completes (n, arcs) =
   | Error _ -> false
   | Ok () -> Ext.complete t <> None
 
-
-(* ------------------------------------------------------------------ *)
-(* Interval orders                                                     *)
-(* ------------------------------------------------------------------ *)
-
-module IO = Order.Interval_order
-
-let transitive arcs n =
-  let d = D.of_arcs n arcs in
-  D.transitive_closure d;
-  d
-
-let test_io_recognition () =
-  (* A chain is an interval order. *)
-  Alcotest.(check bool) "chain" true
-    (IO.is_interval_order (transitive [ (0, 1); (1, 2) ] 3));
-  (* 2 + 2: two disjoint 2-chains — the forbidden pattern. *)
-  Alcotest.(check bool) "2+2" false
-    (IO.is_interval_order (transitive [ (0, 1); (2, 3) ] 4));
-  (* N-free but with a shared element: 0->1, 0->3, 2->3 is fine. *)
-  Alcotest.(check bool) "N shape" true
-    (IO.is_interval_order (transitive [ (0, 1); (0, 3); (2, 3) ] 4));
-  (* Antichain. *)
-  Alcotest.(check bool) "antichain" true (IO.is_interval_order (D.create 4))
-
-let test_io_requires_transitive () =
-  let d = D.of_arcs 3 [ (0, 1); (1, 2) ] in
-  Alcotest.check_raises "not transitive"
-    (Invalid_argument "Interval_order: digraph is not transitive") (fun () ->
-      ignore (IO.is_interval_order d))
-
-let test_io_representation () =
-  let d = transitive [ (0, 1); (1, 2) ] 3 in
-  (match IO.representation d with
-  | None -> Alcotest.fail "chain has a representation"
-  | Some repr ->
-    Alcotest.(check bool) "verified" true (IO.is_representation d repr));
-  Alcotest.(check bool) "2+2 has none" true
-    (IO.representation (transitive [ (0, 1); (2, 3) ] 4) = None)
-
-let test_io_magnitude () =
-  (* Chain 0->1->2: predecessor sets {}, {0}, {0,1}: magnitude 3. *)
-  Alcotest.(check int) "chain magnitude" 3
-    (IO.magnitude (transitive [ (0, 1); (1, 2) ] 3));
-  Alcotest.(check int) "antichain magnitude" 1 (IO.magnitude (D.create 5))
-
-(* The transitive orientations produced by the packing machinery on
-   complements of interval graphs are interval orders with verified
-   representations. *)
-let arb_interval_graph_model =
-  QCheck.make
-    QCheck.Gen.(
-      let* n = int_range 1 8 in
-      let* ls = list_repeat n (int_range 0 15) in
-      let* lens = list_repeat n (int_range 1 6) in
-      return (Array.of_list ls, Array.of_list lens))
-
-let prop_complement_orientations_are_interval_orders (l, len) =
-  let n = Array.length l in
-  let g = Graphlib.Undirected.create n in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      if l.(u) <= l.(v) + len.(v) - 1 && l.(v) <= l.(u) + len.(u) - 1 then
-        Graphlib.Undirected.add_edge g u v
-    done
-  done;
-  match Graphlib.Comparability.transitive_orientation (Graphlib.Undirected.complement g) with
-  | None -> false
-  | Some d -> (
-    IO.is_interval_order d
-    && match IO.representation d with
-       | None -> false
-       | Some repr -> IO.is_representation d repr)
-
 let () =
   Alcotest.run "order"
     [
@@ -399,15 +325,6 @@ let () =
           Alcotest.test_case "Fig. 5 conflict" `Quick test_fig5_path_conflict;
           Alcotest.test_case "Fig. 5 compatible" `Quick test_fig5_compatible;
           Alcotest.test_case "D1 component last" `Quick test_d1_component_last;
-        ] );
-      ( "interval orders",
-        [
-          Alcotest.test_case "recognition" `Quick test_io_recognition;
-          Alcotest.test_case "requires transitive" `Quick test_io_requires_transitive;
-          Alcotest.test_case "representation" `Quick test_io_representation;
-          Alcotest.test_case "magnitude" `Quick test_io_magnitude;
-          qtest "complement orientations" arb_interval_graph_model
-            prop_complement_orientations_are_interval_orders;
         ] );
       ( "extension",
         [

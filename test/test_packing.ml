@@ -56,10 +56,22 @@ let test_instance_errors () =
 (* Bounds                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* Whether the registered bound [name] refutes [i] in [c], read off
+   the engine's full report. *)
+let refutes name i c =
+  match
+    List.assoc name
+      (Bound_engine.run_all (Bound_engine.create ())
+         ~refute:(fun _ _ -> false)
+         i c)
+  with
+  | Bound_engine.Infeasible _ -> true
+  | Bound_engine.Lower_bound _ | Bound_engine.Inconclusive -> false
+
 let test_bounds_volume () =
   let i = inst [ box3 2 2 2; box3 2 2 2 ] in
-  Alcotest.(check bool) "fits" false (Bound_engine.volume_exceeded i (cont3 2 2 4));
-  Alcotest.(check bool) "overflow" true (Bound_engine.volume_exceeded i (cont3 2 2 3))
+  Alcotest.(check bool) "fits" false (refutes "volume" i (cont3 2 2 4));
+  Alcotest.(check bool) "overflow" true (refutes "volume" i (cont3 2 2 3))
 
 let test_bounds_misfit () =
   let i = inst [ box3 5 1 1 ] in
@@ -69,16 +81,19 @@ let test_bounds_misfit () =
 let test_bounds_critical_path () =
   let i = inst ~precedence:[ (0, 1) ] [ box3 1 1 3; box3 1 1 3 ] in
   Alcotest.(check bool) "chain too long" true
-    (Bound_engine.critical_path_exceeded i (cont3 4 4 5));
+    (refutes "critical-path" i (cont3 4 4 5));
   Alcotest.(check bool) "chain fits" false
-    (Bound_engine.critical_path_exceeded i (cont3 4 4 6))
+    (refutes "critical-path" i (cont3 4 4 6))
 
 let test_bounds_exclusion () =
   (* Three boxes pairwise too large to share the chip: serialized. *)
   let i = inst [ box3 3 3 2; box3 3 3 2; box3 3 3 2 ] in
-  Alcotest.(check int) "exclusion clique" 6 (Bound_engine.exclusion_duration i (cont3 4 4 10));
+  let duration c =
+    Bound_engine.exclusion_extent i c ~axis:(Instance.objective_axis i)
+  in
+  Alcotest.(check int) "exclusion clique" 6 (duration (cont3 4 4 10));
   (* A wide chip admits pairs side by side: no exclusion. *)
-  Alcotest.(check int) "no exclusion" 2 (Bound_engine.exclusion_duration i (cont3 6 4 10))
+  Alcotest.(check int) "no exclusion" 2 (duration (cont3 6 4 10))
 
 let test_dff_f_eps () =
   Alcotest.(check int) "big item" 10 (Bound_engine.f_eps ~eps:3 ~w_max:10 8);
