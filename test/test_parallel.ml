@@ -426,9 +426,13 @@ let test_stats_merge () =
 
 (* On a long enough search with several workers the thieves must
    actually steal, and the per-worker counters must reconcile with the
-   report totals. *)
+   report totals. [hard_case] is refuted in about 400 nodes, a few
+   milliseconds, which can end before a thief domain is first scheduled
+   when there are fewer cores than jobs; DE without its precedence
+   edges at the same container runs past 100k nodes, so the search
+   lasts until the node limit. *)
 let test_steal_counters () =
-  let i, c = hard_case () in
+  let i, c = (Benchmarks.De.instance_without_precedence, cont3 17 17 12) in
   let options = { search_only with node_limit = Some 20_000 } in
   let r = Par.solve ~options ~jobs:4 i c in
   let sum f = List.fold_left (fun acc (w : Par.worker_report) -> acc + f w) 0 r.Par.workers in
