@@ -3,7 +3,7 @@ module Digraph = Graphlib.Digraph
 
 (* [Geometry.Box.mul_sat] behind a fast path the compiler can inline:
    two factors below 2^31 cannot overflow, and the DFF enumerations
-   call it for every combination of transforms. *)
+   call it at every node. *)
 let mul_sat a b =
   if a lor b < 1 lsl 31 then a * b else Geometry.Box.mul_sat a b
 
@@ -91,104 +91,123 @@ let u_k ~k ~w_max w =
   if w < 0 || w > w_max then invalid_arg "Bound_engine.u_k: w out of range";
   if (k + 1) * w mod w_max = 0 then k * w else w_max * ((k + 1) * w / w_max)
 
-(* A per-axis transformation: a DFF applied to the box extents along one
-   axis, with the corresponding transformed container extent. A product
-   of DFFs across axes preserves packability (Fekete & Schepers), so an
-   overflow of the composed transformed volume disproves the packing. *)
-type transform = {
-  describe : string;
-  apply : int -> int; (* transformed box extent along this axis *)
+(* The DFFs tried along one axis: the identity, [f_eps] at each
+   threshold where its behaviour changes, and [u^(k)] for k = 1..4. *)
+type dff = Id | F_eps of int | U_k of int
+
+let describe = function
+  | Id -> "id"
+  | F_eps eps -> Printf.sprintf "f_eps(%d)" eps
+  | U_k k -> Printf.sprintf "u^(%d)" k
+
+(* A per-axis transformation tabulated on the tasks: a DFF applied to
+   every box extent along one axis, with the corresponding transformed
+   container extent. A product of DFFs across axes preserves
+   packability (Fekete & Schepers), so an overflow of the composed
+   transformed volume disproves the packing. *)
+type table = {
+  dff : dff;
   target : int; (* transformed container extent along this axis *)
+  values : int array; (* transformed extent of each task along this axis *)
 }
 
-let identity_transform w_max = { describe = "id"; apply = Fun.id; target = w_max }
-
-let axis_transforms inst container axis =
+(* The tables of one axis, in enumeration order. A table of zeros adds
+   no volume, and a table equal to an earlier one (same target, same
+   values) decides every combination as that one did, earlier in the
+   order; both are dropped, which leaves the first combination that
+   exceeds, and the bound of the best one, as they were. *)
+let axis_tables inst container axis =
   let w_max = Container.extent container axis in
+  let extents =
+    Array.init (Instance.count inst) (fun i -> Instance.extent inst i axis)
+  in
   let epss =
     (* Thresholds where the f_eps behaviour changes are the distinct
        box extents; testing those (clamped to w_max/2) is exhaustive
        up to equivalence. *)
-    List.sort_uniq compare
-      (List.concat
-         (List.init (Instance.count inst) (fun i ->
-              let e = Instance.extent inst i axis in
-              List.filter
-                (fun x -> x > 0 && 2 * x <= w_max)
-                [ e; w_max - e; w_max / 2 ])))
+    List.sort_uniq Int.compare
+      (List.filter
+         (fun x -> x > 0 && 2 * x <= w_max)
+         (Array.fold_left
+            (fun acc e -> e :: (w_max - e) :: (w_max / 2) :: acc)
+            [] extents))
   in
-  let f_transforms =
-    List.map
-      (fun eps ->
-        {
-          describe = Printf.sprintf "f_eps(%d)" eps;
-          apply = (fun w -> f_eps ~eps ~w_max w);
-          target = w_max;
-        })
-      epss
+  let table dff =
+    let target, apply =
+      match dff with
+      | Id -> (w_max, Fun.id)
+      | F_eps eps -> (w_max, f_eps ~eps ~w_max)
+      | U_k k -> (k * w_max, u_k ~k ~w_max)
+    in
+    { dff; target; values = Array.map apply extents }
   in
-  let u_transforms =
-    List.init 4 (fun j ->
-        let k = j + 1 in
-        {
-          describe = Printf.sprintf "u^(%d)" k;
-          apply = (fun w -> u_k ~k ~w_max w);
-          target = k * w_max;
-        })
+  let keep kept t =
+    if
+      Array.exists (fun v -> v > 0) t.values
+      && not
+           (List.exists
+              (fun u -> u.target = t.target && u.values = t.values)
+              kept)
+    then t :: kept
+    else kept
   in
-  identity_transform w_max :: (f_transforms @ u_transforms)
+  ((Id :: List.map (fun eps -> F_eps eps) epss)
+   @ List.init 4 (fun j -> U_k (j + 1)))
+  |> List.map table |> List.fold_left keep [] |> List.rev |> Array.of_list
 
-(* A transformed task extent is at most its axis's target, so while the
-   composed target [cap] fits in an int, so does every task's product,
-   and [left], what the tasks so far leave of [cap], cannot wrap. A
-   saturated [cap] cannot be exceeded. *)
-let transformed_volume_exceeded inst choice =
-  let d = Instance.dim inst in
-  let cap = ref 1 in
-  for k = 0 to d - 1 do
-    cap := mul_sat !cap choice.(k).target
-  done;
-  let n = Instance.count inst in
-  let left = ref !cap and i = ref 0 in
-  while !cap < max_int && !left >= 0 && !i < n do
-    let v = ref 1 in
-    for k = 0 to d - 1 do
-      v := !v * choice.(k).apply (Instance.extent inst !i k)
-    done;
-    left := !left - !v;
-    incr i
-  done;
-  !left < 0
-
+(* The first combination of tables, one per axis in enumeration order
+   (axis 0 outermost), whose composed transformed volume exceeds the
+   composed target, described as a certificate. [rows.(k)] carries each
+   task's transformed volume over axes 0..k down the enumeration, so a
+   leaf costs one pass over the tasks. Every transformed extent is at
+   most its target, so where the volume projected on axes 0..k is
+   within the product of their targets, no choice on the later axes
+   exceeds, and the subtree is skipped; so is one whose product
+   saturates, since a saturated cap cannot be exceeded. Below the cap
+   no task's product wraps, and [left], what the tasks leave of the cap
+   until it goes negative, cannot wrap either. *)
 let dff_volume_exceeded inst container =
-  let d = Instance.dim inst in
-  let per_axis = Array.init d (fun k -> axis_transforms inst container k) in
-  let choice = Array.make d (List.hd per_axis.(0)) in
-  let found = ref None in
-  (* Enumerate the Cartesian product of per-axis transforms (identity
-     included), cheapest combinations first by construction order. *)
-  let rec enumerate k =
-    if !found <> None then ()
-    else if k = d then begin
-      if transformed_volume_exceeded inst choice then
-        found :=
-          Some
-            (String.concat " * "
-               (List.mapi
-                  (fun i tr -> Printf.sprintf "%s on axis %d" tr.describe i)
-                  (Array.to_list choice)))
-    end
-    else
-      List.iter
-        (fun tr ->
-          if !found = None then begin
-            choice.(k) <- tr;
-            enumerate (k + 1)
-          end)
-        per_axis.(k)
+  let d = Instance.dim inst and n = Instance.count inst in
+  let tables = Array.init d (axis_tables inst container) in
+  let rows = Array.make_matrix d n 0 in
+  let choice = Array.make d 0 in
+  (* Fills [rows.(k)] from [prev] and table [t]; true when its total
+     exceeds [cap]. *)
+  let over k prev t cap =
+    let row = rows.(k) and values = t.values in
+    let left = ref cap in
+    for i = 0 to n - 1 do
+      let v = prev.(i) * values.(i) in
+      row.(i) <- v;
+      if !left >= 0 then left := !left - v
+    done;
+    !left < 0
   in
-  enumerate 0;
-  !found
+  let rec exceeds k prev cap =
+    let rec from j =
+      j < Array.length tables.(k)
+      &&
+      let t = tables.(k).(j) in
+      let cap = mul_sat cap t.target in
+      if
+        cap < max_int && over k prev t cap
+        && (k = d - 1 || exceeds (k + 1) rows.(k) cap)
+      then begin
+        choice.(k) <- j;
+        true
+      end
+      else from (j + 1)
+    in
+    from 0
+  in
+  if exceeds 0 (Array.make n 1) 1 then
+    Some
+      (String.concat " * "
+         (List.init d (fun k ->
+              Printf.sprintf "%s on axis %d"
+                (describe tables.(k).(choice.(k)).dff)
+                k)))
+  else None
 
 (* ------------------------------------------------------------------ *)
 (* Shared helpers for the registered bounds                            *)
@@ -332,7 +351,7 @@ let run_clique_space inst container =
 (* The DFFs are defined on extents up to the container's: a task that
    overflows the container is the misfit bound's certificate, and both
    DFF bounds stay silent on it. *)
-let run_dff_volume inst container =
+let dff_volume inst container =
   if Option.is_some (misfit inst container) then Inconclusive
   else
     match dff_volume_exceeded inst container with
@@ -341,50 +360,44 @@ let run_dff_volume inst container =
 
 (* DFF time bound: transform the spatial axes only (identity on time).
    Products of per-axis DFFs preserve packability, so every transformed
-   packing still needs ceil(sum_i area'_i * d_i / base') time slices. *)
-let run_dff_time inst container =
+   packing still needs ceil(sum_i area'_i * d_i / base') time slices.
+   The enumeration carries [rows.(k)], each task's duration times its
+   transformed area over the spatial axes up to [k], and [base], the
+   product of their targets. A task's transformed area is at most
+   [base], so the total is at most [base] times the summed durations:
+   within [limit] nothing below overflows, and past it the combination
+   is skipped, as is every completion, whose base is no smaller. A
+   completion's bound is at most ceil(total / base) of its prefix, so a
+   prefix whose ratio does not beat [best] is skipped too. *)
+let dff_time inst container =
   let n = Instance.count inst in
   let spatial = Array.of_list (spatial_axes inst) in
   let ns = Array.length spatial in
   if ns = 0 || Option.is_some (misfit inst container) then Inconclusive
   else begin
-    let per_axis =
-      Array.map (fun k -> axis_transforms inst container k) spatial
-    in
-    let choice = Array.make ns (List.hd per_axis.(0)) in
+    let tables = Array.map (axis_tables inst container) spatial in
+    let rows = Array.make_matrix ns n 0 in
     let best = ref 0 in
     let limit = (max_int - 1) / max 1 (Instance.total_duration inst) in
-    let rec enumerate k =
-      if k = ns then begin
-        let base = ref 1 in
-        for m = 0 to ns - 1 do
-          base := mul_sat !base choice.(m).target
-        done;
-        (* A task's transformed area is at most [base], so the total
-           is at most [base] times the summed durations: within [limit]
-           nothing below overflows, and past it the combination is
-           skipped. *)
-        if !base <= limit then begin
-          let total = ref 0 in
-          for i = 0 to n - 1 do
-            let a = ref (Instance.duration inst i) in
-            for m = 0 to ns - 1 do
-              a := !a * choice.(m).apply (Instance.extent inst i spatial.(m))
+    let rec enumerate k prev base =
+      Array.iter
+        (fun t ->
+          let base = mul_sat base t.target in
+          if base <= limit then begin
+            let row = rows.(k) and values = t.values in
+            let total = ref 0 in
+            for i = 0 to n - 1 do
+              let v = prev.(i) * values.(i) in
+              row.(i) <- v;
+              total := !total + v
             done;
-            total := !total + !a
-          done;
-          let lb = ceil_div !total !base in
-          if lb > !best then best := lb
-        end
-      end
-      else
-        List.iter
-          (fun tr ->
-            choice.(k) <- tr;
-            enumerate (k + 1))
-          per_axis.(k)
+            let lb = ceil_div !total base in
+            if lb > !best then
+              if k = ns - 1 then best := lb else enumerate (k + 1) row base
+          end)
+        tables.(k)
     in
-    enumerate 0;
+    enumerate 0 (Array.init n (Instance.duration inst)) 1;
     time_bound_verdict ~name:"dff-time"
       ~detail:"DFF-transformed volume per time slice exceeds the chip area"
       inst container !best
@@ -481,8 +494,8 @@ let all_entries =
     { name = "critical-path"; run = run_critical_path };
     { name = "clique-time"; run = run_clique_time };
     { name = "clique-space"; run = run_clique_space };
-    { name = "dff-volume"; run = run_dff_volume };
-    { name = "dff-time"; run = run_dff_time };
+    { name = "dff-volume"; run = dff_volume };
+    { name = "dff-time"; run = dff_time };
     {
       name = "energetic";
       run =

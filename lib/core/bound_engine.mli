@@ -177,6 +177,19 @@ val misfit : Instance.t -> Container.t -> int option
 val exclusion_extent :
   ?also:(int -> int -> bool) -> Instance.t -> Container.t -> axis:int -> int
 
+(** [dff_volume inst container] is the ["dff-volume"] bound: the
+    first combination of per-axis DFFs, in enumeration order, whose
+    composed transformed volume exceeds the composed container, as an
+    [Infeasible] certificate naming each axis's DFF. Silent on a
+    misfit container. *)
+val dff_volume : Instance.t -> Container.t -> verdict
+
+(** [dff_time inst container] is the ["dff-time"] bound: the best time
+    lower bound over the combinations of spatial-axis DFFs, as
+    {!check} would report it. Silent on a misfit container and on
+    instances with no spatial axis. *)
+val dff_time : Instance.t -> Container.t -> verdict
+
 (** [f_eps ~eps ~w_max w] is the threshold DFF. Requires
     [0 < eps <= w_max / 2] and [0 <= w <= w_max]. *)
 val f_eps : eps:int -> w_max:int -> int -> int

@@ -1,0 +1,7 @@
+(* The qcheck random state of a seeded suite: [rand default] starts
+   from the suite's own [default] seed, so every run draws the same
+   cases, unless QCHECK_SEED names another seed. *)
+let rand default =
+  match Sys.getenv_opt "QCHECK_SEED" with
+  | Some s -> Random.State.make [| int_of_string s |]
+  | None -> Random.State.make default

@@ -11,7 +11,8 @@ module Container = Geometry.Container
 module Box = Geometry.Box
 
 let qtest ?(count = 100) name arb prop =
-  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
+  QCheck_alcotest.to_alcotest ~rand:(Fixed_seed.rand [| 0xB0D5; 2026 |])
+    (QCheck.Test.make ~count ~name arb prop)
 
 let inst ?precedence boxes =
   Packing.Instance.make ?precedence ~boxes:(Array.of_list boxes) ()
@@ -21,12 +22,15 @@ let cont3 w h t = Container.make3 ~w ~h ~t_max:t
 
 (* Engine-free reference options: no stage-1 bounds, no node-level
    engine checks. The heuristic stays on (its witnesses are validated),
-   so only the exact search core decides. *)
+   so only the exact search core decides. Without the bounds a few
+   small cases can search for minutes, so the search stops at a node
+   limit, and a case it cannot decide is discarded. *)
 let reference =
   {
     Solver.default_options with
     use_bounds = false;
     node_bounds = Solver.Realize_never;
+    node_limit = Some 50_000;
   }
 
 let contains haystack needle =
@@ -517,6 +521,119 @@ let test_u83_zero_slack_tiling () =
   | (Solver.Infeasible | Solver.Timeout), _ ->
     Alcotest.fail "8x8x8 not solved within 1,000 nodes"
 
+(* ------------------------------------------------------------------ *)
+(* DFF enumerations against their reference copy                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A d-dimensional instance with precedence and a container from tight
+   (every axis the widest task's extent) to loose (the sum of all).
+   Huge cases mix small extents with extents at or just below 2^(62/d)
+   (2^31 in two dimensions), where the composed container volume lies
+   near max_int and the larger [u^(k)] targets saturate [mul_sat]. *)
+let gen_dff_case =
+  QCheck.Gen.(
+    let* dim = oneofl [ 2; 3; 4 ] in
+    let* n = int_range 1 (if dim = 4 then 6 else 9) in
+    let* huge = frequencyl [ (3, false); (1, true) ] in
+    let extent =
+      if huge then
+        frequency
+          [
+            (2, map (fun r -> (1 lsl (62 / dim)) - r) (int_range 0 3));
+            (1, int_range 1 4);
+          ]
+      else int_range 1 6
+    in
+    let* extents = list_repeat n (array_repeat dim extent) in
+    let* arcs =
+      flatten_l
+        (List.concat_map
+           (fun u ->
+             List.init (n - u - 1) (fun k ->
+                 map
+                   (fun keep -> if keep = 0 then Some (u, u + k + 1) else None)
+                   (int_range 0 3)))
+           (List.init n Fun.id))
+    in
+    let* looseness = array_repeat dim (oneofl [ 0.0; 0.1; 0.25; 0.5; 1.0 ]) in
+    let container =
+      Array.mapi
+        (fun k l ->
+          let widest = List.fold_left (fun m e -> max m e.(k)) 0 extents in
+          let sum = List.fold_left (fun s e -> s + e.(k)) 0 extents in
+          widest + int_of_float (l *. float_of_int (sum - widest)))
+        looseness
+    in
+    return (extents, List.filter_map Fun.id arcs, container))
+
+let print_dff_case (extents, arcs, container) =
+  let ints sep a = String.concat sep (List.map string_of_int (Array.to_list a)) in
+  Printf.sprintf "boxes=%s arcs=%s cont=%s"
+    (String.concat "," (List.map (ints "x") extents))
+    (String.concat ","
+       (List.map (fun (a, b) -> Printf.sprintf "%d->%d" a b) arcs))
+    (ints "x" container)
+
+let arb_dff_case = QCheck.make gen_dff_case ~print:print_dff_case
+
+let dff_instance (extents, arcs, container) =
+  ( Packing.Instance.make ~precedence:arcs
+      ~boxes:(Array.of_list (List.map Box.make extents))
+      (),
+    Container.make container )
+
+let show v = Format.asprintf "%a" Engine.pp_verdict v
+
+let dff_verdicts case =
+  let i, c = dff_instance case in
+  ( (show (Engine.dff_volume i c), show (Dff_reference.dff_volume i c)),
+    (show (Engine.dff_time i c), show (Dff_reference.dff_time i c)) )
+
+let prop_dff_matches_reference case =
+  let (volume, volume_ref), (time, time_ref) = dff_verdicts case in
+  if volume <> volume_ref then
+    QCheck.Test.fail_reportf "dff-volume: %s, reference %s" volume volume_ref
+  else if time <> time_ref then
+    QCheck.Test.fail_reportf "dff-time: %s, reference %s" time time_ref
+  else true
+
+let dff_cases = 1000
+
+(* The sample the property draws is not vacuous: both bounds refute,
+   dff-time proves time bounds, and some containers reach [mul_sat]
+   saturation on their largest composed target ([u^(4)] on every axis),
+   some of them refuted all the same. *)
+let test_dff_sample_covers () =
+  let cases =
+    QCheck.Gen.generate ~rand:(Fixed_seed.rand [| 0xB0D5; 2026 |])
+      ~n:dff_cases gen_dff_case
+  in
+  let refuted = String.starts_with ~prefix:"infeasible" in
+  let saturates (_, _, container) =
+    Array.fold_left (fun a w -> Box.mul_sat a (4 * w)) 1 container = max_int
+  in
+  let tally =
+    List.map
+      (fun case ->
+        let (volume, _), (time, _) = dff_verdicts case in
+        (refuted volume, refuted time, contains time "lower bound",
+         saturates case))
+      cases
+  in
+  let count p = List.length (List.filter p tally) in
+  let volume = count (fun (v, _, _, _) -> v)
+  and time = count (fun (_, t, _, _) -> t)
+  and bounded = count (fun (_, _, b, _) -> b)
+  and saturated = count (fun (_, _, _, s) -> s)
+  and saturated_refuted = count (fun (v, _, _, s) -> v && s) in
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "%d dff-volume and %d dff-time refutations, %d time bounds, %d \
+        saturating containers (%d refuted)"
+       volume time bounded saturated saturated_refuted)
+    true
+    (volume > 0 && time > 0 && bounded > 0 && saturated_refuted > 0)
+
 let () =
   Alcotest.run "bounds engine"
     [
@@ -566,6 +683,13 @@ let () =
             test_u298_refuted_by_slice;
           Alcotest.test_case "u83 tiling found at zero slack" `Quick
             test_u83_zero_slack_tiling;
+        ] );
+      ( "dff",
+        [
+          qtest ~count:dff_cases "DFF matches the reference copy" arb_dff_case
+            prop_dff_matches_reference;
+          Alcotest.test_case "reference sample refutes and saturates" `Quick
+            test_dff_sample_covers;
         ] );
       ( "misfit",
         [

@@ -18,13 +18,8 @@ module BB = Baseline.Geometric_bb
 (* A fixed generator state makes `dune runtest` reproducible;
    QCHECK_SEED (read by qcheck-alcotest before this default applies)
    still wins when exported explicitly. *)
-let fixed_rand () =
-  match Sys.getenv_opt "QCHECK_SEED" with
-  | Some s -> Random.State.make [| int_of_string s |]
-  | None -> Random.State.make [| 0x0FF1CE; 2026 |]
-
 let qtest ?(count = 100) name arb prop =
-  QCheck_alcotest.to_alcotest ~rand:(fixed_rand ())
+  QCheck_alcotest.to_alcotest ~rand:(Fixed_seed.rand [| 0x0FF1CE; 2026 |])
     (QCheck.Test.make ~count ~long_factor:10 ~name arb prop)
 
 (* Budgets large enough that these instance sizes never hit them; a

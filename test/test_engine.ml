@@ -22,13 +22,10 @@ module PS = Packing.Packing_state
 module Solver = Packing.Opp_solver
 module Par = Packing.Parallel_solver
 
-let fixed_rand () =
-  match Sys.getenv_opt "QCHECK_SEED" with
-  | Some s -> Random.State.make [| int_of_string s |]
-  | None -> Random.State.make [| 0xE2612E; 2026 |]
+let seed = [| 0xE2612E; 2026 |]
 
 let qtest ?(count = 100) name arb prop =
-  QCheck_alcotest.to_alcotest ~rand:(fixed_rand ())
+  QCheck_alcotest.to_alcotest ~rand:(Fixed_seed.rand seed)
     (QCheck.Test.make ~count ~long_factor:10 ~name arb prop)
 
 (* ------------------------------------------------------------------ *)
@@ -194,28 +191,54 @@ let prop_choose_unknown_matches_reference
 (* Node-bound throttle and leaf realization                            *)
 (* ------------------------------------------------------------------ *)
 
+(* A case's time extent: fixed, or [Slack s] cycles past the
+   instance's critical path. *)
+type time = Fixed of int | Slack of int
+
+(* Loose cases, and tight ones where the node energetic bound fires:
+   eight tasks with precedence chains on a 2x2 chip, the time extent
+   one or two cycles past the critical path. About one tight case in
+   sixteen prunes at nodes, and none takes more than a few thousand
+   nodes under any policy. *)
 let arb_small_case =
   let gen =
     QCheck.Gen.(
       let* seed = int_range 0 1_000_000 in
-      let* n = int_range 2 5 in
-      let* max_extent = int_range 1 3 in
-      let* max_duration = int_range 1 3 in
-      let* arc_probability = oneofl [ 0.0; 0.25; 0.5 ] in
-      let* cw = int_range 3 6 and* ch = int_range 3 6 and* ct = int_range 3 7 in
-      return (seed, n, max_extent, max_duration, arc_probability, (cw, ch, ct)))
+      let* tight = bool in
+      if tight then
+        let* max_duration = int_range 2 3 in
+        let* slack = int_range 1 2 in
+        return (seed, 8, 2, max_duration, 0.1, (2, 2, Slack slack))
+      else
+        let* n = int_range 2 5 in
+        let* max_extent = int_range 1 3 in
+        let* max_duration = int_range 1 3 in
+        let* arc_probability = oneofl [ 0.0; 0.25; 0.5 ] in
+        let* cw = int_range 3 6 and* ch = int_range 3 6 and* ct = int_range 3 7 in
+        return
+          (seed, n, max_extent, max_duration, arc_probability, (cw, ch, Fixed ct)))
   in
   QCheck.make gen
-    ~print:(fun (seed, n, me, md, ap, (cw, ch, ct)) ->
+    ~print:(fun (seed, n, me, md, ap, (cw, ch, time)) ->
       Printf.sprintf "seed=%d n=%d max_extent=%d max_duration=%d arcs=%.2f \
-                      cont=%dx%dx%d"
-        seed n me md ap cw ch ct)
+                      cont=%dx%dx%s"
+        seed n me md ap cw ch
+        (match time with
+        | Fixed ct -> string_of_int ct
+        | Slack s -> Printf.sprintf "(critical path + %d)" s))
 
-let small_case (seed, n, max_extent, max_duration, arc_probability, (cw, ch, ct))
-    =
-  ( Benchmarks.Generate.random ~seed ~n ~max_extent ~max_duration
-      ~arc_probability (),
-    Container.make3 ~w:cw ~h:ch ~t_max:ct )
+let small_case
+    (seed, n, max_extent, max_duration, arc_probability, (cw, ch, time)) =
+  let inst =
+    Benchmarks.Generate.random ~seed ~n ~max_extent ~max_duration
+      ~arc_probability ()
+  in
+  let ct =
+    match time with
+    | Fixed ct -> ct
+    | Slack s -> Instance.critical_path inst + s
+  in
+  (inst, Container.make3 ~w:cw ~h:ch ~t_max:ct)
 
 let solve_with node_bounds inst cont =
   let options =
@@ -285,6 +308,26 @@ let prop_attempts_monotone_in_strictness case =
       QCheck.Test.fail_reportf "adaptive: %d calls, always %d" adaptive
         always_calls
     else true
+
+let throttle_cases = 150
+
+(* The throttle properties are not vacuous: on the sample they draw,
+   the node energetic bound prunes under "always" on some case, so a
+   policy that skipped or misread it would change a verdict or a call
+   count. *)
+let test_some_case_prunes () =
+  let cases =
+    QCheck.Gen.generate ~rand:(Fixed_seed.rand seed) ~n:throttle_cases
+      (QCheck.gen arb_small_case)
+  in
+  let prunes case =
+    let inst, cont = small_case case in
+    snd (energetic (snd (solve_with Solver.Realize_always inst cont)))
+  in
+  let pruned = List.length (List.filter (fun c -> prunes c > 0) cases) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d cases prune at nodes" pruned throttle_cases)
+    true (pruned > 0)
 
 (* The search builds a placement only where the packing class is fully
    decided: one realization per leaf, and a witness that validates. *)
@@ -463,10 +506,12 @@ let () =
         ] );
       ( "throttle",
         [
-          qtest ~count:70 "every policy preserves the verdict" arb_small_case
-            prop_policies_preserve_verdicts;
-          qtest ~count:70 "attempts decrease with stricter policies"
+          qtest ~count:throttle_cases "every policy preserves the verdict"
+            arb_small_case prop_policies_preserve_verdicts;
+          qtest ~count:throttle_cases "attempts decrease with stricter policies"
             arb_small_case prop_attempts_monotone_in_strictness;
+          Alcotest.test_case "some case prunes at nodes" `Quick
+            test_some_case_prunes;
         ] );
       ( "witness",
         [

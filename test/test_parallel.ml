@@ -326,9 +326,11 @@ let test_jobs1_short_circuit () =
 (* ------------------------------------------------------------------ *)
 
 let hard_case () =
-  (* Search-only on the DE benchmark at a tight container: enough nodes
-     that any small deadline expires mid-search. *)
-  (Benchmarks.De.instance, cont3 17 17 12)
+  (* Search-only on the DE benchmark without its precedence edges at a
+     tight container: the search runs past 100k nodes, so any small
+     deadline expires mid-search and any node limit below that is
+     reached. (With its precedence DE is refuted in about 400 nodes.) *)
+  (Benchmarks.De.instance_without_precedence, cont3 17 17 12)
 
 let test_expired_deadline_times_out () =
   let i, c = hard_case () in
@@ -426,13 +428,11 @@ let test_stats_merge () =
 
 (* On a long enough search with several workers the thieves must
    actually steal, and the per-worker counters must reconcile with the
-   report totals. [hard_case] is refuted in about 400 nodes, a few
-   milliseconds, which can end before a thief domain is first scheduled
-   when there are fewer cores than jobs; DE without its precedence
-   edges at the same container runs past 100k nodes, so the search
-   lasts until the node limit. *)
+   report totals. [hard_case] lasts until the node limit, long after
+   every thief domain is first scheduled, even with fewer cores than
+   jobs. *)
 let test_steal_counters () =
-  let i, c = (Benchmarks.De.instance_without_precedence, cont3 17 17 12) in
+  let i, c = hard_case () in
   let options = { search_only with node_limit = Some 20_000 } in
   let r = Par.solve ~options ~jobs:4 i c in
   let sum f = List.fold_left (fun acc (w : Par.worker_report) -> acc + f w) 0 r.Par.workers in
@@ -455,6 +455,8 @@ let test_steal_counters () =
         true (w.elapsed_s >= 0.0))
     r.Par.workers
 
+(* Heartbeats fire on a clock cadence, checked every few dozen nodes;
+   a millisecond cadence fires many times within the node limit. *)
 let test_on_heartbeat () =
   let i, c = hard_case () in
   let calls = Atomic.make 0 in
@@ -462,6 +464,7 @@ let test_on_heartbeat () =
     {
       search_only with
       node_limit = Some 50_000;
+      progress_interval_s = 0.001;
       on_heartbeat = Some (fun _ -> Atomic.incr calls);
     }
   in

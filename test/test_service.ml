@@ -15,13 +15,8 @@ module Server = Service.Server
 module Writer = Service.Writer
 module M = Packing.Metrics
 
-let fixed_rand () =
-  match Sys.getenv_opt "QCHECK_SEED" with
-  | Some s -> Random.State.make [| int_of_string s |]
-  | None -> Random.State.make [| 0x5E55; 2026 |]
-
 let qtest ?(count = 100) name arb prop =
-  QCheck_alcotest.to_alcotest ~rand:(fixed_rand ())
+  QCheck_alcotest.to_alcotest ~rand:(Fixed_seed.rand [| 0x5E55; 2026 |])
     (QCheck.Test.make ~count ~name arb prop)
 
 (* ------------------------------------------------------------------ *)
