@@ -261,8 +261,18 @@ let sequencing_of_instance inst =
 (* ------------------------------------------------------------------ *)
 
 (* Every registered bound is a function of the instance and the
-   container alone: the order it uses is the instance's precedence. *)
-type entry = { name : string; run : Instance.t -> Container.t -> verdict }
+   container alone: the order it uses is the instance's precedence.
+   [serial_silent] marks a bound that is silent at the serialized
+   horizon of [time_lower_bound] whenever [misfit] is: it never returns
+   a [Lower_bound], and it ignores the spatial orders, so it cannot
+   refute the packing that runs the tasks one after another at the
+   origin, which exists there once every task fits. [misfit], which
+   decides that fit, is not marked. *)
+type entry = {
+  name : string;
+  run : Instance.t -> Container.t -> verdict;
+  serial_silent : bool;
+}
 
 let run_misfit inst container =
   match misfit inst container with
@@ -434,73 +444,64 @@ let run_energetic inst container ~seq =
     let n = Instance.count inst in
     let cap = time_cap inst container in
     let base = base_area inst container in
-    let dur = Instance.duration inst in
+    let dur = Array.init n (Instance.duration inst) in
+    let area = Array.init n (footprint inst) in
     let est, lft = windows inst container ~seq in
-    let result = ref Inconclusive in
+    let infeasible detail = Infeasible { bound = "energetic"; detail } in
     (* Chain through [i] too long for the window — cheap early out that
        also keeps every subsequent window computation meaningful. *)
-    for i = 0 to n - 1 do
-      if !result = Inconclusive && est.(i) + dur i > lft.(i) then
-        result :=
-          Infeasible
-            {
-              bound = "energetic";
-              detail =
-                Printf.sprintf "task %d has no feasible start window" i;
-            }
-    done;
-    if !result = Inconclusive then begin
-      let t1s = List.sort_uniq compare (0 :: Array.to_list est) in
-      let t2s = List.sort_uniq compare (cap :: Array.to_list lft) in
-      List.iter
-        (fun t1 ->
-          List.iter
-            (fun t2 ->
-              if !result = Inconclusive && t1 < t2 then begin
-                let energy = ref 0 in
-                for i = 0 to n - 1 do
-                  let mandatory =
-                    min
-                      (min (dur i) (t2 - t1))
-                      (min (est.(i) + dur i - t1) (t2 - (lft.(i) - dur i)))
-                  in
-                  if mandatory > 0 then
-                    energy := !energy + (footprint inst i * mandatory)
-                done;
-                let capacity = mul_sat base (t2 - t1) in
-                if !energy > capacity then
-                  result :=
-                    Infeasible
-                      {
-                        bound = "energetic";
-                        detail =
-                          Printf.sprintf
-                            "mandatory energy %d exceeds capacity %d in \
-                             window [%d, %d)"
-                            !energy capacity t1 t2;
-                      }
-              end)
-            t2s)
-        t1s;
-      !result
-    end
-    else !result
+    let rec no_window i =
+      if i = n then None
+      else if est.(i) + dur.(i) > lft.(i) then Some i
+      else no_window (i + 1)
+    in
+    match no_window 0 with
+    | Some i ->
+      infeasible (Printf.sprintf "task %d has no feasible start window" i)
+    | None -> (
+      let t1s = List.sort_uniq Int.compare (0 :: Array.to_list est) in
+      let t2s = List.sort_uniq Int.compare (cap :: Array.to_list lft) in
+      let overflow t1 t2 =
+        if t1 >= t2 then None
+        else begin
+          let energy = ref 0 in
+          for i = 0 to n - 1 do
+            let mandatory =
+              Int.min
+                (Int.min dur.(i) (t2 - t1))
+                (Int.min (est.(i) + dur.(i) - t1) (t2 - (lft.(i) - dur.(i))))
+            in
+            if mandatory > 0 then energy := !energy + (area.(i) * mandatory)
+          done;
+          let capacity = mul_sat base (t2 - t1) in
+          if !energy > capacity then
+            Some
+              (Printf.sprintf
+                 "mandatory energy %d exceeds capacity %d in window [%d, %d)"
+                 !energy capacity t1 t2)
+          else None
+        end
+      in
+      match List.find_map (fun t1 -> List.find_map (overflow t1) t2s) t1s with
+      | Some detail -> infeasible detail
+      | None -> Inconclusive)
   end
 
 let all_entries =
   [
-    { name = "misfit"; run = run_misfit };
-    { name = "volume"; run = run_volume };
-    { name = "critical-path"; run = run_critical_path };
-    { name = "clique-time"; run = run_clique_time };
-    { name = "clique-space"; run = run_clique_space };
-    { name = "dff-volume"; run = dff_volume };
-    { name = "dff-time"; run = dff_time };
+    { name = "misfit"; run = run_misfit; serial_silent = false };
+    { name = "volume"; run = run_volume; serial_silent = false };
+    { name = "critical-path"; run = run_critical_path; serial_silent = false };
+    { name = "clique-time"; run = run_clique_time; serial_silent = false };
+    { name = "clique-space"; run = run_clique_space; serial_silent = true };
+    { name = "dff-volume"; run = dff_volume; serial_silent = true };
+    { name = "dff-time"; run = dff_time; serial_silent = false };
     {
       name = "energetic";
       run =
         (fun inst container ->
           run_energetic inst container ~seq:(sequencing_of_instance inst));
+      serial_silent = true;
     };
   ]
 
@@ -582,6 +583,7 @@ let slice_instance inst container tasks =
 
 type t = {
   entries : (entry * Recorder.bound) list;
+  serial_entries : (entry * Recorder.bound) list; (* the not [serial_silent] *)
   energetic : Recorder.bound;
   time_slice : Recorder.bound;
   recorder : Recorder.t;
@@ -593,6 +595,7 @@ let attach recorder =
   in
   {
     entries;
+    serial_entries = List.filter (fun (e, _) -> not e.serial_silent) entries;
     energetic = Recorder.register_bound recorder "energetic";
     time_slice = Recorder.register_bound recorder time_slice_name;
     recorder;
@@ -616,20 +619,25 @@ let check_dimensions ~who inst container =
   if Container.dim container <> Instance.dim inst then
     invalid_arg (who ^ ": dimension mismatch")
 
-let check t inst container =
-  check_dimensions ~who:"Bound_engine.check" inst container;
-  let rec first_refuted best = function
+(* The first [Infeasible] verdict of [entries], in order, otherwise
+   the strongest [Lower_bound], otherwise [Inconclusive]. *)
+let first_refuted t entries inst container =
+  let rec go best = function
     | [] -> best
     | (e, tally) :: rest -> (
       match timed t tally (fun () -> e.run inst container) with
       | Infeasible _ as v -> v
       | Lower_bound l -> (
         match best with
-        | Lower_bound l' when l' >= l -> first_refuted best rest
-        | _ -> first_refuted (Lower_bound l) rest)
-      | Inconclusive -> first_refuted best rest)
+        | Lower_bound l' when l' >= l -> go best rest
+        | _ -> go (Lower_bound l) rest)
+      | Inconclusive -> go best rest)
   in
-  first_refuted Inconclusive t.entries
+  go Inconclusive entries
+
+let check t inst container =
+  check_dimensions ~who:"Bound_engine.check" inst container;
+  first_refuted t t.entries inst container
 
 let energetic_at_node t inst container ~sequencing =
   check_dimensions ~who:"Bound_engine.energetic_at_node" inst container;
@@ -643,7 +651,8 @@ let time_lower_bound t inst container =
      for these spatial extents. *)
   let horizon = max 1 (Instance.total_duration inst) in
   let probe = Container.with_extent container ta horizon in
-  match check t inst probe with
+  (* The [serial_silent] bounds cannot change the verdict here. *)
+  match first_refuted t t.serial_entries inst probe with
   | Infeasible _ -> horizon + 1
   | Lower_bound l -> max 1 l
   | Inconclusive -> 1

@@ -121,7 +121,17 @@ val energetic_at_node :
 (** [time_lower_bound t inst container] is the strongest proven lower
     bound on the time extent needed to pack [inst] into a container with
     [container]'s spatial extents (the time extent of [container] is
-    ignored). Always at least 1. *)
+    ignored). Always at least 1.
+
+    It equals {!check} at the serialized horizon [H], the total
+    duration (at least 1): [H + 1] on [Infeasible], [max 1 l] on
+    [Lower_bound l], 1 on [Inconclusive]. At [H], once every task fits,
+    running the tasks one after another at the origin packs every
+    constraint that ["clique-space"], ["dff-volume"] and ["energetic"]
+    see (none reads a spatial order), and none of the three returns a
+    [Lower_bound], so it skips them: their call counts do not move.
+    ["misfit"], ["volume"], ["critical-path"], ["clique-time"] and
+    ["dff-time"] run as in {!check}. *)
 val time_lower_bound : t -> Instance.t -> Container.t -> int
 
 (** [time_slice t ~refute inst container] is the time-slice bound.

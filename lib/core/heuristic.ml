@@ -8,34 +8,17 @@ module PO = Order.Partial_order
 let restarts = 200
 let restart_seed = 17
 
-(* Remaining-chain criticality: duration of the task plus the heaviest
-   chain of successors. *)
-let criticality inst =
-  let n = Instance.count inst in
-  let p = Instance.precedence inst in
-  let memo = Array.make n (-1) in
-  let rec crit i =
-    if memo.(i) >= 0 then memo.(i)
-    else begin
-      let best = ref 0 in
-      for j = 0 to n - 1 do
-        if PO.precedes p i j then best := max !best (crit j)
-      done;
-      memo.(i) <- Instance.duration inst i + !best;
-      memo.(i)
-    end
-  in
-  Array.init n crit
-
 (* The instance as flat arrays: extents, durations, every (transitive)
-   predecessor of each task, and the base priority criticality x 4 +
-   area. *)
+   predecessor and successor of each task, and the base priority
+   criticality x 4 + area, where the criticality of a task is its
+   duration plus the heaviest chain of its successors. *)
 type tasks = {
   n : int;
   w : int array;
   h : int array;
   d : int array;
   preds : int array array;
+  succs : int array array;
   priority : float array;
 }
 
@@ -44,34 +27,91 @@ let tasks_of inst =
   let w = Array.init n (fun i -> Instance.extent inst i 0)
   and h = Array.init n (fun i -> Instance.extent inst i 1)
   and d = Array.init n (Instance.duration inst) in
-  let crit = criticality inst in
-  let preds =
-    Array.init n (fun j ->
-        Array.of_list
-          (List.filter (fun i -> Instance.precedes inst i j) (List.init n Fun.id)))
+  let preds = Array.make n [] and succs = Array.make n [] in
+  List.iter
+    (fun (u, v) ->
+      succs.(u) <- v :: succs.(u);
+      preds.(v) <- u :: preds.(v))
+    (PO.relations (Instance.precedence inst));
+  let preds = Array.map Array.of_list preds
+  and succs = Array.map Array.of_list succs in
+  let crit = Array.make n (-1) in
+  let rec chain i =
+    if crit.(i) < 0 then begin
+      let best = ref 0 in
+      Array.iter (fun j -> best := Int.max !best (chain j)) succs.(i);
+      crit.(i) <- d.(i) + !best
+    end;
+    crit.(i)
   in
-  let priority = Array.init n (fun i -> float_of_int ((crit.(i) * 4) + (w.(i) * h.(i)))) in
-  { n; w; h; d; preds; priority }
+  let priority =
+    Array.init n (fun i -> float_of_int ((chain i * 4) + (w.(i) * h.(i))))
+  in
+  { n; w; h; d; preds; succs; priority }
 
-(* A precedence-respecting order: repeatedly the ready task of highest
-   priority, the lower index on ties. *)
-let priority_order tk priority =
-  let taken = Array.make tk.n false in
-  Array.init tk.n (fun _ ->
-      let best = ref (-1) in
-      for i = 0 to tk.n - 1 do
-        if
-          (not taken.(i))
-          && Array.for_all (fun j -> taken.(j)) tk.preds.(i)
-          && (!best < 0 || priority.(i) > priority.(!best))
-        then best := i
-      done;
-      taken.(!best) <- true;
-      !best)
+(* The working arrays of one [pack] or [makespan] call, reused by every
+   schedule it builds: the priority order, the origins of the schedule
+   under construction, the tasks placed so far, and the candidate
+   start times and corners of the task being placed. *)
+type work = {
+  tk : tasks;
+  order : int array;
+  missing : int array; (* predecessors not yet in [order]; -1 once in it *)
+  ox : int array;
+  oy : int array;
+  ot : int array;
+  placed : int array;
+  active : int array;
+  times : int array;
+  cx : int array;
+  cy : int array;
+  mutable fx : int; (* the corner [corner] found *)
+  mutable fy : int;
+}
+
+let work tk =
+  let n = tk.n in
+  {
+    tk;
+    order = Array.make n 0;
+    missing = Array.make n 0;
+    ox = Array.make n 0;
+    oy = Array.make n 0;
+    ot = Array.make n 0;
+    placed = Array.make n 0;
+    active = Array.make n 0;
+    times = Array.make (n + 1) 0;
+    cx = Array.make (n + 1) 0;
+    cy = Array.make (n + 1) 0;
+    fx = 0;
+    fy = 0;
+  }
+
+(* Fills [s.order] with a precedence-respecting order: repeatedly the
+   ready task of highest priority, the lower index on ties. *)
+let priority_order s (priority : float array) =
+  let tk = s.tk in
+  for i = 0 to tk.n - 1 do
+    s.missing.(i) <- Array.length tk.preds.(i)
+  done;
+  for k = 0 to tk.n - 1 do
+    let best = ref (-1) in
+    for i = 0 to tk.n - 1 do
+      if s.missing.(i) = 0 && (!best < 0 || priority.(i) > priority.(!best))
+      then best := i
+    done;
+    let b = !best in
+    s.missing.(b) <- -1;
+    s.order.(k) <- b;
+    let succs = tk.succs.(b) in
+    for a = 0 to Array.length succs - 1 do
+      s.missing.(succs.(a)) <- s.missing.(succs.(a)) - 1
+    done
+  done
 
 (* Sorts [a.(0 .. len-1)] ascending, drops duplicates, and returns the
    new length. The arrays are a few entries long. *)
-let sort_unique a len =
+let sort_unique (a : int array) len =
   for i = 1 to len - 1 do
     let v = a.(i) in
     let j = ref (i - 1) in
@@ -81,7 +121,7 @@ let sort_unique a len =
     done;
     a.(!j + 1) <- v
   done;
-  let m = ref (min len 1) in
+  let m = ref (Int.min len 1) in
   for i = 1 to len - 1 do
     if a.(i) <> a.(!m - 1) then begin
       a.(!m) <- a.(i);
@@ -90,114 +130,122 @@ let sort_unique a len =
   done;
   !m
 
+(* Whether a [w] x [h] rectangle at ([x], [y]) misses the first [na]
+   tasks of [s.active]. *)
+let free s ~na ~x ~y ~w ~h =
+  let tk = s.tk in
+  let ok = ref true and a = ref 0 in
+  while !ok && !a < na do
+    let j = s.active.(!a) in
+    if x < s.ox.(j) + tk.w.(j) && s.ox.(j) < x + w && y < s.oy.(j) + tk.h.(j)
+       && s.oy.(j) < y + h
+    then ok := false;
+    incr a
+  done;
+  !ok
+
+(* Whether the first [k] placed tasks leave a free corner for a
+   [w] x [h] task running from [t] for [d] on a [cw] x [ch] base; the
+   lowest one goes to [s.fx], [s.fy]. *)
+let corner s ~cw ~ch ~k ~t ~w ~h ~d =
+  let tk = s.tk in
+  let na = ref 0 and nx = ref 1 and ny = ref 1 in
+  s.cx.(0) <- 0;
+  s.cy.(0) <- 0;
+  for a = 0 to k - 1 do
+    let j = s.placed.(a) in
+    if s.ot.(j) < t + d && t < s.ot.(j) + tk.d.(j) then begin
+      s.active.(!na) <- j;
+      incr na;
+      let x = s.ox.(j) + tk.w.(j) and y = s.oy.(j) + tk.h.(j) in
+      if x + w <= cw then begin
+        s.cx.(!nx) <- x;
+        incr nx
+      end;
+      if y + h <= ch then begin
+        s.cy.(!ny) <- y;
+        incr ny
+      end
+    end
+  done;
+  let nx = sort_unique s.cx !nx and ny = sort_unique s.cy !ny in
+  let found = ref false and b = ref 0 in
+  while (not !found) && !b < ny do
+    let y = s.cy.(!b) and a = ref 0 in
+    while (not !found) && !a < nx do
+      let x = s.cx.(!a) in
+      if free s ~na:!na ~x ~y ~w ~h then begin
+        found := true;
+        s.fx <- x;
+        s.fy <- y
+      end;
+      incr a
+    done;
+    incr b
+  done;
+  !found
+
 (* The serial schedule-generation scheme on a [cw] x [ch] base. Tasks
-   are taken in [order]; each starts at the earliest time — its
+   are taken in [s.order]; each starts at the earliest time — its
    predecessors' finish, or a later finish of a placed task — at which
    some bottom-left corner stays free for its whole duration, at the
    lowest such corner (y, then x). Corners come from the right and top
    faces of the placed tasks that overlap that duration; sliding a free
    position down and left always stops on one of them, so no free
-   position is missed. Returns the makespan and the origins, or [None]
-   when a task misses the base or cannot finish by [t_limit]. *)
-let serial tk ~cw ~ch ~t_limit order =
-  let n = tk.n in
-  let ox = Array.make n 0 and oy = Array.make n 0 and ot = Array.make n 0 in
-  let placed = Array.make n 0 and active = Array.make n 0 in
-  let times = Array.make (n + 1) 0
-  and cx = Array.make (n + 1) 0
-  and cy = Array.make (n + 1) 0 in
-  let free ~na ~x ~y ~w ~h =
-    let ok = ref true and a = ref 0 in
-    while !ok && !a < na do
-      let j = active.(!a) in
-      if x < ox.(j) + tk.w.(j) && ox.(j) < x + w && y < oy.(j) + tk.h.(j)
-         && oy.(j) < y + h
-      then ok := false;
-      incr a
-    done;
-    !ok
-  in
-  (* The lowest free corner for a task at start [t], if any. *)
-  let corner ~k ~t ~w ~h ~d =
-    let na = ref 0 and nx = ref 1 and ny = ref 1 in
-    cx.(0) <- 0;
-    cy.(0) <- 0;
-    for a = 0 to k - 1 do
-      let j = placed.(a) in
-      if ot.(j) < t + d && t < ot.(j) + tk.d.(j) then begin
-        active.(!na) <- j;
-        incr na;
-        let x = ox.(j) + tk.w.(j) and y = oy.(j) + tk.h.(j) in
-        if x + w <= cw then begin
-          cx.(!nx) <- x;
-          incr nx
-        end;
-        if y + h <= ch then begin
-          cy.(!ny) <- y;
-          incr ny
-        end
-      end
-    done;
-    let nx = sort_unique cx !nx and ny = sort_unique cy !ny in
-    let found = ref None and b = ref 0 in
-    while !found = None && !b < ny do
-      let y = cy.(!b) and a = ref 0 in
-      while !found = None && !a < nx do
-        let x = cx.(!a) in
-        if free ~na:!na ~x ~y ~w ~h then found := Some (x, y);
-        incr a
-      done;
-      incr b
-    done;
-    !found
-  in
+   position is missed. Returns the makespan, the origins left in
+   [s.ox], [s.oy], [s.ot], or [None] when a task misses the base or
+   cannot finish by [t_limit]. *)
+let serial s ~cw ~ch ~t_limit =
+  let tk = s.tk in
   let makespan = ref 0 and k = ref 0 and failed = ref false in
-  while (not !failed) && !k < n do
-    let i = order.(!k) in
+  while (not !failed) && !k < tk.n do
+    let i = s.order.(!k) in
     let w = tk.w.(i) and h = tk.h.(i) and d = tk.d.(i) in
     if w > cw || h > ch then failed := true
     else begin
-      let est =
-        Array.fold_left (fun acc j -> max acc (ot.(j) + tk.d.(j))) 0 tk.preds.(i)
-      in
-      times.(0) <- est;
+      let est = ref 0 and preds = tk.preds.(i) in
+      for a = 0 to Array.length preds - 1 do
+        let j = preds.(a) in
+        est := Int.max !est (s.ot.(j) + tk.d.(j))
+      done;
+      let est = !est in
+      s.times.(0) <- est;
       let nt = ref 1 in
       for a = 0 to !k - 1 do
-        let j = placed.(a) in
-        let f = ot.(j) + tk.d.(j) in
+        let j = s.placed.(a) in
+        let f = s.ot.(j) + tk.d.(j) in
         if f > est then begin
-          times.(!nt) <- f;
+          s.times.(!nt) <- f;
           incr nt
         end
       done;
-      let nt = sort_unique times !nt in
+      let nt = sort_unique s.times !nt in
       let c = ref 0 and placed_at = ref false in
       while (not !placed_at) && (not !failed) && !c < nt do
-        let t = times.(!c) in
+        let t = s.times.(!c) in
         if t + d > t_limit then failed := true
-        else begin
-          match corner ~k:!k ~t ~w ~h ~d with
-          | Some (x, y) ->
-            ox.(i) <- x;
-            oy.(i) <- y;
-            ot.(i) <- t;
-            makespan := max !makespan (t + d);
-            placed_at := true
-          | None -> incr c
+        else if corner s ~cw ~ch ~k:!k ~t ~w ~h ~d then begin
+          s.ox.(i) <- s.fx;
+          s.oy.(i) <- s.fy;
+          s.ot.(i) <- t;
+          makespan := Int.max !makespan (t + d);
+          placed_at := true
         end
+        else incr c
       done;
       (* Only a missed [t_limit] leaves a task unplaced: the last
          candidate start follows every placed task, so the base is
          empty there. *)
       if not !placed_at then failed := true
       else begin
-        placed.(!k) <- i;
+        s.placed.(!k) <- i;
         incr k
       end
     end
   done;
-  if !failed then None
-  else Some (!makespan, Array.init n (fun i -> [| ox.(i); oy.(i); ot.(i) |]))
+  if !failed then None else Some !makespan
+
+let origins ox oy ot = Array.init (Array.length ox) (fun i -> [| ox.(i); oy.(i); ot.(i) |])
 
 (* The scheduler understands exactly the classic FPGA shape:
    3-dimensional boxes, time on the last axis, and no order constraints
@@ -222,45 +270,56 @@ let validated inst container origins =
 let pack inst container =
   if not (supports inst) || Container.dim container <> 3 then
     invalid_arg "Heuristic.pack: expects 3-dimensional space-time instances";
-  let tk = tasks_of inst in
+  let s = work (tasks_of inst) in
+  priority_order s s.tk.priority;
   match
-    serial tk ~cw:(Container.extent container 0) ~ch:(Container.extent container 1)
+    serial s ~cw:(Container.extent container 0) ~ch:(Container.extent container 1)
       ~t_limit:(Container.extent container 2)
-      (priority_order tk tk.priority)
   with
   | None -> None
-  | Some (_, origins) -> validated inst container origins
+  | Some _ -> validated inst container (origins s.ox s.oy s.ot)
 
 let makespan ?(target = 0) inst ~base =
   if not (supports inst) then
     invalid_arg "Heuristic.makespan: expects 3-dimensional instances";
   let cw = Container.extent base 0 and ch = Container.extent base 1 in
-  let horizon = max 1 (Instance.total_duration inst) in
+  let horizon = Int.max 1 (Instance.total_duration inst) in
   let container = Container.make3 ~w:cw ~h:ch ~t_max:horizon in
   (* No schedule beats the critical path or the volume over the base,
      so reaching either ends the restarts as well. *)
   let target =
-    max target
-      (max (Instance.critical_path inst)
+    Int.max target
+      (Int.max (Instance.critical_path inst)
          ((Instance.total_volume inst + (cw * ch) - 1) / (cw * ch)))
   in
-  let tk = tasks_of inst in
+  let s = work (tasks_of inst) in
+  let tk = s.tk in
   let run priority =
-    serial tk ~cw ~ch ~t_limit:horizon (priority_order tk priority)
+    priority_order s priority;
+    serial s ~cw ~ch ~t_limit:horizon
   in
   match run tk.priority with
   | None -> None
   | Some first ->
-    let rng = Random.State.make [| restart_seed |] in
-    let best = ref first and r = ref 0 in
-    while fst !best > target && !r < restarts do
-      incr r;
-      let priority =
-        Array.map (fun p -> p *. (0.5 +. Random.State.float rng 1.0)) tk.priority
-      in
-      match run priority with
-      | Some ((ms, _) as s) when ms < fst !best -> best := s
-      | Some _ | None -> ()
-    done;
-    let ms, origins = !best in
-    Option.map (fun p -> (ms, p)) (validated inst container origins)
+    (* The best schedule's origins, copied only when a restart beats
+       it. *)
+    let best = ref first in
+    let bx = Array.copy s.ox and by = Array.copy s.oy and bt = Array.copy s.ot in
+    if first > target then begin
+      let rng = Random.State.make [| restart_seed |] in
+      let priority = Array.make tk.n 0.0 and r = ref 0 in
+      while !best > target && !r < restarts do
+        incr r;
+        for i = 0 to tk.n - 1 do
+          priority.(i) <- tk.priority.(i) *. (0.5 +. Random.State.float rng 1.0)
+        done;
+        match run priority with
+        | Some ms when ms < !best ->
+          best := ms;
+          Array.blit s.ox 0 bx 0 tk.n;
+          Array.blit s.oy 0 by 0 tk.n;
+          Array.blit s.ot 0 bt 0 tk.n
+        | Some _ | None -> ()
+      done
+    end;
+    Option.map (fun p -> (!best, p)) (validated inst container (origins bx by bt))

@@ -11,7 +11,15 @@
     corner. Unlike a non-delay scheduler, a task may wait while the
     chip has room, which some optimal schedules need.
     The result is validated geometrically before being returned, so a
-    [Some] answer is always a feasible packing. *)
+    [Some] answer is always a feasible packing.
+
+    One call allocates its working arrays once and reuses them for
+    every schedule it builds ([makespan]'s restarts included), copying
+    origins only when a restart improves on the best schedule; the
+    scheduler compares ints and floats without polymorphic compare.
+    Its schedules are identical, origin by origin, to those of the
+    reference copy of the earlier version kept in
+    [test/heuristic_reference.ml]. *)
 
 (** [supports instance] says whether the scheduler applies:
     3-dimensional boxes with the objective on the last axis and no

@@ -634,6 +634,150 @@ let test_dff_sample_covers () =
     true
     (volume > 0 && time > 0 && bounded > 0 && saturated_refuted > 0)
 
+(* ------------------------------------------------------------------ *)
+(* time_lower_bound against its definition                             *)
+(* ------------------------------------------------------------------ *)
+
+(* A d-dimensional instance on a random objective axis, with
+   precedence, in half the cases an order on one other axis, and a
+   container whose axes range from one unit narrower than the widest
+   task (a misfit) to the sum of all extents. A quarter of the cases
+   mix small extents with ones just below 2^(62/d); another quarter
+   draws extents 2 to 4 on a container of side 5, where pairs of width
+   2 fit side by side but triples do not, which only the DFF bounds
+   see. *)
+let gen_serial_case =
+  QCheck.Gen.(
+    let* dim = oneofl [ 2; 3; 4 ] in
+    let* n = int_range 1 (if dim = 4 then 6 else 8) in
+    let* mode = frequencyl [ (2, `Small); (1, `Medium); (1, `Huge) ] in
+    let extent =
+      match mode with
+      | `Huge ->
+        frequency
+          [
+            (2, map (fun r -> (1 lsl (62 / dim)) - r) (int_range 0 3));
+            (1, int_range 1 4);
+          ]
+      | `Medium -> oneofl [ 2; 2; 3; 4 ]
+      | `Small -> int_range 1 5
+    in
+    let* extents = list_repeat n (array_repeat dim extent) in
+    let arcs =
+      map (List.filter_map Fun.id)
+        (flatten_l
+           (List.concat_map
+              (fun u ->
+                List.init (n - u - 1) (fun k ->
+                    map
+                      (fun keep -> if keep = 0 then Some (u, u + k + 1) else None)
+                      (int_range 0 3)))
+              (List.init n Fun.id)))
+    in
+    let* objective = int_range 0 (dim - 1) in
+    let* precedence = arcs in
+    let* ordered = bool in
+    let* axis = map (fun k -> (objective + 1 + k) mod dim) (int_range 0 (dim - 2)) in
+    let* spatial = arcs in
+    let orders = if ordered then [ (axis, spatial) ] else [] in
+    let* looseness =
+      array_repeat dim (oneofl [ -1.0; 0.0; 0.0; 0.25; 0.5; 1.0; 1.0 ])
+    in
+    let container =
+      Array.mapi
+        (fun k l ->
+          let widest = List.fold_left (fun m e -> max m e.(k)) 0 extents in
+          let sum = List.fold_left (fun s e -> s + e.(k)) 0 extents in
+          if mode = `Medium then 5
+          else if l < 0.0 then max 1 (widest - 1)
+          else widest + int_of_float (l *. float_of_int (sum - widest)))
+        looseness
+    in
+    return (extents, objective, precedence, orders, container))
+
+let print_serial_case (extents, objective, precedence, orders, container) =
+  let ints sep a = String.concat sep (List.map string_of_int (Array.to_list a)) in
+  let arcs l =
+    String.concat "," (List.map (fun (a, b) -> Printf.sprintf "%d->%d" a b) l)
+  in
+  Printf.sprintf "boxes=%s objective=%d precedence=%s orders=%s cont=%s"
+    (String.concat "," (List.map (ints "x") extents))
+    objective (arcs precedence)
+    (String.concat ";"
+       (List.map (fun (k, l) -> Printf.sprintf "%d:%s" k (arcs l)) orders))
+    (ints "x" container)
+
+let arb_serial_case = QCheck.make gen_serial_case ~print:print_serial_case
+
+let serial_instance (extents, objective, precedence, orders, container) =
+  ( Packing.Instance.make ~objective_axis:objective ~precedence ~orders
+      ~boxes:(Array.of_list (List.map Box.make extents))
+      (),
+    Container.make container )
+
+(* [time_lower_bound] as first defined: every registered bound through
+   [check] at the serialized horizon, the total duration. *)
+let serialized_check i c =
+  let h = max 1 (Packing.Instance.total_duration i) in
+  match
+    Engine.check (Engine.create ()) i
+      (Container.with_extent c (Packing.Instance.objective_axis i) h)
+  with
+  | Engine.Infeasible _ -> h + 1
+  | Engine.Lower_bound l -> max 1 l
+  | Engine.Inconclusive -> 1
+
+let prop_time_lower_bound_definition case =
+  let i, c = serial_instance case in
+  let lb = Engine.time_lower_bound (Engine.create ()) i c
+  and expected = serialized_check i c in
+  if lb = expected then true
+  else QCheck.Test.fail_reportf "time_lower_bound %d, definition %d" lb expected
+
+let serial_cases = 1000
+
+(* The sample is not vacuous: the definition refutes by a misfit and,
+   with every task fitting, by an ordered spatial chain; it proves
+   bounds above 1, some of which only dff-time reaches. *)
+let test_serial_sample_covers () =
+  let cases =
+    QCheck.Gen.generate ~rand:(Fixed_seed.rand [| 0xB0D5; 2026 |])
+      ~n:serial_cases gen_serial_case
+  in
+  let tally =
+    List.map
+      (fun case ->
+        let i, c = serial_instance case in
+        let h = max 1 (Packing.Instance.total_duration i) in
+        let c = Container.with_extent c (Packing.Instance.objective_axis i) h in
+        let lb = serialized_check i c in
+        let misfit = Option.is_some (Engine.misfit i c) in
+        let bound = function Engine.Lower_bound l -> l | _ -> 0 in
+        let others =
+          List.fold_left
+            (fun m (name, v) -> if name = "dff-time" then m else max m (bound v))
+            0
+            (Engine.run_all (Engine.create ()) ~refute:(fun _ _ -> false) i c)
+        in
+        ( misfit,
+          lb > h && not misfit,
+          lb > 1 && lb <= h,
+          bound (Engine.dff_time i c) > others ))
+      cases
+  in
+  let count p = List.length (List.filter p tally) in
+  let misfit = count (fun (m, _, _, _) -> m)
+  and chain = count (fun (_, r, _, _) -> r)
+  and bounded = count (fun (_, _, b, _) -> b)
+  and dff = count (fun (_, _, _, d) -> d) in
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "%d misfits, %d refuted with every task fitting, %d bounded (%d by \
+        dff-time alone)"
+       misfit chain bounded dff)
+    true
+    (misfit > 0 && chain > 0 && bounded > 0 && dff > 0)
+
 let () =
   Alcotest.run "bounds engine"
     [
@@ -690,6 +834,13 @@ let () =
             prop_dff_matches_reference;
           Alcotest.test_case "reference sample refutes and saturates" `Quick
             test_dff_sample_covers;
+        ] );
+      ( "serialized",
+        [
+          qtest ~count:serial_cases "time_lower_bound matches its definition"
+            arb_serial_case prop_time_lower_bound_definition;
+          Alcotest.test_case "definition sample refutes and bounds" `Quick
+            test_serial_sample_covers;
         ] );
       ( "misfit",
         [

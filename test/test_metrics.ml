@@ -587,10 +587,10 @@ let probe_bytes =
       {|"prunes":0},"volume":{"calls":2,"time_s":"#","prunes":0},|};
       {|"critical-path":{"calls":2,"time_s":"#","prunes":0},|};
       {|"clique-time":{"calls":2,"time_s":"#","prunes":0},|};
-      {|"clique-space":{"calls":2,"time_s":"#","prunes":0},|};
-      {|"dff-volume":{"calls":2,"time_s":"#","prunes":0},|};
+      {|"clique-space":{"calls":1,"time_s":"#","prunes":0},|};
+      {|"dff-volume":{"calls":1,"time_s":"#","prunes":0},|};
       {|"dff-time":{"calls":2,"time_s":"#","prunes":0},|};
-      {|"energetic":{"calls":25,"time_s":"#","prunes":3},|};
+      {|"energetic":{"calls":24,"time_s":"#","prunes":3},|};
       {|"time-slice":{"calls":1,"time_s":"#","prunes":0}}}]|};
     ]
 

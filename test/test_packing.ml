@@ -176,22 +176,24 @@ let test_heuristic_makespan () =
   | None -> Alcotest.fail "fits spatially"
   | Some (ms, _) -> Alcotest.(check int) "chain length" 5 ms
 
-(* Random stage-2 cases: up to 10 tasks with precedence arcs on a base
-   of 3..8 per side; extents up to 6 so some tasks miss the base. *)
-let arb_stage2_case =
+(* Random stage-2 cases: up to [max_n] tasks of spatial extents up to
+   [max_side] and durations up to 4, each arc u -> v (u < v) kept with
+   probability 1/[arc_odds], on a base of 3..8 per side. *)
+let arb_stage2 ~max_n ~max_side ~arc_odds =
   let gen =
     QCheck.Gen.(
-      let* n = int_range 1 10 in
+      let* n = int_range 1 max_n in
       let* dims =
-        list_repeat n (triple (int_range 1 6) (int_range 1 6) (int_range 1 4))
+        list_repeat n
+          (triple (int_range 1 max_side) (int_range 1 max_side) (int_range 1 4))
       in
       let* arcs =
         flatten_l
           (List.concat_map
              (fun u ->
                List.init (n - u - 1) (fun k ->
-                   let* keep = int_range 0 4 in
-                   return (if keep = 0 then Some (u, u + k + 1) else None)))
+                   let* keep = int_range 1 arc_odds in
+                   return (if keep = 1 then Some (u, u + k + 1) else None)))
              (List.init n Fun.id))
       in
       let* cw = int_range 3 8 and* ch = int_range 3 8 in
@@ -203,6 +205,9 @@ let arb_stage2_case =
            (List.map (fun (w, h, d) -> Printf.sprintf "%dx%dx%d" w h d) dims))
         (String.concat "," (List.map (fun (a, b) -> Printf.sprintf "%d->%d" a b) arcs))
         cw ch)
+
+(* Extents up to 6, so some tasks miss the base. *)
+let arb_stage2_case = arb_stage2 ~max_n:10 ~max_side:6 ~arc_odds:5
 
 let prop_stage2_schedule (dims, arcs, (cw, ch)) =
   let i = inst ~precedence:arcs (List.map (fun (w, h, d) -> box3 w h d) dims) in
@@ -234,6 +239,78 @@ let prop_stage2_schedule (dims, arcs, (cw, ch)) =
         | Some _ | None -> ())
       (List.filter (fun t -> t >= 1) [ ms - 1; ms; ms + 1 ]);
     true
+
+(* Every schedule the stage-2 calls build on [case]: [makespan] at
+   target 0 (the critical path and volume floor still apply), one past
+   the critical path, and [max_int], which keeps the first schedule;
+   then [pack] at horizons from the critical path through the first
+   schedule's makespan to the total duration. *)
+let stage2_runs ~makespan ~pack (dims, arcs, (cw, ch)) =
+  let i = inst ~precedence:arcs (List.map (fun (w, h, d) -> box3 w h d) dims) in
+  let origins p = Array.init (Placement.count p) (Placement.origin p) in
+  let spans =
+    List.map
+      (fun target ->
+        Option.map
+          (fun (ms, p) -> (ms, origins p))
+          (makespan ~target i ~base:(cont3 cw ch 1)))
+      [ 0; Instance.critical_path i + 1; max_int ]
+  in
+  let first = match List.nth spans 2 with Some (ms, _) -> ms | None -> 1 in
+  let horizons =
+    List.sort_uniq Int.compare
+      (List.filter
+         (fun t -> t >= 1)
+         [ Instance.critical_path i; first - 1; first; Instance.total_duration i ])
+  in
+  (spans, List.map (fun t -> Option.map origins (pack i (cont3 cw ch t))) horizons)
+
+let heuristic_runs =
+  stage2_runs
+    ~makespan:(fun ~target i ~base -> Heuristic.makespan ~target i ~base)
+    ~pack:Heuristic.pack
+
+let reference_runs =
+  stage2_runs
+    ~makespan:(fun ~target i ~base -> Heuristic_reference.makespan ~target i ~base)
+    ~pack:Heuristic_reference.pack
+
+let prop_stage2_matches_reference case =
+  let spans, packs = heuristic_runs case
+  and spans_ref, packs_ref = reference_runs case in
+  if spans <> spans_ref then QCheck.Test.fail_report "makespan differs from the reference";
+  if packs <> packs_ref then QCheck.Test.fail_report "pack differs from the reference";
+  true
+
+let stage2_seed = [| 0x5E41; 2026 |]
+let stage2_cases = 500
+
+(* Extents up to 4: few misfits, and many tasks of equal priority,
+   whose ties the order breaks by index. *)
+let arb_stage2_reference = arb_stage2 ~max_n:12 ~max_side:4 ~arc_odds:4
+
+(* The sample the reference comparison draws is not vacuous: restarts
+   improve on the first schedule, some base is too small for a task,
+   and [pack] both hits and misses. *)
+let test_stage2_sample_covers () =
+  let cases =
+    QCheck.Gen.generate ~rand:(Fixed_seed.rand stage2_seed) ~n:stage2_cases
+      (QCheck.get_gen arb_stage2_reference)
+  in
+  let runs = List.map heuristic_runs cases in
+  let count p = List.length (List.filter p runs) in
+  let improved =
+    count (function
+      | [ Some (best, _); _; Some (first, _) ], _ -> best < first
+      | _ -> false)
+  and misfit = count (fun (spans, _) -> List.hd spans = None)
+  and hit = count (fun (_, packs) -> List.exists Option.is_some packs)
+  and miss = count (fun (_, packs) -> List.exists Option.is_none packs) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d improved by restarts, %d misfit, %d pack hits, %d misses"
+       improved misfit hit miss)
+    true
+    (improved > 0 && misfit > 0 && hit > 0 && miss > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Packing_state                                                       *)
@@ -1096,6 +1173,12 @@ let () =
           Alcotest.test_case "makespan" `Quick test_heuristic_makespan;
           qtest ~count:300 "serial schedule sound and deterministic" arb_stage2_case
             prop_stage2_schedule;
+          QCheck_alcotest.to_alcotest ~rand:(Fixed_seed.rand stage2_seed)
+            (QCheck.Test.make ~count:stage2_cases
+               ~name:"schedules match the reference copy" arb_stage2_reference
+               prop_stage2_matches_reference);
+          Alcotest.test_case "reference sample improves and misses" `Quick
+            test_stage2_sample_covers;
         ] );
       ( "state",
         [
