@@ -77,30 +77,50 @@ type conflict = Recorder.conflict
 let symmetric_pairs inst =
   let n = Instance.count inst in
   let ords = Instance.orders inst in
+  let d = Array.length ords in
+  (* [rows.(k).(u)]: task [u]'s successors and predecessors in axis
+     [k]'s order, ascending, built the first time a pair asks. Two tasks
+     with equal rows are incomparable (were u before v, v would be in
+     u's successor row and not in its own) and relate identically to
+     every other task; two incomparable tasks that relate identically
+     have equal rows. *)
+  let rows = Array.map (fun _ -> Array.make n None) ords in
+  let row k u =
+    match rows.(k).(u) with
+    | Some r -> r
+    | None ->
+      let p = ords.(k) in
+      let succ = ref [] and pred = ref [] in
+      for w = n - 1 downto 0 do
+        if Order.Partial_order.precedes p u w then succ := w :: !succ;
+        if Order.Partial_order.precedes p w u then pred := w :: !pred
+      done;
+      let r = (Array.of_list !succ, Array.of_list !pred) in
+      rows.(k).(u) <- Some r;
+      r
+  in
+  let same (a : int array) (b : int array) =
+    let len = Array.length a in
+    len = Array.length b
+    &&
+    let i = ref 0 in
+    while !i < len && a.(!i) = b.(!i) do
+      incr i
+    done;
+    !i = len
+  in
+  let rec alike u v k =
+    k = d
+    ||
+    let su, pu = row k u and sv, pv = row k v in
+    same su sv && same pu pv && alike u v (k + 1)
+  in
   let sym = Array.make (n * n) false in
   for u = 0 to n - 1 do
     for v = u + 1 to n - 1 do
       if
         Geometry.Box.equal (Instance.box inst u) (Instance.box inst v)
-        && Array.for_all
-             (fun p ->
-               (not (Order.Partial_order.comparable p u v))
-               &&
-               let same = ref true in
-               for w = 0 to n - 1 do
-                 if w <> u && w <> v then begin
-                   if
-                     Order.Partial_order.precedes p u w
-                     <> Order.Partial_order.precedes p v w
-                   then same := false;
-                   if
-                     Order.Partial_order.precedes p w u
-                     <> Order.Partial_order.precedes p w v
-                   then same := false
-                 end
-               done;
-               !same)
-             ords
+        && alike u v 0
       then sym.((u * n) + v) <- true
     done
   done;

@@ -69,6 +69,15 @@ val create :
   Geometry.Container.t ->
   (t, conflict) result
 
+(** [symmetric_pairs inst] marks, at index [u * n + v] for [u < v],
+    the pairs of interchangeable tasks: equal boxes, incomparable in
+    every axis's order, and related identically to every other task
+    there. When the search makes such a pair comparable in the
+    objective dimension, {!create}'s state orients it [u -> v]. Each
+    task's rows are built once, when a pair of equal boxes first asks,
+    and two rows are compared up to the first difference. *)
+val symmetric_pairs : Instance.t -> bool array
+
 val instance : t -> Instance.t
 val container : t -> Geometry.Container.t
 

@@ -137,6 +137,10 @@ let reach t =
   end;
   t.reach
 
+let cap t ~w =
+  if w <= 0 then invalid_arg "Free_space.cap: non-positive width";
+  if w > t.width then 0 else (reach t).(w)
+
 let fits t ~w ~h =
   if w <= 0 || h <= 0 then invalid_arg "Free_space.fits: non-positive size";
   w <= t.width && h <= (reach t).(w)

@@ -63,6 +63,14 @@ val mer_count : t -> int
     @raise Invalid_argument on non-positive sizes. *)
 val fits : t -> w:int -> h:int -> bool
 
+(** [cap t ~w] is the tallest footprint of width [w] that fits: the
+    greatest height of any MER at least [w] wide, read from the same
+    table as {!fits}, and 0 when [w] exceeds {!width}. So [fits t ~w ~h]
+    is [w <= width t && h <= cap t ~w], and [cap] does not grow with
+    [w].
+    @raise Invalid_argument on a non-positive width. *)
+val cap : t -> w:int -> int
+
 (** [find t ~policy ~w ~h] is the bottom-left corner of the MER chosen
     by [policy] among those that can host a [w * h] footprint, or
     [None] when no MER fits it; that answer comes from {!fits} without

@@ -188,6 +188,18 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
   let eligible = ref [] in
   let fresh = ref [] in
   let doomed_pending = ref [] in
+  (* [counts.(((w - 1) * ch) + h - 1)] is the number of pending
+     eligible tasks of footprint [w * h]. Eligible tasks are never
+     doomed (their predecessors have all finished), so a task is
+     counted from its promotion until it is placed or rejected.
+     Footprints larger than the chip are not counted. *)
+  let counts = Array.make (cw * ch) 0 in
+  let count i d =
+    if tw i <= cw && th i <= ch then begin
+      let s = ((tw i - 1) * ch) + th i - 1 in
+      counts.(s) <- counts.(s) + d
+    end
+  in
   Array.iteri
     (fun i (t : task) ->
       if remaining.(i) = 0 && t.arrival < max_int then
@@ -213,10 +225,13 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
   let promote clock =
     fresh := [];
     wake clock;
-    if !fresh <> [] then
+    if !fresh <> [] then begin
+      List.iter (fun i -> count i 1) !fresh;
       eligible := List.merge by_area (List.sort by_area !fresh) !eligible
+    end
   in
   let reject clock i =
+    if not doomed.(i) then count i (-1);
     status.(i) <- `Rejected;
     incr version;
     emit ~task:i ~sim_time:clock (Rejected { task = i });
@@ -242,6 +257,7 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
     start_.(i) <- clock;
     finish_.(i) <- clock + tasks.(i).duration;
     status.(i) <- `Done;
+    count i (-1);
     running := i :: !running;
     Free_space.place fs ~id:i ~x ~y ~w:(tw i) ~h:(th i);
     incr version;
@@ -287,6 +303,13 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
   in
   (* The proposal made for layout [proposal_version]. *)
   let proposal = ref None and proposal_version = ref (-1) in
+  let current_proposal () =
+    if !proposal_version <> !version then begin
+      proposal := make_proposal ();
+      proposal_version := !version
+    end;
+    !proposal
+  in
   let hosts p i =
     match p with
     | Some (_, layout) -> Free_space.fits layout ~w:(tw i) ~h:(th i)
@@ -310,11 +333,7 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
     else if !proposal_version = !version && not (hosts !proposal i) then false
     else begin
       let t0 = Packing.Clock.now () in
-      if !proposal_version <> !version then begin
-        proposal := make_proposal ();
-        proposal_version := !version
-      end;
-      match !proposal with
+      match current_proposal () with
       | Some (positions, layout) as p when hosts p i ->
         let decline () =
           declined_version := !version;
@@ -400,28 +419,84 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
     end
     else compaction && try_compact i clock
   in
+  (* The largest area of a pending footprint that [layout] fits, or
+     [floor] when none is larger. *)
+  let largest ~floor layout =
+    let best = ref floor in
+    for w = cw downto 1 do
+      let h = ref (Free_space.cap layout ~w) in
+      while w * !h > !best do
+        if counts.(((w - 1) * ch) + !h - 1) > 0 then best := w * !h
+        else decr h
+      done
+    done;
+    !best
+  in
+  (* The largest area of a pending footprint that the layout fits or
+     the current proposal hosts, given [fit], the largest the layout
+     fits; [fit] itself while the proposal is declined at this version
+     and clock. Asked by a task the layout does not fit, on a non-empty
+     chip, so it builds the proposal exactly when that task's attempt
+     would. *)
+  let hosted clock ~fit =
+    if !declined_version = !version && !declined_clock = clock then fit
+    else
+      match current_proposal () with
+      | Some (_, layout) -> largest ~floor:fit layout
+      | None -> fit
+  in
+  (* A pass on a non-empty chip with no doomed task visits only the
+     tasks that can act. [fit] is the largest pending area the layout
+     fits, and [host] the largest it fits or the proposal hosts (-1
+     until a task of larger area than [fit] asks). Both tests are
+     monotone in the footprint, so a task of larger area than both
+     neither fits nor is hosted, and its attempt would change nothing.
+     Both are measured again after each placement or committed
+     compaction, and the pass stops once both are 0. A [full] pass, one
+     that rejects (doomed tasks, or an empty chip, where a footprint
+     that does not fit never will), visits every task with both at
+     [max_int]: a rejection bumps the version and so clears a declined
+     proposal. [visit] returns whether some task acted. *)
+  let rec visit clock ~full ~fit ~host progress = function
+    | i :: rest when fit > 0 || host <> 0 ->
+      let a = areas.(i) in
+      if status.(i) <> `Pending then visit clock ~full ~fit ~host progress rest
+      else begin
+        let host = if a > fit && host < 0 then hosted clock ~fit else host in
+        if a > fit && a > host then visit clock ~full ~fit ~host progress rest
+        else if doomed.(i) then begin
+          reject clock i;
+          visit clock ~full ~fit ~host true rest
+        end
+        else if not (attempt i clock) then
+          visit clock ~full ~fit ~host progress rest
+        else if full then visit clock ~full ~fit ~host true rest
+        else remeasure clock true rest
+      end
+    | _ -> progress
+  (* [visit] with [fit] and [host] measured on the current layout. *)
+  and remeasure clock progress items =
+    let fit = largest ~floor:0 fs in
+    visit clock ~full:false ~fit
+      ~host:(if compaction then -1 else fit)
+      progress items
+  in
   let pass clock =
-    let progress = ref false in
-    let items =
+    let items, full =
       match !doomed_pending with
-      | [] -> !eligible
-      | doomed -> List.merge by_area (List.sort by_area doomed) !eligible
+      | [] -> (!eligible, !running = [])
+      | doomed -> (List.merge by_area (List.sort by_area doomed) !eligible, true)
     in
     doomed_pending := [];
-    List.iter
-      (fun i ->
-        if status.(i) = `Pending then
-          if doomed.(i) then begin
-            reject clock i;
-            progress := true
-          end
-          else if attempt i clock then progress := true)
-      items;
-    if !progress then
+    let progress =
+      if full then visit clock ~full ~fit:max_int ~host:max_int false items
+      else remeasure clock false items
+    in
+    if progress then
       eligible := List.filter (fun i -> status.(i) = `Pending) !eligible;
     doomed_pending :=
       List.filter (fun i -> status.(i) = `Pending) !doomed_pending;
-    !progress
+    progress
   in
   let retire clock =
     let keep, gone = List.partition (fun id -> finish_.(id) > clock) !running in

@@ -62,7 +62,9 @@ type event =
     that places, or before the compaction check that commits. Attempts
     that fail read no clock: the fit is refused by
     {!Free_space.fits} in O(1), and a compaction check reads it only
-    when it builds a proposal or the proposal hosts the task. *)
+    when it builds a proposal or the proposal hosts the task. A
+    proposal built while a pass measures what it hosts (see
+    {!run_stream}) is outside every sample. *)
 type latency = {
   samples : int;
   p50_us : float;
@@ -104,7 +106,23 @@ val to_json : report -> Packing.Telemetry.json
     stream. Event-driven: the clock jumps between arrivals and
     finishes; per step, eligible tasks are attempted largest-area
     first, ties by index. The eligible tasks stay sorted in that order
-    between steps, so a pass over them sorts nothing. [reconfig] (default [Constant 0]) prices the configuration
+    between steps, so a pass over them sorts nothing.
+
+    A pass on a non-empty chip attempts only the tasks that can act.
+    It counts the pending eligible tasks per footprint and measures the
+    largest pending area the layout fits ({!Free_space.cap}) and, with
+    compaction on, the largest the current compaction proposal hosts
+    while that proposal is not declined at this layout and clock. A
+    task of larger area than both is skipped. This is exact: both tests
+    are monotone in the footprint, so such a task neither fits nor is
+    hosted, and its attempt would change nothing. The measures are
+    taken again after each placement or committed compaction, the
+    proposal is built only when a task the layout does not fit asks
+    for it (just when that task's attempt would build it), and the
+    pass stops once nothing can act. A pass that must reject (doomed
+    tasks, or an empty chip) attempts every task.
+
+    [reconfig] (default [Constant 0]) prices the configuration
     reload of a moved module; [move_delay] is the extra per-moved-task
     delay on top of it. [policy] defaults to [First_fit]; compaction
     proposals are re-packed first fit whatever the policy. [trace]

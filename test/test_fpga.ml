@@ -710,6 +710,37 @@ let prop_fs_fits_agrees seed =
   let c = copy_model m in
   fits_agrees c && walk c && fits_agrees m && walk m && fits_agrees c
 
+(* [cap] is the height bound [fits] reads: for every width and height
+   up to one cell past the chip, [fits] holds exactly when the width is
+   on the chip and the height is at most [cap] at that width. *)
+let cap_agrees fs =
+  let w = FS.width fs and h = FS.height fs in
+  let ok = ref (FS.cap fs ~w:(w + 1) = 0) in
+  for bw = 1 to w + 1 do
+    for bh = 1 to h + 1 do
+      if FS.fits fs ~w:bw ~h:bh <> (bw <= w && bh <= FS.cap fs ~w:bw) then
+        ok := false
+    done
+  done;
+  !ok
+
+(* The same after every step of a random walk, and on a copy and its
+   original as both move on. *)
+let prop_fs_cap_agrees seed =
+  let rng = Random.State.make [| seed |] in
+  let walk m =
+    let ok = ref true in
+    for _ = 1 to 20 do
+      if !ok then ok := model_step rng m ~max_extent:4 && cap_agrees m.fs
+    done;
+    !ok
+  in
+  let m = fs_model ~w:9 ~h:6 in
+  walk m
+  &&
+  let c = copy_model m in
+  cap_agrees c.fs && walk c && cap_agrees m.fs && walk m && cap_agrees c.fs
+
 (* Modules flush against every side and corner of the chip: each step
    matches brute force, and retiring them all restores the single
    full-chip MER. *)
@@ -1224,6 +1255,139 @@ let test_online_traffic_acceptance () =
     "optimum <= online best fit" true
     (optimum <= online_best.Online.makespan)
 
+(* Random streams for the comparison with the frozen scheduler in
+   [Online_reference]: small chips, every policy, compaction on and
+   off, both reconfiguration models, precedence chains, and some tasks
+   that never arrive or are larger than the chip. The second draw seeds
+   those last two. *)
+let online_reference_seed = [| 0x0DF9; 2026 |]
+let online_reference_cases = 1_000
+
+type stream_case = {
+  stream_seed : int;
+  cw : int;
+  ch : int;
+  n : int;
+  load : float;
+  max_extent : int;
+  max_duration : int;
+  arcs : float;
+  policy : int;
+  compaction : bool;
+  per_column : bool;
+  load_cost : int;
+  move_delay : int;
+}
+
+let arb_stream_case =
+  let gen =
+    QCheck.Gen.(
+      let* stream_seed = int_range 0 999_999 in
+      let* cw = int_range 3 10 and* ch = int_range 3 10 in
+      let* n = int_range 5 60 in
+      let* load = oneofl [ 0.5; 1.0; 2.0; 3.0 ] in
+      let* max_extent = int_range 1 (max cw ch) in
+      let* max_duration = int_range 1 10 in
+      let* arcs = oneofl [ 0.0; 0.1; 0.3; 0.5 ] in
+      let* policy = int_range 0 2 in
+      let* compaction = int_range 0 2 in
+      let* per_column = bool in
+      let* load_cost = int_range 0 2 and* move_delay = int_range 0 3 in
+      return
+        {
+          stream_seed; cw; ch; n; load; max_extent; max_duration; arcs;
+          policy; compaction = compaction > 0; per_column; load_cost;
+          move_delay;
+        })
+  in
+  QCheck.make gen ~print:(fun c ->
+      Printf.sprintf
+        "seed=%d chip=%dx%d n=%d load=%g extent<=%d duration<=%d arcs=%g \
+         policy=%d compaction=%b %s:%d move_delay=%d"
+        c.stream_seed c.cw c.ch c.n c.load c.max_extent c.max_duration c.arcs
+        c.policy c.compaction
+        (if c.per_column then "column" else "constant")
+        c.load_cost c.move_delay)
+
+let stream_of c =
+  let chip = Chip.create ~w:c.cw ~h:c.ch in
+  let tasks =
+    Benchmarks.Generate.arrival_stream ~seed:c.stream_seed ~n:c.n ~chip
+      ~load:c.load ~max_extent:c.max_extent ~max_duration:c.max_duration
+      ~arc_probability:c.arcs ()
+  in
+  let rng = Random.State.make [| c.stream_seed; 7 |] in
+  let tasks =
+    Array.map
+      (fun (t : Online.task) ->
+        match Random.State.int rng 25 with
+        | 0 -> { t with Online.arrival = max_int }
+        | 1 -> { t with Online.w = c.cw + 1 }
+        | 2 -> { t with Online.h = c.ch + 1 }
+        | _ -> t)
+      tasks
+  in
+  (chip, tasks)
+
+let stream_events c =
+  let chip, tasks = stream_of c in
+  let policy = policy_of c.policy in
+  let reconfig =
+    if c.per_column then Reconfig.Per_column c.load_cost
+    else Reconfig.Constant c.load_cost
+  in
+  let r =
+    Online.run_stream ~policy ~reconfig tasks ~chip ~compaction:c.compaction
+      ~move_delay:c.move_delay
+  in
+  ( r.Online.events,
+    Online_reference.run_stream ~policy ~reconfig tasks ~chip
+      ~compaction:c.compaction ~move_delay:c.move_delay )
+
+(* A pass that skips the tasks that can neither be placed nor trigger a
+   compaction makes the same decisions as one that attempts them all. *)
+let prop_online_matches_reference c =
+  let got, want = stream_events c in
+  got = want
+
+(* The sample is not vacuous: it commits compactions, rejects tasks,
+   rejects some because a predecessor was rejected, and holds tasks
+   larger than the chip. *)
+let test_online_reference_sample_covers () =
+  let cases =
+    QCheck.Gen.generate ~rand:(Fixed_seed.rand online_reference_seed)
+      ~n:online_reference_cases (QCheck.get_gen arb_stream_case)
+  in
+  let commits = ref 0 and rejections = ref 0 and doomed = ref 0 in
+  let oversize = ref 0 in
+  List.iter
+    (fun c ->
+      let _, tasks = stream_of c in
+      let events, _ = stream_events c in
+      let rejected = Array.make (Array.length tasks) false in
+      List.iter
+        (function
+          | Online.Compacted _ -> incr commits
+          | Online.Rejected { task } ->
+            incr rejections;
+            rejected.(task) <- true
+          | _ -> ())
+        events;
+      Array.iteri
+        (fun i (t : Online.task) ->
+          if t.w > c.cw || t.h > c.ch then incr oversize;
+          if rejected.(i) && List.exists (fun p -> rejected.(p)) t.preds then
+            incr doomed)
+        tasks)
+    cases;
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "%d commits, %d rejections, %d after a rejected predecessor, %d \
+        oversize tasks"
+       !commits !rejections !doomed !oversize)
+    true
+    (!commits > 0 && !rejections > 0 && !doomed > 0 && !oversize > 0)
+
 (* Online placements that report a full placement are geometrically
    feasible. *)
 let prop_online_placements_valid seed =
@@ -1334,6 +1498,8 @@ let () =
             prop_fs_copy_independent;
           qtest ~count:50 ~long_factor:20 "fits agrees with find and brute force"
             arb_seed prop_fs_fits_agrees;
+          qtest ~count:50 ~long_factor:20 "cap is the fits bound" arb_seed
+            prop_fs_cap_agrees;
           Alcotest.test_case "modules flush with the chip edges" `Quick
             test_fs_flush_edges;
           Alcotest.test_case "place rejects overlap" `Quick
@@ -1370,6 +1536,12 @@ let () =
             test_online_pin_small;
           Alcotest.test_case "traffic-scale acceptance" `Quick
             test_online_traffic_acceptance;
+          QCheck_alcotest.to_alcotest ~rand:(Fixed_seed.rand online_reference_seed)
+            (QCheck.Test.make ~count:online_reference_cases
+               ~name:"events match the reference copy" arb_stream_case
+               prop_online_matches_reference);
+          Alcotest.test_case "reference sample commits and rejects" `Quick
+            test_online_reference_sample_covers;
         ] );
       ( "vcd",
         [

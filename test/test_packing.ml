@@ -439,6 +439,130 @@ let test_state_spatial_order_conflict () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected root conflict on the ordered axis"
 
+(* [Packing_state.symmetric_pairs] as it was written before it compared
+   precomputed rows: every pair of equal boxes asks
+   [Partial_order.precedes] about every third task in every axis, and
+   goes on after the first difference. *)
+let reference_symmetric_pairs inst =
+  let n = Instance.count inst in
+  let ords = Instance.orders inst in
+  let sym = Array.make (n * n) false in
+  for u = 0 to n - 1 do
+    for v = u + 1 to n - 1 do
+      if
+        Box.equal (Instance.box inst u) (Instance.box inst v)
+        && Array.for_all
+             (fun p ->
+               (not (Order.Partial_order.comparable p u v))
+               &&
+               let same = ref true in
+               for w = 0 to n - 1 do
+                 if w <> u && w <> v then begin
+                   if
+                     Order.Partial_order.precedes p u w
+                     <> Order.Partial_order.precedes p v w
+                   then same := false;
+                   if
+                     Order.Partial_order.precedes p w u
+                     <> Order.Partial_order.precedes p w v
+                   then same := false
+                 end
+               done;
+               !same)
+             ords
+      then sym.((u * n) + v) <- true
+    done
+  done;
+  sym
+
+let symmetry_seed = [| 0x5E77; 2026 |]
+let symmetry_cases = 500
+
+(* Up to 14 tasks with extents 1 or 2, so many boxes are equal, a
+   precedence order and, in some cases, an order on the x axis. *)
+let arb_symmetry =
+  let arcs n odds =
+    QCheck.Gen.(
+      let* keep =
+        flatten_l
+          (List.concat_map
+             (fun u ->
+               List.init (n - u - 1) (fun k ->
+                   let* r = int_range 1 odds in
+                   return (if r = 1 then Some (u, u + k + 1) else None)))
+             (List.init n Fun.id))
+      in
+      return (List.filter_map Fun.id keep))
+  in
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 2 14 in
+      let* dims =
+        list_repeat n (triple (int_range 1 2) (int_range 1 2) (int_range 1 2))
+      in
+      let* odds = int_range 3 10 in
+      let* precedence = arcs n odds in
+      let* x_odds = int_range 0 12 in
+      let* x_arcs = if x_odds < 4 then arcs n (8 + x_odds) else return [] in
+      return (dims, precedence, x_arcs))
+  in
+  let show arcs =
+    String.concat "," (List.map (fun (a, b) -> Printf.sprintf "%d->%d" a b) arcs)
+  in
+  QCheck.make gen ~print:(fun (dims, precedence, x_arcs) ->
+      Printf.sprintf "boxes=%s precedence=%s x=%s"
+        (String.concat ","
+           (List.map (fun (w, h, d) -> Printf.sprintf "%dx%dx%d" w h d) dims))
+        (show precedence) (show x_arcs))
+
+let symmetry_instance (dims, precedence, x_arcs) =
+  Instance.make ~precedence
+    ~orders:(if x_arcs = [] then [] else [ (0, x_arcs) ])
+    ~boxes:(Array.of_list (List.map (fun (w, h, d) -> box3 w h d) dims))
+    ()
+
+let prop_symmetric_matches_reference case =
+  let i = symmetry_instance case in
+  PS.symmetric_pairs i = reference_symmetric_pairs i
+
+(* The sample is not vacuous: some instances have symmetric pairs, and
+   some have a pair of equal, incomparable boxes that is not symmetric
+   (its relations to a third task differ). *)
+let test_symmetric_sample_covers () =
+  let cases =
+    QCheck.Gen.generate ~rand:(Fixed_seed.rand symmetry_seed) ~n:symmetry_cases
+      (QCheck.get_gen arb_symmetry)
+  in
+  let with_pair = ref 0 and with_broken = ref 0 and with_x = ref 0 in
+  List.iter
+    (fun ((_, _, x_arcs) as case) ->
+      let i = symmetry_instance case in
+      let n = Instance.count i in
+      let sym = PS.symmetric_pairs i in
+      if Array.exists Fun.id sym then incr with_pair;
+      if x_arcs <> [] then incr with_x;
+      let broken = ref false in
+      for u = 0 to n - 1 do
+        for v = u + 1 to n - 1 do
+          if
+            Box.equal (Instance.box i u) (Instance.box i v)
+            && Array.for_all
+                 (fun p -> not (Order.Partial_order.comparable p u v))
+                 (Instance.orders i)
+            && not sym.((u * n) + v)
+          then broken := true
+        done
+      done;
+      if !broken then incr with_broken)
+    cases;
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "%d with a symmetric pair, %d with an equal incomparable pair that is \
+        not, %d with an x order"
+       !with_pair !with_broken !with_x)
+    true
+    (!with_pair > 0 && !with_broken > 0 && !with_x > 0)
+
 (* ------------------------------------------------------------------ *)
 (* Solver                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -1195,6 +1319,12 @@ let () =
             test_state_every_axis_seeds;
           Alcotest.test_case "spatial order conflict" `Quick
             test_state_spatial_order_conflict;
+          QCheck_alcotest.to_alcotest ~rand:(Fixed_seed.rand symmetry_seed)
+            (QCheck.Test.make ~count:symmetry_cases
+               ~name:"symmetric pairs match the reference copy" arb_symmetry
+               prop_symmetric_matches_reference);
+          Alcotest.test_case "symmetric sample has pairs and near misses" `Quick
+            test_symmetric_sample_covers;
         ] );
       ( "solver",
         [
