@@ -9,9 +9,9 @@ let restarts = 200
 let restart_seed = 17
 
 (* The instance as flat arrays: extents, durations, every (transitive)
-   predecessor and successor of each task, and the base priority
-   criticality x 4 + area, where the criticality of a task is its
-   duration plus the heaviest chain of its successors. *)
+   predecessor and successor of each task, its criticality (its
+   duration plus the heaviest chain of its successors), and the base
+   priority criticality x 4 + area. *)
 type tasks = {
   n : int;
   w : int array;
@@ -19,6 +19,7 @@ type tasks = {
   d : int array;
   preds : int array array;
   succs : int array array;
+  crit : int array;
   priority : float array;
 }
 
@@ -47,7 +48,7 @@ let tasks_of inst =
   let priority =
     Array.init n (fun i -> float_of_int ((chain i * 4) + (w.(i) * h.(i))))
   in
-  { n; w; h; d; preds; succs; priority }
+  { n; w; h; d; preds; succs; crit; priority }
 
 (* The working arrays of one [pack] or [makespan] call, reused by every
    schedule it builds: the priority order, the origins of the schedule
@@ -194,7 +195,11 @@ let corner s ~cw ~ch ~k ~t ~w ~h ~d =
    position down and left always stops on one of them, so no free
    position is missed. Returns the makespan, the origins left in
    [s.ox], [s.oy], [s.ot], or [None] when a task misses the base or
-   cannot finish by [t_limit]. *)
+   cannot finish by [t_limit].
+   A task starts only after its predecessors finish, so one started at
+   [t] leaves a makespan of at least [t + crit]: the first candidate
+   start where that passes [t_limit] fails the schedule, and so would
+   every later one. *)
 let serial s ~cw ~ch ~t_limit =
   let tk = s.tk in
   let makespan = ref 0 and k = ref 0 and failed = ref false in
@@ -223,7 +228,7 @@ let serial s ~cw ~ch ~t_limit =
       let c = ref 0 and placed_at = ref false in
       while (not !placed_at) && (not !failed) && !c < nt do
         let t = s.times.(!c) in
-        if t + d > t_limit then failed := true
+        if t + tk.crit.(i) > t_limit then failed := true
         else if corner s ~cw ~ch ~k:!k ~t ~w ~h ~d then begin
           s.ox.(i) <- s.fx;
           s.oy.(i) <- s.fy;
@@ -279,7 +284,7 @@ let pack inst container =
   | None -> None
   | Some _ -> validated inst container (origins s.ox s.oy s.ot)
 
-let makespan ?(target = 0) inst ~base =
+let makespan ?(target = 0) ?deadline inst ~base =
   if not (supports inst) then
     invalid_arg "Heuristic.makespan: expects 3-dimensional instances";
   let cw = Container.extent base 0 and ch = Container.extent base 1 in
@@ -294,11 +299,14 @@ let makespan ?(target = 0) inst ~base =
   in
   let s = work (tasks_of inst) in
   let tk = s.tk in
-  let run priority =
+  let run priority ~t_limit =
     priority_order s priority;
-    serial s ~cw ~ch ~t_limit:horizon
+    serial s ~cw ~ch ~t_limit
   in
-  match run tk.priority with
+  let expired () =
+    match deadline with Some d -> Clock.expired d | None -> false
+  in
+  match run tk.priority ~t_limit:horizon with
   | None -> None
   | Some first ->
     (* The best schedule's origins, copied only when a restart beats
@@ -308,18 +316,20 @@ let makespan ?(target = 0) inst ~base =
     if first > target then begin
       let rng = Random.State.make [| restart_seed |] in
       let priority = Array.make tk.n 0.0 and r = ref 0 in
-      while !best > target && !r < restarts do
+      while !best > target && !r < restarts && not (expired ()) do
         incr r;
         for i = 0 to tk.n - 1 do
           priority.(i) <- tk.priority.(i) *. (0.5 +. Random.State.float rng 1.0)
         done;
-        match run priority with
-        | Some ms when ms < !best ->
+        (* Only a schedule that beats the best is kept, so a restart
+           stops at the first task that cannot finish before it. *)
+        match run priority ~t_limit:(!best - 1) with
+        | Some ms ->
           best := ms;
           Array.blit s.ox 0 bx 0 tk.n;
           Array.blit s.oy 0 by 0 tk.n;
           Array.blit s.ot 0 bt 0 tk.n
-        | Some _ | None -> ()
+        | None -> ()
       done
     end;
     Option.map (fun p -> (!best, p)) (validated inst container (origins bx by bt))

@@ -35,18 +35,24 @@ val supports : Instance.t -> bool
     @raise Invalid_argument when [supports instance] is [false]. *)
 val pack : Instance.t -> Geometry.Container.t -> Geometry.Placement.t option
 
-(** [makespan ?target instance ~base] schedules on an unbounded time
-    horizon over the spatial base [base] (a container whose time extent
-    is ignored) and returns the achieved makespan together with the
-    placement — an upper bound for the SPP. The first schedule uses the
-    base priorities. While the best makespan is above [target] (a
-    proven lower bound; the critical path and the volume bound are
-    always applied), up to 200 restarts scale each priority by a factor
-    drawn uniformly from 0.5 to 1.5 with a fixed seed, so equal inputs
-    give equal answers. [None] if some task does not fit spatially, and
-    only then. *)
+(** [makespan ?target ?deadline instance ~base] schedules on an
+    unbounded time horizon over the spatial base [base] (a container
+    whose time extent is ignored) and returns the achieved makespan
+    together with the placement — an upper bound for the SPP. The first
+    schedule uses the base priorities. While the best makespan is above
+    [target] (a proven lower bound; the critical path and the volume
+    bound are always applied), up to 200 restarts scale each priority
+    by a factor drawn uniformly from 0.5 to 1.5 with a fixed seed, so
+    equal inputs give equal answers. A restart keeps its schedule only
+    if it beats the best one, so it stops at the first task that cannot
+    finish before the best makespan; the answer is the one a restart
+    run to the end would give. Once [deadline] has expired no further
+    restart starts, and the best schedule so far is returned: still a
+    validated upper bound, but not always the one an unhurried call
+    gives. [None] if some task does not fit spatially, and only then. *)
 val makespan :
   ?target:int ->
+  ?deadline:Clock.deadline ->
   Instance.t ->
   base:Geometry.Container.t ->
   (int * Geometry.Placement.t) option

@@ -445,7 +445,8 @@ let minimize_extent_ctx ctx ?upper inst ~axis ~base =
         then
           Option.map
             (fun (hi, p) -> (max lo hi, p))
-            (Heuristic.makespan ~target:lo inst ~base)
+            (Heuristic.makespan ~target:lo ?deadline:ctx.budget.deadline inst
+               ~base)
         else None
     in
     match incumbent with

@@ -36,34 +36,48 @@ type violation =
   | Boxes_overlap of int * int
   | Precedence_violated of int * int
 
+(* Reads origins and extents directly: no interval is built, a pair
+   stops at its first separating axis, and [precedes] is asked only
+   about pairs whose times conflict. The violations and their order are
+   those of the plain per-axis definition. *)
 let check p ~container ~precedes =
   let n = count p in
   let d = Container.dim container in
   let violations = ref [] in
   let add v = violations := v :: !violations in
   for i = 0 to n - 1 do
-    if Box.dim p.boxes.(i) <> d then
+    let b = p.boxes.(i) and o = p.origins.(i) in
+    if Box.dim b <> d then
       invalid_arg "Placement.check: dimension mismatch with container";
-    let inside = ref true in
-    for k = 0 to d - 1 do
-      if not (Interval.within (interval p i k) ~bound:(Container.extent container k))
-      then inside := false
+    let k = ref 0 in
+    while
+      !k < d
+      && o.(!k) >= 0
+      && o.(!k) + Box.extent b !k <= Container.extent container !k
+    do
+      incr k
     done;
-    if not !inside then add (Out_of_bounds i)
+    if !k < d then add (Out_of_bounds i)
   done;
   for i = 0 to n - 1 do
+    let bi = p.boxes.(i) and oi = p.origins.(i) in
     for j = i + 1 to n - 1 do
-      let disjoint_somewhere = ref false in
-      for k = 0 to d - 1 do
-        if Interval.disjoint (interval p i k) (interval p j k) then
-          disjoint_somewhere := true
+      let bj = p.boxes.(j) and oj = p.origins.(j) in
+      let k = ref 0 in
+      while
+        !k < d
+        && oi.(!k) < oj.(!k) + Box.extent bj !k
+        && oj.(!k) < oi.(!k) + Box.extent bi !k
+      do
+        incr k
       done;
-      if not !disjoint_somewhere then add (Boxes_overlap (i, j))
+      if !k = d then add (Boxes_overlap (i, j))
     done
   done;
   for u = 0 to n - 1 do
+    let finish = finish_time p u in
     for v = 0 to n - 1 do
-      if u <> v && precedes u v && start_time p v < finish_time p u then
+      if u <> v && start_time p v < finish && precedes u v then
         add (Precedence_violated (u, v))
     done
   done;

@@ -43,7 +43,8 @@ type violation =
     the container, two boxes overlapping in {e every} axis, or an arc
     [(u, v)] with [precedes u v = true] whose head starts before its
     tail finishes (time = last axis). An empty list means the placement
-    is feasible. *)
+    is feasible. It allocates nothing but the list, and asks [precedes]
+    only about pairs whose times conflict. *)
 val check :
   t -> container:Container.t -> precedes:(int -> int -> bool) -> violation list
 

@@ -93,6 +93,34 @@ let test_feasible_budget () =
   | Problems.Undecided -> ()
   | _ -> Alcotest.fail "expired deadline must be Undecided"
 
+(* The stage-2 restarts read the run's deadline. On a 6-stage butterfly
+   (576 tasks) at 32x32 the first schedule misses the stage-1 bound, and
+   200 restarts, none of which reaches it, take about 1 s on a 2-core
+   host; before the restarts polled the deadline, a 0.05 s budget
+   returned after 0.9-1.5 s. Now the call returns once the bound and
+   the first schedule are done: about 0.12 s. The tolerance, 0.4 s in
+   all, leaves room for a loaded machine. *)
+let test_stage2_deadline () =
+  let inst = Benchmarks.Dfg.butterfly ~stages:6 in
+  let budget = 0.05 and tolerance = 0.4 in
+  let t0 = Packing.Clock.now () in
+  let options =
+    { Solver.default_options with deadline = Some (Packing.Clock.after budget) }
+  in
+  let r = Problems.minimize_time ~options inst ~w:32 ~h:32 in
+  let elapsed = Packing.Clock.since t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "returned within %.2fs (%.3fs)" tolerance elapsed)
+    true (elapsed <= tolerance);
+  match Problems.best r with
+  | None -> Alcotest.fail "the first schedule is an incumbent"
+  | Some { value; placement } ->
+    Alcotest.(check int) "makespan of the witness" value
+      (Placement.makespan placement);
+    Alcotest.(check bool) "witness feasible" true
+      (Placement.is_feasible placement ~container:(cont3 32 32 value)
+         ~precedes:(Instance.precedes inst))
+
 let test_expired_deadline_everywhere () =
   (* Nothing raises under a dead wall clock, whatever the entry point;
      any Optimal claim must still be a true optimum (bounds alone can
@@ -280,6 +308,8 @@ let () =
           Alcotest.test_case "feasible undecided" `Quick test_feasible_budget;
           Alcotest.test_case "expired deadline everywhere" `Quick
             test_expired_deadline_everywhere;
+          Alcotest.test_case "stage 2 stops at the deadline" `Quick
+            test_stage2_deadline;
           qtest ~count:25 "no exception under any node budget"
             (QCheck.make QCheck.Gen.(0 -- 2_000) ~print:string_of_int)
             prop_no_exception_under_budget;

@@ -213,6 +213,67 @@ let prop_shelf_feasible (ws, ds) =
   P.is_feasible (P.make boxes origins) ~container ~precedes:no_prec
 
 
+(* Random placements for the comparison with the reference copy of
+   [check]: d in {2, 3, 4}, up to 8 boxes of extents 1..3 in a
+   container of 2..5 per axis, origins from -1 to the container's
+   extent (so some boxes leave it), and each ordered pair an arc with
+   probability 1/4 (so some start before a predecessor finishes). *)
+let arb_violations =
+  let gen =
+    QCheck.Gen.(
+      let* d = int_range 2 4 in
+      let* cont = array_repeat d (int_range 2 5) in
+      let* n = int_range 0 8 in
+      let* boxes =
+        array_repeat n
+          (let* ext = array_repeat d (int_range 1 3) in
+           let* org = flatten_a (Array.map (fun c -> int_range (-1) c) cont) in
+           return (ext, org))
+      in
+      let* arcs = array_repeat (n * n) (int_range 1 4) in
+      return (cont, boxes, Array.map (fun a -> a = 1) arcs))
+  in
+  QCheck.make gen ~print:(fun (cont, boxes, _) ->
+      let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+      Printf.sprintf "container %s, boxes %s" (ints cont)
+        (String.concat " "
+           (Array.to_list
+              (Array.map
+                 (fun (e, o) -> Printf.sprintf "%s@%s" (ints e) (ints o))
+                 boxes))))
+
+let violations_of (cont, boxes, arcs) ~check =
+  let n = Array.length boxes in
+  let p = P.make (Array.map (fun (e, _) -> Box.make e) boxes) (Array.map snd boxes) in
+  check p ~container:(Container.make cont) ~precedes:(fun u v -> arcs.((u * n) + v))
+
+let prop_check_matches_reference case =
+  violations_of case ~check:P.check
+  = violations_of case ~check:Placement_reference.check
+
+let check_seed = [| 0xC4EC; 2026 |]
+let check_cases = 1000
+
+(* The compared sample holds every kind of violation, and feasible
+   placements too. *)
+let test_check_sample_covers () =
+  let runs =
+    List.map
+      (violations_of ~check:P.check)
+      (QCheck.Gen.generate ~rand:(Fixed_seed.rand check_seed) ~n:check_cases
+         (QCheck.get_gen arb_violations))
+  in
+  let count p = List.length (List.filter (List.exists p) runs) in
+  let out = count (function P.Out_of_bounds _ -> true | _ -> false)
+  and overlap = count (function P.Boxes_overlap _ -> true | _ -> false)
+  and prec = count (function P.Precedence_violated _ -> true | _ -> false)
+  and clean = List.length (List.filter (( = ) []) runs) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d out of bounds, %d overlaps, %d precedence, %d feasible"
+       out overlap prec clean)
+    true
+    (out > 0 && overlap > 0 && prec > 0 && clean > 0)
+
 (* ------------------------------------------------------------------ *)
 (* SVG                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -290,6 +351,12 @@ let () =
           Alcotest.test_case "precedence" `Quick test_placement_precedence;
           Alcotest.test_case "accessors" `Quick test_placement_accessors;
           qtest "shelf placements feasible" arb_shelf prop_shelf_feasible;
+          QCheck_alcotest.to_alcotest ~rand:(Fixed_seed.rand check_seed)
+            (QCheck.Test.make ~count:check_cases
+               ~name:"check matches the reference copy" arb_violations
+               prop_check_matches_reference);
+          Alcotest.test_case "reference sample has every violation" `Quick
+            test_check_sample_covers;
         ] );
       ( "svg",
         [

@@ -242,19 +242,23 @@ let prop_stage2_schedule (dims, arcs, (cw, ch)) =
 
 (* Every schedule the stage-2 calls build on [case]: [makespan] at
    target 0 (the critical path and volume floor still apply), one past
-   the critical path, and [max_int], which keeps the first schedule;
+   the critical path, [max_int], which keeps the first schedule, and
+   the target [Problems.minimize_time] passes, the stage-1 time bound;
    then [pack] at horizons from the critical path through the first
    schedule's makespan to the total duration. *)
 let stage2_runs ~makespan ~pack (dims, arcs, (cw, ch)) =
   let i = inst ~precedence:arcs (List.map (fun (w, h, d) -> box3 w h d) dims) in
   let origins p = Array.init (Placement.count p) (Placement.origin p) in
+  let bound =
+    Bound_engine.time_lower_bound (Bound_engine.create ()) i (cont3 cw ch 1)
+  in
   let spans =
     List.map
       (fun target ->
         Option.map
           (fun (ms, p) -> (ms, origins p))
           (makespan ~target i ~base:(cont3 cw ch 1)))
-      [ 0; Instance.critical_path i + 1; max_int ]
+      [ 0; Instance.critical_path i + 1; max_int; bound ]
   in
   let first = match List.nth spans 2 with Some (ms, _) -> ms | None -> 1 in
   let horizons =
@@ -301,7 +305,7 @@ let test_stage2_sample_covers () =
   let count p = List.length (List.filter p runs) in
   let improved =
     count (function
-      | [ Some (best, _); _; Some (first, _) ], _ -> best < first
+      | Some (best, _) :: _ :: Some (first, _) :: _, _ -> best < first
       | _ -> false)
   and misfit = count (fun (spans, _) -> List.hd spans = None)
   and hit = count (fun (_, packs) -> List.exists Option.is_some packs)
