@@ -116,6 +116,13 @@ module Heap = struct
       Some top
 end
 
+module Buckets = Map.Make (Int)
+
+(* [i] inserted into the ascending list [ids]. *)
+let rec insert_id i = function
+  | j :: rest when j < i -> j :: insert_id i rest
+  | ids -> i :: ids
+
 let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
     ?(trace = Trace.null) tasks ~chip ~compaction ~move_delay =
   let n = Array.length tasks in
@@ -179,15 +186,36 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
   let deferred_once = Array.make n false in
   let lat = ref [] in
   (* Eligible = arrived, all predecessors finished, not yet placed.
-     [sched] holds future wake-ups (time, task); [eligible] the tasks
-     attemptable now, kept sorted [by_area]; [fresh] the tasks promoted
-     at the current clock, newest first; [doomed_pending] arrived-listed
-     tasks whose (transitive) predecessor was rejected, awaiting their
-     own rejection in pass order. *)
+     [sched] holds future wake-ups (time, task); [buckets] maps an area
+     to the pending tasks of that area attemptable now, ids ascending,
+     so walking the areas downward visits them [by_area]; [fresh] the
+     tasks promoted at the current clock, newest first;
+     [doomed_pending] arrived-listed tasks whose (transitive)
+     predecessor was rejected, awaiting their own rejection in pass
+     order: they join the buckets when the next pass starts. *)
   let sched = Heap.create () in
-  let eligible = ref [] in
+  let buckets = ref Buckets.empty in
   let fresh = ref [] in
   let doomed_pending = ref [] in
+  let enqueue i =
+    buckets :=
+      Buckets.update areas.(i)
+        (function None -> Some [ i ] | Some ids -> Some (insert_id i ids))
+        !buckets
+  in
+  let dequeue i =
+    buckets :=
+      Buckets.update areas.(i)
+        (function
+          | None -> None
+          | Some ids -> (
+            match List.filter (fun j -> j <> i) ids with
+            | [] -> None
+            | ids -> Some ids))
+        !buckets
+  in
+  (* The non-empty bucket of largest area [<= bound]. *)
+  let bucket_below bound = Buckets.find_last_opt (fun a -> a <= bound) !buckets in
   (* [counts.(((w - 1) * ch) + h - 1)] is the number of pending
      eligible tasks of footprint [w * h]. Eligible tasks are never
      doomed (their predecessors have all finished), so a task is
@@ -225,14 +253,16 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
   let promote clock =
     fresh := [];
     wake clock;
-    if !fresh <> [] then begin
-      List.iter (fun i -> count i 1) !fresh;
-      eligible := List.merge by_area (List.sort by_area !fresh) !eligible
-    end
+    List.iter
+      (fun i ->
+        count i 1;
+        enqueue i)
+      !fresh
   in
   let reject clock i =
     if not doomed.(i) then count i (-1);
     status.(i) <- `Rejected;
+    dequeue i;
     incr version;
     emit ~task:i ~sim_time:clock (Rejected { task = i });
     (* Doom every transitive successor; the arrived-listed ones get
@@ -258,6 +288,7 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
     finish_.(i) <- clock + tasks.(i).duration;
     status.(i) <- `Done;
     count i (-1);
+    dequeue i;
     running := i :: !running;
     Free_space.place fs ~id:i ~x ~y ~w:(tw i) ~h:(th i);
     incr version;
@@ -356,19 +387,33 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
           in
           let horizon = max 1 (next_finish - clock) in
           (* Greedily fill the proposed layout with the blocked tasks,
-             largest first ([eligible] is in that order): each one it
-             hosts would otherwise wait for the next retirement. *)
+             largest first, ids ascending: each one it hosts would
+             otherwise wait for the next retirement. Doomed tasks, in
+             the buckets during a pass that rejects them, are not
+             blocked. [free] is the area the fill leaves free, so no
+             bucket of larger area is walked: none of its tasks fits. *)
           let enabled = ref 0 in
           let l = Free_space.copy layout in
-          List.iter
-            (fun j ->
-              if status.(j) = `Pending then
-                match Free_space.find l ~policy ~w:(tw j) ~h:(th j) with
-                | None -> ()
-                | Some (x, y) ->
-                  incr enabled;
-                  Free_space.place l ~id:j ~x ~y ~w:(tw j) ~h:(th j))
-            !eligible;
+          let rec fill ~below free =
+            match bucket_below (min below free) with
+            | None -> ()
+            | Some (a, ids) ->
+              let free =
+                List.fold_left
+                  (fun free j ->
+                    if a <= free && not doomed.(j) then
+                      match Free_space.find l ~policy ~w:(tw j) ~h:(th j) with
+                      | None -> free
+                      | Some (x, y) ->
+                        incr enabled;
+                        Free_space.place l ~id:j ~x ~y ~w:(tw j) ~h:(th j);
+                        free - a
+                    else free)
+                  free ids
+              in
+              fill ~below:(a - 1) free
+          in
+          fill ~below:max_int (Free_space.free_area l);
           let benefit = !enabled * horizon in
           if benefit <= cost then decline ()
           else begin
@@ -452,51 +497,55 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
      monotone in the footprint, so a task of larger area than both
      neither fits nor is hosted, and its attempt would change nothing.
      Both are measured again after each placement or committed
-     compaction, and the pass stops once both are 0. A [full] pass, one
+     compaction, and the pass stops once both are 0. [visit] walks the
+     ids of bucket [a]; when they are done, or [a] exceeds both
+     measures, [next] jumps to the largest non-empty area below [a]
+     that one of them reaches. Both are areas of pending footprints, so
+     the jump lands on tasks that can act; while [host] is unmeasured
+     it goes to the next bucket, whose first task measures it exactly
+     where its attempt would build the proposal. A [full] pass, one
      that rejects (doomed tasks, or an empty chip, where a footprint
      that does not fit never will), visits every task with both at
      [max_int]: a rejection bumps the version and so clears a declined
      proposal. [visit] returns whether some task acted. *)
-  let rec visit clock ~full ~fit ~host progress = function
-    | i :: rest when fit > 0 || host <> 0 ->
-      let a = areas.(i) in
-      if status.(i) <> `Pending then visit clock ~full ~fit ~host progress rest
+  let rec visit clock ~full ~fit ~host progress a = function
+    | _ when fit = 0 && host = 0 -> progress
+    | [] -> next clock ~full ~fit ~host progress a
+    | i :: rest ->
+      if status.(i) <> `Pending then visit clock ~full ~fit ~host progress a rest
       else begin
         let host = if a > fit && host < 0 then hosted clock ~fit else host in
-        if a > fit && a > host then visit clock ~full ~fit ~host progress rest
+        if a > fit && a > host then next clock ~full ~fit ~host progress a
         else if doomed.(i) then begin
           reject clock i;
-          visit clock ~full ~fit ~host true rest
+          visit clock ~full ~fit ~host true a rest
         end
         else if not (attempt i clock) then
-          visit clock ~full ~fit ~host progress rest
-        else if full then visit clock ~full ~fit ~host true rest
-        else remeasure clock true rest
+          visit clock ~full ~fit ~host progress a rest
+        else if full then visit clock ~full ~fit ~host true a rest
+        else remeasure clock true a rest
       end
-    | _ -> progress
+  and next clock ~full ~fit ~host progress a =
+    let bound = if host < 0 then a - 1 else min (a - 1) (max fit host) in
+    match bucket_below bound with
+    | Some (a, ids) -> visit clock ~full ~fit ~host progress a ids
+    | None -> progress
   (* [visit] with [fit] and [host] measured on the current layout. *)
-  and remeasure clock progress items =
+  and remeasure clock progress a ids =
     let fit = largest ~floor:0 fs in
     visit clock ~full:false ~fit
       ~host:(if compaction then -1 else fit)
-      progress items
+      progress a ids
   in
   let pass clock =
-    let items, full =
-      match !doomed_pending with
-      | [] -> (!eligible, !running = [])
-      | doomed -> (List.merge by_area (List.sort by_area doomed) !eligible, true)
-    in
+    let full = !doomed_pending <> [] || !running = [] in
+    List.iter enqueue !doomed_pending;
     doomed_pending := [];
-    let progress =
-      if full then visit clock ~full ~fit:max_int ~host:max_int false items
-      else remeasure clock false items
-    in
-    if progress then
-      eligible := List.filter (fun i -> status.(i) = `Pending) !eligible;
-    doomed_pending :=
-      List.filter (fun i -> status.(i) = `Pending) !doomed_pending;
-    progress
+    match Buckets.max_binding_opt !buckets with
+    | None -> false
+    | Some (a, ids) ->
+      if full then visit clock ~full ~fit:max_int ~host:max_int false a ids
+      else remeasure clock false a ids
   in
   let retire clock =
     let keep, gone = List.partition (fun id -> finish_.(id) > clock) !running in

@@ -105,22 +105,30 @@ val to_json : report -> Packing.Telemetry.json
 (** [run_stream tasks ~chip ~compaction ~move_delay] simulates the
     stream. Event-driven: the clock jumps between arrivals and
     finishes; per step, eligible tasks are attempted largest-area
-    first, ties by index. The eligible tasks stay sorted in that order
-    between steps, so a pass over them sorts nothing.
+    first, ties by index. The pending eligible tasks are kept in one
+    bucket per area, ids ascending, so a pass walks the areas downward
+    and sorts nothing; promotion, placement and rejection each touch
+    one bucket.
 
     A pass on a non-empty chip attempts only the tasks that can act.
     It counts the pending eligible tasks per footprint and measures the
     largest pending area the layout fits ({!Free_space.cap}) and, with
     compaction on, the largest the current compaction proposal hosts
-    while that proposal is not declined at this layout and clock. A
-    task of larger area than both is skipped. This is exact: both tests
-    are monotone in the footprint, so such a task neither fits nor is
-    hosted, and its attempt would change nothing. The measures are
-    taken again after each placement or committed compaction, the
-    proposal is built only when a task the layout does not fit asks
-    for it (just when that task's attempt would build it), and the
-    pass stops once nothing can act. A pass that must reject (doomed
-    tasks, or an empty chip) attempts every task.
+    while that proposal is not declined at this layout and clock. When
+    a bucket is done, or its area exceeds both measures, the pass jumps
+    to the largest non-empty area at or below the larger measure. This
+    is exact: both tests are monotone in the footprint, so a task of
+    larger area than both neither fits nor is hosted, and its attempt
+    would change nothing; and both measures are areas of pending
+    footprints, so the jump lands on tasks that can act. The measures
+    are taken again after each placement or committed compaction. The
+    proposal measure is taken only when a task the layout does not fit
+    asks for it, so until then the pass moves to the next bucket, and
+    the proposal is built just when that task's attempt would build it.
+    The pass stops once nothing can act. A pass that must reject
+    (doomed tasks, or an empty chip) attempts every task; doomed tasks
+    join the buckets when that pass starts, and the greedy fill that
+    weighs a compaction skips them.
 
     [reconfig] (default [Constant 0]) prices the configuration
     reload of a moved module; [move_delay] is the extra per-moved-task

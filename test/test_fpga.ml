@@ -1279,25 +1279,26 @@ type stream_case = {
   move_delay : int;
 }
 
-let arb_stream_case =
+(* Cases drawn on chips with sides in [sides], with [tasks] tasks and
+   compaction drawn by [compaction]. *)
+let arb_stream ~sides:(side_lo, side_hi) ~tasks:(n_lo, n_hi) ~compaction =
   let gen =
     QCheck.Gen.(
       let* stream_seed = int_range 0 999_999 in
-      let* cw = int_range 3 10 and* ch = int_range 3 10 in
-      let* n = int_range 5 60 in
+      let* cw = int_range side_lo side_hi and* ch = int_range side_lo side_hi in
+      let* n = int_range n_lo n_hi in
       let* load = oneofl [ 0.5; 1.0; 2.0; 3.0 ] in
       let* max_extent = int_range 1 (max cw ch) in
       let* max_duration = int_range 1 10 in
       let* arcs = oneofl [ 0.0; 0.1; 0.3; 0.5 ] in
       let* policy = int_range 0 2 in
-      let* compaction = int_range 0 2 in
+      let* compaction = compaction in
       let* per_column = bool in
       let* load_cost = int_range 0 2 and* move_delay = int_range 0 3 in
       return
         {
           stream_seed; cw; ch; n; load; max_extent; max_duration; arcs;
-          policy; compaction = compaction > 0; per_column; load_cost;
-          move_delay;
+          policy; compaction; per_column; load_cost; move_delay;
         })
   in
   QCheck.make gen ~print:(fun c ->
@@ -1308,6 +1309,17 @@ let arb_stream_case =
         c.policy c.compaction
         (if c.per_column then "column" else "constant")
         c.load_cost c.move_delay)
+
+let arb_stream_case =
+  arb_stream ~sides:(3, 10) ~tasks:(5, 60)
+    ~compaction:QCheck.Gen.(map (fun c -> c > 0) (int_range 0 2))
+
+(* Long backlogs on large chips, compaction always on: many areas hold
+   pending tasks at once, so a pass jumps far between them. *)
+let long_reference_cases = 100
+
+let arb_long_stream_case =
+  arb_stream ~sides:(16, 32) ~tasks:(200, 600) ~compaction:(QCheck.Gen.return true)
 
 let stream_of c =
   let chip = Chip.create ~w:c.cw ~h:c.ch in
@@ -1349,6 +1361,40 @@ let stream_events c =
 let prop_online_matches_reference c =
   let got, want = stream_events c in
   got = want
+
+(* A compaction weighed in a pass that still holds doomed tasks. Task 0
+   is wider than the 4x5 chip and rejected at time 0, which dooms 1, 5
+   and 6; best fit leaves 2 where the 4x1 task 3 has no row. Moving 2
+   costs 1 cycle and enables only 3 before 2 retires at time 1, so the
+   proposal is declined. The pass that rejects the doomed tasks weighs
+   it again, once 1's rejection has cleared that verdict: 5 and 6 fit
+   the proposal too, but they are not blocked, so it is declined
+   again. *)
+let test_online_doomed_not_blocked () =
+  let chip = Chip.create ~w:4 ~h:5 in
+  let task ?(preds = []) w h duration =
+    { Online.w; h; duration; arrival = 0; preds }
+  in
+  let tasks =
+    [|
+      task 5 5 1; task ~preds:[ 0 ] 4 5 1; task 2 2 1; task 4 1 2; task 2 3 3;
+      task ~preds:[ 0 ] 1 1 1; task ~preds:[ 0 ] 1 1 1;
+    |]
+  in
+  let reconfig = Reconfig.Constant 0 in
+  let r =
+    Online.run_stream ~policy:Online.Best_fit ~reconfig tasks ~chip
+      ~compaction:true ~move_delay:1
+  in
+  Alcotest.(check (list string))
+    "events"
+    [ "R 0"; "P 4 0 0 0"; "P 2 0 3 0"; "R 1"; "R 5"; "R 6"; "D 3 1"; "P 3 0 3 1" ]
+    (List.map render_event r.Online.events);
+  Alcotest.(check bool)
+    "reference events" true
+    (r.Online.events
+    = Online_reference.run_stream ~policy:Online.Best_fit ~reconfig tasks ~chip
+        ~compaction:true ~move_delay:1)
 
 (* The sample is not vacuous: it commits compactions, rejects tasks,
    rejects some because a predecessor was rejected, and holds tasks
@@ -1542,6 +1588,12 @@ let () =
                prop_online_matches_reference);
           Alcotest.test_case "reference sample commits and rejects" `Quick
             test_online_reference_sample_covers;
+          Alcotest.test_case "doomed tasks are not blocked" `Quick
+            test_online_doomed_not_blocked;
+          QCheck_alcotest.to_alcotest ~rand:(Fixed_seed.rand online_reference_seed)
+            (QCheck.Test.make ~count:long_reference_cases
+               ~name:"long backlogs match the reference copy"
+               arb_long_stream_case prop_online_matches_reference);
         ] );
       ( "vcd",
         [

@@ -405,7 +405,7 @@ let prop_clique_is_clique (n, es) =
 (* Generators                                                          *)
 (* ------------------------------------------------------------------ *)
 
-module Gen = Graphlib.Generators
+module Gen = Generators
 
 let test_generators_families () =
   Alcotest.(check int) "path edges" 4 (U.size (Gen.path 5));
