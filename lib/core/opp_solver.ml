@@ -176,7 +176,7 @@ let search ~options ~t0 ~depth_offset ?share state =
         }
       in
       (match options.on_heartbeat with Some f -> f p | None -> ());
-      Trace.progress options.trace p
+      Trace.emit options.trace (Progress p)
     end
   in
   let check_budget () =
@@ -281,8 +281,8 @@ let search ~options ~t0 ~depth_offset ?share state =
     finish Infeasible
   with
   | Found placement ->
-    Trace.incumbent options.trace
-      ~objective:(Geometry.Placement.makespan placement);
+    Trace.emit options.trace
+      (Incumbent { objective = Geometry.Placement.makespan placement });
     finish (Feasible placement)
   | Stopped -> finish Timeout
 
@@ -332,7 +332,7 @@ let pipeline ?(options = default_options) ?schedule inst cont ~settled ~stage3
     if Trace.enabled trace then begin
       let s0 = Clock.now () in
       let r = f () in
-      Trace.phase trace ~phase:name ~dur_s:(Clock.since s0);
+      Trace.emit trace (Phase { phase = name; dur_s = Clock.since s0 });
       r
     end
     else f ()
@@ -373,7 +373,8 @@ let pipeline ?(options = default_options) ?schedule inst cont ~settled ~stage3
     in
     match heuristic_hit with
     | Some placement ->
-      Trace.incumbent trace ~objective:(Geometry.Placement.makespan placement);
+      Trace.emit trace
+        (Incumbent { objective = Geometry.Placement.makespan placement });
       finish (Feasible placement) ~by_bounds:false ~by_heuristic:true
     | None -> (
       (* Stage 3 starts from the propagated root; a root that fails

@@ -231,7 +231,7 @@ let solve ?(options = Opp_solver.default_options) ?schedule ~jobs inst cont =
         let worker_out = Array.make jobs None in
         let publish_feasible placement =
           if Atomic.compare_and_set witness None (Some placement) then
-            Trace.cancel trace ~reason:"witness found";
+            Trace.emit trace (Cancel { reason = "witness found" });
           Atomic.set stop true
         in
         let caller_interrupt () =
@@ -264,7 +264,7 @@ let solve ?(options = Opp_solver.default_options) ?schedule ~jobs inst cont =
             if Atomic.fetch_and_add pending (-1) = 1 then begin
               (* Last descriptor done with no timeout recorded: the
                  tree is exhausted. *)
-              Trace.cancel trace ~reason:"tree exhausted";
+              Trace.emit trace (Cancel { reason = "tree exhausted" });
               Atomic.set stop true
             end
           in

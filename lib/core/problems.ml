@@ -186,18 +186,22 @@ let run_probe ?schedule ctx cont inst =
     | Some n -> ctx.budget.nodes_left <- Some (n - stats.Opp_solver.nodes)
     | None -> ());
     if Trace.enabled ctx.trace then
-      Trace.probe ctx.trace
-        ~extents:
-          (Array.init (Container.dim cont) (fun d -> Container.extent cont d))
-        ~verdict:
-          (match outcome with
-          | Opp_solver.Feasible _ -> "feasible"
-          | Opp_solver.Infeasible -> "infeasible"
-          | Opp_solver.Timeout -> "timeout")
-        ~nodes:stats.Opp_solver.nodes ~dur_s:stats.Opp_solver.elapsed
-        ~budget_nodes_left:ctx.budget.nodes_left
-        ~budget_s_left:(Option.map Clock.remaining ctx.budget.deadline)
-        ~bracket:ctx.bracket;
+      Trace.emit ctx.trace
+        (Probe
+           {
+             extents =
+               Array.init (Container.dim cont) (fun d -> Container.extent cont d);
+             verdict =
+               (match outcome with
+               | Opp_solver.Feasible _ -> "feasible"
+               | Opp_solver.Infeasible -> "infeasible"
+               | Opp_solver.Timeout -> "timeout");
+             nodes = stats.Opp_solver.nodes;
+             dur_s = stats.Opp_solver.elapsed;
+             budget_nodes_left = ctx.budget.nodes_left;
+             budget_s_left = Option.map Clock.remaining ctx.budget.deadline;
+             bracket = ctx.bracket;
+           });
     (match ctx.on_probe with
     | None -> ()
     | Some f ->
@@ -261,7 +265,7 @@ let bisect ?tighten ctx ~lo ~proven ~incumbent ~probe =
         match tighten with Some f -> min mid (f w) | None -> mid
       in
       best := (value, w);
-      Trace.incumbent ctx.trace ~objective:value
+      Trace.emit ctx.trace (Incumbent { objective = value })
     | `Infeasible ->
       lo := mid + 1;
       proven := max !proven (mid + 1)
@@ -296,7 +300,7 @@ let doubling_minimize ctx ~lo ~probe =
   match find_hi lo lo 24 with
   | Error proven -> Unknown { lower_bound = proven }
   | Ok (hi, w, proven) ->
-    Trace.incumbent ctx.trace ~objective:hi;
+    Trace.emit ctx.trace (Incumbent { objective = hi });
     (* Everything below [proven] is already refuted, so the bisection
        bracket starts there, not back at [lo]. *)
     let best, proven = bisect ctx ~lo:proven ~proven ~incumbent:(hi, w) ~probe in

@@ -175,8 +175,8 @@ let rule_conflict t rule r =
   | Error c ->
     let i = rule_index rule in
     if Trace.enabled t.trace then
-      Trace.rule_fire t.trace ~rule:rule_names.(i)
-        ~detail:(conflict_to_string c);
+      Trace.emit t.trace
+        (Rule_fire { rule = rule_names.(i); detail = conflict_to_string c });
     t.rule_conflicts.n.(i) <- t.rule_conflicts.n.(i) + 1
   | Ok () -> ());
   r
@@ -238,7 +238,8 @@ let bound_call t b verdict =
   (match verdict with
   | Trace.Bv_infeasible _ -> c.n.(1) <- c.n.(1) + 1
   | Trace.Bv_lower_bound _ | Trace.Bv_inconclusive -> ());
-  Trace.bound_call t.trace ~bound:b.name ~verdict ~dur_s:dt
+  if Trace.enabled t.trace then
+    Trace.emit t.trace (Bound_call { bound = b.name; verdict; dur_s = dt })
 
 let tally { tallies = c; _ } =
   { Telemetry.calls = c.n.(0); time_s = c.s; prunes = c.n.(1) }
@@ -264,13 +265,17 @@ let bump t i = t.search.n.(i) <- t.search.n.(i) + 1
 let node_enter t ~depth =
   bump t nodes_i;
   if depth > t.max_depth then t.max_depth <- depth;
-  Trace.node_enter t.trace ~node:t.search.n.(nodes_i) ~depth
+  if Trace.enabled t.trace then
+    Trace.emit t.trace (Node_enter { node = t.search.n.(nodes_i); depth })
 
-let node_close t ~depth ~conflicts = Trace.node_close t.trace ~depth ~conflicts
+let node_close t ~depth ~conflicts =
+  if Trace.enabled t.trace then
+    Trace.emit t.trace (Node_close { depth; conflicts })
 
 let decision t ~depth ~dim ~u ~v =
   bump t decisions_i;
-  Trace.decision t.trace ~depth ~dim ~u ~v
+  if Trace.enabled t.trace then
+    Trace.emit t.trace (Decision { depth; dim; u; v })
 
 let conflict t = bump t conflicts_i
 let leaf t = bump t leaves_i
@@ -279,7 +284,8 @@ let realize t ~success =
   let dt = Clock.since t.started in
   bump t realizes_i;
   t.search.s <- t.search.s +. dt;
-  Trace.realize t.trace ~success ~dur_s:dt
+  if Trace.enabled t.trace then
+    Trace.emit t.trace (Realize { success; dur_s = dt })
 
 let nodes t = t.search.n.(nodes_i)
 let conflicts t = t.search.n.(conflicts_i)
@@ -302,15 +308,15 @@ let work t i = t.work.n.(i) <- t.work.n.(i) + 1
 
 let claim t ~index =
   work t 0;
-  Trace.claim t.trace ~index
+  if Trace.enabled t.trace then Trace.emit t.trace (Claim { index })
 
 let steal t ~victim ~depth =
   work t 1;
-  Trace.steal t.trace ~victim ~depth
+  if Trace.enabled t.trace then Trace.emit t.trace (Steal { victim; depth })
 
 let donate t ~depth =
   work t 2;
-  Trace.donate t.trace ~depth
+  if Trace.enabled t.trace then Trace.emit t.trace (Donate { depth })
 
 let reclaim t = work t 3
 

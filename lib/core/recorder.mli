@@ -2,18 +2,20 @@
     conflict, a bound evaluation, a realization, a search node or
     decision, the work-stealing kernel's claim, steal, donate and
     reclaim — is one call here. The recorder keeps the tallies
-    {!Opp_solver.stats} and {!Parallel_solver.report} render, appends
-    the event to its {!Trace}, and is the one writer of the
-    [fpga_solver_*], [fpga_bounds_*] and [fpga_parallel_*] metric
-    families.
+    {!Opp_solver.stats} and {!Parallel_solver.report} render, builds
+    the matching {!Trace.kind} and hands it to {!Trace.emit} when its
+    trace is enabled (reclaims, conflicts and leaves are tallied only),
+    and is the one writer of the [fpga_solver_*], [fpga_bounds_*] and
+    [fpga_parallel_*] metric families.
 
     A family is registered by the layer that owns it ([register_*]), so
     a run exposes the families of the stages it reached. Events only
     update tallies; the registry is written in {!flush} alone, with
     what changed since the previous flush, and every owner flushes
     when it finishes. With the trace and the registry off, events
-    touch neither. A recorder is single-writer: one per search, engine
-    or parallel worker; {!absorb} sums recorders into one. *)
+    touch neither and allocate nothing. A recorder is single-writer:
+    one per search, engine or parallel worker; {!absorb} sums recorders
+    into one. *)
 
 type t
 

@@ -3,8 +3,9 @@
    Chrome trace-event).
 
    Design constraints, in order:
-   - [null] must cost nothing: every emit function matches on the
-     handle first and returns on [Null] without touching the clock.
+   - [null] must cost nothing: [emit] matches on the handle first and
+     returns on [Null] without touching the clock, and callers on hot
+     paths test [enabled] before building the event.
    - Full-rate recording must stay cheap: one clock read plus one
      ring store per event, no locking on the emit path (streams are
      strictly single-writer, one per domain).
@@ -93,92 +94,9 @@ let append a s kind =
   s.buf.(s.appended mod capacity) <- { ts = Clock.since a.epoch; kind };
   s.appended <- s.appended + 1
 
-(* --- emit points ------------------------------------------------- *)
+(* --- emit point ---------------------------------------------------- *)
 
-let node_enter t ~node ~depth =
-  match t with
-  | Null -> ()
-  | Active a -> append a (stream a) (Node_enter { node; depth })
-
-let node_close t ~depth ~conflicts =
-  match t with
-  | Null -> ()
-  | Active a -> append a (stream a) (Node_close { depth; conflicts })
-
-let decision t ~depth ~dim ~u ~v =
-  match t with
-  | Null -> ()
-  | Active a -> append a (stream a) (Decision { depth; dim; u; v })
-
-let rule_fire t ~rule ~detail =
-  match t with
-  | Null -> ()
-  | Active a -> append a (stream a) (Rule_fire { rule; detail })
-
-let bound_call t ~bound ~verdict ~dur_s =
-  match t with
-  | Null -> ()
-  | Active a -> append a (stream a) (Bound_call { bound; verdict; dur_s })
-
-let realize t ~success ~dur_s =
-  match t with
-  | Null -> ()
-  | Active a -> append a (stream a) (Realize { success; dur_s })
-
-let incumbent t ~objective =
-  match t with
-  | Null -> ()
-  | Active a -> append a (stream a) (Incumbent { objective })
-
-let probe t ~extents ~verdict ~nodes ~dur_s ~budget_nodes_left ~budget_s_left
-    ~bracket =
-  match t with
-  | Null -> ()
-  | Active a ->
-    append a (stream a)
-      (Probe
-         {
-           extents;
-           verdict;
-           nodes;
-           dur_s;
-           budget_nodes_left;
-           budget_s_left;
-           bracket;
-         })
-
-let claim t ~index =
-  match t with
-  | Null -> ()
-  | Active a -> append a (stream a) (Claim { index })
-
-let steal t ~victim ~depth =
-  match t with
-  | Null -> ()
-  | Active a -> append a (stream a) (Steal { victim; depth })
-
-let donate t ~depth =
-  match t with
-  | Null -> ()
-  | Active a -> append a (stream a) (Donate { depth })
-
-let cancel t ~reason =
-  match t with
-  | Null -> ()
-  | Active a -> append a (stream a) (Cancel { reason })
-
-let phase t ~phase:name ~dur_s =
-  match t with
-  | Null -> ()
-  | Active a -> append a (stream a) (Phase { phase = name; dur_s })
-
-let progress t p =
-  match t with Null -> () | Active a -> append a (stream a) (Progress p)
-
-let online_op t ~op ~task ~sim_time ~dur_s =
-  match t with
-  | Null -> ()
-  | Active a -> append a (stream a) (Online_op { op; task; sim_time; dur_s })
+let emit t kind = match t with Null -> () | Active a -> append a (stream a) kind
 
 (* --- reading back ------------------------------------------------ *)
 

@@ -1,17 +1,19 @@
 (** Ring-buffered structured search tracing.
 
     A {!t} handle is threaded through the solver stack
-    ({!Opp_solver}, {!Parallel_solver}, {!Problems}, and the {!Recorder}
-    that carries every counted solver event); each layer emits typed
-    events — node enter/close, branching decisions, rule firings, bound
-    calls with verdicts, realization attempts, incumbent updates,
-    optimization probes, and parallel claim/steal/donate/cancel
-    lifecycle — into per-domain ring buffers with monotonic (per-stream
-    non-decreasing) timestamps.
+    ({!Opp_solver}, {!Parallel_solver}, {!Problems}, the {!Recorder}
+    that carries every counted solver event, and the online placer);
+    each layer builds one typed {!kind} — node enter/close, branching
+    decisions, rule firings, bound calls with verdicts, realization
+    attempts, incumbent updates, optimization probes, parallel
+    claim/steal/donate/cancel lifecycle, online operations — and hands
+    it to {!emit}, which appends it to a per-domain ring buffer with
+    monotonic (per-stream non-decreasing) timestamps.
 
-    {!null} is a first-class "tracing off" handle: every emit function
-    returns immediately without reading the clock, so threading a
-    trace argument through hot loops costs nothing when disabled.
+    {!null} is a first-class "tracing off" handle: {!emit} returns
+    immediately without reading the clock, and the per-node emit points
+    test {!enabled} before building the event, so threading a trace
+    argument through hot loops costs nothing when disabled.
 
     Streams are strictly single-writer (one per domain); export
     functions ({!write_jsonl}, {!write_chrome}, {!Summary}) must only
@@ -61,7 +63,7 @@ type kind =
 type event = { ts : float; kind : kind }
 type t
 
-(** The disabled trace: all emit functions are no-ops. *)
+(** The disabled trace: {!emit} is a no-op. *)
 val null : t
 
 (** [create ()] makes an active trace that records every event. Each
@@ -72,36 +74,14 @@ val create : unit -> t
 
 val enabled : t -> bool
 
-(** {1 Emit points}
+(** {1 Emitting} *)
 
-    Each function records one event on the calling domain's stream. *)
-
-val node_enter : t -> node:int -> depth:int -> unit
-val node_close : t -> depth:int -> conflicts:int -> unit
-val decision : t -> depth:int -> dim:int -> u:int -> v:int -> unit
-val rule_fire : t -> rule:string -> detail:string -> unit
-val bound_call : t -> bound:string -> verdict:bound_verdict -> dur_s:float -> unit
-val realize : t -> success:bool -> dur_s:float -> unit
-val incumbent : t -> objective:int -> unit
-
-val probe :
-  t ->
-  extents:int array ->
-  verdict:string ->
-  nodes:int ->
-  dur_s:float ->
-  budget_nodes_left:int option ->
-  budget_s_left:float option ->
-  bracket:(int * int) option ->
-  unit
-
-val claim : t -> index:int -> unit
-val steal : t -> victim:int -> depth:int -> unit
-val donate : t -> depth:int -> unit
-val cancel : t -> reason:string -> unit
-val phase : t -> phase:string -> dur_s:float -> unit
-val progress : t -> Telemetry.progress -> unit
-val online_op : t -> op:string -> task:int -> sim_time:int -> dur_s:float -> unit
+(** [emit t kind] records [kind] on the calling domain's stream, stamped
+    with the time since {!create}; on {!null} it returns at once. The
+    event is built before the call, so a caller that emits once per
+    search node, bound call or online event tests {!enabled} first and
+    builds nothing when tracing is off. *)
+val emit : t -> kind -> unit
 
 (** {1 Reading back} *)
 

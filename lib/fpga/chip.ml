@@ -13,7 +13,4 @@ let cells t = t.w * t.h
 let square s = create ~w:s ~h:s
 let container t ~t_max = Geometry.Container.make3 ~w:t.w ~h:t.h ~t_max
 
-let holds t box =
-  Geometry.Box.extent box 0 <= t.w && Geometry.Box.extent box 1 <= t.h
-
 let pp fmt t = Format.fprintf fmt "%dx%d cells" t.w t.h

@@ -22,7 +22,4 @@ val square : int -> t
     budget. *)
 val container : t -> t_max:int -> Geometry.Container.t
 
-(** [holds t box] — the box fits the cell array (ignoring time). *)
-val holds : t -> Geometry.Box.t -> bool
-
 val pp : Format.formatter -> t -> unit

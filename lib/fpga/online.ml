@@ -172,14 +172,15 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
      blocked task it serves. *)
   let emit ?(dur_s = 0.0) ~task ~sim_time e =
     events := e :: !events;
-    let op =
-      match e with
-      | Placed _ -> "place"
-      | Deferred _ -> "defer"
-      | Compacted _ -> "compact"
-      | Rejected _ -> "reject"
-    in
-    Trace.online_op trace ~op ~task ~sim_time ~dur_s
+    if Trace.enabled trace then
+      let op =
+        match e with
+        | Placed _ -> "place"
+        | Deferred _ -> "defer"
+        | Compacted _ -> "compact"
+        | Rejected _ -> "reject"
+      in
+      Trace.emit trace (Online_op { op; task; sim_time; dur_s })
   in
   let compactions = ref 0 and moved_tasks = ref 0 and move_cycles = ref 0 in
   let deferrals = ref 0 in
@@ -556,8 +557,14 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
           if Trace.enabled trace then begin
             let t0 = Packing.Clock.now () in
             Free_space.remove fs ~id;
-            Trace.online_op trace ~op:"retire" ~task:id ~sim_time:clock
-              ~dur_s:(Packing.Clock.since t0)
+            Trace.emit trace
+              (Online_op
+                 {
+                   op = "retire";
+                   task = id;
+                   sim_time = clock;
+                   dur_s = Packing.Clock.since t0;
+                 })
           end
           else Free_space.remove fs ~id)
         gone;

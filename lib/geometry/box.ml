@@ -33,18 +33,6 @@ let check_volume exts =
   in
   go 1 0
 
-let rotate b ~axes =
-  let d = Array.length b in
-  if Array.length axes <> d then invalid_arg "Box.rotate: wrong arity";
-  let seen = Array.make d false in
-  Array.iter
-    (fun a ->
-      if a < 0 || a >= d || seen.(a) then
-        invalid_arg "Box.rotate: not a permutation";
-      seen.(a) <- true)
-    axes;
-  Array.map (fun a -> b.(a)) axes
-
 let equal = ( = )
 
 let pp fmt b =

@@ -48,9 +48,5 @@ val check_volume : int array -> (unit, string) result
     {!max_volume}; they go through [mul_sat] and saturate. *)
 val mul_sat : int -> int -> int
 
-(** [rotate b ~axes] permutes the extents; [axes] must be a permutation
-    of [0 .. dim-1]. *)
-val rotate : t -> axes:int array -> t
-
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

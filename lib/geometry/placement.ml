@@ -17,9 +17,6 @@ let count p = Array.length p.boxes
 let box p i = p.boxes.(i)
 let origin p i = Array.copy p.origins.(i)
 
-let interval p i k =
-  Interval.make ~lo:p.origins.(i).(k) ~len:(Box.extent p.boxes.(i) k)
-
 let time_axis p i = Box.dim p.boxes.(i) - 1
 let start_time p i = p.origins.(i).(time_axis p i)
 let finish_time p i = start_time p i + Box.extent p.boxes.(i) (time_axis p i)

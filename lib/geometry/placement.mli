@@ -20,9 +20,6 @@ val box : t -> int -> Box.t
 (** [origin p i] is a fresh copy of box [i]'s origin. *)
 val origin : t -> int -> int array
 
-(** [interval p i k] is box [i]'s occupied interval along axis [k]. *)
-val interval : t -> int -> int -> Interval.t
-
 (** [start_time p i] is the origin along the last axis — the start time
     for space-time boxes. *)
 val start_time : t -> int -> int

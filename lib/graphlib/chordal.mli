@@ -4,8 +4,9 @@
     (PEO). We compute a candidate ordering by Maximum Cardinality Search
     (MCS) and verify it; MCS yields a PEO exactly for chordal graphs
     (Tarjan & Yannakakis), so the test is exact. Interval graphs are
-    chordal graphs whose complement is a comparability graph, which is
-    how {!Interval_graph} uses this module. *)
+    chordal graphs whose complement is a comparability graph
+    (Gilmore–Hoffman), so with {!Comparability} this module re-checks
+    condition C1 on a component graph. *)
 
 (** [mcs_order g] is a Maximum Cardinality Search ordering of the
     vertices (in elimination order: position 0 is eliminated first). *)

@@ -52,32 +52,6 @@ let search g ~weight ~stop_above =
 
 let max_weight_clique g ~weight = search g ~weight ~stop_above:None
 
-let max_weight_stable_set g ~weight =
-  max_weight_clique (Undirected.complement g) ~weight
-
 let exists_clique_heavier g ~weight ~bound =
   let w, _ = search g ~weight ~stop_above:(Some bound) in
   w > bound
-
-let max_weight_clique_containing g ~weight vs =
-  if not (Undirected.is_clique g vs) then None
-  else begin
-    check_weights g ~weight;
-    let n = Undirected.order g in
-    let in_vs = Array.make n false in
-    List.iter (fun v -> in_vs.(v) <- true) vs;
-    let base_w = List.fold_left (fun acc v -> acc + weight v) 0 vs in
-    let candidates =
-      List.filter
-        (fun u ->
-          (not in_vs.(u)) && List.for_all (fun v -> Undirected.mem_edge g u v) vs)
-        (List.init n Fun.id)
-    in
-    match candidates with
-    | [] -> Some base_w
-    | _ ->
-      let sub = Undirected.induced g candidates in
-      let arr = Array.of_list candidates in
-      let w, _ = max_weight_clique sub ~weight:(fun i -> weight arr.(i)) in
-      Some (base_w + w)
-  end

@@ -1,4 +1,4 @@
-(** Exact maximum-weight clique and stable set for small graphs.
+(** Exact maximum-weight clique for small graphs.
 
     The packing-class condition C2 requires that every stable set of a
     component graph fits into the container, i.e. that the maximum
@@ -12,19 +12,7 @@
     empty clique (weight 0) is always admissible. *)
 val max_weight_clique : Undirected.t -> weight:(int -> int) -> int * int list
 
-(** [max_weight_stable_set g ~weight] is the maximum-weight stable
-    (independent) set — the maximum-weight clique of the complement. *)
-val max_weight_stable_set :
-  Undirected.t -> weight:(int -> int) -> int * int list
-
 (** [exists_clique_heavier g ~weight ~bound] decides whether some clique
     has total weight strictly greater than [bound]; equivalent to
     [fst (max_weight_clique g ~weight) > bound] but can stop early. *)
 val exists_clique_heavier : Undirected.t -> weight:(int -> int) -> bound:int -> bool
-
-(** [max_weight_clique_containing g ~weight vs] is the maximum weight of
-    a clique containing all vertices of [vs]; [None] if [vs] is not a
-    clique itself. Used for incremental C2 checks when a single edge has
-    just been fixed. *)
-val max_weight_clique_containing :
-  Undirected.t -> weight:(int -> int) -> int list -> int option

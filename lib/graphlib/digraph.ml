@@ -23,22 +23,6 @@ let mem_arc g u v =
   check g v;
   g.adj.(u).(v)
 
-let successors g u =
-  check g u;
-  let rec loop v acc =
-    if v < 0 then acc
-    else loop (v - 1) (if g.adj.(u).(v) then v :: acc else acc)
-  in
-  loop (g.n - 1) []
-
-let predecessors g v =
-  check g v;
-  let rec loop u acc =
-    if u < 0 then acc
-    else loop (u - 1) (if g.adj.(u).(v) then u :: acc else acc)
-  in
-  loop (g.n - 1) []
-
 let arcs g =
   let acc = ref [] in
   for u = g.n - 1 downto 0 do
@@ -66,15 +50,6 @@ let relabel g perm =
     done
   done;
   h
-
-let is_antisymmetric g =
-  let ok = ref true in
-  for u = 0 to g.n - 1 do
-    for v = u + 1 to g.n - 1 do
-      if g.adj.(u).(v) && g.adj.(v).(u) then ok := false
-    done
-  done;
-  !ok
 
 let is_transitive g =
   let ok = ref true in

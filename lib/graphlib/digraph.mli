@@ -2,7 +2,7 @@
 
     Used for precedence DAGs and for transitive orientations of
     comparability graphs. Self-loops are rejected; antiparallel arc
-    pairs are representable (and detected by {!is_antisymmetric}). *)
+    pairs are representable. *)
 
 type t
 
@@ -22,12 +22,6 @@ val add_arc : t -> int -> int -> unit
 (** [mem_arc g u v] is [true] iff [u -> v] is an arc. *)
 val mem_arc : t -> int -> int -> bool
 
-(** Sorted list of successors of a vertex. *)
-val successors : t -> int -> int list
-
-(** Sorted list of predecessors of a vertex. *)
-val predecessors : t -> int -> int list
-
 (** All arcs as pairs [(u, v)], lexicographically sorted. *)
 val arcs : t -> (int * int) list
 
@@ -41,9 +35,6 @@ val copy : t -> t
     arc of [g] iff [perm.(u) -> perm.(v)] is an arc of the result.
     [perm] must be a permutation of [0 .. order g - 1]. *)
 val relabel : t -> int array -> t
-
-(** No pair of antiparallel arcs [u -> v], [v -> u]. *)
-val is_antisymmetric : t -> bool
 
 (** [is_transitive g] checks [u -> v -> w] implies [u -> w]. *)
 val is_transitive : t -> bool

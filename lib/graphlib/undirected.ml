@@ -106,17 +106,6 @@ let is_clique g vs =
   done;
   !ok
 
-let is_stable g vs =
-  let vs = Array.of_list vs in
-  let m = Array.length vs in
-  let ok = ref true in
-  for i = 0 to m - 1 do
-    for j = i + 1 to m - 1 do
-      if mem_edge g vs.(i) vs.(j) then ok := false
-    done
-  done;
-  !ok
-
 let equal g h =
   g.n = h.n
   &&
@@ -127,33 +116,6 @@ let equal g h =
     done
   done;
   !same
-
-let components g =
-  let seen = Array.make g.n false in
-  let comps = ref [] in
-  for s = 0 to g.n - 1 do
-    if not seen.(s) then begin
-      let comp = ref [] in
-      let stack = ref [ s ] in
-      seen.(s) <- true;
-      while !stack <> [] do
-        match !stack with
-        | [] -> ()
-        | u :: rest ->
-          stack := rest;
-          comp := u :: !comp;
-          List.iter
-            (fun v ->
-              if not seen.(v) then begin
-                seen.(v) <- true;
-                stack := v :: !stack
-              end)
-            (neighbors g u)
-      done;
-      comps := List.sort compare !comp :: !comps
-    end
-  done;
-  List.rev !comps
 
 let pp fmt g =
   Format.fprintf fmt "graph(%d){%a}" g.n

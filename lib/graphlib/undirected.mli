@@ -53,17 +53,11 @@ val induced : t -> int list -> t
 (** [is_clique g vs] checks that the vertices [vs] are pairwise adjacent. *)
 val is_clique : t -> int list -> bool
 
-(** [is_stable g vs] checks that the vertices [vs] are pairwise non-adjacent. *)
-val is_stable : t -> int list -> bool
-
 (** Structural equality (same order and same edge set). *)
 val equal : t -> t -> bool
 
 (** [iter_edges f g] iterates [f] over all edges [(u, v)], [u < v]. *)
 val iter_edges : (int -> int -> unit) -> t -> unit
-
-(** Connected components, each sorted, in increasing order of minimum. *)
-val components : t -> int list list
 
 (** Pretty-printer, e.g. [graph(5){0-1, 2-4}]. *)
 val pp : Format.formatter -> t -> unit

@@ -95,8 +95,8 @@ let iter_changed_pairs t ~since f =
   t.stamp <- t.stamp + 1;
   let stamp = t.stamp in
   (* The window length is captured up front: entries pushed by [f]
-     belong to the next window, exactly as with the snapshot list the
-     old [changed_pairs] returned. *)
+     belong to the next window, exactly as with a snapshot of the
+     window taken on entry. *)
   let limit = t.tr_len in
   for p = since to limit - 1 do
     let idx = t.tr_idx.(p) in
@@ -105,11 +105,6 @@ let iter_changed_pairs t ~since f =
       f (idx / t.n) (idx mod t.n)
     end
   done
-
-let changed_pairs t ~since =
-  let acc = ref [] in
-  iter_changed_pairs t ~since (fun u v -> acc := (u, v) :: !acc);
-  List.rev !acc
 
 let iter_trail_window ?until t ~since f =
   let limit = match until with None -> t.tr_len | Some u -> u in

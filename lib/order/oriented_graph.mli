@@ -79,11 +79,6 @@ val undo_to : t -> int -> unit
     window). *)
 val iter_changed_pairs : t -> since:int -> (int -> int -> unit) -> unit
 
-(** [changed_pairs t ~since] lists the distinct pairs whose state
-    changed after mark [since] (oldest first). Thin wrapper over
-    {!iter_changed_pairs}; prefer the iterator on hot paths. *)
-val changed_pairs : t -> since:int -> (int * int) list
-
 (** [iter_trail_window ?until t ~since f] replays the raw trail entries
     of the window [\[since, until)] (default [until = mark t]) in
     order: [f u v ~prev ~cur] receives the packed state before and

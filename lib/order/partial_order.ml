@@ -23,11 +23,6 @@ let covers p = Digraph.arcs (Digraph.transitive_reduction p)
 let critical_path p ~duration = Digraph.critical_path p ~weight:duration
 let earliest_starts p ~duration = Digraph.longest_path_lengths p ~weight:duration
 
-let is_antichain p vs =
-  List.for_all
-    (fun u -> List.for_all (fun v -> u = v || not (comparable p u v)) vs)
-    vs
-
 let respects p schedule ~duration =
   let ok = ref true in
   List.iter

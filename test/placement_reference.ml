@@ -1,14 +1,21 @@
 (* Reference copy of [Geometry.Placement.check] as it was written
-   before the allocation-free rewrite: one [Interval.t] per box, pair
-   and axis, every axis of a pair tested, and [precedes] asked about
-   every ordered pair. The geometry tests run random placements through
-   it and through [Placement.check] and require the same violations in
-   the same order. *)
+   before the allocation-free rewrite: one half-open interval
+   [(lo, hi)] per box, pair and axis, every axis of a pair tested, and
+   [precedes] asked about every ordered pair. The geometry tests run
+   random placements through it and through [Placement.check] and
+   require the same violations in the same order. *)
 
-module Interval = Geometry.Interval
 module Box = Geometry.Box
 module Container = Geometry.Container
 module Placement = Geometry.Placement
+
+(* Box [i]'s occupied interval [[lo, hi)] along axis [k]. *)
+let interval p i k =
+  let lo = (Placement.origin p i).(k) in
+  (lo, lo + Box.extent (Placement.box p i) k)
+
+let within (lo, hi) ~bound = 0 <= lo && hi <= bound
+let disjoint (lo, hi) (lo', hi') = hi <= lo' || hi' <= lo
 
 let check p ~container ~precedes =
   let n = Placement.count p in
@@ -22,8 +29,7 @@ let check p ~container ~precedes =
     for k = 0 to d - 1 do
       if
         not
-          (Interval.within (Placement.interval p i k)
-             ~bound:(Container.extent container k))
+          (within (interval p i k) ~bound:(Container.extent container k))
       then inside := false
     done;
     if not !inside then add (Placement.Out_of_bounds i)
@@ -32,8 +38,8 @@ let check p ~container ~precedes =
     for j = i + 1 to n - 1 do
       let disjoint_somewhere = ref false in
       for k = 0 to d - 1 do
-        if Interval.disjoint (Placement.interval p i k) (Placement.interval p j k)
-        then disjoint_somewhere := true
+        if disjoint (interval p i k) (interval p j k) then
+          disjoint_somewhere := true
       done;
       if not !disjoint_somewhere then add (Placement.Boxes_overlap (i, j))
     done

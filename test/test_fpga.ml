@@ -21,10 +21,11 @@ let qtest ?(count = 100) ?(long_factor = 1) name arb prop =
 let test_chip_basics () =
   let c = Chip.create ~w:32 ~h:16 in
   Alcotest.(check int) "cells" 512 (Chip.cells c);
-  Alcotest.(check bool) "holds" true (Chip.holds c (Box.make3 ~w:32 ~h:16 ~duration:9));
-  Alcotest.(check bool) "too tall" false
-    (Chip.holds c (Box.make3 ~w:1 ~h:17 ~duration:1));
   let container = Chip.container c ~t_max:5 in
+  Alcotest.(check bool) "fits" true
+    (Geometry.Container.fits container (Box.make3 ~w:32 ~h:16 ~duration:5));
+  Alcotest.(check bool) "too tall" false
+    (Geometry.Container.fits container (Box.make3 ~w:1 ~h:17 ~duration:1));
   Alcotest.(check int) "time extent" 5 (Geometry.Container.extent container 2);
   Alcotest.check_raises "positive" (Invalid_argument "Chip.create: non-positive size")
     (fun () -> ignore (Chip.create ~w:0 ~h:4))

@@ -1,6 +1,5 @@
-(* Tests for intervals, boxes, containers, placements and rendering. *)
+(* Tests for boxes, containers, placements and rendering. *)
 
-module I = Geometry.Interval
 module Box = Geometry.Box
 module Container = Geometry.Container
 module P = Geometry.Placement
@@ -8,52 +7,6 @@ module Render = Geometry.Render
 
 let qtest ?(count = 200) name arb prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
-
-(* ------------------------------------------------------------------ *)
-(* Interval                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_interval_basics () =
-  let a = I.make ~lo:2 ~len:3 in
-  Alcotest.(check int) "hi" 5 (I.hi a);
-  Alcotest.(check bool) "contains lo" true (I.contains a 2);
-  Alcotest.(check bool) "hi excluded" false (I.contains a 5);
-  Alcotest.check_raises "positive length"
-    (Invalid_argument "Interval.make: non-positive length") (fun () ->
-      ignore (I.make ~lo:0 ~len:0))
-
-let test_interval_overlap () =
-  let a = I.make ~lo:0 ~len:3 and b = I.make ~lo:3 ~len:2 in
-  Alcotest.(check bool) "touching half-open intervals disjoint" true
-    (I.disjoint a b);
-  Alcotest.(check bool) "precedes" true (I.precedes a b);
-  let c = I.make ~lo:2 ~len:2 in
-  Alcotest.(check bool) "overlap" true (I.overlaps a c);
-  Alcotest.(check (option (pair int int))) "intersection"
-    (Some (2, 1))
-    (Option.map (fun i -> ((i : I.t).lo, i.len)) (I.intersection a c))
-
-let test_interval_within () =
-  Alcotest.(check bool) "inside" true (I.within (I.make ~lo:0 ~len:5) ~bound:5);
-  Alcotest.(check bool) "spills" false (I.within (I.make ~lo:1 ~len:5) ~bound:5);
-  Alcotest.(check bool) "negative" false (I.within (I.make ~lo:(-1) ~len:2) ~bound:5)
-
-let arb_interval =
-  QCheck.map
-    (fun (lo, len) -> I.make ~lo ~len:(1 + abs len mod 10))
-    QCheck.(pair (int_range (-10) 10) int)
-
-let prop_overlap_symmetric (a, b) = I.overlaps a b = I.overlaps b a
-
-let prop_overlap_iff_common_point (a, b) =
-  let common = ref false in
-  for x = min a.I.lo b.I.lo to max (I.hi a) (I.hi b) do
-    if I.contains a x && I.contains b x then common := true
-  done;
-  I.overlaps a b = !common
-
-let prop_precedes_implies_disjoint (a, b) =
-  (not (I.precedes a b)) || I.disjoint a b
 
 (* ------------------------------------------------------------------ *)
 (* Box / Container                                                     *)
@@ -76,14 +29,6 @@ let test_box_check_volume () =
   Alcotest.(check bool) "product past 2^40" false (ok [| 1 lsl 20; (1 lsl 20) + 1 |]);
   Alcotest.(check bool) "wrapping product" false (ok [| max_int; max_int; 10 |]);
   Alcotest.(check bool) "non-positive" false (ok [| 4; 0 |])
-
-let test_box_rotate () =
-  let b = Box.make [| 1; 2; 3 |] in
-  let r = Box.rotate b ~axes:[| 2; 0; 1 |] in
-  Alcotest.(check (array int)) "rotated" [| 3; 1; 2 |] (Box.extents r);
-  Alcotest.check_raises "permutation required"
-    (Invalid_argument "Box.rotate: not a permutation") (fun () ->
-      ignore (Box.rotate b ~axes:[| 0; 0; 1 |]))
 
 let test_container_fits () =
   let c = Container.make3 ~w:32 ~h:32 ~t_max:10 in
@@ -161,8 +106,7 @@ let test_placement_accessors () =
   let p = P.make two_boxes [| [| 1; 0; 3 |]; [| 0; 0; 0 |] |] in
   Alcotest.(check int) "start" 3 (P.start_time p 0);
   Alcotest.(check int) "finish" 5 (P.finish_time p 0);
-  let i = P.interval p 0 0 in
-  Alcotest.(check int) "interval lo" 1 i.I.lo
+  Alcotest.(check (array int)) "origin" [| 1; 0; 3 |] (P.origin p 0)
 
 (* ------------------------------------------------------------------ *)
 (* Render                                                              *)
@@ -323,23 +267,10 @@ let test_svg_storyboard () =
 let () =
   Alcotest.run "geometry"
     [
-      ( "interval",
-        [
-          Alcotest.test_case "basics" `Quick test_interval_basics;
-          Alcotest.test_case "overlap" `Quick test_interval_overlap;
-          Alcotest.test_case "within" `Quick test_interval_within;
-          qtest "overlap symmetric" QCheck.(pair arb_interval arb_interval)
-            prop_overlap_symmetric;
-          qtest "overlap iff common point" QCheck.(pair arb_interval arb_interval)
-            prop_overlap_iff_common_point;
-          qtest "precedes implies disjoint" QCheck.(pair arb_interval arb_interval)
-            prop_precedes_implies_disjoint;
-        ] );
       ( "box/container",
         [
           Alcotest.test_case "box basics" `Quick test_box_basics;
           Alcotest.test_case "box check volume" `Quick test_box_check_volume;
-          Alcotest.test_case "box rotate" `Quick test_box_rotate;
           Alcotest.test_case "container fits" `Quick test_container_fits;
         ] );
       ( "placement",

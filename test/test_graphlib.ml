@@ -1,11 +1,10 @@
 (* Tests for the graph substrate: undirected/directed kernels, chordality,
-   comparability, interval graphs, cliques. *)
+   comparability, cliques. *)
 
 module U = Graphlib.Undirected
 module D = Graphlib.Digraph
 module Chordal = Graphlib.Chordal
 module Comparability = Graphlib.Comparability
-module Interval_graph = Graphlib.Interval_graph
 module Cliques = Graphlib.Cliques
 
 (* ------------------------------------------------------------------ *)
@@ -127,19 +126,16 @@ let test_undirected_induced () =
   Alcotest.(check int) "induced path" 2 (U.size h);
   Alcotest.(check bool) "edges mapped" true (U.mem_edge h 0 1 && U.mem_edge h 1 2)
 
-let test_undirected_components () =
-  let g = U.of_edges 6 [ (0, 1); (1, 2); (4, 5) ] in
-  Alcotest.(check (list (list int)))
-    "components" [ [ 0; 1; 2 ]; [ 3 ]; [ 4; 5 ] ] (U.components g)
-
+(* A stable set of [g] is a clique of its complement. *)
 let test_clique_stable () =
   let g = complete 4 in
+  let stable g vs = U.is_clique (U.complement g) vs in
   Alcotest.(check bool) "K4 clique" true (U.is_clique g [ 0; 1; 2; 3 ]);
-  Alcotest.(check bool) "K4 not stable" false (U.is_stable g [ 0; 1 ]);
+  Alcotest.(check bool) "K4 not stable" false (stable g [ 0; 1 ]);
   let e = U.create 4 in
-  Alcotest.(check bool) "empty stable" true (U.is_stable e [ 0; 1; 2; 3 ]);
+  Alcotest.(check bool) "empty stable" true (stable e [ 0; 1; 2; 3 ]);
   Alcotest.(check bool) "singleton is both" true
-    (U.is_clique e [ 2 ] && U.is_stable g [ 2 ])
+    (U.is_clique e [ 2 ] && stable g [ 2 ])
 
 let prop_complement_involution (n, es) =
   let g = U.of_edges n es in
@@ -159,11 +155,10 @@ let test_digraph_basics () =
   D.add_arc g 1 2;
   Alcotest.(check bool) "mem" true (D.mem_arc g 0 1);
   Alcotest.(check bool) "directed" false (D.mem_arc g 1 0);
-  Alcotest.(check (list int)) "succ" [ 1 ] (D.successors g 0);
-  Alcotest.(check (list int)) "pred" [ 1 ] (D.predecessors g 2);
-  Alcotest.(check bool) "antisym" true (D.is_antisymmetric g);
+  Alcotest.(check (list (pair int int))) "arcs" [ (0, 1); (1, 2) ] (D.arcs g);
   D.add_arc g 1 0;
-  Alcotest.(check bool) "not antisym" false (D.is_antisymmetric g)
+  Alcotest.(check (list (pair int int)))
+    "antiparallel arcs" [ (0, 1); (1, 0); (1, 2) ] (D.arcs g)
 
 let test_digraph_topo () =
   let g = D.of_arcs 4 [ (0, 1); (1, 2); (0, 3); (3, 2) ] in
@@ -299,54 +294,6 @@ let prop_interval_complement_comparability g =
   Comparability.is_comparability (U.complement g)
 
 (* ------------------------------------------------------------------ *)
-(* Interval graphs                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let test_interval_examples () =
-  Alcotest.(check bool) "path interval" true (Interval_graph.is_interval (path 5));
-  Alcotest.(check bool) "C4 not" false (Interval_graph.is_interval (cycle 4));
-  Alcotest.(check bool) "K4 interval" true (Interval_graph.is_interval (complete 4));
-  (* The "net" (triangle with three pendants) is chordal but not interval. *)
-  let net =
-    U.of_edges 6 [ (0, 1); (1, 2); (2, 0); (0, 3); (1, 4); (2, 5) ]
-  in
-  Alcotest.(check bool) "net chordal" true (Chordal.is_chordal net);
-  Alcotest.(check bool) "net not interval" false (Interval_graph.is_interval net)
-
-let test_interval_placement_path () =
-  let g = path 3 in
-  match Interval_graph.placement g ~length:(fun _ -> 2) with
-  | None -> Alcotest.fail "path is interval"
-  | Some c -> Alcotest.(check bool) "separates" true
-                (Interval_graph.separates g ~length:(fun _ -> 2) c)
-
-let test_exact_model_examples () =
-  (match Interval_graph.exact_model (path 4) with
-  | None -> Alcotest.fail "path has a model"
-  | Some m -> Alcotest.(check bool) "model exact" true
-                (Interval_graph.is_exact_model (path 4) m));
-  Alcotest.(check bool) "C4 has none" true (Interval_graph.exact_model (cycle 4) = None)
-
-let test_maximal_cliques () =
-  let g = U.of_edges 4 [ (0, 1); (1, 2); (2, 0); (2, 3) ] in
-  Alcotest.(check (list (list int)))
-    "triangle and edge" [ [ 0; 1; 2 ]; [ 2; 3 ] ]
-    (Interval_graph.maximal_cliques g)
-
-let prop_generated_interval_graphs_recognized g = Interval_graph.is_interval g
-
-let prop_exact_model_roundtrip g =
-  match Interval_graph.exact_model g with
-  | None -> false (* generated graphs are interval graphs *)
-  | Some m -> Interval_graph.is_exact_model g m
-
-let prop_placement_separates g =
-  let length v = 1 + (v mod 3) in
-  match Interval_graph.placement g ~length with
-  | None -> false
-  | Some c -> Interval_graph.separates g ~length c
-
-(* ------------------------------------------------------------------ *)
 (* Cliques                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -362,7 +309,7 @@ let test_max_weight_clique_examples () =
 
 let test_max_weight_stable_set () =
   let g = path 4 in
-  let w, _ = Cliques.max_weight_stable_set g ~weight:(fun _ -> 1) in
+  let w, _ = Cliques.max_weight_clique (U.complement g) ~weight:(fun _ -> 1) in
   Alcotest.(check int) "stable set of P4" 2 w
 
 let test_exists_clique_heavier () =
@@ -371,13 +318,6 @@ let test_exists_clique_heavier () =
     (Cliques.exists_clique_heavier g ~weight:(fun _ -> 1) ~bound:3);
   Alcotest.(check bool) "not heavier than 4" false
     (Cliques.exists_clique_heavier g ~weight:(fun _ -> 1) ~bound:4)
-
-let test_clique_containing () =
-  let g = U.of_edges 5 [ (0, 1); (1, 2); (2, 0); (2, 3); (3, 4) ] in
-  Alcotest.(check (option int)) "triangle through 0-1" (Some 3)
-    (Cliques.max_weight_clique_containing g ~weight:(fun _ -> 1) [ 0; 1 ]);
-  Alcotest.(check (option int)) "not a clique" None
-    (Cliques.max_weight_clique_containing g ~weight:(fun _ -> 1) [ 0; 3 ])
 
 (* Reference implementation: enumerate all subsets. *)
 let brute_force_max_clique g ~weight =
@@ -420,9 +360,11 @@ let test_generators_deterministic () =
   let b = Gen.random ~seed:42 ~n:8 ~edge_probability:0.5 in
   Alcotest.(check bool) "same graph" true (U.equal a b)
 
+(* Gilmore-Hoffman: an interval graph is chordal and its complement is
+   a comparability graph. *)
 let prop_random_interval_is_interval seed =
-  let g, model = Gen.random_interval ~seed ~n:8 ~span:15 ~max_len:5 in
-  Interval_graph.is_interval g && Interval_graph.is_exact_model g model
+  let g, _ = Gen.random_interval ~seed ~n:8 ~span:15 ~max_len:5 in
+  Chordal.is_chordal g && Comparability.is_comparability (U.complement g)
 
 let prop_random_dag_acyclic seed =
   D.is_acyclic (Gen.random_dag ~seed ~n:8 ~arc_probability:0.4)
@@ -437,7 +379,6 @@ let () =
           Alcotest.test_case "complement" `Quick test_undirected_complement;
           Alcotest.test_case "neighbors" `Quick test_undirected_neighbors;
           Alcotest.test_case "induced" `Quick test_undirected_induced;
-          Alcotest.test_case "components" `Quick test_undirected_components;
           Alcotest.test_case "clique/stable" `Quick test_clique_stable;
           qtest "complement involution" arb_graph prop_complement_involution;
           qtest "edge counts" arb_graph prop_edge_count;
@@ -482,23 +423,11 @@ let () =
           qtest "interval complement comparability" arb_interval_graph
             prop_interval_complement_comparability;
         ] );
-      ( "interval graphs",
-        [
-          Alcotest.test_case "examples" `Quick test_interval_examples;
-          Alcotest.test_case "placement path" `Quick test_interval_placement_path;
-          Alcotest.test_case "exact models" `Quick test_exact_model_examples;
-          Alcotest.test_case "maximal cliques" `Quick test_maximal_cliques;
-          qtest "recognizes generated" arb_interval_graph
-            prop_generated_interval_graphs_recognized;
-          qtest "exact model roundtrip" arb_interval_graph prop_exact_model_roundtrip;
-          qtest "placement separates" arb_interval_graph prop_placement_separates;
-        ] );
       ( "cliques",
         [
           Alcotest.test_case "max weight clique" `Quick test_max_weight_clique_examples;
           Alcotest.test_case "stable set" `Quick test_max_weight_stable_set;
           Alcotest.test_case "early exit" `Quick test_exists_clique_heavier;
-          Alcotest.test_case "clique containing" `Quick test_clique_containing;
           qtest ~count:100 "matches brute force" arb_graph prop_clique_matches_bruteforce;
           qtest "returns a clique" arb_graph prop_clique_is_clique;
         ] );

@@ -703,6 +703,96 @@ let test_hostile_budgets () =
         (Option.bind (T.member "value" r) T.to_int_opt))
     [ "ok"; "forever" ]
 
+(* Hostile bytes: valid solve, min-time and min-area lines with a few
+   bytes flipped, either in the instance text (the line stays valid
+   JSON) or anywhere in the line past its opening brace (so it never
+   turns into a blank or comment line). A capped server answers every
+   one with exactly one parseable line carrying a status or a [parse] /
+   [bad-request] error, and never raises. *)
+let hostile_bases =
+  let de = Benchmarks.De.instance and codec = Benchmarks.Video_codec.instance in
+  [|
+    ("solve", Some (17, 17), Some 14, de);
+    ("min-time", Some (17, 17), None, de);
+    ("min-area", None, Some 14, de);
+    ("solve", Some (16, 16), Some 60, codec);
+    ("min-time", Some (16, 16), None, codec);
+    ("min-area", None, Some 60, codec);
+  |]
+
+let flip_bytes s flips ~from =
+  let b = Bytes.of_string s in
+  let span = Bytes.length b - from in
+  List.iter
+    (fun (pos, x) ->
+      let i = from + (pos mod span) in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor x)))
+    flips;
+  Bytes.to_string b
+
+let arb_hostile =
+  let gen =
+    QCheck.Gen.(
+      triple
+        (int_bound (Array.length hostile_bases - 1))
+        bool
+        (list_size (int_range 1 4) (pair nat (int_range 1 255))))
+  in
+  QCheck.make gen ~print:(fun (base, in_text, flips) ->
+      Printf.sprintf "base %d, %s, flips [%s]" base
+        (if in_text then "instance text" else "whole line")
+        (String.concat "; "
+           (List.map (fun (p, x) -> Printf.sprintf "%d^%d" p x) flips)))
+
+let hostile_server =
+  lazy
+    (Server.create
+       ~config:
+         {
+           Server.default_config with
+           max_nodes = Some 2_000;
+           max_time_s = Some 0.05;
+         }
+       ())
+
+let prop_hostile_lines_answered (base, in_text, flips) =
+  let op, chip, time, inst = hostile_bases.(base) in
+  let line =
+    if in_text then
+      let io =
+        { Fpga.Instance_io.instance = inst; chip = None; t_max = None; container = None }
+      in
+      let text = flip_bytes (Fpga.Instance_io.print io) flips ~from:0 in
+      T.to_string
+        (T.Obj
+           ([ ("id", T.String "h"); ("op", T.String op); ("instance", T.String text) ]
+           @ (match chip with
+             | Some (w, h) -> [ ("chip", T.List [ T.Int w; T.Int h ]) ]
+             | None -> [])
+           @ match time with Some t -> [ ("time", T.Int t) ] | None -> []))
+    else flip_bytes (request_line ~id:"h" ~op ?chip ?time inst) flips ~from:1
+  in
+  let out = ref [] in
+  let w = Writer.of_sink (fun l -> out := l :: !out) in
+  (match Server.handle_line (Lazy.force hostile_server) w line with
+  | () -> ()
+  | exception exn ->
+    QCheck.Test.fail_reportf "raised %s on %S" (Printexc.to_string exn) line);
+  match !out with
+  | [ resp ] -> (
+    match T.of_string resp with
+    | Error e -> QCheck.Test.fail_reportf "unparseable answer %S: %s" resp e
+    | Ok j -> (
+      match
+        ( T.member "status" j,
+          Option.bind (T.member "error" j) (T.member "code") )
+      with
+      | Some (T.String _), _ -> true
+      | _, Some (T.String ("parse" | "bad-request")) -> true
+      | _ -> QCheck.Test.fail_reportf "answer %s to %S" resp line))
+  | lines ->
+    QCheck.Test.fail_reportf "%d lines for %S" (List.length lines) line
+
 (* ------------------------------------------------------------------ *)
 (* Writer under concurrency: no spliced heartbeat lines                *)
 (* ------------------------------------------------------------------ *)
@@ -982,6 +1072,8 @@ let () =
             test_volume_overflow_rejected;
           Alcotest.test_case "hostile jobs and time budgets" `Quick
             test_hostile_budgets;
+          qtest ~count:300 "hostile bytes get one typed answer" arb_hostile
+            prop_hostile_lines_answered;
           Alcotest.test_case "concurrent heartbeats stay line-atomic" `Quick
             test_concurrent_heartbeats_not_interleaved;
           Alcotest.test_case "latency record keeps a fixed window" `Quick

@@ -78,7 +78,7 @@ let test_timestamps_per_domain () =
   let n = 20_000 in
   let emit () =
     for objective = 0 to n - 1 do
-      Trace.incumbent trace ~objective
+      Trace.emit trace (Incumbent { objective })
     done
   in
   List.iter Domain.join [ Domain.spawn emit; Domain.spawn emit ];
@@ -162,10 +162,13 @@ let test_summary_matches_stats () =
    counts exact and durations additive, sorted by op name. *)
 let test_summary_online_ops () =
   let trace = Trace.create () in
-  Trace.online_op trace ~op:"place" ~task:0 ~sim_time:0 ~dur_s:0.25;
-  Trace.online_op trace ~op:"defer" ~task:1 ~sim_time:0 ~dur_s:0.5;
-  Trace.online_op trace ~op:"place" ~task:1 ~sim_time:3 ~dur_s:0.75;
-  Trace.online_op trace ~op:"compact" ~task:2 ~sim_time:4 ~dur_s:0.125;
+  let op op task sim_time dur_s =
+    Trace.emit trace (Online_op { op; task; sim_time; dur_s })
+  in
+  op "place" 0 0 0.25;
+  op "defer" 1 0 0.5;
+  op "place" 1 3 0.75;
+  op "compact" 2 4 0.125;
   match Trace.Summary.of_lines (jsonl_lines trace) with
   | Error msg -> Alcotest.failf "summary failed: %s" msg
   | Ok s ->
@@ -228,7 +231,7 @@ let test_ring_drops_oldest () =
   let capacity = 1 lsl 18 in
   let trace = Trace.create () in
   for objective = 1 to capacity + 100 do
-    Trace.incumbent trace ~objective
+    Trace.emit trace (Incumbent { objective })
   done;
   Alcotest.(check int) "drop count" 100 (Trace.dropped trace);
   let objectives =
@@ -247,9 +250,29 @@ let test_ring_drops_oldest () =
 let test_null_records_nothing () =
   let t = Trace.null in
   Alcotest.(check bool) "disabled" false (Trace.enabled t);
-  Trace.node_enter t ~node:1 ~depth:0;
-  Trace.incumbent t ~objective:3;
+  Trace.emit t (Node_enter { node = 1; depth = 0 });
+  Trace.emit t (Incumbent { objective = 3 });
   Alcotest.(check int) "no events" 0 (List.length (Trace.events t))
+
+(* With the trace and the registry off, the recorder's per-node and
+   work-stealing events build no trace event: a search pays nothing for
+   instrumentation it does not read. *)
+let test_off_path_allocates_nothing () =
+  let module R = Packing.Recorder in
+  let r = R.detached () in
+  R.register_kernel r ~worker:0;
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    R.node_enter r ~depth:(i land 15);
+    R.decision r ~depth:1 ~dim:0 ~u:0 ~v:1;
+    R.node_close r ~depth:1 ~conflicts:0;
+    R.claim r ~index:i;
+    R.steal r ~victim:0 ~depth:1;
+    R.donate r ~depth:1
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0)) "minor words" 0.0 words;
+  Alcotest.(check int) "events still tallied" 10_000 (R.nodes r)
 
 (* ------------------------------------------------------------------ *)
 (* Heartbeat                                                           *)
@@ -318,6 +341,11 @@ let () =
           Alcotest.test_case "drops oldest first" `Quick test_ring_drops_oldest;
           Alcotest.test_case "null trace records nothing" `Quick
             test_null_records_nothing;
+        ] );
+      ( "off path",
+        [
+          Alcotest.test_case "recorder events allocate nothing" `Quick
+            test_off_path_allocates_nothing;
         ] );
       ( "heartbeat",
         [
