@@ -15,28 +15,51 @@
 
    - remove: a maximal rectangle of the new configuration either
      avoids the freed footprint F (then it was maximal before and is
-     already present) or intersects F. The latter are recomputed on a
-     compressed grid: its columns and rows are cut at the distinct x
-     and y edges of the remaining obstacles, of F and of the chip, so
+     already present) or intersects F. The latter are recomputed
+     inside a box B: the bounding box of F and of every old MER that
+     shares a stretch of edge with F (an MER cannot overlap F, so it
+     can at most touch it).
+
+     Lemma. Every empty rectangle R that intersects F lies in B.
+     Proof. Let L be the part of R left of F's left edge, if any. L
+     is a rectangle with R's full height, and it avoids F, so it was
+     empty before and lies in some old MER m. R meets F, so L's right
+     edge lies on F's left edge over a stretch of positive length; m
+     contains L and does not overlap F, so m's right edge is F's left
+     edge and m touches F along that stretch. Hence R's left edge and
+     R's height are within m, and so within B. The same holds right
+     of, below and above F; where R does not reach past a side of F,
+     that side of R lies within F. So R lies in B.
+
+     It follows that a rectangle through F is maximal on the chip
+     exactly when it is maximal in B with B's sides taken as walls:
+     any extension of it is an empty rectangle through F, so it stays
+     in B. Inside B the new free space is F together with the old
+     MERs that intersect B, clipped to B. Those rectangles and F cut a
+     compressed grid of B at their distinct x and y edges and B's, so
      occupancy is uniform inside each compressed cell and every
-     maximal rectangle is a union of cells. The obstacles are painted
-     into a byte grid owned by the manager and reused across calls.
+     maximal rectangle is a union of cells. The grid, a byte array
+     owned by the manager, is painted occupied and then cleared under
+     F and each clipped MER; the live modules are never walked.
      For each left column at or before F's right edge, a sweep adds
      columns to the right, keeping per row whether any added column is
      occupied there; after each column, every maximal run of free rows
      that crosses F's rows is emitted when the columns on both sides
-     are blocked within it (or lie beyond the chip). The sweep stops
-     once every row through F is blocked. With c compressed columns
-     and r compressed rows (each at most 2k + 4 for k live modules)
-     this costs O(c^2 * r) and allocates no buffer per call: only
-     the resulting rectangles. Old MERs that became extendable into F
-     are contained in one of the new rectangles and are pruned. *)
+     are blocked within it (or lie beyond B). The sweep stops once
+     every row through F is blocked. With c compressed columns and r
+     compressed rows of B (each at most 2m + 4 for m MERs meeting B)
+     this costs O(c^2 * r) and allocates no buffer per call: only the
+     resulting rectangles. An old MER that became extendable into F
+     is contained in one of the new rectangles and is pruned; it
+     touches F along an edge (the cells that blocked its extension
+     were F's), so only the MERs that border F are tested. *)
 
 type rect = { x : int; y : int; w : int; h : int }
 
 type policy = First_fit | Best_fit | Worst_fit
 
-(* Reusable buffers for [remove]. [xs]/[ys] hold the compressed
+(* Reusable buffers for [remove], built by its first call: most copies
+   (compaction proposals) never remove. [xs]/[ys] hold the compressed
    coordinates in ascending order; [xi]/[yi] map an edge coordinate to
    its index, and hold -1 for a coordinate flagged as an edge but not
    yet indexed; [cells] is the column-major compressed occupancy grid
@@ -62,7 +85,7 @@ type t = {
   occupied : (int, rect) Hashtbl.t;
   mutable used : int;
   mutable reach : int array;
-  buffers : buffers;
+  buffers : buffers Lazy.t;
 }
 
 let make_buffers ~w ~h =
@@ -84,7 +107,7 @@ let create ~w ~h =
     occupied = Hashtbl.create 64;
     used = 0;
     reach = [||];
-    buffers = make_buffers ~w ~h;
+    buffers = lazy (make_buffers ~w ~h);
   }
 
 let copy t =
@@ -95,7 +118,7 @@ let copy t =
     occupied = Hashtbl.copy t.occupied;
     used = t.used;
     reach = t.reach;
-    buffers = make_buffers ~w:t.width ~h:t.height;
+    buffers = lazy (make_buffers ~w:t.width ~h:t.height);
   }
 
 let width t = t.width
@@ -214,12 +237,12 @@ let place t ~id ~x ~y ~w ~h =
 (* Flag coordinate [v] as an edge. *)
 let mark index v = index.(v) <- -1
 
-(* Collect the flagged coordinates of [0, limit] in ascending order into
+(* Collect the flagged coordinates of [lo, hi] in ascending order into
    [coords], replace each flag in [index] by the coordinate's index, and
    return how many there were. *)
-let compress coords index limit =
+let compress coords index lo hi =
   let n = ref 0 in
-  for v = 0 to limit do
+  for v = lo to hi do
     if index.(v) < 0 then begin
       index.(v) <- !n;
       coords.(!n) <- v;
@@ -237,42 +260,58 @@ let column_blocked cells nr c r0 r1 =
   done;
   !r < r1
 
-(* All maximal empty rectangles (w.r.t. the occupied modules) that
-   intersect the freed rectangle [f], unsorted. *)
-let maximal_through t f =
-  let s = t.buffers in
-  mark s.xi 0;
-  mark s.xi t.width;
+(* [a] and [b] share a stretch of edge of positive length (or
+   overlap). *)
+let borders a b =
+  a.x <= b.x + b.w
+  && b.x <= a.x + a.w
+  && a.y <= b.y + b.h
+  && b.y <= a.y + a.h
+  && ((a.x < b.x + b.w && b.x < a.x + a.w)
+     || (a.y < b.y + b.h && b.y < a.y + a.h))
+
+(* All maximal empty rectangles that intersect the freed rectangle [f],
+   unsorted, found inside the box [b] that holds them all (see the
+   header). The free space in [b] is [f] and the MERs meeting [b]. *)
+let maximal_through t b f =
+  let s = Lazy.force t.buffers in
+  let bx1 = b.x + b.w and by1 = b.y + b.h in
+  mark s.xi b.x;
+  mark s.xi bx1;
   mark s.xi f.x;
   mark s.xi (f.x + f.w);
-  mark s.yi 0;
-  mark s.yi t.height;
+  mark s.yi b.y;
+  mark s.yi by1;
   mark s.yi f.y;
   mark s.yi (f.y + f.h);
-  Hashtbl.iter
-    (fun _ o ->
-      mark s.xi o.x;
-      mark s.xi (o.x + o.w);
-      mark s.yi o.y;
-      mark s.yi (o.y + o.h))
-    t.occupied;
-  let nc = compress s.xs s.xi t.width - 1 in
-  let nr = compress s.ys s.yi t.height - 1 in
+  List.iter
+    (fun m ->
+      if intersects m b then begin
+        mark s.xi (Int.max m.x b.x);
+        mark s.xi (Int.min (m.x + m.w) bx1);
+        mark s.yi (Int.max m.y b.y);
+        mark s.yi (Int.min (m.y + m.h) by1)
+      end)
+    t.mers;
+  let nc = compress s.xs s.xi b.x bx1 - 1 in
+  let nr = compress s.ys s.yi b.y by1 - 1 in
   if Bytes.length s.cells < nc * nr then s.cells <- Bytes.create (nc * nr);
   let cells = s.cells and blocked = s.blocked in
-  Bytes.fill cells 0 (nc * nr) '\000';
-  Hashtbl.iter
-    (fun _ o ->
-      for c = s.xi.(o.x) to s.xi.(o.x + o.w) - 1 do
-        Bytes.fill cells ((c * nr) + s.yi.(o.y)) (s.yi.(o.y + o.h) - s.yi.(o.y))
-          '\001'
-      done)
-    t.occupied;
+  Bytes.fill cells 0 (nc * nr) '\001';
+  let clear r =
+    let r0 = s.yi.(Int.max r.y b.y) in
+    let len = s.yi.(Int.min (r.y + r.h) by1) - r0 in
+    for c = s.xi.(Int.max r.x b.x) to s.xi.(Int.min (r.x + r.w) bx1) - 1 do
+      Bytes.fill cells ((c * nr) + r0) len '\000'
+    done
+  in
+  clear f;
+  List.iter (fun m -> if intersects m b then clear m) t.mers;
   let fc0 = s.xi.(f.x) and fc1 = s.xi.(f.x + f.w) in
   let fr0 = s.yi.(f.y) and fr1 = s.yi.(f.y + f.h) in
   let out = ref [] in
   for cl = 0 to fc1 - 1 do
-    (* A maximal rectangle's left edge is the chip edge or abuts an
+    (* A maximal rectangle's left edge is the box's or abuts an
        obstacle. *)
     if cl = 0 || column_blocked cells nr (cl - 1) 0 nr then begin
       Bytes.fill blocked 0 nr '\000';
@@ -324,6 +363,18 @@ let maximal_through t f =
   done;
   !out
 
+(* The box B of the header: the bounding box of [f] and of every MER
+   that borders it, with [x0, x1) * [y0, y1) the box so far. *)
+let rec box_around f x0 y0 x1 y1 = function
+  | [] -> { x = x0; y = y0; w = x1 - x0; h = y1 - y0 }
+  | m :: rest ->
+    if borders m f then
+      box_around f (Int.min x0 m.x) (Int.min y0 m.y)
+        (Int.max x1 (m.x + m.w))
+        (Int.max y1 (m.y + m.h))
+        rest
+    else box_around f x0 y0 x1 y1 rest
+
 let remove t ~id =
   match Hashtbl.find_opt t.occupied id with
   | None -> invalid_arg "Free_space.remove: unknown id"
@@ -331,8 +382,11 @@ let remove t ~id =
     Hashtbl.remove t.occupied id;
     t.used <- t.used - (f.w * f.h);
     t.reach <- [||];
-    let fresh = List.sort rect_order (maximal_through t f) in
+    let box = box_around f f.x f.y (f.x + f.w) (f.y + f.h) t.mers in
+    let fresh = List.sort rect_order (maximal_through t box f) in
     let survivors =
-      List.filter (fun m -> not (contained_in_some m fresh)) t.mers
+      List.filter
+        (fun m -> not (borders m f && contained_in_some m fresh))
+        t.mers
     in
     t.mers <- List.merge rect_order survivors fresh

@@ -84,13 +84,16 @@ val find : t -> policy:policy -> w:int -> h:int -> (int * int) option
     chip, has non-positive extents, or overlaps an occupied module. *)
 val place : t -> id:int -> x:int -> y:int -> w:int -> h:int -> unit
 
-(** [remove t ~id] frees module [id]'s footprint and updates the MER
-    set incrementally: the MERs crossing the freed footprint are
-    recomputed on a compressed occupancy grid whose columns and rows
-    are cut at the distinct edges of the live modules, the footprint
-    and the chip. With c compressed columns and r compressed rows
-    (each at most 2k + 4 for k live modules) this costs O(c{^2}·r).
-    The grid lives in a buffer owned by [t] and reused across calls
-    ({!copy} gets its own): no buffer is allocated per call.
+(** [remove t ~id] frees module [id]'s footprint F and updates the MER
+    set incrementally. Every empty rectangle through F lies in the box
+    B bounding F and the MERs that share an edge with it, so the MERs
+    crossing F are recomputed inside B alone: on a compressed grid of
+    B cut at the edges of F, of B and of the MERs meeting B, clipped
+    to B. The live modules are not walked. With c compressed columns
+    and r compressed rows (each at most 2m + 4 for m MERs meeting B)
+    this costs O(c{^2}·r) plus one pass over the MER list. The grid
+    lives in buffers owned by [t], built by its first [remove] and
+    reused by later ones ({!create} and {!copy} build none), so no
+    buffer is allocated per call.
     @raise Invalid_argument if [id] is not live. *)
 val remove : t -> id:int -> unit

@@ -589,47 +589,55 @@ let bottom_left grid ~w ~h ~bw ~bh =
   in
   scan 0 0
 
-(* One random step: place a module of extents up to [max_extent] under a
-   random policy, or retire a random live one. False when [find]
-   disagrees with [reference_find], when first fit disagrees with the
-   bitmap's bottom-left position, or when [find] says nothing fits but
-   the bitmap has room. *)
+(* Place a module of extents up to [max_extent] under a random policy
+   where [find] puts it. False when [find] disagrees with
+   [reference_find], when first fit disagrees with the bitmap's
+   bottom-left position, or when [find] finds no room and [room bw bh]
+   says there is. *)
+let model_place rng m ~max_extent ~room =
+  let w = FS.width m.fs and h = FS.height m.fs in
+  let bw = 1 + Random.State.int rng max_extent
+  and bh = 1 + Random.State.int rng max_extent in
+  let policy =
+    match Random.State.int rng 3 with
+    | 0 -> FS.First_fit
+    | 1 -> FS.Best_fit
+    | _ -> FS.Worst_fit
+  in
+  let got = FS.find m.fs ~policy ~w:bw ~h:bh in
+  got = reference_find (FS.mers m.fs) ~policy ~w:bw ~h:bh
+  && FS.find m.fs ~policy:FS.First_fit ~w:bw ~h:bh
+     = bottom_left m.grid ~w ~h ~bw ~bh
+  &&
+  match got with
+  | None -> not (room bw bh)
+  | Some (x, y) ->
+    let id = m.next_id in
+    m.next_id <- id + 1;
+    FS.place m.fs ~id ~x ~y ~w:bw ~h:bh;
+    paint m true (x, y, bw, bh);
+    m.live <- (id, (x, y, bw, bh)) :: m.live;
+    true
+
+(* Retire a random live module. *)
+let model_remove rng m =
+  let k = Random.State.int rng (List.length m.live) in
+  let id, rect = List.nth m.live k in
+  FS.remove m.fs ~id;
+  paint m false rect;
+  m.live <- List.filter (fun (i, _) -> i <> id) m.live
+
+(* One random step: a [model_place] that checks "no room" against the
+   brute-force MERs, or the retirement of a random live module. *)
 let model_step rng m ~max_extent =
   let w = FS.width m.fs and h = FS.height m.fs in
-  if m.live = [] || Random.State.bool rng then begin
-    let bw = 1 + Random.State.int rng max_extent
-    and bh = 1 + Random.State.int rng max_extent in
-    let policy =
-      match Random.State.int rng 3 with
-      | 0 -> FS.First_fit
-      | 1 -> FS.Best_fit
-      | _ -> FS.Worst_fit
-    in
-    let got = FS.find m.fs ~policy ~w:bw ~h:bh in
-    got = reference_find (FS.mers m.fs) ~policy ~w:bw ~h:bh
-    && FS.find m.fs ~policy:FS.First_fit ~w:bw ~h:bh
-       = bottom_left m.grid ~w ~h ~bw ~bh
-    &&
-    match got with
-    | None ->
-      not
-        (List.exists
-           (fun (_, _, rw, rh) -> rw >= bw && rh >= bh)
-           (brute_mers m.grid ~w ~h))
-    | Some (x, y) ->
-      let id = m.next_id in
-      m.next_id <- id + 1;
-      FS.place m.fs ~id ~x ~y ~w:bw ~h:bh;
-      paint m true (x, y, bw, bh);
-      m.live <- (id, (x, y, bw, bh)) :: m.live;
-      true
-  end
+  if m.live = [] || Random.State.bool rng then
+    model_place rng m ~max_extent ~room:(fun bw bh ->
+        List.exists
+          (fun (_, _, rw, rh) -> rw >= bw && rh >= bh)
+          (brute_mers m.grid ~w ~h))
   else begin
-    let k = Random.State.int rng (List.length m.live) in
-    let id, rect = List.nth m.live k in
-    FS.remove m.fs ~id;
-    paint m false rect;
-    m.live <- List.filter (fun (i, _) -> i <> id) m.live;
+    model_remove rng m;
     true
   end
 
@@ -653,6 +661,31 @@ let prop_fs_matches_brute_force seed =
 let prop_fs_non_square_brute_force seed =
   model_walk (Random.State.make [| seed |]) (fs_model ~w:11 ~h:9) ~steps:120
     ~max_extent:4
+
+(* The regime of the online workloads: a 32x32 chip with extents up
+   to 8, where two steps in three try to place, so the chip fills and
+   stays fragmented and a freed footprint's box is a small part of it.
+   Brute force checks the MERs after every retirement. That also
+   checks what the placements before it left: [remove] recomputes only
+   near the freed footprint, so a wrong MER elsewhere stays. A failed
+   [find] needs no
+   brute-force check: first fit agreeing with the bitmap's bottom-left
+   position already shows there is no room. *)
+let prop_fs_fragmented_brute_force seed =
+  let rng = Random.State.make [| seed |] in
+  let m = fs_model ~w:32 ~h:32 in
+  let ok = ref true in
+  for _ = 1 to 400 do
+    if !ok then
+      ok :=
+        if m.live = [] || Random.State.int rng 3 > 0 then
+          model_place rng m ~max_extent:8 ~room:(fun _ _ -> false)
+        else begin
+          model_remove rng m;
+          model_agrees m
+        end
+  done;
+  !ok
 
 (* A copy shares no mutable state with its original: mutating the copy
    leaves the original's MERs, modules and free area as they were, and
@@ -1541,6 +1574,8 @@ let () =
           qtest ~count:80 "matches brute force" arb_seed prop_fs_matches_brute_force;
           qtest ~count:50 ~long_factor:20 "non-square chip matches brute force"
             arb_seed prop_fs_non_square_brute_force;
+          qtest ~count:10 ~long_factor:20 "fragmented 32x32 chip matches brute force"
+            arb_seed prop_fs_fragmented_brute_force;
           qtest ~count:50 ~long_factor:20 "copy is independent" arb_seed
             prop_fs_copy_independent;
           qtest ~count:50 ~long_factor:20 "fits agrees with find and brute force"
