@@ -35,7 +35,6 @@ type options = {
   use_heuristic : bool;
   node_limit : int option;
   deadline : Clock.deadline option;
-  interrupt : (unit -> bool) option;
   progress_interval_s : float;
   on_heartbeat : (Telemetry.progress -> unit) option;
   trace : Trace.t;
@@ -49,7 +48,6 @@ let default_options =
     use_heuristic = true;
     node_limit = None;
     deadline = None;
-    interrupt = None;
     progress_interval_s = 1.0;
     on_heartbeat = None;
     trace = Trace.null;
@@ -59,7 +57,7 @@ let default_options =
 exception Found of Geometry.Placement.t
 exception Stopped
 
-(* How often (in nodes) the clock and the cooperative interrupt flag
+(* How often (in nodes) the clock and the parallel kernel's stop flag
    are polled. A power of two so the check compiles to a mask; the
    progress callbacks fire on clock time measured at these polls, not
    on node counts. *)
@@ -83,7 +81,7 @@ let recorded r ~elapsed =
    decisions replayed into [state] before the search started. The node
    limit applies to the recorder's count, which a parallel worker keeps
    across its descriptors; heartbeats report this search's nodes. *)
-let search ~options ~t0 ~depth_offset ?share state =
+let search ~options ~t0 ~depth_offset ?share ?stop state =
   let r = Packing_state.recorder state in
   Recorder.start_search r ~depth_offset;
   let nodes0 = Recorder.nodes r in
@@ -185,8 +183,8 @@ let search ~options ~t0 ~depth_offset ?share state =
     | Some limit when nodes > limit -> raise Stopped
     | _ -> ());
     if nodes land poll_mask = 0 || nodes = nodes0 + 1 then begin
-      (match options.interrupt with
-      | Some stop when stop () -> raise Stopped
+      (match stop with
+      | Some stop when Atomic.get stop -> raise Stopped
       | _ -> ());
       (match options.deadline with
       | Some d when Clock.expired d -> raise Stopped
@@ -286,8 +284,9 @@ let search ~options ~t0 ~depth_offset ?share state =
     finish (Feasible placement)
   | Stopped -> finish Timeout
 
-let solve_state ?(options = default_options) ?(depth_offset = 0) ?share state =
-  search ~options ~t0:(Clock.now ()) ~depth_offset ?share state
+let solve_state ?(options = default_options) ?(depth_offset = 0) ?share ~stop
+    state =
+  search ~options ~t0:(Clock.now ()) ~depth_offset ?share ~stop state
 
 (* Nodes one root check may spend refuting its time slices, all slices
    together. A serve-unique pass spends about 200 on its slices, and

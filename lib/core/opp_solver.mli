@@ -17,8 +17,9 @@ type outcome =
   | Feasible of Geometry.Placement.t
   | Infeasible
   | Timeout
-      (** a budget expired: the node limit, the wall-clock deadline, or
-          a cooperative {!options.interrupt} *)
+      (** a budget expired: the node limit or the wall-clock deadline,
+          or a {!Parallel_solver} sibling raised the stop flag of
+          {!solve_state} *)
 
 (** One branching decision of the search: pair [(u, v)] in dimension
     [dim], [overlap] choosing component (projections overlap) versus
@@ -105,11 +106,6 @@ type options = {
           returns [Timeout] soon after it passes. Polled every few
           dozen nodes, so the overshoot is bounded by the cost of that
           many propagation steps. *)
-  interrupt : (unit -> bool) option;
-      (** cooperative cancellation: polled periodically alongside the
-          deadline; returning [true] aborts the search with [Timeout].
-          Used by {!Parallel_solver} to stop sibling workers once a
-          definitive answer is known. *)
   progress_interval_s : float;
       (** seconds between [on_heartbeat] firings (default 1.0),
           checked at the node-poll granularity (every ~32 nodes),
@@ -193,7 +189,7 @@ val root_check :
     [false]. *)
 val slice_refuter : unit -> Instance.t -> Geometry.Container.t -> bool
 
-(** [solve_state ?options ?depth_offset ?share state] runs the stage-3
+(** [solve_state ?options ?depth_offset ?share ~stop state] runs the stage-3
     search alone, from an already-initialized (and possibly partially
     decided) {!Packing_state.t}. Stages 1 and 2 are skipped regardless
     of [options]; [depth_offset] credits decisions replayed into
@@ -204,12 +200,16 @@ val slice_refuter : unit -> Instance.t -> Geometry.Container.t -> bool
     carry [options.trace], and its stats are that recorder's tallies:
     a recorder that served earlier searches keeps counting, and
     [node_limit] applies to its count. [share] attaches the
-    work-stealing hooks (see {!share}). This is the worker entry point
-    of {!Parallel_solver}. *)
+    work-stealing hooks (see {!share}). The search polls [stop]
+    alongside the deadline and returns [Timeout] once it is set. This
+    is the worker entry point of {!Parallel_solver}, whose workers
+    share one [stop] flag to halt their siblings once the answer is
+    known. *)
 val solve_state :
   ?options:options ->
   ?depth_offset:int ->
   ?share:share ->
+  stop:bool Atomic.t ->
   Packing_state.t ->
   outcome * stats
 

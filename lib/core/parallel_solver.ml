@@ -234,11 +234,6 @@ let solve ?(options = Opp_solver.default_options) ?schedule ~jobs inst cont =
             Trace.emit trace (Cancel { reason = "witness found" });
           Atomic.set stop true
         in
-        let caller_interrupt () =
-          match options.Opp_solver.interrupt with
-          | Some f -> f ()
-          | None -> false
-        in
         let worker wid =
           let w0 = Clock.now () in
           let my_deque = deques.(wid) in
@@ -249,8 +244,6 @@ let solve ?(options = Opp_solver.default_options) ?schedule ~jobs inst cont =
               options with
               Opp_solver.use_bounds = false;
               use_heuristic = false;
-              interrupt =
-                Some (fun () -> Atomic.get stop || caller_interrupt ());
               on_heartbeat =
                 Some
                   (fun p ->
@@ -269,10 +262,9 @@ let solve ?(options = Opp_solver.default_options) ?schedule ~jobs inst cont =
             end
           in
           let give_up () =
-            (* This worker's budget expired (or the caller
-               interrupted): without its subtrees the proof cannot
-               complete, so cancel everyone promptly. A witness that
-               already landed still wins at join time. *)
+            (* This worker's budget expired: without its subtrees the
+               proof cannot complete, so cancel everyone promptly. A
+               witness that already landed still wins at join time. *)
             if Atomic.get witness = None then Atomic.set timed_out true;
             Atomic.set stop true
           in
@@ -328,13 +320,13 @@ let solve ?(options = Opp_solver.default_options) ?schedule ~jobs inst cont =
               | Ok st ->
                 let outcome, _ =
                   Opp_solver.solve_state ~options:sub_opts
-                    ~depth_offset:t.depth ~share st
+                    ~depth_offset:t.depth ~share ~stop st
                 in
                 (match outcome with
                 | Opp_solver.Feasible p -> publish_feasible p
                 | Opp_solver.Infeasible -> ()
                 | Opp_solver.Timeout ->
-                  (* Either a genuine budget/interrupt expiry or the
+                  (* Either a genuine budget expiry or the
                      cooperative stop flag set by a sibling; a witness
                      means the stop was benign. *)
                   if Atomic.get witness = None then give_up ());
@@ -379,8 +371,7 @@ let solve ?(options = Opp_solver.default_options) ?schedule ~jobs inst cont =
                 run_task t
               | None -> (
                 match pick_victim () with
-                | -1 ->
-                  if caller_interrupt () then give_up () else relax ()
+                | -1 -> relax ()
                 | v -> (
                   match Deque.steal deques.(v) with
                   | Some t ->

@@ -245,10 +245,13 @@ let write_jsonl t oc =
 
 (* Emits the JSON object format ({"traceEvents": [...]}) understood by
    chrome://tracing and Perfetto. Timestamps are microseconds; every
-   worker stream is one thread track. Nodes become "X" (complete)
-   spans down to depth [node_depth_limit]; bound calls, probes,
-   realization attempts and phases become spans; the rest are instants
-   ("i") or counters ("C"). *)
+   worker stream is one thread track. An event's args are its JSONL
+   fields less [dur_s] and the field its name already carries
+   ([chrome_view]); a kind with a duration is an "X" (complete) span
+   ending at its timestamp, the rest are instants ("i"). Two cases are
+   written by hand: nodes become spans from enter to close, down to
+   depth [node_depth_limit] (deeper decisions are left out too), and a
+   progress snapshot becomes two counters ("C"). *)
 
 let node_depth_limit = 16
 
@@ -268,194 +271,122 @@ let chrome_event ~name ~cat ~ph ~ts ~tid ?dur ?(extra = []) ?(args = []) () =
     @ extra
     @ match args with [] -> [] | _ -> [ ("args", Telemetry.Obj args) ])
 
+(* How a kind renders: its category, its name, its duration when it is
+   a span, and the JSONL fields its args leave out besides [dur_s] and
+   nulls: the one its name carries, and a probe's budgets. *)
+let chrome_view = function
+  | Decision _ -> ("search", "decision", None, [])
+  | Rule_fire { rule; _ } -> ("rule", "rule:" ^ rule, None, [ "rule" ])
+  | Bound_call { bound; dur_s; _ } ->
+    ("bound", "bound:" ^ bound, Some dur_s, [ "bound" ])
+  | Realize { dur_s; _ } -> ("realize", "realize", Some dur_s, [])
+  | Incumbent _ -> ("incumbent", "incumbent", None, [])
+  | Probe { extents; dur_s; _ } ->
+    ( "probe",
+      "probe "
+      ^ String.concat "x" (Array.to_list (Array.map string_of_int extents)),
+      Some dur_s,
+      [ "container"; "budget_nodes_left"; "budget_s_left" ] )
+  | (Claim _ | Steal _ | Donate _ | Cancel _) as k ->
+    ("parallel", ev_name k, None, [])
+  | Phase { phase; dur_s } -> ("phase", phase, Some dur_s, [ "phase" ])
+  | Online_op { op; dur_s; _ } ->
+    ( "online",
+      "online:" ^ op,
+      (if dur_s > 0.0 then Some dur_s else None),
+      [ "op" ] )
+  | Node_enter _ | Node_close _ | Progress _ ->
+    invalid_arg "Trace.chrome_view: nodes and progress render by hand"
+
 let write_chrome t oc =
   let emit_first = ref true in
   let emit j =
     if !emit_first then emit_first := false else output_string oc ",\n";
     output_string oc (Telemetry.to_string j)
   in
+  let metadata ~name ~tid value =
+    emit
+      (chrome_event ~name ~cat:"__metadata" ~ph:"M" ~ts:0.0 ~tid
+         ~args:[ ("name", Telemetry.String value) ]
+         ())
+  in
   output_string oc "{\"traceEvents\":[\n";
-  emit
-    (chrome_event ~name:"process_name" ~cat:"__metadata" ~ph:"M" ~ts:0.0 ~tid:0
-       ~args:[ ("name", Telemetry.String "fpga_place") ]
-       ());
-  (match t with
-  | Null -> ()
-  | Active a ->
-    let streams = List.rev (Atomic.get a.streams) in
-    List.iter
-      (fun s ->
-        emit
-          (chrome_event ~name:"thread_name" ~cat:"__metadata" ~ph:"M" ~ts:0.0
-             ~tid:s.worker
-             ~args:
-               [
-                 ( "name",
-                   Telemetry.String (Printf.sprintf "worker %d" s.worker) );
-               ]
-             ()))
-      streams;
-    List.iter
-      (fun s ->
-        let tid = s.worker in
-        (* Stack of open node spans: (depth, enter_ts, node, conflicts
-           seen at enter). Sampling and ring overwrites can orphan
-           enters or closes; the depth discipline below closes every
-           span at the latest timestamp that is still consistent. *)
-        let open_nodes = ref [] in
-        let last_ts = ref 0.0 in
-        let close_span ~until (depth, t0, node) =
-          if depth <= node_depth_limit then
-            emit
-              (chrome_event ~name:"node" ~cat:"search" ~ph:"X" ~ts:t0 ~tid
-                 ~dur:(max 0.0 (until -. t0))
-                 ~args:
-                   [
-                     ("node", Telemetry.Int node);
-                     ("depth", Telemetry.Int depth);
-                   ]
-                 ())
-        in
-        let instant ~name ~cat ~ts args =
+  metadata ~name:"process_name" ~tid:0 "fpga_place";
+  let streams =
+    match t with Null -> [] | Active a -> List.rev (Atomic.get a.streams)
+  in
+  List.iter
+    (fun s ->
+      metadata ~name:"thread_name" ~tid:s.worker
+        (Printf.sprintf "worker %d" s.worker))
+    streams;
+  List.iter
+    (fun s ->
+      let tid = s.worker in
+      (* Stack of open node spans: (depth, enter_ts, node). Ring
+         overwrites can orphan enters or closes; an enter or close at
+         depth d closes every open span at >= d, at the latest
+         timestamp that is still consistent. *)
+      let open_nodes = ref [] in
+      let last_ts = ref 0.0 in
+      let close_span ~until (depth, t0, node) =
+        if depth <= node_depth_limit then
           emit
-            (chrome_event ~name ~cat ~ph:"i" ~ts ~tid
-               ~extra:[ ("s", Telemetry.String "t") ]
-               ~args ())
-        in
-        List.iter
-          (fun (_, e) ->
-            last_ts := e.ts;
-            match e.kind with
-            | Node_enter { node; depth } ->
-              (* A new node at depth d closes every open span at >= d
-                 (their subtrees are done; their close events were
-                 overwritten). *)
-              let rec unwind = function
-                | (d, _, _) :: tl when d >= depth ->
-                  close_span ~until:e.ts (List.hd !open_nodes);
-                  open_nodes := tl;
-                  unwind tl
-                | rest -> rest
-              in
-              open_nodes := unwind !open_nodes;
-              open_nodes := (depth, e.ts, node) :: !open_nodes
-            | Node_close { depth; _ } ->
-              let rec unwind = function
-                | (d, _, _) :: tl when d >= depth ->
-                  close_span ~until:e.ts (List.hd !open_nodes);
-                  open_nodes := tl;
-                  unwind tl
-                | rest -> rest
-              in
-              open_nodes := unwind !open_nodes
-            | Decision { dim; u; v; depth } ->
-              if depth <= node_depth_limit then
-                instant ~name:"decision" ~cat:"search" ~ts:e.ts
-                  [
-                    ("depth", Telemetry.Int depth);
-                    ("dim", Telemetry.Int dim);
-                    ("u", Telemetry.Int u);
-                    ("v", Telemetry.Int v);
-                  ]
-            | Rule_fire { rule; detail } ->
-              instant ~name:("rule:" ^ rule) ~cat:"rule" ~ts:e.ts
-                [ ("detail", Telemetry.String detail) ]
-            | Bound_call { bound; verdict; dur_s } ->
+            (chrome_event ~name:"node" ~cat:"search" ~ph:"X" ~ts:t0 ~tid
+               ~dur:(max 0.0 (until -. t0))
+               ~args:(kind_fields (Node_enter { node; depth }))
+               ())
+      in
+      let rec unwind ~depth ts =
+        match !open_nodes with
+        | ((d, _, _) as span) :: tl when d >= depth ->
+          close_span ~until:ts span;
+          open_nodes := tl;
+          unwind ~depth ts
+        | _ -> ()
+      in
+      let counter ~name ~ts key value =
+        emit
+          (chrome_event ~name ~cat:"progress" ~ph:"C" ~ts ~tid
+             ~args:[ (key, Telemetry.Raw value) ]
+             ())
+      in
+      List.iter
+        (fun (_, e) ->
+          last_ts := e.ts;
+          match e.kind with
+          | Node_enter { node; depth } ->
+            unwind ~depth e.ts;
+            open_nodes := (depth, e.ts, node) :: !open_nodes
+          | Node_close { depth; _ } -> unwind ~depth e.ts
+          | Decision { depth; _ } when depth > node_depth_limit -> ()
+          | Progress p ->
+            counter ~name:"nodes_per_s" ~ts:e.ts "nodes_per_s"
+              (Printf.sprintf "%.1f" p.nodes_per_s);
+            counter ~name:"decided_fraction" ~ts:e.ts "decided"
+              (Printf.sprintf "%.4f" p.decided_fraction)
+          | kind -> (
+            let cat, name, span, left_out = chrome_view kind in
+            let args =
+              List.filter
+                (fun (k, v) ->
+                  v <> Telemetry.Null && not (List.mem k ("dur_s" :: left_out)))
+                (kind_fields kind)
+            in
+            match span with
+            | Some dur ->
               emit
-                (chrome_event ~name:("bound:" ^ bound) ~cat:"bound" ~ph:"X"
-                   ~ts:(max 0.0 (e.ts -. dur_s))
-                   ~tid ~dur:dur_s ~args:(verdict_fields verdict) ())
-            | Realize { success; dur_s } ->
+                (chrome_event ~name ~cat ~ph:"X"
+                   ~ts:(max 0.0 (e.ts -. dur))
+                   ~tid ~dur ~args ())
+            | None ->
               emit
-                (chrome_event ~name:"realize" ~cat:"realize" ~ph:"X"
-                   ~ts:(max 0.0 (e.ts -. dur_s))
-                   ~tid ~dur:dur_s
-                   ~args:[ ("success", Telemetry.Bool success) ]
-                   ())
-            | Incumbent { objective } ->
-              instant ~name:"incumbent" ~cat:"incumbent" ~ts:e.ts
-                [ ("objective", Telemetry.Int objective) ]
-            | Probe { extents; verdict; nodes; dur_s; bracket; _ } ->
-              let label =
-                "probe "
-                ^ String.concat "x"
-                    (Array.to_list (Array.map string_of_int extents))
-              in
-              emit
-                (chrome_event ~name:label ~cat:"probe" ~ph:"X"
-                   ~ts:(max 0.0 (e.ts -. dur_s))
-                   ~tid ~dur:dur_s
-                   ~args:
-                     ([
-                        ("verdict", Telemetry.String verdict);
-                        ("nodes", Telemetry.Int nodes);
-                      ]
-                     @
-                     match bracket with
-                     | Some (lo, hi) ->
-                       [
-                         ( "bracket",
-                           Telemetry.List
-                             [ Telemetry.Int lo; Telemetry.Int hi ] );
-                       ]
-                     | None -> [])
-                   ())
-            | Claim { index } ->
-              instant ~name:"claim" ~cat:"parallel" ~ts:e.ts
-                [ ("index", Telemetry.Int index) ]
-            | Steal { victim; depth } ->
-              instant ~name:"steal" ~cat:"parallel" ~ts:e.ts
-                [
-                  ("victim", Telemetry.Int victim);
-                  ("depth", Telemetry.Int depth);
-                ]
-            | Donate { depth } ->
-              instant ~name:"donate" ~cat:"parallel" ~ts:e.ts
-                [ ("depth", Telemetry.Int depth) ]
-            | Cancel { reason } ->
-              instant ~name:"cancel" ~cat:"parallel" ~ts:e.ts
-                [ ("reason", Telemetry.String reason) ]
-            | Phase { phase; dur_s } ->
-              emit
-                (chrome_event ~name:phase ~cat:"phase" ~ph:"X"
-                   ~ts:(max 0.0 (e.ts -. dur_s))
-                   ~tid ~dur:dur_s ())
-            | Online_op { op; task; sim_time; dur_s } ->
-              let args =
-                [
-                  ("task", Telemetry.Int task);
-                  ("sim_time", Telemetry.Int sim_time);
-                ]
-              in
-              if dur_s > 0.0 then
-                emit
-                  (chrome_event ~name:("online:" ^ op) ~cat:"online" ~ph:"X"
-                     ~ts:(max 0.0 (e.ts -. dur_s))
-                     ~tid ~dur:dur_s ~args ())
-              else instant ~name:("online:" ^ op) ~cat:"online" ~ts:e.ts args
-            | Progress p ->
-              emit
-                (chrome_event ~name:"nodes_per_s" ~cat:"progress" ~ph:"C"
-                   ~ts:e.ts ~tid
-                   ~args:
-                     [
-                       ( "nodes_per_s",
-                         Telemetry.Raw (Printf.sprintf "%.1f" p.nodes_per_s) );
-                     ]
-                   ());
-              emit
-                (chrome_event ~name:"decided_fraction" ~cat:"progress" ~ph:"C"
-                   ~ts:e.ts ~tid
-                   ~args:
-                     [
-                       ( "decided",
-                         Telemetry.Raw
-                           (Printf.sprintf "%.4f" p.decided_fraction) );
-                     ]
-                   ()))
-          (stream_events s);
-        List.iter (fun sp -> close_span ~until:!last_ts sp) !open_nodes)
-      streams);
+                (chrome_event ~name ~cat ~ph:"i" ~ts:e.ts ~tid
+                   ~extra:[ ("s", Telemetry.String "t") ]
+                   ~args ())))
+        (stream_events s);
+      List.iter (fun span -> close_span ~until:!last_ts span) !open_nodes)
+    streams;
   output_string oc "\n],\"displayTimeUnit\":\"ms\"}\n"
 
 (* --- summary ----------------------------------------------------- *)

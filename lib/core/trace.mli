@@ -103,11 +103,16 @@ val write_jsonl : t -> out_channel -> unit
 
 (** [write_chrome t oc] writes Chrome trace-event JSON
     ([{"traceEvents": [...]}]), loadable in [chrome://tracing] and
-    Perfetto. Each worker stream becomes a thread track; nodes at
-    depth ≤ 16, bound calls, probes,
-    realization attempts and phases render as complete ("X") spans,
-    incumbents and parallel lifecycle as instants, progress snapshots
-    as counter tracks. *)
+    Perfetto. Each worker stream becomes a thread track. An event's
+    args are its JSONL fields (see {!iter_jsonl}) less [dur_s], null
+    fields and the field its name already carries ([rule], [bound],
+    [phase], [op]; a probe's name carries its container, and its
+    budgets are left out). Kinds with a duration (bound calls,
+    realization attempts, probes, phases, online ops with
+    [dur_s > 0]) render as complete ("X") spans ending at the event,
+    the others as instants. Nodes at depth ≤ 16 render as spans from
+    enter to close, deeper decisions not at all, and progress
+    snapshots as counter tracks. *)
 val write_chrome : t -> out_channel -> unit
 
 (** Offline aggregation of a JSONL trace (the [trace-summary]

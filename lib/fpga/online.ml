@@ -2,7 +2,6 @@ module Instance = Packing.Instance
 module PO = Order.Partial_order
 module Trace = Packing.Trace
 module Telemetry = Packing.Telemetry
-module Metrics = Packing.Metrics
 
 type task = {
   w : int;
@@ -554,9 +553,12 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
       running := keep;
       List.iter
         (fun id ->
-          if Trace.enabled trace then begin
-            let t0 = Packing.Clock.now () in
-            Free_space.remove fs ~id;
+          let t0 =
+            if Trace.enabled trace then Some (Packing.Clock.now ()) else None
+          in
+          Free_space.remove fs ~id;
+          match t0 with
+          | Some t0 ->
             Trace.emit trace
               (Online_op
                  {
@@ -565,8 +567,7 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
                    sim_time = clock;
                    dur_s = Packing.Clock.since t0;
                  })
-          end
-          else Free_space.remove fs ~id)
+          | None -> ())
         gone;
       incr version
     end
@@ -651,39 +652,6 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
       float_of_int !busy /. float_of_int (cw * ch * (!makespan - first_time))
     else 0.0
   in
-  (* Flush the run's disposition counters, chip gauges, and placement
-     latencies into the process metrics registry — once, at the end,
-     from the same tallies the report carries. *)
-  (let m = Metrics.default () in
-   if Metrics.enabled m then begin
-     let c name help = Metrics.counter m ~help name in
-     Metrics.add (c "fpga_online_placements_total" "Modules placed") !placed;
-     Metrics.add (c "fpga_online_rejections_total" "Modules rejected") !rejected;
-     Metrics.add
-       (c "fpga_online_deferrals_total" "Blocked tasks deferred to a wake-up")
-       !deferrals;
-     Metrics.add
-       (c "fpga_online_compactions_total" "Committed compactions")
-       !compactions;
-     Metrics.add
-       (c "fpga_online_moved_tasks_total" "Modules moved by compaction")
-       !moved_tasks;
-     Metrics.set
-       (Metrics.gauge m
-          ~help:"Time-averaged chip utilization of the last online run"
-          "fpga_online_utilization")
-       utilization;
-     Metrics.set
-       (Metrics.gauge m
-          ~help:"Maximal empty rectangles left by the last online run"
-          "fpga_online_mer_count")
-       (float_of_int (Free_space.mer_count fs));
-     let h =
-       Metrics.histogram m ~help:"Placement operation wall-clock latency"
-         "fpga_online_place_seconds"
-     in
-     List.iter (fun us -> Metrics.observe h (us *. 1e-6)) !lat
-   end);
   let lat_arr = Array.of_list !lat in
   let latency =
     {

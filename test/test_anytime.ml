@@ -9,8 +9,7 @@ module Instance = Packing.Instance
 module Solver = Packing.Opp_solver
 module Problems = Packing.Problems
 
-let qtest ?(count = 100) name arb prop =
-  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
+let seed = [| 0xA417; 2026 |]
 
 let cont3 w h t = Container.make3 ~w ~h ~t_max:t
 let de = Benchmarks.De.instance
@@ -310,7 +309,7 @@ let () =
             test_expired_deadline_everywhere;
           Alcotest.test_case "stage 2 stops at the deadline" `Quick
             test_stage2_deadline;
-          qtest ~count:25 "no exception under any node budget"
+          Fixed_seed.qtest ~seed ~count:25 "no exception under any node budget"
             (QCheck.make QCheck.Gen.(0 -- 2_000) ~print:string_of_int)
             prop_no_exception_under_budget;
         ] );
@@ -333,5 +332,6 @@ let () =
             test_pareto_warm_start;
         ] );
       ( "parallel",
-        [ qtest ~count:20 "jobs 1 and 4 agree" seed_arb prop_jobs_agree ] );
+        [ Fixed_seed.qtest ~seed ~count:20 "jobs 1 and 4 agree" seed_arb prop_jobs_agree ]
+          );
     ]

@@ -6,8 +6,7 @@ module Container = Geometry.Container
 module GBB = Baseline.Geometric_bb
 module Solver = Packing.Opp_solver
 
-let qtest ?(count = 60) name arb prop =
-  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
+let seed = [| 0xBA5E; 2026 |]
 
 let inst ?precedence boxes =
   Packing.Instance.make ?precedence ~boxes:(Array.of_list boxes) ()
@@ -169,7 +168,7 @@ let () =
           Alcotest.test_case "infeasible" `Quick test_baseline_infeasible;
           Alcotest.test_case "precedence" `Quick test_baseline_precedence;
           Alcotest.test_case "node limit" `Quick test_baseline_node_limit;
-          qtest ~count:80 "agrees with packing solver" arb_case
+          Fixed_seed.qtest ~seed ~count:80 "agrees with packing solver" arb_case
             prop_agrees_with_packing_solver;
         ] );
       ( "ilp model",
@@ -178,7 +177,7 @@ let () =
           Alcotest.test_case "size blowup" `Quick test_ilp_size_blowup;
           Alcotest.test_case "lp format" `Quick test_ilp_lp_format;
           Alcotest.test_case "solve tiny" `Quick test_ilp_solve_tiny;
-          qtest ~count:60 "agrees with packing solver" arb_case
+          Fixed_seed.qtest ~seed ~count:60 "agrees with packing solver" arb_case
             prop_ilp_agrees_with_packing_solver;
         ] );
     ]

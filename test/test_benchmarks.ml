@@ -9,8 +9,7 @@ module De = Benchmarks.De
 module VC = Benchmarks.Video_codec
 module Generate = Benchmarks.Generate
 
-let qtest ?(count = 60) name arb prop =
-  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
+let seed = [| 0xBE4C; 2026 |]
 
 (* ------------------------------------------------------------------ *)
 (* DE benchmark                                                        *)
@@ -286,13 +285,17 @@ let () =
         [
           Alcotest.test_case "deterministic" `Quick test_random_deterministic;
           Alcotest.test_case "guillotine tiles" `Quick test_guillotine_tiles;
-          qtest "guillotine witnessed" arb_gen_params prop_guillotine_always_witnessed;
-          qtest "random ranges" arb_gen_params prop_random_within_ranges;
+          Fixed_seed.qtest ~seed ~count:60 "guillotine witnessed" arb_gen_params
+            prop_guillotine_always_witnessed;
+          Fixed_seed.qtest ~seed ~count:60 "random ranges" arb_gen_params
+            prop_random_within_ranges;
         ] );
       ( "arrival stream",
         [
           Alcotest.test_case "deterministic" `Quick test_stream_deterministic;
-          qtest "well formed" arb_gen_params prop_stream_well_formed;
-          qtest ~count:40 "runs clean" arb_gen_params prop_stream_runs_clean;
+          Fixed_seed.qtest ~seed ~count:60 "well formed" arb_gen_params
+            prop_stream_well_formed;
+          Fixed_seed.qtest ~seed ~count:40 "runs clean" arb_gen_params
+            prop_stream_runs_clean;
         ] );
     ]

@@ -10,9 +10,7 @@ module Problems = Packing.Problems
 module Container = Geometry.Container
 module Box = Geometry.Box
 
-let qtest ?(count = 100) name arb prop =
-  QCheck_alcotest.to_alcotest ~rand:(Fixed_seed.rand [| 0xB0D5; 2026 |])
-    (QCheck.Test.make ~count ~name arb prop)
+let seed = [| 0xB0D5; 2026 |]
 
 let inst ?precedence boxes =
   Packing.Instance.make ?precedence ~boxes:(Array.of_list boxes) ()
@@ -605,7 +603,7 @@ let dff_cases = 1000
    some of them refuted all the same. *)
 let test_dff_sample_covers () =
   let cases =
-    QCheck.Gen.generate ~rand:(Fixed_seed.rand [| 0xB0D5; 2026 |])
+    QCheck.Gen.generate ~rand:(Fixed_seed.rand seed)
       ~n:dff_cases gen_dff_case
   in
   let refuted = String.starts_with ~prefix:"infeasible" in
@@ -741,7 +739,7 @@ let serial_cases = 1000
    bounds above 1, some of which only dff-time reaches. *)
 let test_serial_sample_covers () =
   let cases =
-    QCheck.Gen.generate ~rand:(Fixed_seed.rand [| 0xB0D5; 2026 |])
+    QCheck.Gen.generate ~rand:(Fixed_seed.rand seed)
       ~n:serial_cases gen_serial_case
   in
   let tally =
@@ -783,13 +781,15 @@ let () =
     [
       ( "soundness",
         [
-          qtest ~count:150 "Infeasible agrees with exact solver" arb_case
+          Fixed_seed.qtest ~seed ~count:150
+            "Infeasible agrees with exact solver" arb_case
             prop_infeasible_agrees;
-          qtest ~count:100 "Lower_bound below optimum" arb_case
+          Fixed_seed.qtest ~seed ~count:100 "Lower_bound below optimum" arb_case
             prop_lower_bound_sound;
-          qtest ~count:100 "time_lower_bound below optimum" arb_case
-            prop_time_lower_bound_sound;
-          qtest ~count:200 "time_lower_bound covers exclusion clique"
+          Fixed_seed.qtest ~seed ~count:100 "time_lower_bound below optimum"
+            arb_case prop_time_lower_bound_sound;
+          Fixed_seed.qtest ~seed ~count:200
+            "time_lower_bound covers exclusion clique"
             arb_case prop_time_lower_bound_covers_exclusion;
         ] );
       ( "problems integration",
@@ -811,7 +811,8 @@ let () =
         [
           Alcotest.test_case "energetic_at_node uses arcs" `Quick
             test_energetic_at_node_uses_arcs;
-          qtest ~count:1000 "nodes keep chains within the time extent" arb_walk
+          Fixed_seed.qtest ~seed ~count:1000
+            "nodes keep chains within the time extent" arb_walk
             prop_node_chains_within_time;
         ] );
       ( "overflow",
@@ -821,8 +822,8 @@ let () =
         ] );
       ( "time-slice",
         [
-          qtest ~count:300 "never refutes a guillotine tiling" arb_tiling
-            prop_time_slice_sound;
+          Fixed_seed.qtest ~seed ~count:300 "never refutes a guillotine tiling"
+            arb_tiling prop_time_slice_sound;
           Alcotest.test_case "u298 refuted at the root" `Quick
             test_u298_refuted_by_slice;
           Alcotest.test_case "u83 tiling found at zero slack" `Quick
@@ -830,21 +831,24 @@ let () =
         ] );
       ( "dff",
         [
-          qtest ~count:dff_cases "DFF matches the reference copy" arb_dff_case
+          Fixed_seed.qtest ~seed ~count:dff_cases
+            "DFF matches the reference copy" arb_dff_case
             prop_dff_matches_reference;
           Alcotest.test_case "reference sample refutes and saturates" `Quick
             test_dff_sample_covers;
         ] );
       ( "serialized",
         [
-          qtest ~count:serial_cases "time_lower_bound matches its definition"
+          Fixed_seed.qtest ~seed ~count:serial_cases
+            "time_lower_bound matches its definition"
             arb_serial_case prop_time_lower_bound_definition;
           Alcotest.test_case "definition sample refutes and bounds" `Quick
             test_serial_sample_covers;
         ] );
       ( "misfit",
         [
-          qtest ~count:300 "run_all never raises on a misfit container"
+          Fixed_seed.qtest ~seed ~count:300
+            "run_all never raises on a misfit container"
             arb_case prop_run_all_on_misfit;
           Alcotest.test_case "run_all on DE, 1x1 to 17x17" `Quick
             test_run_all_de_small_chips;

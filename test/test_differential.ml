@@ -18,9 +18,7 @@ module BB = Baseline.Geometric_bb
 (* A fixed generator state makes `dune runtest` reproducible;
    QCHECK_SEED (read by qcheck-alcotest before this default applies)
    still wins when exported explicitly. *)
-let qtest ?(count = 100) name arb prop =
-  QCheck_alcotest.to_alcotest ~rand:(Fixed_seed.rand [| 0x0FF1CE; 2026 |])
-    (QCheck.Test.make ~count ~long_factor:10 ~name arb prop)
+let seed = [| 0x0FF1CE; 2026 |]
 
 (* Budgets large enough that these instance sizes never hit them; a
    budget hit would surface as an Alcotest failure, not a skip. *)
@@ -279,21 +277,25 @@ let () =
     [
       ( "three-way",
         [
-          qtest ~count:300 "random: seq = par = geometric" arb_random_case
+          Fixed_seed.qtest ~seed ~long_factor:10 ~count:300
+            "random: seq = par = geometric" arb_random_case
             prop_three_way_agreement;
-          qtest ~count:100 "random: jobs 1/3/4 agree with seq" arb_random_case
+          Fixed_seed.qtest ~seed ~long_factor:10 ~count:100
+            "random: jobs 1/3/4 agree with seq" arb_random_case
             prop_parallel_jobs_agree;
         ] );
       ( "guillotine",
         [
-          qtest ~count:150 "feasible by construction, all three say yes"
+          Fixed_seed.qtest ~seed ~long_factor:10 ~count:150
+            "feasible by construction, all three say yes"
             arb_guillotine prop_guillotine_all_feasible;
         ] );
       ( "ddim",
         [
-          qtest ~count:150 "d in {2,3,4}: seq = par = geometric" arb_ddim
-            prop_ddim_three_way;
-          qtest ~count:60 "d in {2,3,4}: minimize_extent = geometric walk"
+          Fixed_seed.qtest ~seed ~long_factor:10 ~count:150
+            "d in {2,3,4}: seq = par = geometric" arb_ddim prop_ddim_three_way;
+          Fixed_seed.qtest ~seed ~long_factor:10 ~count:60
+            "d in {2,3,4}: minimize_extent = geometric walk"
             arb_ddim prop_ddim_min_extent;
         ] );
     ]

@@ -24,10 +24,6 @@ module Par = Packing.Parallel_solver
 
 let seed = [| 0xE2612E; 2026 |]
 
-let qtest ?(count = 100) name arb prop =
-  QCheck_alcotest.to_alcotest ~rand:(Fixed_seed.rand seed)
-    (QCheck.Test.make ~count ~long_factor:10 ~name arb prop)
-
 (* ------------------------------------------------------------------ *)
 (* Reference branching oracle: the pre-incremental implementation,     *)
 (* recomputed from scratch off the live edge-state stores.             *)
@@ -494,28 +490,33 @@ let () =
     [
       ( "branching",
         [
-          qtest ~count:150 "incremental choose_unknown = from-scratch reference"
+          Fixed_seed.qtest ~seed ~long_factor:10 ~count:150
+            "incremental choose_unknown = from-scratch reference"
             arb_walk prop_choose_unknown_matches_reference;
         ] );
       ( "kernel",
         [
-          qtest ~count:400 "store = reference, write for write" arb_og_walk
+          Fixed_seed.qtest ~seed ~long_factor:10 ~count:400
+            "store = reference, write for write" arb_og_walk
             prop_propagation_matches_reference;
           Alcotest.test_case "minor words per node" `Quick
             test_minor_words_per_node;
         ] );
       ( "throttle",
         [
-          qtest ~count:throttle_cases "every policy preserves the verdict"
+          Fixed_seed.qtest ~seed ~long_factor:10 ~count:throttle_cases
+            "every policy preserves the verdict"
             arb_small_case prop_policies_preserve_verdicts;
-          qtest ~count:throttle_cases "attempts decrease with stricter policies"
+          Fixed_seed.qtest ~seed ~long_factor:10 ~count:throttle_cases
+            "attempts decrease with stricter policies"
             arb_small_case prop_attempts_monotone_in_strictness;
           Alcotest.test_case "some case prunes at nodes" `Quick
             test_some_case_prunes;
         ] );
       ( "witness",
         [
-          qtest ~count:100 "realization runs only at leaves" arb_small_case
+          Fixed_seed.qtest ~seed ~long_factor:10 ~count:100
+            "realization runs only at leaves" arb_small_case
             prop_realization_only_at_leaves;
         ] );
       ( "telemetry",

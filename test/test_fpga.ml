@@ -10,9 +10,7 @@ module Reconfig = Fpga.Reconfig
 module Sim = Fpga.Simulator
 module IO = Fpga.Instance_io
 
-let qtest ?(count = 100) ?(long_factor = 1) name arb prop =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count ~long_factor ~name arb prop)
+let seed = [| 0xF96A; 2026 |]
 
 (* ------------------------------------------------------------------ *)
 (* Chip                                                                *)
@@ -1565,23 +1563,27 @@ let () =
             test_simulator_detects_precedence;
           Alcotest.test_case "memory profile" `Quick test_simulator_memory_profile;
           Alcotest.test_case "events ordered" `Quick test_simulator_events_ordered;
-          qtest ~count:40 "solved placements simulate" arb_seed
+          Fixed_seed.qtest ~seed ~count:40 "solved placements simulate" arb_seed
             prop_solved_placements_simulate;
         ] );
       ( "free space",
         [
           Alcotest.test_case "basics" `Quick test_fs_basic;
-          qtest ~count:80 "matches brute force" arb_seed prop_fs_matches_brute_force;
-          qtest ~count:50 ~long_factor:20 "non-square chip matches brute force"
+          Fixed_seed.qtest ~seed ~count:80 "matches brute force" arb_seed
+            prop_fs_matches_brute_force;
+          Fixed_seed.qtest ~seed ~count:50 ~long_factor:20
+            "non-square chip matches brute force"
             arb_seed prop_fs_non_square_brute_force;
-          qtest ~count:10 ~long_factor:20 "fragmented 32x32 chip matches brute force"
+          Fixed_seed.qtest ~seed ~count:10 ~long_factor:20
+            "fragmented 32x32 chip matches brute force"
             arb_seed prop_fs_fragmented_brute_force;
-          qtest ~count:50 ~long_factor:20 "copy is independent" arb_seed
-            prop_fs_copy_independent;
-          qtest ~count:50 ~long_factor:20 "fits agrees with find and brute force"
+          Fixed_seed.qtest ~seed ~count:50 ~long_factor:20 "copy is independent"
+            arb_seed prop_fs_copy_independent;
+          Fixed_seed.qtest ~seed ~count:50 ~long_factor:20
+            "fits agrees with find and brute force"
             arb_seed prop_fs_fits_agrees;
-          qtest ~count:50 ~long_factor:20 "cap is the fits bound" arb_seed
-            prop_fs_cap_agrees;
+          Fixed_seed.qtest ~seed ~count:50 ~long_factor:20
+            "cap is the fits bound" arb_seed prop_fs_cap_agrees;
           Alcotest.test_case "modules flush with the chip edges" `Quick
             test_fs_flush_edges;
           Alcotest.test_case "place rejects overlap" `Quick
@@ -1602,13 +1604,15 @@ let () =
             test_online_compaction_rollback;
           Alcotest.test_case "compaction commit" `Quick
             test_online_compaction_commit;
-          qtest ~count:60 "placements valid" arb_seed prop_online_placements_valid;
-          qtest ~count:60 "stream invariants" arb_policy_seed prop_stream_invariants;
-          qtest ~count:40 "policies agree on rejection" arb_seed
-            prop_policies_agree_on_rejection;
-          qtest ~count:30 "online at least optimum" arb_seed
+          Fixed_seed.qtest ~seed ~count:60 "placements valid" arb_seed
+            prop_online_placements_valid;
+          Fixed_seed.qtest ~seed ~count:60 "stream invariants" arb_policy_seed
+            prop_stream_invariants;
+          Fixed_seed.qtest ~seed ~count:40 "policies agree on rejection"
+            arb_seed prop_policies_agree_on_rejection;
+          Fixed_seed.qtest ~seed ~count:30 "online at least optimum" arb_seed
             prop_online_at_least_optimum;
-          qtest ~count:60 "defrag never wasted" arb_policy_seed
+          Fixed_seed.qtest ~seed ~count:60 "defrag never wasted" arb_policy_seed
             prop_defrag_never_wasted;
           Alcotest.test_case "events pinned: defrag stream" `Quick
             test_online_pin_defrag;
@@ -1618,18 +1622,16 @@ let () =
             test_online_pin_small;
           Alcotest.test_case "traffic-scale acceptance" `Quick
             test_online_traffic_acceptance;
-          QCheck_alcotest.to_alcotest ~rand:(Fixed_seed.rand online_reference_seed)
-            (QCheck.Test.make ~count:online_reference_cases
-               ~name:"events match the reference copy" arb_stream_case
-               prop_online_matches_reference);
+          Fixed_seed.qtest ~seed:online_reference_seed
+            ~count:online_reference_cases "events match the reference copy"
+            arb_stream_case prop_online_matches_reference;
           Alcotest.test_case "reference sample commits and rejects" `Quick
             test_online_reference_sample_covers;
           Alcotest.test_case "doomed tasks are not blocked" `Quick
             test_online_doomed_not_blocked;
-          QCheck_alcotest.to_alcotest ~rand:(Fixed_seed.rand online_reference_seed)
-            (QCheck.Test.make ~count:long_reference_cases
-               ~name:"long backlogs match the reference copy"
-               arb_long_stream_case prop_online_matches_reference);
+          Fixed_seed.qtest ~seed:online_reference_seed
+            ~count:long_reference_cases "long backlogs match the reference copy"
+            arb_long_stream_case prop_online_matches_reference;
         ] );
       ( "vcd",
         [
@@ -1650,11 +1652,13 @@ let () =
             test_io_volume_overflow;
           Alcotest.test_case "roundtrip" `Quick test_io_roundtrip;
           Alcotest.test_case "DE roundtrip" `Quick test_io_de_roundtrip;
-          qtest ~count:200 "parse/print identity" arb_seed prop_io_roundtrip_id;
+          Fixed_seed.qtest ~seed ~count:200 "parse/print identity" arb_seed
+            prop_io_roundtrip_id;
           Alcotest.test_case "v1 byte compat" `Quick test_io_v1_byte_compat;
           Alcotest.test_case "v2 parse/print" `Quick test_io_v2_parse_print;
           Alcotest.test_case "v2 errors" `Quick test_io_v2_errors;
-          qtest ~count:200 "v2 parse/print identity (d in {2,3,4})" arb_seed
+          Fixed_seed.qtest ~seed ~count:200
+            "v2 parse/print identity (d in {2,3,4})" arb_seed
             prop_io_v2_roundtrip_id;
         ] );
     ]

@@ -5,8 +5,7 @@ module Container = Geometry.Container
 module P = Geometry.Placement
 module Render = Geometry.Render
 
-let qtest ?(count = 200) name arb prop =
-  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
+let seed = [| 0x6E0; 2026 |]
 
 (* ------------------------------------------------------------------ *)
 (* Box / Container                                                     *)
@@ -281,11 +280,11 @@ let () =
           Alcotest.test_case "bounds" `Quick test_placement_bounds;
           Alcotest.test_case "precedence" `Quick test_placement_precedence;
           Alcotest.test_case "accessors" `Quick test_placement_accessors;
-          qtest "shelf placements feasible" arb_shelf prop_shelf_feasible;
-          QCheck_alcotest.to_alcotest ~rand:(Fixed_seed.rand check_seed)
-            (QCheck.Test.make ~count:check_cases
-               ~name:"check matches the reference copy" arb_violations
-               prop_check_matches_reference);
+          Fixed_seed.qtest ~seed ~count:200 "shelf placements feasible"
+            arb_shelf prop_shelf_feasible;
+          Fixed_seed.qtest ~seed:check_seed ~count:check_cases
+            "check matches the reference copy" arb_violations
+            prop_check_matches_reference;
           Alcotest.test_case "reference sample has every violation" `Quick
             test_check_sample_covers;
         ] );

@@ -82,8 +82,7 @@ let arb_dag =
   in
   QCheck.make gen ~print:(Format.asprintf "%a" D.pp)
 
-let qtest ?(count = 200) name arb prop =
-  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
+let seed = [| 0x694A; 2026 |]
 
 (* ------------------------------------------------------------------ *)
 (* Undirected                                                          *)
@@ -380,8 +379,10 @@ let () =
           Alcotest.test_case "neighbors" `Quick test_undirected_neighbors;
           Alcotest.test_case "induced" `Quick test_undirected_induced;
           Alcotest.test_case "clique/stable" `Quick test_clique_stable;
-          qtest "complement involution" arb_graph prop_complement_involution;
-          qtest "edge counts" arb_graph prop_edge_count;
+          Fixed_seed.qtest ~seed ~count:200 "complement involution" arb_graph
+            prop_complement_involution;
+          Fixed_seed.qtest ~seed ~count:200 "edge counts" arb_graph
+            prop_edge_count;
         ] );
       ( "digraph",
         [
@@ -390,27 +391,32 @@ let () =
           Alcotest.test_case "closure" `Quick test_digraph_closure;
           Alcotest.test_case "reduction" `Quick test_digraph_reduction;
           Alcotest.test_case "longest path" `Quick test_digraph_longest_path;
-          qtest "closure is transitive" arb_dag prop_closure_transitive;
-          qtest "reduction preserves closure" arb_dag prop_reduction_same_closure;
-          qtest "topo respects arcs" arb_dag prop_topo_respects_arcs;
+          Fixed_seed.qtest ~seed ~count:200 "closure is transitive" arb_dag
+            prop_closure_transitive;
+          Fixed_seed.qtest ~seed ~count:200 "reduction preserves closure"
+            arb_dag prop_reduction_same_closure;
+          Fixed_seed.qtest ~seed ~count:200 "topo respects arcs" arb_dag
+            prop_topo_respects_arcs;
         ] );
       ( "chordal",
         [
           Alcotest.test_case "examples" `Quick test_chordal_examples;
           Alcotest.test_case "certificates" `Quick test_chordless_cycle_certificate;
-          qtest "mcs permutation" arb_graph prop_mcs_is_permutation;
-          qtest ~count:80 "recognition matches certificate" arb_graph
-            prop_chordal_agrees_with_certificate;
-          qtest "interval graphs chordal" arb_interval_graph
-            prop_interval_graphs_chordal;
+          Fixed_seed.qtest ~seed ~count:200 "mcs permutation" arb_graph
+            prop_mcs_is_permutation;
+          Fixed_seed.qtest ~seed ~count:80 "recognition matches certificate"
+            arb_graph prop_chordal_agrees_with_certificate;
+          Fixed_seed.qtest ~seed ~count:200 "interval graphs chordal"
+            arb_interval_graph prop_interval_graphs_chordal;
         ] );
       ( "generators",
         [
           Alcotest.test_case "families" `Quick test_generators_families;
           Alcotest.test_case "deterministic" `Quick test_generators_deterministic;
-          qtest "interval generator" (QCheck.int_range 0 5000)
-            prop_random_interval_is_interval;
-          qtest "dag generator" (QCheck.int_range 0 5000) prop_random_dag_acyclic;
+          Fixed_seed.qtest ~seed ~count:200 "interval generator"
+            (QCheck.int_range 0 5000) prop_random_interval_is_interval;
+          Fixed_seed.qtest ~seed ~count:200 "dag generator"
+            (QCheck.int_range 0 5000) prop_random_dag_acyclic;
         ] );
       ( "comparability",
         [
@@ -419,16 +425,19 @@ let () =
           Alcotest.test_case "orientations" `Quick test_transitive_orientation_examples;
           Alcotest.test_case "implication class" `Quick
             test_implication_class_triangle_free_path;
-          qtest "orientation sound+complete" arb_graph prop_orientation_verified;
-          qtest "interval complement comparability" arb_interval_graph
-            prop_interval_complement_comparability;
+          Fixed_seed.qtest ~seed ~count:200 "orientation sound+complete"
+            arb_graph prop_orientation_verified;
+          Fixed_seed.qtest ~seed ~count:200 "interval complement comparability"
+            arb_interval_graph prop_interval_complement_comparability;
         ] );
       ( "cliques",
         [
           Alcotest.test_case "max weight clique" `Quick test_max_weight_clique_examples;
           Alcotest.test_case "stable set" `Quick test_max_weight_stable_set;
           Alcotest.test_case "early exit" `Quick test_exists_clique_heavier;
-          qtest ~count:100 "matches brute force" arb_graph prop_clique_matches_bruteforce;
-          qtest "returns a clique" arb_graph prop_clique_is_clique;
+          Fixed_seed.qtest ~seed ~count:100 "matches brute force" arb_graph
+            prop_clique_matches_bruteforce;
+          Fixed_seed.qtest ~seed ~count:200 "returns a clique" arb_graph
+            prop_clique_is_clique;
         ] );
     ]

@@ -6,8 +6,7 @@ module OG = Order.Oriented_graph
 module Ext = Order.Extension
 module D = Graphlib.Digraph
 
-let qtest ?(count = 200) name arb prop =
-  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
+let seed = [| 0x0DE4; 2026 |]
 
 let ok_exn = function
   | Ok () -> ()
@@ -334,8 +333,9 @@ let () =
           Alcotest.test_case "Fig. 5 infeasible" `Quick test_extension_fig5_infeasible;
           Alcotest.test_case "requires decided" `Quick test_extension_requires_decided;
           Alcotest.test_case "coordinates" `Quick test_extension_coordinates;
-          qtest "orders complete" arb_order_graph prop_extension_of_order;
-          qtest "partial forcing completes" arb_order_graph
-            prop_partial_force_completes;
+          Fixed_seed.qtest ~seed ~count:200 "orders complete" arb_order_graph
+            prop_extension_of_order;
+          Fixed_seed.qtest ~seed ~count:200 "partial forcing completes"
+            arb_order_graph prop_partial_force_completes;
         ] );
     ]

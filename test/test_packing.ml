@@ -14,8 +14,7 @@ module OG = Order.Oriented_graph
 
 let why = Packing.Recorder.conflict_to_string
 
-let qtest ?(count = 100) name arb prop =
-  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
+let seed = [| 0x9ACC; 2026 |]
 
 let box3 w h d = Box.make3 ~w ~h ~duration:d
 
@@ -1289,8 +1288,10 @@ let () =
           Alcotest.test_case "u_k" `Quick test_dff_u_k;
           Alcotest.test_case "DFF catches MUL wall" `Quick
             test_bounds_check_dff_catches_mul_wall;
-          qtest ~count:300 "f_eps dual feasible" arb_dff_case prop_f_eps_dual_feasible;
-          qtest ~count:300 "u_k dual feasible" arb_dff_case prop_u_k_dual_feasible;
+          Fixed_seed.qtest ~seed ~count:300 "f_eps dual feasible" arb_dff_case
+            prop_f_eps_dual_feasible;
+          Fixed_seed.qtest ~seed ~count:300 "u_k dual feasible" arb_dff_case
+            prop_u_k_dual_feasible;
         ] );
       ( "heuristic",
         [
@@ -1299,12 +1300,12 @@ let () =
             test_heuristic_respects_precedence;
           Alcotest.test_case "gives up" `Quick test_heuristic_gives_up;
           Alcotest.test_case "makespan" `Quick test_heuristic_makespan;
-          qtest ~count:300 "serial schedule sound and deterministic" arb_stage2_case
+          Fixed_seed.qtest ~seed ~count:300
+            "serial schedule sound and deterministic" arb_stage2_case
             prop_stage2_schedule;
-          QCheck_alcotest.to_alcotest ~rand:(Fixed_seed.rand stage2_seed)
-            (QCheck.Test.make ~count:stage2_cases
-               ~name:"schedules match the reference copy" arb_stage2_reference
-               prop_stage2_matches_reference);
+          Fixed_seed.qtest ~seed:stage2_seed ~count:stage2_cases
+            "schedules match the reference copy" arb_stage2_reference
+            prop_stage2_matches_reference;
           Alcotest.test_case "reference sample improves and misses" `Quick
             test_stage2_sample_covers;
         ] );
@@ -1323,10 +1324,9 @@ let () =
             test_state_every_axis_seeds;
           Alcotest.test_case "spatial order conflict" `Quick
             test_state_spatial_order_conflict;
-          QCheck_alcotest.to_alcotest ~rand:(Fixed_seed.rand symmetry_seed)
-            (QCheck.Test.make ~count:symmetry_cases
-               ~name:"symmetric pairs match the reference copy" arb_symmetry
-               prop_symmetric_matches_reference);
+          Fixed_seed.qtest ~seed:symmetry_seed ~count:symmetry_cases
+            "symmetric pairs match the reference copy" arb_symmetry
+            prop_symmetric_matches_reference;
           Alcotest.test_case "symmetric sample has pairs and near misses" `Quick
             test_symmetric_sample_covers;
         ] );
@@ -1339,12 +1339,12 @@ let () =
           Alcotest.test_case "exact fit" `Quick test_solver_exact_fit;
           Alcotest.test_case "timeout" `Quick test_solver_timeout;
           Alcotest.test_case "stats" `Quick test_solver_stats;
-          qtest ~count:150 "search matches brute force" arb_small_instance
-            prop_solver_matches_bruteforce;
-          qtest ~count:150 "pipeline matches brute force" arb_small_instance
-            prop_full_pipeline_matches_bruteforce;
-          qtest ~count:80 "guillotine instances feasible" arb_guillotine
-            prop_guillotine_feasible;
+          Fixed_seed.qtest ~seed ~count:150 "search matches brute force"
+            arb_small_instance prop_solver_matches_bruteforce;
+          Fixed_seed.qtest ~seed ~count:150 "pipeline matches brute force"
+            arb_small_instance prop_full_pipeline_matches_bruteforce;
+          Fixed_seed.qtest ~seed ~count:80 "guillotine instances feasible"
+            arb_guillotine prop_guillotine_feasible;
         ] );
       ( "rules",
         [
@@ -1357,11 +1357,12 @@ let () =
         ] );
       ( "invariance",
         [
-          qtest ~count:80 "spatial axis swap" arb_small_instance
-            prop_spatial_axis_swap_invariant;
-          qtest ~count:80 "relabeling" arb_small_instance prop_relabeling_invariant;
-          qtest ~count:80 "container monotone" arb_small_instance
-            prop_container_monotone;
+          Fixed_seed.qtest ~seed ~count:80 "spatial axis swap"
+            arb_small_instance prop_spatial_axis_swap_invariant;
+          Fixed_seed.qtest ~seed ~count:80 "relabeling" arb_small_instance
+            prop_relabeling_invariant;
+          Fixed_seed.qtest ~seed ~count:80 "container monotone"
+            arb_small_instance prop_container_monotone;
         ] );
       ( "two-dimensional",
         [
@@ -1375,8 +1376,8 @@ let () =
           Alcotest.test_case "takes all" `Quick test_knapsack_takes_all;
           Alcotest.test_case "down closed" `Quick test_knapsack_down_closed;
           Alcotest.test_case "witness valid" `Quick test_knapsack_witness_valid;
-          qtest ~count:60 "degenerates to OPP" arb_small_instance
-            prop_knapsack_degenerates_to_opp;
+          Fixed_seed.qtest ~seed ~count:60 "degenerates to OPP"
+            arb_small_instance prop_knapsack_degenerates_to_opp;
         ] );
       ( "problems",
         [
@@ -1398,13 +1399,13 @@ let () =
           Alcotest.test_case "minimize base huge time budget" `Quick
             test_minimize_base_huge_budget;
           Alcotest.test_case "minimize area rect" `Quick test_minimize_area_rect;
-          qtest ~count:40 "rect never worse than square" arb_small_instance
-            prop_minimize_area_rect_never_worse_than_square;
+          Fixed_seed.qtest ~seed ~count:40 "rect never worse than square"
+            arb_small_instance prop_minimize_area_rect_never_worse_than_square;
           Alcotest.test_case "fixed schedule" `Quick test_fixed_schedule;
           Alcotest.test_case "minimize base fixed schedule" `Quick
             test_minimize_base_fixed_schedule;
           Alcotest.test_case "pareto" `Quick test_pareto;
-          qtest ~count:60 "minimize time tight" arb_small_instance
-            prop_minimize_time_tight;
+          Fixed_seed.qtest ~seed ~count:60 "minimize time tight"
+            arb_small_instance prop_minimize_time_tight;
         ] );
     ]

@@ -512,11 +512,9 @@ let () =
     [
       ( "deque",
         [
-          QCheck_alcotest.to_alcotest
-            ~rand:(Random.State.make [| 0x0FF1CE; 2026 |])
-            (QCheck.Test.make ~count:500 ~long_factor:10
-               ~name:"matches the list model" deque_ops_arb
-               prop_deque_matches_model);
+          Fixed_seed.qtest ~seed:[| 0x0FF1CE; 2026 |] ~count:500
+            ~long_factor:10 "matches the list model" deque_ops_arb
+            prop_deque_matches_model;
           Alcotest.test_case "4-domain stress: nothing lost or duplicated"
             `Quick test_deque_stress;
         ] );

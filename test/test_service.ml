@@ -15,9 +15,7 @@ module Server = Service.Server
 module Writer = Service.Writer
 module M = Packing.Metrics
 
-let qtest ?(count = 100) name arb prop =
-  QCheck_alcotest.to_alcotest ~rand:(Fixed_seed.rand [| 0x5E55; 2026 |])
-    (QCheck.Test.make ~count ~name arb prop)
+let seed = [| 0x5E55; 2026 |]
 
 (* ------------------------------------------------------------------ *)
 (* Helpers: random instances, relabelings, request lines               *)
@@ -1039,16 +1037,16 @@ let () =
     [
       ( "canonical",
         [
-          qtest ~count:100 "key invariant under relabeling" arb_case
-            prop_canonical_relabeling_invariant;
-          qtest ~count:100 "spatial orders distinguish keys" arb_case
-            prop_spatial_order_distinguishes_key;
-          qtest ~count:25 "optimum preserved" arb_case
+          Fixed_seed.qtest ~seed ~count:100 "key invariant under relabeling"
+            arb_case prop_canonical_relabeling_invariant;
+          Fixed_seed.qtest ~seed ~count:100 "spatial orders distinguish keys"
+            arb_case prop_spatial_order_distinguishes_key;
+          Fixed_seed.qtest ~seed ~count:25 "optimum preserved" arb_case
             prop_canonical_optimum_preserved;
-          qtest ~count:40 "restored witness feasible" arb_case
+          Fixed_seed.qtest ~seed ~count:40 "restored witness feasible" arb_case
             prop_restore_placement_feasible;
-          qtest ~count:500 "matches the reference copy" arb_diff_case
-            prop_matches_reference;
+          Fixed_seed.qtest ~seed ~count:500 "matches the reference copy"
+            arb_diff_case prop_matches_reference;
           Alcotest.test_case "FIR-32 canonicalizes completely" `Quick
             test_fir32_complete;
           Alcotest.test_case "butterfly-6 stops at the work budget" `Quick
@@ -1057,7 +1055,8 @@ let () =
         ] );
       ( "cache",
         [
-          qtest ~count:12 "warm replay is byte-identical, hits exact"
+          Fixed_seed.qtest ~seed ~count:12
+            "warm replay is byte-identical, hits exact"
             arb_case prop_warm_replay_byte_identical;
           Alcotest.test_case "isomorphic hit costs zero nodes" `Quick
             test_hit_path_zero_nodes;
@@ -1072,8 +1071,8 @@ let () =
             test_volume_overflow_rejected;
           Alcotest.test_case "hostile jobs and time budgets" `Quick
             test_hostile_budgets;
-          qtest ~count:300 "hostile bytes get one typed answer" arb_hostile
-            prop_hostile_lines_answered;
+          Fixed_seed.qtest ~seed ~count:300 "hostile bytes get one typed answer"
+            arb_hostile prop_hostile_lines_answered;
           Alcotest.test_case "concurrent heartbeats stay line-atomic" `Quick
             test_concurrent_heartbeats_not_interleaved;
           Alcotest.test_case "latency record keeps a fixed window" `Quick

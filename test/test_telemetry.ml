@@ -11,8 +11,7 @@
 
 module T = Packing.Telemetry
 
-let qtest ?(count = 200) name arb prop =
-  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
+let seed = [| 0x7E1E; 2026 |]
 
 (* ------------------------------------------------------------------ *)
 (* Escaping                                                            *)
@@ -226,18 +225,17 @@ let () =
         ] );
       ( "counters",
         [
-          qtest "add_bound_counters is associative"
-            QCheck.(triple counters_arb counters_arb counters_arb)
-            assoc_prop;
+          Fixed_seed.qtest ~seed ~count:200 "add_bound_counters is associative"
+            QCheck.(triple counters_arb counters_arb counters_arb) assoc_prop;
           Alcotest.test_case "take_bounds returns the work since the last take"
             `Quick test_take_bounds;
         ] );
       ( "percentile",
         [
-          qtest "matches the naive sorted reference" arb_percentile_case
-            prop_percentile_matches_reference;
-          qtest "always returns one of the samples" arb_percentile_case
-            prop_percentile_is_a_sample;
+          Fixed_seed.qtest ~seed ~count:200 "matches the naive sorted reference"
+            arb_percentile_case prop_percentile_matches_reference;
+          Fixed_seed.qtest ~seed ~count:200 "always returns one of the samples"
+            arb_percentile_case prop_percentile_is_a_sample;
           Alcotest.test_case "edge cases: empty, singleton, p=0/0.5/1"
             `Quick test_percentile_edges;
         ] );
