@@ -108,6 +108,9 @@ let request_line ~id ~op ?chip ?time ?node_limit inst =
        | Some n -> [ ("node_limit", T.Int n) ]
        | None -> []))
 
+let instance_of_text text =
+  (Fpga.Instance_io.parse text).Fpga.Instance_io.instance
+
 let parse_json line =
   match T.of_string line with
   | Ok j -> j
@@ -657,6 +660,62 @@ let test_volume_overflow_rejected () =
   Alcotest.(check string) "in-range sibling still solves" "feasible"
     (str_field "status" (by_id "ok"))
 
+(* Each op resolves the parameters it needs, from the request or the
+   instance text, before any work: [solve] checks the chip, then the
+   time budget, then their volume; [min-time] needs only the chip and
+   [min-area] only the time budget, and a field an op does not use is
+   not checked. A rejected request still counts under its op. *)
+let test_resolution_errors () =
+  let inst = instance_of_text "task a 2 2 2\ntask b 1 1 1\n" in
+  let huge = 1 lsl 40 in
+  let cases =
+    [
+      ("solve", "neither", None, None);
+      ("solve", "no chip", None, Some 5);
+      ("solve", "no time", Some (4, 4), None);
+      ("solve", "overflow", Some (4, 4), Some huge);
+      ("min-time", "no chip", None, Some 5);
+      ("min-time", "no time", Some (4, 4), None);
+      ("min-time", "overflow", Some (4, 4), Some huge);
+      ("min-area", "no chip", None, Some 5);
+      ("min-area", "no time", Some (4, 4), None);
+      ("min-area", "overflow", Some (4, 4), Some huge);
+    ]
+  in
+  let no_chip = "no chip: pass \"chip\":[w,h] or a chip line in the instance"
+  and no_time =
+    "no time budget: pass \"time\":t or a time line in the instance"
+  and overflow = "extents 4x4x1099511627776: volume exceeds 2^40" in
+  let expected =
+    [
+      no_chip; no_chip; no_time; overflow;
+      no_chip; "optimal"; "optimal";
+      "optimal"; no_time; "optimal";
+    ]
+  in
+  let out = ref [] in
+  let w = Writer.of_sink (fun l -> out := l :: !out) in
+  let server = Server.create () in
+  List.iter
+    (fun (op, case, chip, time) ->
+      Server.handle_line server w
+        (request_line ~id:(op ^ " " ^ case) ~op ?chip ?time inst))
+    cases;
+  List.iter2
+    (fun (op, case, _, _) (expected, line) ->
+      let j = parse_json line in
+      let got =
+        match Option.bind (T.member "error" j) (T.member "message") with
+        | Some (T.String m) -> m
+        | _ -> str_field "status" j
+      in
+      Alcotest.(check string) (op ^ " " ^ case) expected got)
+    cases
+    (List.combine expected (List.rev !out));
+  Alcotest.(check string) "counted under their op"
+    {|{"min-area":3,"min-time":3,"solve":4}|}
+    (T.to_string (Option.get (T.member "ops" (Server.stats_json server))))
+
 (* A solver-domain count the runtime cannot host is a bad request,
    rejected before anything is allocated, and the next request is still
    answered. A time limit that parses to infinity never expires: the
@@ -1008,6 +1067,286 @@ let test_metrics_hit_miss_populations () =
         Alcotest.(check (float 0.0)) "op snapshot agrees on hits" 2.0
           (counter_total snap' "fpga_cache_hits_total")))
 
+(* [text] with the value of every sample measured in seconds replaced
+   by [_]: request latency buckets and sums, and the seconds the solver
+   spent in bounds and realizations. *)
+let mask_timing text =
+  let timed name =
+    List.exists
+      (fun suffix -> String.ends_with ~suffix name)
+      [ "_seconds_bucket"; "_seconds_sum"; "_seconds_total" ]
+  in
+  String.split_on_char '\n' text
+  |> List.map (fun l ->
+         let name =
+           match String.index_from_opt l 0 '{' with
+           | Some i -> String.sub l 0 i
+           | None -> (
+             match String.index_opt l ' ' with
+             | Some i -> String.sub l 0 i
+             | None -> l)
+         in
+         if l <> "" && l.[0] <> '#' && timed name then
+           String.sub l 0 (String.rindex l ' ') ^ " _"
+         else l)
+  |> String.concat "\n"
+
+let pinned_exposition =
+  {|# HELP fpga_bounds_calls_total Bound evaluations by bound
+# TYPE fpga_bounds_calls_total counter
+fpga_bounds_calls_total{bound="clique-space"} 3
+fpga_bounds_calls_total{bound="clique-time"} 3
+fpga_bounds_calls_total{bound="critical-path"} 3
+fpga_bounds_calls_total{bound="dff-time"} 3
+fpga_bounds_calls_total{bound="dff-volume"} 3
+fpga_bounds_calls_total{bound="energetic"} 8
+fpga_bounds_calls_total{bound="misfit"} 3
+fpga_bounds_calls_total{bound="time-slice"} 3
+fpga_bounds_calls_total{bound="volume"} 3
+# HELP fpga_bounds_prunes_total Infeasible verdicts by bound
+# TYPE fpga_bounds_prunes_total counter
+fpga_bounds_prunes_total{bound="clique-space"} 0
+fpga_bounds_prunes_total{bound="clique-time"} 0
+fpga_bounds_prunes_total{bound="critical-path"} 0
+fpga_bounds_prunes_total{bound="dff-time"} 0
+fpga_bounds_prunes_total{bound="dff-volume"} 0
+fpga_bounds_prunes_total{bound="energetic"} 0
+fpga_bounds_prunes_total{bound="misfit"} 0
+fpga_bounds_prunes_total{bound="time-slice"} 0
+fpga_bounds_prunes_total{bound="volume"} 0
+# HELP fpga_bounds_seconds_total Seconds spent evaluating each bound
+# TYPE fpga_bounds_seconds_total counter
+fpga_bounds_seconds_total{bound="clique-space"} _
+fpga_bounds_seconds_total{bound="clique-time"} _
+fpga_bounds_seconds_total{bound="critical-path"} _
+fpga_bounds_seconds_total{bound="dff-time"} _
+fpga_bounds_seconds_total{bound="dff-volume"} _
+fpga_bounds_seconds_total{bound="energetic"} _
+fpga_bounds_seconds_total{bound="misfit"} _
+fpga_bounds_seconds_total{bound="time-slice"} _
+fpga_bounds_seconds_total{bound="volume"} _
+# HELP fpga_cache_capacity Result cache capacity
+# TYPE fpga_cache_capacity gauge
+fpga_cache_capacity 2
+# HELP fpga_cache_entries Result cache live entries
+# TYPE fpga_cache_entries gauge
+fpga_cache_entries 2
+# HELP fpga_cache_evictions_total Result cache evictions
+# TYPE fpga_cache_evictions_total counter
+fpga_cache_evictions_total 1
+# HELP fpga_cache_hits_total Result cache hits
+# TYPE fpga_cache_hits_total counter
+fpga_cache_hits_total 2
+# HELP fpga_cache_misses_total Result cache misses
+# TYPE fpga_cache_misses_total counter
+fpga_cache_misses_total 3
+# HELP fpga_server_inflight_requests Requests currently being handled
+# TYPE fpga_server_inflight_requests gauge
+fpga_server_inflight_requests 0
+# HELP fpga_server_request_seconds Request wall-clock latency
+# TYPE fpga_server_request_seconds histogram
+fpga_server_request_seconds_bucket{cache="hit",le="1e-05"} _
+fpga_server_request_seconds_bucket{cache="hit",le="2e-05"} _
+fpga_server_request_seconds_bucket{cache="hit",le="4e-05"} _
+fpga_server_request_seconds_bucket{cache="hit",le="8e-05"} _
+fpga_server_request_seconds_bucket{cache="hit",le="0.00016"} _
+fpga_server_request_seconds_bucket{cache="hit",le="0.00032"} _
+fpga_server_request_seconds_bucket{cache="hit",le="0.00064"} _
+fpga_server_request_seconds_bucket{cache="hit",le="0.00128"} _
+fpga_server_request_seconds_bucket{cache="hit",le="0.00256"} _
+fpga_server_request_seconds_bucket{cache="hit",le="0.00512"} _
+fpga_server_request_seconds_bucket{cache="hit",le="0.01024"} _
+fpga_server_request_seconds_bucket{cache="hit",le="0.02048"} _
+fpga_server_request_seconds_bucket{cache="hit",le="0.04096"} _
+fpga_server_request_seconds_bucket{cache="hit",le="0.08192"} _
+fpga_server_request_seconds_bucket{cache="hit",le="0.16384"} _
+fpga_server_request_seconds_bucket{cache="hit",le="0.32768"} _
+fpga_server_request_seconds_bucket{cache="hit",le="0.65536"} _
+fpga_server_request_seconds_bucket{cache="hit",le="1.31072"} _
+fpga_server_request_seconds_bucket{cache="hit",le="2.62144"} _
+fpga_server_request_seconds_bucket{cache="hit",le="5.24288"} _
+fpga_server_request_seconds_bucket{cache="hit",le="10.48576"} _
+fpga_server_request_seconds_bucket{cache="hit",le="20.97152"} _
+fpga_server_request_seconds_bucket{cache="hit",le="41.94304"} _
+fpga_server_request_seconds_bucket{cache="hit",le="83.88608"} _
+fpga_server_request_seconds_bucket{cache="hit",le="+Inf"} _
+fpga_server_request_seconds_sum{cache="hit"} _
+fpga_server_request_seconds_count{cache="hit"} 2
+fpga_server_request_seconds_bucket{cache="miss",le="1e-05"} _
+fpga_server_request_seconds_bucket{cache="miss",le="2e-05"} _
+fpga_server_request_seconds_bucket{cache="miss",le="4e-05"} _
+fpga_server_request_seconds_bucket{cache="miss",le="8e-05"} _
+fpga_server_request_seconds_bucket{cache="miss",le="0.00016"} _
+fpga_server_request_seconds_bucket{cache="miss",le="0.00032"} _
+fpga_server_request_seconds_bucket{cache="miss",le="0.00064"} _
+fpga_server_request_seconds_bucket{cache="miss",le="0.00128"} _
+fpga_server_request_seconds_bucket{cache="miss",le="0.00256"} _
+fpga_server_request_seconds_bucket{cache="miss",le="0.00512"} _
+fpga_server_request_seconds_bucket{cache="miss",le="0.01024"} _
+fpga_server_request_seconds_bucket{cache="miss",le="0.02048"} _
+fpga_server_request_seconds_bucket{cache="miss",le="0.04096"} _
+fpga_server_request_seconds_bucket{cache="miss",le="0.08192"} _
+fpga_server_request_seconds_bucket{cache="miss",le="0.16384"} _
+fpga_server_request_seconds_bucket{cache="miss",le="0.32768"} _
+fpga_server_request_seconds_bucket{cache="miss",le="0.65536"} _
+fpga_server_request_seconds_bucket{cache="miss",le="1.31072"} _
+fpga_server_request_seconds_bucket{cache="miss",le="2.62144"} _
+fpga_server_request_seconds_bucket{cache="miss",le="5.24288"} _
+fpga_server_request_seconds_bucket{cache="miss",le="10.48576"} _
+fpga_server_request_seconds_bucket{cache="miss",le="20.97152"} _
+fpga_server_request_seconds_bucket{cache="miss",le="41.94304"} _
+fpga_server_request_seconds_bucket{cache="miss",le="83.88608"} _
+fpga_server_request_seconds_bucket{cache="miss",le="+Inf"} _
+fpga_server_request_seconds_sum{cache="miss"} _
+fpga_server_request_seconds_count{cache="miss"} 6
+# HELP fpga_server_request_solver_nodes Solver nodes spent per request
+# TYPE fpga_server_request_solver_nodes histogram
+fpga_server_request_solver_nodes_bucket{le="1"} 0
+fpga_server_request_solver_nodes_bucket{le="4"} 0
+fpga_server_request_solver_nodes_bucket{le="16"} 2
+fpga_server_request_solver_nodes_bucket{le="64"} 3
+fpga_server_request_solver_nodes_bucket{le="256"} 3
+fpga_server_request_solver_nodes_bucket{le="1024"} 3
+fpga_server_request_solver_nodes_bucket{le="4096"} 3
+fpga_server_request_solver_nodes_bucket{le="16384"} 3
+fpga_server_request_solver_nodes_bucket{le="65536"} 3
+fpga_server_request_solver_nodes_bucket{le="262144"} 3
+fpga_server_request_solver_nodes_bucket{le="1048576"} 3
+fpga_server_request_solver_nodes_bucket{le="4194304"} 3
+fpga_server_request_solver_nodes_bucket{le="+Inf"} 3
+fpga_server_request_solver_nodes_sum 41
+fpga_server_request_solver_nodes_count 3
+# HELP fpga_server_requests_total Requests by op and status
+# TYPE fpga_server_requests_total counter
+fpga_server_requests_total{op="invalid",status="error"} 1
+fpga_server_requests_total{op="metrics",status="ok"} 1
+fpga_server_requests_total{op="solve",status="error"} 1
+fpga_server_requests_total{op="solve",status="ok"} 5
+# HELP fpga_solver_conflicts_total Search conflicts (refuted nodes)
+# TYPE fpga_solver_conflicts_total counter
+fpga_solver_conflicts_total 13
+# HELP fpga_solver_decisions_total Branch points expanded
+# TYPE fpga_solver_decisions_total counter
+fpga_solver_decisions_total 39
+# HELP fpga_solver_leaves_total Fully decided leaves reached
+# TYPE fpga_solver_leaves_total counter
+fpga_solver_leaves_total 2
+# HELP fpga_solver_nodes_total Search nodes visited
+# TYPE fpga_solver_nodes_total counter
+fpga_solver_nodes_total 41
+# HELP fpga_solver_realize_attempts_total Realization (placement reconstruction) attempts
+# TYPE fpga_solver_realize_attempts_total counter
+fpga_solver_realize_attempts_total 2
+# HELP fpga_solver_realize_seconds_total Seconds spent in realization attempts
+# TYPE fpga_solver_realize_seconds_total counter
+fpga_solver_realize_seconds_total _
+# HELP fpga_solver_rule_conflicts_total Packing-rule conflicts by rule
+# TYPE fpga_solver_rule_conflicts_total counter
+fpga_solver_rule_conflicts_total{rule="c2"} 11
+fpga_solver_rule_conflicts_total{rule="c3"} 0
+fpga_solver_rule_conflicts_total{rule="c4"} 0
+fpga_solver_rule_conflicts_total{rule="capacity"} 2
+fpga_solver_rule_conflicts_total{rule="implications"} 0
+fpga_solver_rule_conflicts_total{rule="symmetry"} 0
+|}
+
+(* Small solves that reach the search, each definitive. *)
+let searching_solves =
+  [
+    ( "task t0 2 3 2\ntask t1 2 1 1\ntask t2 1 2 3\ntask t3 2 2 2\n\
+       task t4 2 1 1\ntask t5 1 2 1\ndep t1 t3\ndep t3 t4\n",
+      (4, 4), 4 );
+    ( "task t0 1 3 2\ntask t1 3 1 2\ntask t2 2 3 1\ntask t3 2 2 3\n\
+       task t4 3 1 2\ndep t0 t1\ndep t0 t4\n",
+      (3, 3), 5 );
+    ( "task t0 2 2 1\ntask t1 2 2 2\ntask t2 3 1 3\ntask t3 2 1 2\n",
+      (3, 3), 4 );
+  ]
+
+(* The whole exposition after a fixed mix on a two-entry cache: three
+   unique solves that each search a few nodes (the third evicts the
+   first), isomorphic repeats of the two still cached (two hits), a
+   solve with no chip (a bad request), a line that is not JSON, and a
+   metrics request. Every family, help text, label set and value is
+   pinned, apart from the values measured in seconds. *)
+let test_exposition_pinned () =
+  let registry = M.create () in
+  M.set_default registry;
+  Fun.protect ~finally:(fun () -> M.set_default M.null) @@ fun () ->
+  let server =
+    Server.create ~config:{ Server.default_config with cache_capacity = 2 } ()
+  in
+  let rng = Random.State.make [| 12 |] in
+  let solve ?(relabel = false) ?(no_chip = false) id (text, chip, time) =
+    let inst = instance_of_text text in
+    let inst = if relabel then permute_instance rng inst else inst in
+    let chip = if no_chip then None else Some chip in
+    request_line ~id ~op:"solve" ?chip ~time inst
+  in
+  let lines =
+    List.mapi (fun i s -> solve (Printf.sprintf "u%d" i) s) searching_solves
+    @ (match searching_solves with
+      | [ a; b; c ] ->
+        [
+          solve ~relabel:true "d2" c;
+          solve ~relabel:true "d1" b;
+          solve ~no_chip:true "nochip" a;
+        ]
+      | _ -> assert false)
+    @ [ "this is not json"; {|{"id":"m","op":"metrics"}|} ]
+  in
+  let w = Writer.of_sink (fun _ -> ()) in
+  List.iter (Server.handle_line server w) lines;
+  let text = mask_timing (Server.metrics_text ()) in
+  Alcotest.(check string) "exposition" pinned_exposition text
+
+(* Four workers over relabeled copies of three searching solves on a
+   two-entry cache: whatever order the workers take, once the stream
+   ends the registry holds exactly the cache's own counters, and every
+   request is counted once by op and status. *)
+let test_cache_counters_concurrent () =
+  let registry = M.create () in
+  M.set_default registry;
+  Fun.protect ~finally:(fun () -> M.set_default M.null) @@ fun () ->
+  let server =
+    Server.create
+      ~config:{ Server.default_config with jobs = 4; cache_capacity = 2 }
+      ()
+  in
+  let rng = Random.State.make [| 13 |] in
+  let lines =
+    List.concat
+      (List.init 4 (fun round ->
+           List.mapi
+             (fun i (text, chip, time) ->
+               request_line
+                 ~id:(Printf.sprintf "r%d-%d" round i)
+                 ~op:"solve" ~chip ~time
+                 (permute_instance rng (instance_of_text text)))
+             searching_solves))
+    @ [ "not json"; {|{"id":"m","op":"metrics"}|} ]
+  in
+  let w = Writer.of_sink (fun _ -> ()) in
+  with_request_channel lines (fun ic -> Server.serve_channel server w ic);
+  let snap = M.snapshot registry in
+  let c = Server.cache_counters server in
+  List.iter
+    (fun (family, expected) ->
+      Alcotest.(check (float 0.0)) family (float_of_int expected)
+        (counter_total snap family))
+    [
+      ("fpga_cache_hits_total", c.T.cache_hits);
+      ("fpga_cache_misses_total", c.T.cache_misses);
+      ("fpga_cache_evictions_total", c.T.cache_evictions);
+      ("fpga_cache_entries", c.T.cache_entries);
+    ];
+  Alcotest.(check int) "every line reached the cache or an error"
+    (List.length lines)
+    (c.T.cache_hits + c.T.cache_misses + 2);
+  Alcotest.(check (option int)) "requests_total sums to stats_json requests"
+    (Option.bind (T.member "requests" (Server.stats_json server)) T.to_int_opt)
+    (Some (int_of_float (counter_total snap "fpga_server_requests_total")))
+
 (* A long-running loop keeps only the latest 65,536 latency samples:
    ten requests past the window still count as requests, but the
    percentile record stops growing. *)
@@ -1071,6 +1410,8 @@ let () =
             test_volume_overflow_rejected;
           Alcotest.test_case "hostile jobs and time budgets" `Quick
             test_hostile_budgets;
+          Alcotest.test_case "resolution errors pinned" `Quick
+            test_resolution_errors;
           Fixed_seed.qtest ~seed ~count:300 "hostile bytes get one typed answer"
             arb_hostile prop_hostile_lines_answered;
           Alcotest.test_case "concurrent heartbeats stay line-atomic" `Quick
@@ -1084,5 +1425,8 @@ let () =
         [
           Alcotest.test_case "warm run separates hit and miss populations"
             `Quick test_metrics_hit_miss_populations;
+          Alcotest.test_case "exposition pinned" `Quick test_exposition_pinned;
+          Alcotest.test_case "cache counters agree under four workers" `Quick
+            test_cache_counters_concurrent;
         ] );
     ]
