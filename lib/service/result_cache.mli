@@ -13,7 +13,10 @@
     should cache only {e definitive} results (optimal / infeasible /
     sat / unsat): those are independent of the requester's budget,
     whereas a budget-truncated incumbent from one request could
-    understate what a richer budget would have proven. *)
+    understate what a richer budget would have proven.
+
+    The cache writes no metric: its {!counters} are its only tally, and
+    the server writes their change to the metrics registry. *)
 
 type 'a t
 
@@ -33,6 +36,6 @@ val add : 'a t -> string -> 'a -> unit
 val length : 'a t -> int
 val capacity : 'a t -> int
 
-(** Hit/miss/eviction counters plus the current fill, for
-    [--stats json] surfaces. *)
+(** Hits, misses and evictions since {!create}, plus the current fill
+    and the capacity. *)
 val counters : 'a t -> Packing.Telemetry.cache_counters

@@ -47,14 +47,21 @@ type t = {
   mutable latencies : float array;
   op_counts : (string, int) Hashtbl.t;
   (* Process-metrics handles, minted against the default registry at
-     [create] (no-ops when it is disabled). The latency histogram is
+     [create]; only [account] writes them, besides the in-flight gauge,
+     which moves at both ends of a request. The latency histogram is
      split by cache disposition so hit and miss populations stay
-     separable in the exposition. *)
+     separable in the exposition. [flushed] is the cache's counters as
+     [account] last wrote them. *)
   m_registry : Metrics.t;
   m_inflight : Metrics.gauge;
   m_lat_hit : Metrics.histogram;
   m_lat_miss : Metrics.histogram;
   m_req_nodes : Metrics.histogram;
+  m_hits : Metrics.counter;
+  m_misses : Metrics.counter;
+  m_evictions : Metrics.counter;
+  m_entries : Metrics.gauge;
+  mutable flushed : T.cache_counters;
 }
 
 (* How many of the latest latency samples [stats_json] summarizes: a
@@ -69,9 +76,13 @@ let create ?(config = default_config) () =
       ~labels:[ ("cache", label) ]
       "fpga_server_request_seconds"
   in
+  let cache = Result_cache.create ~capacity:config.cache_capacity () in
+  Metrics.set
+    (Metrics.gauge m ~help:"Result cache capacity" "fpga_cache_capacity")
+    (float_of_int config.cache_capacity);
   {
     config;
-    cache = Result_cache.create ~capacity:config.cache_capacity ();
+    cache;
     lock = Mutex.create ();
     requests = 0;
     errors = 0;
@@ -87,6 +98,16 @@ let create ?(config = default_config) () =
     m_req_nodes =
       Metrics.histogram m ~help:"Solver nodes spent per request"
         ~buckets:Metrics.node_buckets "fpga_server_request_solver_nodes";
+    m_hits =
+      Metrics.counter m ~help:"Result cache hits" "fpga_cache_hits_total";
+    m_misses =
+      Metrics.counter m ~help:"Result cache misses" "fpga_cache_misses_total";
+    m_evictions =
+      Metrics.counter m ~help:"Result cache evictions"
+        "fpga_cache_evictions_total";
+    m_entries =
+      Metrics.gauge m ~help:"Result cache live entries" "fpga_cache_entries";
+    flushed = Result_cache.counters cache;
   }
 
 type meta = {
@@ -107,16 +128,47 @@ let op_name = function
   | Op_min_time -> "min-time"
   | Op_min_area -> "min-area"
 
+(* An op with its parameters resolved. *)
+type job =
+  | Solve of { w : int; h : int; t_max : int }
+  | Min_time of { w : int; h : int }
+  | Min_area of { t_max : int }
+
 type request = {
   id : T.json;
   op : op;
   io : Fpga.Instance_io.t;
-  chip : (int * int) option;
-  t_max : int option;
+  job : (job, string) result;  (* or why the op's parameters do not resolve *)
   node_limit : int option;
   time_limit_s : float option;
   req_jobs : int option;
 }
+
+(* An op's parameters, each from the request or else the instance text:
+   [solve] checks the chip, then the time budget, then their volume;
+   [min-time] needs only the chip and [min-area] only the time budget. *)
+let resolve op ~chip ~t_max (io : Fpga.Instance_io.t) =
+  let chip () =
+    match (chip, io.chip) with
+    | Some wh, _ -> Ok wh
+    | None, Some c -> Ok (Fpga.Chip.width c, Fpga.Chip.height c)
+    | None, None ->
+      Error "no chip: pass \"chip\":[w,h] or a chip line in the instance"
+  and time () =
+    match (t_max, io.t_max) with
+    | Some t, _ | None, Some t -> Ok t
+    | None, None ->
+      Error "no time budget: pass \"time\":t or a time line in the instance"
+  in
+  let ( let* ) = Result.bind in
+  match op with
+  | Op_solve ->
+    let* w, h = chip () in
+    let* t_max = time () in
+    let* () = Geometry.Box.check_volume [| w; h; t_max |] in
+    Ok (Solve { w; h; t_max })
+  | Op_min_time -> Result.map (fun (w, h) -> Min_time { w; h }) (chip ())
+  | Op_min_area -> Result.map (fun t_max -> Min_area { t_max }) (time ())
 
 let error_response id code msg =
   T.Obj
@@ -129,99 +181,61 @@ let error_response id code msg =
    readable) plus a typed code for the error response. *)
 let parse_request json =
   let id = Option.value (T.member "id" json) ~default:T.Null in
-  let bad msg = Error (id, "bad-request", msg) in
+  let field k conv = Option.bind (T.member k json) conv in
+  let ( let* ) = Result.bind in
+  let positive k =
+    match field k T.to_int_opt with
+    | Some x when x <= 0 -> Error (Printf.sprintf "%S must be positive" k)
+    | v -> Ok v
+  in
+  let parse () =
+    let* op =
+      match field "op" T.to_string_opt with
+      | None -> Error "missing or non-string \"op\""
+      | Some "solve" -> Ok Op_solve
+      | Some "min-time" -> Ok Op_min_time
+      | Some "min-area" -> Ok Op_min_area
+      | Some op ->
+        Error
+          (Printf.sprintf "unknown op %S (known: solve, min-time, min-area)" op)
+    in
+    let* text =
+      Option.to_result (field "instance" T.to_string_opt)
+        ~none:"missing or non-string \"instance\""
+    in
+    let* io =
+      try Ok (Fpga.Instance_io.parse text)
+      with Failure msg -> Error ("instance: " ^ msg)
+    in
+    let* chip =
+      let malformed = Error "\"chip\" must be [w, h] with positive integers" in
+      match T.member "chip" json with
+      | None | Some T.Null -> Ok None
+      | Some (T.List [ a; b ]) -> (
+        match (T.to_int_opt a, T.to_int_opt b) with
+        | Some w, Some h when w > 0 && h > 0 -> (
+          match Geometry.Box.check_volume [| w; h |] with
+          | Ok () -> Ok (Some (w, h))
+          | Error m -> Error ("\"chip\": " ^ m))
+        | _ -> malformed)
+      | Some _ -> malformed
+    in
+    let* t_max = positive "time" in
+    let* node_limit = positive "node_limit" in
+    let* req_jobs = positive "jobs" in
+    let time_limit_s = field "time_limit_s" T.to_float_opt in
+    let max_jobs = Packing.Parallel_solver.max_jobs in
+    match (time_limit_s, req_jobs) with
+    | Some s, _ when s <= 0.0 -> Error "\"time_limit_s\" must be positive"
+    | _, Some j when j > max_jobs ->
+      Error (Printf.sprintf "\"jobs\" must be at most %d" max_jobs)
+    | _ ->
+      let job = resolve op ~chip ~t_max io in
+      Ok { id; op; io; job; node_limit; time_limit_s; req_jobs }
+  in
   match json with
-  | T.Obj _ -> (
-    let str k = Option.bind (T.member k json) T.to_string_opt in
-    let int_f k = Option.bind (T.member k json) T.to_int_opt in
-    let float_f k = Option.bind (T.member k json) T.to_float_opt in
-    match str "op" with
-    | None -> bad "missing or non-string \"op\""
-    | Some op_s -> (
-      let op =
-        match op_s with
-        | "solve" -> Some Op_solve
-        | "min-time" -> Some Op_min_time
-        | "min-area" -> Some Op_min_area
-        | _ -> None
-      in
-      match op with
-      | None ->
-        bad
-          (Printf.sprintf
-             "unknown op %S (known: solve, min-time, min-area)" op_s)
-      | Some op -> (
-        match str "instance" with
-        | None -> bad "missing or non-string \"instance\""
-        | Some text -> (
-          match Fpga.Instance_io.parse text with
-          | exception Failure msg -> bad ("instance: " ^ msg)
-          | io -> (
-            let chip =
-              let malformed = "\"chip\" must be [w, h] with positive integers" in
-              match T.member "chip" json with
-              | None | Some T.Null -> Ok None
-              | Some (T.List [ a; b ]) -> (
-                match (T.to_int_opt a, T.to_int_opt b) with
-                | Some w, Some h when w > 0 && h > 0 -> (
-                  match Geometry.Box.check_volume [| w; h |] with
-                  | Ok () -> Ok (Some (w, h))
-                  | Error m -> Error ("\"chip\": " ^ m))
-                | _ -> Error malformed)
-              | Some _ -> Error malformed
-            in
-            match chip with
-            | Error m -> bad m
-            | Ok chip ->
-              let positive k v =
-                match v with Some x when x <= 0 -> Error k | _ -> Ok v
-              in
-              let ( let* ) r f =
-                match r with
-                | Error k -> bad (Printf.sprintf "%S must be positive" k)
-                | Ok v -> f v
-              in
-              let* t_max = positive "time" (int_f "time") in
-              let* node_limit = positive "node_limit" (int_f "node_limit") in
-              let* req_jobs = positive "jobs" (int_f "jobs") in
-              let time_limit_s = float_f "time_limit_s" in
-              let max_jobs = Packing.Parallel_solver.max_jobs in
-              (match (time_limit_s, req_jobs) with
-              | Some s, _ when s <= 0.0 ->
-                bad "\"time_limit_s\" must be positive"
-              | _, Some j when j > max_jobs ->
-                bad (Printf.sprintf "\"jobs\" must be at most %d" max_jobs)
-              | _ ->
-                Ok
-                  {
-                    id;
-                    op;
-                    io;
-                    chip;
-                    t_max;
-                    node_limit;
-                    time_limit_s;
-                    req_jobs;
-                  }))))))
+  | T.Obj _ -> Result.map_error (fun msg -> (id, "bad-request", msg)) (parse ())
   | _ -> Error (T.Null, "parse", "request must be a JSON object")
-
-let resolve_chip req =
-  match req.chip with
-  | Some wh -> Ok wh
-  | None -> (
-    match req.io.Fpga.Instance_io.chip with
-    | Some c -> Ok (Fpga.Chip.width c, Fpga.Chip.height c)
-    | None ->
-      Error "no chip: pass \"chip\":[w,h] or a chip line in the instance")
-
-let resolve_time req =
-  match req.t_max with
-  | Some t -> Ok t
-  | None -> (
-    match req.io.Fpga.Instance_io.t_max with
-    | Some t -> Ok t
-    | None ->
-      Error "no time budget: pass \"time\":t or a time line in the instance")
 
 (* ------------------------------------------------------------------ *)
 (* Solving in canonical space                                          *)
@@ -291,7 +305,7 @@ let probe_hook t req events nodes_acc =
               ]))
     | _ -> ()
 
-let solve_request t req events (canon : Canonical.t) =
+let solve_request t req job events (canon : Canonical.t) =
   let inst = canon.Canonical.instance in
   let jobs =
     max 1 (Option.value req.req_jobs ~default:t.config.solver_jobs)
@@ -300,10 +314,8 @@ let solve_request t req events (canon : Canonical.t) =
   let nodes = ref 0 in
   let on_probe = probe_hook t req events nodes in
   let solved =
-    match req.op with
-    | Op_solve ->
-      let w, h = Result.get_ok (resolve_chip req) in
-      let t_max = Result.get_ok (resolve_time req) in
+    match job with
+    | Solve { w; h; t_max } ->
       let container = Geometry.Container.make3 ~w ~h ~t_max in
       let outcome =
         (* One code path for every job count: the work-stealing kernel
@@ -318,11 +330,9 @@ let solve_request t req events (canon : Canonical.t) =
         | Solver.Feasible p -> Problems.Sat p
         | Solver.Infeasible -> Problems.Unsat
         | Solver.Timeout -> Problems.Undecided)
-    | Op_min_time ->
-      let w, h = Result.get_ok (resolve_chip req) in
+    | Min_time { w; h } ->
       R_any (Problems.minimize_time ~options ~jobs ~on_probe inst ~w ~h)
-    | Op_min_area ->
-      let t_max = Result.get_ok (resolve_time req) in
+    | Min_area { t_max } ->
       R_any (Problems.minimize_base ~options ~jobs ~on_probe inst ~t_max)
   in
   (solved, !nodes)
@@ -379,17 +389,13 @@ let render req (canon : Canonical.t) solved =
 (* The request pipeline                                                *)
 (* ------------------------------------------------------------------ *)
 
-let cache_key req (canon : Canonical.t) =
-  match req.op with
-  | Op_solve ->
-    let w, h = Result.get_ok (resolve_chip req) in
-    let t_max = Result.get_ok (resolve_time req) in
+let cache_key job (canon : Canonical.t) =
+  match job with
+  | Solve { w; h; t_max } ->
     Printf.sprintf "solve:%dx%dx%d|%s" w h t_max canon.Canonical.key
-  | Op_min_time ->
-    let w, h = Result.get_ok (resolve_chip req) in
+  | Min_time { w; h } ->
     Printf.sprintf "min-time:%dx%d|%s" w h canon.Canonical.key
-  | Op_min_area ->
-    let t_max = Result.get_ok (resolve_time req) in
+  | Min_area { t_max } ->
     Printf.sprintf "min-area:%d|%s" t_max canon.Canonical.key
 
 let account ?(op = "invalid") ?(cache_hit = false) ?(elapsed_s = 0.0) t ~error
@@ -406,14 +412,26 @@ let account ?(op = "invalid") ?(cache_hit = false) ?(elapsed_s = 0.0) t ~error
       end;
       t.latencies.((t.requests - 1) mod latency_window) <- elapsed_s;
       Hashtbl.replace t.op_counts op
-        (1 + Option.value (Hashtbl.find_opt t.op_counts op) ~default:0));
-  Metrics.incr
-    (Metrics.counter t.m_registry ~help:"Requests by op and status"
-       ~labels:
-         [ ("op", op); ("status", (if error then "error" else "ok")) ]
-       "fpga_server_requests_total");
-  Metrics.observe (if cache_hit then t.m_lat_hit else t.m_lat_miss) elapsed_s;
-  if nodes > 0 then Metrics.observe t.m_req_nodes (float_of_int nodes)
+        (1 + Option.value (Hashtbl.find_opt t.op_counts op) ~default:0);
+      (* The cache's counters are read and their change written under
+         the lock, so concurrent requests never write one change twice. *)
+      if Metrics.enabled t.m_registry then begin
+        Metrics.incr
+          (Metrics.counter t.m_registry ~help:"Requests by op and status"
+             ~labels:
+               [ ("op", op); ("status", (if error then "error" else "ok")) ]
+             "fpga_server_requests_total");
+        Metrics.observe
+          (if cache_hit then t.m_lat_hit else t.m_lat_miss)
+          elapsed_s;
+        if nodes > 0 then Metrics.observe t.m_req_nodes (float_of_int nodes);
+        let c = Result_cache.counters t.cache and was = t.flushed in
+        Metrics.add t.m_hits (c.T.cache_hits - was.T.cache_hits);
+        Metrics.add t.m_misses (c.T.cache_misses - was.T.cache_misses);
+        Metrics.add t.m_evictions (c.T.cache_evictions - was.T.cache_evictions);
+        Metrics.set t.m_entries (float_of_int c.T.cache_entries);
+        t.flushed <- c
+      end)
 
 let metrics_json () = Metrics.(to_json (snapshot (default ())))
 let metrics_text () = Metrics.(to_prometheus (snapshot (default ())))
@@ -443,49 +461,33 @@ let handle_request t events req_json =
   | _ -> (
   match parse_request req_json with
   | Error (id, code, msg) -> finish ~error:true (error_response id code msg)
-  | Ok req -> (
-    (* every op needs its parameters resolvable before we spend work *)
-    let params_ok =
-      match req.op with
-      | Op_solve ->
-        Result.bind (resolve_chip req) (fun (w, h) ->
-            Result.bind (resolve_time req) (fun t ->
-                Geometry.Box.check_volume [| w; h; t |]))
-      | Op_min_time -> Result.map ignore (resolve_chip req)
-      | Op_min_area -> Result.map ignore (resolve_time req)
-    in
+  | Ok { id; op; job = Error msg; _ } ->
+    finish ~op:(op_name op) ~error:true (error_response id "bad-request" msg)
+  | Ok ({ job = Ok job; _ } as req) -> (
     let op = op_name req.op in
-    match params_ok with
-    | Error msg ->
+    match
+      let canon = Canonical.of_instance req.io.Fpga.Instance_io.instance in
+      let key = cache_key job canon in
+      let hit =
+        if t.config.use_cache then Result_cache.find t.cache key else None
+      in
+      match hit with
+      | Some solved ->
+        finish ~op ~digest:canon.Canonical.digest ~cache_hit:true ~error:false
+          (render req canon solved)
+      | None ->
+        let solved, nodes = solve_request t req job events canon in
+        if t.config.use_cache && is_definitive solved then
+          Result_cache.add t.cache key solved;
+        finish ~op ~digest:canon.Canonical.digest ~nodes ~error:false
+          (render req canon solved)
+    with
+    | result -> result
+    | exception (Failure msg | Invalid_argument msg) ->
       finish ~op ~error:true (error_response req.id "bad-request" msg)
-    | Ok () -> (
-      match
-        let canon =
-          Canonical.of_instance req.io.Fpga.Instance_io.instance
-        in
-        let key = cache_key req canon in
-        let hit =
-          if t.config.use_cache then Result_cache.find t.cache key else None
-        in
-        match hit with
-        | Some solved ->
-          finish ~op ~digest:canon.Canonical.digest ~cache_hit:true
-            ~error:false (render req canon solved)
-        | None ->
-          let solved, nodes = solve_request t req events canon in
-          if t.config.use_cache && is_definitive solved then
-            Result_cache.add t.cache key solved;
-          finish ~op ~digest:canon.Canonical.digest ~nodes ~error:false
-            (render req canon solved)
-      with
-      | result -> result
-      | exception Failure msg ->
-        finish ~op ~error:true (error_response req.id "bad-request" msg)
-      | exception Invalid_argument msg ->
-        finish ~op ~error:true (error_response req.id "bad-request" msg)
-      | exception exn ->
-        finish ~op ~error:true
-          (error_response req.id "internal" (Printexc.to_string exn)))))
+    | exception exn ->
+      finish ~op ~error:true
+        (error_response req.id "internal" (Printexc.to_string exn))))
 
 let handle_line t w line =
   let line = String.trim line in
@@ -574,11 +576,16 @@ let serve_channel t w ic =
     Array.iter Domain.join domains
   end
 
-let serve_tcp t ~port =
+(* A socket listening on [127.0.0.1:port]; a port clash raises here. *)
+let listen ~port =
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt sock Unix.SO_REUSEADDR true;
   Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
   Unix.listen sock 8;
+  sock
+
+let serve_tcp t ~port =
+  let sock = listen ~port in
   while true do
     let fd, _peer = Unix.accept sock in
     let ic = Unix.in_channel_of_descr fd in
@@ -598,10 +605,7 @@ let serve_tcp t ~port =
    bound in the caller (a port clash raises synchronously); the accept
    loop runs on its own domain and never returns. *)
 let serve_metrics ~port =
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt sock Unix.SO_REUSEADDR true;
-  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  Unix.listen sock 8;
+  let sock = listen ~port in
   Domain.spawn (fun () ->
       while true do
         let fd, _peer = Unix.accept sock in

@@ -91,9 +91,12 @@ val serve_tcp : t -> port:int -> unit
 
 (** {1 Metrics exposition}
 
-    Besides the normal protocol ops, a request line [{"op":"metrics"}]
-    is answered with a JSON snapshot of the process metrics registry
-    ({!Packing.Metrics.default}) without touching the solver pipeline. *)
+    {!create} registers the [fpga_cache_*] and [fpga_server_*] series in
+    the default registry (see {!Packing.Metrics}). Each request is
+    written there once, when it finishes, with the change in the cache's
+    counters; only the in-flight gauge also moves when it starts. A
+    request line [{"op":"metrics"}] is answered with a JSON snapshot of
+    the default registry without touching the solver pipeline. *)
 
 (** One Prometheus text exposition of the default registry. *)
 val metrics_text : unit -> string
