@@ -988,38 +988,25 @@ let metrics_summary_cmd =
   in
   let body file () =
     let text = read_file file In_channel.input_all in
-    (* A snapshot file renders its freshest (last) snapshot line; a
-       file with no parseable snapshot line is read as an exposition.
-       Both sources end in the same table. *)
-    let snapshot_of_line line =
-      if String.trim line = "" then None
-      else
-        match Packing.Telemetry.of_string line with
-        | Error _ -> None
-        | Ok j ->
-          let payload =
-            match Packing.Telemetry.member "metrics" j with
-            | Some p -> p
-            | None -> j
-          in
-          (match Packing.Metrics.of_json payload with
-          | Ok s -> Some s
-          | Error _ -> None)
-    in
-    let from_jsonl =
-      String.split_on_char '\n' text
-      |> List.filter_map snapshot_of_line
-      |> List.rev
-      |> function
-      | s :: _ -> Some s
-      | [] -> None
+    (* A snapshot file renders its freshest snapshot: the last line
+       whose [metrics] is a string (a line cut off by a killed server
+       does not parse). A file with no such line is an exposition. *)
+    let exposition =
+      List.fold_left
+        (fun last line ->
+          match Packing.Telemetry.of_string line with
+          | Ok j ->
+            Option.value ~default:last
+              (Option.bind
+                 (Packing.Telemetry.member "metrics" j)
+                 Packing.Telemetry.to_string_opt)
+          | Error _ -> last)
+        text
+        (String.split_on_char '\n' text)
     in
     let* s =
-      match from_jsonl with
-      | Some s -> Ok s
-      | None ->
-        Result.map_error (fun msg -> file ^ ": " ^ msg)
-          (Packing.Metrics.of_prometheus text)
+      Result.map_error (fun msg -> file ^ ": " ^ msg)
+        (Packing.Metrics.of_prometheus exposition)
     in
     Format.printf "%a@?" Packing.Metrics.pp_table s;
     Ok 0

@@ -351,58 +351,7 @@ let to_prometheus (snap : snapshot) =
     snap;
   Buffer.contents b
 
-(* --- JSON form ------------------------------------------------------ *)
-
-module T = Telemetry
-
-let json_float v = if Float.is_finite v then T.Float v else T.String "+Inf"
-
-let to_json (snap : snapshot) =
-  T.Obj
-    [
-      ( "families",
-        T.List
-          (List.map
-             (fun f ->
-               T.Obj
-                 [
-                   ("name", T.String f.name);
-                   ("kind", T.String (kind_name f.kind));
-                   ("help", T.String f.help);
-                   ( "samples",
-                     T.List
-                       (List.map
-                          (fun s ->
-                            let labels =
-                              T.Obj
-                                (List.map
-                                   (fun (k, v) -> (k, T.String v))
-                                   s.labels)
-                            in
-                            match s.value with
-                            | Sample v ->
-                              T.Obj [ ("labels", labels); ("value", T.Float v) ]
-                            | Buckets { le; cumulative; sum; count } ->
-                              T.Obj
-                                [
-                                  ("labels", labels);
-                                  ("sum", T.Float sum);
-                                  ("count", T.Int count);
-                                  ( "le",
-                                    T.List
-                                      (Array.to_list
-                                         (Array.map json_float le)) );
-                                  ( "cumulative",
-                                    T.List
-                                      (Array.to_list
-                                         (Array.map
-                                            (fun c -> T.Int c)
-                                            cumulative)) );
-                                ])
-                          f.samples) );
-                 ])
-             snap) );
-    ]
+(* --- exposition parser ---------------------------------------------- *)
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
@@ -413,106 +362,16 @@ let rec result_map f = function
     let* ys = result_map f tl in
     Ok (y :: ys)
 
-let json_to_float j =
-  match T.to_float_opt j with
-  | Some v -> Ok v
-  | None -> (
-    match T.to_string_opt j with
-    | Some "+Inf" -> Ok Float.infinity
-    | _ -> Error "metrics json: expected number")
-
-let of_json j =
-  match T.member "families" j with
-  | Some (T.List fams) ->
-    result_map
-      (fun fj ->
-        let str key =
-          match Option.bind (T.member key fj) T.to_string_opt with
-          | Some s -> Ok s
-          | None -> Error (Printf.sprintf "metrics json: missing %S" key)
-        in
-        let* name = str "name" in
-        let* kind_s = str "kind" in
-        let* kind =
-          match kind_s with
-          | "counter" -> Ok Counter
-          | "gauge" -> Ok Gauge
-          | "histogram" -> Ok Histogram
-          | k -> Error (Printf.sprintf "metrics json: unknown kind %S" k)
-        in
-        let help =
-          match Option.bind (T.member "help" fj) T.to_string_opt with
-          | Some h -> h
-          | None -> ""
-        in
-        let* samples =
-          match T.member "samples" fj with
-          | Some (T.List ss) ->
-            result_map
-              (fun sj ->
-                let* labels =
-                  match T.member "labels" sj with
-                  | Some (T.Obj kvs) ->
-                    result_map
-                      (fun (k, v) ->
-                        match T.to_string_opt v with
-                        | Some s -> Ok (k, s)
-                        | None -> Error "metrics json: label value not string")
-                      kvs
-                  | Some T.Null | None -> Ok []
-                  | Some _ -> Error "metrics json: labels not an object"
-                in
-                match kind with
-                | Counter | Gauge -> (
-                  match Option.bind (T.member "value" sj) T.to_float_opt with
-                  | Some v -> Ok { labels; value = Sample v }
-                  | None -> Error "metrics json: sample missing value")
-                | Histogram -> (
-                  let num key =
-                    match Option.bind (T.member key sj) T.to_float_opt with
-                    | Some v -> Ok v
-                    | None ->
-                      Error (Printf.sprintf "metrics json: missing %S" key)
-                  in
-                  let* sum = num "sum" in
-                  let* count = num "count" in
-                  match (T.member "le" sj, T.member "cumulative" sj) with
-                  | Some (T.List les), Some (T.List cums)
-                    when List.length les = List.length cums ->
-                    let* le = result_map json_to_float les in
-                    let* cum =
-                      result_map
-                        (fun c ->
-                          match T.to_int_opt c with
-                          | Some i -> Ok i
-                          | None -> Error "metrics json: bucket not int")
-                        cums
-                    in
-                    Ok
-                      {
-                        labels;
-                        value =
-                          Buckets
-                            {
-                              le = Array.of_list le;
-                              cumulative = Array.of_list cum;
-                              sum;
-                              count = int_of_float count;
-                            };
-                      }
-                  | _ -> Error "metrics json: histogram buckets malformed"))
-              ss
-          | _ -> Error "metrics json: missing samples"
-        in
-        Ok { name; kind; help; samples })
-      fams
-  | _ -> Error "metrics json: missing families"
-
-(* --- exposition parser ---------------------------------------------- *)
-
 (* Strict enough to double as the well-formedness check: a sample line
-   whose family never saw a [# TYPE] is an error, histogram buckets
-   must be non-decreasing and end in +Inf. *)
+   whose family never saw a [# TYPE] is an error, a counter is never
+   negative, histogram buckets have distinct non-NaN [le]s, must be
+   non-decreasing and end in +Inf, and every bucket and [_count] value
+   is a count. *)
+
+(* A bucket or [_count] value: a finite integer in [0, 2^53]. *)
+let count_of v =
+  if Float.is_integer v && v >= 0.0 && v <= 0x1p53 then Some (int_of_float v)
+  else None
 
 let parse_value s =
   match s with
@@ -525,22 +384,21 @@ let parse_value s =
     | None -> Error (Printf.sprintf "bad sample value %S" s))
 
 (* name{k="v",...} -> name, labels; values may contain escapes. *)
-let parse_labels ~line s =
+let parse_labels s =
   let n = String.length s in
   let rec skip_ws i = if i < n && s.[i] = ' ' then skip_ws (i + 1) else i in
   let rec pairs i acc =
     let i = skip_ws i in
-    if i >= n then Error (Printf.sprintf "line %d: unterminated labels" line)
+    if i >= n then Error "unterminated labels"
     else if s.[i] = '}' then Ok (List.rev acc, i + 1)
     else
       let j = ref i in
       while !j < n && s.[!j] <> '=' do Stdlib.incr j done;
-      if !j >= n then Error (Printf.sprintf "line %d: label missing '='" line)
+      if !j >= n then Error "label missing '='"
       else
         let k = String.trim (String.sub s i (!j - i)) in
         let i = !j + 1 in
-        if i >= n || s.[i] <> '"' then
-          Error (Printf.sprintf "line %d: label value not quoted" line)
+        if i >= n || s.[i] <> '"' then Error "label value not quoted"
         else begin
           let b = Buffer.create 16 in
           let i = ref (i + 1) in
@@ -564,7 +422,7 @@ let parse_labels ~line s =
                 i := !i + 1
           done;
           match !err with
-          | Some e -> Error (Printf.sprintf "line %d: %s" line e)
+          | Some e -> Error e
           | None ->
             let i = skip_ws !fin in
             if i < n && s.[i] = ',' then
@@ -647,8 +505,7 @@ let of_prometheus text =
         let labels_r, rest_i =
           if !name_end < n && s.[!name_end] = '{' then
             match
-              parse_labels ~line
-                (String.sub s (!name_end + 1) (n - !name_end - 1))
+              parse_labels (String.sub s (!name_end + 1) (n - !name_end - 1))
             with
             | Ok (labels, consumed) -> (Ok labels, !name_end + 1 + consumed)
             | Error e -> (Error e, n)
@@ -695,17 +552,24 @@ let of_prometheus text =
                   sample_order := key :: !sample_order;
                   hb
               in
-              if suffix = "_bucket" then begin
-                match List.assoc_opt "le" labels with
-                | None -> fail line "histogram bucket without le label"
-                | Some le_s -> (
-                  match parse_value le_s with
-                  | Error e -> fail line e
-                  | Ok le ->
-                    hb.hb_buckets <- (le, int_of_float v) :: hb.hb_buckets)
+              if suffix = "_sum" then hb.hb_sum <- Some v
+              else begin
+                match (count_of v, suffix) with
+                | None, _ ->
+                  fail line
+                    (Printf.sprintf "%s is not a count: %s" name (fmt_float v))
+                | Some c, "_count" -> hb.hb_count <- Some c
+                | Some c, _ -> (
+                  match List.assoc_opt "le" labels with
+                  | None -> fail line "histogram bucket without le label"
+                  | Some le_s -> (
+                    match parse_value le_s with
+                    | Error e -> fail line e
+                    | Ok le when Float.is_nan le -> fail line "le is NaN"
+                    | Ok le when List.mem_assoc le hb.hb_buckets ->
+                      fail line (Printf.sprintf "repeated le=%S" le_s)
+                    | Ok le -> hb.hb_buckets <- (le, c) :: hb.hb_buckets))
               end
-              else if suffix = "_sum" then hb.hb_sum <- Some v
-              else hb.hb_count <- Some (int_of_float v)
             | None -> (
               match Hashtbl.find_opt kinds name with
               | None ->
@@ -715,6 +579,8 @@ let of_prometheus text =
                 fail line
                   (Printf.sprintf
                      "histogram %s exposed as a bare sample" name)
+              | Some Counter when v < 0.0 ->
+                fail line (Printf.sprintf "counter %s is negative" name)
               | Some (Counter | Gauge) ->
                 let labels =
                   List.sort (fun (a, _) (b, _) -> compare a b) labels

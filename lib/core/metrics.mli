@@ -1,5 +1,7 @@
 (** Process-wide metrics registry: named counters, gauges, and
-    histograms, plus Prometheus text-format and JSON exposition.
+    histograms, plus their Prometheus text exposition — the one format
+    a snapshot leaves the process in (a scrape, the [metrics] request
+    op, a snapshot file line) and is read back from.
 
     - [null] costs nothing. A handle minted against {!null} is a
       no-op variant; every operation matches on it first and returns
@@ -119,16 +121,14 @@ val snapshot : t -> snapshot
     in [+Inf], then [_sum] and [_count]. *)
 val to_prometheus : snapshot -> string
 
-(** JSON form (for the [metrics] request op and snapshot files):
-    [{"families":[...]}]. *)
-val to_json : snapshot -> Telemetry.json
-
-val of_json : Telemetry.json -> (snapshot, string) result
-
 (** Parse an exposition back into a snapshot. Strict: every sample
-    must be preceded by a matching [# TYPE] line, histogram bucket
-    counts must be non-decreasing and end in [+Inf] — so this doubles
-    as the well-formedness check used by the tests and CI. *)
+    must be preceded by a matching [# TYPE] line, counters must not be
+    negative, each histogram series needs distinct, non-NaN [le]s
+    ending in [+Inf], and its bucket counts must be non-decreasing
+    integers in \[0, 2{^53}\] whose last equals [_count]. So this
+    doubles as the well-formedness check used by the tests and CI, and
+    as the reader of every snapshot that leaves the process. An error
+    names the offending line or family. *)
 val of_prometheus : string -> (snapshot, string) result
 
 (** Human-readable table (the [metrics-summary] CLI rendering):

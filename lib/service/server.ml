@@ -433,7 +433,6 @@ let account ?(op = "invalid") ?(cache_hit = false) ?(elapsed_s = 0.0) t ~error
         t.flushed <- c
       end)
 
-let metrics_json () = Metrics.(to_json (snapshot (default ())))
 let metrics_text () = Metrics.(to_prometheus (snapshot (default ())))
 
 let handle_request t events req_json =
@@ -456,7 +455,7 @@ let handle_request t events req_json =
          [
            ("id", id);
            ("op", T.String "metrics");
-           ("metrics", metrics_json ());
+           ("metrics", T.String (metrics_text ()));
          ])
   | _ -> (
   match parse_request req_json with
@@ -616,10 +615,12 @@ let serve_metrics ~port =
          with Sys_error _ | Unix.Unix_error _ -> ());
         try Unix.close fd with Unix.Unix_error _ -> ()
       done)
+  |> ignore
 
-(* Periodic JSONL snapshot dump on the heartbeat cadence. Returns the
-   stop function: it joins the dumper and writes one final snapshot so
-   a short-lived server still leaves a record. *)
+(* Periodic JSONL snapshot dump on the heartbeat cadence, each line
+   carrying one exposition as a JSON string. Returns the stop function:
+   it joins the dumper and writes one final snapshot so a short-lived
+   server still leaves a record. *)
 let start_metrics_dump ~path ~interval_s =
   let oc = open_out path in
   let w = Writer.of_channel oc in
@@ -630,7 +631,7 @@ let start_metrics_dump ~path ~interval_s =
             [
               ("ev", T.String "metrics");
               ("ts", T.seconds (Unix.gettimeofday ()));
-              ("metrics", metrics_json ());
+              ("metrics", T.String (metrics_text ()));
             ]))
   in
   let stop = Atomic.make false in

@@ -95,8 +95,12 @@ val serve_tcp : t -> port:int -> unit
     the default registry (see {!Packing.Metrics}). Each request is
     written there once, when it finishes, with the change in the cache's
     counters; only the in-flight gauge also moves when it starts. A
-    request line [{"op":"metrics"}] is answered with a JSON snapshot of
-    the default registry without touching the solver pipeline. *)
+    request line [{"op":"metrics"}] is answered with
+    [{"id":..., "op":"metrics", "metrics":"<exposition>"}], the
+    {!metrics_text} of that moment as a JSON string, without touching
+    the solver pipeline. The exposition is the one format a snapshot
+    leaves the process in; [of_prometheus] in {!Packing.Metrics} reads
+    it back. *)
 
 (** One Prometheus text exposition of the default registry. *)
 val metrics_text : unit -> string
@@ -104,13 +108,13 @@ val metrics_text : unit -> string
 (** [serve_metrics ~port] binds [127.0.0.1:port] (raising on a clash,
     synchronously) and spawns a domain that answers every connection
     with one {!metrics_text} exposition and closes it — a minimal
-    Prometheus scrape target. The domain never terminates; the handle
-    is returned for symmetry but joining it never succeeds. *)
-val serve_metrics : port:int -> unit Domain.t
+    Prometheus scrape target. The domain never terminates. *)
+val serve_metrics : port:int -> unit
 
 (** [start_metrics_dump ~path ~interval_s] opens [path] and spawns a
-    domain appending one [{"ev":"metrics", "ts":..., "metrics":{...}}]
-    line every [interval_s] seconds through a {!Writer}. Returns the
+    domain appending one [{"ev":"metrics", "ts":..., "metrics":"..."}]
+    line every [interval_s] seconds through a {!Writer}; [metrics] is
+    the {!metrics_text} exposition as a JSON string. Returns the
     stop function, which joins the dumper, writes one final snapshot,
     and closes the file. *)
 val start_metrics_dump : path:string -> interval_s:float -> unit -> unit

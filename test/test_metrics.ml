@@ -6,8 +6,9 @@
    - histogram buckets come out cumulative, monotone, ending in +Inf
      with the last bucket equal to the observation count;
    - the null registry is a true no-op surface (and snapshots empty);
-   - exposition is byte-deterministic and [of_prometheus] /
-     [of_json] invert the renderers;
+   - exposition is byte-deterministic, [of_prometheus] inverts
+     [to_prometheus], rejects malformed input with an error naming its
+     line or family, and never raises on a mutated exposition;
    - registration validates names and rejects kind clashes. *)
 
 module M = Packing.Metrics
@@ -178,10 +179,7 @@ let populated () =
 let test_exposition_deterministic () =
   let s = populated () in
   Alcotest.(check string) "same snapshot renders identically"
-    (M.to_prometheus s) (M.to_prometheus s);
-  Alcotest.(check string) "same snapshot, same JSON"
-    (T.to_string (M.to_json s))
-    (T.to_string (M.to_json s))
+    (M.to_prometheus s) (M.to_prometheus s)
 
 let test_prometheus_round_trip () =
   let s = populated () in
@@ -191,39 +189,112 @@ let test_prometheus_round_trip () =
   | Ok s' ->
     Alcotest.(check string) "parse inverts render" text (M.to_prometheus s')
 
-let test_json_round_trip () =
-  let s = populated () in
-  let j = T.to_string (M.to_json s) in
-  match T.of_string j with
-  | Error e -> Alcotest.failf "snapshot JSON unparseable: %s" e
-  | Ok doc -> (
-    match M.of_json doc with
-    | Error e -> Alcotest.failf "own JSON rejected: %s" e
-    | Ok s' ->
-      Alcotest.(check string) "JSON round-trip preserves the snapshot"
-        (M.to_prometheus s) (M.to_prometheus s'))
-
 let test_of_prometheus_rejects_malformed () =
   let cases =
     [
-      ("sample without TYPE", "orphan_total 1\n");
+      ( "sample without TYPE",
+        "orphan_total 1\n",
+        "line 1: sample orphan_total has no preceding # TYPE" );
       ( "kind clash",
-        "# TYPE x counter\nx 1\n# TYPE x gauge\nx 2\n" );
+        "# TYPE x counter\nx 1\n# TYPE x gauge\nx 2\n",
+        "line 3: duplicate TYPE for x" );
       ( "buckets missing +Inf",
-        "# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_sum 1\nh_count 1\n" );
+        "# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_sum 1\nh_count 1\n",
+        "h: buckets do not end in +Inf" );
       ( "non-cumulative buckets",
         "# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_bucket{le=\"+Inf\"} 3\n\
-         h_sum 1\nh_count 3\n" );
+         h_sum 1\nh_count 3\n",
+        "h: bucket counts not cumulative" );
       ( "duplicate sample",
-        "# TYPE x counter\nx 1\nx 2\n" );
+        "# TYPE x counter\nx 1\nx 2\n",
+        "line 3: duplicate sample for x" );
+      ( "label without '='",
+        "# TYPE x counter\nx{a} 1\n",
+        "line 2: label missing '='" );
+      ( "NaN bucket count",
+        "# TYPE h histogram\nh_bucket{le=\"1\"} NaN\n\
+         h_bucket{le=\"+Inf\"} 1\nh_sum 1\nh_count 1\n",
+        "line 2: h_bucket is not a count: NaN" );
+      ( "fractional bucket and _count",
+        "# TYPE h histogram\nh_bucket{le=\"1\"} 1.7\n\
+         h_bucket{le=\"+Inf\"} 2\nh_sum 1\nh_count 2.9\n",
+        "line 2: h_bucket is not a count: 1.7" );
+      ( "negative bucket counts and _count",
+        "# TYPE h histogram\nh_bucket{le=\"1\"} -2\n\
+         h_bucket{le=\"+Inf\"} -1\nh_sum 0\nh_count -1\n",
+        "line 2: h_bucket is not a count: -2" );
+      ( "count above 2^53",
+        "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 1e300\nh_sum 0\n\
+         h_count 0\n",
+        "line 2: h_bucket is not a count: 1e+300" );
+      ( "NaN le",
+        "# TYPE h histogram\nh_bucket{le=\"NaN\"} 0\n\
+         h_bucket{le=\"+Inf\"} 0\nh_sum 0\nh_count 0\n",
+        "line 2: le is NaN" );
+      ( "repeated le",
+        "# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_bucket{le=\"1\"} 1\n\
+         h_bucket{le=\"+Inf\"} 1\nh_sum 1\nh_count 1\n",
+        "line 3: repeated le=\"1\"" );
+      ( "negative counter",
+        "# TYPE x counter\nx -1\n",
+        "line 2: counter x is negative" );
     ]
   in
   List.iter
-    (fun (what, text) ->
+    (fun (what, text, error) ->
       match M.of_prometheus text with
-      | Error _ -> ()
+      | Error e -> Alcotest.(check string) what error e
       | Ok _ -> Alcotest.failf "of_prometheus accepted %s" what)
     cases
+
+(* Flip, delete and insert a few bytes of a populated exposition: the
+   reader never raises, and whatever it accepts renders to a text it
+   accepts again. *)
+let arb_mutant =
+  let text = M.to_prometheus (populated ()) in
+  let n = String.length text in
+  let edit s e =
+    let len = String.length s in
+    let upto i = String.sub s 0 i and from i = String.sub s i (len - i) in
+    match e with
+    | `Flip (i, mask) ->
+      let i = i mod len in
+      let c = Char.chr (Char.code s.[i] lxor mask) in
+      upto i ^ String.make 1 c ^ from (i + 1)
+    | `Delete i ->
+      let i = i mod len in
+      upto i ^ from (i + 1)
+    | `Insert (i, c) ->
+      let i = i mod (len + 1) in
+      upto i ^ String.make 1 c ^ from i
+  in
+  let open QCheck.Gen in
+  (* any byte, or one that means something to the reader *)
+  let byte =
+    oneof
+      [
+        char;
+        oneofl [ '0'; '-'; '.'; 'e'; '"'; '{'; '}'; ','; '='; ' '; '\n'; '#' ];
+      ]
+  in
+  let edits =
+    list_size (1 -- 4)
+      (oneof
+         [
+           map2 (fun i mask -> `Flip (i, mask)) (0 -- n) (1 -- 255);
+           map (fun i -> `Delete i) (0 -- n);
+           map2 (fun i c -> `Insert (i, c)) (0 -- n) byte;
+         ])
+  in
+  QCheck.make ~print:String.escaped (map (List.fold_left edit text) edits)
+
+let prop_reader_total text =
+  match M.of_prometheus text with
+  | Error _ -> true
+  | Ok snap -> (
+    match M.of_prometheus (M.to_prometheus snap) with
+    | Ok _ -> true
+    | Error e -> QCheck.Test.fail_reportf "re-rendered text rejected: %s" e)
 
 (* ------------------------------------------------------------------ *)
 (* Registration validation                                             *)
@@ -607,10 +678,11 @@ let () =
             test_exposition_deterministic;
           Alcotest.test_case "of_prometheus inverts to_prometheus" `Quick
             test_prometheus_round_trip;
-          Alcotest.test_case "of_json inverts to_json" `Quick
-            test_json_round_trip;
           Alcotest.test_case "of_prometheus rejects malformed input" `Quick
             test_of_prometheus_rejects_malformed;
+          Fixed_seed.qtest ~seed ~count:2000
+            "of_prometheus survives mutated expositions" arb_mutant
+            prop_reader_total;
         ] );
       ( "instrumentation",
         [

@@ -1058,10 +1058,10 @@ let test_metrics_hit_miss_populations () =
   | None -> Alcotest.fail "metrics op produced no response"
   | Some l -> (
     let j = parse_json l in
-    match T.member "metrics" j with
-    | None -> Alcotest.failf "no metrics member in %s" l
-    | Some payload -> (
-      match M.of_json payload with
+    match Option.bind (T.member "metrics" j) T.to_string_opt with
+    | None -> Alcotest.failf "no metrics string in %s" l
+    | Some text -> (
+      match M.of_prometheus text with
       | Error e -> Alcotest.failf "metrics op payload rejected: %s" e
       | Ok snap' ->
         Alcotest.(check (float 0.0)) "op snapshot agrees on hits" 2.0
