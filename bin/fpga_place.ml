@@ -300,6 +300,7 @@ let trace_term =
 
 let cadence flag = function
   | Some s when not (s > 0.0) -> Error (flag ^ " must be positive")
+  | Some s when s = Float.infinity -> Error (flag ^ " must be finite")
   | c -> Ok c
 
 (* What the search flags resolve to: solver options carrying the
@@ -864,13 +865,8 @@ let serve_cmd =
   let cache_size =
     Arg.(value & opt int 1024
          & info [ "cache-size" ] ~docv:"N"
-             ~doc:"Result-cache capacity in entries (LRU eviction).")
-  in
-  let no_cache =
-    Arg.(value & flag
-         & info [ "no-cache" ]
-             ~doc:"Disable the canonicalization-keyed result cache; every \
-                   request reaches the solver.")
+             ~doc:"Result-cache capacity in entries (LRU eviction); 0 holds \
+                   no cache, so every request reaches the solver.")
   in
   let max_nodes =
     Arg.(value & opt (some int) None
@@ -919,9 +915,19 @@ let serve_cmd =
                    heartbeat cadence (1.0 s unless --heartbeat says \
                    otherwise), plus one final snapshot at shutdown.")
   in
-  let body serve_jobs cache_size no_cache max_nodes max_time solver_jobs
+  let body serve_jobs cache_size max_nodes max_time solver_jobs
       heartbeat port metrics_port metrics_snapshot stats () =
     let* heartbeat = cadence "--heartbeat" heartbeat in
+    let* max_time = cadence "--max-time" max_time in
+    let* () =
+      let max_jobs = Packing.Parallel_solver.max_jobs in
+      match max_nodes with
+      | Some n when n <= 0 -> Error "--max-nodes must be positive"
+      | _ when solver_jobs < 1 || solver_jobs > max_jobs ->
+        Error (Printf.sprintf "--solver-jobs must lie in 1..%d" max_jobs)
+      | _ when cache_size < 0 -> Error "--cache-size must not be negative"
+      | _ -> Ok ()
+    in
     (* The serve loop always runs with a live metrics registry — the
        "metrics" request op, the exposition port, and the snapshot dump
        all read it. Installed before [create] so the server and cache
@@ -931,7 +937,6 @@ let serve_cmd =
       {
         Service.Server.jobs = serve_jobs;
         cache_capacity = cache_size;
-        use_cache = not no_cache;
         max_nodes;
         max_time_s = max_time;
         heartbeat_s = heartbeat;
@@ -974,7 +979,7 @@ let serve_cmd =
      stream."
   in
   command "serve" ~doc
-    Term.(const body $ serve_jobs $ cache_size $ no_cache $ max_nodes
+    Term.(const body $ serve_jobs $ cache_size $ max_nodes
           $ max_time $ solver_jobs $ heartbeat $ port $ metrics_port
           $ metrics_snapshot $ stats_opt)
 
@@ -1006,7 +1011,9 @@ let metrics_summary_cmd =
     in
     let* s =
       Result.map_error (fun msg -> file ^ ": " ^ msg)
-        (Packing.Metrics.of_prometheus exposition)
+        (match Packing.Metrics.of_prometheus exposition with
+         | Ok [] -> Error "no metrics"
+         | r -> r)
     in
     Format.printf "%a@?" Packing.Metrics.pp_table s;
     Ok 0

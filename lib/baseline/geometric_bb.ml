@@ -33,24 +33,12 @@ let normal_positions inst ~axis ~cap =
 exception Done of Placement.t
 exception Limit
 
-let solve ?node_limit ?(use_bounds = false) inst cont =
+let solve ?node_limit inst cont =
   let n = Packing.Instance.count inst in
   let d = Packing.Instance.dim inst in
   if Container.dim cont <> d then
     invalid_arg "Geometric_bb.solve: container dimension mismatch";
   let nodes = ref 0 and positions = ref 0 in
-  if
-    (* Optional stage-1 pre-check through the shared engine. Off by
-       default so the ablation benchmark keeps measuring the raw
-       enumeration against the raw packing-class search. *)
-    use_bounds
-    &&
-    match Packing.Bound_engine.(check (create ()) inst cont) with
-    | Packing.Bound_engine.Infeasible _ -> true
-    | Packing.Bound_engine.Lower_bound _ | Packing.Bound_engine.Inconclusive ->
-      false
-  then (Infeasible, { nodes = 0; positions_tried = 0 })
-  else begin
   let orders = Packing.Instance.orders inst in
   let p = Packing.Instance.precedence inst in
   let order =
@@ -147,4 +135,3 @@ let solve ?node_limit ?(use_bounds = false) inst cont =
   with
   | Done placement -> finish (Feasible placement)
   | Limit -> finish Timeout
-  end

@@ -17,7 +17,9 @@
     and leaves are validated with
     {!Packing.Instance.placement_feasible}. This makes it the reference
     oracle for differential tests of the packing-class search on
-    [d <> 3] and spatially-ordered instances.
+    [d <> 3] and spatially-ordered instances. It calls none of the
+    solver code it judges (no bound engine, heuristic or propagation):
+    only the instance accessors and the placement check.
 
     This solver is {e exact} but exponentially slower than the
     packing-class search — which is precisely what the ablation
@@ -33,17 +35,12 @@ type stats = {
   positions_tried : int;
 }
 
-(** [solve ?node_limit ?use_bounds instance container] decides
-    feasibility by geometric enumeration. The limit counts explored
-    partial placements {e plus} tried anchor positions (positions
-    dominate the cost on large containers). The witness is validated
-    before being returned. [use_bounds] (default [false]) runs the
-    shared {!Packing.Bound_engine} as a stage-1 pre-check first; it is
-    off by default so the ablation benchmark keeps measuring the raw
-    enumeration. *)
+(** [solve ?node_limit instance container] decides feasibility by
+    geometric enumeration. The limit counts explored partial placements
+    {e plus} tried anchor positions (positions dominate the cost on
+    large containers). The witness is validated before being returned. *)
 val solve :
   ?node_limit:int ->
-  ?use_bounds:bool ->
   Packing.Instance.t ->
   Geometry.Container.t ->
   outcome * stats

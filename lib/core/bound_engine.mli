@@ -2,9 +2,10 @@
 
     One registry of bound functions serves every layer that prunes: the
     stage-1 root check of {!Opp_solver}, probe skipping and proven
-    lower bounds in {!Problems}, and the pre-checks of {!Knapsack} and the
-    baseline solvers. The search's node check is energetic reasoning
-    alone ({!energetic_at_node}).
+    lower bounds in {!Problems}, and the pre-check of {!Knapsack}. The
+    geometric baseline ([Baseline.Geometric_bb]) does not call it: it
+    judges the search independently. The search's node check is
+    energetic reasoning alone ({!energetic_at_node}).
 
     Every registered bound takes a (sub)instance plus a container and
     returns a typed {!verdict}:

@@ -91,7 +91,6 @@ let order t k = t.orders.(k)
 let orders t = Array.copy t.orders
 let precedence t = t.orders.(t.objective_axis)
 let precedes t u v = PO.precedes t.orders.(t.objective_axis) u v
-let precedes_axis t k u v = PO.precedes t.orders.(k) u v
 
 let ordered_axes t =
   List.filter

@@ -83,10 +83,6 @@ val precedence : t -> Order.Partial_order.t
     (objective axis). *)
 val precedes : t -> int -> int -> bool
 
-(** [precedes_axis i k u v] is [true] iff [u] must end before [v]
-    begins along axis [k]. *)
-val precedes_axis : t -> int -> int -> int -> bool
-
 (** Axes carrying a non-empty order, ascending. *)
 val ordered_axes : t -> int list
 

@@ -46,6 +46,9 @@ let set_default t = Atomic.set default_t t
 
 (* --- name / label validation -------------------------------------- *)
 
+(* Registration and the exposition reader share these checks: a name or
+   label set that one direction refuses, the other refuses too. *)
+
 let name_ok s =
   String.length s > 0
   && (match s.[0] with 'a' .. 'z' | 'A' .. 'Z' | '_' | ':' -> true | _ -> false)
@@ -87,22 +90,26 @@ let label_key labels =
       labels;
     Buffer.contents b
 
-let canonical_labels ~name labels =
+let check_name name =
+  if name_ok name then Ok () else Error (Printf.sprintf "bad metric name %S" name)
+
+(* The labels sorted by key, or the first bad or repeated label name. *)
+let check_labels ~name labels =
   let sorted = List.sort (fun (a, _) (b, _) -> compare a b) labels in
-  let rec check = function
-    | (a, _) :: ((b, _) :: _ as tl) ->
-      if a = b then
-        invalid_arg (Printf.sprintf "Metrics: duplicate label %S on %s" a name);
-      check tl
-    | _ -> ()
+  let rec repeated = function
+    | (a, _) :: ((b, _) :: _ as tl) -> if a = b then Some a else repeated tl
+    | _ -> None
   in
-  List.iter
-    (fun (k, _) ->
-      if not (label_name_ok k) then
-        invalid_arg (Printf.sprintf "Metrics: bad label name %S on %s" k name))
-    sorted;
-  check sorted;
-  sorted
+  match List.find_opt (fun (k, _) -> not (label_name_ok k)) sorted with
+  | Some (k, _) -> Error (Printf.sprintf "bad label name %S on %s" k name)
+  | None -> (
+    match repeated sorted with
+    | Some a -> Error (Printf.sprintf "duplicate label %S on %s" a name)
+    | None -> Ok sorted)
+
+let or_invalid = function
+  | Ok v -> v
+  | Error msg -> invalid_arg ("Metrics: " ^ msg)
 
 (* --- registration -------------------------------------------------- *)
 
@@ -124,8 +131,7 @@ let check_buckets name le =
     le
 
 let family r ~name ~kind ~help ~buckets =
-  if not (name_ok name) then
-    invalid_arg (Printf.sprintf "Metrics: bad metric name %S" name);
+  or_invalid (check_name name);
   match Hashtbl.find_opt r.families name with
   | Some f ->
     if f.f_kind <> kind then
@@ -151,7 +157,7 @@ let family r ~name ~kind ~help ~buckets =
 let series r ~name ~kind ~help ~buckets ~labels =
   Mutex.protect r.lock (fun () ->
       let f = family r ~name ~kind ~help ~buckets in
-      let labels = canonical_labels ~name labels in
+      let labels = or_invalid (check_labels ~name labels) in
       let key = label_key labels in
       match Hashtbl.find_opt f.f_series key with
       | Some (_, s) -> s
@@ -481,13 +487,14 @@ let of_prometheus text =
           in
           match k with
           | None -> fail line (Printf.sprintf "unknown TYPE %S" kind_s)
-          | Some k ->
-            if Hashtbl.mem kinds name then
+          | Some k -> (
+            match check_name name with
+            | Error e -> fail line e
+            | Ok () when Hashtbl.mem kinds name ->
               fail line (Printf.sprintf "duplicate TYPE for %s" name)
-            else begin
+            | Ok () ->
               Hashtbl.add kinds name k;
-              order := name :: !order
-            end)
+              order := name :: !order))
         | "#" :: "HELP" :: name :: rest ->
           Hashtbl.replace helps name (unescape_help (String.concat " " rest))
         | _ -> () (* other comments ignored *)
@@ -511,7 +518,7 @@ let of_prometheus text =
             | Error e -> (Error e, n)
           else (Ok [], !name_end)
         in
-        match labels_r with
+        match Result.bind labels_r (check_labels ~name) with
         | Error e -> fail line e
         | Ok labels -> (
           let v_str = String.trim (String.sub s rest_i (n - rest_i)) in
@@ -536,10 +543,7 @@ let of_prometheus text =
             in
             match hist_component with
             | Some (base, suffix) ->
-              let plain =
-                List.filter (fun (k, _) -> k <> "le") labels
-                |> List.sort (fun (a, _) (b, _) -> compare a b)
-              in
+              let plain = List.filter (fun (k, _) -> k <> "le") labels in
               let key = (base, label_key plain) in
               let hb =
                 match Hashtbl.find_opt hists key with
@@ -582,9 +586,6 @@ let of_prometheus text =
               | Some Counter when v < 0.0 ->
                 fail line (Printf.sprintf "counter %s is negative" name)
               | Some (Counter | Gauge) ->
-                let labels =
-                  List.sort (fun (a, _) (b, _) -> compare a b) labels
-                in
                 let key = (name, label_key labels) in
                 if Hashtbl.mem scalars key then
                   fail line (Printf.sprintf "duplicate sample for %s" name)

@@ -393,12 +393,6 @@ let solve ?(options = default_options) ?schedule inst cont =
     ~settled:(fun outcome stats -> (outcome, stats))
     ~stage3:(fun ~t0 state -> search ~options ~t0 ~depth_offset:0 state)
 
-let feasible ?options ?schedule inst cont =
-  match solve ?options ?schedule inst cont with
-  | Feasible _, _ -> Ok true
-  | Infeasible, _ -> Ok false
-  | Timeout, _ -> Error `Timeout
-
 let pp_outcome fmt = function
   | Feasible _ -> Format.pp_print_string fmt "feasible"
   | Infeasible -> Format.pp_print_string fmt "infeasible"

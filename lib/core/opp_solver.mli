@@ -213,17 +213,6 @@ val solve_state :
   Packing_state.t ->
   outcome * stats
 
-(** [feasible instance container] is [solve] reduced to a boolean.
-    [Error `Timeout] reports an exhausted budget instead of raising, so
-    a budget-limited caller can distinguish "proved infeasible" from
-    "gave up". *)
-val feasible :
-  ?options:options ->
-  ?schedule:int array ->
-  Instance.t ->
-  Geometry.Container.t ->
-  (bool, [ `Timeout ]) result
-
 val pp_outcome : Format.formatter -> outcome -> unit
 val pp_stats : Format.formatter -> stats -> unit
 

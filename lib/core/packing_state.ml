@@ -622,9 +622,6 @@ let assign_comparable t ~dim u v =
   | Error c -> pair_conflict dim c
   | Ok () -> stabilize t
 
-let unknown_count t =
-  Array.fold_left (fun acc og -> acc + List.length (OG.unknown_pairs og)) 0 t.dims
-
 (* Branching priorities:
 
    1. Pairs with no comparable dimension anywhere ("C3 pressure"):

@@ -116,9 +116,6 @@ val assign_comparable : t -> dim:int -> int -> int -> (unit, conflict) result
 (** Re-run all propagation to a fixpoint (after external mutations). *)
 val stabilize : t -> (unit, conflict) result
 
-(** Number of pairs still undecided (summed over dimensions). *)
-val unknown_count : t -> int
-
 (** Pick the next branching variable [(dim, u, v)]: an undecided pair
     maximizing the combined extent relative to the container — the most
     constrained decision. [None] at a leaf. *)

@@ -123,7 +123,6 @@ let copy t =
 
 let width t = t.width
 let height t = t.height
-let used_area t = t.used
 let free_area t = (t.width * t.height) - t.used
 
 let tuple r = (r.x, r.y, r.w, r.h)

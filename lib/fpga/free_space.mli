@@ -41,10 +41,8 @@ val copy : t -> t
 val width : t -> int
 val height : t -> int
 
-(** Number of free (respectively occupied) cells. *)
+(** Number of free cells. *)
 val free_area : t -> int
-
-val used_area : t -> int
 
 (** The occupied modules as [(id, (x, y, w, h))], sorted by id. *)
 val occupied : t -> (int * (int * int * int * int)) list

@@ -26,13 +26,8 @@ type report = {
   utilization : float;
 }
 
-let run ?result_words inst placement ~chip =
+let run inst placement ~chip =
   let n = Instance.count inst in
-  let result_words =
-    match result_words with
-    | Some f -> f
-    | None -> fun i -> Instance.extent inst i 0
-  in
   let errors = ref [] in
   let error fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
   let w = Chip.width chip and h = Chip.height chip in
@@ -108,7 +103,8 @@ let run ?result_words inst placement ~chip =
             (min_int, -1) cs
         in
         let release_time, last_consumer = last in
-        let words = result_words u in
+        (* one column of flip-flops: the module width *)
+        let words = Instance.extent inst u 0 in
         (* one write-out plus one read-in per consumer *)
         bus_words := !bus_words + words + (List.length cs * words);
         live := (u, release_time, words) :: !live;

@@ -45,11 +45,10 @@ type report = {
   utilization : float; (** busy cell-cycles / (cells * makespan) *)
 }
 
-(** [run instance placement ~chip] replays the placement. [result_words]
-    gives the register count handed over per producing task (default:
-    the module width, one column of flip-flops). *)
+(** [run instance placement ~chip] replays the placement. Each producing
+    task hands over as many registers as its module is wide (one column
+    of flip-flops). *)
 val run :
-  ?result_words:(int -> int) ->
   Packing.Instance.t ->
   Geometry.Placement.t ->
   chip:Chip.t ->

@@ -61,15 +61,6 @@ let document ~width ~height body =
      viewBox='0 0 %d %d'>\n%s</svg>\n"
     width height width height body
 
-let floorplan p ~container ~time ?(labels = default_label) () =
-  let w = Container.extent container 0 and h = Container.extent container 1 in
-  let buf = Buffer.create 1024 in
-  slice_group buf p ~container ~time ~labels ~ox:pad ~oy:pad;
-  document
-    ~width:((w * cell) + (2 * pad))
-    ~height:((h * cell) + (2 * pad))
-    (Buffer.contents buf)
-
 let change_points p =
   let times = ref [] in
   for i = 0 to Placement.count p - 1 do

@@ -8,7 +8,6 @@ module Placement = Geometry.Placement
 type config = {
   jobs : int;
   cache_capacity : int;
-  use_cache : bool;
   max_nodes : int option;
   max_time_s : float option;
   heartbeat_s : float option;
@@ -19,7 +18,6 @@ let default_config =
   {
     jobs = 1;
     cache_capacity = 1024;
-    use_cache = true;
     max_nodes = None;
     max_time_s = None;
     heartbeat_s = None;
@@ -34,7 +32,7 @@ type solved =
 
 type t = {
   config : config;
-  cache : solved Result_cache.t;
+  cache : solved Result_cache.t option; (* [None] at capacity 0 *)
   lock : Mutex.t;
   mutable requests : int;
   mutable errors : int;
@@ -68,6 +66,17 @@ type t = {
    long-running loop keeps at most this many, whatever its uptime. *)
 let latency_window = 65_536
 
+let counters_of = function
+  | Some cache -> Result_cache.counters cache
+  | None ->
+    {
+      T.cache_hits = 0;
+      cache_misses = 0;
+      cache_evictions = 0;
+      cache_entries = 0;
+      cache_capacity = 0;
+    }
+
 let create ?(config = default_config) () =
   let config = { config with jobs = max 1 config.jobs } in
   let m = Metrics.default () in
@@ -76,10 +85,15 @@ let create ?(config = default_config) () =
       ~labels:[ ("cache", label) ]
       "fpga_server_request_seconds"
   in
-  let cache = Result_cache.create ~capacity:config.cache_capacity () in
+  let cache =
+    if config.cache_capacity > 0 then
+      Some (Result_cache.create ~capacity:config.cache_capacity ())
+    else None
+  in
+  let flushed = counters_of cache in
   Metrics.set
     (Metrics.gauge m ~help:"Result cache capacity" "fpga_cache_capacity")
-    (float_of_int config.cache_capacity);
+    (float_of_int flushed.T.cache_capacity);
   {
     config;
     cache;
@@ -107,7 +121,7 @@ let create ?(config = default_config) () =
         "fpga_cache_evictions_total";
     m_entries =
       Metrics.gauge m ~help:"Result cache live entries" "fpga_cache_entries";
-    flushed = Result_cache.counters cache;
+    flushed;
   }
 
 type meta = {
@@ -425,7 +439,7 @@ let account ?(op = "invalid") ?(cache_hit = false) ?(elapsed_s = 0.0) t ~error
           (if cache_hit then t.m_lat_hit else t.m_lat_miss)
           elapsed_s;
         if nodes > 0 then Metrics.observe t.m_req_nodes (float_of_int nodes);
-        let c = Result_cache.counters t.cache and was = t.flushed in
+        let c = counters_of t.cache and was = t.flushed in
         Metrics.add t.m_hits (c.T.cache_hits - was.T.cache_hits);
         Metrics.add t.m_misses (c.T.cache_misses - was.T.cache_misses);
         Metrics.add t.m_evictions (c.T.cache_evictions - was.T.cache_evictions);
@@ -467,17 +481,15 @@ let handle_request t events req_json =
     match
       let canon = Canonical.of_instance req.io.Fpga.Instance_io.instance in
       let key = cache_key job canon in
-      let hit =
-        if t.config.use_cache then Result_cache.find t.cache key else None
-      in
-      match hit with
+      match Option.bind t.cache (fun c -> Result_cache.find c key) with
       | Some solved ->
         finish ~op ~digest:canon.Canonical.digest ~cache_hit:true ~error:false
           (render req canon solved)
       | None ->
         let solved, nodes = solve_request t req job events canon in
-        if t.config.use_cache && is_definitive solved then
-          Result_cache.add t.cache key solved;
+        (match t.cache with
+        | Some c when is_definitive solved -> Result_cache.add c key solved
+        | _ -> ());
         finish ~op ~digest:canon.Canonical.digest ~nodes ~error:false
           (render req canon solved)
     with
@@ -656,7 +668,7 @@ let start_metrics_dump ~path ~interval_s =
 (* Statistics                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let cache_counters t = Result_cache.counters t.cache
+let cache_counters t = counters_of t.cache
 
 let stats_json t =
   let requests, errors, nodes, lat, ops =
@@ -683,5 +695,5 @@ let stats_json t =
       ( "ops",
         T.Obj
           (List.sort compare ops |> List.map (fun (k, v) -> (k, T.Int v))) );
-      ("cache", T.cache_to_json (Result_cache.counters t.cache));
+      ("cache", T.cache_to_json (cache_counters t));
     ]

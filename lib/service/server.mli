@@ -37,7 +37,8 @@
 type config = {
   jobs : int;  (** worker domains draining the request stream (>= 1) *)
   cache_capacity : int;
-  use_cache : bool;
+      (** result-cache entries; 0 (or less) holds no cache, and every
+          request reaches the solver *)
   max_nodes : int option;
       (** server-side cap: request node budgets are clamped to this *)
   max_time_s : float option;

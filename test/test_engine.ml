@@ -74,7 +74,11 @@ let reference_decided_fraction st =
   let total = d * (n * (n - 1) / 2) in
   if total = 0 then 1.0
   else begin
-    let unknown = PS.unknown_count st in
+    let unknown =
+      List.fold_left
+        (fun acc k -> acc + List.length (OG.unknown_pairs (PS.dimension st k)))
+        0 (List.init d Fun.id)
+    in
     float_of_int (total - unknown) /. float_of_int total
   end
 

@@ -226,29 +226,6 @@ let contains hay needle =
   let rec go i = i + nl <= l && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
 
-let test_svg_floorplan () =
-  let p = P.make two_boxes [| [| 0; 0; 0 |]; [| 2; 0; 0 |] |] in
-  let container = Container.make3 ~w:4 ~h:2 ~t_max:2 in
-  let svg = Geometry.Svg.floorplan p ~container ~time:0 () in
-  Alcotest.(check bool) "svg root" true (contains svg "<svg xmlns=");
-  (* Background + two task rectangles. *)
-  let rects = ref 0 in
-  let i = ref 0 in
-  while !i + 5 <= String.length svg do
-    if String.sub svg !i 5 = "<rect" then incr rects;
-    incr i
-  done;
-  Alcotest.(check int) "three rectangles" 3 !rects;
-  (* After both finish: only the background remains. *)
-  let svg = Geometry.Svg.floorplan p ~container ~time:2 () in
-  let rects = ref 0 in
-  let i = ref 0 in
-  while !i + 5 <= String.length svg do
-    if String.sub svg !i 5 = "<rect" then incr rects;
-    incr i
-  done;
-  Alcotest.(check int) "only background" 1 !rects
-
 let test_svg_storyboard () =
   let p = P.make two_boxes [| [| 0; 0; 0 |]; [| 0; 0; 2 |] |] in
   let container = Container.make3 ~w:2 ~h:2 ~t_max:4 in
@@ -257,8 +234,16 @@ let test_svg_storyboard () =
       ~labels:(fun i -> Printf.sprintf "task<%d>" i)
       ()
   in
+  Alcotest.(check bool) "svg root" true (contains svg "<svg xmlns=");
   Alcotest.(check bool) "two slices" true
     (contains svg "t = 0" && contains svg "t = 2");
+  (* Each slice draws its background and only the task running then;
+     the Gantt strip adds one bar per task. *)
+  let rects = ref 0 in
+  for i = 0 to String.length svg - 5 do
+    if String.sub svg i 5 = "<rect" then incr rects
+  done;
+  Alcotest.(check int) "two backgrounds, two running tasks, two bars" 6 !rects;
   (* Labels are escaped. *)
   Alcotest.(check bool) "escaped" true (contains svg "task&lt;0&gt;");
   Alcotest.(check bool) "no raw angle" false (contains svg "task<0>")
@@ -290,7 +275,6 @@ let () =
         ] );
       ( "svg",
         [
-          Alcotest.test_case "floorplan" `Quick test_svg_floorplan;
           Alcotest.test_case "storyboard" `Quick test_svg_storyboard;
         ] );
       ( "render",

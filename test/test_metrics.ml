@@ -238,6 +238,15 @@ let test_of_prometheus_rejects_malformed () =
       ( "negative counter",
         "# TYPE x counter\nx -1\n",
         "line 2: counter x is negative" );
+      ( "bad metric name",
+        "# TYPE 0bad counter\n0bad 3\n",
+        "line 1: bad metric name \"0bad\"" );
+      ( "bad label name",
+        "# TYPE x counter\nx{0a=\"1\"} 1\n",
+        "line 2: bad label name \"0a\" on x" );
+      ( "duplicate label keys",
+        "# TYPE x counter\nx{a=\"1\",a=\"2\"} 1\n",
+        "line 2: duplicate label \"a\" on x" );
     ]
   in
   List.iter

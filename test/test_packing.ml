@@ -370,13 +370,13 @@ let test_state_undo () =
   | Error e -> Alcotest.failf "consistent: %s" (why e)
   | Ok st ->
     let marks = PS.mark st in
-    let before = PS.unknown_count st in
+    let before = PS.decided_fraction st in
     (match PS.assign_component st ~dim:2 0 1 with
     | Ok () -> ()
     | Error e -> Alcotest.failf "assign failed: %s" (why e));
-    Alcotest.(check bool) "fewer unknowns" true (PS.unknown_count st < before);
+    Alcotest.(check bool) "more decided" true (PS.decided_fraction st > before);
     PS.undo_to st marks;
-    Alcotest.(check int) "restored" before (PS.unknown_count st)
+    Alcotest.(check (float 0.0)) "restored" before (PS.decided_fraction st)
 
 let test_state_schedule_seed () =
   let i = inst [ box3 2 2 2; box3 2 2 2 ] in

@@ -1,7 +1,6 @@
 (* Tests for the domain-parallel solver: the work-stealing deque,
    determinism across job counts, the jobs=1 short-circuit,
-   deadline/cancellation behaviour, steal telemetry, and the
-   budget-aware [Opp_solver.feasible] result. *)
+   deadline/cancellation behaviour and steal telemetry. *)
 
 module Box = Geometry.Box
 module Container = Geometry.Container
@@ -487,26 +486,6 @@ let test_report_json () =
   Alcotest.(check bool) "mentions steals" true (contains "\"steals\"");
   Alcotest.(check bool) "mentions jobs" true (contains "\"jobs\"")
 
-(* ------------------------------------------------------------------ *)
-(* Opp_solver.feasible regression (budget-aware result)                *)
-(* ------------------------------------------------------------------ *)
-
-let test_feasible_result () =
-  let yes = inst [ box3 2 2 2 ] in
-  (match Solver.feasible yes (cont3 2 2 2) with
-  | Ok true -> ()
-  | _ -> Alcotest.fail "expected Ok true");
-  let no = inst [ box3 2 2 2; box3 2 2 2 ] in
-  (match Solver.feasible ~options:search_only no (cont3 3 2 2) with
-  | Ok false -> ()
-  | _ -> Alcotest.fail "expected Ok false");
-  let i, c = hard_case () in
-  match
-    Solver.feasible ~options:{ search_only with node_limit = Some 1 } i c
-  with
-  | Error `Timeout -> ()
-  | Ok b -> Alcotest.failf "expected Error `Timeout, got Ok %b" b
-
 let () =
   Alcotest.run "parallel"
     [
@@ -547,10 +526,5 @@ let () =
             test_steal_counters;
           Alcotest.test_case "on_heartbeat fires" `Quick test_on_heartbeat;
           Alcotest.test_case "report json" `Quick test_report_json;
-        ] );
-      ( "regressions",
-        [
-          Alcotest.test_case "feasible returns result" `Quick
-            test_feasible_result;
         ] );
     ]

@@ -442,8 +442,8 @@ let duplicate_stream case =
   in
   (lines, !expected_hits)
 
-let run_stream ~use_cache lines =
-  let config = { Server.default_config with Server.use_cache } in
+let run_stream ~cache_capacity lines =
+  let config = { Server.default_config with Server.cache_capacity } in
   let server = Server.create ~config () in
   let responses = Hashtbl.create 16 in
   let w =
@@ -457,8 +457,10 @@ let run_stream ~use_cache lines =
 
 let prop_warm_replay_byte_identical case =
   let lines, expected_hits = duplicate_stream case in
-  let cold, _ = run_stream ~use_cache:false lines in
-  let warm, counters = run_stream ~use_cache:true lines in
+  let cold, _ = run_stream ~cache_capacity:0 lines in
+  let warm, counters =
+    run_stream ~cache_capacity:Server.default_config.cache_capacity lines
+  in
   if Hashtbl.length cold <> Hashtbl.length warm then
     QCheck.Test.fail_reportf "response counts differ: %d cold vs %d warm"
       (Hashtbl.length cold) (Hashtbl.length warm);
@@ -737,7 +739,7 @@ let test_hostile_budgets () =
   let out = ref [] in
   let w = Writer.of_sink (fun l -> out := l :: !out) in
   let server =
-    Server.create ~config:{ Server.default_config with use_cache = false } ()
+    Server.create ~config:{ Server.default_config with cache_capacity = 0 } ()
   in
   List.iter (Server.handle_line server w) lines;
   let responses = List.rev_map parse_json !out in
@@ -871,7 +873,7 @@ let test_concurrent_heartbeats_not_interleaved () =
     {
       Server.default_config with
       Server.jobs = 4;
-      use_cache = false (* every worker must actually search and emit *);
+      cache_capacity = 0 (* every worker must actually search and emit *);
       heartbeat_s = Some 0.0;
     }
   in
