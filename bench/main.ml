@@ -24,7 +24,7 @@ let wall f =
   let r = f () in
   (r, Packing.Clock.since t0)
 
-let verdict o = Format.asprintf "%a" Packing.Opp_solver.pp_outcome o
+let verdict = Packing.Opp_solver.outcome_name
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: DE benchmark, BMP for T in {6, 13, 14}                     *)

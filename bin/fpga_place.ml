@@ -361,24 +361,19 @@ let solve_cmd =
         { s.options with Packing.Opp_solver.use_heuristic = false }
       else s.options
     in
-    let outcome, pp_report =
-      if s.jobs > 1 then begin
-        let r = Packing.Parallel_solver.solve ~options ~jobs:s.jobs inst container in
-        print_json s.stats (fun () -> Packing.Parallel_solver.report_to_json r);
-        ( r.Packing.Parallel_solver.outcome,
-          fun fmt ->
-            Format.fprintf fmt "%d jobs, %d tasks, %d steals, %a" r.jobs
-              r.tasks r.steals Packing.Opp_solver.pp_stats
-              r.Packing.Parallel_solver.stats )
-      end
-      else begin
-        let outcome, st = Packing.Opp_solver.solve ~options inst container in
-        print_json s.stats (fun () -> Packing.Opp_solver.stats_to_json st);
-        (outcome, fun fmt -> Packing.Opp_solver.pp_stats fmt st)
-      end
+    let r = Packing.Parallel_solver.solve ~options ~jobs:s.jobs inst container in
+    let st = r.Packing.Parallel_solver.stats in
+    print_json s.stats (fun () ->
+        if r.jobs > 1 then Packing.Parallel_solver.report_to_json r
+        else Packing.Opp_solver.stats_to_json st);
+    let pp_report fmt =
+      if r.jobs > 1 then
+        Format.fprintf fmt "%d jobs, %d tasks, %d steals, %a" r.jobs r.tasks
+          r.steals Packing.Opp_solver.pp_stats st
+      else Packing.Opp_solver.pp_stats fmt st
     in
     s.finish ();
-    match outcome with
+    match r.outcome with
     | Packing.Opp_solver.Feasible p ->
       (match target with
       | `Chip (chip, t_max) ->

@@ -27,7 +27,7 @@ let () =
     let base_outcome, base_stats =
       Baseline.Geometric_bb.solve ~node_limit:geometric_budget inst container
     in
-    let verdict = Format.asprintf "%a" Packing.Opp_solver.pp_outcome outcome in
+    let verdict = Packing.Opp_solver.outcome_name outcome in
     let agree =
       match (outcome, base_outcome) with
       | Packing.Opp_solver.Feasible _, Baseline.Geometric_bb.Feasible _

@@ -645,7 +645,7 @@ let energetic_at_node t inst container ~sequencing =
 
 let time_lower_bound t inst container =
   check_dimensions ~who:"Bound_engine.time_lower_bound" inst container;
-  let ta = Instance.time_axis inst in
+  let ta = Instance.objective_axis inst in
   (* Query at the fully serialized makespan: any verdict there either
      yields a direct lower bound or refutes every conceivable schedule
      for these spatial extents. *)

@@ -81,7 +81,6 @@ let name t = t.name
 let count t = Array.length t.boxes
 let dim t = Box.dim t.boxes.(0)
 let objective_axis t = t.objective_axis
-let time_axis t = t.objective_axis
 let box t i = t.boxes.(i)
 let boxes t = Array.copy t.boxes
 let label t i = t.labels.(i)

@@ -56,10 +56,6 @@ val dim : t -> int
     [dim - 1]. *)
 val objective_axis : t -> int
 
-(** Historical alias of {!objective_axis} (the FPGA instances put
-    execution time on the last axis). *)
-val time_axis : t -> int
-
 val box : t -> int -> Geometry.Box.t
 val boxes : t -> Geometry.Box.t array
 val label : t -> int -> string

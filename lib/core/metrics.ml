@@ -188,8 +188,8 @@ let handle t ~kind ~help ~labels ~buckets name =
 let counter t ?(help = "") ?(labels = []) name =
   handle t ~kind:Counter ~help ~labels ~buckets:[||] name
 
-let gauge t ?(help = "") ?(labels = []) name =
-  handle t ~kind:Gauge ~help ~labels ~buckets:[||] name
+let gauge t ?(help = "") name =
+  handle t ~kind:Gauge ~help ~labels:[] ~buckets:[||] name
 
 let histogram t ?(help = "") ?(labels = []) ?(buckets = default_latency_buckets)
     name =

@@ -37,9 +37,10 @@ val set_default : t -> unit
 
 (** {1 Instruments}
 
-    [counter]/[gauge]/[histogram] register (or re-open) the series
-    [name]+[labels]; registering the same series twice returns handles
-    that accumulate into the same cells. Names must match
+    [counter]/[histogram] register (or re-open) the series
+    [name]+[labels], and [gauge] the unlabelled series [name];
+    registering the same series twice returns handles that accumulate
+    into the same cells. Names must match
     [[a-zA-Z_:][a-zA-Z0-9_:]*] and label names
     [[a-zA-Z_][a-zA-Z0-9_]*].
     @raise Invalid_argument on a malformed name, duplicate label keys,
@@ -52,8 +53,7 @@ type histogram
 val counter :
   t -> ?help:string -> ?labels:(string * string) list -> string -> counter
 
-val gauge :
-  t -> ?help:string -> ?labels:(string * string) list -> string -> gauge
+val gauge : t -> ?help:string -> string -> gauge
 
 (** [histogram] observations land in fixed buckets: [buckets] is the
     array of upper bounds ([le]), strictly increasing and finite; an

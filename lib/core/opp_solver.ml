@@ -393,10 +393,12 @@ let solve ?(options = default_options) ?schedule inst cont =
     ~settled:(fun outcome stats -> (outcome, stats))
     ~stage3:(fun ~t0 state -> search ~options ~t0 ~depth_offset:0 state)
 
-let pp_outcome fmt = function
-  | Feasible _ -> Format.pp_print_string fmt "feasible"
-  | Infeasible -> Format.pp_print_string fmt "infeasible"
-  | Timeout -> Format.pp_print_string fmt "timeout"
+let outcome_name = function
+  | Feasible _ -> "feasible"
+  | Infeasible -> "infeasible"
+  | Timeout -> "timeout"
+
+let pp_outcome fmt o = Format.pp_print_string fmt (outcome_name o)
 
 let pp_stats fmt s =
   Format.fprintf fmt

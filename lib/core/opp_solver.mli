@@ -213,6 +213,10 @@ val solve_state :
   Packing_state.t ->
   outcome * stats
 
+(** ["feasible" | "infeasible" | "timeout"]: the one name of each
+    outcome in reports, traces and [--stats json]. *)
+val outcome_name : outcome -> string
+
 val pp_outcome : Format.formatter -> outcome -> unit
 val pp_stats : Format.formatter -> stats -> unit
 

@@ -427,12 +427,6 @@ let solve ?(options = Opp_solver.default_options) ?schedule ~jobs inst cont =
           ~steals:work.Telemetry.steals)
 
 let report_to_json r =
-  let outcome =
-    match r.outcome with
-    | Opp_solver.Feasible _ -> "feasible"
-    | Opp_solver.Infeasible -> "infeasible"
-    | Opp_solver.Timeout -> "timeout"
-  in
   let worker w =
     Telemetry.Obj
       [
@@ -445,7 +439,7 @@ let report_to_json r =
   Telemetry.to_string
     (Telemetry.Obj
        [
-         ("outcome", Telemetry.String outcome);
+         ("outcome", Telemetry.String (Opp_solver.outcome_name r.outcome));
          ("jobs", Telemetry.Int r.jobs);
          ("tasks", Telemetry.Int r.tasks);
          ("steals", Telemetry.Int r.steals);

@@ -16,10 +16,6 @@ type 'a anytime =
   | Infeasible
   | Unknown of { lower_bound : int }
 
-let best = function
-  | Optimal o | Feasible_incumbent { incumbent = o; _ } -> Some o
-  | Infeasible | Unknown _ -> None
-
 let status_string = function
   | Optimal _ -> "optimal"
   | Feasible_incumbent _ -> "feasible"
@@ -191,11 +187,7 @@ let run_probe ?schedule ctx cont inst =
            {
              extents =
                Array.init (Container.dim cont) (fun d -> Container.extent cont d);
-             verdict =
-               (match outcome with
-               | Opp_solver.Feasible _ -> "feasible"
-               | Opp_solver.Infeasible -> "infeasible"
-               | Opp_solver.Timeout -> "timeout");
+             verdict = Opp_solver.outcome_name outcome;
              nodes = stats.Opp_solver.nodes;
              dur_s = stats.Opp_solver.elapsed;
              budget_nodes_left = ctx.budget.nodes_left;
@@ -402,20 +394,12 @@ let ctx_base_lower_bound ctx inst ~t_max =
   Option.value (engine_use ctx walk) ~default:lo
 
 (* ------------------------------------------------------------------ *)
-(* FeasAT&FindS                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let feasible ?options ?jobs inst cont =
-  let ctx = make_ctx ?options ?jobs () in
-  match run_probe ctx cont inst with
-  | `Feasible p -> Sat p
-  | `Infeasible -> Unsat
-  | `Timeout -> Undecided
-
-(* ------------------------------------------------------------------ *)
 (* MinT&FindS, and its axis-generic superproblem MinExt&FindS          *)
 (* ------------------------------------------------------------------ *)
 
+(* [upper] is a caller-supplied feasible extent with its witness (the
+   previous Pareto point): it replaces the stage-2 heuristic as the
+   initial upper bracket. *)
 let minimize_extent_ctx ctx ?upper inst ~axis ~base =
   let d = Instance.dim inst in
   if Container.dim base <> d then
@@ -470,10 +454,8 @@ let minimize_extent_ctx ctx ?upper inst ~axis ~base =
         doubling_minimize ctx ~lo ~probe
   end
 
-let minimize_extent ?options ?jobs ?on_probe ?upper inst ~axis ~base =
-  minimize_extent_ctx
-    (make_ctx ?options ?jobs ?on_probe ())
-    ?upper inst ~axis ~base
+let minimize_extent ?options ?jobs ?on_probe inst ~axis ~base =
+  minimize_extent_ctx (make_ctx ?options ?jobs ?on_probe ()) inst ~axis ~base
 
 let minimize_time_ctx ctx ?upper inst ~w ~h =
   if Instance.dim inst <> 3 then
@@ -482,8 +464,8 @@ let minimize_time_ctx ctx ?upper inst ~w ~h =
     ~axis:(Instance.objective_axis inst)
     ~base:(Container.make3 ~w ~h ~t_max:1)
 
-let minimize_time ?options ?jobs ?on_probe ?upper inst ~w ~h =
-  minimize_time_ctx (make_ctx ?options ?jobs ?on_probe ()) ?upper inst ~w ~h
+let minimize_time ?options ?jobs ?on_probe inst ~w ~h =
+  minimize_time_ctx (make_ctx ?options ?jobs ?on_probe ()) inst ~w ~h
 
 (* ------------------------------------------------------------------ *)
 (* MinA&FindS                                                          *)
@@ -514,13 +496,13 @@ let minimize_base ?options ?jobs ?on_probe inst ~t_max =
 (* Rectangular chips                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let minimize_area_rect ?options ?jobs ?on_probe inst ~t_max =
+let minimize_area_rect ?options inst ~t_max =
   if Instance.dim inst <> 3 then
     invalid_arg "Problems.minimize_area_rect: expects 3-dimensional instances";
   if Instance.critical_path inst > t_max then Infeasible
   else begin
     let t_max = serial_horizon inst ~t_max in
-    let ctx = make_ctx ?options ?jobs ?on_probe () in
+    let ctx = make_ctx ?options () in
     let n = Instance.count inst in
     let max_w = ref 1 and max_h = ref 1 in
     for i = 0 to n - 1 do
@@ -624,7 +606,7 @@ let substitute_schedule inst ~w ~h ~t_max ~schedule p =
     Some q
   else None
 
-let feasible_fixed_schedule ?options ?jobs inst ~w ~h ~t_max ~schedule =
+let feasible_fixed_schedule inst ~w ~h ~t_max ~schedule =
   if Instance.dim inst <> 3 then
     invalid_arg "Problems.feasible_fixed_schedule: expects 3-dimensional instances";
   if
@@ -633,7 +615,7 @@ let feasible_fixed_schedule ?options ?jobs inst ~w ~h ~t_max ~schedule =
          ~who:"Problems.feasible_fixed_schedule")
   then Unsat
   else begin
-    let ctx = make_ctx ?options ?jobs () in
+    let ctx = make_ctx () in
     match run_probe ~schedule ctx (Container.make3 ~w ~h ~t_max) inst with
     | `Timeout -> Undecided
     | `Infeasible -> Unsat
@@ -643,8 +625,7 @@ let feasible_fixed_schedule ?options ?jobs inst ~w ~h ~t_max ~schedule =
       | None -> Unsat)
   end
 
-let minimize_base_fixed_schedule ?options ?jobs ?on_probe inst ~t_max ~schedule
-    =
+let minimize_base_fixed_schedule ?options inst ~t_max ~schedule =
   if Instance.dim inst <> 3 then
     invalid_arg
       "Problems.minimize_base_fixed_schedule: expects 3-dimensional instances";
@@ -654,7 +635,7 @@ let minimize_base_fixed_schedule ?options ?jobs ?on_probe inst ~t_max ~schedule
          ~who:"Problems.minimize_base_fixed_schedule")
   then Infeasible
   else begin
-    let ctx = make_ctx ?options ?jobs ?on_probe () in
+    let ctx = make_ctx ?options () in
     let probe s =
       match run_probe ~schedule ctx (Container.make3 ~w:s ~h:s ~t_max) inst with
       | `Feasible p -> (

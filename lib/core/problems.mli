@@ -5,7 +5,9 @@
       chip of fixed size — {!minimize_time};
     - {b MinA&FindS} (base minimization, BMP): minimize a quadratic chip
       for a fixed time budget — {!minimize_base};
-    - {b FeasAT&FindS}: the plain decision problem — {!feasible};
+    - {b FeasAT&FindS}: the plain decision problem is not a driver here:
+      it is one solver call, {!Opp_solver.solve} or
+      {!Parallel_solver.solve};
     - {b FeasA&FixedS} / {b MinA&FixedS}: start times given, only space
       is searched — {!feasible_fixed_schedule},
       {!minimize_base_fixed_schedule};
@@ -71,10 +73,6 @@ type 'a anytime =
           before any feasible solution was found, and infeasibility is
           not proven either *)
 
-(** [best r] is the best placement known — the optimum or the incumbent
-    — regardless of whether optimality was proven. *)
-val best : 'a anytime -> 'a optimum option
-
 (** ["optimal" | "feasible" | "infeasible" | "unknown"] — stable tags
     for logs and [--stats json]. *)
 val status_string : 'a anytime -> string
@@ -101,18 +99,8 @@ type feasibility =
   | Unsat
   | Undecided  (** budget exhausted before the decision was reached *)
 
-(** [feasible ?options ?jobs instance container] — FeasAT&FindS.
-    Never raises on budget exhaustion; an expired [node_limit] or
-    [deadline] yields [Undecided]. *)
-val feasible :
-  ?options:Opp_solver.options ->
-  ?jobs:int ->
-  Instance.t ->
-  Geometry.Container.t ->
-  feasibility
-
-(** [minimize_extent ?options ?jobs ?on_probe ?upper instance ~axis
-    ~base] is the smallest extent [e] along [axis] such that the tasks
+(** [minimize_extent ?options ?jobs ?on_probe instance ~axis ~base] is
+    the smallest extent [e] along [axis] such that the tasks
     fit the container [base] with its [axis] extent replaced by [e]
     (the extent [base] carries on [axis] is ignored). This is the
     axis-generic optimization problem: with a 2-dimensional instance
@@ -129,37 +117,32 @@ val feasible :
     volume over the base cross-section, largest single extent, and a
     serialization clique of tasks pairwise too large to coexist in the
     cross-section; the {!Bound_engine} certificate is added when [axis]
-    is the instance's objective axis — and an incumbent: [upper] when
-    given, the heuristic makespan when {!Heuristic.supports} accepts
-    the instance and [axis] is its objective axis, otherwise a doubling
-    search for a feasible upper end (whose exhaustion yields [Unknown],
-    never a false [Infeasible]). *)
+    is the instance's objective axis — and an incumbent: the heuristic
+    makespan when {!Heuristic.supports} accepts the instance and [axis]
+    is its objective axis, otherwise a doubling search for a feasible
+    upper end (whose exhaustion yields [Unknown], never a false
+    [Infeasible]). *)
 val minimize_extent :
   ?options:Opp_solver.options ->
   ?jobs:int ->
   ?on_probe:(probe -> unit) ->
-  ?upper:int optimum ->
   Instance.t ->
   axis:int ->
   base:Geometry.Container.t ->
   int anytime
 
-(** [minimize_time ?options ?jobs ?on_probe ?upper instance ~w ~h] is
-    the smallest makespan [t] such that the tasks fit a [w x h x t]
+(** [minimize_time ?options ?jobs ?on_probe instance ~w ~h] is the
+    smallest makespan [t] such that the tasks fit a [w x h x t]
     container — {!minimize_extent} on the objective axis of a
     3-dimensional instance over the base [w x h].
     [Infeasible] iff a task overflows the chip spatially.
     The search is an anytime binary search between the strongest lower
-    bound (critical path, volume, exclusion cliques) and an incumbent:
-    [upper] when given — a caller-supplied feasible makespan with its
-    witness (e.g. the previous Pareto point), which replaces the
-    stage-2 heuristic as the initial upper bracket — otherwise the
-    heuristic makespan. *)
+    bound (critical path, volume, exclusion cliques) and the heuristic
+    makespan as the incumbent. *)
 val minimize_time :
   ?options:Opp_solver.options ->
   ?jobs:int ->
   ?on_probe:(probe -> unit) ->
-  ?upper:int optimum ->
   Instance.t ->
   w:int ->
   h:int ->
@@ -180,30 +163,26 @@ val minimize_base :
   t_max:int ->
   int anytime
 
-(** [minimize_area_rect ?options ?jobs ?on_probe instance ~t_max]
-    generalizes {!minimize_base} to rectangular chips: the minimum of
-    [w * h] over all chips [w x h] fitting the tasks within [t_max]
-    (module orientation stays fixed, so [w] and [h] are not
-    interchangeable). Implemented by sweeping [w] with a per-[w]
+(** [minimize_area_rect ?options instance ~t_max] generalizes
+    {!minimize_base} to rectangular chips: the minimum of [w * h] over
+    all chips [w x h] fitting the tasks within [t_max] (module
+    orientation stays fixed, so [w] and [h] are not interchangeable). Implemented by sweeping [w] with a per-[w]
     anytime binary search on [h], pruned by the best area found so far;
     the square optimum (or incumbent) seeds the area incumbent. The
     reported [lower_bound] is on the area. *)
 val minimize_area_rect :
   ?options:Opp_solver.options ->
-  ?jobs:int ->
-  ?on_probe:(probe -> unit) ->
   Instance.t ->
   t_max:int ->
   (int * int) anytime
 
-(** [feasible_fixed_schedule ?options ?jobs instance ~w ~h ~t_max
-    ~schedule] — FeasA&FixedS: can the tasks be placed on a [w x h]
-    chip when every start time is already fixed? A [Sat] placement
-    carries the given start times. Schedules that violate the time
-    window or the precedence order are [Unsat] without any search. *)
+(** [feasible_fixed_schedule instance ~w ~h ~t_max ~schedule] —
+    FeasA&FixedS: can the tasks be placed on a [w x h] chip when every
+    start time is already fixed? It runs with the default options, so
+    it always decides: a [Sat] placement carries the given start
+    times. Schedules that violate the time window or the precedence
+    order are [Unsat] without any search. *)
 val feasible_fixed_schedule :
-  ?options:Opp_solver.options ->
-  ?jobs:int ->
   Instance.t ->
   w:int ->
   h:int ->
@@ -211,14 +190,12 @@ val feasible_fixed_schedule :
   schedule:int array ->
   feasibility
 
-(** [minimize_base_fixed_schedule ?options ?jobs ?on_probe instance
-    ~t_max ~schedule] — MinA&FixedS: the smallest quadratic chip for a
-    given schedule. [Infeasible] iff the schedule itself is invalid
-    (window or precedence violation). *)
+(** [minimize_base_fixed_schedule ?options instance ~t_max ~schedule] —
+    MinA&FixedS: the smallest quadratic chip for a given schedule.
+    [Infeasible] iff the schedule itself is invalid (window or
+    precedence violation). *)
 val minimize_base_fixed_schedule :
   ?options:Opp_solver.options ->
-  ?jobs:int ->
-  ?on_probe:(probe -> unit) ->
   Instance.t ->
   t_max:int ->
   schedule:int array ->

@@ -29,13 +29,6 @@ let find t name =
   | Some mt -> mt
   | None -> raise Not_found
 
-let mem = Hashtbl.mem
-
-let types t =
-  List.sort
-    (fun a b -> compare a.type_name b.type_name)
-    (Hashtbl.fold (fun _ mt acc -> mt :: acc) t [])
-
 let box mt =
   Geometry.Box.make3 ~w:mt.width ~h:mt.height
     ~duration:(mt.exec_time + mt.reconfig_time)
@@ -48,11 +41,3 @@ let instantiate t ~tasks =
   let labels = Array.of_list (List.map fst tasks) in
   (boxes, labels)
 
-let pp fmt t =
-  Format.fprintf fmt "@[<v>";
-  List.iter
-    (fun mt ->
-      Format.fprintf fmt "%s: %dx%d cells, %d cycles (+%d reconfig)@ "
-        mt.type_name mt.width mt.height mt.exec_time mt.reconfig_time)
-    (types t);
-  Format.fprintf fmt "@]"

@@ -23,8 +23,6 @@ type t
 val create : module_type list -> t
 
 val find : t -> string -> module_type
-val mem : t -> string -> bool
-val types : t -> module_type list
 
 (** [box mt] is the space-time box of one task of this type:
     [width x height x (exec_time + reconfig_time)], the paper's
@@ -38,5 +36,3 @@ val instantiate :
   t ->
   tasks:(string * string) list ->
   Geometry.Box.t array * string array
-
-val pp : Format.formatter -> t -> unit

@@ -10,13 +10,6 @@ let load_time model ~w ~h =
   | Per_column c -> c * w
   | Per_cell c -> c * w * h
 
-let total model boxes =
-  Array.fold_left
-    (fun acc b ->
-      acc
-      + load_time model ~w:(Geometry.Box.extent b 0) ~h:(Geometry.Box.extent b 1))
-    0 boxes
-
 let pp fmt = function
   | Constant c -> Format.fprintf fmt "constant %d cycles" c
   | Per_column c -> Format.fprintf fmt "%d cycles per column" c

@@ -16,8 +16,4 @@ type model =
     footprint of [w x h] cells. *)
 val load_time : model -> w:int -> h:int -> int
 
-(** [total model boxes] sums load times over an array of module
-    footprints (a whole instance). *)
-val total : model -> Geometry.Box.t array -> int
-
 val pp : Format.formatter -> model -> unit

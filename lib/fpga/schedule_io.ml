@@ -68,16 +68,6 @@ let schedule_array inst entries =
     schedule;
   schedule
 
-let of_placement inst placement =
-  let buf = Buffer.create 256 in
-  for i = 0 to Instance.count inst - 1 do
-    let o = Geometry.Placement.origin placement i in
-    Buffer.add_string buf
-      (Printf.sprintf "place %s %d %d %d\n" (Instance.label inst i) o.(2)
-         o.(0) o.(1))
-  done;
-  Buffer.contents buf
-
 let placement_of inst entries =
   let n = Instance.count inst in
   let origins = Array.make n None in

@@ -9,8 +9,7 @@
 
     A file may mix both forms; {!parse} resolves labels against an
     instance. Used by the CLI [check] command (FeasA&FixedS: is a given
-    schedule realizable on a given chip?) and for exporting solver
-    results in a re-checkable form. *)
+    schedule realizable on a given chip?). *)
 
 type entry = {
   task : int;
@@ -28,10 +27,6 @@ val parse : Packing.Instance.t -> string -> entry list
     by the FixedS solvers; every task must be mentioned.
     @raise Failure if some task has no entry. *)
 val schedule_array : Packing.Instance.t -> entry list -> int array
-
-(** [of_placement instance placement] renders a full [place] line per
-    task — the solver's answer in re-checkable form. *)
-val of_placement : Packing.Instance.t -> Geometry.Placement.t -> string
 
 (** [placement_of instance entries] builds a placement when every entry
     carries a position and every task is mentioned; [None] otherwise. *)

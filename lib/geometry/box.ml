@@ -14,7 +14,6 @@ let extent b k =
   if k < 0 || k >= Array.length b then invalid_arg "Box.extent: bad axis";
   b.(k)
 
-let extents = Array.copy
 let volume b = Array.fold_left ( * ) 1 b
 
 let max_volume = 1 lsl 40

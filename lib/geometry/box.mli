@@ -24,9 +24,6 @@ val dim : t -> int
 (** [extent b k] is the size of [b] along axis [k]. *)
 val extent : t -> int -> int
 
-(** All extents, as a fresh array. *)
-val extents : t -> int array
-
 (** Product of all extents. *)
 val volume : t -> int
 

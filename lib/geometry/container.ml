@@ -17,10 +17,6 @@ let extent c k =
 let extents = Array.copy
 let volume c = Array.fold_left Box.mul_sat 1 c
 
-let fits c b =
-  Box.dim b = Array.length c
-  && Array.for_all Fun.id (Array.mapi (fun k e -> Box.extent b k <= e) c)
-
 let with_extent c k e =
   if k < 0 || k >= Array.length c then
     invalid_arg "Container.with_extent: bad axis";
@@ -28,12 +24,3 @@ let with_extent c k e =
   let c' = Array.copy c in
   c'.(k) <- e;
   c'
-
-let equal = ( = )
-
-let pp fmt c =
-  Format.fprintf fmt "%a"
-    (Format.pp_print_list
-       ~pp_sep:(fun fmt () -> Format.pp_print_char fmt 'x')
-       Format.pp_print_int)
-    (Array.to_list c)

@@ -20,12 +20,5 @@ val extents : t -> int array
 (** Product of all extents, saturated at [max_int] ({!Box.mul_sat}). *)
 val volume : t -> int
 
-(** [fits c b] checks that box [b] fits into [c] axis by axis (no
-    rotation). *)
-val fits : t -> Box.t -> bool
-
 (** [with_extent c k e] is [c] with axis [k] resized to [e]. *)
 val with_extent : t -> int -> int -> t
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

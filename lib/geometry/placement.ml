@@ -87,12 +87,3 @@ let pp_violation fmt = function
   | Boxes_overlap (i, j) -> Format.fprintf fmt "boxes %d and %d overlap" i j
   | Precedence_violated (u, v) ->
     Format.fprintf fmt "task %d starts before its predecessor %d finishes" v u
-
-let pp fmt p =
-  for i = 0 to count p - 1 do
-    Format.fprintf fmt "@[box %d: %a at (%a)@]@." i Box.pp p.boxes.(i)
-      (Format.pp_print_list
-         ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
-         Format.pp_print_int)
-      (Array.to_list p.origins.(i))
-  done

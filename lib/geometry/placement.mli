@@ -50,4 +50,3 @@ val is_feasible :
   t -> container:Container.t -> precedes:(int -> int -> bool) -> bool
 
 val pp_violation : Format.formatter -> violation -> unit
-val pp : Format.formatter -> t -> unit

@@ -142,20 +142,3 @@ let critical_path g ~weight =
   done;
   if g.n = 0 then 0 else !best
 
-let equal g h =
-  g.n = h.n
-  &&
-  let same = ref true in
-  for u = 0 to g.n - 1 do
-    for v = 0 to g.n - 1 do
-      if g.adj.(u).(v) <> h.adj.(u).(v) then same := false
-    done
-  done;
-  !same
-
-let pp fmt g =
-  Format.fprintf fmt "digraph(%d){%a}" g.n
-    (Format.pp_print_list
-       ~pp_sep:(fun fmt () -> Format.fprintf fmt ", ")
-       (fun fmt (u, v) -> Format.fprintf fmt "%d->%d" u v))
-    (arcs g)

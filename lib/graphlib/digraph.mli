@@ -67,9 +67,3 @@ val longest_path_lengths : t -> weight:(int -> int) -> int array
     0 for the empty graph.
     @raise Invalid_argument if [g] has a cycle. *)
 val critical_path : t -> weight:(int -> int) -> int
-
-(** Structural equality. *)
-val equal : t -> t -> bool
-
-(** Pretty-printer, e.g. [digraph(3){0->1, 1->2}]. *)
-val pp : Format.formatter -> t -> unit

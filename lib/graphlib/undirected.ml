@@ -82,19 +82,6 @@ let complement g =
   done;
   c
 
-let induced g vs =
-  let vs = Array.of_list vs in
-  let m = Array.length vs in
-  Array.iter (check g) vs;
-  let h = create m in
-  for i = 0 to m - 1 do
-    for j = i + 1 to m - 1 do
-      if vs.(i) = vs.(j) then invalid_arg "Undirected.induced: duplicate vertex";
-      if g.adj.(vs.(i)).(vs.(j)) then add_edge h i j
-    done
-  done;
-  h
-
 let is_clique g vs =
   let vs = Array.of_list vs in
   let m = Array.length vs in
@@ -106,20 +93,3 @@ let is_clique g vs =
   done;
   !ok
 
-let equal g h =
-  g.n = h.n
-  &&
-  let same = ref true in
-  for u = 0 to g.n - 1 do
-    for v = 0 to g.n - 1 do
-      if g.adj.(u).(v) <> h.adj.(u).(v) then same := false
-    done
-  done;
-  !same
-
-let pp fmt g =
-  Format.fprintf fmt "graph(%d){%a}" g.n
-    (Format.pp_print_list
-       ~pp_sep:(fun fmt () -> Format.fprintf fmt ", ")
-       (fun fmt (u, v) -> Format.fprintf fmt "%d-%d" u v))
-    (edges g)

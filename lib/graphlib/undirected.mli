@@ -45,19 +45,8 @@ val copy : t -> t
 (** [complement g] has exactly the non-edges of [g] as edges. *)
 val complement : t -> t
 
-(** [induced g vs] is the subgraph induced by the vertex list [vs]
-    (which must be duplicate-free); vertex [i] of the result corresponds
-    to [List.nth vs i]. *)
-val induced : t -> int list -> t
-
 (** [is_clique g vs] checks that the vertices [vs] are pairwise adjacent. *)
 val is_clique : t -> int list -> bool
 
-(** Structural equality (same order and same edge set). *)
-val equal : t -> t -> bool
-
 (** [iter_edges f g] iterates [f] over all edges [(u, v)], [u < v]. *)
 val iter_edges : (int -> int -> unit) -> t -> unit
-
-(** Pretty-printer, e.g. [graph(5){0-1, 2-4}]. *)
-val pp : Format.formatter -> t -> unit

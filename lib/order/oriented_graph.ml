@@ -71,14 +71,6 @@ let kind t u v =
 
 let unknown_at t idx = t.state.(idx) = 0
 
-let arc t u v =
-  let s = raw t u v in
-  if u < v then s = 3 else s = 4
-
-let oriented t u v =
-  let s = raw t u v in
-  s = 3 || s = 4
-
 let mark t = t.tr_len
 
 let undo_to t m =
@@ -292,21 +284,3 @@ let orientation t =
       else if t.state.((u * t.n) + v) = 4 then D.add_arc d v u)
     (pairs_with t (fun s -> s >= 3));
   d
-
-let pp fmt t =
-  let show s = match s with
-    | 0 -> None
-    | 1 -> Some "="
-    | 2 -> Some "~"
-    | 3 -> Some "->"
-    | _ -> Some "<-"
-  in
-  Format.fprintf fmt "@[<v>";
-  for u = 0 to t.n - 1 do
-    for v = u + 1 to t.n - 1 do
-      match show t.state.((u * t.n) + v) with
-      | None -> ()
-      | Some s -> Format.fprintf fmt "%d %s %d@ " u s v
-    done
-  done;
-  Format.fprintf fmt "@]"

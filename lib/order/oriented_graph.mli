@@ -55,14 +55,6 @@ val kind : t -> int -> int -> kind
     pair: for scans over precomputed pair indices. *)
 val unknown_at : t -> int -> bool
 
-(** [arc t u v] is [true] iff the comparability edge [{u,v}] is oriented
-    [u -> v]. *)
-val arc : t -> int -> int -> bool
-
-(** [oriented t u v] is [true] iff [{u,v}] is oriented one way or the
-    other. *)
-val oriented : t -> int -> int -> bool
-
 (** Trail mark for later {!undo_to}. *)
 val mark : t -> int
 
@@ -122,5 +114,3 @@ val unoriented_pairs : t -> (int * int) list
 
 (** The digraph of all oriented comparability edges. *)
 val orientation : t -> Graphlib.Digraph.t
-
-val pp : Format.formatter -> t -> unit

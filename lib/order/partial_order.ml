@@ -17,7 +17,6 @@ let relabel = Digraph.relabel
 let size = Digraph.size
 let ground = Digraph.order
 let precedes p u v = Digraph.mem_arc p u v
-let comparable p u v = precedes p u v || precedes p v u
 let relations = Digraph.arcs
 let covers p = Digraph.arcs (Digraph.transitive_reduction p)
 let critical_path p ~duration = Digraph.critical_path p ~weight:duration
@@ -30,5 +29,3 @@ let respects p schedule ~duration =
       if schedule.(u) + duration u > schedule.(v) then ok := false)
     (relations p);
   !ok
-
-let pp = Digraph.pp

@@ -82,9 +82,6 @@ let add t key value =
         Hashtbl.add t.tbl key node;
         push_front t node)
 
-let length t = Mutex.protect t.lock (fun () -> Hashtbl.length t.tbl)
-let capacity t = t.cap
-
 let counters t =
   Mutex.protect t.lock (fun () ->
       {

@@ -33,9 +33,6 @@ val find : 'a t -> string -> 'a option
     recently used entry when the cache is full. *)
 val add : 'a t -> string -> 'a -> unit
 
-val length : 'a t -> int
-val capacity : 'a t -> int
-
 (** Hits, misses and evictions since {!create}, plus the current fill
     and the capacity. *)
 val counters : 'a t -> Packing.Telemetry.cache_counters

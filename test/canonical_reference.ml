@@ -78,7 +78,11 @@ let of_instance inst =
           preds.(k).(v) <- u :: preds.(k).(v))
         rels)
     axis_rels;
-  let ext = Array.init n (fun i -> Box.extents (Instance.box inst i)) in
+  let ext =
+    Array.init n (fun i ->
+        let b = Instance.box inst i in
+        Array.init (Box.dim b) (Box.extent b))
+  in
 
   (* Coarsest equitable refinement: split classes by (own color, per-axis
      sorted successor colors, per-axis sorted predecessor colors) until

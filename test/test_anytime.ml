@@ -79,19 +79,6 @@ let test_pareto_budget () =
   Alcotest.(check bool) "truncated front is flagged" false
     front.Problems.complete
 
-let test_feasible_budget () =
-  (match Problems.feasible ~options:tiny de (cont3 17 17 12) with
-  | Problems.Undecided -> ()
-  | Problems.Sat _ | Problems.Unsat ->
-    Alcotest.fail "5 nodes cannot decide DE on 17x17x12");
-  (* An already-expired deadline short-circuits before any probe. *)
-  let expired =
-    { search_only with Solver.deadline = Some (Packing.Clock.after (-1.0)) }
-  in
-  match Problems.feasible ~options:expired de (cont3 17 17 12) with
-  | Problems.Undecided -> ()
-  | _ -> Alcotest.fail "expired deadline must be Undecided"
-
 (* The stage-2 restarts read the run's deadline. On a 6-stage butterfly
    (576 tasks) at 32x32 the first schedule misses the stage-1 bound, and
    200 restarts, none of which reaches it, take about 1 s on a 2-core
@@ -111,9 +98,11 @@ let test_stage2_deadline () =
   Alcotest.(check bool)
     (Printf.sprintf "returned within %.2fs (%.3fs)" tolerance elapsed)
     true (elapsed <= tolerance);
-  match Problems.best r with
-  | None -> Alcotest.fail "the first schedule is an incumbent"
-  | Some { value; placement } ->
+  match r with
+  | Problems.Infeasible | Problems.Unknown _ ->
+    Alcotest.fail "the first schedule is an incumbent"
+  | Problems.Optimal { value; placement }
+  | Problems.Feasible_incumbent { incumbent = { value; placement }; _ } ->
     Alcotest.(check int) "makespan of the witness" value
       (Placement.makespan placement);
     Alcotest.(check bool) "witness feasible" true
@@ -156,7 +145,6 @@ let prop_no_exception_under_budget budget =
   && ok (fun () -> Problems.minimize_base ~options de ~t_max:13)
   && ok (fun () -> Problems.minimize_area_rect ~options de ~t_max:14)
   && ok (fun () -> Problems.pareto_front ~options de ~h_min:16 ~h_max:20)
-  && ok (fun () -> Problems.feasible ~options de (cont3 17 17 12))
 
 (* ------------------------------------------------------------------ *)
 (* Unlimited budget: byte-identical optima on the paper benchmarks     *)
@@ -304,7 +292,6 @@ let () =
             test_minimize_base_fixed_schedule_budget;
           Alcotest.test_case "pareto truncation flagged" `Quick
             test_pareto_budget;
-          Alcotest.test_case "feasible undecided" `Quick test_feasible_budget;
           Alcotest.test_case "expired deadline everywhere" `Quick
             test_expired_deadline_everywhere;
           Alcotest.test_case "stage 2 stops at the deadline" `Quick

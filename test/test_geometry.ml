@@ -31,9 +31,16 @@ let test_box_check_volume () =
 
 let test_container_fits () =
   let c = Container.make3 ~w:32 ~h:32 ~t_max:10 in
-  Alcotest.(check bool) "fits" true (Container.fits c (Box.make3 ~w:32 ~h:16 ~duration:10));
+  (* A box fits the container iff it is in bounds at the origin. *)
+  let fits b =
+    P.is_feasible
+      (P.make [| b |] [| [| 0; 0; 0 |] |])
+      ~container:c
+      ~precedes:(fun _ _ -> false)
+  in
+  Alcotest.(check bool) "fits" true (fits (Box.make3 ~w:32 ~h:16 ~duration:10));
   Alcotest.(check bool) "too long" false
-    (Container.fits c (Box.make3 ~w:32 ~h:16 ~duration:11));
+    (fits (Box.make3 ~w:32 ~h:16 ~duration:11));
   let c' = Container.with_extent c 2 11 in
   Alcotest.(check int) "resized" 11 (Container.extent c' 2);
   Alcotest.(check int) "original untouched" 10 (Container.extent c 2)
