@@ -521,7 +521,13 @@ let create ?(rules = default_rules) ?schedule ?(recorder = Recorder.create ())
       dims = Array.init d (fun _ -> OG.create n);
       processed = Array.make d 0;
       rules;
-      symmetric = symmetric_pairs inst;
+      (* Under a fixed schedule no pair is interchangeable: tasks with
+         different starts are not, and tasks with equal starts overlap
+         in time, so the rule could never fire for them. *)
+      symmetric =
+        (match schedule with
+        | None -> symmetric_pairs inst
+        | Some _ -> Array.make (n * n) false);
       ext;
       cross_w;
       cap;

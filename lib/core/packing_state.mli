@@ -55,7 +55,9 @@ type conflict = Recorder.conflict
     in that axis's dimension, and runs propagation to a fixpoint. When
     [schedule] (a start time per task) is given, the objective
     dimension is fully determined from it — the FixedS problems of the
-    paper, which collapse to the remaining axes. [Error c] means the
+    paper, which collapse to the remaining axes — and no pair is
+    treated as interchangeable, since the starts already tell the
+    tasks apart. [Error c] means the
     instance is infeasible at the root, with [c] the first conflict.
     Every rule call and conflict (C2/C3/C4, capacity, symmetry
     breaking, implication closure) is recorded on [recorder] (default:
@@ -73,7 +75,8 @@ val create :
     the pairs of interchangeable tasks: equal boxes, incomparable in
     every axis's order, and related identically to every other task
     there. When the search makes such a pair comparable in the
-    objective dimension, {!create}'s state orients it [u -> v]. Each
+    objective dimension, {!create}'s state orients it [u -> v]
+    (unless a fixed schedule was given). Each
     task's rows are built once, when a pair of equal boxes first asks,
     and two rows are compared up to the first difference. *)
 val symmetric_pairs : Instance.t -> bool array

@@ -90,7 +90,7 @@ let percentile samples ~p =
   if n = 0 then 0.0
   else begin
     let sorted = Array.copy samples in
-    Array.sort compare sorted;
+    Array.sort Float.compare sorted;
     let rank = int_of_float (Float.round (ceil (p *. float_of_int n))) in
     sorted.(max 0 (min (n - 1) (rank - 1)))
   end

@@ -73,16 +73,19 @@ type buffers = {
   blocked : Bytes.t;
 }
 
+module Ids = Map.Make (Int)
+
 (* [reach] answers "does a w * h footprint fit?" in O(1): [reach.(w)]
    is the greatest height of any MER at least [w] wide. It is built on
    the first query after a change and dropped (set to [[||]]) by
-   [place] and [remove]; a built table is never mutated, so [copy]
-   shares it. *)
+   [place] and [remove]. The MER list, the [occupied] map and a built
+   [reach] table are never mutated, only replaced, so [copy] shares
+   them all. *)
 type t = {
   width : int;
   height : int;
   mutable mers : rect list;
-  occupied : (int, rect) Hashtbl.t;
+  mutable occupied : rect Ids.t;
   mutable used : int;
   mutable reach : int array;
   buffers : buffers Lazy.t;
@@ -104,22 +107,13 @@ let create ~w ~h =
     width = w;
     height = h;
     mers = [ { x = 0; y = 0; w; h } ];
-    occupied = Hashtbl.create 64;
+    occupied = Ids.empty;
     used = 0;
     reach = [||];
     buffers = lazy (make_buffers ~w ~h);
   }
 
-let copy t =
-  {
-    width = t.width;
-    height = t.height;
-    mers = t.mers;
-    occupied = Hashtbl.copy t.occupied;
-    used = t.used;
-    reach = t.reach;
-    buffers = lazy (make_buffers ~w:t.width ~h:t.height);
-  }
+let copy t = { t with buffers = lazy (make_buffers ~w:t.width ~h:t.height) }
 
 let width t = t.width
 let height t = t.height
@@ -128,8 +122,7 @@ let free_area t = (t.width * t.height) - t.used
 let tuple r = (r.x, r.y, r.w, r.h)
 
 let occupied t =
-  Hashtbl.fold (fun id r acc -> (id, tuple r) :: acc) t.occupied []
-  |> List.sort compare
+  List.map (fun (id, r) -> (id, tuple r)) (Ids.bindings t.occupied)
 
 (* Lexicographic (y, x, w, h). *)
 let rect_order a b =
@@ -202,13 +195,13 @@ let place t ~id ~x ~y ~w ~h =
   if w <= 0 || h <= 0 then invalid_arg "Free_space.place: non-positive size";
   if x < 0 || y < 0 || x + w > t.width || y + h > t.height then
     invalid_arg "Free_space.place: footprint leaves the chip";
-  if Hashtbl.mem t.occupied id then invalid_arg "Free_space.place: live id";
+  if Ids.mem id t.occupied then invalid_arg "Free_space.place: live id";
   let r = { x; y; w; h } in
   (* By the invariant, a footprint inside the chip is empty iff some
      MER contains it. *)
   if not (contained_in_some r t.mers) then
     invalid_arg "Free_space.place: footprint overlaps a module";
-  Hashtbl.replace t.occupied id r;
+  t.occupied <- Ids.add id r t.occupied;
   t.used <- t.used + (w * h);
   t.reach <- [||];
   let survivors = ref [] and pieces = ref [] in
@@ -375,10 +368,10 @@ let rec box_around f x0 y0 x1 y1 = function
     else box_around f x0 y0 x1 y1 rest
 
 let remove t ~id =
-  match Hashtbl.find_opt t.occupied id with
+  match Ids.find_opt id t.occupied with
   | None -> invalid_arg "Free_space.remove: unknown id"
   | Some f ->
-    Hashtbl.remove t.occupied id;
+    t.occupied <- Ids.remove id t.occupied;
     t.used <- t.used - (f.w * f.h);
     t.reach <- [||];
     let box = box_around f f.x f.y (f.x + f.w) (f.y + f.h) t.mers in

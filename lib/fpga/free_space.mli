@@ -33,9 +33,11 @@ type policy =
     @raise Invalid_argument on non-positive sizes. *)
 val create : w:int -> h:int -> t
 
-(** An independent deep copy (used for transactional compaction
-    proposals). It shares the original's {!fits} table while neither
-    changes. *)
+(** An independent copy in O(1): it shares the original's immutable
+    state (the MER list, the occupied modules and a built {!fits}
+    table), which neither one mutates, only replaces. Used for
+    transactional compaction proposals and their per-step snapshots.
+    It gets its own {!remove} buffers, built on its first removal. *)
 val copy : t -> t
 
 val width : t -> int

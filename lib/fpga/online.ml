@@ -117,9 +117,9 @@ end
 
 module Buckets = Map.Make (Int)
 
-(* [i] inserted into the ascending list [ids]. *)
-let rec insert_id i = function
-  | j :: rest when j < i -> j :: insert_id i rest
+(* [i] inserted into the list [ids], ascending under [cmp]. *)
+let rec insert cmp i = function
+  | j :: rest when cmp j i < 0 -> j :: insert cmp i rest
   | ids -> i :: ids
 
 let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
@@ -160,6 +160,8 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
   let doomed = Array.make n false in
   let px = Array.make n 0 and py = Array.make n 0 in
   let start_ = Array.make n 0 and finish_ = Array.make n 0 in
+  (* The running tasks; in [by_area] order when [compaction] is on, since
+     the proposal packs them in that order. *)
   let running = ref [] in
   let fs = Free_space.create ~w:cw ~h:ch in
   (* Layout generation counter: any place/retire/compaction/reject bumps
@@ -184,7 +186,8 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
   let compactions = ref 0 and moved_tasks = ref 0 and move_cycles = ref 0 in
   let deferrals = ref 0 in
   let deferred_once = Array.make n false in
-  let lat = ref [] in
+  (* Placement latencies in nanoseconds, one per placed task. *)
+  let lat = Array.make n 0 and lat_len = ref 0 in
   (* Eligible = arrived, all predecessors finished, not yet placed.
      [sched] holds future wake-ups (time, task); [buckets] maps an area
      to the pending tasks of that area attemptable now, ids ascending,
@@ -200,7 +203,9 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
   let enqueue i =
     buckets :=
       Buckets.update areas.(i)
-        (function None -> Some [ i ] | Some ids -> Some (insert_id i ids))
+        (function
+          | None -> Some [ i ]
+          | Some ids -> Some (insert Int.compare i ids))
         !buckets
   in
   let dequeue i =
@@ -289,11 +294,12 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
     status.(i) <- `Done;
     count i (-1);
     dequeue i;
-    running := i :: !running;
+    running := if compaction then insert by_area i !running else i :: !running;
     Free_space.place fs ~id:i ~x ~y ~w:(tw i) ~h:(th i);
     incr version;
     let d = Packing.Clock.since t0 in
-    lat := (d *. 1e6) :: !lat;
+    lat.(!lat_len) <- Float.to_int (Float.round (d *. 1e9));
+    incr lat_len;
     emit ~dur_s:d ~task:i ~sim_time:clock
       (Placed { task = i; x; y; time = clock });
     List.iter
@@ -308,23 +314,35 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
   (* Bottom-left re-pack of the running set, largest-area first. The
      proposal is packed first fit whatever the stream's policy; the
      trigger check and the blocked-task fill query it with the stream's
-     own policy. *)
+     own policy. It is a function of the ordered running list alone, so
+     a build resumes from the longest prefix of that list it shares with
+     the last build: [trail] holds one [(id, x, y, layout after that
+     step)] per module the last build placed, in order. *)
+  let empty_chip = Free_space.create ~w:cw ~h:ch in
+  let trail = ref [] in
   let make_proposal () =
-    let ids = List.sort by_area !running in
-    let pf = Free_space.create ~w:cw ~h:ch in
-    let pos = ref [] in
-    let ok =
-      List.for_all
-        (fun id ->
-          match Free_space.find pf ~policy:First_fit ~w:(tw id) ~h:(th id) with
-          | None -> false
-          | Some (x, y) ->
-            Free_space.place pf ~id ~x ~y ~w:(tw id) ~h:(th id);
-            pos := (id, x, y) :: !pos;
-            true)
-        ids
+    (* [steps] are the entries placed so far, newest first; [layout]
+       the chip after the newest. *)
+    let rec resume layout steps trail ids =
+      match (trail, ids) with
+      | ((id', _, _, l) as e) :: trail, id :: ids when id' = id ->
+        resume l (e :: steps) trail ids
+      | _ -> pack layout steps ids
+    and pack layout steps = function
+      | [] -> (steps, Some layout)
+      | id :: ids -> (
+        match Free_space.find layout ~policy:First_fit ~w:(tw id) ~h:(th id) with
+        | None -> (steps, None)
+        | Some (x, y) ->
+          let l = Free_space.copy layout in
+          Free_space.place l ~id ~x ~y ~w:(tw id) ~h:(th id);
+          pack l ((id, x, y, l) :: steps) ids)
     in
-    if ok then Some (List.rev !pos, pf) else None
+    let steps, layout = resume empty_chip [] !trail !running in
+    trail := List.rev steps;
+    Option.map
+      (fun layout -> (List.map (fun (id, x, y, _) -> (id, x, y)) !trail, layout))
+      layout
   in
   (* Place [i] where [fs] now hosts it, timing the placement from [t0]. *)
   let place_now i clock t0 =
@@ -652,13 +670,23 @@ let run_stream ?(policy = First_fit) ?(reconfig = Reconfig.Constant 0)
       float_of_int !busy /. float_of_int (cw * ch * (!makespan - first_time))
     else 0.0
   in
-  let lat_arr = Array.of_list !lat in
+  let samples = !lat_len in
+  let lat = Array.sub lat 0 samples in
+  Array.sort Int.compare lat;
+  (* Nearest rank, as [Telemetry.percentile]: the ceil(p * n)-th
+     smallest sample, 1-based. *)
+  let rank_us p =
+    if samples = 0 then 0.0
+    else
+      let rank = Float.to_int (Float.round (ceil (p *. Float.of_int samples))) in
+      Float.of_int lat.(max 0 (min (samples - 1) (rank - 1))) /. 1e3
+  in
   let latency =
     {
-      samples = Array.length lat_arr;
-      p50_us = Telemetry.percentile lat_arr ~p:0.5;
-      p99_us = Telemetry.percentile lat_arr ~p:0.99;
-      max_us = Array.fold_left Float.max 0.0 lat_arr;
+      samples;
+      p50_us = rank_us 0.5;
+      p99_us = rank_us 0.99;
+      max_us = rank_us 1.0 (* the last sample *);
     }
   in
   {

@@ -64,7 +64,10 @@ type event =
     {!Free_space.fits} in O(1), and a compaction check reads it only
     when it builds a proposal or the proposal hosts the task. A
     proposal built while a pass measures what it hosts (see
-    {!run_stream}) is outside every sample. *)
+    {!run_stream}) is outside every sample. Samples are kept in whole
+    nanoseconds; [p50_us] and [p99_us] are nearest-rank percentiles as
+    in {!Packing.Telemetry.percentile}, and [max_us] is 0.0 without
+    samples. *)
 type latency = {
   samples : int;
   p50_us : float;
@@ -133,7 +136,12 @@ val to_json : report -> Packing.Telemetry.json
     [reconfig] (default [Constant 0]) prices the configuration
     reload of a moved module; [move_delay] is the extra per-moved-task
     delay on top of it. [policy] defaults to [First_fit]; compaction
-    proposals are re-packed first fit whatever the policy. [trace]
+    proposals are re-packed first fit whatever the policy. A proposal
+    packs the running modules largest-area first, ids ascending. A
+    rebuild resumes from the longest prefix of that order it shares
+    with the last build, whose layout after each step it keeps
+    ({!Free_space.copy} is O(1)), so each running set is packed once.
+    [trace]
     (default {!Packing.Trace.null}) receives one [Online_op] event per
     place/defer/compact/reject/retire.
     @raise Invalid_argument on non-positive extents or durations,

@@ -1043,6 +1043,7 @@ let prop_stream_invariants (p, seed) =
   let ids = List.init n Fun.id in
   let lat = r.Online.latency in
   r.Online.placed + r.Online.rejected + r.Online.never_arrived = n
+  && lat.Online.samples = r.Online.placed
   && lat.Online.p50_us <= lat.Online.p99_us
   && lat.Online.p99_us <= lat.Online.max_us
   && (let seen = Hashtbl.create 16 in
@@ -1386,6 +1387,45 @@ let prop_online_matches_reference c =
   let got, want = stream_events c in
   got = want
 
+(* Streams shaped like the defrag benchmark: large, long tasks on a
+   32x32 chip, best fit, compaction on. Blocked arrivals pile up into a
+   deep backlog, so proposals are rebuilt over and over for running
+   sets that differ by a module or two: the case the proposal's resumed
+   prefix serves, which the long-backlog cases (durations up to 10)
+   rarely reach. The second draw is the stream length. *)
+let defrag_reference_cases = 20
+
+let arb_defrag_stream =
+  QCheck.make
+    QCheck.Gen.(pair (int_range 0 999_999) (int_range 1_000 2_000))
+    ~print:(fun (seed, n) -> Printf.sprintf "seed=%d n=%d" seed n)
+
+let prop_defrag_matches_reference (seed, n) =
+  let chip = Chip.square 32 in
+  let tasks =
+    Benchmarks.Generate.arrival_stream ~seed ~n ~chip ~load:1.0 ~max_extent:24
+      ~max_duration:40 ~arc_probability:0.1 ()
+  in
+  let policy = Online.Best_fit and reconfig = Reconfig.Per_column 1 in
+  let got =
+    (Online.run_stream ~policy ~reconfig tasks ~chip ~compaction:true
+       ~move_delay:2)
+      .Online.events
+  in
+  let want =
+    Online_reference.run_stream ~policy ~reconfig tasks ~chip ~compaction:true
+      ~move_delay:2
+  in
+  let rec first_difference k = function
+    | [], [] -> true
+    | g :: got, w :: want when g = w -> first_difference (k + 1) (got, want)
+    | got, want ->
+      let show = function [] -> "end of events" | e :: _ -> render_event e in
+      QCheck.Test.fail_reportf "event %d: got %s, reference %s" k (show got)
+        (show want)
+  in
+  first_difference 0 (got, want)
+
 (* A compaction weighed in a pass that still holds doomed tasks. Task 0
    is wider than the 4x5 chip and rejected at time 0, which dooms 1, 5
    and 6; best fit leaves 2 where the 4x1 task 3 has no row. Moving 2
@@ -1609,6 +1649,10 @@ let () =
           Fixed_seed.qtest ~seed:online_reference_seed
             ~count:long_reference_cases "long backlogs match the reference copy"
             arb_long_stream_case prop_online_matches_reference;
+          Fixed_seed.qtest ~seed:online_reference_seed
+            ~count:defrag_reference_cases
+            "defrag-shaped streams match the reference copy" arb_defrag_stream
+            prop_defrag_matches_reference;
         ] );
       ( "vcd",
         [

@@ -894,7 +894,20 @@ let test_fixed_schedule () =
          ~schedule:[| 0; 0 |]
      with
     | Problems.Sat _ -> true
-    | Problems.Unsat | Problems.Undecided -> false)
+    | Problems.Unsat | Problems.Undecided -> false);
+  (* Identical, unordered tasks started in either order: the schedule
+     that runs the higher index first is as realizable as the other. *)
+  let twins = inst [ box3 2 2 1; box3 2 2 1 ] in
+  List.iter
+    (fun schedule ->
+      match Problems.feasible_fixed_schedule twins ~w:4 ~h:4 ~t_max:2 ~schedule with
+      | Problems.Sat p ->
+        Alcotest.(check int) "start of 0 honored" schedule.(0)
+          (Placement.start_time p 0)
+      | Problems.Unsat | Problems.Undecided ->
+        Alcotest.failf "schedule [|%d; %d|] is realizable" schedule.(0)
+          schedule.(1))
+    [ [| 0; 1 |]; [| 1; 0 |] ]
 
 let test_minimize_base_fixed_schedule () =
   let i = inst [ box3 2 2 2; box3 2 2 2 ] in
@@ -905,7 +918,15 @@ let test_minimize_base_fixed_schedule () =
   let { Problems.value; _ } =
     optimal_exn (Problems.minimize_base_fixed_schedule i ~t_max:4 ~schedule:[| 0; 2 |])
   in
-  Alcotest.(check int) "serial needs 2" 2 value
+  Alcotest.(check int) "serial needs 2" 2 value;
+  let twins = inst [ box3 2 2 1; box3 2 2 1 ] in
+  List.iter
+    (fun schedule ->
+      let { Problems.value; _ } =
+        optimal_exn (Problems.minimize_base_fixed_schedule twins ~t_max:2 ~schedule)
+      in
+      Alcotest.(check int) "serial in either order needs 2" 2 value)
+    [ [| 0; 1 |]; [| 1; 0 |] ]
 
 let test_pareto () =
   let i = inst ~precedence:[ (0, 1) ] [ box3 2 2 2; box3 2 2 2 ] in
