@@ -173,9 +173,9 @@ let ablation_rules () =
   Format.printf "  configuration              verdict     nodes      time@.";
   let de = Benchmarks.De.instance in
   let container = Geometry.Container.make3 ~w:17 ~h:17 ~t_max:12 in
-  let run name rules =
+  let run name off =
     let options =
-      { search_only with rules; node_limit = Some 1_000_000 }
+      { search_only with rules = off; node_limit = Some 1_000_000 }
     in
     let (outcome, stats), dt =
       wall (fun () -> Packing.Opp_solver.solve ~options de container)
@@ -183,19 +183,13 @@ let ablation_rules () =
     Format.printf "  %-26s %-10s %7d  %8.3f s@." name (verdict outcome)
       stats.Packing.Opp_solver.nodes dt
   in
-  let all = Packing.Packing_state.default_rules in
-  run "all rules" all;
-  run "no C2 chain cliques" { all with c2_cliques = false };
-  run "no C4 cycle rule" { all with c4_cycles = false };
-  run "no D1/D2 implications" { all with implications = false };
-  run "no capacity cliques" { all with component_cliques = false };
-  run "bare (C3 + width only)"
-    {
-      c2_cliques = false;
-      c4_cycles = false;
-      implications = false;
-      component_cliques = false;
-    }
+  let open Packing.Recorder in
+  run "all rules" [];
+  run "no C2 chain cliques" [ C2 ];
+  run "no C4 cycle rule" [ C4 ];
+  run "no D1/D2 implications" [ Implications ];
+  run "no capacity cliques" [ Capacity ];
+  run "bare (C3 + width only)" [ C2; C4; Implications; Capacity ]
 
 (* ------------------------------------------------------------------ *)
 (* Ablation C: stages 1 and 2 (bounds, heuristic)                      *)

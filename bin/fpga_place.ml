@@ -696,17 +696,14 @@ let check_cmd =
         Packing.Problems.feasible_fixed_schedule inst ~w:(Fpga.Chip.width chip)
           ~h:(Fpga.Chip.height chip) ~t_max ~schedule
       with
-      | Packing.Problems.Sat p ->
+      | Some p ->
         Format.printf "schedule is realizable@.";
         show_placement ~quiet ~render inst chip t_max p;
         Ok 0
-      | Packing.Problems.Unsat ->
+      | None ->
         Format.printf "schedule is NOT realizable on %a within %d cycles@."
           Fpga.Chip.pp chip t_max;
-        Ok 2
-      | Packing.Problems.Undecided ->
-        Format.printf "budget exhausted: schedule undecided@.";
-        Ok 3)
+        Ok 2)
   in
   let doc =
     "Check a schedule file against a chip (FeasA&FixedS); `place` lines are \

@@ -45,9 +45,7 @@ let () =
     Packing.Problems.feasible_fixed_schedule de ~w:16 ~h:16 ~t_max:14
       ~schedule:serial
   with
-  | Packing.Problems.Sat placement ->
+  | Some placement ->
     Format.printf "@.hand-written serialized schedule fits 16x16:@.%s@."
       (Geometry.Render.gantt placement)
-  | Packing.Problems.Unsat ->
-    Format.printf "@.hand-written schedule does not fit 16x16@."
-  | Packing.Problems.Undecided -> Format.printf "@.budget exhausted@."
+  | None -> Format.printf "@.hand-written schedule does not fit 16x16@."

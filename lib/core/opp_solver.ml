@@ -23,7 +23,7 @@ type stats = {
   elapsed : float;
   by_bounds : bool;
   by_heuristic : bool;
-  rules : Telemetry.rule_counters;
+  rules : Recorder.counts;
   bounds : Telemetry.bound_counters;
 }
 
@@ -72,7 +72,7 @@ let recorded r ~elapsed =
     elapsed;
     by_bounds = false;
     by_heuristic = false;
-    rules = Recorder.rule_counters r;
+    rules = Recorder.counts r;
     bounds = Recorder.bounds r;
   }
 
@@ -355,7 +355,7 @@ let pipeline ?(options = default_options) ?schedule inst cont ~settled ~stage3
         (recorded recorder ~elapsed:(Clock.since t0)) with
         by_bounds;
         by_heuristic;
-        rules = Telemetry.zero_rules;
+        rules = Recorder.no_counts;
       }
   in
   match root_verdict with
@@ -405,7 +405,7 @@ let pp_stats fmt s =
     "nodes=%d conflicts=%d leaves=%d depth=%d elapsed=%.3fs bounds=%b \
      heuristic=%b realizations=%d"
     s.nodes s.conflicts s.leaves s.max_depth s.elapsed s.by_bounds
-    s.by_heuristic s.rules.Telemetry.realize_attempts
+    s.by_heuristic s.rules.Recorder.realize_attempts
 
 let stats_json s =
   Telemetry.Obj
@@ -417,7 +417,7 @@ let stats_json s =
       ("elapsed_s", Telemetry.seconds s.elapsed);
       ("by_bounds", Telemetry.Bool s.by_bounds);
       ("by_heuristic", Telemetry.Bool s.by_heuristic);
-      ("rules", Telemetry.rules_to_json s.rules);
+      ("rules", Recorder.counts_json s.rules);
       ("bounds", Telemetry.bounds_to_json s.bounds);
     ]
 

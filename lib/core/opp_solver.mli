@@ -65,7 +65,7 @@ type stats = {
   elapsed : float; (** wall-clock seconds spent in the solve *)
   by_bounds : bool; (** settled by stage-1 bounds *)
   by_heuristic : bool; (** settled by the stage-2 heuristic *)
-  rules : Telemetry.rule_counters;
+  rules : Recorder.counts;
       (** where propagation time went: per-rule call/time counters plus
           the realization attempt count, one per leaf check *)
   bounds : Telemetry.bound_counters;

@@ -1,20 +1,9 @@
 module OG = Order.Oriented_graph
 module Container = Geometry.Container
 
-type rules = {
-  c2_cliques : bool;
-  c4_cycles : bool;
-  implications : bool;
-  component_cliques : bool;
-}
+type rules = Recorder.rule list
 
-let default_rules =
-  {
-    c2_cliques = true;
-    c4_cycles = true;
-    implications = true;
-    component_cliques = true;
-  }
+let default_rules = []
 
 type t = {
   inst : Instance.t;
@@ -26,7 +15,7 @@ type t = {
       (* per-dimension trail watermark: entries below it have been
          cross-checked by the packing rules AND mirrored into the
          derived structures below. *)
-  rules : rules;
+  off : rules; (* the rules switched off *)
   symmetric : bool array; (* pair u*n+v (u<v): tasks interchangeable *)
   (* ---- static per-instance tables ------------------------------- *)
   ext : int array array; (* ext.(k).(i): extent of task i along k *)
@@ -300,19 +289,16 @@ let max_clique_weight t ~adj ~weight ~cap ~base u v =
 (* C2: maximum-weight clique of the pairwise-comparable relation in one
    dimension, restricted to cliques through the pair (u, v). *)
 let rule_c2 t k u v =
-  if not t.rules.c2_cliques then Ok ()
-  else begin
-    let weight = t.ext.(k) in
-    let cap = t.cap.(k) in
-    let base = weight.(u) + weight.(v) in
-    let best =
-      if t.comp_deg.(k).(u) <= 1 || t.comp_deg.(k).(v) <= 1 then base
-      else max_clique_weight t ~adj:t.comp_adj.(k) ~weight ~cap ~base u v
-    in
-    if best > cap then
-      Error (Recorder.Chain { dim = k; u; v; weight = best; cap })
-    else Ok ()
-  end
+  let weight = t.ext.(k) in
+  let cap = t.cap.(k) in
+  let base = weight.(u) + weight.(v) in
+  let best =
+    if t.comp_deg.(k).(u) <= 1 || t.comp_deg.(k).(v) <= 1 then base
+    else max_clique_weight t ~adj:t.comp_adj.(k) ~weight ~cap ~base u v
+  in
+  if best > cap then
+    Error (Recorder.Chain { dim = k; u; v; weight = best; cap })
+  else Ok ()
 
 (* Component-clique cross-section rule (the Helly argument): intervals
    on a line that pairwise overlap share a common point, so a clique of
@@ -322,16 +308,13 @@ let rule_c2 t k u v =
    the chip-capacity rule: concurrently running tasks cannot exceed the
    cell count. *)
 let rule_component_clique t k u v =
-  if not t.rules.component_cliques then Ok ()
-  else begin
-    let weight = t.cross_w.(k) in
-    let cap = t.cross_cap.(k) in
-    let base = weight.(u) + weight.(v) in
-    let best = max_clique_weight t ~adj:t.ovl_adj.(k) ~weight ~cap ~base u v in
-    if best > cap then
-      Error (Recorder.Cross_section { dim = k; u; v; weight = best; cap })
-    else Ok ()
-  end
+  let weight = t.cross_w.(k) in
+  let cap = t.cross_cap.(k) in
+  let base = weight.(u) + weight.(v) in
+  let best = max_clique_weight t ~adj:t.ovl_adj.(k) ~weight ~cap ~base u v in
+  if best > cap then
+    Error (Recorder.Cross_section { dim = k; u; v; weight = best; cap })
+  else Ok ()
 
 (* C1 on the 4-cycle a - b - c - d - a of component edges: both
    diagonals {a,c}, {b,d} comparable make it an induced C4; one
@@ -370,8 +353,7 @@ let c4_edge t k u v =
       done
   done
 
-let rule_c4_edge t k u v =
-  if not t.rules.c4_cycles then Ok () else catch_rule c4_edge t k u v
+let rule_c4_edge t k u v = catch_rule c4_edge t k u v
 
 (* C1, 4-cycles where the freshly comparable pair (u,v) is a diagonal:
    cycle u - a - v - b - u of component edges with diagonal (a,b). *)
@@ -390,18 +372,24 @@ let c4_diagonal t k u v =
       done
   done
 
-let rule_c4_diagonal t k u v =
-  if not t.rules.c4_cycles then Ok () else catch_rule c4_diagonal t k u v
+let rule_c4_diagonal t k u v = catch_rule c4_diagonal t k u v
 
 (* ------------------------------------------------------------------ *)
 (* Fixpoint                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Every rule outcome goes through the recorder, which times the calls
-   it samples and records an [Error] as that rule's conflict. *)
+let on t rule =
+  match t.off with [] -> true | off -> not (List.memq rule off)
+
+(* Every call of a rule that is on goes through the recorder, which
+   times the calls it samples and records an [Error] as that rule's
+   conflict; a rule switched off is neither called nor counted. *)
 let timed t rule check k u v =
-  Recorder.rule_start t.recorder rule;
-  Recorder.rule_call t.recorder rule (check t k u v)
+  if not (on t rule) then Ok ()
+  else begin
+    Recorder.rule_start t.recorder rule;
+    Recorder.rule_call t.recorder rule (check t k u v)
+  end
 
 let handle_pair t k u v =
   match OG.kind t.dims.(k) u v with
@@ -432,7 +420,7 @@ let stabilize t =
   match
     while !changed do
       (* Intra-dimension D1/D2 closure. *)
-      if t.rules.implications then
+      if on t Implications then
         for k = 0 to d - 1 do
           Recorder.rule_start t.recorder Implications;
           ok
@@ -469,6 +457,8 @@ let create ?(rules = default_rules) ?schedule ?(recorder = Recorder.create ())
   let d = Instance.dim inst in
   if Container.dim cont <> d then
     invalid_arg "Packing_state.create: dimension mismatch";
+  if not (List.for_all Recorder.switchable rules) then
+    invalid_arg "Packing_state.create: C3 and symmetry cannot be switched off";
   Recorder.register_rules recorder;
   let n = Instance.count inst in
   let words = max 1 ((n + 62) / 63) in
@@ -520,7 +510,7 @@ let create ?(rules = default_rules) ?schedule ?(recorder = Recorder.create ())
       words;
       dims = Array.init d (fun _ -> OG.create n);
       processed = Array.make d 0;
-      rules;
+      off = rules;
       (* Under a fixed schedule no pair is interchangeable: tasks with
          different starts are not, and tasks with equal starts overlap
          in time, so the rule could never fire for them. *)

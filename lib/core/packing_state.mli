@@ -28,19 +28,16 @@
 
 type t
 
-(** Toggles for the propagation families — used by the ablation
-    benchmarks; production code uses {!default_rules} (all on). *)
-type rules = {
-  c2_cliques : bool;
-  c4_cycles : bool;
-  implications : bool; (** D1/D2 orientation propagation *)
-  component_cliques : bool;
-      (** Helly cross-section rule: tasks pairwise overlapping in one
-          dimension coexist at a common coordinate there, so their
-          cross-sections must fit the remaining container volume (for
-          the time axis: concurrent tasks cannot exceed the chip's cell
-          count). *)
-}
+(** The packing rules switched off, for the ablation benchmarks;
+    production code uses {!default_rules}, which switches none off.
+    Only the rules {!Recorder.switchable} accepts can be: C2,
+    [C4] (the C1 4-cycle rule), D1/D2 [Implications], and [Capacity],
+    the Helly cross-section rule (tasks pairwise overlapping in one
+    dimension coexist at a common coordinate there, so their
+    cross-sections must fit the remaining container volume; for the
+    time axis, concurrent tasks cannot exceed the chip's cell count).
+    A rule switched off is neither called nor counted. *)
+type rules = Recorder.rule list
 
 val default_rules : rules
 
@@ -59,6 +56,7 @@ type conflict = Recorder.conflict
     treated as interchangeable, since the starts already tell the
     tasks apart. [Error c] means the
     instance is infeasible at the root, with [c] the first conflict.
+    Raises [Invalid_argument] when [rules] names C3 or symmetry.
     Every rule call and conflict (C2/C3/C4, capacity, symmetry
     breaking, implication closure) is recorded on [recorder] (default:
     a fresh one), which also carries the search that runs on this

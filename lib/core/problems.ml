@@ -127,11 +127,11 @@ let engine_use ctx f =
    {!Parallel_solver.solve}, which runs {!Opp_solver.solve} itself when
    [jobs = 1]. Charges the nodes actually spent to the budget and reports
    the probe to [on_probe]. An already-dead budget short-circuits to
-   [`Timeout] without solving (and without emitting a phantom probe). *)
+   [Timeout] without solving (and without emitting a phantom probe). *)
 let run_probe ?schedule ctx cont inst =
   if exhausted ctx.budget then begin
     ctx.budget.hit <- true;
-    `Timeout
+    Opp_solver.Timeout
   end
   else if
     (* Skip provably-infeasible probes: an engine certificate answers
@@ -142,7 +142,7 @@ let run_probe ?schedule ctx cont inst =
     | Some (Bound_engine.Infeasible _) -> true
     | Some (Bound_engine.Lower_bound _ | Bound_engine.Inconclusive) | None ->
       false
-  then `Infeasible
+  then Opp_solver.Infeasible
   else begin
     let options =
       {
@@ -218,12 +218,10 @@ let run_probe ?schedule ctx cont inst =
           bounds =
             Telemetry.add_bound_counters engine_delta stats.Opp_solver.bounds;
         });
-    match outcome with
-    | Opp_solver.Feasible p -> `Feasible p
-    | Opp_solver.Infeasible -> `Infeasible
-    | Opp_solver.Timeout ->
-      ctx.budget.hit <- true;
-      `Timeout
+    (match outcome with
+    | Opp_solver.Timeout -> ctx.budget.hit <- true
+    | Opp_solver.Feasible _ | Opp_solver.Infeasible -> ());
+    outcome
   end
 
 (* ------------------------------------------------------------------ *)
@@ -233,8 +231,8 @@ let run_probe ?schedule ctx cont inst =
 (* Bisect below a known-feasible incumbent. Feasibility is monotone in
    the probed value; [proven] is the strongest lower bound already
    refuted-below (everything < proven is proven infeasible), [lo] the
-   smallest value still worth probing. An [`Infeasible] answer at [mid]
-   raises the proof to [mid + 1]; a [`Timeout] proves nothing, so only
+   smallest value still worth probing. An [Infeasible] answer at [mid]
+   raises the proof to [mid + 1]; a [Timeout] proves nothing, so only
    [lo] moves — the search keeps shrinking the side where the incumbent
    can still improve, and the final gap is honest.
 
@@ -252,16 +250,16 @@ let bisect ?tighten ctx ~lo ~proven ~incumbent ~probe =
     ctx.bracket <- Some (!proven, fst !best);
     let mid = (!lo + fst !best - 1) / 2 in
     match probe mid with
-    | `Feasible w ->
+    | Opp_solver.Feasible w ->
       let value =
         match tighten with Some f -> min mid (f w) | None -> mid
       in
       best := (value, w);
       Trace.emit ctx.trace (Incumbent { objective = value })
-    | `Infeasible ->
+    | Opp_solver.Infeasible ->
       lo := mid + 1;
       proven := max !proven (mid + 1)
-    | `Timeout -> lo := mid + 1
+    | Opp_solver.Timeout -> lo := mid + 1
   done;
   ctx.bracket <- Some (!proven, fst !best);
   (!best, !proven)
@@ -285,9 +283,9 @@ let doubling_minimize ctx ~lo ~probe =
     if guard = 0 || exhausted ctx.budget then Error proven
     else
       match probe s with
-      | `Feasible w -> Ok (s, w, proven)
-      | `Infeasible -> find_hi (2 * s) (s + 1) (guard - 1)
-      | `Timeout -> Error proven
+      | Opp_solver.Feasible w -> Ok (s, w, proven)
+      | Opp_solver.Infeasible -> find_hi (2 * s) (s + 1) (guard - 1)
+      | Opp_solver.Timeout -> Error proven
   in
   match find_hi lo lo 24 with
   | Error proven -> Unknown { lower_bound = proven }
@@ -549,9 +547,9 @@ let minimize_area_rect ?options inst ~t_max =
             let lo = h_floor w0 in
             if lo <= h_cap then begin
               match probe h_cap with
-              | `Infeasible -> ()
-              | `Timeout -> exact := false
-              | `Feasible wit ->
+              | Opp_solver.Infeasible -> ()
+              | Opp_solver.Timeout -> exact := false
+              | Opp_solver.Feasible wit ->
                 let (bh, bw), proven =
                   bisect ctx ~lo ~proven:lo ~incumbent:(h_cap, wit) ~probe
                 in
@@ -613,17 +611,16 @@ let feasible_fixed_schedule inst ~w ~h ~t_max ~schedule =
     not
       (schedule_valid inst ~t_max ~schedule
          ~who:"Problems.feasible_fixed_schedule")
-  then Unsat
-  else begin
-    let ctx = make_ctx () in
-    match run_probe ~schedule ctx (Container.make3 ~w ~h ~t_max) inst with
-    | `Timeout -> Undecided
-    | `Infeasible -> Unsat
-    | `Feasible p -> (
-      match substitute_schedule inst ~w ~h ~t_max ~schedule p with
-      | Some q -> Sat q
-      | None -> Unsat)
-  end
+  then None
+  else
+    match
+      run_probe ~schedule (make_ctx ()) (Container.make3 ~w ~h ~t_max) inst
+    with
+    | Opp_solver.Feasible p -> substitute_schedule inst ~w ~h ~t_max ~schedule p
+    | Opp_solver.Infeasible -> None
+    | Opp_solver.Timeout ->
+      (* Unreachable: the probe has no node limit and no deadline. *)
+      failwith "Problems.feasible_fixed_schedule: an unbudgeted probe timed out"
 
 let minimize_base_fixed_schedule ?options inst ~t_max ~schedule =
   if Instance.dim inst <> 3 then
@@ -638,11 +635,11 @@ let minimize_base_fixed_schedule ?options inst ~t_max ~schedule =
     let ctx = make_ctx ?options () in
     let probe s =
       match run_probe ~schedule ctx (Container.make3 ~w:s ~h:s ~t_max) inst with
-      | `Feasible p -> (
+      | Opp_solver.Feasible p -> (
         match substitute_schedule inst ~w:s ~h:s ~t_max ~schedule p with
-        | Some q -> `Feasible q
-        | None -> `Infeasible)
-      | (`Infeasible | `Timeout) as r -> r
+        | Some q -> Opp_solver.Feasible q
+        | None -> Opp_solver.Infeasible)
+      | (Opp_solver.Infeasible | Opp_solver.Timeout) as r -> r
     in
     (* The engine ignores the schedule, which only adds constraints, so
        its refutations stay valid here. *)

@@ -93,7 +93,9 @@ type probe = {
 val probe_json : probe -> Telemetry.json
 
 (** Three-valued decision answer: a witness, a proof of infeasibility,
-    or an exhausted budget. *)
+    or an exhausted budget. {!Opp_solver.outcome} under other names:
+    no driver returns it, and the benchmark's serve ledger still
+    matches on it. *)
 type feasibility =
   | Sat of Geometry.Placement.t
   | Unsat
@@ -178,17 +180,18 @@ val minimize_area_rect :
 
 (** [feasible_fixed_schedule instance ~w ~h ~t_max ~schedule] —
     FeasA&FixedS: can the tasks be placed on a [w x h] chip when every
-    start time is already fixed? It runs with the default options, so
-    it always decides: a [Sat] placement carries the given start
-    times. Schedules that violate the time window or the precedence
-    order are [Unsat] without any search. *)
+    start time is already fixed? It runs with the default options and
+    no budget, so it always decides: [Some] placement carries the given
+    start times, [None] means no placement realizes the schedule.
+    Schedules that violate the time window or the precedence order are
+    [None] without any search. *)
 val feasible_fixed_schedule :
   Instance.t ->
   w:int ->
   h:int ->
   t_max:int ->
   schedule:int array ->
-  feasibility
+  Geometry.Placement.t option
 
 (** [minimize_base_fixed_schedule ?options instance ~t_max ~schedule] —
     MinA&FixedS: the smallest quadratic chip for a given schedule.

@@ -10,15 +10,27 @@
 
 type rule = C2 | C3 | C4 | Capacity | Symmetry | Implications
 
-let rule_index = function
-  | C2 -> 0
-  | C3 -> 1
-  | C4 -> 2
-  | Capacity -> 3
-  | Symmetry -> 4
-  | Implications -> 5
+(* The one table of packing rules. [index] places a rule in every
+   per-rule array; [name] is its metric label and trace [rule_fire]
+   name; [key] prefixes the [--stats json] calls and seconds of a timed
+   rule. Only timed calls can be skipped, so the timed rules are the
+   ones [Packing_state.rules] may switch off; C3 and symmetry are
+   neither. *)
+type spec = { index : int; name : string; key : string option }
 
-let rule_names = [| "c2"; "c3"; "c4"; "capacity"; "symmetry"; "implications" |]
+let spec = function
+  | C2 -> { index = 0; name = "c2"; key = Some "c2" }
+  | C3 -> { index = 1; name = "c3"; key = None }
+  | C4 -> { index = 2; name = "c4"; key = Some "c4" }
+  | Capacity -> { index = 3; name = "capacity"; key = Some "capacity" }
+  | Symmetry -> { index = 4; name = "symmetry"; key = None }
+  | Implications ->
+    { index = 5; name = "implications"; key = Some "implication" }
+
+(* Every rule, in index order: the order of the stats keys. *)
+let all_rules = [| C2; C3; C4; Capacity; Symmetry; Implications |]
+let n_rules = Array.length all_rules
+let switchable rule = (spec rule).key <> None
 
 type conflict =
   | Pair of { dim : int; edge : Order.Oriented_graph.conflict }
@@ -121,7 +133,7 @@ type t = {
   trace : Trace.t;
   registry : Metrics.t;
   mutable started : Clock.t; (* start of the running timed event *)
-  rule_calls : int array; (* by [rule_index] *)
+  rule_calls : int array; (* by rule index *)
   rule_time : float array;
   rule_conflicts : tallies;
   mutable bounds : bound list; (* registration order *)
@@ -136,9 +148,9 @@ let make ~trace ~registry =
     trace;
     registry;
     started = Clock.now ();
-    rule_calls = Array.make 6 0;
-    rule_time = Array.make 6 0.0;
-    rule_conflicts = tallies 6;
+    rule_calls = Array.make n_rules 0;
+    rule_time = Array.make n_rules 0.0;
+    rule_conflicts = tallies n_rules;
     bounds = [];
     search = tallies 5;
     max_depth = 0;
@@ -167,46 +179,71 @@ let register_rules t =
     Array.map
       (fun rule ->
         Metrics.counter t.registry ~help:"Packing-rule conflicts by rule"
-          ~labels:[ ("rule", rule) ] "fpga_solver_rule_conflicts_total")
-      rule_names
+          ~labels:[ ("rule", (spec rule).name) ]
+          "fpga_solver_rule_conflicts_total")
+      all_rules
 
 let rule_conflict t rule r =
   (match r with
   | Error c ->
-    let i = rule_index rule in
+    let { index = i; name; _ } = spec rule in
     if Trace.enabled t.trace then
       Trace.emit t.trace
-        (Rule_fire { rule = rule_names.(i); detail = conflict_to_string c });
+        (Rule_fire { rule = name; detail = conflict_to_string c });
     t.rule_conflicts.n.(i) <- t.rule_conflicts.n.(i) + 1
   | Ok () -> ());
   r
 
 let sampled t i = t.rule_calls.(i) land (sample_every - 1) = 0
-let rule_start t rule = if sampled t (rule_index rule) then start t
+let rule_start t rule = if sampled t (spec rule).index then start t
 
 let rule_call t rule r =
-  let i = rule_index rule in
+  let i = (spec rule).index in
   if sampled t i then
     t.rule_time.(i) <-
       t.rule_time.(i) +. (float_of_int sample_every *. Clock.since t.started);
   t.rule_calls.(i) <- t.rule_calls.(i) + 1;
   rule_conflict t rule r
 
-let rule_counters t =
-  let calls r = t.rule_calls.(rule_index r)
-  and time r = t.rule_time.(rule_index r) in
+type counts = {
+  calls : int array;
+  time_s : float array;
+  realize_attempts : int;
+  realize_time_s : float;
+}
+
+let no_counts =
   {
-    Telemetry.c2_calls = calls C2;
-    c2_time_s = time C2;
-    c4_calls = calls C4;
-    c4_time_s = time C4;
-    capacity_calls = calls Capacity;
-    capacity_time_s = time Capacity;
-    implication_calls = calls Implications;
-    implication_time_s = time Implications;
+    calls = Array.make n_rules 0;
+    time_s = Array.make n_rules 0.0;
+    realize_attempts = 0;
+    realize_time_s = 0.0;
+  }
+
+let counts t =
+  {
+    calls = Array.copy t.rule_calls;
+    time_s = Array.copy t.rule_time;
     realize_attempts = t.search.n.(realizes_i);
     realize_time_s = t.search.s;
   }
+
+let counts_json c =
+  Telemetry.Obj
+    (List.concat_map
+       (fun rule ->
+         match spec rule with
+         | { key = Some key; index = i; _ } ->
+           [
+             (key ^ "_calls", Telemetry.Int c.calls.(i));
+             (key ^ "_time_s", Telemetry.seconds c.time_s.(i));
+           ]
+         | { key = None; _ } -> [])
+       (Array.to_list all_rules)
+    @ [
+        ("realize_attempts", Telemetry.Int c.realize_attempts);
+        ("realize_time_s", Telemetry.seconds c.realize_time_s);
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* Bounds                                                              *)

@@ -39,7 +39,16 @@ val start : t -> unit
 
 (** {1 Packing rules} *)
 
+(** The packing rules, and the only list of them: one table gives each
+    its metric label and trace [rule_fire] name (the constructor in
+    lower case) and, for the timed rules, the prefix of its
+    [--stats json] calls and seconds. *)
 type rule = C2 | C3 | C4 | Capacity | Symmetry | Implications
+
+(** Whether {!Packing_state.rules} may switch a rule off: the timed
+    rules (C2, C4, capacity, implications) can, C3 and symmetry
+    cannot. *)
+val switchable : rule -> bool
 
 (** Why a packing rule closed a branch: the typed witness of a
     conflict. It is built only when a branch fails, and turned into
@@ -83,9 +92,27 @@ val rule_call :
 val rule_conflict :
   t -> rule -> (unit, conflict) result -> (unit, conflict) result
 
-(** Calls and estimated seconds of the timed rules (C2, C4, capacity,
-    implications), plus the realization attempts. *)
-val rule_counters : t -> Telemetry.rule_counters
+(** Per-rule calls and estimated seconds, indexed like the rule table
+    (read them through {!counts_json}), plus the realization attempts
+    and seconds: one attempt per fully decided leaf the search reaches.
+    A parallel solve reports the sum over workers. *)
+type counts = {
+  calls : int array;
+  time_s : float array;
+  realize_attempts : int;
+  realize_time_s : float;
+}
+
+(** A snapshot of [t]'s counts. *)
+val counts : t -> counts
+
+(** All zero: what a solve settled before the search reports. *)
+val no_counts : counts
+
+(** The [--stats json] [rules] object: [<key>_calls] and
+    [<key>_time_s] of each timed rule in table order, then
+    [realize_attempts] and [realize_time_s]. *)
+val counts_json : counts -> Telemetry.json
 
 (** {1 Bounds} *)
 

@@ -1,30 +1,3 @@
-type rule_counters = {
-  c2_calls : int;
-  c2_time_s : float;
-  c4_calls : int;
-  c4_time_s : float;
-  capacity_calls : int;
-  capacity_time_s : float;
-  implication_calls : int;
-  implication_time_s : float;
-  realize_attempts : int;
-  realize_time_s : float;
-}
-
-let zero_rules =
-  {
-    c2_calls = 0;
-    c2_time_s = 0.0;
-    c4_calls = 0;
-    c4_time_s = 0.0;
-    capacity_calls = 0;
-    capacity_time_s = 0.0;
-    implication_calls = 0;
-    implication_time_s = 0.0;
-    realize_attempts = 0;
-    realize_time_s = 0.0;
-  }
-
 (* ------------------------------------------------------------------ *)
 (* Per-bound counters                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -183,21 +156,6 @@ let to_string j =
 (* Seconds with microsecond precision, matching the historical
    "%.6f"-formatted elapsed fields. *)
 let seconds s = Raw (Printf.sprintf "%.6f" s)
-
-let rules_to_json r =
-  Obj
-    [
-      ("c2_calls", Int r.c2_calls);
-      ("c2_time_s", seconds r.c2_time_s);
-      ("c4_calls", Int r.c4_calls);
-      ("c4_time_s", seconds r.c4_time_s);
-      ("capacity_calls", Int r.capacity_calls);
-      ("capacity_time_s", seconds r.capacity_time_s);
-      ("implication_calls", Int r.implication_calls);
-      ("implication_time_s", seconds r.implication_time_s);
-      ("realize_attempts", Int r.realize_attempts);
-      ("realize_time_s", seconds r.realize_time_s);
-    ]
 
 let bounds_to_json (bs : bound_counters) =
   Obj

@@ -1,29 +1,12 @@
-(** Shared solver telemetry: per-rule time/call counters and the one
-    JSON emitter used by every [--stats json] surface.
+(** Shared solver telemetry: the counter records of the bound engine,
+    the result cache and the work-stealing kernel, progress snapshots,
+    and the one JSON emitter and reader used by every [--stats json]
+    surface.
 
     {!Opp_solver} and {!Parallel_solver} both render their reports
-    through {!to_string} so the two outputs cannot drift apart, and
-    both carry a {!rule_counters} record measuring where propagation
-    time actually goes (C2 chain cliques, C1/C4 cycle rules, the Helly
-    capacity rule, D1/D2 implication closure, and the realizations:
-    one attempt per fully decided leaf the search reaches). *)
-
-(** Cumulative per-rule call counts and time, kept by {!Recorder}; a
-    parallel solve reports the sum over workers. *)
-type rule_counters = {
-  c2_calls : int;
-  c2_time_s : float;
-  c4_calls : int;
-  c4_time_s : float;
-  capacity_calls : int;
-  capacity_time_s : float;
-  implication_calls : int;
-  implication_time_s : float;
-  realize_attempts : int;
-  realize_time_s : float;
-}
-
-val zero_rules : rule_counters
+    through {!to_string}, so the two outputs cannot drift apart. The
+    per-rule counts are {!Recorder}'s: its rule table is the one place
+    that names the packing rules. *)
 
 (** Cumulative per-bound counters from the {!Bound_engine}: how often a
     registered bound ran, how long it took, and how many times its
@@ -113,7 +96,6 @@ val seconds : float -> json
     not modified. *)
 val percentile : float array -> p:float -> float
 
-val rules_to_json : rule_counters -> json
 val bounds_to_json : bound_counters -> json
 val steals_to_json : steal_counters -> json
 val cache_to_json : cache_counters -> json

@@ -27,7 +27,7 @@ let default_config =
 (* Cached results live in canonical task space; only definitive ones
    are ever stored (see [is_definitive]). *)
 type solved =
-  | R_feas of Problems.feasibility
+  | R_feas of Solver.outcome
   | R_any of int Problems.anytime
 
 type t = {
@@ -160,15 +160,16 @@ type request = {
 
 (* An op's parameters, each from the request or else the instance text:
    [solve] checks the chip, then the time budget, then their volume;
-   [min-time] needs only the chip and [min-area] only the time budget. *)
+   [min-time] needs only the chip and [min-area] only the time budget,
+   and each rejects a request field for the extent it minimizes. *)
 let resolve op ~chip ~t_max (io : Fpga.Instance_io.t) =
-  let chip () =
+  let need_chip () =
     match (chip, io.chip) with
     | Some wh, _ -> Ok wh
     | None, Some c -> Ok (Fpga.Chip.width c, Fpga.Chip.height c)
     | None, None ->
       Error "no chip: pass \"chip\":[w,h] or a chip line in the instance"
-  and time () =
+  and need_time () =
     match (t_max, io.t_max) with
     | Some t, _ | None, Some t -> Ok t
     | None, None ->
@@ -177,12 +178,20 @@ let resolve op ~chip ~t_max (io : Fpga.Instance_io.t) =
   let ( let* ) = Result.bind in
   match op with
   | Op_solve ->
-    let* w, h = chip () in
-    let* t_max = time () in
+    let* w, h = need_chip () in
+    let* t_max = need_time () in
     let* () = Geometry.Box.check_volume [| w; h; t_max |] in
     Ok (Solve { w; h; t_max })
-  | Op_min_time -> Result.map (fun (w, h) -> Min_time { w; h }) (chip ())
-  | Op_min_area -> Result.map (fun t_max -> Min_area { t_max }) (time ())
+  | Op_min_time ->
+    let* w, h = need_chip () in
+    if t_max <> None then
+      Error "min-time takes no \"time\": the makespan is what it minimizes"
+    else Ok (Min_time { w; h })
+  | Op_min_area ->
+    let* t_max = need_time () in
+    if chip <> None then
+      Error "min-area takes no \"chip\": the chip side is what it minimizes"
+    else Ok (Min_area { t_max })
 
 let error_response id code msg =
   T.Obj
@@ -256,8 +265,8 @@ let parse_request json =
 (* ------------------------------------------------------------------ *)
 
 let is_definitive = function
-  | R_feas (Problems.Sat _ | Problems.Unsat) -> true
-  | R_feas Problems.Undecided -> false
+  | R_feas (Solver.Feasible _ | Solver.Infeasible) -> true
+  | R_feas Solver.Timeout -> false
   | R_any (Problems.Optimal _ | Problems.Infeasible) -> true
   | R_any (Problems.Feasible_incumbent _ | Problems.Unknown _) -> false
 
@@ -331,19 +340,12 @@ let solve_request t req job events (canon : Canonical.t) =
     match job with
     | Solve { w; h; t_max } ->
       let container = Geometry.Container.make3 ~w ~h ~t_max in
-      let outcome =
-        (* One code path for every job count: the work-stealing kernel
-           short-circuits [jobs = 1] to the sequential solver with zero
-           domain overhead, so the server no longer special-cases it. *)
-        let r = Packing.Parallel_solver.solve ~options ~jobs inst container in
-        nodes := !nodes + r.Packing.Parallel_solver.stats.Solver.nodes;
-        r.Packing.Parallel_solver.outcome
-      in
-      R_feas
-        (match outcome with
-        | Solver.Feasible p -> Problems.Sat p
-        | Solver.Infeasible -> Problems.Unsat
-        | Solver.Timeout -> Problems.Undecided)
+      (* One code path for every job count: the work-stealing kernel
+         short-circuits [jobs = 1] to the sequential solver with zero
+         domain overhead, so the server no longer special-cases it. *)
+      let r = Packing.Parallel_solver.solve ~options ~jobs inst container in
+      nodes := !nodes + r.Packing.Parallel_solver.stats.Solver.nodes;
+      R_feas r.Packing.Parallel_solver.outcome
     | Min_time { w; h } ->
       R_any (Problems.minimize_time ~options ~jobs ~on_probe inst ~w ~h)
     | Min_area { t_max } ->
@@ -377,10 +379,10 @@ let render req (canon : Canonical.t) solved =
   let original = req.io.Fpga.Instance_io.instance in
   let fields =
     match solved with
-    | R_feas (Problems.Sat p) ->
+    | R_feas (Solver.Feasible p) ->
       ("status", T.String "feasible") :: witness_fields canon ~original p
-    | R_feas Problems.Unsat -> [ ("status", T.String "infeasible") ]
-    | R_feas Problems.Undecided -> [ ("status", T.String "undecided") ]
+    | R_feas Solver.Infeasible -> [ ("status", T.String "infeasible") ]
+    | R_feas Solver.Timeout -> [ ("status", T.String "undecided") ]
     | R_any r -> (
       ("status", T.String (Problems.status_string r))
       ::

@@ -6,8 +6,8 @@
     {v
     {"id": "r1", "op": "solve" | "min-time" | "min-area",
      "instance": "<Instance_io text, \n-separated>",
-     "chip": [w, h],          // optional when the instance text has a chip line
-     "time": t_max,           // optional when the instance text has a time line
+     "chip": [w, h],          // solve, min-time; optional given a chip line
+     "time": t_max,           // solve, min-area; optional given a time line
      "node_limit": n,         // optional per-request budget
      "time_limit_s": s,       // optional per-request budget
      "jobs": j}               // optional solver domains for this request
@@ -20,10 +20,12 @@
     witness [placement] in the request's own task labels. Malformed or
     invalid requests get [{"id":..., "error":{"code":..., "message":...}}]
     with code [parse], [bad-request] or [internal]; the loop always
-    survives. When heartbeats are enabled, progress and incumbent event
-    lines ([{"id":..., "ev":"heartbeat"|"incumbent", ...}]) are
-    interleaved with responses; every line is emitted through one
-    {!Writer}, so concurrent workers never splice lines.
+    survives. A field for the extent an op minimizes ([time] on
+    [min-time], [chip] on [min-area]) is a [bad-request]. When
+    heartbeats are enabled, progress and incumbent event lines
+    ([{"id":..., "ev":"heartbeat"|"incumbent", ...}]) are interleaved
+    with responses; every line is emitted through one {!Writer}, so
+    concurrent workers never splice lines.
 
     {b Caching.} Every request is canonicalized ({!Canonical}) and
     solved {e in canonical space}; the witness is mapped back through

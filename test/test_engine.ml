@@ -336,7 +336,7 @@ let prop_realization_only_at_leaves case =
   match solve_with Solver.Realize_adaptive inst cont with
   | Solver.Timeout, _ -> true
   | outcome, s ->
-    let attempts = s.rules.Packing.Telemetry.realize_attempts in
+    let attempts = s.rules.Packing.Recorder.realize_attempts in
     if attempts <> s.leaves then
       QCheck.Test.fail_reportf "%s: %d realizations at %d leaves"
         (verdict_name outcome) attempts s.leaves

@@ -876,35 +876,31 @@ let test_fixed_schedule () =
   let i = inst ~precedence:[ (0, 1) ] [ box3 2 2 2; box3 2 2 2 ] in
   (* Valid schedule: task 1 after task 0. *)
   (match Problems.feasible_fixed_schedule i ~w:2 ~h:2 ~t_max:4 ~schedule:[| 0; 2 |] with
-  | Problems.Sat p ->
-    Alcotest.(check int) "start honored" 2 (Placement.start_time p 1)
-  | Problems.Unsat | Problems.Undecided -> Alcotest.fail "schedule is realizable");
+  | Some p -> Alcotest.(check int) "start honored" 2 (Placement.start_time p 1)
+  | None -> Alcotest.fail "schedule is realizable");
   (* Schedule violating precedence is rejected outright. *)
   Alcotest.(check bool) "violating schedule" true
     (Problems.feasible_fixed_schedule i ~w:2 ~h:2 ~t_max:4 ~schedule:[| 2; 0 |]
-    = Problems.Unsat);
+    = None);
   (* Simultaneous schedule needs a wider chip. *)
   let free = inst [ box3 2 2 2; box3 2 2 2 ] in
   Alcotest.(check bool) "simultaneous too tight" true
     (Problems.feasible_fixed_schedule free ~w:2 ~h:2 ~t_max:2 ~schedule:[| 0; 0 |]
-    = Problems.Unsat);
+    = None);
   Alcotest.(check bool) "simultaneous fits wider" true
-    (match
-       Problems.feasible_fixed_schedule free ~w:4 ~h:2 ~t_max:2
-         ~schedule:[| 0; 0 |]
-     with
-    | Problems.Sat _ -> true
-    | Problems.Unsat | Problems.Undecided -> false);
+    (Option.is_some
+       (Problems.feasible_fixed_schedule free ~w:4 ~h:2 ~t_max:2
+          ~schedule:[| 0; 0 |]));
   (* Identical, unordered tasks started in either order: the schedule
      that runs the higher index first is as realizable as the other. *)
   let twins = inst [ box3 2 2 1; box3 2 2 1 ] in
   List.iter
     (fun schedule ->
       match Problems.feasible_fixed_schedule twins ~w:4 ~h:4 ~t_max:2 ~schedule with
-      | Problems.Sat p ->
+      | Some p ->
         Alcotest.(check int) "start of 0 honored" schedule.(0)
           (Placement.start_time p 0)
-      | Problems.Unsat | Problems.Undecided ->
+      | None ->
         Alcotest.failf "schedule [|%d; %d|] is realizable" schedule.(0)
           schedule.(1))
     [ [| 0; 1 |]; [| 1; 0 |] ]
@@ -1153,7 +1149,7 @@ let test_rule_capacity () =
       (String.length (why e) > 0)
   | Ok _ -> Alcotest.fail "expected capacity conflict at the root");
   (* Disabling the rule defers the conflict (the root then succeeds). *)
-  let rules = { PS.default_rules with component_cliques = false } in
+  let rules = [ Packing.Recorder.Capacity ] in
   match PS.create ~rules i (cont3 3 3 3) with
   | Ok _ -> ()
   | Error _ ->
@@ -1297,6 +1293,72 @@ let test_conflict_text () =
       Alcotest.(check (pair string string)) name want (first_fire run))
     cases
 
+(* A rule switched off is neither called nor counted: its [--stats json]
+   calls read 0 and no [rule_fire] event names it, while the other
+   switchable rules still run. With all rules on, a search-only solve of
+   this random instance fires every switchable rule. *)
+let switched_off off =
+  let trace = Packing.Trace.create () in
+  let options =
+    {
+      Solver.default_options with
+      rules = off;
+      use_bounds = false;
+      use_heuristic = false;
+      node_limit = Some 2_000;
+      trace;
+    }
+  in
+  let inst =
+    Benchmarks.Generate.random ~seed:10 ~n:10 ~max_extent:4 ~max_duration:3
+      ~arc_probability:0.15 ()
+  in
+  let _, stats = Solver.solve ~options inst (cont3 5 5 8) in
+  let rules = Packing.Recorder.counts_json stats.Solver.rules in
+  let calls key =
+    Option.get
+      (Option.bind (Packing.Telemetry.member (key ^ "_calls") rules)
+         Packing.Telemetry.to_int_opt)
+  in
+  let fires name =
+    List.length
+      (List.filter
+         (fun (_, (e : Packing.Trace.event)) ->
+           match e.kind with
+           | Packing.Trace.Rule_fire { rule; _ } -> rule = name
+           | _ -> false)
+         (Packing.Trace.events trace))
+  in
+  (calls, fires)
+
+let test_rule_switched_off () =
+  let switchable =
+    Packing.Recorder.
+      [
+        (C2, "c2", "c2");
+        (C4, "c4", "c4");
+        (Capacity, "capacity", "capacity");
+        (Implications, "implication", "implications");
+      ]
+  in
+  let calls, fires = switched_off [] in
+  List.iter
+    (fun (_, key, name) ->
+      Alcotest.(check bool) (key ^ " runs with all rules on") true
+        (calls key > 0 && fires name > 0))
+    switchable;
+  List.iter
+    (fun (rule, key, name) ->
+      let calls, fires = switched_off [ rule ] in
+      Alcotest.(check int) (key ^ " off: no calls") 0 (calls key);
+      Alcotest.(check int) (key ^ " off: no rule_fire") 0 (fires name);
+      List.iter
+        (fun (other, key, _) ->
+          if other <> rule then
+            Alcotest.(check bool) (key ^ " still runs") true (calls key > 0))
+        switchable)
+    switchable
+
 let () =
   Alcotest.run "packing"
     [
@@ -1381,6 +1443,8 @@ let () =
             test_rule_symmetry_needs_identical_context;
           Alcotest.test_case "C4 diagonal forcing" `Quick test_rule_c4;
           Alcotest.test_case "conflict text" `Quick test_conflict_text;
+          Alcotest.test_case "switched off, neither called nor counted" `Quick
+            test_rule_switched_off;
         ] );
       ( "invariance",
         [

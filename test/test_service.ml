@@ -665,8 +665,9 @@ let test_volume_overflow_rejected () =
 (* Each op resolves the parameters it needs, from the request or the
    instance text, before any work: [solve] checks the chip, then the
    time budget, then their volume; [min-time] needs only the chip and
-   [min-area] only the time budget, and a field an op does not use is
-   not checked. A rejected request still counts under its op. *)
+   [min-area] only the time budget, and once that resolves, a request
+   field for the extent the op minimizes is rejected. A rejected
+   request still counts under its op. *)
 let test_resolution_errors () =
   let inst = instance_of_text "task a 2 2 2\ntask b 1 1 1\n" in
   let huge = 1 lsl 40 in
@@ -678,21 +679,25 @@ let test_resolution_errors () =
       ("solve", "overflow", Some (4, 4), Some huge);
       ("min-time", "no chip", None, Some 5);
       ("min-time", "no time", Some (4, 4), None);
-      ("min-time", "overflow", Some (4, 4), Some huge);
+      ("min-time", "unused time", Some (4, 4), Some huge);
       ("min-area", "no chip", None, Some 5);
       ("min-area", "no time", Some (4, 4), None);
-      ("min-area", "overflow", Some (4, 4), Some huge);
+      ("min-area", "unused chip", Some (4, 4), Some huge);
     ]
   in
   let no_chip = "no chip: pass \"chip\":[w,h] or a chip line in the instance"
   and no_time =
     "no time budget: pass \"time\":t or a time line in the instance"
-  and overflow = "extents 4x4x1099511627776: volume exceeds 2^40" in
+  and overflow = "extents 4x4x1099511627776: volume exceeds 2^40"
+  and unused_time =
+    "min-time takes no \"time\": the makespan is what it minimizes"
+  and unused_chip =
+    "min-area takes no \"chip\": the chip side is what it minimizes" in
   let expected =
     [
       no_chip; no_chip; no_time; overflow;
-      no_chip; "optimal"; "optimal";
-      "optimal"; no_time; "optimal";
+      no_chip; "optimal"; unused_time;
+      "optimal"; no_time; unused_chip;
     ]
   in
   let out = ref [] in
